@@ -17,6 +17,12 @@ Claims, measured at bench scale:
   and dirty-level skipping — beats checking the same candidates one at
   a time on the scalar path by >=2x end to end (parse + elaborate +
   compile + simulate + verdict), candidate-for-candidate identical;
+* **the lane floor is a measurement** — lockstep forced vs scalar forced
+  on AST-distinct pools (every lane lowers its own image) of 2..64
+  lanes, all-pass and half-mutant, on both lockstep DUTs
+  (``results/lockstep_crossover.json``): at
+  ``harness._MIN_LOCKSTEP_LANES`` forced lockstep is no slower than the
+  scalar replay on the all-pass row of each;
 * a pool-worker-shaped evaluation run (fresh in-process caches, golden
   elaboration + trace + duplicate candidate checks) with a warm
   :mod:`repro.sim.cache` directory runs >=1.5x faster than the same run
@@ -34,6 +40,7 @@ this file only adds claims, it does not relax theirs.
 """
 
 import gc
+import itertools
 import time
 
 import pytest
@@ -64,6 +71,7 @@ _POOL_PROBLEMS = 12
 _POOL_DUPLICATES = 3
 _LOCKSTEP_CANDIDATES = 48
 _LOCKSTEP_CYCLES = 384  # the production stimulus depth bench_sim_perf uses
+_CROSSOVER_LANES = (2, 4, 8, 16, 32, 48, 64)
 
 
 def _timed(fn, repeats=2):
@@ -267,6 +275,39 @@ def _lockstep_problem():
     )
 
 
+def _distinct_pool(variant, sites, tails, mutants, count, fail_every):
+    """``count`` AST-distinct candidates of one schedule shape.
+
+    AST-identical lanes share one compiled image, so a pool that is to
+    measure what a *lane* costs needs candidates that differ in their
+    ASTs.  Passing ones are every
+    combination of operand order per site (``sites``: name -> the two
+    spellings) under each identity tail applied to the first site, the
+    golden spelling itself left out; with ``fail_every`` > 0 every
+    ``fail_every``-th candidate is broken by one ``(site, old, new)``
+    operator swap of ``mutants``.
+    """
+    names = list(sites)
+    passing = []
+    for tail in tails:
+        for spellings in itertools.product(*sites.values()):
+            kwargs = dict(zip(names, spellings))
+            kwargs[names[0]] = tail.format(kwargs[names[0]])
+            passing.append(kwargs)
+    passing = passing[1:]  # [0] is the golden spelling
+    assert count <= len(passing)
+    sources = []
+    for index in range(count):
+        kwargs = dict(passing[index])
+        if fail_every and index % fail_every == fail_every - 1:
+            site, old, new = mutants[(index // fail_every) % len(mutants)]
+            assert old in kwargs[site]
+            kwargs[site] = kwargs[site].replace(old, new, 1)
+        sources.append(variant(**kwargs))
+    assert len(set(sources)) == count
+    return sources
+
+
 def _lockstep_candidates(count):
     """A low-temperature-shaped candidate pool for one problem.
 
@@ -296,6 +337,22 @@ def _lockstep_candidates(count):
             base = base + f"\n// resample {index}\n"
         sources.append(base)
     return sources
+
+
+def _lockstep_distinct(count, fail_every):
+    return _distinct_pool(
+        _lockstep_variant,
+        {
+            "op_sum": ("a + b", "b + a"),
+            "op_mix": ("a & b", "b & a"),
+            "op_stage": ("a ^ b", "b ^ a"),
+            "op_win": ("a | b", "b | a"),
+        },
+        ("{}", "{} + 9'd0", "({}) | 9'd0", "({}) ^ 9'd0", "({}) - 9'd0"),
+        (("op_sum", " + ", " - "), ("op_win", " | ", " ^ ")),
+        count,
+        fail_every,
+    )
 
 
 def test_sequential_lockstep_passk_speedup():
@@ -349,6 +406,86 @@ def test_sequential_lockstep_passk_speedup():
     assert speedup >= 2.0, (
         f"lockstep checking only {speedup:.2f}x faster than the scalar loop"
     )
+
+
+def test_lockstep_lane_crossover():
+    """The measurement behind ``harness._MIN_LOCKSTEP_LANES``.
+
+    The same AST-distinct pool, end to end, once with every group of two
+    or more forced onto lanes and once with lockstep off, at each lane
+    count, on both lockstep DUTs, for an all-pass pool (lockstep's best
+    case: the scalar replay runs every cycle of every candidate) and a
+    half-mutant one (its worst: the scalar replay leaves a mutant at its
+    first bad cycle, the group keeps stepping while any lane survives).
+    The floor has to hold on the worse DUT.
+    """
+    floor = harness._MIN_LOCKSTEP_LANES
+    duts = (
+        ("datapath", _lockstep_problem(), _lockstep_distinct),
+        ("bitctl", _bitctl_problem(), _bitctl_distinct),
+    )
+
+    def check(problem, sources, lockstep):
+        harness.LOCKSTEP_CHECK_ENABLED = lockstep
+        return check_candidates_lockstep(problem, sources)
+
+    rows = []
+    enabled = harness.LOCKSTEP_CHECK_ENABLED
+    harness._MIN_LOCKSTEP_LANES = 2  # "forced": every group rides lanes
+    try:
+        for dut, problem, pool in duts:
+            harness._golden_ref(problem)
+            for lanes in _CROSSOVER_LANES:
+                for mix, fail_every in (("all_pass", 0), ("half_mutant", 2)):
+                    sources = pool(lanes, fail_every)
+                    assert check(problem, sources, True) == check(
+                        problem, sources, False
+                    )
+                    lockstep_seconds, _ = _timed(
+                        lambda: check(problem, sources, True), repeats=3
+                    )
+                    scalar_seconds, _ = _timed(
+                        lambda: check(problem, sources, False), repeats=3
+                    )
+                    rows.append(
+                        {
+                            "dut": dut,
+                            "lanes": lanes,
+                            "mix": mix,
+                            "lockstep_seconds": lockstep_seconds,
+                            "scalar_seconds": scalar_seconds,
+                            "speedup": scalar_seconds / lockstep_seconds,
+                        }
+                    )
+    finally:
+        harness._MIN_LOCKSTEP_LANES = floor
+        harness.LOCKSTEP_CHECK_ENABLED = enabled
+    lines = [
+        f"lockstep vs scalar replay by group size, {_LOCKSTEP_CYCLES} "
+        f"cycles, AST-distinct candidates, end to end "
+        f"(floor = {floor} lanes)",
+        f"{'dut':<9} {'lanes':>5} {'mix':<12} {'scalar s':>9} "
+        f"{'lockstep s':>11} {'speedup':>8}",
+    ]
+    lines.extend(
+        f"{row['dut']:<9} {row['lanes']:>5} {row['mix']:<12} "
+        f"{row['scalar_seconds']:>9.4f} {row['lockstep_seconds']:>11.4f} "
+        f"{row['speedup']:>7.2f}x"
+        for row in rows
+    )
+    write_result(
+        "lockstep_crossover",
+        "\n".join(lines),
+        values={"cycles": _LOCKSTEP_CYCLES, "floor": floor, "rows": rows},
+    )
+    assert floor in _CROSSOVER_LANES
+    for row in rows:
+        if row["lanes"] == floor and row["mix"] == "all_pass":
+            assert row["speedup"] >= 1.0, (
+                f"at the committed floor of {floor} lanes forced lockstep "
+                f"is {row['speedup']:.2f}x the scalar replay on the "
+                f"all-pass {row['dut']} pool: raise _MIN_LOCKSTEP_LANES"
+            )
 
 
 def _mutate(source: str, index: int) -> str:
@@ -619,6 +756,25 @@ def _bitctl_candidates(count):
             base = base + f"\n// resample {index}\n"
         sources.append(base)
     return sources
+
+
+def _bitctl_distinct(count, fail_every):
+    return _distinct_pool(
+        _bitctl_variant,
+        {
+            "op_fb": ("s0 ^ din", "din ^ s0"),
+            "op_tick": ("s1 | s2", "s2 | s1"),
+            "op_s3": ("s2 ^ s0", "s0 ^ s2"),
+        },
+        (
+            "{}", "({}) ^ 1'b0", "({}) | 1'b0", "({}) & 1'b1",
+            "~(~({}))", "({}) ^ 1'b0 ^ 1'b0", "({}) | 1'b0 | 1'b0",
+            "({}) & 1'b1 & 1'b1", "({}) | 1'b0 ^ 1'b0",
+        ),
+        (("op_fb", " ^ ", " & "), ("op_tick", " | ", " & ")),
+        count,
+        fail_every,
+    )
 
 
 def test_bitheavy_lockstep_passk_speedup():

@@ -121,7 +121,8 @@ class CheckStage(MapStage):
     when a checker exposes ``check_batch`` (see
     :class:`~repro.evalkit.tasks.PassAtKChecker`), all of the chunk's
     records for that task are handed over together, which lets pass@k
-    candidates of one problem simulate **in lockstep** — one
+    candidates of one problem, in groups wide enough to pay, simulate
+    **in lockstep** — one
     lane-parallel run per group of structurally compatible candidates —
     before the pool fans the chunks out.  Checkers without a batch entry
     point keep the per-record ``check`` path; either way the output is

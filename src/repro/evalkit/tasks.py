@@ -101,9 +101,10 @@ class PassAtKChecker:
     :class:`~repro.evalkit.stages.CheckStage` prefers: all distinct
     completions of one problem inside a chunk check together through
     :func:`~repro.vereval.harness.check_candidates_lockstep`, so
-    sequential candidates with compatible compiled shapes simulate in
-    lockstep (one lane per candidate) instead of one at a time — with
-    verdicts identical to :meth:`check` per record.
+    sequential candidates with compatible compiled shapes, in groups
+    wide enough to pay, simulate in lockstep (one lane per candidate)
+    instead of one at a time — with verdicts identical to :meth:`check`
+    per record.
     """
 
     _VERDICT_CACHE_MAX = 8192

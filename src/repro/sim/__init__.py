@@ -72,7 +72,7 @@ structurally compatible designs (grouped by
 :func:`~repro.sim.batch.lockstep_shape_digest`) into a
 :class:`~repro.sim.batch.LockstepSimulator` that steps one candidate per
 lane under one shared stimulus, with lane retirement and dirty-level
-schedule skipping — the engine behind
+schedule skipping — the wide-pool tier of
 :func:`repro.vereval.check_candidates_lockstep`.  See
 ``docs/architecture.md`` for the full backend matrix and contracts.
 

@@ -1610,6 +1610,15 @@ def _commit_nba_lanes(st, mems, updates, widths, lane_ix,
 # ---------------------------------------------------------------------------
 
 
+def _no_bit_moved(snapshot, current) -> bool:
+    """True when no trigger bit differs in any lane: no edge can fire (the
+    exit 3 of the 4 edge scans per clock cycle take)."""
+    for before, after in zip(snapshot, current):
+        if (before != after).any():
+            return False
+    return True
+
+
 class BatchSimulator(Simulator):
     """Executes a :class:`BatchDesign` over ``n_lanes`` parallel lanes.
 
@@ -1778,6 +1787,8 @@ class BatchSimulator(Simulator):
         seq = self.bdesign.seq
         for _ in range(self._max_rounds):
             current = self._trigger_bits()
+            if _no_bit_moved(snapshot, current):
+                return
             fired = []
             for triggers, body in seq:
                 lanes = None
@@ -2242,6 +2253,8 @@ class LockstepSimulator(BatchSimulator):
         group = self.group
         for _ in range(self._max_rounds):
             current = self._trigger_bits()
+            if _no_bit_moved(snapshot, current):
+                return
             fired: List[tuple] = []
             fired_writes: set = set()
             for j, (triggers, block_variants) in enumerate(group.seq_plan):

@@ -1793,6 +1793,10 @@ class CompiledSimulator(Simulator):
         seq = cd.seq
         for _ in range(self._max_rounds):
             current = [st[s] & 1 for s in trigger_slots]
+            if current == snapshot:
+                # No trigger bit moved, so no edge can fire: the exit 3
+                # of the 4 edge scans per clock cycle take.
+                return
             triggered = [
                 proc
                 for proc in seq

@@ -18,6 +18,7 @@ from repro.vereval.harness import (
     check_candidates_lockstep,
     check_completion,
     evaluate_model,
+    reset_caches,
 )
 from repro.vereval.cegis import (
     CegisConfig,
@@ -40,6 +41,7 @@ __all__ = [
     "check_candidates_lockstep",
     "check_completion",
     "evaluate_model",
+    "reset_caches",
     "CegisConfig",
     "DistinguishingSet",
     "DistinguishingVector",

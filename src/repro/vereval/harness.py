@@ -13,14 +13,16 @@ Since the evalkit refactor this module plays two roles:
   cycle-identical and kicks in automatically for candidates the compiler
   cannot statically lower;
 * it owns the *batched* verdict path (:func:`check_candidates_lockstep`):
-  many candidates of one problem check at once — duplicates collapse,
+  many candidates of one problem check at once, each on the tier that
+  pays for its group size — duplicates collapse,
   stateless combinational candidates take the all-vectors lane fast path
   (:func:`_check_all_vectors_batch`, one stimulus vector per lane), and
   sequential candidates with compatible compiled shapes simulate **in
   lockstep**, one lane per candidate under the shared golden stimulus
-  (:mod:`repro.sim.batch` lockstep groups), with mismatching lanes
-  retired at their first bad cycle.  Everything that cannot ride a lane
-  replays on the scalar backends, so verdicts are candidate-for-candidate
+  (:mod:`repro.sim.batch` lockstep groups), when the group holds at
+  least ``_MIN_LOCKSTEP_LANES`` of them.  Everything else — pass@k-sized
+  groups included — replays on the scalar backends, which leave a mutant
+  at its first bad cycle, so verdicts are candidate-for-candidate
   identical to the scalar loop;
 * :func:`evaluate_model` is a thin facade compiling the paper's pass@k
   protocol into a :class:`repro.evalkit.EvalPlan`, which runs it through
@@ -64,9 +66,19 @@ LOCKSTEP_CHECK_ENABLED = (
     os.environ.get("REPRO_SIM_LOCKSTEP_CHECK", "1") != "0"
 )
 
-#: lockstep groups smaller than this run on the scalar path: a single
-#: candidate gains nothing from lane form, it only pays numpy overhead
-_MIN_LOCKSTEP_LANES = 2
+#: lockstep groups smaller than this run on the scalar replay instead.
+#: A group pays a fixed numpy dispatch cost per cycle whatever its lane
+#: count, for every cycle while any lane survives, and lowers one lane
+#: image per distinct AST; the scalar replay pays per candidate but
+#: leaves a mutant at its first bad cycle.  The floor is the smallest
+#: point of the lane sweep in ``benchmarks/bench_batch_perf.py``
+#: (``benchmarks/results/lockstep_crossover.json``) at which forced
+#: lockstep beats forced scalar on the all-pass pools of both its DUTs
+#: (they cross at 16-20 lanes; that bench asserts these rows at this
+#: lane count).  Half-mutant pools cross at 24-32 lanes on the datapath
+#: DUT; on the 1-bit-heavy DUT the two tiers stay at parity (0.75-1.2x
+#: measured) from 24 to 56 lanes, so that row does not place a floor.
+_MIN_LOCKSTEP_LANES = 32
 
 
 @dataclass
@@ -656,10 +668,12 @@ def check_candidates_lockstep(
     * sequential candidates with compatible compiled shapes
       (:func:`~repro.sim.batch.lockstep_shape_digest`) run **in
       lockstep**, one lane per candidate, under the shared golden
-      stimulus, with mismatching lanes retired at their first bad cycle;
-    * everything else — combinational problems (which keep the
-      all-vectors fast path), unique shapes, designs that do not
-      lane-lower, and lanes hit by a runtime
+      stimulus, with mismatching lanes retired at their first bad cycle
+      — in groups of at least ``_MIN_LOCKSTEP_LANES``, the measured
+      crossover below which the scalar replay is faster;
+    * everything else — smaller groups, combinational problems (which
+      keep the all-vectors fast path), designs that do not lane-lower,
+      and lanes hit by a runtime
       :class:`~repro.sim.batch.BatchDivergence` — replays on the scalar
       backends under the usual fallback contract;
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
@@ -749,6 +763,21 @@ def _check_candidates_lockstep(
             else:
                 fill(indices, (False, verdict.error or "mismatch"))
     return outcomes  # type: ignore[return-value]
+
+
+def reset_caches() -> None:
+    """Drop every in-process checker memo: the golden-artifact LRU and the
+    CEGIS set, golden-sweep and clear-search memos.
+
+    What a fresh pool worker or a restarted service starts from; the
+    :mod:`repro.sim.cache` disk tier is left alone.
+    """
+    from repro.vereval import cegis as _cegis
+
+    _GOLDEN_CACHE.clear()
+    _cegis._SET_CACHE.clear()
+    _cegis._GOLDEN_SWEEP_CACHE.clear()
+    _cegis._CLEAR_MEMO.clear()
 
 
 def check_candidate_source(

@@ -1,7 +1,11 @@
 """AST node definitions for the Verilog-2001 subset.
 
-All nodes are plain dataclasses.  Expressions keep source position (line)
-for diagnostics.  Width/parameter resolution happens later, in
+All nodes are plain dataclasses.  Expressions and statements keep source
+position (``line``) for diagnostics only: it takes no part in equality
+*or* ``repr``, so both are purely structural — :mod:`repro.sim.batch`
+fingerprints bodies by ``repr``, and a comment or blank line above a
+module must not make two identical bodies look different.
+Width/parameter resolution happens later, in
 :mod:`repro.sim.elaborate`, so ranges and literals store expressions, not
 resolved integers.
 """
@@ -21,7 +25,7 @@ from typing import List, Optional, Tuple
 class Expr:
     """Base class for expression nodes."""
 
-    line: int = field(default=0, compare=False)
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass
@@ -128,7 +132,7 @@ class SystemCall(Expr):
 
 @dataclass
 class Stmt:
-    line: int = field(default=0, compare=False)
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass

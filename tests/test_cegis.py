@@ -32,7 +32,7 @@ from repro.sim import (
 from repro.sim import cache as sim_cache
 from repro.sim.testbench import Testbench, random_stimulus
 from repro.utils.rng import DeterministicRNG
-from repro.vereval import EvalProblem, build_problem_set
+from repro.vereval import EvalProblem, build_problem_set, reset_caches
 from repro.vereval import cegis, harness
 from repro.verilog import parse_source
 from repro.vgen import (
@@ -49,10 +49,9 @@ from repro.vgen import (
 
 
 def _clear_cegis_state():
-    harness._GOLDEN_CACHE.clear()
-    cegis._SET_CACHE.clear()
-    cegis._CLEAR_MEMO.clear()
-    cegis._GOLDEN_SWEEP_CACHE.clear()
+    reset_caches()
+    assert not harness._GOLDEN_CACHE and not cegis._SET_CACHE
+    assert not cegis._CLEAR_MEMO and not cegis._GOLDEN_SWEEP_CACHE
 
 
 @pytest.fixture()

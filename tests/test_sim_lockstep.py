@@ -71,6 +71,15 @@ def _problem_for(module, cycles=24, seed=5, problem_id="lockstep"):
     )
 
 
+@pytest.fixture(autouse=True)
+def _small_groups_ride_lanes(monkeypatch):
+    """Production routes groups below the measured crossover to the
+    scalar replay; this file is about the lockstep tier, so every group
+    of two or more rides lanes here (routing itself:
+    ``tests/test_vereval.py::TestLaneFloorRouting``)."""
+    monkeypatch.setattr(harness, "_MIN_LOCKSTEP_LANES", 2)
+
+
 def assert_lockstep_identical(problem, sources):
     batch = check_candidates_lockstep(problem, sources)
     reference = [
@@ -481,6 +490,33 @@ class TestLockstepSimulator:
             lock.poke("clk", 0); lock.poke("clk", 1)
             batch.poke("clk", 0); batch.poke("clk", 1)
             assert lock.peek_lanes("acc").tolist() == [batch.peek("acc")]
+
+    def test_shifted_resamples_share_one_variant_and_one_image(
+        self, monkeypatch
+    ):
+        # Fingerprints are structural: a comment or blank line above a
+        # body moves its AST line numbers and nothing else.
+        import repro.sim.batch as batch
+
+        sources = [
+            _dut(),
+            "// note\n" + _dut(),
+            _dut().replace("\n", "\n\n", 3),
+        ]
+        designs = [build(source, "dut") for source in sources]
+        lowered = []
+        original = batch.batch_design
+
+        def spy(design, *args, **kwargs):
+            lowered.append(design)
+            return original(design, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "batch_design", spy)
+        group = build_lockstep_group(designs)
+        assert len(lowered) == 1
+        assert [len(variants) for variants in group.comb_plan] == [1, 1]
+        assert [len(variants) for _, variants in group.seq_plan] == [1]
+        assert all(variants[0][0].all() for variants in group.comb_plan)
 
     def test_mismatched_shapes_rejected(self):
         latch = _dut().replace(

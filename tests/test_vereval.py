@@ -7,15 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.llm import LanguageModel
 from repro.vereval import (
+    CegisConfig,
     EvalConfig,
+    EvalProblem,
     build_problem_set,
+    cegis_configure,
+    check_candidate_source,
+    check_candidates_lockstep,
     check_completion,
     evaluate_model,
     pass_at_k,
+    reset_caches,
 )
+from repro.vereval import harness
 from repro.vereval.passk import mean_pass_at_k
+from repro.vgen import GeneratedModule, ModuleInterface, mutate
 
 
 class TestPassAtK:
@@ -162,3 +171,149 @@ class TestEvaluateModel:
         for outcome in outcomes:
             assert outcome.passes + sum(outcome.failures.values()) == 2
         assert "pass@1" in result.summary()
+
+
+# ---------------------------------------------------------------------------
+# check_candidates_lockstep: each group on the tier that pays for its size
+# ---------------------------------------------------------------------------
+
+_ACC = """module acc(
+  input clk,
+  input rst,
+  input [7:0] a,
+  input [7:0] b,
+  output reg [15:0] total
+);
+  wire [8:0] sum;
+  assign sum = {SUM};
+  always @(posedge clk) begin
+    if (rst) total <= 16'd0;
+    else total <= total + {7'b0, sum};
+  end
+endmodule
+"""
+
+
+def _acc(op_sum="a + b"):
+    return _ACC.replace("{SUM}", op_sum)
+
+
+def _clocked_problem():
+    interface = ModuleInterface(
+        module_name="acc", clock="clk", reset="rst", reset_active_high=True,
+        inputs=[("a", 8), ("b", 8)], outputs=[("total", 16)],
+    )
+    module = GeneratedModule(
+        family="bench", source=_acc(), interface=interface,
+        description="routing DUT",
+    )
+    return EvalProblem(
+        problem_id="acc", module=module, stimulus_cycles=24, stimulus_seed=7,
+    )
+
+
+def _reference(problem, sources):
+    return [check_candidate_source(problem, source) for source in sources]
+
+
+def _counters(*names):
+    return [obs.counter_value(name) for name in names]
+
+
+class TestLaneFloorRouting:
+    """Groups below the measured crossover take the scalar replay."""
+
+    def _distinct(self, count):
+        # same schedule shape, pairwise different ASTs, none the golden
+        return [_acc(f"a + b + 9'd{k}") for k in range(1, count + 1)]
+
+    def test_pool_below_the_floor_builds_no_group(self):
+        problem = _clocked_problem()
+        sources = self._distinct(harness._MIN_LOCKSTEP_LANES - 1)
+        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
+        verdicts = check_candidates_lockstep(problem, sources)
+        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
+            groups, scalar + len(sources),
+        ]
+        assert verdicts == _reference(problem, sources)
+
+    def test_pool_at_the_floor_rides_lanes(self):
+        problem = _clocked_problem()
+        sources = self._distinct(harness._MIN_LOCKSTEP_LANES)
+        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
+        verdicts = check_candidates_lockstep(problem, sources)
+        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
+            groups + 1, scalar,
+        ]
+        assert verdicts == _reference(problem, sources)
+
+    def test_a_shape_group_below_the_floor_is_scalar_in_a_wide_pool(self):
+        # The floor is per shape group, not per pool: a straggler family
+        # of another shape (its latch reads rst) does not ride along.
+        problem = _clocked_problem()
+        floor = harness._MIN_LOCKSTEP_LANES
+        latch = [
+            _acc(f"a + b + 9'd{k}").replace(
+                "wire [8:0] sum;\n  assign sum =",
+                "reg [8:0] sum;\n  always @(*) if (!rst) sum =",
+            )
+            for k in (1, 2)
+        ]
+        assert "always @(*) if (!rst)" in latch[0]
+        sources = self._distinct(floor) + latch
+        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
+        verdicts = check_candidates_lockstep(problem, sources)
+        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
+            groups + 1, scalar + len(latch),
+        ]
+        assert verdicts == _reference(problem, sources)
+
+
+def _resample_pool(problem):
+    """A low-temperature sample set: the golden and each near-miss under
+    several spellings, plus the failure classes that never elaborate."""
+    golden = problem.golden_source
+    name = problem.module.name
+    pool = [golden, "// resample\n" + golden, golden.replace("\n", "\n  ", 1)]
+    for mutant in mutate(problem.module)[:3]:
+        pool.append(mutant.source)
+        pool.append(mutant.source.replace(";", " ; // same\n", 1))
+    pool.append(golden[: len(golden) * 2 // 3])
+    pool.append(golden.replace(f"module {name}", f"module {name}_x", 1))
+    pool.append(golden)
+    return pool
+
+
+class TestIdentityWithThePerCandidateLoop:
+    def test_every_problem_with_resample_variants(self):
+        for problem in build_problem_set():
+            pool = _resample_pool(problem)
+            assert check_candidates_lockstep(problem, pool) == _reference(
+                problem, pool
+            ), problem.problem_id
+
+    def test_cegis_stays_a_strict_refinement(self, tmp_path):
+        from repro.sim import cache as sim_cache
+
+        config = CegisConfig(enabled=True, search_rounds=2, search_lanes=8)
+        previous_dir = sim_cache.configure(str(tmp_path))
+        try:
+            for problem in build_problem_set():
+                pool = _resample_pool(problem)
+                legacy = check_candidates_lockstep(problem, pool)
+                previous = cegis_configure(config)
+                try:
+                    reset_caches()
+                    adversarial = check_candidates_lockstep(problem, pool)
+                finally:
+                    cegis_configure(previous)
+                    reset_caches()
+                assert adversarial[:3] == [(True, "")] * 3, problem.problem_id
+                for old, new in zip(legacy, adversarial):
+                    assert new[0] <= old[0], (problem.problem_id, old, new)
+                # each near-miss and its respelling share one verdict
+                for at in range(3, len(pool) - 3, 2):
+                    assert adversarial[at] == adversarial[at + 1]
+        finally:
+            sim_cache.configure(previous_dir)
+            reset_caches()
