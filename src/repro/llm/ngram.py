@@ -17,13 +17,42 @@ highest order whose context was observed (optionally requiring a minimum
 evidence count).  This is what produces both memorization (training-file
 prefixes have deterministic continuations at high orders) and graceful
 degradation on novel prompts (fall back to generic code statistics).
+
+What is stored, what is derived
+-------------------------------
+
+The four columns of :class:`_OrderTable` are the model: they are what
+training builds, what ``merge`` combines and the only thing that is
+pickled.  Everything a decoder asks of a table per token is *derived*
+from them once, by :class:`_DecodeView` — one per (:class:`NGramLM`,
+order), built on first use, dropped by ``NGramLM.__getstate__`` and
+rebuilt per process:
+
+* ``keys`` / ``rows``: the context hashes as python ints and their row
+  numbers, so finding a row is one dict probe instead of a numpy search;
+* ``single[row]``: the row's only continuation, or a marker — it
+  branches (:data:`_BRANCHES`), or its total count is below the LM's
+  ``min_evidence`` (:data:`_BELOW_EVIDENCE`, never at order 0).  A view
+  belongs to an ``NGramLM`` rather than to the table because of this
+  threshold;
+* ``roll``: the O(1) update from one context's hash to the next one's
+  (exact — it is the same polynomial, so it adds no collision caveat;
+  :func:`hash_context` is its oracle and the way into a decode state);
+* two memos, each with a bound that does not depend on how long the
+  process lives: ``succ_row`` / ``succ_out`` (two ints per row: where a
+  single-continuation row leads, and the outgoing token that was
+  computed under) and ``_picks`` (cumulative probabilities of sampled
+  rows per temperature, at most :data:`_PICKS_MAX` entries).
+
+:meth:`NGramLM.distribution` is the stateless query over the views;
+:class:`repro.llm.sampler.Sampler` is the stateful one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +67,18 @@ DEFAULT_ORDERS: Tuple[int, ...] = (16, 10, 6, 3, 1, 0)
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SEED = np.uint64(0x51_7CC1B727220A95)
+_MULT = int(_HASH_MULT)
+_MASK_64 = (1 << 64) - 1
+
+#: ``_DecodeView.single`` markers (a real token id is >= 0)
+_BRANCHES = -1
+_BELOW_EVIDENCE = -2
+
+#: bound on one view's sampled-row memo.  It can never hold more than
+#: (branching rows) x (temperatures in use) entries — 9850 for the bench
+#: world's largest table under the paper's two temperatures; past the
+#: bound (a caller sweeping temperatures) it starts over.
+_PICKS_MAX = 1 << 15
 
 
 def _hash_contexts(tokens: np.ndarray, order: int) -> np.ndarray:
@@ -71,9 +112,8 @@ def hash_context(context: Sequence[int], order: int) -> int:
         window = context[-order:]
         if len(window) < order:
             raise ValueError("context shorter than requested order")
-        mult = int(_HASH_MULT)
         for token in window:
-            acc = ((acc * mult) + int(token)) & 0xFFFFFFFFFFFFFFFF
+            acc = ((acc * _MULT) + int(token)) & _MASK_64
     return acc
 
 
@@ -85,12 +125,6 @@ class _OrderTable:
     offsets: np.ndarray   # int64, len(keys)+1
     next_tokens: np.ndarray  # int32
     counts: np.ndarray    # float64 (weighted merges)
-    #: lazy python-int mirror of ``keys`` for bisect-based lookups; the
-    #: numpy scalar boxing of per-token ``searchsorted`` calls dominated
-    #: sampling, and generation does one lookup per order per token
-    _keys_list: Optional[List[int]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def empty(cls) -> "_OrderTable":
@@ -129,27 +163,6 @@ class _OrderTable:
         return cls(
             keys=keys, offsets=offsets, next_tokens=agg_next, counts=agg_counts
         )
-
-    def lookup(self, ctx_hash: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(next_tokens, counts) for a context hash, or None."""
-        keys = self._keys_list
-        if keys is None:
-            keys = self.keys.tolist()
-            self._keys_list = keys
-        if not keys:
-            return None
-        pos = bisect_left(keys, ctx_hash)
-        if pos >= len(keys) or keys[pos] != ctx_hash:
-            return None
-        lo, hi = int(self.offsets[pos]), int(self.offsets[pos + 1])
-        return self.next_tokens[lo:hi], self.counts[lo:hi]
-
-    def __getstate__(self):
-        # The bisect mirror is derived data; rebuild it per process
-        # instead of doubling the pickled table size.
-        state = self.__dict__.copy()
-        state["_keys_list"] = None
-        return state
 
     def merge(self, other: "_OrderTable", weight: float) -> "_OrderTable":
         """Counts of self plus ``weight`` x counts of other."""
@@ -234,34 +247,135 @@ class NGramCounts:
         return sum(t.pair_count for t in self.tables.values())
 
 
+class _DecodeView:
+    """What a decoder asks of one order's table, derived once.
+
+    See the module docstring for each field.  Python lists and ints
+    throughout: the decode loop reads a few of them per token, and a
+    numpy scalar costs more to box than the whole step.
+    """
+
+    __slots__ = (
+        "table", "order", "keys", "rows", "single", "succ_row", "succ_out",
+        "_out_mult", "_shift", "_picks",
+    )
+
+    def __init__(self, table: _OrderTable, order: int, min_evidence: float) -> None:
+        self.table = table
+        self.order = order
+        self.keys: List[int] = table.keys.tolist()
+        self.rows: Dict[int, int] = dict(zip(self.keys, range(len(self.keys))))
+        starts = table.offsets[:-1]
+        sizes = np.diff(table.offsets)
+        single = np.where(sizes == 1, table.next_tokens[starts], _BRANCHES)
+        if order > 0 and len(starts):
+            totals = np.add.reduceat(table.counts, starts)
+            # The rule is stated on ``counts[lo:hi].sum()``, which may
+            # round differently from ``reduceat``; settle the rows where
+            # that could decide the comparison with the rule's own sum.
+            close = (sizes > 1) & np.isclose(totals, min_evidence)
+            for row in np.flatnonzero(close).tolist():
+                lo, hi = self.bounds(row)
+                totals[row] = table.counts[lo:hi].sum()
+            single[totals < min_evidence] = _BELOW_EVIDENCE
+        self.single: List[int] = single.tolist()
+        # Links are only ever set on single-continuation rows, and only
+        # in the view the sampler carries its state in (the top order's);
+        # -1 is no token, so an unset link never matches.
+        self.succ_row: List[int] = [-1] * len(self.keys)
+        self.succ_out: List[int] = [-1] * len(self.keys)
+        # h' = h*M + t_in - t_out*M^K - seed*(M^(K+1) - M^K)  (mod 2^64)
+        self._out_mult = pow(_MULT, order, 1 << 64)
+        self._shift = int(_HASH_SEED) * self._out_mult * (_MULT - 1) & _MASK_64
+        self._picks: Dict[Tuple[int, float], Tuple[List[float], List[int]]] = {}
+
+    def roll(self, ctx_hash: int, t_in: int, t_out: int) -> int:
+        """Hash of the window that drops ``t_out`` in front and gains
+        ``t_in`` behind, from the hash of the window before: equals
+        ``hash_context`` of the shifted window."""
+        return (
+            ctx_hash * _MULT + t_in - t_out * self._out_mult - self._shift
+        ) & _MASK_64
+
+    def bounds(self, row: int) -> Tuple[int, int]:
+        offsets = self.table.offsets
+        return int(offsets[row]), int(offsets[row + 1])
+
+    def greedy(self, row: int) -> int:
+        lo, hi = self.bounds(row)
+        best = int(np.argmax(self.table.counts[lo:hi]))
+        return int(self.table.next_tokens[lo + best])
+
+    def sample(self, row: int, temperature: float, pick: float) -> int:
+        """The continuation of ``row`` that the uniform draw ``pick``
+        lands on when p_i is proportional to count_i^(1/T)."""
+        entry = self._picks.get((row, temperature))
+        if entry is None:
+            lo, hi = self.bounds(row)
+            # softmax of log-counts / T
+            logw = np.log(self.table.counts[lo:hi].astype(np.float64)) / temperature
+            logw -= logw.max()
+            probs = np.exp(logw)
+            probs /= probs.sum()
+            entry = np.cumsum(probs).tolist(), self.table.next_tokens[lo:hi].tolist()
+            if len(self._picks) >= _PICKS_MAX:
+                self._picks.clear()
+            self._picks[row, temperature] = entry
+        cumulative, tokens = entry
+        return tokens[bisect_left(cumulative, pick)]
+
+
 class NGramLM:
-    """Longest-match backoff predictor over :class:`NGramCounts`."""
+    """Longest-match backoff predictor over :class:`NGramCounts`.
+
+    ``counts`` and ``min_evidence`` are fixed at construction: the decode
+    views are derived from both.
+    """
 
     def __init__(self, counts: NGramCounts, min_evidence: float = 1.0) -> None:
         self.counts = counts
         self.min_evidence = min_evidence
+        self._views: Dict[int, _DecodeView] = {}
+
+    def __getstate__(self):
+        # Views are derived data: rebuilt per process, never pickled.
+        return {"counts": self.counts, "min_evidence": self.min_evidence}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(**state)
+
+    def view(self, order: int) -> _DecodeView:
+        view = self._views.get(order)
+        if view is None:
+            view = self._views[order] = _DecodeView(
+                self.counts.tables[order], order, self.min_evidence
+            )
+        return view
+
+    def locate(
+        self, context: Sequence[int], orders: Sequence[int]
+    ) -> Tuple[_DecodeView, int]:
+        """``(view, row)`` of the longest of ``orders`` whose context was
+        observed with at least ``min_evidence``; order 0 always matches
+        (if anything was trained)."""
+        for order in orders:
+            if order > len(context):
+                continue
+            view = self.view(order)
+            row = view.rows.get(hash_context(context, order), -1)
+            if row >= 0 and view.single[row] != _BELOW_EVIDENCE:
+                return view, row
+        raise TrainingError("model has no training data (empty unigram table)")
 
     def distribution(
         self, context: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """(next_tokens, counts, order_used) for the longest matching order.
-
-        Falls through orders whose total evidence is below
-        ``min_evidence``; order 0 always matches (if anything was trained).
-        """
-        for order in self.counts.orders:
-            if order > len(context):
-                continue
-            table = self.counts.tables[order]
-            hit = table.lookup(hash_context(context, order))
-            if hit is None:
-                continue
-            next_tokens, weights = hit
-            if order > 0 and float(weights.sum()) < self.min_evidence:
-                continue
-            return next_tokens, weights, order
-        raise TrainingError("model has no training data (empty unigram table)")
+        """(next_tokens, counts, order_used) for the longest matching order."""
+        view, row = self.locate(context, self.counts.orders)
+        lo, hi = view.bounds(row)
+        table = view.table
+        return table.next_tokens[lo:hi], table.counts[lo:hi], view.order
 
     def greedy_next(self, context: Sequence[int]) -> int:
-        next_tokens, weights, _ = self.distribution(context)
-        return int(next_tokens[int(np.argmax(weights))])
+        view, row = self.locate(context, self.counts.orders)
+        return view.greedy(row)

@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
-from repro.llm.ngram import NGramLM
+from repro.llm.ngram import _BELOW_EVIDENCE, _BRANCHES, NGramLM, hash_context
 from repro.llm.tokenizer import BPETokenizer
 from repro.utils.rng import DeterministicRNG
 
@@ -37,25 +35,6 @@ class Sampler:
         self.tokenizer = tokenizer
         self.lm = lm
 
-    def _sample_token(
-        self,
-        context: List[int],
-        temperature: float,
-        rng: DeterministicRNG,
-    ) -> int:
-        next_tokens, weights, _ = self.lm.distribution(context)
-        if len(next_tokens) == 1:
-            return int(next_tokens[0])
-        if temperature <= 1e-6:
-            return int(next_tokens[int(np.argmax(weights))])
-        # p_i proportional to count_i^(1/T)  (softmax of log-counts / T).
-        logw = np.log(weights.astype(np.float64)) / temperature
-        logw -= logw.max()
-        probs = np.exp(logw)
-        probs /= probs.sum()
-        pick = rng.random()
-        return int(next_tokens[int(np.searchsorted(np.cumsum(probs), pick))])
-
     def generate(
         self,
         prompt: str,
@@ -68,6 +47,9 @@ class Sampler:
         ``prompt_tokens`` optionally supplies the already-encoded prompt
         (it must equal ``encode(prompt)``); pass@k harnesses sample the
         same prompt many times and encode it once.
+
+        Generation ends at the earliest end of any stop string (empty
+        ones are ignored) or at the token budget.
         """
         config = config or GenerationConfig()
         rng = DeterministicRNG(seed)
@@ -75,33 +57,87 @@ class Sampler:
             sequence = self.tokenizer.encode(prompt)
         else:
             sequence = list(prompt_tokens)
-        # One growing sequence, extended in place: rebuilding
-        # prompt+generated per sampled token made generation quadratic.
-        text_parts: List[str] = []
-        max_stop = max((len(s) for s in config.stop_strings), default=0)
+        n_prompt = len(sequence)
+        temperature = config.temperature
+        greedy = temperature <= 1e-6
+
+        # The loop carries the top order's decode state from token to
+        # token instead of querying ``lm.distribution`` afresh: ``row`` is
+        # the top-order row of the current context (-1: never observed)
+        # and ``ctx_hash`` that context's hash while there is no row to
+        # read it from (None: the sequence is still shorter than the top
+        # order).  A row with one continuation steps to its successor
+        # through the view's link; any other step is one rolling-hash
+        # update and a probe; a context the top order cannot answer backs
+        # off through the lower orders statelessly.
+        lm = self.lm
+        top = lm.view(lm.counts.orders[0])
+        lower_orders = lm.counts.orders[1:]
+        order = top.order
+        single, rows, keys = top.single, top.rows, top.keys
+        succ_row, succ_out = top.succ_row, top.succ_out
+        row, ctx_hash = -1, None
+        top_order = sampled = rehashed = 0
+
+        token_bytes = self.tokenizer.token_bytes
+        stops = [s.encode("utf-8") for s in config.stop_strings if s]
+        # A stop string that ends in the newest piece starts at most this
+        # many bytes before it.
+        reach = max((len(s) for s in stops), default=1) - 1
+        out = bytearray()
+        cut = -1
+
         for _ in range(config.max_new_tokens):
-            token = self._sample_token(sequence, config.temperature, rng)
+            if ctx_hash is None and len(sequence) >= order:
+                ctx_hash = hash_context(sequence, order)
+                row = rows.get(ctx_hash, -1)
+                rehashed += 1
+            view, at = top, row
+            if row < 0 or single[row] == _BELOW_EVIDENCE:
+                view, at = lm.locate(sequence, lower_orders)
+            else:
+                top_order += 1
+            token = view.single[at]
+            if token == _BRANCHES:
+                if greedy:
+                    token = view.greedy(at)
+                else:
+                    token = view.sample(at, temperature, rng.random())
+                    sampled += 1
+
             sequence.append(token)
-            piece = self.tokenizer.decode([token])
-            text_parts.append(piece)
-            if max_stop:
-                # Only the tail can newly contain a stop string.
-                tail = "".join(text_parts[-(max_stop + len(piece)):])
-                window = tail[-(max_stop + len(piece)):]
-                for stop in config.stop_strings:
-                    pos = window.find(stop)
-                    if pos >= 0:
-                        # One metrics write per completion, not per token.
-                        obs.count("sampler.tokens", len(text_parts))
-                        obs.count("sampler.completions")
-                        text = "".join(text_parts)
-                        end = text.find(stop) + (
-                            len(stop) if config.include_stop else 0
-                        )
-                        return text[:end]
-        obs.count("sampler.tokens", len(text_parts))
+            if ctx_hash is not None:
+                t_out = sequence[~order]
+                if row >= 0 and succ_out[row] == t_out:
+                    row = succ_row[row]
+                else:
+                    if row >= 0:
+                        ctx_hash = keys[row]
+                    ctx_hash = top.roll(ctx_hash, token, t_out)
+                    came_from, row = row, rows.get(ctx_hash, -1)
+                    if row >= 0 and came_from >= 0 and single[came_from] >= 0:
+                        succ_row[came_from], succ_out[came_from] = row, t_out
+
+            piece = token_bytes(token)
+            out += piece
+            for stop in stops:
+                # from the end; a start before the beginning means 0
+                pos = out.find(stop, -reach - len(piece))
+                if pos >= 0:
+                    end = pos + len(stop) if config.include_stop else pos
+                    cut = end if cut < 0 else min(cut, end)
+            if cut >= 0:
+                del out[cut:]
+                break
+
+        # One metrics write per completion, not per token.
+        obs.count("sampler.tokens", len(sequence) - n_prompt)
         obs.count("sampler.completions")
-        return "".join(text_parts)
+        obs.count("sampler.tokens_top_order", top_order)
+        obs.count("sampler.tokens_sampled", sampled)
+        obs.count("sampler.state_rehash", rehashed)
+        # Decoded once: a character's bytes can span several tokens.
+        return out.decode("utf-8", errors="replace")
 
     def generate_batch(
         self,

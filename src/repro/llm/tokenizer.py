@@ -83,6 +83,11 @@ class BPETokenizer:
             out.extend(self._encode_word(word))
         return out
 
+    def token_bytes(self, token: int) -> bytes:
+        """The UTF-8 bytes of one token.  A character can span several
+        tokens, so join the bytes of a sequence before decoding them."""
+        return self._decode_table[token]
+
     def decode(self, ids: Iterable[int]) -> str:
         data = b"".join(self._decode_table[i] for i in ids)
         return data.decode("utf-8", errors="replace")

@@ -1,9 +1,13 @@
 """Tests for the LanguageModel facade and sampler behaviour."""
 
+import pickle
+
 import pytest
 
+from repro import obs
 from repro.errors import TrainingError
 from repro.llm import GenerationConfig, LanguageModel
+from repro.utils.rng import DeterministicRNG
 
 
 class TestPretrain:
@@ -78,7 +82,12 @@ class TestGeneration:
     def test_batch_matches_singles(self, tiny_model):
         config = GenerationConfig(temperature=0.8, max_new_tokens=30)
         batch = tiny_model.generate_batch("module ", 3, config, seed=5)
-        assert len(batch) == 3
+        assert batch == [
+            tiny_model.generate(
+                "module ", config, seed=DeterministicRNG(5).fork(i).seed
+            )
+            for i in range(3)
+        ]
 
     def test_token_budget_respected(self, tiny_model):
         config = GenerationConfig(
@@ -87,6 +96,83 @@ class TestGeneration:
         out = tiny_model.generate("module m(\n", config, seed=0)
         # 5 BPE tokens decode to a bounded number of characters
         assert len(tiny_model.tokenizer.encode(out)) <= 8
+
+    def test_character_spanning_tokens_decodes_whole(self):
+        # "é" is two bytes, and with no merges two tokens: decoding each
+        # token alone gave a pair of U+FFFD.
+        source = "module café_top(input a, output b);\n  assign b = a;\nendmodule\n"
+        model = LanguageModel.pretrain("x", [source] * 3, num_merges=0)
+        out = model.generate(
+            "module caf", GenerationConfig(temperature=0.0, max_new_tokens=200)
+        )
+        assert out == source[len("module caf"):].rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "include_stop, expected", [(True, "a"), (False, "")]
+    )
+    def test_earliest_stop_wins_whatever_the_config_order(
+        self, include_stop, expected
+    ):
+        model = LanguageModel.pretrain("x", ["x ab " * 8], num_merges=8)
+        assert len(model.tokenizer.encode("ab")) == 1
+        config = GenerationConfig(
+            temperature=0.0,
+            max_new_tokens=20,
+            stop_strings=("b", "a"),
+            include_stop=include_stop,
+        )
+        # "a" and "b" arrive in one piece; "a" ends first.
+        assert model.generate("x ", config) == expected
+
+    def test_decode_counters_say_how_a_completion_was_decided(
+        self, tiny_verilog_corpus
+    ):
+        distinctive = (
+            "module zx_unique_block(input wire [6:0] zx_in,\n"
+            "    output wire [6:0] zx_out);\n"
+            "    assign zx_out = zx_in ^ 7'h55;\n"
+            "endmodule\n"
+        )
+        model = LanguageModel.pretrain(
+            "c", tiny_verilog_corpus[:20] + [distinctive], num_merges=50
+        )
+
+        def counted(prompt, config):
+            before = obs.counters("sampler.")
+            model.generate(prompt, config, seed=1)
+            return {
+                name[len("sampler."):]: value - before.get(name, 0)
+                for name, value in obs.counters("sampler.").items()
+            }
+
+        # Regurgitation: every token decided by the top order, no draw.
+        memorised = counted(
+            distinctive[: distinctive.index("output")],
+            GenerationConfig(temperature=0.0, max_new_tokens=200),
+        )
+        assert memorised["completions"] == 1
+        assert memorised["state_rehash"] == 1
+        assert memorised["tokens_top_order"] == memorised["tokens"] > 0
+        assert memorised["tokens_sampled"] == 0
+        # A prompt the corpus never had: lower orders decide, with draws.
+        novel = counted(
+            "qq zz ~~ qq zz ~~ qq zz ~~ qq zz ~~ ",
+            GenerationConfig(temperature=0.8, max_new_tokens=20),
+        )
+        assert novel["tokens_top_order"] < novel["tokens"] == 20
+        assert 0 < novel["tokens_sampled"] <= 20
+
+    def test_pickle_carries_no_decode_state(self, tiny_verilog_corpus):
+        model = LanguageModel.pretrain("p", tiny_verilog_corpus[:20], num_merges=50)
+        prompt = "module counter(\n"
+        config = GenerationConfig(temperature=0.8, max_new_tokens=80)
+        # the tokenizer's word cache is pickled: fill it before measuring
+        model.encode_prompt(prompt)
+        before = len(pickle.dumps(model))
+        outs = [model.generate(prompt, config, seed=s) for s in range(4)]
+        assert len(pickle.dumps(model)) == before
+        clone = pickle.loads(pickle.dumps(model))
+        assert [clone.generate(prompt, config, seed=s) for s in range(4)] == outs
 
 
 class TestMemorizationBehaviour:
