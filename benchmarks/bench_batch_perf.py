@@ -27,13 +27,12 @@ Claims, measured at bench scale:
   elaboration + trace + duplicate candidate checks) with a warm
   :mod:`repro.sim.cache` directory runs >=1.5x faster than the same run
   against a cold cache, with identical verdicts;
-* **per-lever lane-representation claims** (collected into
-  ``results/bitslice.json``): on a 1-bit-heavy family the bit-sliced
-  plane backend beats the scalar all-vectors loop by >=2x and lockstep
-  checking beats the scalar candidate loop by >=1.5x; on a wide
-  (>63-bit) datapath the multi-word spill lanes beat the historical
-  ``UnbatchableDesign`` scalar fallback sweep by >=3x — all
-  lane-for-lane / verdict-for-verdict identical.
+* on a 1-bit-heavy sequential family lockstep checking beats the scalar
+  candidate loop by >=1.5x (``results/batch_bitheavy_lockstep.json``);
+  on a wide (>63-bit) datapath the multi-word spill lanes beat the
+  scalar per-episode sweep by >=3x
+  (``results/batch_spill_sweep.json``) — both lane-for-lane /
+  verdict-for-verdict identical.
 
 ``bench_sim_perf.py`` and ``bench_eval_perf.py`` guard the scalar paths;
 this file only adds claims, it does not relax theirs.
@@ -49,7 +48,6 @@ from repro.sim import elaborate, random_stimulus, sweep_random_stimulus
 from repro.sim import cache as sim_cache
 from repro.sim.batch import (
     batch_design,
-    configure_lane_representation,
     is_stateless_comb,
     lane_representation,
 )
@@ -558,134 +556,6 @@ def test_compile_cache_warm_vs_cold(tmp_path):
     )
 
 
-# ---------------------------------------------------------------------------
-# Per-lever lane-representation claims -> results/bitslice.json
-#
-# One lever per test, accumulated into a single combined artifact so the
-# trend tooling reads every bitslice/spill number from one file.  Each
-# test writes its slice *before* asserting its threshold, so the
-# artifact survives a noisy-runner miss on a later lever.
-# ---------------------------------------------------------------------------
-
-_BITSLICE_TEXT = {}
-_BITSLICE_VALUES = {}
-
-
-def _record_bitslice(lever, text, **values):
-    _BITSLICE_TEXT[lever] = text
-    _BITSLICE_VALUES.update(
-        {f"{lever}_{key}": value for key, value in values.items()}
-    )
-    combined = "\n\n".join(
-        _BITSLICE_TEXT[key]
-        for key in ("comb", "lockstep", "wide")
-        if key in _BITSLICE_TEXT
-    )
-    write_result("bitslice", combined, values=dict(_BITSLICE_VALUES))
-
-
-_BITHEAVY_COMB = """module bitheavy(
-  input a, input b, input c, input d,
-  input e, input f, input g, input h,
-  output p, output q, output r, output s);
-  wire t0, t1, t2, t3;
-  assign t0 = a ^ b;
-  assign t1 = c & d;
-  assign t2 = e | f;
-  assign t3 = g ^ h;
-  assign p = t0 ^ t1 ^ t2 ^ t3;
-  assign q = (a & b) | (c & d) | (e & f);
-  assign r = (t0 | t3) ^ (b & g);
-  assign s = (t1 ^ t2) & (a | h);
-endmodule
-"""
-
-
-def _bitheavy_comb_problem():
-    module = GeneratedModule(
-        family="bench",
-        source=_BITHEAVY_COMB,
-        interface=ModuleInterface(
-            module_name="bitheavy", clock=None, reset=None,
-            reset_active_high=True,
-            inputs=[(name, 1) for name in "abcdefgh"],
-            outputs=[(name, 1) for name in "pqrs"],
-        ),
-        description="1-bit-heavy combinational bitslice benchmark DUT",
-    )
-    return EvalProblem(
-        problem_id="bitslice_comb_bench", module=module,
-        stimulus_cycles=_COMB_CYCLES, stimulus_seed=7,
-    )
-
-
-def test_bitslice_comb_all_vectors_speedup():
-    problem = _bitheavy_comb_problem()
-    design = elaborate(parse_source(problem.golden_source), "bitheavy")
-    # The lever under test: the census must class this family bitslice.
-    assert lane_representation(design) == "bitslice"
-    assert is_stateless_comb(batch_design(design, problem.stimulus_cycles))
-    ref = harness._GoldenRef(problem)
-    candidate = elaborate(parse_source(problem.golden_source), "bitheavy")
-
-    def check(enabled):
-        previous = harness.BATCH_CHECK_ENABLED
-        harness.BATCH_CHECK_ENABLED = enabled
-        try:
-            # A single check is sub-millisecond on the plane backend;
-            # batch a handful per timed call to stay above timer noise.
-            return [
-                harness._check_against_trace(ref, candidate, problem)
-                for _ in range(4)
-            ]
-        finally:
-            harness.BATCH_CHECK_ENABLED = previous
-
-    def check_pinned(rep):
-        previous = configure_lane_representation(rep)
-        try:
-            return check(True)
-        finally:
-            configure_lane_representation(previous)
-
-    bitslice_verdicts = check(True)  # warm lane lowering
-    int64_verdicts = check_pinned("int64")
-    scalar_verdicts = check(False)
-    assert bitslice_verdicts == int64_verdicts == scalar_verdicts
-    assert all(v.equivalent for v in bitslice_verdicts)
-
-    bitslice_seconds, _ = _timed(lambda: check(True), repeats=5)
-    int64_seconds, _ = _timed(lambda: check_pinned("int64"), repeats=5)
-    scalar_seconds, _ = _timed(lambda: check(False), repeats=3)
-    speedup = scalar_seconds / bitslice_seconds
-    vs_int64 = int64_seconds / bitslice_seconds
-    checks = 4 * _COMB_CYCLES
-    _record_bitslice(
-        "comb",
-        f"bit-sliced all-vectors checking, 1-bit-heavy comb DUT, "
-        f"4 checks x {_COMB_CYCLES} stimulus vectors = {checks} "
-        f"vector checks\n"
-        f"scalar per-cycle loop:   {scalar_seconds:8.4f} s"
-        f"  ({checks / scalar_seconds:10.0f} vectors/s)\n"
-        f"int64 lanes (pinned):    {int64_seconds:8.4f} s"
-        f"  ({checks / int64_seconds:10.0f} vectors/s)\n"
-        f"bitslice planes:         {bitslice_seconds:8.4f} s"
-        f"  ({checks / bitslice_seconds:10.0f} vectors/s)\n"
-        f"speedup vs scalar:       {speedup:8.2f} x\n"
-        f"speedup vs int64 lanes:  {vs_int64:8.2f} x\n"
-        f"(verdicts identical across all three)",
-        vector_checks=checks,
-        scalar_seconds=scalar_seconds,
-        int64_seconds=int64_seconds,
-        bitslice_seconds=bitslice_seconds,
-        speedup_vs_scalar=speedup,
-        speedup_vs_int64=vs_int64,
-    )
-    assert speedup >= 2.0, (
-        f"bitslice all-vectors only {speedup:.2f}x faster than the loop"
-    )
-
-
 _BITCTL_DUT = """module bitctl_dut(
   input clk, input rst, input en, input din, input sel,
   output reg out, output valid, output tick);
@@ -730,7 +600,7 @@ def _bitctl_problem():
         description="1-bit-heavy sequential lockstep benchmark DUT",
     )
     return EvalProblem(
-        problem_id="bitslice_lockstep_bench", module=module,
+        problem_id="bitheavy_lockstep_bench", module=module,
         stimulus_cycles=_LOCKSTEP_CYCLES, stimulus_seed=13,
     )
 
@@ -779,12 +649,6 @@ def _bitctl_distinct(count, fail_every):
 
 def test_bitheavy_lockstep_passk_speedup():
     problem = _bitctl_problem()
-    # 1-bit-heavy by census (the family bitslice serves on the
-    # all-vectors path); lockstep itself rides int64 lanes — the claim
-    # is that the shared retirement engine keeps the lockstep win intact
-    # on the families the bitslice backend targets.
-    golden = elaborate(parse_source(problem.golden_source), "bitctl_dut")
-    assert lane_representation(golden) == "bitslice"
     sources = _bitctl_candidates(_LOCKSTEP_CANDIDATES)
     harness._golden_ref(problem)  # golden artifacts shared by both paths
 
@@ -806,8 +670,8 @@ def test_bitheavy_lockstep_passk_speedup():
     scalar_seconds, _ = _timed(lambda: check_all(False), repeats=3)
     speedup = scalar_seconds / lockstep_seconds
     checks = _LOCKSTEP_CANDIDATES * _LOCKSTEP_CYCLES
-    _record_bitslice(
-        "lockstep",
+    write_result(
+        "batch_bitheavy_lockstep",
         f"lockstep pass@k on a 1-bit-heavy family, "
         f"{_LOCKSTEP_CANDIDATES} candidates x {_LOCKSTEP_CYCLES} cycles "
         f"= {checks} candidate-cycles ({passes} pass)\n"
@@ -817,11 +681,13 @@ def test_bitheavy_lockstep_passk_speedup():
         f"  ({checks / lockstep_seconds:10.0f} candidate-cycles/s)\n"
         f"speedup:                    {speedup:8.2f} x\n"
         f"(verdicts candidate-for-candidate identical)",
-        candidates=_LOCKSTEP_CANDIDATES,
-        cycles=_LOCKSTEP_CYCLES,
-        scalar_seconds=scalar_seconds,
-        lockstep_seconds=lockstep_seconds,
-        speedup=speedup,
+        values=dict(
+            candidates=_LOCKSTEP_CANDIDATES,
+            cycles=_LOCKSTEP_CYCLES,
+            scalar_seconds=scalar_seconds,
+            lockstep_seconds=lockstep_seconds,
+            speedup=speedup,
+        ),
     )
     assert speedup >= 1.5, (
         f"1-bit-heavy lockstep only {speedup:.2f}x faster than the loop"
@@ -842,8 +708,8 @@ endmodule
 
 def test_wide_datapath_spill_sweep_speedup():
     design = elaborate(parse_source(_WIDEPATH_SRC), "widepath")
-    # The lever under test: >63-bit signals spill to python-int lanes
-    # instead of the historical UnbatchableDesign scalar fallback.
+    # The lever under test: >63-bit signals ride python-int spill lanes
+    # instead of one scalar episode per seed.
     assert lane_representation(design) == "spill"
     seeds = range(_SWEEP_LANES)
     stimuli = [
@@ -859,15 +725,10 @@ def test_wide_datapath_spill_sweep_speedup():
         )
 
     def run_fallback():
-        # Pinning int64 on a wide design restores the pre-spill
-        # behaviour: UnbatchableDesign -> 64 scalar compiled episodes.
-        previous = configure_lane_representation("int64")
-        try:
-            return sweep_random_stimulus(
-                design, _SWEEP_CYCLES, seeds, **kwargs
-            )
-        finally:
-            configure_lane_representation(previous)
+        # What an unbatchable design pays: 64 scalar compiled episodes.
+        return sweep_random_stimulus(
+            design, _SWEEP_CYCLES, seeds, backend="compiled", **kwargs
+        )
 
     spill_result = run_spill()  # warm both compile caches
     fallback_result = run_fallback()
@@ -880,21 +741,23 @@ def test_wide_datapath_spill_sweep_speedup():
     fallback_seconds, _ = _timed(run_fallback, repeats=3)
     speedup = fallback_seconds / spill_seconds
     lane_cycles = _SWEEP_LANES * _SWEEP_CYCLES
-    _record_bitslice(
-        "wide",
+    write_result(
+        "batch_spill_sweep",
         f"wide-datapath (96-bit) multi-seed sweep, {_SWEEP_LANES} lanes "
         f"x {_SWEEP_CYCLES} cycles = {lane_cycles} lane-cycles\n"
-        f"old scalar fallback (int64 pin): {fallback_seconds:8.3f} s"
+        f"scalar fallback (per episode):   {fallback_seconds:8.3f} s"
         f"  ({lane_cycles / fallback_seconds:10.0f} lane-cycles/s)\n"
         f"spill lanes (one sweep):         {spill_seconds:8.3f} s"
         f"  ({lane_cycles / spill_seconds:10.0f} lane-cycles/s)\n"
         f"speedup:                         {speedup:8.2f} x\n"
         f"(per-lane traces and error classification identical)",
-        lanes=_SWEEP_LANES,
-        cycles=_SWEEP_CYCLES,
-        fallback_seconds=fallback_seconds,
-        spill_seconds=spill_seconds,
-        speedup=speedup,
+        values=dict(
+            lanes=_SWEEP_LANES,
+            cycles=_SWEEP_CYCLES,
+            fallback_seconds=fallback_seconds,
+            spill_seconds=spill_seconds,
+            speedup=speedup,
+        ),
     )
     assert speedup >= 3.0, (
         f"spill sweep only {speedup:.2f}x faster than the scalar fallback"

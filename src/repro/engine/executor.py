@@ -231,50 +231,47 @@ class ParallelExecutor:
         obs_mode = obs.mode()
         from concurrent.futures.process import BrokenProcessPool
 
-        # Entries are mutable [future, chunk_index, chunk, attempts] so a
-        # broken pool can resubmit the lost chunks in place.
+        # Entries are mutable [future, chunk_index, chunk, attempts]; a
+        # None future marks a chunk to (re)submit.  Every submit sits
+        # under the one guard below: ``submit`` itself raises
+        # ``BrokenProcessPool`` once the pool is flagged broken, and that
+        # must spend the same requeue budget as a lost result.
         pending: deque = deque()
         iterator = iter(chunks)
         exhausted = False
         index = 0
         while True:
-            while not exhausted and len(pending) < self.window:
-                try:
-                    chunk = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    break
-                pending.append(
-                    [
-                        pool.submit(
-                            _apply_pickled_stages, stage_blob, chunk, obs_mode
-                        ),
-                        index,
-                        chunk,
-                        0,
-                    ]
-                )
-                index += 1
-            if not pending:
-                return
             try:
+                for entry in pending:
+                    if entry[0] is None:
+                        entry[0] = pool.submit(
+                            _apply_pickled_stages, stage_blob, entry[2],
+                            obs_mode,
+                        )
+                while not exhausted and len(pending) < self.window:
+                    try:
+                        chunk = next(iterator)
+                    except StopIteration:
+                        exhausted = True
+                        break
+                    # joins the window first, so a raising submit
+                    # leaves the chunk marked instead of losing it
+                    pending.append([None, index, chunk, 0])
+                    index += 1
+                    pending[-1][0] = pool.submit(
+                        _apply_pickled_stages, stage_blob, chunk, obs_mode
+                    )
+                if not pending:
+                    return
                 result = pending[0][0].result()
             except BrokenProcessPool:
-                pool = self._requeue_pending(
-                    pending, stages, stage_blob, obs_mode
-                )
+                pool = self._requeue_pending(pending, stages)
                 continue
             pending.popleft()
             yield result
 
-    def _requeue_pending(
-        self,
-        pending: deque,
-        stages: Sequence,
-        stage_blob: bytes,
-        obs_mode: str,
-    ):
-        """Rebuild a broken pool and resubmit its lost chunks.
+    def _requeue_pending(self, pending: deque, stages: Sequence):
+        """Rebuild a broken pool and mark its lost chunks for resubmit.
 
         The head chunk — the one the merge was blocked on — carries the
         attempt count; the executor's :class:`RetryPolicy` decides when
@@ -305,15 +302,16 @@ class ParallelExecutor:
             "engine.pool.requeue", chunk=head[1], stages=stage_names
         )
         self.retry.sleep(head[3])
-        pool = self._ensure_pool()
         for entry in pending:
             future = entry[0]
-            if future.done() and future.exception() is None:
-                continue  # finished before the crash: result survives
-            entry[0] = pool.submit(
-                _apply_pickled_stages, stage_blob, entry[2], obs_mode
-            )
-        return pool
+            # a result that finished before the crash survives
+            if (
+                future is None
+                or not future.done()
+                or future.exception() is not None
+            ):
+                entry[0] = None
+        return self._ensure_pool()
 
     def close(self) -> None:
         if self._pool is not None:

@@ -129,20 +129,15 @@ class CheckStage(MapStage):
     1:1 and order-preserving, with verdicts identical to a per-record
     loop.
 
-    Captures the active :mod:`repro.sim.cache` directory and the active
-    lane-representation pin
-    (:func:`repro.sim.batch.configured_lane_representation`) at
-    construction and re-activates both after unpickling, so process-pool
-    workers share the run's persistent compile cache (golden artifacts,
-    duplicate candidate elaborations, and lockstep grouping digests hit
-    disk instead of being rederived) *and* pick the same lane backend —
-    shape digests are keyed by the pin, so a worker on a different pin
-    would group (and cache) candidates differently — even under executor
-    start methods that do not inherit the parent's environment.  The
-    resolved CEGIS checking configuration
-    (:func:`repro.vereval.cegis.active_config`) is captured and re-applied
-    the same way, so every worker renders the same verdict semantics the
-    coordinator fingerprinted.
+    Captures the active :mod:`repro.sim.cache` directory at construction
+    and re-activates it after unpickling, so process-pool workers share
+    the run's persistent compile cache (golden artifacts, duplicate
+    candidate elaborations, and lockstep grouping digests hit disk
+    instead of being rederived) even under executor start methods that
+    do not inherit the parent's environment.  The resolved CEGIS checking
+    configuration (:func:`repro.vereval.cegis.active_config`) is captured
+    and re-applied the same way, so every worker renders the same verdict
+    semantics the coordinator fingerprinted.
     """
 
     name = "eval_check"
@@ -150,7 +145,6 @@ class CheckStage(MapStage):
 
     def __init__(self, checkers: Mapping[str, Any],
                  cache_dir: str = None) -> None:
-        from repro.sim.batch import configured_lane_representation
         from repro.vereval import cegis
 
         self.checkers = dict(checkers)
@@ -159,7 +153,6 @@ class CheckStage(MapStage):
         )
         if self.cache_dir:
             sim_cache.configure(self.cache_dir)
-        self.lane_representation = configured_lane_representation()
         self.cegis_config = cegis.active_config()
 
     def map_item(self, record: SampleRecord) -> SampleRecord:
@@ -211,10 +204,6 @@ class CheckStage(MapStage):
         self.__dict__.update(state)
         if self.cache_dir:
             sim_cache.configure(self.cache_dir)
-        if getattr(self, "lane_representation", None) is not None:
-            from repro.sim.batch import configure_lane_representation
-
-            configure_lane_representation(self.lane_representation)
         if getattr(self, "cegis_config", None) is not None:
             from repro.vereval import cegis
 

@@ -51,13 +51,12 @@ order, same round bound, same ``SimulationError`` classification for true
 combinational loops (*fixpoint fallback*).  The batch backend narrows
 further: designs that do not levelize fall back to the scalar backends
 (*scalar fallback*) — signals wider than the 63-bit int64 lane budget
-instead ride exact python-int *spill* lanes, and 1-bit-dominated control
-designs pack all lanes into per-bit *bitslice* planes (census in
-:func:`repro.sim.batch.lane_representation`, pinnable via
-``REPRO_SIM_LANES``) — and the rare lane that hits an unrepresentable
-runtime construct replays on the scalar path — so per-lane values and
-error classification always match a lane-by-lane scalar run.  Differential tests in
-``tests/test_sim_compile.py`` and ``tests/test_sim_batch.py`` enforce
+instead ride exact python-int *spill* lanes
+(:func:`repro.sim.batch.lane_representation`) — and the rare lane that
+hits an unrepresentable runtime construct replays on the scalar path — so
+per-lane values and error classification always match a lane-by-lane
+scalar run.  Differential tests in ``tests/test_sim_compile.py`` and
+``tests/test_sim_batch.py`` enforce
 cycle identity across every ``vgen`` family and the vereval problem set.
 
 Compiled artifacts can persist across processes through the opt-in disk
@@ -109,11 +108,8 @@ from repro.sim.batch import (
     UnbatchableDesign,
     batch_design,
     build_lockstep_group,
-    configure_lane_representation,
-    configured_lane_representation,
     lane_representation,
     lockstep_shape_digest,
-    make_batch_simulator,
 )
 from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
 from repro.sim.testbench import (
@@ -154,11 +150,8 @@ __all__ = [
     "UnbatchableDesign",
     "batch_design",
     "build_lockstep_group",
-    "configure_lane_representation",
-    "configured_lane_representation",
     "lane_representation",
     "lockstep_shape_digest",
-    "make_batch_simulator",
     "default_backend",
     "set_default_backend",
     "CoverageTracker",

@@ -18,18 +18,15 @@ interpreter and the scalar compiled backend:
   chasing a dirty cone: with many lanes a single vectorized sweep beats
   per-lane cone chasing.
 
-Per-slot storage is picked per design by a width census
-(:func:`lane_representation`) over three *lane representations*:
+Per-slot storage is a function of the design's widths
+(:func:`lane_representation`), one of two *lane representations*:
 
-* ``int64`` — the baseline: one ``int64`` per lane, masked arithmetic;
+* ``int64`` — one ``int64`` per lane, masked arithmetic, when every
+  signal and memory fits the 63-bit lane budget;
 * ``spill`` — multi-word python-int lanes (``object`` dtype) for designs
-  carrying >63-bit signals or memories, which previously fell back to
-  the scalar loop; numpy dispatches the same vectorized lowering to the
-  python-int dunders, exact at any width (see :class:`_SpillCompiler`);
-* ``bitslice`` — for 1-bit-dominated control designs, each bit position
-  packs all lanes into one int and logic lowers to a handful of bitwise
-  ops per node (:mod:`repro.sim.bitslice`); arithmetic-heavy nodes stay
-  on the embedded int64 image and convert at the boundary.
+  carrying >63-bit signals or memories; numpy dispatches the same
+  vectorized lowering to the python-int dunders, exact at any width
+  (see :class:`_SpillCompiler`).
 
 The backend is intentionally narrower than the scalar one, with a
 *scalar-fallback contract* mirroring the fixpoint-fallback contract of
@@ -39,9 +36,8 @@ the compiled backend:
   :class:`UnbatchableDesign` at lowering — callers (the ``Simulator``
   facade with ``backend="batch"``, :class:`~repro.sim.testbench.BatchTestbench`
   users, the vereval fast path) then fall back to the scalar backends,
-  which preserves ``SimulationError`` classification per lane (pinning
-  ``REPRO_SIM_LANES=int64`` restores the historical wide-design
-  fallback as well);
+  which preserves ``SimulationError`` classification per lane (so does
+  a wide design lowered with an explicit ``representation="int64"``);
 * the rare runtime construct a bounded lane cannot represent (a dynamic
   field write landing above the representation's write budget — bit 62
   for int64 lanes, ``width + 64`` for spill) raises
@@ -86,7 +82,6 @@ same scalar-fallback contract as everything above.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,12 +109,9 @@ __all__ = [
     "UnbatchableDesign",
     "batch_design",
     "build_lockstep_group",
-    "configure_lane_representation",
-    "configured_lane_representation",
     "is_stateless_comb",
     "lane_representation",
     "lockstep_shape_digest",
-    "make_batch_simulator",
 ]
 
 #: int64 lanes hold nonnegative two's-complement values in bits 0..62;
@@ -128,84 +120,24 @@ _MAX_LANE_WIDTH = 63
 
 _I64 = np.int64
 
-#: the selectable lane representations, census-picked per design:
-#: ``int64`` (one int64 per lane), ``spill`` (python-int object lanes for
-#: >63-bit designs), ``bitslice`` (one bit-plane int packing all lanes,
-#: for 1-bit-dominated designs — see :mod:`repro.sim.bitslice`)
-REPRESENTATIONS = ("int64", "spill", "bitslice")
-
-_REP_ENV = "REPRO_SIM_LANES"
-
-#: process-wide pin; None defers to the environment, "auto" to the census
-_rep_override: Optional[str] = None
-
-
-def configure_lane_representation(rep: Optional[str]) -> Optional[str]:
-    """Pin the lane representation process-wide; returns the previous pin.
-
-    ``None`` defers to ``REPRO_SIM_LANES`` again; ``"auto"`` forces the
-    census even if the environment pins one.  Evaluation stages call
-    this in pool workers so a run's pin survives executor start methods
-    that do not inherit the environment.
-    """
-    global _rep_override
-    if rep is not None and rep != "auto" and rep not in REPRESENTATIONS:
-        raise ValueError(
-            f"unknown lane representation {rep!r}; expected one of "
-            f"{REPRESENTATIONS + ('auto',)}"
-        )
-    previous = _rep_override
-    _rep_override = rep
-    return previous
-
-
-def configured_lane_representation() -> Optional[str]:
-    """The active pin, or None when the per-design census decides."""
-    rep = _rep_override
-    if rep is None:
-        rep = os.environ.get(_REP_ENV) or None
-    if rep in (None, "auto"):
-        return None
-    if rep not in REPRESENTATIONS:
-        raise ValueError(
-            f"{_REP_ENV}={rep!r} is not one of {REPRESENTATIONS + ('auto',)}"
-        )
-    return rep
+#: the lane representations: ``int64`` (one int64 per lane) and ``spill``
+#: (python-int object lanes for >63-bit designs)
+REPRESENTATIONS = ("int64", "spill")
 
 
 def lane_representation(design: Design) -> str:
-    """Width-census pick of the lane representation for ``design``.
+    """The lane representation ``design`` runs under, from its widths.
 
-    Any signal or memory wider than the int64 lane budget forces
-    ``"spill"`` (python-int lanes run the design instead of falling back
-    to the scalar loop).  Narrow designs dominated by 1-bit nets and
-    without memories pick ``"bitslice"``; everything else stays on
-    ``"int64"``.  A :func:`configure_lane_representation` /
-    ``REPRO_SIM_LANES`` pin overrides the census — except that pinning a
-    wide design to ``"int64"`` restores the historical
-    :class:`UnbatchableDesign` → scalar-fallback behaviour (the pin the
-    fallback-path tests use).
+    ``"int64"`` when every signal and memory fits the int64 lane budget,
+    ``"spill"`` (python-int lanes) otherwise.
     """
-    widths = [sig.width for sig in design.signals.values()]
-    mem_widths = [memory.width for memory in design.memories.values()]
-    wide = any(w > _MAX_LANE_WIDTH for w in widths) or any(
-        w > _MAX_LANE_WIDTH for w in mem_widths
+    wide = any(
+        sig.width > _MAX_LANE_WIDTH for sig in design.signals.values()
+    ) or any(
+        memory.width > _MAX_LANE_WIDTH
+        for memory in design.memories.values()
     )
-    pin = configured_lane_representation()
-    if wide:
-        return "int64" if pin == "int64" else "spill"
-    if pin is not None:
-        return pin
-    one_bit = sum(1 for w in widths if w == 1)
-    if (
-        widths
-        and not mem_widths
-        and 2 * one_bit >= len(widths)
-        and sum(widths) <= 256
-        and max(widths) <= 16
-    ):
-        return "bitslice"
-    return "int64"
+    return "spill" if wide else "int64"
 
 
 class UnbatchableDesign(UncompilableDesign):
@@ -308,9 +240,10 @@ def batch_design(design: Design, n_lanes: int,
                  representation: Optional[str] = None) -> BatchDesign:
     """Lower ``design`` for ``n_lanes`` lanes, caching per (lanes, rep).
 
-    The lane representation defaults to the :func:`lane_representation`
-    width census (int64 / spill / bitslice); pass one explicitly to
-    bypass the census.  Raises :class:`UnbatchableDesign` when the
+    The lane representation defaults to :func:`lane_representation`
+    (int64, or spill for >63-bit designs); pass one explicitly to force
+    ``"spill"`` on a narrow design, or ``"int64"`` on a wide one to reach
+    the scalar fallback.  Raises :class:`UnbatchableDesign` when the
     design cannot be lane lowered under the chosen representation (not
     levelizable, or wider than an int64 lane budget that applies); the
     negative outcome is cached too, so repeated probes stay cheap.  The
@@ -318,10 +251,6 @@ def batch_design(design: Design, n_lanes: int,
     scalar compile cache.  ``n_lanes`` must be at least 1; asking for
     zero or negative lanes is a caller bug surfaced as ``ValueError``
     instead of an empty-array failure deep inside numpy.
-
-    A bitslice request that the plane lowerer cannot honour degrades to
-    the int64 image (counted as ``bitslice.fallback_int64``) — bitslice
-    is an accelerator, never a correctness dependency.
     """
     if n_lanes < 1:
         raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
@@ -342,11 +271,7 @@ def batch_design(design: Design, n_lanes: int,
             raise UnbatchableDesign("design is not lane-parallelizable")
         return cached
     try:
-        if rep == "bitslice":
-            from repro.sim import bitslice as _bitslice
-
-            bd = _bitslice.compile_bitslice(design, n_lanes)
-        elif rep == "spill":
+        if rep == "spill":
             bd = _SpillCompiler(design, n_lanes).compile()
         else:
             bd = _BatchCompiler(design, n_lanes).compile()
@@ -356,30 +281,6 @@ def batch_design(design: Design, n_lanes: int,
     obs.count(f"batch.rep.{bd.representation}")
     cache[key] = bd
     return bd
-
-
-def make_batch_simulator(design: Design, n_lanes: int = 1,
-                         max_settle_rounds: Optional[int] = None,
-                         representation: Optional[str] = None):
-    """Census-dispatching simulator constructor.
-
-    Returns a :class:`~repro.sim.bitslice.BitsliceSimulator` when the
-    width census (or an explicit ``representation``) picks the bit-plane
-    backend and the design plane-lowers, else a plain
-    :class:`BatchSimulator` over the int64/spill image.  This is the
-    constructor the sweep and checking fast paths use; constructing
-    :class:`BatchSimulator` directly on a bitslice-census design simply
-    runs its embedded int64 image.
-    """
-    bd = batch_design(design, n_lanes, representation)
-    if bd.representation == "bitslice":
-        from repro.sim.bitslice import BitsliceSimulator
-
-        return BitsliceSimulator(design, bd, max_settle_rounds)
-    return BatchSimulator(
-        design, max_settle_rounds, n_lanes=n_lanes,
-        representation=bd.representation,
-    )
 
 
 def is_stateless_comb(bd: BatchDesign) -> bool:
@@ -1635,10 +1536,6 @@ class BatchSimulator(Simulator):
                  backend: Optional[str] = None, n_lanes: int = 1,
                  representation: Optional[str] = None):
         bd = batch_design(design, n_lanes, representation)
-        if bd.representation == "bitslice":
-            # A plain lane simulator cannot run bit planes; use the int64
-            # image embedded in the bitslice artifact instead.
-            bd = bd.base
         self.design = design
         self.bdesign = bd
         self.n_lanes = n_lanes
@@ -1848,19 +1745,13 @@ def lockstep_shape_digest(design: Design) -> str:
 
     Raises :class:`~repro.sim.compile.UncompilableDesign` (or the
     narrower :class:`UnbatchableDesign`) when the design cannot carry a
-    lane at all — not statically lowerable, not levelizable, or wider
-    than the int64 lane budget while the representation is pinned to
-    ``int64`` — which routes the candidate to the scalar backends under
-    the usual fallback contract.  The digest (or the negative outcome)
-    memoizes on the design object per representation pin — it is a
-    plain string derived from structure alone, so unlike the closure
-    caches it survives pickling to pool workers.
+    lane at all — not statically lowerable or not levelizable — which
+    routes the candidate to the scalar backends under the usual fallback
+    contract.  The digest (or the negative outcome) memoizes on the
+    design object — it is a plain string derived from structure alone,
+    so unlike the closure caches it survives pickling to pool workers.
     """
-    pin = configured_lane_representation()
-    cache = getattr(design, "_lockstep_digest", None)
-    if not isinstance(cache, dict):
-        cache = design._lockstep_digest = {}
-    cached = cache.get(pin)
+    cached = getattr(design, "_lockstep_digest", None)
     if cached is not None:
         if cached is False:
             raise UnbatchableDesign("design is not lane-parallelizable")
@@ -1868,41 +1759,10 @@ def lockstep_shape_digest(design: Design) -> str:
     try:
         digest = _lockstep_shape_digest(design)
     except UnbatchableDesign:
-        cache[pin] = False
+        design._lockstep_digest = False
         raise
-    cache[pin] = digest
+    design._lockstep_digest = digest
     return digest
-
-
-def _group_representation(design: Design) -> str:
-    """Lane representation a lockstep group of this shape runs under.
-
-    Lockstep lanes carry *different candidate designs*, so the
-    per-design bitslice census does not apply: groups run on plain
-    ``int64`` lanes, or on the multi-word ``spill`` representation when
-    any signal or memory is wider than the int64 budget.  Pinning the
-    representation to ``int64`` (:func:`configure_lane_representation`
-    or ``REPRO_SIM_LANES``) restores the historical wide-design
-    fallback to the scalar loop; pinning ``spill`` forces every group
-    onto object lanes.
-    """
-    pinned = configured_lane_representation()
-    if pinned == "spill":
-        return "spill"
-    wide = any(
-        sig.width > _MAX_LANE_WIDTH for sig in design.signals.values()
-    ) or any(
-        memory.width > _MAX_LANE_WIDTH
-        for memory in design.memories.values()
-    )
-    if not wide:
-        return "int64"
-    if pinned == "int64":
-        raise UnbatchableDesign(
-            f"width exceeds the {_MAX_LANE_WIDTH}-bit int64 lane budget "
-            "(lane representation pinned to int64)"
-        )
-    return "spill"
 
 
 def _lockstep_shape_digest(design: Design) -> str:
@@ -1913,7 +1773,6 @@ def _lockstep_shape_digest(design: Design) -> str:
             "applies)"
         )
     key = (
-        _group_representation(design),
         tuple(
             (name, sig.width, bool(sig.signed), sig.direction)
             for name, sig in design.signals.items()
@@ -2004,7 +1863,7 @@ def build_lockstep_group(designs: Sequence[Design]) -> LockstepGroup:
         )
     # Digest equality covers the signal/memory width tables, so one
     # member's representation is the whole group's.
-    representation = _group_representation(designs[0])
+    representation = lane_representation(designs[0])
 
     node_fp_lists = [_comb_node_fingerprints(design) for design in designs]
     seq_fp_lists = [

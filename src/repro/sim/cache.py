@@ -67,9 +67,10 @@ __all__ = [
 #: backend semantics or to the layout of pickled artifacts: stale entries
 #: are then counted as ``sim.cache.version_mismatch`` and evicted instead
 #: of deserializing stale behaviour (or leaking on disk forever, as the
-#: old key-embedded-version scheme did).  7: golden-ref artifacts grew
-#: coverage/full_cycles slots (CEGIS), evicting pre-CEGIS pickles.
-BACKEND_VERSION = 7
+#: old key-embedded-version scheme did).  8: ``lockstep-shape`` keys lost
+#: the lane-representation pin and a persisted ``Design`` memoizes its
+#: shape digest as a plain value, not a dict per pin.
+BACKEND_VERSION = 8
 
 _ENV = "REPRO_SIM_CACHE"
 
@@ -238,14 +239,11 @@ def put_design(source: str, module_name: str, design: Design) -> bool:
 
 
 #: marker stored instead of a digest when a candidate cannot carry a
-#: lockstep lane at all (not statically lowerable / not levelizable /
-#: wider than the int64 lane budget)
+#: lockstep lane at all (not statically lowerable / not levelizable)
 UNBATCHABLE_SHAPE = ""
 
 
-def get_shape(
-    source: str, module_name: str, representation: str = "auto"
-) -> Optional[str]:
+def get_shape(source: str, module_name: str) -> Optional[str]:
     """Cached lockstep shape digest for ``module_name`` in ``source``.
 
     Returns the digest string, :data:`UNBATCHABLE_SHAPE` when the
@@ -254,26 +252,12 @@ def get_shape(
     later runs group candidates without re-probing the compiler, and the
     digest can never alias a different source because the key hashes the
     full text (the envelope's :data:`BACKEND_VERSION` check evicts
-    digests stranded by grouping-rule changes).  ``representation`` is
-    the active lane-representation pin
-    (:func:`repro.sim.batch.configured_lane_representation`): the same
-    source groups differently under different pins — a >63-bit design is
-    a spill lane under ``"auto"`` but unbatchable under a forced
-    ``"int64"`` — so the pin is part of the key.
+    digests stranded by grouping-rule changes).
     """
-    shape = load("lockstep-shape", source, module_name, representation)
+    shape = load("lockstep-shape", source, module_name)
     return shape if isinstance(shape, str) else None
 
 
-def put_shape(
-    source: str,
-    module_name: str,
-    digest: str,
-    representation: str = "auto",
-) -> bool:
-    """Persist a lockstep shape digest (or :data:`UNBATCHABLE_SHAPE`).
-
-    ``representation`` must be the same lane-representation pin the
-    digest was computed under (see :func:`get_shape`).
-    """
-    return store("lockstep-shape", digest, source, module_name, representation)
+def put_shape(source: str, module_name: str, digest: str) -> bool:
+    """Persist a lockstep shape digest (or :data:`UNBATCHABLE_SHAPE`)."""
+    return store("lockstep-shape", digest, source, module_name)

@@ -40,11 +40,10 @@ implementation of:
   per-candidate error classification.
 
 Everything here is pure verdict bookkeeping over arrays the simulators
-produce; the settle work itself stays in :mod:`repro.sim.batch` /
-:mod:`repro.sim.bitslice`.  The engine is deliberately dtype-blind:
-``int64``, spill (object) and bitslice-backed lane arrays all compare
-through the same numpy elementwise paths, which is what lets one engine
-serve every lane representation.
+produce; the settle work itself stays in :mod:`repro.sim.batch`.  The
+engine is deliberately dtype-blind: ``int64`` and spill (object) lane
+arrays compare through the same numpy elementwise paths, which is what
+lets one engine serve both lane representations.
 
 Counters (:mod:`repro.obs`): ``retire.allvec_checks``,
 ``retire.allvec_mismatch``, ``retire.lanes_retired``,

@@ -34,7 +34,6 @@ from repro.sim.batch import (
     LockstepGroup,
     LockstepSimulator,
     UnbatchableDesign,
-    make_batch_simulator,
 )
 from repro.sim.compile import UncompilableDesign
 from repro.sim.elaborate import Design, elaborate
@@ -199,7 +198,7 @@ class BatchTestbench(Testbench):
 
     def _make_simulator(self, design: Design,
                         backend: Optional[str]) -> BatchSimulator:
-        return make_batch_simulator(design, n_lanes=self.n_lanes)
+        return BatchSimulator(design, n_lanes=self.n_lanes)
 
     def sample(self) -> Dict[str, np.ndarray]:
         """Per-lane output arrays after combinational settle."""

@@ -304,9 +304,9 @@ def _check_all_vectors_batch(
     or a lane diverges; the verdict (including first-mismatch
     bookkeeping) is identical either way: comparison and bookkeeping run
     on :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane
-    = stimulus vector).  The lane backend follows the candidate's width
-    census — bitslice for 1-bit-heavy designs, spill (exact python-int
-    lanes) for >63-bit datapaths, int64 otherwise.
+    = stimulus vector).  The lane representation follows the candidate's
+    widths — spill (exact python-int lanes) for >63-bit datapaths, int64
+    otherwise.
     """
     from repro.sim import default_backend
 
@@ -323,9 +323,9 @@ def _check_all_vectors_batch(
     ):
         return None
     from repro.sim.batch import (
+        BatchSimulator,
         batch_design,
         is_stateless_comb,
-        make_batch_simulator,
     )
     from repro.sim.compile import UncompilableDesign
     from repro.sim.retire import RetireEngine, lane_vector
@@ -336,7 +336,7 @@ def _check_all_vectors_batch(
         if not is_stateless_comb(bd):
             return None
         engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
-        sim = make_batch_simulator(candidate, n_lanes=n_lanes)
+        sim = BatchSimulator(candidate, n_lanes=n_lanes)
         wide = bd.lane_dtype is object
         vector: Dict[str, object] = {}
         reset = interface.reset
@@ -443,20 +443,12 @@ def _candidate_shape_digest(candidate, source: Optional[str]) -> str:
     :class:`~repro.sim.compile.UncompilableDesign` for candidates that
     cannot carry a lane — the caller routes those to the scalar path.
     """
-    from repro.sim.batch import (
-        UnbatchableDesign,
-        configured_lane_representation,
-        lockstep_shape_digest,
-    )
+    from repro.sim.batch import UnbatchableDesign, lockstep_shape_digest
     from repro.sim.compile import UncompilableDesign
 
     name = candidate.top
-    # The same source groups differently under different lane pins (a
-    # wide design is a spill lane under "auto" but unbatchable under a
-    # forced "int64"), so the active pin is part of the cache key.
-    rep = configured_lane_representation() or "auto"
     if source is not None:
-        cached = sim_cache.get_shape(source, name, rep)
+        cached = sim_cache.get_shape(source, name)
         if cached is not None:
             if cached == sim_cache.UNBATCHABLE_SHAPE:
                 raise UnbatchableDesign(
@@ -467,12 +459,10 @@ def _candidate_shape_digest(candidate, source: Optional[str]) -> str:
         digest = lockstep_shape_digest(candidate)
     except UncompilableDesign:
         if source is not None:
-            sim_cache.put_shape(
-                source, name, sim_cache.UNBATCHABLE_SHAPE, rep
-            )
+            sim_cache.put_shape(source, name, sim_cache.UNBATCHABLE_SHAPE)
         raise
     if source is not None:
-        sim_cache.put_shape(source, name, digest, rep)
+        sim_cache.put_shape(source, name, digest)
     return digest
 
 

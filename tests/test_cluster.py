@@ -394,6 +394,80 @@ class TestPoolWorkerDied:
         assert info.value.attempts == 2
 
 
+class _StubPool:
+    """Inline pool whose ``submit`` raises once it is flagged broken.
+
+    ``ProcessPoolExecutor.submit`` raises ``BrokenProcessPool``
+    synchronously after a worker death; with real processes whether the
+    merge observes the break at ``submit`` or at ``result()`` is a race.
+    ``break_at`` picks the submit call (1-based) that breaks this pool.
+    """
+
+    def __init__(self, break_at=None):
+        self.break_at = break_at
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.submits += 1
+        if self.break_at is not None and self.submits >= self.break_at:
+            raise BrokenProcessPool("stub pool is broken")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitOnBrokenPool:
+    """A pool that breaks under ``submit`` spends the requeue budget."""
+
+    @staticmethod
+    def _executor(monkeypatch, pools):
+        executor = ParallelExecutor(workers=2)
+        pools = iter(pools)
+
+        def ensure_pool():
+            if executor._pool is None:
+                executor._pool = next(pools)
+            return executor._pool
+
+        monkeypatch.setattr(executor, "_ensure_pool", ensure_pool)
+        return executor
+
+    def test_fill_submit_break_requeues(self, monkeypatch):
+        chunks = list(iter_chunks(range(20), 5))
+        serial = [
+            out for out, _ in SerialExecutor().map_chunks(
+                [_DoubleStage()], chunks
+            )
+        ]
+        executor = self._executor(
+            monkeypatch, [_StubPool(break_at=2), _StubPool()]
+        )
+        outputs = [
+            out for out, _ in executor.map_chunks([_DoubleStage()], chunks)
+        ]
+        assert outputs == serial  # no chunk lost, order kept
+
+    def test_resubmit_break_raises_typed_error(self, monkeypatch):
+        # The first pool breaks while the window fills, the rebuilt one
+        # breaks under the resubmit: the budget (one requeue) is spent
+        # and the failure is typed, never a bare BrokenProcessPool.
+        executor = self._executor(
+            monkeypatch, [_StubPool(break_at=2), _StubPool(break_at=1)]
+        )
+        chunks = list(iter_chunks(range(20), 5))
+        with pytest.raises(WorkerDiedError) as info:
+            list(executor.map_chunks([_DoubleStage()], chunks))
+        assert info.value.chunk_index == 0
+        assert "double" in info.value.stage
+        assert info.value.attempts == 2
+
+
 # -- satellites -------------------------------------------------------------
 
 

@@ -50,3 +50,28 @@ def test_extractor_sees_fences_and_languages(tmp_path):
     blocks = check_docs.extract_blocks(doc)
     assert [code.strip() for _, code in blocks] == ["x = 1", "y = 2"]
     assert [lineno for lineno, _ in blocks] == [3, 9]
+
+
+def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        'import os\nA = os.environ.get("REPRO_ALPHA")  # one of REPRO_ALPHA_*\n'
+    )
+    doc = tmp_path / "architecture.md"
+    table = "## Environment variables\n\n| Variable | Effect |\n| --- | --- |\n"
+    doc.write_text(table + "| `REPRO_ALPHA` | x |\n\n## Next\n| `REPRO_Z` | y |\n")
+    assert check_docs.check_env_table(src, doc)
+    doc.write_text(table)  # knob added without its row
+    assert not check_docs.check_env_table(src, doc)
+    doc.write_text(table + "| `REPRO_ALPHA` | x |\n| `REPRO_GONE` | y |\n")
+    assert not check_docs.check_env_table(src, doc)  # knob removed, row left
+    # the repository itself is in step
+    assert check_docs.check_env_table(
+        REPO_ROOT / "src", REPO_ROOT / "docs" / "architecture.md"
+    )

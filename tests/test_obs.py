@@ -431,19 +431,34 @@ class TestCacheMetrics:
     def test_version_mismatch_counted_and_evicted(
         self, tmp_path, monkeypatch
     ):
+        # Entries written under the previous BACKEND_VERSION — a blob, a
+        # lockstep shape digest, and a design whose digest memo is still
+        # the old dict-per-pin layout — must be counted and evicted,
+        # never handed back to be misread.
+        from repro.sim import elaborate
+        from repro.verilog import parse_source
+
+        source = "module m(input a, output y); assign y = ~a; endmodule"
+        design = elaborate(parse_source(source), "m")
+        design._lockstep_digest = {None: "0" * 64}
+        current = sim_cache.BACKEND_VERSION
         previous = sim_cache.configure(str(tmp_path))
         try:
+            monkeypatch.setattr(sim_cache, "BACKEND_VERSION", current - 1)
             assert sim_cache.store("blob", [1], "k")
-            monkeypatch.setattr(
-                sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION + 1
-            )
+            assert sim_cache.put_shape(source, "m", "0" * 64)
+            assert sim_cache.put_design(source, "m", design)
+            monkeypatch.setattr(sim_cache, "BACKEND_VERSION", current)
             assert sim_cache.load("blob", "k") is None
+            assert sim_cache.get_shape(source, "m") is None
+            assert sim_cache.get_design(source, "m") is None
             assert not list(tmp_path.rglob("*.pkl"))  # evicted on disk
         finally:
             sim_cache.configure(previous)
         stats = sim_cache.stats()
-        assert stats["version_mismatch"] == 1
-        assert stats["evict"] == 1
+        assert stats["version_mismatch"] == 3
+        assert stats["evict"] == 3
+        assert "hit" not in stats
 
 
 # -- checkpoint resume -------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.sim import (
     Testbench,
     UnbatchableDesign,
     batch_design,
-    configure_lane_representation,
     elaborate,
     lane_representation,
     equivalence_check,
@@ -35,9 +34,9 @@ from repro.sim import (
     sweep_random_stimulus,
 )
 from repro.sim import cache as sim_cache
-from repro.sim import make_batch_simulator
 from repro.sim.batch import is_stateless_comb
-from repro.sim.bitslice import BitsliceSimulator
+from repro.sim.compile import UncompilableDesign
+from repro.sim.retire import lane_vector
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
 from repro.vereval.problems import EvalProblem
@@ -180,23 +179,18 @@ class TestOneLaneFacade:
         assert sim.peek("count") == 3
 
     def test_wide_design_falls_back_when_pinned_int64(self):
-        # 64-bit datapath exceeds the int64 lane budget; pinning the
-        # representation to int64 restores the historical scalar
-        # fallback (the default census routes wide designs to spill).
+        # 64-bit datapath exceeds the int64 lane budget: forcing int64
+        # lanes is unbatchable, the signal callers take the scalar
+        # fallback on.
         source = (
             "module m(input [63:0] a, output [63:0] y); assign y = ~a;"
             " endmodule"
         )
-        previous = configure_lane_representation("int64")
-        try:
-            with pytest.raises(UnbatchableDesign):
-                batch_design(build(source, "m"), 1)
-            sim = Simulator(build(source, "m"), backend="batch")
-            assert not isinstance(sim, BatchSimulator)
-            sim.poke("a", (1 << 64) - 2)
-            assert sim.peek("y") == 1
-        finally:
-            configure_lane_representation(previous)
+        design = build(source, "m")
+        with pytest.raises(UnbatchableDesign):
+            batch_design(design, 1, representation="int64")
+        with pytest.raises(UnbatchableDesign):
+            BatchSimulator(design, representation="int64")
 
     def test_wide_design_runs_on_spill_lanes(self):
         # Default census: >63-bit designs run lane-parallel on the
@@ -219,16 +213,12 @@ class TestOneLaneFacade:
         # The scalar fallback cannot honour an explicit n_lanes request;
         # that must be a SimulationError, not a constructor TypeError.
         source = (
-            "module m(input [63:0] a, output [63:0] y); assign y = ~a;"
-            " endmodule"
+            "module m(input a, input b, output y);"
+            " assign y = a; assign y = b; endmodule"
         )
-        previous = configure_lane_representation("int64")
-        try:
-            with pytest.raises(SimulationError) as err:
-                Simulator(build(source, "m"), backend="batch", n_lanes=4)
-            assert "lane-parallelizable" in str(err.value)
-        finally:
-            configure_lane_representation(previous)
+        with pytest.raises(SimulationError) as err:
+            Simulator(build(source, "m"), backend="batch", n_lanes=4)
+        assert "lane-parallelizable" in str(err.value)
 
 
 class TestErrorClassificationPerLane:
@@ -353,17 +343,61 @@ class TestBatchTestbench:
         assert lockstep.traces == [t[:3] for t in reference.traces]
 
 
-class TestLaneRepresentationMatrix:
-    """Identity across the int64 / spill / bitslice lane backends.
+def sweep_representation(module, cycles, seeds, representation):
+    """Sweep ``module`` on lanes forced to ``representation``; compare
+    lane for lane against the interpreter.  Returns False when the design
+    cannot ride that representation (the scalar fallback applies, which
+    ``sweep_module`` checks)."""
+    interface = module.interface
+    design = build(module.source, module.name)
+    kwargs = dict(
+        clock=interface.clock,
+        reset=interface.reset,
+        reset_active_high=interface.reset_active_high,
+    )
+    stimuli = [random_stimulus(design, cycles, seed) for seed in seeds]
+    reference = sweep_random_stimulus(
+        design, cycles, seeds, backend="interp", stimuli=stimuli, **kwargs
+    )
 
-    Each representation must stay lane-for-lane identical to the scalar
-    compiled backend; a pin the design cannot honour falls back to the
-    scalar path, which is itself identity-checked by ``sweep_module``.
+    class ForcedBench(BatchTestbench):
+        def _make_simulator(self, design, backend):
+            return BatchSimulator(
+                design, n_lanes=self.n_lanes, representation=representation
+            )
+
+    try:
+        bench = ForcedBench(design, len(seeds), **kwargs)
+        assert bench.sim.bdesign.representation == representation
+        bench.apply_reset()
+        traces = [[] for _ in seeds]
+        for cycle in range(cycles):
+            outputs = bench.step({
+                name: lane_vector(
+                    [episode[cycle][name] for episode in stimuli],
+                    representation == "spill",
+                )
+                for name in stimuli[0][cycle]
+            })
+            for lane, trace in enumerate(traces):
+                trace.append(tuple(
+                    int(outputs[name][lane]) for name in reference.output_names
+                ))
+    except (UncompilableDesign, SimulationError):
+        return False
+    assert reference.ok
+    assert traces == reference.traces, (module.name, representation)
+    return True
+
+
+class TestLaneRepresentationMatrix:
+    """Identity across the int64 / spill lane representations.
+
+    Forced through the explicit ``representation=`` argument, each must
+    stay lane-for-lane identical to the interpreter.
     """
 
-    @pytest.mark.parametrize(
-        "representation", ["int64", "spill", "bitslice"]
-    )
+    @pytest.mark.parametrize("representation", ["int64", "spill"])
     @pytest.mark.parametrize("family", ["alu", "traffic_fsm", "lfsr"])
     def test_pinned_representation_lane_identical(
         self, representation, family
@@ -371,34 +405,7 @@ class TestLaneRepresentationMatrix:
         module = generate_family(
             family, DeterministicRNG(11).fork("repmatrix", family)
         )
-        previous = configure_lane_representation(representation)
-        try:
-            sweep_module(module, 16, seeds=range(3))
-        finally:
-            configure_lane_representation(previous)
-
-    def test_bitheavy_design_picks_bitslice(self):
-        # 1-bit-dominated control logic: the width census selects the
-        # bit-sliced backend, and the facade builds its simulator.
-        source = (
-            "module ctl(input a, input b, input c, input d,"
-            " output x, output y, output z);"
-            " assign x = (a & b) | (c ^ d);"
-            " assign y = a ? b : c;"
-            " assign z = ~(a ^ b ^ c ^ d);"
-            " endmodule"
-        )
-        design = build(source, "ctl")
-        assert lane_representation(design) == "bitslice"
-        assert batch_design(design, 8).representation == "bitslice"
-        sim = make_batch_simulator(design, n_lanes=8)
-        assert isinstance(sim, BitsliceSimulator)
-        batch = sweep_random_stimulus(design, 12, range(8), clock=None)
-        scalar = sweep_random_stimulus(
-            design, 12, range(8), clock=None, backend="compiled"
-        )
-        assert batch.vectorized
-        assert batch.traces == scalar.traces
+        assert sweep_representation(module, 16, range(3), representation)
 
     def test_spill_divergence_replays_identically(self):
         # A dynamic field write past the spill guard (sig_width + 64)
@@ -443,17 +450,13 @@ class TestLaneRepresentationMatrix:
 @given(
     family=st.sampled_from(ALL_FAMILIES),
     seed=st.integers(0, 2**18),
-    representation=st.sampled_from(["int64", "spill", "bitslice"]),
+    representation=st.sampled_from(["int64", "spill"]),
 )
 def test_fuzz_representation_identity(family, seed, representation):
     module = generate_family(
         family, DeterministicRNG(seed).fork("repfuzz", family)
     )
-    previous = configure_lane_representation(representation)
-    try:
-        sweep_module(module, 10, seeds=range(3))
-    finally:
-        configure_lane_representation(previous)
+    sweep_representation(module, 10, range(3), representation)
 
 
 class TestCombinationalFastPath:

@@ -283,23 +283,13 @@ endmodule
             "stage <= a ^ b;", "stage <= a ^ b; big <= {56'd0, b};"
         )
         from repro.sim.compile import UncompilableDesign
-        from repro.sim.batch import (
-            _group_representation,
-            configure_lane_representation,
-        )
+        from repro.sim.batch import lane_representation
 
         with pytest.raises(UncompilableDesign):
             lockstep_shape_digest(build(multi_driver, "dut"))
-        # Wide siblings now carry spill lanes instead of raising; the
-        # historical fallback remains behind the int64 pin.
-        assert _group_representation(build(wide, "dut")) == "spill"
+        # Wide siblings carry spill lanes instead of raising.
+        assert lane_representation(build(wide, "dut")) == "spill"
         assert lockstep_shape_digest(build(wide, "dut"))
-        previous = configure_lane_representation("int64")
-        try:
-            with pytest.raises(UnbatchableDesign):
-                lockstep_shape_digest(build(wide, "dut"))
-        finally:
-            configure_lane_representation(previous)
         sources = [_dut(), _dut(op_mix="b & a"), multi_driver, wide]
         assert_lockstep_identical(problem, sources)
 
@@ -327,9 +317,9 @@ endmodule
             description="wide-datapath DUT",
         )
         problem = _problem_for(module, cycles=24, problem_id="widepath")
-        from repro.sim.batch import _group_representation
+        from repro.sim.batch import lane_representation
 
-        assert _group_representation(build(source, "dut")) == "spill"
+        assert lane_representation(build(source, "dut")) == "spill"
         sources = [
             source,
             source + "\n// variant\n",
@@ -343,22 +333,6 @@ endmodule
         assert outcomes[1] == (True, "")
         assert outcomes[2][0] is False
         assert outcomes[3][0] is False
-
-    @pytest.mark.parametrize("representation", ["int64", "spill"])
-    def test_pinned_representation_verdicts_identical(
-        self, representation
-    ):
-        # Lockstep honours the lane-representation pin; verdicts must be
-        # identical to the scalar loop under either backing store.
-        from repro.sim.batch import configure_lane_representation
-
-        problem = _dut_problem(problem_id=f"pin-{representation}")
-        sources = [_dut(), _dut(op_sum="b + a"), _mutate(_dut(), 0)]
-        previous = configure_lane_representation(representation)
-        try:
-            assert_lockstep_identical(problem, sources)
-        finally:
-            configure_lane_representation(previous)
 
     def test_golden_error_phases_propagate(self):
         # A golden that dies mid-trace (combinational loop poked into
@@ -684,6 +658,26 @@ class TestShapeCache:
             )
         finally:
             sim_cache.configure(previous)
+
+    def test_design_round_trip_groups_identically(self, tmp_path):
+        # A persisted design carries its shape digest as a plain value:
+        # the loaded copy reports the same digest without re-deriving it
+        # and joins a lockstep group with a freshly elaborated sibling.
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            design = build(_dut(), "dut")
+            digest = lockstep_shape_digest(design)
+            assert sim_cache.put_design(_dut(), "dut", design)
+            loaded = sim_cache.get_design(_dut(), "dut")
+        finally:
+            sim_cache.configure(previous)
+        assert loaded is not design
+        assert loaded._lockstep_digest == digest
+        assert lockstep_shape_digest(loaded) == digest
+        group = build_lockstep_group(
+            [loaded, build(_dut(op_sum="b + a"), "dut")]
+        )
+        assert group.n_lanes == 2
 
     def test_lockstep_checking_with_warm_cache_identical(self, tmp_path):
         problem = _dut_problem(problem_id="cached")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Execute the documentation so it cannot rot.
 
-Two kinds of checks, both wired into CI and into the tier-1 suite
+Three kinds of checks, all wired into CI and into the tier-1 suite
 through ``tests/test_docs.py``:
 
 * every fenced ```python code block in ``README.md`` and ``docs/*.md``
@@ -10,14 +10,17 @@ through ``tests/test_docs.py``:
   and line the block starts on);
 * the doctests of the public simulation API modules
   (:mod:`repro.sim.simulator`, :mod:`repro.sim.testbench`) run via
-  :mod:`doctest`, so the examples in those docstrings stay executable.
+  :mod:`doctest`, so the examples in those docstrings stay executable;
+* the ``REPRO_*`` names mentioned under ``src/`` equal the rows of the
+  "Environment variables" table in ``docs/architecture.md``, so a knob
+  cannot be added or removed without its row.
 
 Usage::
 
     PYTHONPATH=src python tools/check_docs.py [files...]
 
 With no arguments it checks README.md plus every markdown file under
-docs/.
+docs/, and the environment-variable table.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import pathlib
 import re
 import sys
 import traceback
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -40,6 +43,10 @@ DOCTEST_MODULES = (
 )
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
+
+_ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
+_ENV_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|")
+_ENV_HEADING = "## Environment variables"
 
 
 def extract_blocks(path: pathlib.Path) -> List[Tuple[int, str]]:
@@ -95,6 +102,46 @@ def run_doctests(module_name: str) -> bool:
     return True
 
 
+def env_names_in_source(src: pathlib.Path) -> Set[str]:
+    """Every ``REPRO_*`` name in the python files under ``src``.
+
+    Names ending in ``_`` are prose globs (``REPRO_CLUSTER_*``), not
+    variables.
+    """
+    names: Set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        names.update(_ENV_NAME.findall(path.read_text(encoding="utf-8")))
+    return {name for name in names if not name.endswith("_")}
+
+
+def env_table_rows(doc: pathlib.Path) -> Set[str]:
+    """First-column names of the "Environment variables" table in ``doc``."""
+    rows: Set[str] = set()
+    in_section = False
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == _ENV_HEADING
+        elif in_section:
+            row = _ENV_ROW.match(line)
+            if row is not None:
+                rows.add(row.group(1))
+    return rows
+
+
+def check_env_table(src: pathlib.Path, doc: pathlib.Path) -> bool:
+    names = env_names_in_source(src)
+    rows = env_table_rows(doc)
+    if names != rows:
+        print(f"FAIL env table: {doc}")
+        for name in sorted(names - rows):
+            print(f"  {name} is read under {src} but has no table row")
+        for name in sorted(rows - names):
+            print(f"  {name} has a table row but is not read under {src}")
+        return False
+    print(f"ok   env table: {len(names)} REPRO_* knobs = {len(rows)} rows")
+    return True
+
+
 def default_paths() -> List[pathlib.Path]:
     paths = [REPO_ROOT / "README.md"]
     docs = REPO_ROOT / "docs"
@@ -116,6 +163,8 @@ def main(argv: Sequence[str] = ()) -> int:
             ok = run_block(path, lineno, code) and ok
     for module_name in DOCTEST_MODULES:
         ok = run_doctests(module_name) and ok
+    if not argv:
+        ok = check_env_table(src, REPO_ROOT / "docs" / "architecture.md") and ok
     if total == 0:
         print("FAIL: no python code blocks found — wrong paths?")
         return 1
