@@ -1,9 +1,10 @@
 """Tokenized w-shingling of Verilog text.
 
 Shingles are overlapping windows of ``w`` whitespace-separated tokens,
-computed on comment-stripped, whitespace-normalized text so that purely
-cosmetic edits (reindentation, fork comments) do not defeat duplicate
-detection — the same normalization VeriGen-style dedup relies on.
+computed on comment-stripped text with any whitespace run as one
+separator, so that purely cosmetic edits (reindentation, fork comments)
+do not defeat duplicate detection — the same normalization VeriGen-style
+dedup relies on.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from typing import List, Set
 
 import numpy as np
 
-from repro.utils.textnorm import normalize_whitespace, strip_comments
+from repro.utils.textnorm import strip_comments
 
 DEFAULT_SHINGLE_WIDTH = 5
 
 
 def _tokens(text: str) -> List[str]:
-    return normalize_whitespace(strip_comments(text)).split()
+    # split() with no separator already collapses whitespace runs and
+    # trims the ends; a normalising regex pass in front of it is wasted.
+    return strip_comments(text).split()
 
 
 def shingles(text: str, width: int = DEFAULT_SHINGLE_WIDTH) -> Set[str]:

@@ -2,10 +2,10 @@
 
 Each stage wraps one of the existing curation/dedup components, so stage
 semantics are exactly the seed pipeline's; what changes is the execution
-shape (chunked streaming, batched signatures, pool-safe filters, fast
-lexing) and the per-stage metrics.  Funnel names match the seed:
-``license_filter``, ``length_cap``, ``dedup``, ``copyright_filter``,
-``syntax_check``.
+shape (chunked streaming, batched signatures, pool-safe filters, the
+token-stream Verilog front end) and the per-stage metrics.  Funnel names
+match the seed: ``license_filter``, ``length_cap``, ``dedup``,
+``copyright_filter``, ``syntax_check``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from repro.dedup.dedup import DEFAULT_DEDUP_THRESHOLD, StreamingDeduplicator
 from repro.dedup.minhash import DEFAULT_NUM_PERMUTATIONS
 from repro.engine.registry import register_stage
 from repro.engine.stage import FilterStage, StatefulStage
-from repro.verilog import check_syntax
-from repro.verilog.fastlex import check_syntax_fast
+from repro.verilog import check_syntax_fast
 
 
 def file_key(item: Any) -> Any:
@@ -73,18 +72,16 @@ class CopyrightFilterStage(FilterStage):
 class SyntaxCheckStage(FilterStage):
     """Drops files the Verilog front end rejects.
 
-    Uses the regex-accelerated lexer by default — verdict-identical to
-    :func:`repro.verilog.check_syntax` by the fastlex equivalence
-    contract; pass ``fast=False`` to run the reference lexer instead.
+    Runs :func:`repro.verilog.check_syntax_fast` — the token-stream lexer
+    and the shared parser — which is verdict-identical to the reference
+    :func:`repro.verilog.check_syntax` by the identity contract
+    ``tests/test_fastlex.py`` enforces.
     """
 
     name = "syntax_check"
 
-    def __init__(self, fast: bool = True) -> None:
-        self._check = check_syntax_fast if fast else check_syntax
-
     def accepts(self, item: Any) -> bool:
-        return self._check(item.content).ok
+        return check_syntax_fast(item.content).ok
 
 
 @register_stage("dedup")

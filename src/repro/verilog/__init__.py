@@ -21,7 +21,7 @@ Supported subset (the synthesizable constructs our corpus generators emit):
   overrides
 """
 
-from repro.verilog.tokens import Token, TokenKind, KEYWORDS
+from repro.verilog.tokens import Token, TokenKind, TokenStream, KEYWORDS
 from repro.verilog.lexer import Lexer, lex
 from repro.verilog.fastlex import check_syntax_fast, lex_fast
 from repro.verilog.parser import Parser, parse_source, parse_source_fast
@@ -31,6 +31,7 @@ from repro.verilog import ast
 __all__ = [
     "Token",
     "TokenKind",
+    "TokenStream",
     "KEYWORDS",
     "Lexer",
     "lex",

@@ -1,154 +1,168 @@
-"""Regex-accelerated lexer with a token stream identical to :mod:`lexer`.
+"""Single-pass regex lexer: the front end's fast path.
 
 The hand-written :class:`repro.verilog.lexer.Lexer` advances one character
-per Python-level loop iteration, which makes the syntax-check stage the
-dominant cost of corpus curation.  This module implements the *same* token
-grammar as one compiled regex alternation plus a small procedural string
-scanner, so the per-token cost is a single C-level match instead of tens
-of Python calls.
+per Python-level loop iteration, which made the syntax-check stage the
+dominant cost of corpus curation.  This module implements the *same*
+token grammar as one compiled alternation driven by ``finditer``: leading
+trivia is folded into every match, and string literals, end of input and
+a catch-all for anything illegal are branches of the same alternation, so
+nothing runs at Python level between two tokens.  The result is a
+:class:`~repro.verilog.tokens.TokenStream` — three parallel lists the
+parser reads by index — not a list of ``Token`` objects.
 
-Equivalence contract (relied on by the execution engine and enforced by
-``tests/test_fastlex.py``): for any input, ``lex_fast(source)`` either
-returns exactly ``lex(source)`` — same kinds, texts, lines, and columns —
-or raises :class:`LexError` exactly when ``lex`` raises (error messages
-and positions may differ; the success/failure verdict may not).  Feeding
-the tokens to the shared :class:`repro.verilog.parser.Parser` therefore
-yields byte-identical parse results, and :func:`check_syntax_fast` is a
-drop-in replacement for :func:`repro.verilog.syntax.check_syntax`.
+Identity contract (relied on by the execution engine and the pass@k
+checker, enforced by ``tests/test_fastlex.py``): read as a sequence,
+``lex_fast(source)`` equals ``lex(source)`` token for token — kind, text,
+line and column, directives and EOF included — or raises
+:class:`LexError` exactly when ``lex`` raises (message and position may
+differ from the reference lexer's; they are pinned by the same tests).
+The shared :class:`repro.verilog.parser.Parser` therefore builds the same
+AST and raises the same ``ParseError`` from either lexer, and
+:func:`check_syntax_fast` is a drop-in replacement for
+:func:`repro.verilog.syntax.check_syntax`.  Nothing but speed may differ.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import LexError
 from repro.verilog.tokens import (
+    K_BASED_NUMBER,
+    K_DIRECTIVE,
+    K_EOF,
+    K_IDENT,
+    K_KEYWORD,
+    K_NUMBER,
+    K_OP,
+    K_STRING,
+    K_SYSTEM_IDENT,
     KEYWORDS,
     MULTI_CHAR_OPS,
     SINGLE_CHAR_OPS,
-    Token,
-    TokenKind,
+    TokenStream,
 )
 
-#: whitespace, line comments, and *terminated* block comments; an
-#: unterminated ``/*`` is left unconsumed and detected in the main loop.
-_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+", re.DOTALL)
+#: whitespace, line comments, and *terminated* block comments.  An
+#: unterminated ``/*`` is left unconsumed; the operator branch refuses it
+#: and the catch-all reports it.
+_TRIVIA = r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
 
-_OP_PATTERN = "|".join(re.escape(op) for op in MULTI_CHAR_OPS) + (
+_OPS = "|".join(re.escape(op) for op in MULTI_CHAR_OPS) + (
     "|[" + re.escape("".join(sorted(SINGLE_CHAR_OPS))) + "]"
 )
 
-#: One alternation per token class, in the reference lexer's dispatch
-#: order where prefixes overlap (sized/unsized based numbers must be tried
-#: before plain numbers).  Unsized based literals admit no sign flag —
-#: ``'sb1`` is an error in the reference lexer, so it must not match here.
-_TOKEN_RE = re.compile(
-    r"(?P<directive>`(?:\\\n|[^\n])*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
-    r"|(?P<system>\$[A-Za-z_][A-Za-z0-9_$]*)"
-    r"|(?P<based>(?:[0-9][0-9_]*'[sS]?|')[bBoOdDhH][0-9a-fA-FxXzZ?_]+)"
-    r"|(?P<number>[0-9][0-9_]*(?:\.[0-9]+)?)"
-    rf"|(?P<op>{_OP_PATTERN})"
-)
+#: A string literal's inside: an escape hides the character after it (a
+#: newline included); a raw newline or the end of input ends it unclosed.
+_STRING_BODY = r'(?:\\.|[^"\\\n])*'
+_STRING_BODY_RE = re.compile(_STRING_BODY, re.DOTALL)
 
-_GROUP_KINDS = {
-    "directive": TokenKind.DIRECTIVE,
-    "system": TokenKind.SYSTEM_IDENT,
-    "based": TokenKind.BASED_NUMBER,
-    "number": TokenKind.NUMBER,
-    "op": TokenKind.OP,
+#: One capture group per token class, keyed by the kind it lexes to.
+#: Where prefixes overlap the reference lexer's dispatch order is kept
+#: (sized/unsized based numbers before plain numbers).  Unsized based
+#: literals admit no sign flag — ``'sb1`` is an error in the reference
+#: lexer, so it must not match here.  The ``(?!/\*)`` guards the *whole*
+#: operator alternation: ``/*`` at a token position is an unterminated
+#: comment, never ``/`` then ``*``.
+_TOKEN_PATTERNS = {
+    K_IDENT: r"[A-Za-z_][A-Za-z0-9_$]*",
+    K_OP: rf"(?!/\*)(?:{_OPS})",
+    K_BASED_NUMBER: r"(?:[0-9][0-9_]*'[sS]?|')[bBoOdDhH][0-9a-fA-FxXzZ?_]+",
+    K_NUMBER: r"[0-9][0-9_]*(?:\.[0-9]+)?",
+    K_SYSTEM_IDENT: r"\$[A-Za-z_][A-Za-z0-9_$]*",
+    K_DIRECTIVE: r"`(?:\\\n|[^\n])*",
+    K_STRING: f'"{_STRING_BODY}"',
+    K_EOF: r"\Z",
 }
+#: the group after the last kind: any character no token starts with
+_K_ILLEGAL = K_EOF + 1
 
-_STRING_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+_TOKEN_RE = re.compile(
+    _TRIVIA
+    + "(?:"
+    + "|".join(f"({_TOKEN_PATTERNS[k]})" for k in range(K_IDENT, _K_ILLEGAL))
+    + "|(.))",
+    re.DOTALL,
+)
+_NEWLINE_RE = re.compile("\n")
 
-
-def _lex_string(source: str, pos: int, line: int, col: int):
-    """Scan a string literal starting at the opening quote.
-
-    Mirrors the reference lexer exactly: recognized escapes are decoded,
-    unknown escapes keep the escaped character, a raw newline or EOF
-    before the closing quote is an error.  Returns ``(token, end_pos)``.
-    """
-    n = len(source)
-    i = pos + 1
-    chars: List[str] = []
-    while True:
-        if i >= n:
-            raise LexError("unterminated string literal", line, col)
-        ch = source[i]
-        if ch == "\n":
-            raise LexError("newline in string literal", line, col)
-        if ch == "\\":
-            nxt = source[i + 1] if i + 1 < n else ""
-            chars.append(_STRING_ESCAPES.get(nxt, nxt))
-            i += 2
-            continue
-        if ch == '"':
-            return Token(TokenKind.STRING, "".join(chars), line, col), i + 1
-        chars.append(ch)
-        i += 1
+_STRING_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_STRING_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def lex_fast(source: str) -> List[Token]:
-    """Lex ``source`` into the same token list :func:`lexer.lex` returns."""
-    tokens: List[Token] = []
-    pos = 0
-    n = len(source)
-    line = 1
-    bol = 0  # index of the first character of the current line
-    trivia_match = _TRIVIA_RE.match
-    token_match = _TOKEN_RE.match
+def _string_sym(literal: str) -> str:
+    """The stream symbol of a terminated string literal: its opening quote
+    (see ``TokenStream``), then its text — recognized escapes decoded,
+    unknown escapes keeping the escaped character, exactly the reference
+    lexer's rule."""
+    sym = literal[:-1]
+    if "\\" not in sym:
+        return sym
+    return _STRING_ESCAPE_RE.sub(
+        lambda m: _STRING_ESCAPES.get(m[1], m[1]), sym
+    )
 
-    while True:
-        trivia = trivia_match(source, pos)
-        if trivia:
-            segment = trivia.group()
-            newlines = segment.count("\n")
-            if newlines:
-                line += newlines
-                bol = pos + segment.rfind("\n") + 1
-            pos = trivia.end()
-        if pos >= n:
-            tokens.append(Token(TokenKind.EOF, "", line, pos - bol + 1))
-            return tokens
-        col = pos - bol + 1
-        ch = source[pos]
-        if ch == "/" and source.startswith("/*", pos):
-            # Trivia stopped on an unterminated block comment.
-            raise LexError("unterminated block comment", line, col)
-        if ch == '"':
-            token, end = _lex_string(source, pos, line, col)
-            tokens.append(token)
-            # An escaped newline inside a string spans lines; keep the
-            # line/column bookkeeping in step with the reference lexer.
-            segment = source[pos:end]
-            if "\n" in segment:
-                line += segment.count("\n")
-                bol = pos + segment.rfind("\n") + 1
-            pos = end
-            continue
-        match = token_match(source, pos)
-        if match is None:
-            raise LexError(f"illegal character {ch!r}", line, col)
-        text = match.group()
-        group = match.lastgroup
-        if group == "ident":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        else:
-            kind = _GROUP_KINDS[group]
-        tokens.append(Token(kind, text, line, col))
-        if group == "directive" and "\n" in text:
-            # Multi-line `define with line continuations.
-            line += text.count("\n")
-            bol = pos + text.rfind("\n") + 1
-        pos = match.end()
+
+def _illegal(source: str, start: int, stream: TokenStream) -> LexError:
+    """The error for a position no token branch matched."""
+    line, col = stream.position(start)
+    ch = source[start]
+    if source.startswith("/*", start):
+        return LexError("unterminated block comment", line, col)
+    if ch == '"':
+        # The string branch matches every terminated literal, so this one
+        # runs into a raw newline or the end of input.
+        end = _STRING_BODY_RE.match(source, start + 1).end()
+        if source.startswith("\n", end):
+            return LexError("newline in string literal", line, col)
+        return LexError("unterminated string literal", line, col)
+    return LexError(f"illegal character {ch!r}", line, col)
+
+
+def lex_fast(source: str) -> TokenStream:
+    """Lex ``source``: the stream form of what :func:`lexer.lex` returns."""
+    kinds: List[int] = []
+    syms: List[str] = []
+    starts: List[int] = []
+    directives: List[Tuple[int, str]] = []
+    newlines = [
+        -1, *(m.start() for m in _NEWLINE_RE.finditer(source)), len(source) + 1
+    ]
+    stream = TokenStream(kinds, syms, starts, directives, newlines)
+    add_kind, add_sym, add_start = kinds.append, syms.append, starts.append
+
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastindex
+        sym = match[kind]
+        # the token's own offset: group 0 starts at the leading trivia
+        start = match.start(kind)
+        if kind == K_IDENT:
+            if sym in KEYWORDS:
+                kind = K_KEYWORD
+        elif kind >= K_DIRECTIVE:
+            if kind == K_DIRECTIVE:
+                directives.append((start, sym))
+                continue
+            if kind == K_EOF:
+                # finditer would offer one more, empty, match at the end
+                break
+            if kind == _K_ILLEGAL:
+                raise _illegal(source, start, stream)
+            sym = _string_sym(sym)
+        add_kind(kind)
+        add_sym(sym)
+        add_start(start)
+    add_kind(K_EOF)
+    add_sym("")
+    add_start(len(source))
+    return stream
 
 
 def check_syntax_fast(source: str):
     """:func:`repro.verilog.syntax.check_syntax` via the fast lexer.
 
-    Identical verdicts by the equivalence contract above; the engine's
+    Identical verdicts by the identity contract above; the engine's
     syntax stage uses this entry point on whole-corpus runs.
     """
     from repro.verilog.syntax import check_with_lexer

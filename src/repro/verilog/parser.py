@@ -6,16 +6,38 @@ generators in :mod:`repro.vgen` (see the package docstring of
 raises :class:`~repro.errors.ParseError` with a position, which is exactly
 the behaviour the curation pipeline needs: a file either parses (kept) or
 does not (dropped), mirroring the paper's Icarus-based syntax filter.
+
+There is one parser and it reads one representation: the parallel lists
+of a :class:`~repro.verilog.tokens.TokenStream`, by index.  "Is the next
+token this operator / keyword" is ``syms[pos] == text`` — no token
+object, no helper call — and is safe without a kind check because a
+string literal's symbol keeps its opening quote (see ``TokenStream``).
+Line numbers are read from a per-token list built once per parse;
+columns are computed only when an error is raised.  Both lexers feed the
+same grammar functions, so the AST and every ``ParseError`` are the same
+from either (``tests/test_fastlex.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.errors import ParseError
 from repro.verilog import ast
+from repro.verilog.fastlex import lex_fast
 from repro.verilog.lexer import lex
-from repro.verilog.tokens import Token, TokenKind
+from repro.verilog.tokens import (
+    K_BASED_NUMBER,
+    K_EOF,
+    K_IDENT,
+    K_KEYWORD,
+    K_NUMBER,
+    K_STRING,
+    K_SYSTEM_IDENT,
+    Token,
+    TokenStream,
+)
 
 # Binary operator precedence, low to high.  Each tier is left-associative
 # except ** (handled specially).
@@ -38,6 +60,8 @@ _BINARY_OP_TIER = {
 }
 
 _UNARY_OPS = frozenset(["~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"])
+
+_PORT_DIRECTIONS = ("input", "output", "inout")
 
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 
@@ -102,74 +126,69 @@ def parse_based_literal(text: str, line: int = 0) -> ast.Number:
 
 
 class Parser:
-    """Parses a token stream into a :class:`repro.verilog.ast.SourceFile`."""
+    """Parses one source's tokens into a :class:`repro.verilog.ast.SourceFile`.
 
-    def __init__(self, tokens: List[Token]) -> None:
-        # Directives are position markers only; the subset ignores them.
-        self._tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
+    ``tokens`` is a :class:`~repro.verilog.tokens.TokenStream` (what
+    ``lex_fast`` returns) or the reference lexer's ``Token`` list, which is
+    converted to a stream once here — the oracle path, nothing timed uses
+    it.  Either way the grammar functions read the stream's lists by index.
+    """
+
+    def __init__(self, tokens: Union[TokenStream, Sequence[Token]]) -> None:
+        stream = (
+            tokens if isinstance(tokens, TokenStream)
+            else TokenStream.from_tokens(tokens)
+        )
+        self._stream = stream
+        self._kinds = stream.kinds
+        self._syms = stream.syms
+        self._lines = stream.lines()
+        # Every advance below follows a successful match of a non-EOF
+        # token, so the position never moves past the trailing EOF.
         self._pos = 0
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        # The token list always ends with EOF and _advance never moves
-        # past it, so the zero-offset hot path needs no bounds clamp.
-        if offset:
-            idx = min(self._pos + offset, len(self._tokens) - 1)
-            return self._tokens[idx]
-        return self._tokens[self._pos]
+    def _error(self, message: str, pos: Optional[int] = None) -> ParseError:
+        if pos is None:  # not ``pos or``: token 0 is a position too
+            pos = self._pos
+        stream = self._stream
+        line, col = stream.position(stream.starts[pos])
+        return ParseError(f"{message}, got {stream.text(pos)!r}", line, col)
 
-    def _advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind is not TokenKind.EOF:
-            self._pos += 1
-        return tok
+    def _expect(self, sym: str) -> int:
+        """Consume operator or keyword ``sym``; returns its position."""
+        pos = self._pos
+        if self._syms[pos] != sym:
+            raise self._error(f"expected {sym!r}")
+        self._pos = pos + 1
+        return pos
 
-    def _error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self._peek()
-        return ParseError(f"{message}, got {tok.text!r}", tok.line, tok.col)
-
-    def _expect_op(self, text: str) -> Token:
-        tok = self._peek()
-        if not tok.is_op(text):
-            raise self._error(f"expected {text!r}")
-        return self._advance()
-
-    def _expect_keyword(self, text: str) -> Token:
-        tok = self._peek()
-        if not tok.is_keyword(text):
-            raise self._error(f"expected keyword {text!r}")
-        return self._advance()
-
-    def _expect_ident(self) -> Token:
-        tok = self._peek()
-        if tok.kind is not TokenKind.IDENT:
+    def _expect_ident(self) -> int:
+        pos = self._pos
+        if self._kinds[pos] != K_IDENT:
             raise self._error("expected identifier")
-        return self._advance()
+        self._pos = pos + 1
+        return pos
 
-    def _accept_op(self, text: str) -> bool:
-        if self._peek().is_op(text):
-            self._advance()
-            return True
-        return False
-
-    def _accept_keyword(self, text: str) -> bool:
-        if self._peek().is_keyword(text):
-            self._advance()
+    def _accept(self, sym: str) -> bool:
+        """Consume operator or keyword ``sym`` if it is next."""
+        if self._syms[self._pos] == sym:
+            self._pos += 1
             return True
         return False
 
     def _parse_range(self) -> ast.Range:
         """Parse ``[msb:lsb]``."""
-        self._expect_op("[")
+        self._expect("[")
         msb = self._parse_expr()
-        self._expect_op(":")
+        self._expect(":")
         lsb = self._parse_expr()
-        self._expect_op("]")
+        self._expect("]")
         return ast.Range(msb=msb, lsb=lsb)
 
     def _maybe_range(self) -> Optional[ast.Range]:
-        if self._peek().is_op("["):
+        if self._syms[self._pos] == "[":
             return self._parse_range()
         return None
 
@@ -177,9 +196,8 @@ class Parser:
 
     def parse_source(self) -> ast.SourceFile:
         source = ast.SourceFile()
-        while self._peek().kind is not TokenKind.EOF:
-            tok = self._peek()
-            if tok.is_keyword("module") or tok.is_keyword("macromodule"):
+        while self._kinds[self._pos] != K_EOF:
+            if self._syms[self._pos] in ("module", "macromodule"):
                 source.modules.append(self._parse_module())
             else:
                 raise self._error("expected 'module' at top level")
@@ -188,46 +206,47 @@ class Parser:
         return source
 
     def _parse_module(self) -> ast.Module:
-        start = self._advance()  # module
-        name = self._expect_ident().text
-        module = ast.Module(name=name, line=start.line)
-        if self._accept_op("#"):
+        start = self._pos  # module
+        self._pos += 1
+        name = self._syms[self._expect_ident()]
+        module = ast.Module(name=name, line=self._lines[start])
+        if self._accept("#"):
             self._parse_module_param_list(module)
-        if self._peek().is_op("("):
+        if self._syms[self._pos] == "(":
             self._parse_port_list(module)
-        self._expect_op(";")
-        while not self._peek().is_keyword("endmodule"):
-            if self._peek().kind is TokenKind.EOF:
+        self._expect(";")
+        while self._syms[self._pos] != "endmodule":
+            if self._kinds[self._pos] == K_EOF:
                 raise self._error("unexpected end of file inside module")
             self._parse_module_item(module)
-        self._advance()  # endmodule
+        self._pos += 1  # endmodule
         return module
 
     def _parse_module_param_list(self, module: ast.Module) -> None:
         """``#(parameter A = 1, parameter [3:0] B = 2, ...)``"""
-        self._expect_op("(")
+        self._expect("(")
         while True:
-            self._accept_keyword("parameter")
+            self._accept("parameter")
             rng = self._maybe_range()
-            name_tok = self._expect_ident()
-            self._expect_op("=")
+            name = self._expect_ident()
+            self._expect("=")
             value = self._parse_expr()
             module.params.append(
                 ast.ParamDecl(
-                    name=name_tok.text,
+                    name=self._syms[name],
                     value=value,
                     local=False,
                     range=rng,
-                    line=name_tok.line,
+                    line=self._lines[name],
                 )
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(")")
+        self._expect(")")
 
     def _parse_port_list(self, module: ast.Module) -> None:
-        self._expect_op("(")
-        if self._accept_op(")"):
+        self._expect("(")
+        if self._accept(")"):
             return
         # Decide ANSI vs non-ANSI from the first token.
         direction: Optional[str] = None
@@ -235,348 +254,359 @@ class Parser:
         signed = False
         rng: Optional[ast.Range] = None
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.KEYWORD and tok.text in (
-                "input",
-                "output",
-                "inout",
-            ):
-                direction = self._advance().text
-                is_reg = self._accept_keyword("reg")
-                if self._accept_keyword("wire"):
-                    pass
-                signed = self._accept_keyword("signed")
+            if self._syms[self._pos] in _PORT_DIRECTIONS:
+                direction = self._syms[self._pos]
+                self._pos += 1
+                is_reg = self._accept("reg")
+                self._accept("wire")
+                signed = self._accept("signed")
                 rng = self._maybe_range()
-            name_tok = self._expect_ident()
-            module.port_order.append(name_tok.text)
+            name = self._expect_ident()
+            module.port_order.append(self._syms[name])
             if direction is not None:
                 module.ports.append(
                     ast.PortDecl(
                         direction=direction,
-                        name=name_tok.text,
+                        name=self._syms[name],
                         range=rng,
                         is_reg=is_reg,
                         signed=signed,
-                        line=name_tok.line,
+                        line=self._lines[name],
                     )
                 )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(")")
+        self._expect(")")
 
     # -- module items ----------------------------------------------------
 
     def _parse_module_item(self, module: ast.Module) -> None:
-        tok = self._peek()
-        if tok.kind is TokenKind.KEYWORD:
-            handler = {
-                "input": self._parse_body_port,
-                "output": self._parse_body_port,
-                "inout": self._parse_body_port,
-                "wire": self._parse_net_decl,
-                "reg": self._parse_net_decl,
-                "integer": self._parse_net_decl,
-                "parameter": self._parse_param_decl,
-                "localparam": self._parse_param_decl,
-                "assign": self._parse_continuous_assign,
-                "always": self._parse_always,
-                "initial": self._parse_initial,
-            }.get(tok.text)
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == K_KEYWORD:
+            handler = _MODULE_ITEM_HANDLERS.get(self._syms[pos])
             if handler is None:
-                raise self._error(f"unsupported module item {tok.text!r}")
-            handler(module)
+                raise self._error(
+                    f"unsupported module item {self._syms[pos]!r}"
+                )
+            handler(self, module)
             return
-        if tok.kind is TokenKind.IDENT:
+        if kind == K_IDENT:
             module.instances.extend(self._parse_instances())
             return
-        if tok.is_op(";"):
-            self._advance()
+        if self._syms[pos] == ";":
+            self._pos += 1
             return
         raise self._error("expected module item")
 
     def _parse_body_port(self, module: ast.Module) -> None:
-        direction = self._advance().text
-        is_reg = self._accept_keyword("reg")
-        if self._accept_keyword("wire"):
-            pass
-        signed = self._accept_keyword("signed")
+        direction = self._syms[self._pos]
+        self._pos += 1
+        is_reg = self._accept("reg")
+        self._accept("wire")
+        signed = self._accept("signed")
         rng = self._maybe_range()
         while True:
-            name_tok = self._expect_ident()
+            name = self._expect_ident()
             module.ports.append(
                 ast.PortDecl(
                     direction=direction,
-                    name=name_tok.text,
+                    name=self._syms[name],
                     range=rng,
                     is_reg=is_reg,
                     signed=signed,
-                    line=name_tok.line,
+                    line=self._lines[name],
                 )
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
 
     def _parse_net_decl(self, module: ast.Module) -> None:
-        kind = self._advance().text
-        signed = self._accept_keyword("signed")
+        kind = self._syms[self._pos]
+        self._pos += 1
+        signed = self._accept("signed")
         rng = self._maybe_range() if kind != "integer" else None
         while True:
-            name_tok = self._expect_ident()
+            name = self._expect_ident()
             dims: List[ast.Range] = []
-            while self._peek().is_op("["):
+            while self._syms[self._pos] == "[":
                 dims.append(self._parse_range())
             init = None
-            if self._accept_op("="):
+            if self._accept("="):
                 init = self._parse_expr()
             module.nets.append(
                 ast.NetDecl(
                     kind=kind,
-                    name=name_tok.text,
+                    name=self._syms[name],
                     range=rng,
                     array_dims=dims,
                     signed=signed,
                     init=init,
-                    line=name_tok.line,
+                    line=self._lines[name],
                 )
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
 
     def _parse_param_decl(self, module: ast.Module) -> None:
-        local = self._advance().text == "localparam"
+        local = self._syms[self._pos] == "localparam"
+        self._pos += 1
         rng = self._maybe_range()
         while True:
-            name_tok = self._expect_ident()
-            self._expect_op("=")
+            name = self._expect_ident()
+            self._expect("=")
             value = self._parse_expr()
             module.params.append(
                 ast.ParamDecl(
-                    name=name_tok.text,
+                    name=self._syms[name],
                     value=value,
                     local=local,
                     range=rng,
-                    line=name_tok.line,
+                    line=self._lines[name],
                 )
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
 
     def _parse_continuous_assign(self, module: ast.Module) -> None:
-        start = self._advance()  # assign
+        line = self._lines[self._pos]  # assign
+        self._pos += 1
         while True:
             target = self._parse_lvalue()
-            self._expect_op("=")
+            self._expect("=")
             value = self._parse_expr()
             module.assigns.append(
-                ast.ContinuousAssign(target=target, value=value, line=start.line)
+                ast.ContinuousAssign(target=target, value=value, line=line)
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
 
     def _parse_always(self, module: ast.Module) -> None:
-        start = self._advance()  # always
+        line = self._lines[self._pos]  # always
+        self._pos += 1
         sensitivity: Optional[List[ast.SensItem]] = None
-        if self._accept_op("@"):
-            if self._accept_op("*"):
+        if self._accept("@"):
+            if self._accept("*"):
                 sensitivity = None
             else:
-                self._expect_op("(")
-                if self._accept_op("*"):
+                self._expect("(")
+                if self._accept("*"):
                     sensitivity = None
                 else:
                     sensitivity = [self._parse_sens_item()]
-                    while self._accept_keyword("or") or self._accept_op(","):
+                    while self._accept("or") or self._accept(","):
                         sensitivity.append(self._parse_sens_item())
-                self._expect_op(")")
+                self._expect(")")
         else:
             raise self._error("always block without sensitivity list")
         body = self._parse_statement()
         module.always_blocks.append(
-            ast.AlwaysBlock(sensitivity=sensitivity, body=body, line=start.line)
+            ast.AlwaysBlock(sensitivity=sensitivity, body=body, line=line)
         )
 
     def _parse_sens_item(self) -> ast.SensItem:
-        if self._accept_keyword("posedge"):
-            return ast.SensItem(edge="posedge", signal=self._expect_ident().text)
-        if self._accept_keyword("negedge"):
-            return ast.SensItem(edge="negedge", signal=self._expect_ident().text)
-        return ast.SensItem(edge="level", signal=self._expect_ident().text)
+        edge = "level"
+        if self._accept("posedge"):
+            edge = "posedge"
+        elif self._accept("negedge"):
+            edge = "negedge"
+        return ast.SensItem(edge=edge, signal=self._syms[self._expect_ident()])
 
     def _parse_initial(self, module: ast.Module) -> None:
-        start = self._advance()
+        line = self._lines[self._pos]  # initial
+        self._pos += 1
         body = self._parse_statement()
-        module.initial_blocks.append(ast.InitialBlock(body=body, line=start.line))
+        module.initial_blocks.append(ast.InitialBlock(body=body, line=line))
 
     def _parse_instances(self) -> List[ast.Instance]:
         """One instantiation statement (may declare several instances)."""
-        module_tok = self._expect_ident()
+        module_name = self._syms[self._expect_ident()]
         param_overrides: List[Tuple[Optional[str], ast.Expr]] = []
-        if self._accept_op("#"):
-            self._expect_op("(")
+        if self._accept("#"):
+            self._expect("(")
             param_overrides = self._parse_connection_list()
-            self._expect_op(")")
+            self._expect(")")
         instances: List[ast.Instance] = []
         while True:
-            inst_tok = self._expect_ident()
-            self._expect_op("(")
-            raw = [] if self._peek().is_op(")") else self._parse_connection_list()
-            self._expect_op(")")
+            name = self._expect_ident()
+            self._expect("(")
+            raw = (
+                [] if self._syms[self._pos] == ")"
+                else self._parse_connection_list()
+            )
+            self._expect(")")
             connections = [
-                ast.PortConnection(name=name, expr=expr) for name, expr in raw
+                ast.PortConnection(name=port, expr=expr) for port, expr in raw
             ]
             instances.append(
                 ast.Instance(
-                    module_name=module_tok.text,
-                    instance_name=inst_tok.text,
+                    module_name=module_name,
+                    instance_name=self._syms[name],
                     param_overrides=list(param_overrides),
                     connections=connections,
-                    line=inst_tok.line,
+                    line=self._lines[name],
                 )
             )
-            if not self._accept_op(","):
+            if not self._accept(","):
                 break
-        self._expect_op(";")
+        self._expect(";")
         return instances
 
     def _parse_connection_list(self) -> List[Tuple[Optional[str], ast.Expr]]:
         """Named (``.a(x)``) or positional expression list."""
         out: List[Tuple[Optional[str], ast.Expr]] = []
         while True:
-            if self._accept_op("."):
-                name = self._expect_ident().text
-                self._expect_op("(")
-                expr = None if self._peek().is_op(")") else self._parse_expr()
-                self._expect_op(")")
+            if self._accept("."):
+                name = self._syms[self._expect_ident()]
+                self._expect("(")
+                expr = (
+                    None if self._syms[self._pos] == ")"
+                    else self._parse_expr()
+                )
+                self._expect(")")
                 out.append((name, expr))
             else:
                 out.append((None, self._parse_expr()))
-            if not self._accept_op(","):
+            if not self._accept(","):
                 return out
 
     # -- statements --------------------------------------------------------
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
-        if tok.is_keyword("begin"):
+        pos = self._pos
+        sym = self._syms[pos]
+        if sym == "begin":
             return self._parse_block()
-        if tok.is_keyword("if"):
+        if sym == "if":
             return self._parse_if()
-        if tok.is_keyword("case") or tok.is_keyword("casez") or tok.is_keyword("casex"):
+        if sym in ("case", "casez", "casex"):
             return self._parse_case()
-        if tok.is_keyword("for"):
+        if sym == "for":
             return self._parse_for()
-        if tok.is_op(";"):
-            self._advance()
-            return ast.NullStmt(line=tok.line)
-        if tok.kind is TokenKind.SYSTEM_IDENT:
+        if sym == ";":
+            self._pos = pos + 1
+            return ast.NullStmt(line=self._lines[pos])
+        kind = self._kinds[pos]
+        if kind == K_SYSTEM_IDENT:
             return self._parse_system_task()
-        if tok.kind is TokenKind.IDENT or tok.is_op("{"):
+        if kind == K_IDENT or sym == "{":
             stmt = self._parse_assignment()
-            self._expect_op(";")
+            self._expect(";")
             return stmt
         raise self._error("expected statement")
 
     def _parse_block(self) -> ast.Block:
-        start = self._expect_keyword("begin")
+        line = self._lines[self._pos]  # begin
+        self._pos += 1
         name = None
-        if self._accept_op(":"):
-            name = self._expect_ident().text
+        if self._accept(":"):
+            name = self._syms[self._expect_ident()]
         stmts: List[ast.Stmt] = []
-        while not self._peek().is_keyword("end"):
-            if self._peek().kind is TokenKind.EOF:
+        while self._syms[self._pos] != "end":
+            if self._kinds[self._pos] == K_EOF:
                 raise self._error("unexpected end of file inside begin/end")
             stmts.append(self._parse_statement())
-        self._advance()  # end
-        return ast.Block(line=start.line, stmts=stmts, name=name)
+        self._pos += 1  # end
+        return ast.Block(line=line, stmts=stmts, name=name)
 
     def _parse_if(self) -> ast.If:
-        start = self._expect_keyword("if")
-        self._expect_op("(")
+        line = self._lines[self._pos]  # if
+        self._pos += 1
+        self._expect("(")
         cond = self._parse_expr()
-        self._expect_op(")")
+        self._expect(")")
         then = self._parse_statement()
         other = None
-        if self._accept_keyword("else"):
+        if self._accept("else"):
             other = self._parse_statement()
-        return ast.If(line=start.line, cond=cond, then=then, other=other)
+        return ast.If(line=line, cond=cond, then=then, other=other)
 
     def _parse_case(self) -> ast.Case:
-        start = self._advance()
-        kind = start.text
-        self._expect_op("(")
+        start = self._pos  # case / casez / casex
+        self._pos += 1
+        self._expect("(")
         subject = self._parse_expr()
-        self._expect_op(")")
+        self._expect(")")
         items: List[ast.CaseItem] = []
-        while not self._peek().is_keyword("endcase"):
-            if self._peek().kind is TokenKind.EOF:
+        while self._syms[self._pos] != "endcase":
+            if self._kinds[self._pos] == K_EOF:
                 raise self._error("unexpected end of file inside case")
-            if self._accept_keyword("default"):
-                self._accept_op(":")
+            if self._accept("default"):
+                self._accept(":")
                 items.append(ast.CaseItem(labels=[], body=self._parse_statement()))
                 continue
             labels = [self._parse_expr()]
-            while self._accept_op(","):
+            while self._accept(","):
                 labels.append(self._parse_expr())
-            self._expect_op(":")
+            self._expect(":")
             items.append(ast.CaseItem(labels=labels, body=self._parse_statement()))
-        self._advance()  # endcase
-        return ast.Case(line=start.line, kind=kind, subject=subject, items=items)
+        self._pos += 1  # endcase
+        return ast.Case(
+            line=self._lines[start],
+            kind=self._syms[start],
+            subject=subject,
+            items=items,
+        )
 
     def _parse_for(self) -> ast.For:
-        start = self._expect_keyword("for")
-        self._expect_op("(")
+        line = self._lines[self._pos]  # for
+        self._pos += 1
+        self._expect("(")
         init = self._parse_assignment()
         if not isinstance(init, ast.Assign) or not init.blocking:
             raise self._error("for-loop init must be a blocking assignment")
-        self._expect_op(";")
+        self._expect(";")
         cond = self._parse_expr()
-        self._expect_op(";")
+        self._expect(";")
         step = self._parse_assignment()
         if not isinstance(step, ast.Assign) or not step.blocking:
             raise self._error("for-loop step must be a blocking assignment")
-        self._expect_op(")")
+        self._expect(")")
         body = self._parse_statement()
-        return ast.For(line=start.line, init=init, cond=cond, step=step, body=body)
+        return ast.For(line=line, init=init, cond=cond, step=step, body=body)
 
     def _parse_system_task(self) -> ast.SystemTaskCall:
-        tok = self._advance()
+        start = self._pos
+        self._pos += 1
         args: List[ast.Expr] = []
-        if self._accept_op("("):
-            if not self._peek().is_op(")"):
+        if self._accept("("):
+            if self._syms[self._pos] != ")":
                 args.append(self._parse_expr())
-                while self._accept_op(","):
+                while self._accept(","):
                     args.append(self._parse_expr())
-            self._expect_op(")")
-        self._expect_op(";")
-        return ast.SystemTaskCall(line=tok.line, name=tok.text, args=args)
+            self._expect(")")
+        self._expect(";")
+        return ast.SystemTaskCall(
+            line=self._lines[start], name=self._syms[start], args=args
+        )
 
     def _parse_assignment(self) -> ast.Assign:
         target = self._parse_lvalue()
-        tok = self._peek()
-        if tok.is_op("="):
-            self._advance()
-            return ast.Assign(
-                line=tok.line, target=target, value=self._parse_expr(), blocking=True
-            )
-        if tok.is_op("<="):
-            self._advance()
-            return ast.Assign(
-                line=tok.line, target=target, value=self._parse_expr(), blocking=False
-            )
-        raise self._error("expected '=' or '<=' in assignment")
+        pos = self._pos
+        sym = self._syms[pos]
+        if sym != "=" and sym != "<=":
+            raise self._error("expected '=' or '<=' in assignment")
+        self._pos = pos + 1
+        return ast.Assign(
+            line=self._lines[pos],
+            target=target,
+            value=self._parse_expr(),
+            blocking=sym == "=",
+        )
 
     def _parse_lvalue(self) -> ast.Expr:
         """Identifier with optional selects, or a concatenation of lvalues."""
-        tok = self._peek()
-        if tok.is_op("{"):
+        if self._syms[self._pos] == "{":
             return self._parse_concat()
-        name_tok = self._expect_ident()
-        expr: ast.Expr = ast.Identifier(line=name_tok.line, name=name_tok.text)
-        while self._peek().is_op("["):
+        name = self._expect_ident()
+        expr: ast.Expr = ast.Identifier(
+            line=self._lines[name], name=self._syms[name]
+        )
+        while self._syms[self._pos] == "[":
             expr = self._parse_select_suffix(expr)
         return expr
 
@@ -587,9 +617,10 @@ class Parser:
 
     def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self._accept_op("?"):
+        if self._syms[self._pos] == "?":
+            self._pos += 1
             then = self._parse_ternary()
-            self._expect_op(":")
+            self._expect(":")
             other = self._parse_ternary()
             return ast.Ternary(line=cond.line, cond=cond, then=then, other=other)
         return cond
@@ -601,126 +632,165 @@ class Parser:
         # actually appears instead of through every tier per operand.
         lhs = self._parse_power()
         while True:
-            tok = self._tokens[self._pos]
-            if tok.kind is not TokenKind.OP:
-                return lhs
-            op_tier = _BINARY_OP_TIER.get(tok.text)
+            op = self._syms[self._pos]
+            op_tier = _BINARY_OP_TIER.get(op)
             if op_tier is None or op_tier < tier:
                 return lhs
             self._pos += 1
             rhs = self._parse_binary(op_tier + 1)
-            lhs = ast.Binary(line=lhs.line, op=tok.text, lhs=lhs, rhs=rhs)
+            lhs = ast.Binary(line=lhs.line, op=op, lhs=lhs, rhs=rhs)
 
     def _parse_power(self) -> ast.Expr:
         base = self._parse_unary()
-        if self._peek().is_op("**"):
-            self._advance()
+        if self._syms[self._pos] == "**":
+            self._pos += 1
             exponent = self._parse_power()  # right associative
             return ast.Binary(line=base.line, op="**", lhs=base, rhs=exponent)
         return base
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.OP and tok.text in _UNARY_OPS:
-            self._advance()
+        pos = self._pos
+        op = self._syms[pos]
+        if op in _UNARY_OPS:
+            self._pos = pos + 1
             operand = self._parse_unary()
-            return ast.Unary(line=tok.line, op=tok.text, operand=operand)
+            return ast.Unary(line=self._lines[pos], op=op, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.NUMBER:
-            self._advance()
-            if "." in tok.text:
-                raise self._error("real literals are not supported", tok)
-            return ast.Number(line=tok.line, value=int(tok.text.replace("_", "")))
-        if tok.kind is TokenKind.BASED_NUMBER:
-            self._advance()
-            return parse_based_literal(tok.text, tok.line)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StringLiteral(line=tok.line, value=tok.text)
-        if tok.kind is TokenKind.SYSTEM_IDENT:
-            return self._parse_system_call()
-        if tok.is_op("("):
-            self._advance()
-            inner = self._parse_expr()
-            self._expect_op(")")
-            return inner
-        if tok.is_op("{"):
-            return self._parse_concat()
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            expr: ast.Expr = ast.Identifier(line=tok.line, name=tok.text)
-            while self._peek().is_op("["):
+        pos = self._pos
+        kind = self._kinds[pos]
+        sym = self._syms[pos]
+        if kind == K_IDENT:
+            self._pos = pos + 1
+            expr: ast.Expr = ast.Identifier(line=self._lines[pos], name=sym)
+            while self._syms[self._pos] == "[":
                 expr = self._parse_select_suffix(expr)
             return expr
+        if kind == K_NUMBER:
+            self._pos = pos + 1
+            if "." in sym:
+                raise self._error("real literals are not supported", pos)
+            return ast.Number(
+                line=self._lines[pos], value=int(sym.replace("_", ""))
+            )
+        if kind == K_BASED_NUMBER:
+            self._pos = pos + 1
+            return parse_based_literal(sym, self._lines[pos])
+        if sym == "(":
+            self._pos = pos + 1
+            inner = self._parse_expr()
+            self._expect(")")
+            return inner
+        if sym == "{":
+            return self._parse_concat()
+        if kind == K_STRING:
+            self._pos = pos + 1
+            return ast.StringLiteral(line=self._lines[pos], value=sym[1:])
+        if kind == K_SYSTEM_IDENT:
+            return self._parse_system_call()
         raise self._error("expected expression")
 
     def _parse_system_call(self) -> ast.SystemCall:
-        tok = self._advance()
+        start = self._pos
+        self._pos += 1
         args: List[ast.Expr] = []
-        if self._accept_op("("):
-            if not self._peek().is_op(")"):
+        if self._accept("("):
+            if self._syms[self._pos] != ")":
                 args.append(self._parse_expr())
-                while self._accept_op(","):
+                while self._accept(","):
                     args.append(self._parse_expr())
-            self._expect_op(")")
-        return ast.SystemCall(line=tok.line, name=tok.text, args=args)
+            self._expect(")")
+        return ast.SystemCall(
+            line=self._lines[start], name=self._syms[start], args=args
+        )
 
     def _parse_concat(self) -> ast.Expr:
-        start = self._expect_op("{")
+        line = self._lines[self._expect("{")]
         first = self._parse_expr()
-        if self._peek().is_op("{"):
+        if self._syms[self._pos] == "{":
             # Replication: {N{...}}
             inner = self._parse_concat()
             if not isinstance(inner, ast.Concat):
-                inner = ast.Concat(line=start.line, parts=[inner])
-            self._expect_op("}")
-            return ast.Repeat(line=start.line, count=first, inner=inner)
+                inner = ast.Concat(line=line, parts=[inner])
+            self._expect("}")
+            return ast.Repeat(line=line, count=first, inner=inner)
         parts = [first]
-        while self._accept_op(","):
+        while self._accept(","):
             parts.append(self._parse_expr())
-        self._expect_op("}")
-        return ast.Concat(line=start.line, parts=parts)
+        self._expect("}")
+        return ast.Concat(line=line, parts=parts)
 
     def _parse_select_suffix(self, base: ast.Expr) -> ast.Expr:
         """Parse one ``[...]`` suffix: index, part, or indexed part select."""
-        start = self._expect_op("[")
+        line = self._lines[self._expect("[")]
         first = self._parse_expr()
-        if self._accept_op(":"):
+        if self._accept(":"):
             lsb = self._parse_expr()
-            self._expect_op("]")
-            return ast.PartSelect(line=start.line, base=base, msb=first, lsb=lsb)
-        if self._accept_op("+:"):
+            self._expect("]")
+            return ast.PartSelect(line=line, base=base, msb=first, lsb=lsb)
+        if self._accept("+:"):
             width = self._parse_expr()
-            self._expect_op("]")
+            self._expect("]")
             return ast.IndexedPartSelect(
-                line=start.line, base=base, start=first, width=width, ascending=True
+                line=line, base=base, start=first, width=width, ascending=True
             )
-        if self._accept_op("-:"):
+        if self._accept("-:"):
             width = self._parse_expr()
-            self._expect_op("]")
+            self._expect("]")
             return ast.IndexedPartSelect(
-                line=start.line, base=base, start=first, width=width, ascending=False
+                line=line, base=base, start=first, width=width, ascending=False
             )
-        self._expect_op("]")
-        return ast.Index(line=start.line, base=base, index=first)
+        self._expect("]")
+        return ast.Index(line=line, base=base, index=first)
+
+
+_MODULE_ITEM_HANDLERS = {
+    "input": Parser._parse_body_port,
+    "output": Parser._parse_body_port,
+    "inout": Parser._parse_body_port,
+    "wire": Parser._parse_net_decl,
+    "reg": Parser._parse_net_decl,
+    "integer": Parser._parse_net_decl,
+    "parameter": Parser._parse_param_decl,
+    "localparam": Parser._parse_param_decl,
+    "assign": Parser._parse_continuous_assign,
+    "always": Parser._parse_always,
+    "initial": Parser._parse_initial,
+}
+
+
+def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
+    """Lex ``source`` with ``lexer`` and parse the result.
+
+    The one place a source becomes an AST, so the one place the front
+    end's telemetry is taken: a ``verilog.lex`` and a ``verilog.parse``
+    span per source (never per token) and the exact ``verilog.tokens``
+    counter, under the names the perf ledger's layer walk already uses.
+    """
+    with obs.span("verilog.lex"):
+        tokens = lexer(source)
+    obs.count("verilog.tokens", len(tokens))
+    with obs.span("verilog.parse"):
+        parser = Parser(tokens)
+        # The parser reads its own stream; a reference-lexer Token list is
+        # an order of magnitude bigger and must not outlive the conversion
+        # (on the bench world's 477 kB file it would sit under the AST).
+        del tokens
+        return parser.parse_source()
 
 
 def parse_source(source: str) -> ast.SourceFile:
     """Lex and parse Verilog ``source`` text into a :class:`SourceFile`."""
-    return Parser(lex(source)).parse_source()
+    return parse_with_lexer(source, lex)
 
 
 def parse_source_fast(source: str) -> ast.SourceFile:
     """:func:`parse_source` through the regex lexer.
 
-    ``lex_fast`` produces the exact token stream of ``lex`` (the contract
+    ``lex_fast`` produces the exact tokens of ``lex`` (the contract
     :mod:`repro.verilog.fastlex` states and ``tests/test_fastlex.py``
-    enforces), so the resulting AST is identical; only the lexing cost
-    changes.  Evaluation-side hot paths use this entry point.
+    enforces), so the resulting AST is identical; only the cost changes.
+    Evaluation-side hot paths use this entry point.
     """
-    from repro.verilog.fastlex import lex_fast
-
-    return Parser(lex_fast(source)).parse_source()
+    return parse_with_lexer(source, lex_fast)

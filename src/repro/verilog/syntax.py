@@ -17,7 +17,7 @@ from typing import List
 from repro.errors import LexError, ParseError
 from repro.verilog import ast
 from repro.verilog.lexer import lex
-from repro.verilog.parser import Parser
+from repro.verilog.parser import parse_with_lexer
 
 
 @dataclass
@@ -71,13 +71,13 @@ def _semantic_lint(source_file: ast.SourceFile) -> List[str]:
 def check_with_lexer(source: str, lexer) -> SyntaxReport:
     """The full verdict pipeline over any token source.
 
-    ``lexer`` maps source text to a token list (the reference
-    :func:`repro.verilog.lexer.lex` or the engine's accelerated
-    ``lex_fast``); everything downstream — parse, error capture, lint —
-    is shared so the two entry points cannot drift apart.
+    ``lexer`` maps source text to its tokens (the reference
+    :func:`repro.verilog.lexer.lex`'s list or the accelerated
+    ``lex_fast``'s stream); everything downstream — parse, error capture,
+    lint — is shared so the two entry points cannot drift apart.
     """
     try:
-        source_file = Parser(lexer(source)).parse_source()
+        source_file = parse_with_lexer(source, lexer)
     except (LexError, ParseError) as exc:
         return SyntaxReport(ok=False, errors=[str(exc)])
     errors = _semantic_lint(source_file)

@@ -17,6 +17,8 @@ from repro.dedup import (
     shingles,
 )
 from repro.dedup.jaccard import text_jaccard
+from repro.dedup.shingle import _tokens as shingle_tokens
+from repro.utils.textnorm import normalize_whitespace, strip_comments
 
 
 class TestShingles:
@@ -44,6 +46,25 @@ class TestShingles:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             shingles("a", width=0)
+
+    # every separator either definition of whitespace could disagree on,
+    # around words and comment markers
+    _ODD_TEXT = st.text(
+        alphabet=st.one_of(
+            st.sampled_from(
+                " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009"
+                "\u200b\u2028\u2029\u202f\u205f\u3000\ufeffab/*\"\\"
+            ),
+            st.characters(),
+        ),
+        max_size=60,
+    )
+
+    @given(_ODD_TEXT)
+    def test_tokens_need_no_whitespace_pass(self, text):
+        # the definition shingles were pinned under: collapse, trim, split
+        pinned = normalize_whitespace(strip_comments(text)).split()
+        assert shingle_tokens(text) == pinned
 
 
 class TestJaccard:

@@ -1,17 +1,60 @@
-"""Equivalence tests: the regex lexer must match the reference lexer.
+"""The Verilog front end's differential oracle.
 
-``lex_fast`` underpins the engine's syntax stage, whose output must be
-byte-identical to the seed pipeline's — so these tests assert *exact*
-token equality (kind, text, line, column) on corpus files and verdict
-equality on a gallery of adversarial inputs.
+``lex_fast`` + the index-reading parser carry the engine's syntax stage
+and the pass@k checker, whose outputs must be byte-identical to what the
+reference lexer produces.  Everything here compares the fast path with
+the reference path on the same source and allows no difference but
+speed: *exact* token equality (kind, text, line, column, ``LexError``
+iff), AST equality with ``line`` fields included, ``ParseError`` text
+with its ``(line L, col C)``, and ``SyntaxReport`` equality — over a
+gallery of adversarial inputs, the whole test world, near-miss mutants,
+every golden truncated at every token, and generated token soup.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import LexError
-from repro.verilog import check_syntax, check_syntax_fast, lex, lex_fast
+from repro.errors import LexError, ParseError
+from repro.vereval import build_problem_set
+from repro.verilog import (
+    Parser,
+    check_syntax,
+    check_syntax_fast,
+    lex,
+    lex_fast,
+    parse_source,
+    parse_source_fast,
+)
+from repro.verilog.syntax import check_with_lexer
+from repro.verilog.tokens import (
+    MULTI_CHAR_OPS,
+    SINGLE_CHAR_OPS,
+    Token,
+    TokenKind,
+)
+from repro.vgen import mutate
 
-#: Inputs covering every token class and every reference-lexer error path.
+#: A string literal whose decoded text is an operator or a keyword must
+#: never be accepted as one — strings are the only kind that can collide.
+#: The parser is shared, so fast-vs-reference cannot see this trap: the
+#: error each source must raise is spelled out.
+STRING_COLLISIONS = {
+    'module m "(" ; endmodule': "expected ';', got '(' (line 1, col 10)",
+    'module m ";" endmodule': "expected ';', got ';' (line 1, col 10)",
+    'module m; always @(*) "begin" x = 1; end endmodule':
+        "expected statement, got 'begin' (line 1, col 23)",
+    'module "module" m; endmodule':
+        "expected identifier, got 'module' (line 1, col 8)",
+    'module m; assign x = a "+" b; endmodule':
+        "expected ';', got '+' (line 1, col 24)",
+}
+
+#: Inputs covering every token class, every reference-lexer error path,
+#: and the traps a single-alternation lexer / index-reading parser can
+#: fall into.
 ADVERSARIAL = [
     "",
     "   \t\r\n  ",
@@ -48,33 +91,155 @@ ADVERSARIAL = [
     "x\x0cy",
     "_leading $sys0 trailing$",
     "{a, b[3:0], {2{c}}} @ # ;",
+    # `/*` at a token position is an unterminated comment, not `/` `*`
+    "x = a /* open",
+    "x = a /*/ b",
+    "x = a / * b /**/ c",
+    # a keyword is re-tagged after the match: its offset must stay its own
+    "/* c */  module /* d */\n   endmodule // e\n  begin",
+    # multi-line tokens must keep every later token's line right
+    '`define A \\\n b \\\n c\nmodule m;\n  initial $display("p\\\nq", 1.5);\nendmodule',
+    "module m;\n`ifdef X\n  wire w\n`endif\nendmodule",
+    'module m; initial $display("begin", "module", "(", ";"); endmodule',
+    *STRING_COLLISIONS,
 ]
+
+#: What ``lex_fast`` says about each way lexing can fail.  The text lands
+#: in ``SyntaxReport.errors``, so it is pinned, not just the verdict (the
+#: reference lexer words and places some of these differently).
+LEX_ERRORS = {
+    '"unterminated': "unterminated string literal (line 1, col 1)",
+    '"trailing backslash \\': "unterminated string literal (line 1, col 1)",
+    'wire w;\n  "newline\nin string"':
+        "newline in string literal (line 2, col 3)",
+    '"a\\\nb" "c\n': "newline in string literal (line 2, col 4)",
+    "module m;\n/* unterminated":
+        "unterminated block comment (line 2, col 1)",
+    "x = a /*/ b": "unterminated block comment (line 1, col 7)",
+    "x\x0cy": "illegal character '\\x0c' (line 1, col 2)",
+    "a $ b": "illegal character '$' (line 1, col 3)",
+    "12'q": "illegal character \"'\" (line 1, col 3)",
+    "\\escaped": "illegal character '\\\\' (line 1, col 1)",
+}
+
+
+# -- the oracle -----------------------------------------------------------------
+
+
+def _reference(source):
+    """The reference lexer's tokens, or None where it raises."""
+    try:
+        return lex(source)
+    except LexError:
+        return None
+
+
+def _parse_outcome(tokens):
+    """``asdict`` of the AST — ``line`` is ``compare=False``, so ``==`` on
+    the nodes would not see it — or the ParseError text, position included."""
+    try:
+        return dataclasses.asdict(Parser(tokens).parse_source())
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_tokens(source, reference):
+    if reference is None:
+        with pytest.raises(LexError):
+            lex_fast(source)
+        return
+    stream = lex_fast(source)
+    assert stream == reference
+    assert len(stream) == len(reference)
+
+
+def assert_same_parse(source, reference):
+    """Returns the shared outcome (None where the source does not lex)."""
+    if reference is None:
+        return None
+    outcome = _parse_outcome(lex_fast(source))
+    assert outcome == _parse_outcome(reference)
+    return outcome
+
+
+def assert_same_report(source, reference):
+    fast = check_syntax_fast(source)
+    if reference is None:
+        assert not fast.ok and not fast.module_names and len(fast.errors) == 1
+        return
+    # check_syntax(source) without lexing the source a second time
+    slow = check_with_lexer(source, lambda _: reference)
+    assert (fast.ok, fast.module_names, fast.errors) == (
+        slow.ok, slow.module_names, slow.errors
+    )
+
+
+def assert_identical(source):
+    reference = _reference(source)
+    assert_same_tokens(source, reference)
+    assert_same_parse(source, reference)
+    assert_same_report(source, reference)
+
+
+@pytest.fixture(scope="module")
+def world_reference(raw_files):
+    """Every distinct world file with its reference tokens, lexed once:
+    the reference lexer is the slow side and three oracles read it."""
+    return {
+        source: _reference(source)
+        for source in dict.fromkeys(record.content for record in raw_files)
+    }
+
+
+def _prefixes(source):
+    """``source`` cut at the start of every token, EOF included, each with
+    the tokens the reference lexer returns for it: the tokens before the
+    cut, then EOF where the cut token stood."""
+    tokens = lex(source)
+    offsets = [0]
+    for line in source.split("\n"):
+        offsets.append(offsets[-1] + len(line) + 1)
+    for i, tok in enumerate(tokens):
+        prefix = source[:offsets[tok.line - 1] + tok.col - 1]
+        eof = Token(TokenKind.EOF, "", tok.line, tok.col)
+        yield prefix, tokens[:i] + [eof]
+
+
+# Token soup: fragments of every token class (and of every way to fail)
+# glued with arbitrary trivia — or none, so neighbours merge.
+_FRAGMENTS = [
+    "a", "_x1", "clk$", "module", "endmodule", "begin", "end", "Module",
+    "$display", "$signed", "0", "42", "1_000", "3.14", "8'hFF", "'b1010",
+    "12'sb01_zx?", "4'd9", '"s"', '"("', '"begin"', '"e \\n \\" \\q"',
+    '"a\\\nb"', "`timescale 1ns/1ps", "`define X \\\n 1",
+    *MULTI_CHAR_OPS, *sorted(SINGLE_CHAR_OPS),
+    "\x0c", "$", "'", '"open', "/* open", "\\",
+]
+_TRIVIA = ["", " ", "\n", "\t", "\r\n", "// c\n", "/* c */", "/* a\nb */"]
+_SOUP = st.lists(
+    st.tuples(st.sampled_from(_TRIVIA), st.sampled_from(_FRAGMENTS)),
+    max_size=24,
+).map(lambda parts: "".join(trivia + text for trivia, text in parts))
 
 
 class TestTokenEquivalence:
     @pytest.mark.parametrize("source", ADVERSARIAL)
     def test_adversarial_inputs(self, source):
-        try:
-            reference = lex(source)
-        except LexError:
-            with pytest.raises(LexError):
-                lex_fast(source)
-            return
-        assert lex_fast(source) == reference
+        assert_identical(source)
 
     def test_generated_corpus_identical(self, tiny_verilog_corpus):
         for source in tiny_verilog_corpus:
-            assert lex_fast(source) == lex(source)
+            assert_identical(source)
 
-    def test_world_corpus_identical(self, raw_files):
-        for record in raw_files[:400]:
-            try:
-                reference = lex(record.content)
-            except LexError:
-                with pytest.raises(LexError):
-                    lex_fast(record.content)
-                continue
-            assert lex_fast(record.content) == reference
+    def test_world_corpus_identical(self, world_reference):
+        assert len(world_reference) > 1500
+        for source, reference in world_reference.items():
+            assert_same_tokens(source, reference)
+
+    @settings(deadline=None)
+    @given(_SOUP)
+    def test_token_soup(self, source):
+        assert_identical(source)
 
     def test_positions_track_lines_and_columns(self):
         tokens = lex_fast("module m;\n  wire x;\nendmodule\n")
@@ -83,14 +248,74 @@ class TestTokenEquivalence:
             (t.line, t.col) for t in reference
         ]
 
+    def test_stream_is_a_sequence_of_tokens(self):
+        source = "`timescale 1ns/1ps\nmodule m; // c\nendmodule\n`undef X"
+        stream, reference = lex_fast(source), lex(source)
+        # directives and EOF count, though the parser never reads the former
+        assert len(stream) == len(reference) == 7
+        assert list(stream) == reference
+        assert [stream[i] for i in range(len(stream))] == reference
+        assert stream[-1] == reference[-1] and stream[1:3] == reference[1:3]
+        assert stream != reference[:-1]
+
+    @pytest.mark.parametrize("source", sorted(LEX_ERRORS))
+    def test_lex_error_text_is_pinned(self, source):
+        with pytest.raises(LexError) as raised:
+            lex_fast(source)
+        assert str(raised.value) == LEX_ERRORS[source]
+        assert check_syntax_fast(source).errors == [LEX_ERRORS[source]]
+        assert _reference(source) is None
+
+
+class TestParseEquivalence:
+    def test_world_corpus_asts(self, world_reference):
+        # every other file: two asdict()s per file are the suite's slow
+        # part, and the world is forks of forks (tokens above and verdicts
+        # below are compared on every file)
+        outcomes = {
+            type(assert_same_parse(source, reference))
+            for source, reference in list(world_reference.items())[::2]
+        }
+        assert {dict, str} <= outcomes  # ASTs and ParseErrors both compared
+
+    def test_near_miss_mutants(self, module_pool):
+        mutants = [m.source for module in module_pool for m in mutate(module)]
+        assert len(mutants) > 100
+        for source in mutants:
+            assert_identical(source)
+
+    def test_goldens_truncated_at_every_token(self):
+        # every prefix ends in an EOF the parser must report, not pass
+        prefixes = 0
+        for problem in build_problem_set():
+            for prefix, reference in _prefixes(problem.golden_source):
+                if prefixes % 16 == 0:  # spot-check _prefixes' shortcut
+                    assert lex(prefix) == reference
+                assert_same_parse(prefix, reference)
+                prefixes += 1
+        assert prefixes > 5000
+
+    @pytest.mark.parametrize("source", STRING_COLLISIONS)
+    def test_string_is_never_an_operator_or_keyword(self, source):
+        for parse in (parse_source_fast, parse_source):
+            with pytest.raises(ParseError) as raised:
+                parse(source)
+            assert str(raised.value) == STRING_COLLISIONS[source]
+
+    def test_error_at_the_first_token_is_reported_there(self):
+        # position 0 is falsy: `pos or current` would blame the EOF
+        parser = Parser(lex_fast("1.5"))
+        with pytest.raises(ParseError) as raised:
+            parser._parse_primary()
+        assert str(raised.value) == (
+            "real literals are not supported, got '1.5' (line 1, col 1)"
+        )
+
 
 class TestVerdictEquivalence:
-    def test_corpus_verdicts(self, raw_files):
-        for record in raw_files[:300]:
-            fast = check_syntax_fast(record.content)
-            slow = check_syntax(record.content)
-            assert fast.ok == slow.ok
-            assert fast.module_names == slow.module_names
+    def test_corpus_verdicts(self, world_reference):
+        for source, reference in world_reference.items():
+            assert_same_report(source, reference)
 
     @pytest.mark.parametrize(
         "source",
@@ -103,4 +328,6 @@ class TestVerdictEquivalence:
         ],
     )
     def test_error_paths(self, source):
-        assert check_syntax_fast(source).ok == check_syntax(source).ok
+        fast, slow = check_syntax_fast(source), check_syntax(source)
+        assert fast.ok == slow.ok
+        assert fast.module_names == slow.module_names

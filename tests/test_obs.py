@@ -461,6 +461,32 @@ class TestCacheMetrics:
         assert "hit" not in stats
 
 
+# -- front-end spans ---------------------------------------------------------
+
+
+class TestFrontEndTelemetry:
+    def test_one_lex_and_parse_span_per_source_and_exact_tokens(self):
+        from repro.verilog import check_syntax_fast, lex, parse_source_fast
+
+        sources = [
+            "`timescale 1ns/1ps\nmodule m; endmodule",
+            "module m(input a; endmodule",  # fails in the parser
+            "module m; /* unterminated",    # fails in the lexer
+        ]
+        obs.configure(obs.MODE_SUMMARY)
+        for source in sources:
+            check_syntax_fast(source)
+        parse_source_fast(sources[0])
+        snap = obs.snapshot()
+        # per source, never per token; no parse span when lexing failed
+        assert snap.agg["verilog.lex"][0] == 4
+        assert snap.agg["verilog.parse"][0] == 3
+        # directives and EOF included, exactly what lex() returns
+        assert snap.counters["verilog.tokens"] == sum(
+            len(lex(source)) for source in (*sources[:2], sources[0])
+        )
+
+
 # -- checkpoint resume -------------------------------------------------------
 
 
