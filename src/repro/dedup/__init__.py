@@ -4,6 +4,11 @@ The paper follows VeriGen's recipe: files are represented by MinHash
 signatures, banded Locality-Sensitive Hashing buckets likely-similar
 pairs, and candidates whose (estimated) Jaccard similarity exceeds 0.85
 are treated as duplicates, keeping one representative per cluster.
+
+:func:`deduplicate` signs every file and is the reference;
+:meth:`StreamingDeduplicator.offer_batch`, which the curation engine
+runs, makes the same decisions while signing each distinct
+comment-stripped text once (``docs/architecture.md`` §10).
 """
 
 from repro.dedup.shingle import shingles, shingle_hashes

@@ -2,10 +2,10 @@
 
 Each stage wraps one of the existing curation/dedup components, so stage
 semantics are exactly the seed pipeline's; what changes is the execution
-shape (chunked streaming, batched signatures, pool-safe filters, the
-token-stream Verilog front end) and the per-stage metrics.  Funnel names
-match the seed: ``license_filter``, ``length_cap``, ``dedup``,
-``copyright_filter``, ``syntax_check``.
+shape (chunked streaming, one MinHash signature per distinct text,
+pool-safe filters, the token-stream Verilog front end) and the per-stage
+metrics.  Funnel names match the seed: ``license_filter``,
+``length_cap``, ``dedup``, ``copyright_filter``, ``syntax_check``.
 """
 
 from __future__ import annotations
@@ -86,12 +86,14 @@ class SyntaxCheckStage(FilterStage):
 
 @register_stage("dedup")
 class DedupStage(StatefulStage):
-    """Streaming MinHash/LSH dedup with batched signature computation.
+    """Streaming MinHash/LSH dedup, one ``offer_batch`` call per chunk.
 
-    The LSH index lives across chunks *and* across ingest batches, so
-    incremental corpora dedup against everything already kept without
-    recomputing historical signatures.  The whole dedup state is the
-    stage's checkpoint payload.
+    The stage owns a :class:`~repro.dedup.dedup.StreamingDeduplicator`
+    and nothing else: the LSH index and the exact-text table in front of
+    it live across chunks *and* across ingest batches, so incremental
+    corpora dedup against everything already kept without re-signing
+    historical files, and a text seen before is decided by one lookup.
+    The whole deduplicator is the stage's checkpoint payload.
     """
 
     name = "dedup"
@@ -122,14 +124,19 @@ class DedupStage(StatefulStage):
         self._dedup = self._fresh()
 
     def process(self, chunk: Sequence[Any]) -> List[Any]:
-        signatures = self._dedup.hasher.signatures(
-            [item.content for item in chunk]
+        kept = self._dedup.offer_batch(
+            [(file_key(item), item.content) for item in chunk]
         )
-        return [
-            item
-            for item, signature in zip(chunk, signatures)
-            if self._dedup.offer_signature(file_key(item), signature)
-        ]
+        # kept keys come back in chunk order, so one forward walk pairs
+        # each with its item
+        survivors: List[Any] = []
+        rest = iter(chunk)
+        for key in kept:
+            for item in rest:
+                if file_key(item) == key:
+                    survivors.append(item)
+                    break
+        return survivors
 
     def state_dict(self) -> StreamingDeduplicator:
         # A deep snapshot, not the live object: checkpoint_state() holders

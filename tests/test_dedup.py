@@ -1,14 +1,18 @@
 """Tests and properties for shingling, MinHash, LSH, and dedup."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.curation import IncrementalCurator
 from repro.dedup import (
     LSHIndex,
     MinHasher,
+    StreamingDeduplicator,
     choose_bands,
     deduplicate,
     estimate_jaccard,
@@ -17,8 +21,24 @@ from repro.dedup import (
     shingles,
 )
 from repro.dedup.jaccard import text_jaccard
-from repro.dedup.shingle import _tokens as shingle_tokens
+from repro.dedup.shingle import _stable_hash64, shingle_tokens
+from repro.engine import CheckpointStore
+from repro.utils.rng import DeterministicRNG
 from repro.utils.textnorm import normalize_whitespace, strip_comments
+
+
+# every separator either definition of whitespace could disagree on,
+# around words and comment markers
+_ODD_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009"
+            "\u200b\u2028\u2029\u202f\u205f\u3000\ufeffab/*\"\\"
+        ),
+        st.characters(),
+    ),
+    max_size=60,
+)
 
 
 class TestShingles:
@@ -46,19 +66,6 @@ class TestShingles:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             shingles("a", width=0)
-
-    # every separator either definition of whitespace could disagree on,
-    # around words and comment markers
-    _ODD_TEXT = st.text(
-        alphabet=st.one_of(
-            st.sampled_from(
-                " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009"
-                "\u200b\u2028\u2029\u202f\u205f\u3000\ufeffab/*\"\\"
-            ),
-            st.characters(),
-        ),
-        max_size=60,
-    )
 
     @given(_ODD_TEXT)
     def test_tokens_need_no_whitespace_pass(self, text):
@@ -161,6 +168,16 @@ class TestLSH:
             index.insert("k", sig)
 
 
+@pytest.fixture(scope="module")
+def world_arrivals(raw_files):
+    """Two seeded arrival orders of the test world, each with the answer
+    of the per-file, table-free path."""
+    items = [(f.file_id, f.content) for f in raw_files]
+    rng = DeterministicRNG(0xDED0)
+    arrivals = [rng.fork(label).shuffled(items) for label in ("a", "b")]
+    return [(arrival, deduplicate(arrival)) for arrival in arrivals]
+
+
 class TestDeduplicate:
     def test_exact_duplicates_removed_keep_first(self):
         text = "module m(input a, output y); assign y = a; endmodule " * 3
@@ -175,8 +192,8 @@ class TestDeduplicate:
         # near-duplicates, and these 30 are all fresh draws
         assert result.removed_count <= 6
 
-    def test_world_duplicates_detected(self, raw_files):
-        result = deduplicate([(f.file_id, f.content) for f in raw_files])
+    def test_world_duplicates_detected(self, raw_files, world_arrivals):
+        _, result = world_arrivals[0]
         by_id = {f.file_id: f for f in raw_files}
         kept_origins = {}
         missed = 0
@@ -223,6 +240,268 @@ class TestDeduplicate:
             index.insert(key, signature)
         assert index.candidates_in_order(signature) == keys
         assert index.candidates(signature) == set(keys)
+
+
+def _defined_hashes(text, width=5):
+    """A document's shingle hashes, from the definition."""
+    return np.array(
+        sorted(_stable_hash64(s) for s in shingles(text, width)),
+        dtype=np.uint64,
+    )
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _offer_in_batches(items, batch_size, dedup=None, after_batch=None):
+    """``items`` through ``offer_batch`` in ``batch_size`` pieces (None = one)."""
+    dedup = dedup or StreamingDeduplicator()
+    size = batch_size or max(1, len(items))
+    for n, start in enumerate(range(0, len(items), size)):
+        dedup.offer_batch(items[start:start + size])
+        if after_batch is not None:
+            after_batch(n, dedup)
+    return dedup.result
+
+
+def _decisions(result):
+    return result.kept_keys, result.removed
+
+
+def _gallery():
+    """Hand-built texts around every rule the exact-text table leans on."""
+    body = " ".join(
+        f"assign n{i} = a{i} & b{i} | c{i};" for i in range(40)
+    )
+    kept = f"module k(input a, output y); {body} endmodule"
+    # one edited statement of forty: a near-duplicate, not an exact one
+    near = kept.replace("assign n7 = a7 & b7", "assign n7 = a7 ^ b7")
+    other = "module o; " + " ".join(f"wire w{i};" for i in range(30)) + " endmodule"
+    literal = 'module s; initial $display("http://x // not a comment"); endmodule'
+    return [
+        ("kept", kept),
+        ("kept.line-comment", "// SPDX: MIT\n" + kept),
+        ("kept.block-comment", "/* (c) someone */ " + kept.replace(";", "; /* x */")),
+        ("kept.whitespace", kept.replace(" ", "\n\t  ")),
+        ("near", near),
+        ("near.copy", "// forked from near\n" + near),
+        ("near.copy2", near + "\n// trailing"),
+        ("other", other),
+        ("other.again", other),
+        ("empty", ""),
+        ("blank", " \n\t "),
+        ("all-line-comment", "// nothing\n// here"),
+        ("all-block-comment", "/* nothing\nhere */"),
+        ("three-tokens", "a b c"),
+        ("three-tokens.copy", "a /* */ b // c\n c"),
+        ("five-tokens", "a b c d e"),
+        ("five-tokens.copy", "a\tb\nc d e // f"),
+        ("six-tokens", "a b c d e f"),
+        ("literal", literal),
+        ("literal.copy", literal + " // a real comment"),
+        ("literal.differs", literal.replace("not a", "still not a")),
+        ("unterminated", "module u; wire q0; wire q1; /* never closed\nendmodule"),
+        ("unterminated.copy", "/**/module u; wire q0;\nwire q1; /* nor this"),
+    ]
+
+
+class TestDedupOracle:
+    """One differential oracle for the batched path.
+
+    ``offer_batch`` (exact-text table + one-pass shingle hashing) must
+    decide what ``deduplicate()`` — every file signed, no table — decides:
+    the same ``kept_keys`` and the same ``removed -> kept`` map; and
+    ``shingle_hashes`` must equal its definition, ``shingles`` +
+    ``_stable_hash64``, in values, order and dtype.
+    """
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("batch_size", [1, 7, 256, None])
+    def test_world_decisions(self, world_arrivals, order, batch_size):
+        arrival, reference = world_arrivals[order]
+        result = _offer_in_batches(arrival, batch_size)
+        assert _decisions(result) == _decisions(reference)
+        # the table did decide most of them
+        assert result.candidate_checks < reference.candidate_checks
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, None])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gallery_decisions(self, batch_size, reverse):
+        items = _gallery()
+        if reverse:
+            items.reverse()
+        reference = deduplicate(items)
+        result = _offer_in_batches(items, batch_size)
+        assert _decisions(result) == _decisions(reference)
+
+    def test_gallery_holds_the_cases_it_names(self):
+        removed = deduplicate(_gallery()).removed
+        # a near-duplicate removed against a kept file, then exact copies
+        # of the *removed* file: they resolve to the kept one
+        assert removed["near"] == "kept"
+        assert removed["near.copy"] == removed["near.copy2"] == "kept"
+        for key in ("kept.line-comment", "kept.block-comment",
+                    "kept.whitespace"):
+            assert removed[key] == "kept"
+        assert removed["unterminated.copy"] == "unterminated"
+        assert removed["other.again"] == "other"
+        assert removed["blank"] == removed["all-line-comment"] == "empty"
+        assert removed["all-block-comment"] == "empty"
+        assert removed["three-tokens.copy"] == "three-tokens"
+        assert removed["five-tokens.copy"] == "five-tokens"
+        assert removed["literal.copy"] == "literal"
+        for key in ("six-tokens", "literal.differs", "unterminated"):
+            assert key not in removed
+
+    _doc = st.lists(
+        st.sampled_from(["a", "b", "c", "d", "e", ";"]),
+        min_size=60, max_size=110,
+    )
+    _edit = st.tuples(st.integers(0, 109), st.sampled_from(["a", "b", "x"]))
+    _variant = st.tuples(
+        st.integers(0, 2),  # which base document
+        st.lists(_edit, max_size=3),
+        st.none() | st.integers(0, 9),  # ... or an exact copy of that item
+        st.sampled_from(["", "// c\n", "/* c */ ", "\t"]),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(_doc, min_size=3, max_size=3),
+        st.lists(_variant, min_size=2, max_size=10),
+        st.sampled_from([1, 2, 3, None]),
+    )
+    def test_near_threshold_documents(self, bases, variants, batch_size):
+        # a few edits to a ~100-token document land the pair's Jaccard on
+        # either side of 0.85; 32 permutations make the estimate noisy
+        bodies = []
+        for base, edits, copy_of, _ in variants:
+            if copy_of is not None and copy_of < len(bodies):
+                bodies.append(bodies[copy_of])
+                continue
+            tokens = list(bases[base])
+            for position, token in edits:
+                tokens[position % len(tokens)] = token
+            bodies.append(" ".join(tokens))
+        items = [
+            (n, variant[-1] + body)
+            for n, (variant, body) in enumerate(zip(variants, bodies))
+        ]
+        reference = deduplicate(items, num_permutations=32)
+        result = _offer_in_batches(
+            items, batch_size, StreamingDeduplicator(num_permutations=32)
+        )
+        assert _decisions(result) == _decisions(reference)
+
+    def test_table_is_only_an_accelerator(self, world_arrivals):
+        arrival, reference = world_arrivals[0]
+
+        def clear_every_other(n, dedup):
+            if n % 2:
+                dedup.exact.clear()
+
+        result = _offer_in_batches(arrival, 97, after_batch=clear_every_other)
+        assert _decisions(result) == _decisions(reference)
+
+    def test_offer_and_offer_batch_interleave(self, world_arrivals):
+        arrival, reference = world_arrivals[1]
+        dedup = StreamingDeduplicator()
+        for n, start in enumerate(range(0, len(arrival), 61)):
+            piece = arrival[start:start + 61]
+            if n % 4 == 1:
+                for key, text in piece:
+                    dedup.offer(key, text)
+            else:
+                dedup.offer_batch(piece)
+        assert _decisions(dedup.result) == _decisions(reference)
+
+    # -- through the engine: IncrementalCurator checkpoints ---------------
+
+    @staticmethod
+    def _dedup_of(curator):
+        return next(s for s in curator.graph.stages if s.name == "dedup").dedup
+
+    @classmethod
+    def _outcome(cls, curator):
+        return (
+            [f.file_id for f in curator.kept_files],
+            [(s.name, s.in_count, s.out_count) for s in curator.funnel.stages],
+            cls._dedup_of(curator).result.removed,
+        )
+
+    @staticmethod
+    def _saved_midstream(batches, store):
+        """A curator that ingested the first half and saved to ``store``."""
+        first = IncrementalCurator()
+        for batch in batches[:2]:
+            first.ingest(batch)
+        first.save(store)
+        return first
+
+    @pytest.fixture(scope="class")
+    def curated(self, raw_files):
+        """An uninterrupted four-batch ingest, and its batches."""
+        files = raw_files[::2]
+        quarter = -(-len(files) // 4)
+        batches = [files[i:i + quarter] for i in range(0, len(files), quarter)]
+        curator = IncrementalCurator()
+        for batch in batches:
+            curator.ingest(batch)
+        return batches, curator
+
+    def test_save_load_midstream_restores_the_table(self, curated, tmp_path):
+        batches, uninterrupted = curated
+        store = CheckpointStore(tmp_path)
+        first = self._saved_midstream(batches, store)
+        resumed = IncrementalCurator()
+        assert resumed.load(store)
+        table = self._dedup_of(resumed).exact
+        assert table and table == self._dedup_of(first).exact
+        for batch in batches[2:]:
+            resumed.ingest(batch)
+        assert self._outcome(resumed) == self._outcome(uninterrupted)
+
+    def test_snapshot_from_before_the_table_restores(self, curated, tmp_path):
+        batches, uninterrupted = curated
+        store = CheckpointStore(tmp_path)
+        self._saved_midstream(batches, store)
+        # what the parent commit pickled: a deduplicator with no table
+        state = store.load("curator")
+        del state["graph"]["stages"]["dedup"].__dict__["exact"]
+        assert b"exact" not in pickle.dumps(state["graph"]["stages"]["dedup"])
+        store.save("curator", state)
+        resumed = IncrementalCurator()
+        assert resumed.load(store)
+        assert self._dedup_of(resumed).exact == {}
+        for batch in batches[2:]:
+            resumed.ingest(batch)
+        assert self._outcome(resumed) == self._outcome(uninterrupted)
+
+    # -- shingle hashes against their definition --------------------------
+
+    @given(_ODD_TEXT, st.sampled_from([1, 2, 5, 100]))
+    def test_hashes_equal_definition_on_odd_text(self, text, width):
+        assert _same_array(
+            shingle_hashes(text, width), _defined_hashes(text, width)
+        )
+
+    def test_hashes_equal_definition_on_world(self, raw_files):
+        for f in raw_files:
+            assert _same_array(
+                shingle_hashes(f.content), _defined_hashes(f.content)
+            ), f.file_id
+
+    @pytest.mark.parametrize("text", ["", "// only", "a", "a b c d e", "a b c d e f"])
+    @pytest.mark.parametrize("width", [1, 5, 6, 7])
+    def test_hashes_equal_definition_at_width_edges(self, text, width):
+        assert _same_array(
+            shingle_hashes(text, width), _defined_hashes(text, width)
+        )
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError):
+            shingle_hashes("a b c", width=0)
 
 
 class TestDedupDeterminism:

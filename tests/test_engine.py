@@ -1,5 +1,7 @@
 """Tests for the streaming, parallel, checkpointable execution engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.curation import (
@@ -271,6 +273,16 @@ class TestDedupStage:
         stage.reset()
         again = stage.process(raw_files[:50])
         assert [f.file_id for f in first] == [f.file_id for f in again]
+
+    def test_duplicate_file_ids_in_a_chunk(self, raw_files):
+        first = raw_files[0]
+        # the same file twice: the second copy duplicates the first
+        assert DedupStage().process([first, first]) == [first]
+        # one id on two texts that would both be kept: the index refuses
+        unrelated = " ".join(f"wire unrelated_{i};" for i in range(40))
+        second = dataclasses.replace(first, content=unrelated)
+        with pytest.raises(KeyError):
+            DedupStage().process([first, second])
 
     def test_offer_batch_matches_sequential(self, tiny_verilog_corpus):
         items = [(i, t) for i, t in enumerate(tiny_verilog_corpus[:60])]
