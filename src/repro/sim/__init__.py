@@ -59,6 +59,19 @@ scalar run.  Differential tests in ``tests/test_sim_compile.py`` and
 ``tests/test_sim_batch.py`` enforce
 cycle identity across every ``vgen`` family and the vereval problem set.
 
+One testbench cycle is one call: ``sim.cycle_fn(clock, input_names,
+output_names)`` returns ``step(row) -> outputs``, defined as exactly
+``poke_many`` + ``poke(clock, 0)`` + ``poke(clock, 1)`` + one ``peek``
+per output.  The interpreter and batch backends run that sequence; the
+compiled backend resolves slots, masks and an output getter once and —
+when the design levelizes, the clock feeds only edge triggers, and the
+drive cannot move a trigger bit — replaces the clock pokes by a state
+write plus the blocks of that edge, keeping the generic loop's trigger
+re-check so ripple and derived clocks still cascade
+(``tests/test_sim_compile.py::TestCycleKernel`` is the identity oracle).
+:meth:`Testbench.step <repro.sim.testbench.Testbench.step>`, the scalar
+sweep and the vereval trace check are all built on it.
+
 Compiled artifacts can persist across processes through the opt-in disk
 cache in :mod:`repro.sim.cache` (``REPRO_SIM_CACHE=/path`` — see that
 module for the key scheme), which evaluation pool workers use to skip
@@ -123,6 +136,7 @@ from repro.sim.testbench import (
     interface_signature,
     random_stimulus,
     simulate_source,
+    stimulus_rows,
     sweep_random_stimulus,
 )
 
@@ -166,5 +180,6 @@ __all__ = [
     "interface_signature",
     "random_stimulus",
     "simulate_source",
+    "stimulus_rows",
     "sweep_random_stimulus",
 ]

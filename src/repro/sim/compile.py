@@ -44,6 +44,7 @@ problem set (``tests/test_sim_compile.py``).
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
@@ -51,7 +52,7 @@ from repro.errors import SimulationError
 from repro.verilog import ast
 from repro.sim import eval as _ev
 from repro.sim.elaborate import Design
-from repro.sim.simulator import _MAX_LOOP_ITERS, Simulator
+from repro.sim.simulator import _MAX_LOOP_ITERS, Simulator, _row_length_error
 
 __all__ = [
     "CompiledDesign",
@@ -216,7 +217,8 @@ def compile_design(design: Design) -> CompiledDesign:
     cached = getattr(design, "_compiled", None)
     if cached is not None:
         return cached
-    compiled = _Compiler(design).compile()
+    with obs.span("sim.compile"):
+        compiled = _Compiler(design).compile()
     design._compiled = compiled
     return compiled
 
@@ -1734,6 +1736,86 @@ class CompiledSimulator(Simulator):
                 queued[node] = 1
                 heapq.heappush(heap, pos_of[node])
 
+    # -- cycle kernel --------------------------------------------------------
+
+    def cycle_fn(self, clock, input_names, output_names):
+        """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``).
+
+        Three facts, all read off the :class:`CompiledDesign`, decide
+        whether the cycle can skip the generic poke protocol: the comb
+        region is levelized; the clock slot (if there is a clock) has no
+        combinational reader or driver, so toggling it dirties nothing,
+        its settle is a no-op, and the only blocks its edge fires are
+        the ones listing it; and the drive cannot move a trigger bit (no
+        driven input and no comb-driven net is a trigger slot), so the
+        drive needs no edge pass.  Then a clock poke is a state write
+        plus the blocks of that edge, followed by the generic loop's
+        re-check of the trigger bits so ripple and derived clocks still
+        cascade.  Any other design gets the generic kernel.
+        """
+        generic = super().cycle_fn(clock, input_names, output_names)
+        cd = self.cdesign
+        slot_of = cd.slot_of
+        in_slots = [slot_of[name] for name in input_names]
+        clk = None if clock is None else slot_of[clock]
+        triggers = cd.trigger_slots
+        if (
+            not cd.levelized
+            or clk in cd.readers
+            or clk in cd.writers
+            or not set(triggers).isdisjoint(in_slots)
+            or not cd.writers.keys().isdisjoint(triggers)
+        ):
+            obs.count("sim.kernel.generic")
+            return generic
+        obs.count("sim.kernel.specialised")
+        negedge: list = []
+        posedge: list = []
+        if clk in triggers:
+            clk_bit = triggers.index(clk)
+            negedge = [p for p in cd.seq if (0, clk_bit) in p[0]]
+            posedge = [p for p in cd.seq if (1, clk_bit) in p[0]]
+        drives = list(zip(in_slots, [cd.masks[s] for s in in_slots]))
+        n_inputs = len(drives)
+        out_slots = [slot_of[name] for name in output_names]
+        if len(out_slots) > 1:
+            sample = itemgetter(*out_slots)
+        else:
+            def sample(st):
+                return tuple([st[s] for s in out_slots])
+        st = self.st
+        mark = self._mark_external_masked
+        settle = self._settle_levelized
+        fire = self._fire_edges
+
+        def step(row):
+            if len(row) != n_inputs:
+                raise _row_length_error(len(row), n_inputs)
+            for (slot, mask), value in zip(drives, row):
+                old = st[slot]
+                new = value & mask
+                if old != new:
+                    st[slot] = new
+                    mark(slot, old ^ new)
+            settle()
+            if clk is None:
+                return sample(st)
+            # poke(clock, 0); poke(clock, 1).  A block may itself write
+            # the clock slot, so both writes keep poke's pending test.
+            old = st[clk]
+            if old:
+                st[clk] = 0
+                if negedge and old & 1:
+                    fire(None, negedge)
+                old = st[clk]
+            if old != 1:
+                st[clk] = 1
+                if posedge and not old & 1:
+                    fire(None, posedge)
+            return sample(st)
+
+        return step
+
     # -- settle --------------------------------------------------------------
 
     def settle(self) -> None:
@@ -1786,27 +1868,35 @@ class CompiledSimulator(Simulator):
 
     # -- sequential execution ------------------------------------------------
 
-    def _fire_edges(self, snapshot: List[int]) -> None:
+    def _fire_edges(self, snapshot: Optional[List[int]],
+                    known: Optional[list] = None) -> None:
+        """Fire the blocks whose trigger bits moved since ``snapshot``,
+        cascading until no trigger moves.  ``known`` names the blocks of
+        the first round when the caller already knows them (the cycle
+        kernel, which then needs no ``snapshot``)."""
         cd = self.cdesign
         st = self.st
         trigger_slots = cd.trigger_slots
         seq = cd.seq
         for _ in range(self._max_rounds):
             current = [st[s] & 1 for s in trigger_slots]
-            if current == snapshot:
-                # No trigger bit moved, so no edge can fire: the exit 3
-                # of the 4 edge scans per clock cycle take.
-                return
-            triggered = [
-                proc
-                for proc in seq
-                if any(
-                    snapshot[ti] != current[ti] and current[ti] == want
-                    for want, ti in proc[0]
-                )
-            ]
-            if not triggered:
-                return
+            if known is not None:
+                triggered, known = known, None
+            else:
+                if current == snapshot:
+                    # No trigger bit moved, so no edge can fire: the exit
+                    # 3 of the 4 edge scans per generic clock cycle take.
+                    return
+                triggered = [
+                    proc
+                    for proc in seq
+                    if any(
+                        snapshot[ti] != current[ti] and current[ti] == want
+                        for want, ti in proc[0]
+                    )
+                ]
+                if not triggered:
+                    return
             self._run_seq_blocks(triggered)
             self.settle()
             snapshot = current

@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.errors import ElaborationError
 from repro.verilog import ast
 from repro.sim.eval import eval_constant
@@ -547,4 +548,5 @@ def elaborate(
     overrides: Optional[Dict[str, int]] = None,
 ) -> Design:
     """Elaborate ``top`` from ``source`` with optional parameter overrides."""
-    return _Elaborator(source).elaborate(top, overrides)
+    with obs.span("sim.elaborate"):
+        return _Elaborator(source).elaborate(top, overrides)

@@ -35,7 +35,7 @@ Both backends are cycle-identical (enforced by the differential tests in
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.verilog import ast
@@ -65,6 +65,13 @@ def set_default_backend(name: str) -> str:
     previous = _DEFAULT_BACKEND
     _DEFAULT_BACKEND = name
     return previous
+
+
+def _row_length_error(got: int, want: int) -> ValueError:
+    return ValueError(
+        f"cycle kernel row has {got} values; expected {want} "
+        "(one per input name)"
+    )
 
 
 class _SimScope:
@@ -132,8 +139,8 @@ class Simulator:
     (``"auto"`` / ``"compiled"`` / ``"interp"`` / ``"batch"``; ``None``
     means the process default, see :func:`set_default_backend`).  All
     expose the same observable API: ``poke``, ``poke_many``, ``peek``,
-    ``peek_mem``, ``settle``, and ``state`` / ``mems`` views of the flat
-    state.  Backends that cannot carry a design fall back along the
+    ``peek_mem``, ``settle``, ``cycle_fn`` (a whole testbench cycle as
+    one call), and ``state`` / ``mems`` views of the flat state.  Backends that cannot carry a design fall back along the
     documented contracts (batch -> scalar, compiled -> interpreter).
 
     Example (any backend name gives the same cycles):
@@ -238,6 +245,49 @@ class Simulator:
             return
         self.settle()
         self._fire_edges(snapshot)
+
+    def cycle_fn(
+        self,
+        clock: Optional[str],
+        input_names: Sequence[str],
+        output_names: Sequence[str],
+    ) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+        """One testbench cycle as a single call: ``step(row) -> outputs``.
+
+        The contract of ``step`` is exactly the four-call sequence ::
+
+            poke_many(dict(zip(input_names, row)))
+            poke(clock, 0)
+            poke(clock, 1)
+            tuple(peek(name) for name in output_names)
+
+        (``clock=None``: drive and sample only), with state, cascades and
+        ``SimulationError`` text identical to making those calls by hand.
+        Names are resolved when the kernel is built — an unknown name
+        raises here, with the error the corresponding call would raise —
+        and a ``row`` whose length is not ``len(input_names)`` is a
+        ``ValueError``.  This generic implementation *is* the sequence;
+        :class:`~repro.sim.compile.CompiledSimulator` overrides it.
+        """
+        input_names = tuple(input_names)
+        output_names = tuple(output_names)
+        for name in input_names if clock is None else (*input_names, clock):
+            self.design.signal(name)
+        poke_many, poke, peek = self.poke_many, self.poke, self.peek
+        for name in output_names:
+            peek(name)
+        n_inputs = len(input_names)
+
+        def step(row: Sequence[int]) -> Tuple[int, ...]:
+            if len(row) != n_inputs:
+                raise _row_length_error(len(row), n_inputs)
+            poke_many(dict(zip(input_names, row)))
+            if clock is not None:
+                poke(clock, 0)
+                poke(clock, 1)
+            return tuple([peek(name) for name in output_names])
+
+        return step
 
     # -- backend hooks -------------------------------------------------------
 

@@ -8,6 +8,8 @@ same stimulus and comparing every output each cycle.  This module provides:
 * :class:`BatchTestbench` — drive N independent lanes of one design in
   lockstep on the lane-parallel numpy backend (:mod:`repro.sim.batch`),
 * :func:`random_stimulus` — seeded random input vectors,
+* :func:`stimulus_rows` — an episode as input names + one value row per
+  cycle, the shape the cycle kernel steps through,
 * :func:`sweep_random_stimulus` — N seeded stimulus episodes at once,
   lane-parallel when the design lowers, scalar replay otherwise,
 * :func:`equivalence_check` — lockstep golden-vs-candidate comparison.
@@ -18,7 +20,8 @@ pass ``backend=`` to pin one explicitly.  ``Testbench.drive`` applies a
 whole stimulus vector through
 :meth:`~repro.sim.simulator.Simulator.poke_many`, so one vector costs one
 combinational settle and one edge-detection pass regardless of how many
-inputs it carries.
+inputs it carries; ``Testbench.step`` and the scalar sweep run a whole
+cycle as one :meth:`~repro.sim.simulator.Simulator.cycle_fn` call.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ class Testbench:
             s.name for s in design.inputs if s.name not in special
         ]
         self._output_names = [s.name for s in design.outputs]
+        self._step_names: Optional[Tuple[str, ...]] = None
+        self._step_fn = None
 
     def _make_simulator(self, design: Design,
                         backend: Optional[str]) -> Simulator:
@@ -122,15 +127,51 @@ class Testbench:
             self.sim.poke(self.clock, 1)
 
     def step(self, vector: StimulusVector) -> Dict[str, int]:
-        """Apply inputs, advance one cycle (if clocked), read outputs."""
-        self.drive(vector)
-        self.tick()
-        return self.sample()
+        """Apply inputs, advance one cycle (if clocked), read outputs.
+
+        ``drive``; ``tick``; ``sample`` as one call of the simulator's
+        cycle kernel (:meth:`Simulator.cycle_fn`), rebuilt only when the
+        vector's input names change.
+        """
+        names = tuple(vector)
+        if names != self._step_names:
+            self._step_fn = self.sim.cycle_fn(
+                self.clock, names, self._output_names
+            )
+            self._step_names = names
+        return dict(zip(self._output_names, self._step_fn(vector.values())))
 
     def sample(self) -> Dict[str, int]:
         """Read all outputs after combinational settle."""
         peek = self.sim.peek
         return {name: peek(name) for name in self._output_names}
+
+
+def stimulus_rows(
+    stimulus: Sequence[StimulusVector],
+) -> Tuple[Tuple[str, ...], List[Tuple[int, ...]]]:
+    """An episode as ``(input names, one value row per cycle)``.
+
+    The shape :meth:`Simulator.cycle_fn` steps through: names resolve
+    once per episode instead of once per cycle.  Every vector must drive
+    the same inputs (``ValueError`` otherwise); key order may differ.
+    """
+    if not stimulus:
+        return (), []
+    first = stimulus[0]
+    names = tuple(first)
+    rows = []
+    for vector in stimulus:
+        if tuple(vector) == names:
+            rows.append(tuple(vector.values()))
+        elif vector.keys() == first.keys():
+            rows.append(tuple([vector[n] for n in names]))
+        else:
+            raise ValueError(
+                "stimulus vectors of one episode must drive the same "
+                f"inputs: {sorted(vector)} vs {sorted(names)}"
+            )
+    return names, rows
 
 
 def random_stimulus(
@@ -157,7 +198,23 @@ def random_stimulus(
     ]
 
 
-class BatchTestbench(Testbench):
+class _LaneTestbench(Testbench):
+    """What the lane-parallel benches share: outputs are per-lane arrays
+    (``peek_lanes``), so ``step`` stays ``drive``; ``tick``; ``sample``
+    instead of the scalar cycle kernel."""
+
+    def step(self, vector) -> Dict[str, np.ndarray]:
+        self.drive(vector)
+        self.tick()
+        return self.sample()
+
+    def sample(self) -> Dict[str, np.ndarray]:
+        """Per-lane output arrays after combinational settle."""
+        peek_lanes = self.sim.peek_lanes
+        return {name: peek_lanes(name) for name in self._output_names}
+
+
+class BatchTestbench(_LaneTestbench):
     """Synchronous harness stepping ``n_lanes`` episodes in lockstep.
 
     Same protocol as :class:`Testbench` (clock/reset resolution, batched
@@ -200,13 +257,8 @@ class BatchTestbench(Testbench):
                         backend: Optional[str]) -> BatchSimulator:
         return BatchSimulator(design, n_lanes=self.n_lanes)
 
-    def sample(self) -> Dict[str, np.ndarray]:
-        """Per-lane output arrays after combinational settle."""
-        peek_lanes = self.sim.peek_lanes
-        return {name: peek_lanes(name) for name in self._output_names}
 
-
-class LockstepTestbench(Testbench):
+class LockstepTestbench(_LaneTestbench):
     """Harness stepping one *candidate group* — one candidate per lane.
 
     Where :class:`BatchTestbench` runs one design under N stimulus
@@ -235,11 +287,6 @@ class LockstepTestbench(Testbench):
     def _make_simulator(self, design: Design,
                         backend: Optional[str]) -> LockstepSimulator:
         return LockstepSimulator(self._group)
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        """Per-lane (per-candidate) output arrays after settle."""
-        peek_lanes = self.sim.peek_lanes
-        return {name: peek_lanes(name) for name in self._output_names}
 
 
 @dataclass
@@ -409,11 +456,10 @@ def _sweep_scalar(design, stimuli, seeds, clock, reset, reset_active_high,
                 design, clock, reset, reset_active_high, backend=backend
             )
             bench.apply_reset()
-            peek = bench.sim.peek
-            for vector in stimulus:
-                bench.drive(vector)
-                bench.tick()
-                trace.append(tuple(peek(name) for name in names))
+            input_names, rows = stimulus_rows(stimulus)
+            step = bench.sim.cycle_fn(bench.clock, input_names, names)
+            for row in rows:
+                trace.append(step(row))
         except SimulationError as exc:
             error = str(exc)
         traces.append(trace)

@@ -9,9 +9,10 @@ Since the evalkit refactor this module plays two roles:
   trace, instead of re-deriving all of that per sample.  Golden and
   candidate simulation both run on the compiled simulator backend
   (:mod:`repro.sim.compile`) through the :class:`~repro.sim.Testbench`
-  facade, with per-vector batched pokes; the interpreter backend is
-  cycle-identical and kicks in automatically for candidates the compiler
-  cannot statically lower;
+  facade, one :meth:`~repro.sim.Simulator.cycle_fn` call per cycle over
+  the stimulus turned into value rows once per problem; the interpreter
+  backend is cycle-identical and kicks in automatically for candidates
+  the compiler cannot statically lower;
 * it owns the *batched* verdict path (:func:`check_candidates_lockstep`):
   many candidates of one problem check at once, each on the tier that
   pays for its group size — duplicates collapse,
@@ -48,6 +49,7 @@ from repro.sim import (
     elaborate,
     interface_signature,
     random_stimulus,
+    stimulus_rows,
 )
 from repro.sim import cache as sim_cache
 from repro.sim.retire import replay_stragglers
@@ -191,13 +193,12 @@ class _GoldenRef:
             if cov is not None:
                 cov.observe_sim(bench.sim)  # post-reset level baseline
             phase = "step"
-            peek = bench.sim.peek
-            for vector in self.stimulus:
-                bench.drive(vector)
-                bench.tick()
-                self.trace.append(
-                    tuple(peek(name) for name in self.output_names)
-                )
+            input_names, rows = stimulus_rows(self.stimulus)
+            step = bench.sim.cycle_fn(
+                bench.clock, input_names, self.output_names
+            )
+            for row in rows:
+                self.trace.append(step(row))
                 if cov is not None:
                     cov.observe_sim(bench.sim)
                     if truncate and cov.saturated(window):
@@ -205,6 +206,7 @@ class _GoldenRef:
         except SimulationError as exc:
             self.error = str(exc)
             self.error_phase = phase
+        obs.count("sim.cycles", len(self.trace))
         if cov is not None:
             self.coverage = cov.summary()
         # Coverage truncation shortens the recorded protocol itself, so
@@ -363,6 +365,20 @@ def _check_all_vectors_batch(
     return engine.retire_all_vectors(actual)
 
 
+def _interface_mismatch(
+    ref: _GoldenRef, candidate
+) -> Optional[EquivalenceResult]:
+    """The interface gate: a verdict when the ports differ, else None."""
+    signature = interface_signature(candidate)
+    if ref.signature == signature:
+        return None
+    return EquivalenceResult(
+        equivalent=False,
+        error="interface mismatch",
+        notes=[f"golden={ref.signature}", f"candidate={signature}"],
+    )
+
+
 def _check_against_trace(
     ref: _GoldenRef, candidate, problem: EvalProblem
 ) -> EquivalenceResult:
@@ -376,15 +392,9 @@ def _check_against_trace(
     stateless candidates take the lane-parallel all-vectors fast path
     (:func:`_check_all_vectors_batch`) with the identical verdict.
     """
-    if ref.signature != interface_signature(candidate):
-        return EquivalenceResult(
-            equivalent=False,
-            error="interface mismatch",
-            notes=[
-                f"golden={ref.signature}",
-                f"candidate={interface_signature(candidate)}",
-            ],
-        )
+    mismatch = _interface_mismatch(ref, candidate)
+    if mismatch is not None:
+        return mismatch
     # Lockstep order is: golden bench built, candidate bench built,
     # golden reset, candidate reset, then per cycle golden step before
     # candidate step.  Golden-failure checks interleave with the
@@ -392,11 +402,24 @@ def _check_against_trace(
     # failed first in lockstep supplies the error string here too.
     if ref.error_phase == "construct":
         return EquivalenceResult(equivalent=False, error=ref.error)
+    return _replay_against_trace(
+        ref, candidate, problem, *stimulus_rows(ref.stimulus)
+    )
+
+
+def _replay_against_trace(
+    ref: _GoldenRef, candidate, problem: EvalProblem,
+    input_names: Tuple[str, ...], rows: List[Tuple[int, ...]],
+) -> EquivalenceResult:
+    """:func:`_check_against_trace` past its two gates (interface,
+    golden construct error), over ``stimulus_rows(ref.stimulus)`` — which
+    :func:`_check_many_against_trace` derives once per problem."""
     fast = _check_all_vectors_batch(ref, candidate, problem)
     if fast is not None:
         return fast
     interface = problem.module.interface
     names = ref.output_names
+    cycle = -1
     try:
         bench = Testbench(
             candidate,
@@ -407,17 +430,13 @@ def _check_against_trace(
         if ref.error_phase == "reset":
             return EquivalenceResult(equivalent=False, error=ref.error)
         bench.apply_reset()
-        peek = bench.sim.peek
-        trace = ref.trace
-        for cycle, vector in enumerate(ref.stimulus):
-            if cycle >= len(trace):
-                return EquivalenceResult(equivalent=False, error=ref.error)
-            bench.drive(vector)
-            bench.tick()
-            # The interface gate guarantees the candidate presents every
-            # golden output, so peeking by golden name order is total.
-            actual = tuple(peek(name) for name in names)
-            expected = trace[cycle]
+        # The interface gate guarantees the candidate presents every
+        # golden output, so sampling by golden name order is total.
+        step = bench.sim.cycle_fn(bench.clock, input_names, names)
+        # The early exit at the first bad cycle lives here, not in the
+        # kernel: one call is one cycle.
+        for cycle, (row, expected) in enumerate(zip(rows, ref.trace)):
+            actual = step(row)
             if actual != expected:
                 for index, name in enumerate(names):
                     if actual[index] != expected[index]:
@@ -431,7 +450,13 @@ def _check_against_trace(
                         )
     except SimulationError as exc:
         return EquivalenceResult(equivalent=False, error=str(exc))
-    return EquivalenceResult(equivalent=True, cycles_run=len(ref.stimulus))
+    finally:
+        obs.count("sim.cycles", cycle + 1)
+    if len(ref.trace) < len(rows):
+        # The golden itself died at this cycle: it preempts both the
+        # candidate's step and the comparison.
+        return EquivalenceResult(equivalent=False, error=ref.error)
+    return EquivalenceResult(equivalent=True, cycles_run=len(rows))
 
 
 def _candidate_shape_digest(candidate, source: Optional[str]) -> str:
@@ -572,15 +597,9 @@ def _check_many_against_trace(
     results: list = [None] * len(candidates)
     pool = []
     for index, candidate in enumerate(candidates):
-        if ref.signature != interface_signature(candidate):
-            results[index] = EquivalenceResult(
-                equivalent=False,
-                error="interface mismatch",
-                notes=[
-                    f"golden={ref.signature}",
-                    f"candidate={interface_signature(candidate)}",
-                ],
-            )
+        mismatch = _interface_mismatch(ref, candidate)
+        if mismatch is not None:
+            results[index] = mismatch
         elif ref.error_phase == "construct":
             results[index] = EquivalenceResult(
                 equivalent=False, error=ref.error
@@ -629,9 +648,13 @@ def _check_many_against_trace(
                 else:
                     results[index] = lane_result
 
+    input_names, rows = stimulus_rows(ref.stimulus)
+
     def _scalar_check(index: int) -> EquivalenceResult:
         obs.count("vereval.scalar_checks")
-        return _check_against_trace(ref, candidates[index], problem)
+        return _replay_against_trace(
+            ref, candidates[index], problem, input_names, rows
+        )
 
     replay_stragglers(
         results,

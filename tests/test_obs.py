@@ -487,6 +487,90 @@ class TestFrontEndTelemetry:
         )
 
 
+# -- simulator spans and the cycle counter -----------------------------------
+
+
+class TestSimTelemetry:
+    @staticmethod
+    def _pool(cycles):
+        """One clocked problem at ``cycles`` stimulus depth: its golden, its
+        near-miss mutants, and a duplicate (which must collapse)."""
+        from repro.vgen import mutate
+
+        (problem,) = build_problem_set(
+            n_problems=1, families=["shift_register"],
+            stimulus_cycles=cycles,
+        )
+        sources = [problem.golden_source]
+        sources += [m.source for m in mutate(problem.module)]
+        return problem, sources + [problem.golden_source]
+
+    @staticmethod
+    def _reference_cycles(problem, sources):
+        """Steps the trace check must take, from the two-design lockstep
+        reference: the golden's own trace plus each distinct candidate up
+        to and including its first bad cycle."""
+        from repro.sim import elaborate, equivalence_check, random_stimulus
+        from repro.verilog import parse_source
+
+        interface = problem.module.interface
+        name = problem.module.name
+        golden = elaborate(parse_source(problem.golden_source), name)
+        stimulus = random_stimulus(
+            golden, problem.stimulus_cycles, seed=problem.stimulus_seed
+        )
+        total = len(stimulus)
+        for source in dict.fromkeys(sources):
+            result = equivalence_check(
+                golden, elaborate(parse_source(source), name), stimulus,
+                clock=interface.clock, reset=interface.reset,
+                reset_active_high=interface.reset_active_high,
+                backend="interp",
+            )
+            assert result.error is None
+            total += result.cycles_run
+        return total
+
+    def _traced_check(self, cycles):
+        from repro.vereval import reset_caches
+
+        problem, sources = self._pool(cycles)
+        want_cycles = self._reference_cycles(problem, sources)
+        previous = sim_cache.configure("")
+        try:
+            reset_caches()
+            obs.reset()
+            obs.configure(obs.MODE_SUMMARY)
+            check_candidates_lockstep(problem, sources)
+            snap = obs.snapshot()
+        finally:
+            sim_cache.configure(previous)
+            reset_caches()
+        return len(set(sources)), want_cycles, snap
+
+    def test_one_span_per_design_and_exact_cycles(self):
+        distinct, want_cycles, snap = self._traced_check(24)
+        # the golden + each distinct candidate, elaborated and compiled once
+        assert snap.agg["sim.elaborate"][0] == distinct + 1
+        assert snap.agg["sim.compile"][0] == distinct + 1
+        assert snap.counters["sim.cycles"] == want_cycles
+        kernels = sum(
+            snap.counters.get(f"sim.kernel.{path}", 0)
+            for path in ("specialised", "generic")
+        )
+        assert kernels == distinct + 1
+
+    def test_no_span_or_counter_write_per_cycle(self):
+        _, shallow_cycles, shallow = self._traced_check(24)
+        _, deep_cycles, deep = self._traced_check(96)
+        assert deep_cycles > shallow_cycles
+        assert deep.counters["sim.cycles"] == deep_cycles
+        # Four times the cycles, the same spans: nothing is per cycle.
+        assert {k: v[0] for k, v in deep.agg.items()} == {
+            k: v[0] for k, v in shallow.agg.items()
+        }
+
+
 # -- checkpoint resume -------------------------------------------------------
 
 

@@ -24,10 +24,11 @@ from repro.sim import (
     equivalence_check,
     random_stimulus,
     set_default_backend,
+    stimulus_rows,
 )
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
-from repro.vgen import FAMILIES, generate_family
+from repro.vgen import FAMILIES, generate_family, mutate
 from repro.verilog import parse_source
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -394,3 +395,301 @@ endmodule
                 sim.poke("clk", 0)
             for name in ("lo", "hi", "whole"):
                 assert compiled.peek(name) == interp.peek(name), name
+
+
+# -- the clocked cycle kernel ------------------------------------------------
+
+
+def literal_cycle(sim, clock, input_names, output_names, row):
+    """The four-call sequence ``Simulator.cycle_fn`` is defined as."""
+    sim.poke_many(dict(zip(input_names, row)))
+    if clock is not None:
+        sim.poke(clock, 0)
+        sim.poke(clock, 1)
+    return tuple(sim.peek(name) for name in output_names)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except SimulationError as exc:
+        return "error", str(exc)
+
+
+def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
+                cycles=32, stim_seed=11, exclude=None):
+    """Kernel on a compiled sim vs the literal sequence on a second
+    compiled sim vs the literal sequence on the interpreter: output
+    tuples and the *whole* state after every cycle, errors included.
+
+    Returns ``(path, error)``: which kernel the compiled simulator built
+    (``"specialised"`` | ``"generic"``) and the ``(cycle, message)`` all three
+    stopped at, or None.
+    """
+    kernel, literal, interp = (
+        Testbench(build(source, top), clock, reset, reset_active_high,
+                  backend=backend)
+        for backend in ("compiled", "compiled", "interp")
+    )
+    assert isinstance(kernel.sim, CompiledSimulator)
+    assert isinstance(interp.sim, InterpreterSimulator)
+    for bench in (kernel, literal, interp):
+        bench.apply_reset()
+    kwargs = {} if exclude is None else {"exclude": exclude}
+    names, rows = stimulus_rows(
+        random_stimulus(kernel.design, cycles, seed=stim_seed, **kwargs)
+    )
+    outputs = tuple(kernel.output_names)
+    before = obs.counters("sim.kernel.")
+    step = kernel.sim.cycle_fn(kernel.clock, names, outputs)
+    after = obs.counters("sim.kernel.")
+    # exactly one path counter moves, by one, per kernel built
+    (path,) = [n for n in after if after[n] != before.get(n, 0)]
+    assert after[path] - before.get(path, 0) == 1
+    path = path.rsplit(".", 1)[1]
+    for cycle, row in enumerate(rows):
+        got = _outcome(lambda: step(row))
+        assert got == _outcome(lambda: literal_cycle(
+            literal.sim, literal.clock, names, outputs, row)), (top, cycle)
+        assert got == _outcome(lambda: literal_cycle(
+            interp.sim, interp.clock, names, outputs, row)), (top, cycle)
+        if got[0] == "error":
+            return path, (cycle, got[1])
+        assert kernel.sim.st == literal.sim.st, (top, cycle)
+        assert kernel.sim.mem_data == literal.sim.mem_data, (top, cycle)
+        assert kernel.sim.state == interp.sim.state, (top, cycle)
+        assert kernel.sim.mems == interp.sim.mems, (top, cycle)
+    return path, None
+
+
+def module_trio(module, source=None, **kwargs):
+    interface = module.interface
+    return kernel_trio(
+        source or module.source, module.name, clock=interface.clock,
+        reset=interface.reset,
+        reset_active_high=interface.reset_active_high, **kwargs
+    )
+
+
+#: name -> (source, kernel_trio kwargs, expected path, expected error)
+#: — designs that must stay on the generic kernel, designs the
+#: specialised one must still cascade on, and the output-count corners.
+GALLERY = {
+    "plain_counter": (
+        "module m(input clk, input rst, input en, output reg [3:0] q);"
+        " always @(posedge clk) if (rst) q <= 0; else if (en) q <= q + 1;"
+        " endmodule",
+        {"reset": "rst"}, "specialised", None,
+    ),
+    "gated_clock": (
+        "module m(input clk, input en, input d, output reg q);"
+        " wire gclk; assign gclk = clk & en;"
+        " always @(posedge gclk) q <= d; endmodule",
+        {}, "generic", None,
+    ),
+    "ripple_counter": (
+        "module m(input clk, output reg q0, output reg q1, output reg q2);"
+        " always @(posedge clk) q0 <= ~q0;"
+        " always @(negedge q0) q1 <= ~q1;"
+        " always @(negedge q1) q2 <= ~q2; endmodule",
+        {}, "specialised", None,
+    ),
+    "comb_reads_clock": (
+        "module m(input clk, input d, output y, output reg q);"
+        " assign y = clk ^ d; always @(posedge clk) q <= d; endmodule",
+        {}, "generic", None,
+    ),
+    "negedge_block": (
+        "module m(input clk, input [3:0] d, output reg [3:0] q,"
+        " output reg [3:0] p);"
+        " always @(negedge clk) q <= d;"
+        " always @(posedge clk) p <= q; endmodule",
+        {}, "specialised", None,
+    ),
+    "both_edge_block": (
+        "module m(input clk, input en, output reg [3:0] q);"
+        " always @(posedge clk or negedge clk) if (en) q <= q + 1;"
+        " endmodule",
+        {}, "specialised", None,
+    ),
+    # `arst` is outside random_stimulus's exclude list: it rides the
+    # vector, so a driven input is a trigger.
+    "async_reset_in_vector": (
+        "module m(input clk, input arst, input d, output reg [3:0] q);"
+        " always @(posedge clk or posedge arst)"
+        " if (arst) q <= 0; else q <= q + d; endmodule",
+        {}, "generic", None,
+    ),
+    # A trigger derived from a data input through comb logic: no driven
+    # input is a trigger slot, yet the drive can fire an edge.
+    "comb_derived_trigger": (
+        "module m(input clk, input en, input d, output reg q,"
+        " output reg [3:0] n);"
+        " wire tclk; assign tclk = en & d;"
+        " always @(posedge tclk) n <= n + 1;"
+        " always @(posedge clk) q <= d; endmodule",
+        {}, "generic", None,
+    ),
+    "non_levelizing_counter": (
+        "module m(input clk, input en, output wire [3:0] count);"
+        " reg [3:0] count;"
+        " always @(posedge clk) if (en) count <= count + 1'b1;"
+        " assign count = count; endmodule",
+        {}, "generic", None,
+    ),
+    "oscillating_clock_loop": (
+        "module m(input clk, output reg a, output reg b);"
+        " always @(posedge clk) a <= ~a;"
+        " always @(posedge a or negedge a) b <= ~b;"
+        " always @(posedge b or negedge b) a <= ~a; endmodule",
+        {}, "specialised",
+        (0, "edge events failed to quiesce (oscillating clock loop?)"),
+    ),
+    "block_writes_clock": (
+        "module m(input clk, input d, output reg q, output reg [3:0] n);"
+        " always @(posedge clk) begin q <= d; n <= n + 1; clk <= 0; end"
+        " endmodule",
+        {}, "specialised", None,
+    ),
+    "two_bit_clock": (
+        "module m(input [1:0] clk, input d, output reg q);"
+        " always @(posedge clk) q <= d; endmodule",
+        {}, "specialised", None,
+    ),
+    "memory_write": (
+        "module m(input clk, input we, input [1:0] a, input [3:0] d,"
+        " output [3:0] y); reg [3:0] mem [0:3];"
+        " always @(posedge clk) if (we) mem[a] <= d;"
+        " assign y = mem[a]; endmodule",
+        {}, "specialised", None,
+    ),
+    "zero_outputs": (
+        "module m(input clk, input d); reg q;"
+        " always @(posedge clk) q <= d; endmodule",
+        {}, "specialised", None,
+    ),
+    "one_output": (
+        "module m(input clk, input d, output reg q);"
+        " always @(posedge clk) q <= d; endmodule",
+        {}, "specialised", None,
+    ),
+    "clock_ignored": (
+        "module m(input clk, input [3:0] a, output [3:0] y);"
+        " assign y = ~a; endmodule",
+        {}, "specialised", None,
+    ),
+    "unclocked_strobe": (
+        "module m(input strobe, input [3:0] d, output reg [3:0] q);"
+        " always @(posedge strobe) q <= d; endmodule",
+        {"clock": None}, "generic", None,
+    ),
+    "unclocked_partial_assigns": (
+        "module m(input [3:0] a, input [3:0] b, output [7:0] y);"
+        " assign y[3:0] = a; assign y[7:4] = b; endmodule",
+        {"clock": None}, "generic", None,
+    ),
+    "unclocked": (
+        "module m(input [3:0] a, input [3:0] b, output [4:0] y);"
+        " assign y = a + b; endmodule",
+        {"clock": None}, "specialised", None,
+    ),
+}
+
+
+class TestCycleKernel:
+    """The one differential oracle for ``Simulator.cycle_fn``."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_every_family(self, family):
+        for seed in (3, 4):
+            module = generate_family(
+                family, DeterministicRNG(seed).fork("kernel", family)
+            )
+            module_trio(module, stim_seed=seed)
+
+    def test_vereval_goldens_and_near_misses(self):
+        problems = build_problem_set(n_problems=60)
+        assert len(problems) == 60
+        paths = {"specialised": 0, "generic": 0}
+        for problem in problems:
+            sources = [problem.golden_source]
+            sources += [m.source for m in mutate(problem.module)]
+            for source in sources:
+                path, _ = module_trio(
+                    problem.module, source,
+                    cycles=problem.stimulus_cycles,
+                    stim_seed=problem.stimulus_seed,
+                )
+                paths[path] += 1
+        # Both sides carry real traffic on the problem set: the five
+        # non-levelizing counter goldens and their mutants stay generic.
+        assert paths == {"specialised": 144, "generic": 20}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(ALL_FAMILIES),
+        seed=st.integers(0, 2**20),
+        stim_seed=st.integers(0, 2**20),
+    )
+    def test_fuzz(self, family, seed, stim_seed):
+        module = generate_family(
+            family, DeterministicRNG(seed).fork("kfuzz", family)
+        )
+        module_trio(module, cycles=16, stim_seed=stim_seed)
+
+    @pytest.mark.parametrize("name", sorted(GALLERY))
+    def test_gallery(self, name):
+        source, kwargs, want_path, want_error = GALLERY[name]
+        path, error = kernel_trio(source, "m", **kwargs)
+        # The companion assertion: the gallery provably holds both sides.
+        assert path == want_path
+        assert error == want_error
+
+    def test_ripple_counter_counts(self):
+        # The cascade the post-edge re-check exists for: q1/q2 only move
+        # through edges the posedge block itself creates.
+        source = GALLERY["ripple_counter"][0]
+        sim = Simulator(build(source, "m"), backend="compiled")
+        step = sim.cycle_fn("clk", (), ("q2", "q1", "q0"))
+        seen = [step(()) for _ in range(8)]
+        assert seen == [
+            (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+            (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 0, 0),
+        ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp", "batch"])
+    @pytest.mark.parametrize("name", ["plain_counter", "gated_clock"])
+    def test_row_length_is_a_value_error(self, backend, name):
+        sim = Simulator(build(GALLERY[name][0], "m"), backend=backend)
+        inputs = [s.name for s in sim.design.inputs if s.name != "clk"]
+        step = sim.cycle_fn("clk", inputs, ("q",))
+        step([0] * len(inputs))
+        for bad in ([0] * (len(inputs) - 1), [0] * (len(inputs) + 1)):
+            with pytest.raises(ValueError, match="cycle kernel row"):
+                step(bad)
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp", "batch"])
+    def test_unknown_names_raise_when_the_kernel_is_built(self, backend):
+        from repro.errors import ElaborationError
+
+        sim = Simulator(
+            build(GALLERY["one_output"][0], "m"), backend=backend
+        )
+        with pytest.raises(ElaborationError, match="no signal named"):
+            sim.cycle_fn("clk", ("ghost",), ("q",))
+        with pytest.raises(ElaborationError, match="no signal named"):
+            sim.cycle_fn("ghost", ("d",), ("q",))
+        with pytest.raises(SimulationError, match="peek of unknown"):
+            sim.cycle_fn("clk", ("d",), ("ghost",))
+
+    def test_testbench_step_rebuilds_on_new_input_names(self):
+        source = GALLERY["plain_counter"][0]
+        benches = [
+            Testbench(build(source, "m"), reset="rst", backend=backend)
+            for backend in ("compiled", "interp")
+        ]
+        for vector in ({"en": 1}, {"en": 1, "rst": 0}, {"rst": 1},
+                       {"en": 1}, {}):
+            outs = [bench.step(vector) for bench in benches]
+            assert outs[0] == outs[1], vector
+        assert benches[0].sim.state == benches[1].sim.state

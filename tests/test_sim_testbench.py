@@ -8,6 +8,7 @@ from repro.sim import (
     equivalence_check,
     random_stimulus,
     set_default_backend,
+    stimulus_rows,
 )
 from repro.verilog import parse_source
 
@@ -68,6 +69,23 @@ class TestRandomStimulus:
         d = design(COUNTER, "counter")
         vectors = random_stimulus(d, 5, seed=0)
         assert all(set(v) == {"en"} for v in vectors)
+
+
+class TestStimulusRows:
+    def test_names_once_and_one_row_per_cycle(self):
+        d = design(ALU, "alu")
+        vectors = random_stimulus(d, 6, seed=2)
+        names, rows = stimulus_rows(vectors)
+        assert names == ("a", "b", "op")
+        assert [dict(zip(names, row)) for row in rows] == vectors
+        assert stimulus_rows([]) == ((), [])
+
+    def test_key_order_may_differ_key_sets_may_not(self):
+        names, rows = stimulus_rows([{"a": 1, "b": 2}, {"b": 4, "a": 3}])
+        assert (names, rows) == (("a", "b"), [(1, 2), (3, 4)])
+        for ragged in ({"a": 1}, {"a": 1, "b": 2, "op": 0}, {"a": 1, "c": 2}):
+            with pytest.raises(ValueError, match="same inputs"):
+                stimulus_rows([{"a": 1, "b": 2}, ragged])
 
 
 class TestEquivalence:
