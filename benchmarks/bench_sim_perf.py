@@ -2,7 +2,7 @@
 
 Claims, measured at bench scale:
 
-* the compiled backend (levelized, slot-indexed, closure-compiled;
+* the compiled backend (levelized, slot-indexed, generated source;
   :mod:`repro.sim.compile`) simulates the fifo microbench at >=5x the
   interpreter's cycles/sec, *including* its one-time compile cost;
 * compilation amortizes within the first handful of cycles (compile time

@@ -100,7 +100,8 @@ class CuratedDataset:
     def size_bytes(self) -> int:
         if self._size_bytes is None:
             self._size_bytes = sum(
-                len(f.content.encode("utf-8")) for f in self.files
+                len(f.content.encode("utf-8", "surrogatepass"))
+                for f in self.files
             )
         return self._size_bytes
 

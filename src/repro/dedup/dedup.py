@@ -168,7 +168,8 @@ class StreamingDeduplicator:
             for _, text in items:
                 tokens = shingle_tokens(text)
                 digest = hashlib.blake2b(
-                    " ".join(tokens).encode("utf-8"), digest_size=16
+                    " ".join(tokens).encode("utf-8", "surrogatepass"),
+                    digest_size=16,
                 ).digest()
                 digests.append(digest)
                 if digest not in exact and digest not in unsigned:

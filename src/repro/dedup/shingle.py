@@ -54,7 +54,11 @@ def shingles(text: str, width: int = DEFAULT_SHINGLE_WIDTH) -> Set[str]:
 
 
 def _stable_hash64(shingle: str) -> int:
-    digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
+    # surrogatepass: a scraped file may carry a lone surrogate (a JSON
+    # "\ud800" escape); it must hash, not abort the curation run
+    digest = hashlib.blake2b(
+        shingle.encode("utf-8", "surrogatepass"), digest_size=8
+    ).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -77,7 +81,10 @@ def hashes_of_tokens(
         )
     blake2b = hashlib.blake2b
     digests = b"".join(
-        [blake2b(s.encode("utf-8"), digest_size=8).digest() for s in windows]
+        [
+            blake2b(s.encode("utf-8", "surrogatepass"), digest_size=8).digest()
+            for s in windows
+        ]
     )
     hashed = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
     hashed.sort()

@@ -22,9 +22,11 @@ Execution backends
 backend    module               when it is selected
 ========== ==================== ===========================================
 compiled   repro.sim.compile    default (``"auto"``): slot-indexed state,
-                                closure-compiled nodes, levelized schedule
-                                driven by a fanout dirty set — one stimulus
-                                stream, fastest scalar path
+                                generated Python source (fused per-edge
+                                functions behind the cycle kernel, per-node
+                                functions under a levelized schedule behind
+                                ``poke``) — one stimulus stream, fastest
+                                scalar path
 interp     repro.sim.simulator  ``backend="interp"``, or ``"auto"`` when
                                 the design cannot be statically lowered;
                                 AST-walking ground truth for differentials

@@ -436,6 +436,17 @@ class _BatchCompiler(_Compiler):
             return signed_ext
         return lambda st, mems, o, mo, _f=fn: _f(st, mems, o, mo) & ext_mask
 
+    def _emit_read_raw(self, name: str, ov: bool):
+        """Overlay-aware unmasked read of a whole signal."""
+        slot = self._slot(name)
+        if ov:
+            def read(st, mems, o, mo, _s=slot):
+                v = o.get(_s)
+                return st[_s] if v is None else v
+
+            return read
+        return lambda st, mems, o, mo, _s=slot: st[_s]
+
     def _emit_const(self, value: int):
         """Closure for a folded constant (int64: a broadcasting int)."""
         return lambda st, mems, o, mo, _v=value: _v

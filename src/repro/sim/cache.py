@@ -2,8 +2,7 @@
 
 Evaluation pool workers each pay the full lex -> parse -> elaborate ->
 stimulate -> simulate pipeline for every golden module (the in-process
-caches are per worker, and ``Design.__getstate__`` deliberately drops the
-unpicklable closure caches), and duplicate low-temperature completions
+caches are per worker), and duplicate low-temperature completions
 re-elaborate verbatim-identical candidate sources in every fresh process.
 This module gives those paths a disk tier:
 
@@ -67,10 +66,10 @@ __all__ = [
 #: backend semantics or to the layout of pickled artifacts: stale entries
 #: are then counted as ``sim.cache.version_mismatch`` and evicted instead
 #: of deserializing stale behaviour (or leaking on disk forever, as the
-#: old key-embedded-version scheme did).  8: ``lockstep-shape`` keys lost
-#: the lane-representation pin and a persisted ``Design`` memoizes its
-#: shape digest as a plain value, not a dict per pin.
-BACKEND_VERSION = 8
+#: old key-embedded-version scheme did).  9: a persisted ``Design`` carries
+#: its compiled image (tables + marshalled code objects of the generated
+#: source, see ``repro.sim.compile``).
+BACKEND_VERSION = 9
 
 _ENV = "REPRO_SIM_CACHE"
 

@@ -1,49 +1,73 @@
-"""Compiled execution backend: levelized, slot-indexed, closure-compiled RTL.
+"""Compiled execution backend: levelized, slot-indexed RTL as generated Python.
 
 :func:`compile_design` lowers an elaborated
-:class:`~repro.sim.elaborate.Design` once into a :class:`CompiledDesign`:
+:class:`~repro.sim.elaborate.Design` once into a :class:`CompiledDesign`;
+the staging is resolve, schedule, *then* generate text:
 
 * **slot-indexed state** — every signal resolves to an integer slot in a
   flat list (memories to an index into a list of lists), with widths,
-  masks, and signedness frozen at compile time; the hot path never touches
-  a string-keyed dict;
-* **closure-compiled execution** — expressions and statement bodies lower
-  to nested Python closures that bake in the interpreter's width-context
-  and signedness decisions (no per-eval ``self_width``, no isinstance
-  dispatch); constant subtrees fold to literals at compile time;
+  masks, and signedness frozen at compile time;
 * **levelized scheduling** — the acyclic combinational region is
-  topologically sorted into a single-pass schedule; a fanout-driven dirty
-  set means a poke re-evaluates only the cone of logic it can reach;
-* **bit-level dirty granularity** — continuous assigns that read a
-  static part-select or bit of a wide bus record a per-reader bit mask;
-  out-of-schedule writes (pokes, nonblocking commits, sequential-block
-  overlays) carry the ``old ^ new`` changed-bit mask, and readers whose
-  mask does not intersect are skipped instead of re-evaluated (counter:
-  ``sim.dirty.reader_skips``);
-* **compiled sequential blocks** — edge triggers resolve to precomputed
-  trigger-bit slots, so edge detection snapshots a short list instead of
-  rebuilding a name-keyed dict per poke.
+  topologically sorted into a single-pass schedule, with per-slot
+  reader/writer tables for the dirty set the hand-``poke`` protocol
+  drives;
+* **generated source** — :class:`_SourceCompiler` walks every expression
+  and statement once and emits Python source: every width and signedness
+  decision is taken at emission, constant subtrees fold to int literals,
+  blocking writes live in function locals.  Two forms come of that walk.
+  The **fused** form (levelized designs only) is ``comb(st, mems)`` —
+  every combinational node in schedule order, no dirty set — and one
+  ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that edge's
+  blocks in declaration order, blocking writes committed per block,
+  nonblocking updates held in per-slot locals and committed once after
+  all blocks, then ``comb``; it returns the pre-edge trigger bits when a
+  block moved one.  :meth:`CompiledSimulator.cycle_fn` steps it when the
+  design meets its four preconditions.  The **generic** form is one
+  function per combinational node (returning the pseudo-slots it
+  changed), per sequential block (appending to a shared ordered
+  nonblocking list) and per ``initial`` statement: what ``poke``,
+  ``settle``, the fixpoint fallback, edge cascades and non-levelizing
+  designs run;
+* **lower once, compile lazily** — emission happens inside
+  :func:`compile_design` (so :class:`UncompilableDesign` is raised
+  there); a form is byte-compiled the first time something runs it, so a
+  candidate that only takes the fused kernel never pays for the generic
+  form, and one that rides the numpy lanes pays for neither;
+* **persist by use** — a pickled ``Design`` keeps the image's tables and
+  the marshalled code objects of the forms that ran (guarded by the
+  interpreter's magic number), so a :mod:`repro.sim.cache` hit is an
+  ``exec``, not a re-lowering.  There is deliberately no process-wide
+  memo of code by text or digest: a cold check must stay cold.
+
+**No character of the Verilog source reaches the text**: signals are slot
+numbers, string literals fold to ints, ``$display`` is dropped, the
+``compile()`` filename is a constant, and the functions run with empty
+``__builtins__`` over ``st``, ``mems`` and a fixed set of helpers
+(pinned by ``TestGeneratedTextIsClosed`` in ``tests/test_sim_compile.py``).
 
 The scheduler refuses to levelize regions it cannot order statically —
 combinational cycles, several combinational drivers of one signal, or a
-block that reads a value it also drives.  Those designs keep their
-compiled node bodies but run them under the interpreter's bounded
-full-pass **fixpoint fallback** (same node order, same round bound, same
-``SimulationError`` on non-convergence), so combinational-loop
-classification is identical to the reference backend.  Designs the
-compiler cannot statically *size* at all (e.g. part selects with
-non-constant bounds) raise :class:`UncompilableDesign`; under
-``backend="auto"`` the :class:`~repro.sim.simulator.Simulator` facade
-then falls back to the interpreter entirely.
+block that reads a value it also drives.  Those designs run their generic
+node bodies under the interpreter's bounded full-pass **fixpoint
+fallback** (same node order, same round bound, same ``SimulationError``
+on non-convergence), so combinational-loop classification is identical to
+the reference backend.  Designs the compiler cannot statically *size* at
+all (e.g. part selects with non-constant bounds) raise
+:class:`UncompilableDesign`; under ``backend="auto"`` the
+:class:`~repro.sim.simulator.Simulator` facade then falls back to the
+interpreter entirely.
 
 Cycle-identity with :class:`~repro.sim.simulator.InterpreterSimulator` is
 enforced by differential tests over every ``vgen`` family and the vereval
-problem set (``tests/test_sim_compile.py``).
+problem set (``tests/test_sim_compile.py``; ``TestCycleKernel`` is the
+oracle for the fused form).
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
+import marshal
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -60,11 +84,6 @@ __all__ = [
     "UncompilableDesign",
     "compile_design",
 ]
-
-#: expression closure: (state, mems, overlay, mem_overlay) -> int
-_ExprFn = Callable[..., int]
-#: statement closure: (state, mems, overlay, mem_overlay, nba) -> None
-_StmtFn = Callable[..., None]
 
 
 class UncompilableDesign(Exception):
@@ -110,16 +129,18 @@ class _StaticScope:
         raise SimulationError("memory contents are not compile-time constants")
 
 
-def _commit_nba(st, mems, updates, widths, n_signals, changed,
-                masks=None) -> None:
+# ---------------------------------------------------------------------------
+# Helpers the generated text may call (its whole vocabulary beyond
+# ``st``, ``mems`` and its own locals; see ``CompiledDesign._load``)
+# ---------------------------------------------------------------------------
+
+
+def _commit_nba(st, mems, updates, widths, n_signals, changed) -> None:
     """Commit nonblocking updates; append changed pseudo-slots to ``changed``.
 
     Mirrors ``InterpreterSimulator._commit_nba`` update-for-update.
     Updates are ``(is_mem, slot, lo, width, value)`` tuples; memory
-    changes are reported as pseudo-slot ``n_signals + mem_slot``.  When
-    ``masks`` is a dict it accumulates the changed-bit mask
-    (``old ^ new``) per pseudo-slot for bit-granular dirty marking;
-    memory changes are conservatively all-bits.
+    changes are reported as pseudo-slot ``n_signals + mem_slot``.
     """
     for is_mem, slot, lo, width, value in updates:
         if is_mem:
@@ -129,8 +150,6 @@ def _commit_nba(st, mems, updates, widths, n_signals, changed,
                 if column[lo] != new:
                     column[lo] = new
                     changed.append(n_signals + slot)
-                    if masks is not None:
-                        masks[n_signals + slot] = -1
             continue
         keep = st[slot]
         sig_width = widths[slot]
@@ -144,36 +163,61 @@ def _commit_nba(st, mems, updates, widths, n_signals, changed,
         if new != keep:
             st[slot] = new
             changed.append(slot)
-            if masks is not None:
-                masks[slot] = masks.get(slot, 0) | (keep ^ new)
+
+
+def _parity(value: int) -> int:
+    return bin(value).count("1") & 1
+
+
+def _clog2(value: int) -> int:
+    return 0 if value <= 1 else (value - 1).bit_length()
+
+
+def _sdivmod(a: int, b: int, width: int, want_div: int) -> int:
+    """Signed ``/`` (``want_div``) or ``%`` of two ``width``-bit values,
+    truncating toward zero; division by zero is 0 (two-state X)."""
+    if b == 0:
+        return 0
+    sign_bit = 1 << (width - 1)
+    a = (a ^ sign_bit) - sign_bit
+    b = (b ^ sign_bit) - sign_bit
+    quotient = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        quotient = -quotient
+    result = quotient if want_div else a - b * quotient
+    return result & ((1 << width) - 1)
+
+
+def _loop_error() -> SimulationError:
+    return SimulationError(f"for-loop exceeded {_MAX_LOOP_ITERS} iterations")
+
+
+def _no_body(*_args) -> None:
+    """A sequential block with no statements (any dialect's arguments)."""
+
+
+#: ``compile()`` filename of every generated module: a constant, so no
+#: design-derived string reaches a code object
+_FILENAME = "<repro.sim.compile>"
+
+#: guards marshalled code objects against a different interpreter
+_MAGIC = importlib.util.MAGIC_NUMBER
 
 
 class CompiledDesign:
     """The compile-once execution image of one elaborated design."""
 
-    __slots__ = (
-        "design",
-        "n_signals",
-        "slot_of",
-        "names",
-        "widths",
-        "masks",
-        "mem_of",
-        "mem_names",
-        "mem_widths",
-        "mem_depths",
-        "mem_bases",
-        "comb_count",
-        "nodes",
-        "levelized",
-        "topo",
-        "pos_of",
-        "readers",
-        "read_masks",
-        "writers",
-        "seq",
-        "trigger_slots",
-        "initial",
+    #: what a pickle keeps besides the code objects: the schedule (the
+    #: slot tables are re-read off the design, see :meth:`attach`)
+    _SCHEDULE = (
+        "levelized", "topo", "pos_of", "readers", "writers", "trigger_slots",
+    )
+
+    __slots__ = _SCHEDULE + (
+        "design", "n_signals", "slot_of", "names", "widths", "masks",
+        "mem_of", "mem_names", "mem_widths", "mem_depths", "mem_bases",
+        "comb_count", "nodes", "seq", "initial", "source", "code", "_fused",
+        "_bound",
     )
 
     def __init__(self) -> None:
@@ -190,64 +234,173 @@ class CompiledDesign:
         self.mem_bases: List[int] = []
         self.comb_count = 0
         #: combinational nodes in declaration order; each is a callable
-        #: ``run(st, mems) -> [changed pseudo-slots]``
-        self.nodes: List[Callable] = []
+        #: ``run(st, mems) -> [changed pseudo-slots]`` (``None`` until
+        #: :meth:`generic` binds the generic form)
+        self.nodes: List[Optional[Callable]] = []
         self.levelized = False
         self.topo: List[int] = []     # schedule position -> node index
         self.pos_of: List[int] = []   # node index -> schedule position
         self.readers: Dict[int, Tuple[int, ...]] = {}
-        #: per pseudo-slot, one read-bit mask per entry of ``readers[ps]``
-        #: (-1 = reads any bit); lets bit-granular external writes skip
-        #: readers of untouched bits of a wide bus
-        self.read_masks: Dict[int, Tuple[int, ...]] = {}
         self.writers: Dict[int, Tuple[int, ...]] = {}
-        #: compiled seq blocks: (trigger list [(wanted bit, index)], body fn)
-        self.seq: List[Tuple[List[Tuple[int, int]], _StmtFn]] = []
+        #: seq blocks: (trigger list [(wanted bit, index)], body) with
+        #: ``body(st, mems, nba, changed)`` once :meth:`generic` bound it
+        self.seq: List[Tuple[List[Tuple[int, int]], Optional[Callable]]] = []
         self.trigger_slots: Tuple[int, ...] = ()
-        self.initial: List[_StmtFn] = []
+        #: one ``run(st, mems)`` per non-empty ``initial`` statement
+        self.initial: List[Optional[Callable]] = []
+        #: form (``"fused"`` | ``"generic"``) -> generated Python source;
+        #: empty on an image restored from a pickle
+        self.source: Dict[str, str] = {}
+        #: form -> code object, for the forms something has run
+        self.code: Dict[str, object] = {}
+        self._fused: Optional[dict] = None
+        self._bound = False
+
+    def attach(self, design: Design) -> None:
+        """Resolve ``design``'s signals and memories to slots."""
+        self.design = design
+        self.names = list(design.signals)
+        self.slot_of = {name: slot for slot, name in enumerate(self.names)}
+        self.n_signals = len(self.names)
+        self.widths = [sig.width for sig in design.signals.values()]
+        self.masks = [(1 << width) - 1 for width in self.widths]
+        self.mem_names = list(design.memories)
+        self.mem_of = {name: slot for slot, name in enumerate(self.mem_names)}
+        memories = design.memories.values()
+        self.mem_widths = [memory.width for memory in memories]
+        self.mem_depths = [memory.depth for memory in memories]
+        self.mem_bases = [memory.base for memory in memories]
+        self.comb_count = len(design.comb_assigns) + len(design.comb_blocks)
+
+    # -- the two forms -------------------------------------------------------
+
+    def fused(self) -> dict:
+        """Functions of the fused form by name: ``comb`` (absent when the
+        design has no combinational node) and ``e<pol>_<trigger index>``.
+        Levelized designs only."""
+        if self._fused is None:
+            self._fused = self._load("fused")
+        return self._fused
+
+    def generic(self) -> "CompiledDesign":
+        """Bind the generic form into ``nodes`` / ``seq`` / ``initial``."""
+        if not self._bound:
+            fns = self._load("generic")
+            self.nodes = [fns[f"g{i}"] for i in range(len(self.nodes))]
+            self.seq = [
+                (triggers, fns[f"s{j}"])
+                for j, (triggers, _) in enumerate(self.seq)
+            ]
+            self.initial = [fns[f"i{k}"] for k in range(len(self.initial))]
+            self._bound = True
+        return self
+
+    def _load(self, form: str) -> dict:
+        code = self.code.get(form)
+        if code is None:
+            if form not in self.source:
+                # restored from a pickle whose run never built this form
+                self.source = _lower(self.design).source
+            code = compile(
+                self.source[form], _FILENAME, "exec", dont_inherit=True
+            )
+            self.code[form] = code
+        namespace = {
+            "__builtins__": {},
+            "commit": _commit_nba,
+            "parity": _parity,
+            "clog2": _clog2,
+            "sdivmod": _sdivmod,
+            "loop_error": _loop_error,
+            "W": self.widths,
+            "N": self.n_signals,
+        }
+        exec(code, namespace)
+        return namespace
+
+    # -- persistence ---------------------------------------------------------
+
+    def __getstate__(self):
+        return (
+            [getattr(self, name) for name in self._SCHEDULE],
+            len(self.nodes),
+            [triggers for triggers, _ in self.seq],
+            len(self.initial),
+            _MAGIC,
+            {form: marshal.dumps(code) for form, code in self.code.items()},
+        )
+
+    def __setstate__(self, state) -> None:
+        schedule, nodes, seq, initial, magic, blobs = state
+        self.__init__()  # the owner re-attaches: see compile_design
+        for name, value in zip(self._SCHEDULE, schedule):
+            setattr(self, name, value)
+        self.nodes = [None] * nodes
+        self.seq = [(triggers, None) for triggers in seq]
+        self.initial = [None] * initial
+        # Another interpreter's bytecode is re-emitted on demand; bytes
+        # marshal cannot read raise here, inside the unpickle, where
+        # repro.sim.cache counts the entry corrupt and evicts it.
+        if magic == _MAGIC:
+            self.code = {
+                form: marshal.loads(blob) for form, blob in blobs.items()
+            }
+
+
+def _lower(design: Design) -> CompiledDesign:
+    with obs.span("sim.compile"):
+        compiled = _SourceCompiler(design).compile()
+    obs.count("sim.codegen.emitted")
+    obs.count(
+        "sim.codegen.lines",
+        sum(text.count("\n") for text in compiled.source.values()),
+    )
+    return compiled
 
 
 def compile_design(design: Design) -> CompiledDesign:
     """Compile ``design``, caching the result on the design object.
 
-    The cache is dropped on pickling (``Design.__getstate__``), so designs
-    shipped to process-pool workers recompile locally instead of dragging
-    unpicklable closures along.
+    A pickled ``Design`` carries the image with the code of the forms its
+    run built (see ``Design.__getstate__``), so pool workers and
+    :mod:`repro.sim.cache` hits adopt it here instead of lowering again.
     """
     cached = getattr(design, "_compiled", None)
     if cached is not None:
+        if cached.design is None:
+            cached.attach(design)
+            obs.count("sim.codegen.loaded")
         return cached
-    with obs.span("sim.compile"):
-        compiled = _Compiler(design).compile()
+    compiled = _lower(design)
     design._compiled = compiled
     return compiled
 
 
 # ---------------------------------------------------------------------------
-# Compiler
+# Compiler: resolve and schedule (shared by every dialect)
 # ---------------------------------------------------------------------------
 
 
+
+
 class _Compiler:
+    """Resolve and schedule: static sizing, read/write sets, the levelized
+    order.  What is emitted for each expression and statement is a
+    dialect's business (:class:`_SourceCompiler` here,
+    ``repro.sim.batch._BatchCompiler`` for numpy lanes)."""
+
     def __init__(self, design: Design) -> None:
         self.design = design
-        self.slot_of: Dict[str, int] = {}
-        self.widths: List[int] = []
-        self.signed: List[bool] = []
-        self.mem_of: Dict[str, int] = {}
-        self.mem_widths: List[int] = []
-        self.mem_depths: List[int] = []
-        self.mem_bases: List[int] = []
-        for name, sig in design.signals.items():
-            self.slot_of[name] = len(self.widths)
-            self.widths.append(sig.width)
-            self.signed.append(sig.signed)
-        for name, memory in design.memories.items():
-            self.mem_of[name] = len(self.mem_widths)
-            self.mem_widths.append(memory.width)
-            self.mem_depths.append(memory.depth)
-            self.mem_bases.append(memory.base)
-        self.n_signals = len(self.widths)
+        image = self._image = self._new_image()
+        image.attach(design)
+        self.slot_of = image.slot_of
+        self.widths = image.widths
+        self.signed = [sig.signed for sig in design.signals.values()]
+        self.mem_of = image.mem_of
+        self.mem_widths = image.mem_widths
+        self.mem_depths = image.mem_depths
+        self.mem_bases = image.mem_bases
+        self.n_signals = image.n_signals
         self._static = _StaticScope(self)
 
     # -- static sizing ------------------------------------------------------
@@ -306,409 +459,6 @@ class _Compiler:
             )
         return expr.name
 
-    # -- expression compilation --------------------------------------------
-    #
-    # `_compile_expr` mirrors eval.eval_expr (context-width entry point),
-    # `_compile_operand` mirrors eval._operand (context-determined operand
-    # with sign extension), `_compile_eval` mirrors eval._eval.  Every
-    # width and signedness decision the interpreter takes per evaluation
-    # is taken here once, at compile time.
-
-    def _compile_expr(self, expr: ast.Expr, context_width: int,
-                      ov: bool) -> _ExprFn:
-        width = max(context_width, self._self_width(expr))
-        return self._compile_eval(expr, width, ov)
-
-    def _compile_operand(self, expr: ast.Expr, width: int, ov: bool) -> _ExprFn:
-        own = self._self_width(expr)
-        fn = self._compile_eval(expr, max(own, width), ov)
-        if width <= own:
-            return fn
-        ext_mask = (1 << width) - 1
-        if self._is_signed(expr):
-            own_mask = (1 << own) - 1
-            sign_bit = 1 << (own - 1)
-            own_full = 1 << own
-
-            def signed_ext(st, mems, o, mo, _f=fn):
-                v = _f(st, mems, o, mo) & own_mask
-                if v & sign_bit:
-                    v -= own_full
-                return v & ext_mask
-
-            return signed_ext
-        return lambda st, mems, o, mo, _f=fn: _f(st, mems, o, mo) & ext_mask
-
-    def _emit_read_raw(self, name: str, ov: bool) -> _ExprFn:
-        """Overlay-aware unmasked read of a whole signal."""
-        slot = self._slot(name)
-        if ov:
-            def read(st, mems, o, mo, _s=slot):
-                v = o.get(_s)
-                return st[_s] if v is None else v
-
-            return read
-        return lambda st, mems, o, mo, _s=slot: st[_s]
-
-    def _compile_eval(self, expr: ast.Expr, width: int, ov: bool) -> _ExprFn:
-        if self._is_static(expr):
-            try:
-                value = _ev._eval(expr, self._static, width)
-            except SimulationError as exc:
-                raise UncompilableDesign(str(exc)) from None
-            return lambda st, mems, o, mo, _v=value: _v
-
-        if isinstance(expr, ast.Identifier):
-            name = expr.name
-            if name in self.mem_of:
-                raise UncompilableDesign(
-                    f"memory {name!r} used without an index"
-                )
-            raw = self._emit_read_raw(name, ov)
-            m = self.masks_for(name)
-            return lambda st, mems, o, mo, _f=raw, _m=m: _f(st, mems, o, mo) & _m
-
-        if isinstance(expr, ast.Unary):
-            return self._compile_unary(expr, width, ov)
-        if isinstance(expr, ast.Binary):
-            return self._compile_binary(expr, width, ov)
-        if isinstance(expr, ast.Ternary):
-            cond = self._compile_expr(expr.cond, 0, ov)
-            then = self._compile_operand(expr.then, width, ov)
-            other = self._compile_operand(expr.other, width, ov)
-            return lambda st, mems, o, mo: (
-                then(st, mems, o, mo)
-                if cond(st, mems, o, mo) != 0
-                else other(st, mems, o, mo)
-            )
-        if isinstance(expr, ast.Concat):
-            parts = []
-            offset = 0
-            for part in reversed(expr.parts):
-                pw = self._self_width(part)
-                parts.append((self._compile_eval(part, pw, ov), offset))
-                offset += pw
-            parts.reverse()
-            m = (1 << max(width, 1)) - 1
-
-            def concat(st, mems, o, mo, _parts=tuple(parts), _m=m):
-                out = 0
-                for fn, off in _parts:
-                    out |= fn(st, mems, o, mo) << off
-                return out & _m
-
-            return concat
-        if isinstance(expr, ast.Repeat):
-            times = self._static_int(expr.count)
-            inner_width = self._self_width(expr.inner)
-            inner = self._compile_eval(expr.inner, inner_width, ov)
-            # Replication is multiplication by 0b...0001_0001 (one set bit
-            # per copy, spaced inner_width apart).
-            factor = 0
-            for i in range(times):
-                factor |= 1 << (inner_width * i)
-            m = (1 << max(width, 1)) - 1
-            return lambda st, mems, o, mo: (inner(st, mems, o, mo) * factor) & m
-        if isinstance(expr, ast.Index):
-            return self._compile_index(expr, ov)
-        if isinstance(expr, ast.PartSelect):
-            name = self._base_name(expr.base)
-            msb = self._static_int(expr.msb)
-            lsb = self._static_int(expr.lsb)
-            if msb < lsb:
-                msb, lsb = lsb, msb
-            sel_mask = (1 << (msb - lsb + 1)) - 1
-            raw = self._emit_read_raw(name, ov)
-            return lambda st, mems, o, mo: (raw(st, mems, o, mo) >> lsb) & sel_mask
-        if isinstance(expr, ast.IndexedPartSelect):
-            name = self._base_name(expr.base)
-            start = self._compile_expr(expr.start, 0, ov)
-            sel_width = self._static_int(expr.width)
-            sel_mask = (1 << sel_width) - 1
-            ascending = expr.ascending
-            raw = self._emit_read_raw(name, ov)
-
-            def indexed(st, mems, o, mo):
-                lo = start(st, mems, o, mo)
-                if not ascending:
-                    lo = lo - sel_width + 1
-                if lo < 0:
-                    lo = 0
-                return (raw(st, mems, o, mo) >> lo) & sel_mask
-
-            return indexed
-        if isinstance(expr, ast.SystemCall):
-            return self._compile_system_call(expr, width, ov)
-        raise UncompilableDesign(f"cannot compile {type(expr).__name__}")
-
-    def masks_for(self, name: str) -> int:
-        return (1 << self.widths[self._slot(name)]) - 1
-
-    def _compile_unary(self, expr: ast.Unary, width: int, ov: bool) -> _ExprFn:
-        op = expr.op
-        if op in ("&", "~&", "|", "~|", "^", "~^"):
-            operand_width = self._self_width(expr.operand)
-            fn = self._compile_eval(expr.operand, operand_width, ov)
-            invert = 1 if op.startswith("~") else 0
-            if op in ("&", "~&"):
-                full = (1 << operand_width) - 1
-                return lambda st, mems, o, mo: (
-                    1 if fn(st, mems, o, mo) == full else 0
-                ) ^ invert
-            if op in ("|", "~|"):
-                return lambda st, mems, o, mo: (
-                    1 if fn(st, mems, o, mo) != 0 else 0
-                ) ^ invert
-            return lambda st, mems, o, mo: (
-                bin(fn(st, mems, o, mo)).count("1") & 1
-            ) ^ invert
-        if op == "!":
-            fn = self._compile_expr(expr.operand, 0, ov)
-            return lambda st, mems, o, mo: 0 if fn(st, mems, o, mo) != 0 else 1
-        fn = self._compile_operand(expr.operand, width, ov)
-        m = (1 << width) - 1 if width > 0 else 0
-        if op == "~":
-            return lambda st, mems, o, mo: ~fn(st, mems, o, mo) & m
-        if op == "-":
-            return lambda st, mems, o, mo: -fn(st, mems, o, mo) & m
-        if op == "+":
-            return fn
-        raise UncompilableDesign(f"unsupported unary operator {op!r}")
-
-    def _compile_binary(self, expr: ast.Binary, width: int, ov: bool) -> _ExprFn:
-        op = expr.op
-        if op in ("&&", "||"):
-            lhs = self._compile_expr(expr.lhs, 0, ov)
-            rhs = self._compile_expr(expr.rhs, 0, ov)
-            if op == "&&":
-                return lambda st, mems, o, mo: (
-                    1 if lhs(st, mems, o, mo) != 0 and rhs(st, mems, o, mo) != 0
-                    else 0
-                )
-            return lambda st, mems, o, mo: (
-                1 if lhs(st, mems, o, mo) != 0 or rhs(st, mems, o, mo) != 0
-                else 0
-            )
-        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-            cmp_width = max(
-                self._self_width(expr.lhs), self._self_width(expr.rhs)
-            )
-            signed = self._is_signed(expr.lhs) and self._is_signed(expr.rhs)
-            lhs = self._compile_operand(expr.lhs, cmp_width, ov)
-            rhs = self._compile_operand(expr.rhs, cmp_width, ov)
-            if signed:
-                sign_bit = 1 << (cmp_width - 1)
-                full = 1 << cmp_width
-
-                def operands(st, mems, o, mo):
-                    a = lhs(st, mems, o, mo)
-                    b = rhs(st, mems, o, mo)
-                    if a & sign_bit:
-                        a -= full
-                    if b & sign_bit:
-                        b -= full
-                    return a, b
-            else:
-                def operands(st, mems, o, mo):
-                    return lhs(st, mems, o, mo), rhs(st, mems, o, mo)
-
-            if op in ("==", "==="):
-                def cmp(a, b):
-                    return a == b
-            elif op in ("!=", "!=="):
-                def cmp(a, b):
-                    return a != b
-            elif op == "<":
-                def cmp(a, b):
-                    return a < b
-            elif op == "<=":
-                def cmp(a, b):
-                    return a <= b
-            elif op == ">":
-                def cmp(a, b):
-                    return a > b
-            else:
-                def cmp(a, b):
-                    return a >= b
-
-            def compare(st, mems, o, mo):
-                a, b = operands(st, mems, o, mo)
-                return 1 if cmp(a, b) else 0
-
-            return compare
-        if op in ("<<", ">>", "<<<", ">>>"):
-            lhs = self._compile_operand(expr.lhs, width, ov)
-            amount_fn = self._compile_expr(expr.rhs, 0, ov)
-            clamp = max(width, 1) + 64
-            m = (1 << width) - 1 if width > 0 else 0
-            if op in ("<<", "<<<"):
-                def shl(st, mems, o, mo):
-                    amount = amount_fn(st, mems, o, mo)
-                    if amount >= clamp:
-                        amount = clamp
-                    return (lhs(st, mems, o, mo) << amount) & m
-
-                return shl
-            if op == ">>>" and self._is_signed(expr.lhs):
-                sign_bit = 1 << (width - 1)
-                full = 1 << width
-
-                def sra(st, mems, o, mo):
-                    amount = amount_fn(st, mems, o, mo)
-                    if amount >= clamp:
-                        amount = clamp
-                    v = lhs(st, mems, o, mo) & m
-                    if v & sign_bit:
-                        v -= full
-                    return (v >> amount) & m
-
-                return sra
-
-            def shr(st, mems, o, mo):
-                amount = amount_fn(st, mems, o, mo)
-                if amount >= clamp:
-                    amount = clamp
-                return lhs(st, mems, o, mo) >> amount
-
-            return shr
-        if op == "**":
-            base = self._compile_operand(expr.lhs, width, ov)
-            exp_fn = self._compile_expr(expr.rhs, 0, ov)
-            m = (1 << width) - 1 if width > 0 else 0
-
-            def power(st, mems, o, mo):
-                exponent = exp_fn(st, mems, o, mo)
-                if exponent > 64:
-                    exponent = 64
-                return (base(st, mems, o, mo) ** exponent) & m
-
-            return power
-
-        signed = self._is_signed(expr.lhs) and self._is_signed(expr.rhs)
-        lhs = self._compile_operand(expr.lhs, width, ov)
-        rhs = self._compile_operand(expr.rhs, width, ov)
-        m = (1 << width) - 1 if width > 0 else 0
-        if op == "+":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) + rhs(st, mems, o, mo)
-            ) & m
-        if op == "-":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) - rhs(st, mems, o, mo)
-            ) & m
-        if op == "*":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) * rhs(st, mems, o, mo)
-            ) & m
-        if op in ("/", "%"):
-            want_div = op == "/"
-            if signed:
-                sign_bit = 1 << (width - 1)
-                full = 1 << width
-
-                def signed_divmod(st, mems, o, mo):
-                    a = lhs(st, mems, o, mo)
-                    b = rhs(st, mems, o, mo)
-                    if b == 0:
-                        return 0  # two-state stand-in for X
-                    if a & sign_bit:
-                        a -= full
-                    if b & sign_bit:
-                        b -= full
-                    quotient = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        quotient = -quotient
-                    if want_div:
-                        return quotient & m
-                    return (a - b * quotient) & m
-
-                return signed_divmod
-
-            def divmod_fn(st, mems, o, mo):
-                b = rhs(st, mems, o, mo)
-                if b == 0:
-                    return 0  # two-state stand-in for X
-                a = lhs(st, mems, o, mo)
-                return (a // b if want_div else a % b) & m
-
-            return divmod_fn
-        if op == "&":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) & rhs(st, mems, o, mo)
-            )
-        if op == "|":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) | rhs(st, mems, o, mo)
-            )
-        if op == "^":
-            return lambda st, mems, o, mo: (
-                lhs(st, mems, o, mo) ^ rhs(st, mems, o, mo)
-            )
-        if op in ("^~", "~^"):
-            return lambda st, mems, o, mo: ~(
-                lhs(st, mems, o, mo) ^ rhs(st, mems, o, mo)
-            ) & m
-        raise UncompilableDesign(f"unsupported binary operator {op!r}")
-
-    def _compile_index(self, expr: ast.Index, ov: bool) -> _ExprFn:
-        name = self._base_name(expr.base)
-        index_fn = self._compile_expr(expr.index, 0, ov)
-        mem_slot = self.mem_of.get(name)
-        if mem_slot is not None:
-            base = self.mem_bases[mem_slot]
-            depth = self.mem_depths[mem_slot]
-            if ov:
-                def read_mem(st, mems, o, mo, _ms=mem_slot):
-                    idx = index_fn(st, mems, o, mo) - base
-                    if idx < 0 or idx >= depth:
-                        return 0  # out-of-range read: two-state X
-                    v = mo.get((_ms, idx))
-                    return mems[_ms][idx] if v is None else v
-
-                return read_mem
-
-            def read_mem_direct(st, mems, o, mo, _ms=mem_slot):
-                idx = index_fn(st, mems, o, mo) - base
-                if idx < 0 or idx >= depth:
-                    return 0
-                return mems[_ms][idx]
-
-            return read_mem_direct
-        raw = self._emit_read_raw(name, ov)
-        sig_width = self.widths[self._slot(name)]
-
-        def read_bit(st, mems, o, mo):
-            idx = index_fn(st, mems, o, mo)
-            if idx >= sig_width:
-                return 0  # out-of-range select reads as 0 (two-state X)
-            return (raw(st, mems, o, mo) >> idx) & 1
-
-        return read_bit
-
-    def _compile_system_call(self, expr: ast.SystemCall, width: int,
-                             ov: bool) -> _ExprFn:
-        name = expr.name
-        if name in ("$signed", "$unsigned"):
-            if len(expr.args) != 1:
-                raise UncompilableDesign(f"{name} takes exactly one argument")
-            return self._compile_operand(expr.args[0], width, ov)
-        if name == "$clog2":
-            if len(expr.args) != 1:
-                raise UncompilableDesign("$clog2 takes exactly one argument")
-            arg = self._compile_expr(expr.args[0], 0, ov)
-
-            def clog2(st, mems, o, mo):
-                value = arg(st, mems, o, mo)
-                if value <= 1:
-                    return 0
-                return (value - 1).bit_length()
-
-            return clog2
-        if name in ("$time", "$stime", "$realtime"):
-            return lambda st, mems, o, mo: 0
-        raise UncompilableDesign(f"unsupported system function {name!r}")
-
-    # -- lvalue compilation -------------------------------------------------
 
     def _lvalue_width(self, target: ast.Expr) -> int:
         if isinstance(target, ast.Identifier):
@@ -734,411 +484,6 @@ class _Compiler:
             f"invalid assignment target {type(target).__name__}"
         )
 
-    def _compile_proc_write(self, target: ast.Expr, blocking: bool):
-        """Procedural write closure: (st, mems, ov, mov, nba, value)."""
-        if isinstance(target, ast.Concat):
-            widths = [self._lvalue_width(p) for p in target.parts]
-            total = sum(widths)
-            writers = []
-            offset = total
-            for part, part_width in zip(target.parts, widths):
-                offset -= part_width
-                part_mask = (1 << part_width) - 1
-                writers.append(
-                    (self._compile_proc_write(part, blocking), offset, part_mask)
-                )
-
-            def write_concat(st, mems, o, mo, nba, value):
-                for writer, off, pm in writers:
-                    writer(st, mems, o, mo, nba, (value >> off) & pm)
-
-            return write_concat
-
-        if isinstance(target, ast.Identifier):
-            slot = self._slot(target.name)
-            if target.name in self.mem_of:
-                raise UncompilableDesign(
-                    f"cannot assign whole memory {target.name!r}"
-                )
-            width = self.widths[slot]
-            m = (1 << width) - 1
-            if blocking:
-                def write_full(st, mems, o, mo, nba, value):
-                    o[slot] = value & m
-
-                return write_full
-
-            def nba_full(st, mems, o, mo, nba, value):
-                nba.append((False, slot, 0, width, value))
-
-            return nba_full
-
-        if isinstance(target, ast.Index):
-            name = self._base_name(target.base)
-            index_fn = self._compile_expr(target.index, 0, True)
-            mem_slot = self.mem_of.get(name)
-            if mem_slot is not None:
-                base = self.mem_bases[mem_slot]
-                depth = self.mem_depths[mem_slot]
-                mem_width = self.mem_widths[mem_slot]
-                mem_mask = (1 << mem_width) - 1
-                if blocking:
-                    def write_mem(st, mems, o, mo, nba, value):
-                        idx = index_fn(st, mems, o, mo) - base
-                        if idx < 0 or idx >= depth:
-                            return  # out-of-range write ignored
-                        mo[(mem_slot, idx)] = value & mem_mask
-
-                    return write_mem
-
-                def nba_mem(st, mems, o, mo, nba, value):
-                    idx = index_fn(st, mems, o, mo) - base
-                    if idx < 0 or idx >= depth:
-                        return
-                    nba.append((True, mem_slot, idx, mem_width, value & mem_mask))
-
-                return nba_mem
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            return self._emit_field_write(
-                slot, sig_width, index_fn, 1, blocking, runtime_lo=True
-            )
-
-        if isinstance(target, ast.PartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            msb = self._static_int(target.msb)
-            lsb = self._static_int(target.lsb)
-            if msb < lsb:
-                msb, lsb = lsb, msb
-            width = msb - lsb + 1
-            return self._emit_field_write(
-                slot, sig_width, lsb, width, blocking, runtime_lo=False
-            )
-
-        if isinstance(target, ast.IndexedPartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            width = self._static_int(target.width)
-            start_fn = self._compile_expr(target.start, 0, True)
-            ascending = target.ascending
-
-            def lo_fn(st, mems, o, mo):
-                start = start_fn(st, mems, o, mo)
-                lo = start if ascending else start - width + 1
-                return lo if lo > 0 else 0
-
-            return self._emit_field_write(
-                slot, sig_width, lo_fn, width, blocking, runtime_lo=True
-            )
-
-        raise UncompilableDesign(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
-    def _emit_field_write(self, slot, sig_width, lo, width, blocking,
-                          runtime_lo):
-        """Bit/part write to a signal; mirrors _write_lvalue's field path.
-
-        ``lo`` is an int when static, else a closure.  The interpreter's
-        "full write" shortcut fires when ``lo == 0 and width >= sig_width``;
-        for runtime ``lo`` that choice is made per execution.
-        """
-        value_mask = (1 << width) - 1
-        sig_mask = (1 << sig_width) - 1
-        raw = None
-        if blocking:
-            # Blocking field writes merge with the overlay-aware current
-            # value (unmasked, as the interpreter reads it).
-            def read_current(st, o, _s=slot):
-                v = o.get(_s)
-                return st[_s] if v is None else v
-
-            raw = read_current
-
-        if not runtime_lo:
-            if lo == 0 and width >= sig_width:
-                if blocking:
-                    def write_full(st, mems, o, mo, nba, value):
-                        o[slot] = value & sig_mask
-
-                    return write_full
-
-                def nba_full(st, mems, o, mo, nba, value):
-                    nba.append((False, slot, 0, width, value))
-
-                return nba_full
-            field_mask = value_mask << lo
-            keep_mask = ~field_mask
-            if blocking:
-                def write_field(st, mems, o, mo, nba, value):
-                    o[slot] = (raw(st, o) & keep_mask) | (
-                        ((value & value_mask) << lo) & field_mask
-                    )
-
-                return write_field
-
-            def nba_field(st, mems, o, mo, nba, value):
-                nba.append((False, slot, lo, width, value))
-
-            return nba_field
-
-        lo_fn = lo
-        if blocking:
-            def write_dynamic(st, mems, o, mo, nba, value):
-                at = lo_fn(st, mems, o, mo)
-                if at == 0 and width >= sig_width:
-                    o[slot] = value & sig_mask
-                    return
-                field_mask = value_mask << at
-                o[slot] = (raw(st, o) & ~field_mask) | (
-                    ((value & value_mask) << at) & field_mask
-                )
-
-            return write_dynamic
-
-        def nba_dynamic(st, mems, o, mo, nba, value):
-            nba.append((False, slot, lo_fn(st, mems, o, mo), width, value))
-
-        return nba_dynamic
-
-    def _compile_direct_write(self, target: ast.Expr):
-        """Continuous-assign write: (st, mems, value, changed) with
-        name-level change detection appended to ``changed``."""
-        if isinstance(target, ast.Concat):
-            widths = [self._lvalue_width(p) for p in target.parts]
-            total = sum(widths)
-            writers = []
-            offset = total
-            for part, part_width in zip(target.parts, widths):
-                offset -= part_width
-                part_mask = (1 << part_width) - 1
-                writers.append(
-                    (self._compile_direct_write(part), offset, part_mask)
-                )
-
-            def write_concat(st, mems, value, changed):
-                for writer, off, pm in writers:
-                    writer(st, mems, (value >> off) & pm, changed)
-
-            return write_concat
-
-        if isinstance(target, ast.Identifier):
-            if target.name in self.mem_of:
-                raise UncompilableDesign(
-                    f"cannot assign whole memory {target.name!r}"
-                )
-            slot = self._slot(target.name)
-            m = (1 << self.widths[slot]) - 1
-
-            def write_full(st, mems, value, changed):
-                new = value & m
-                if st[slot] != new:
-                    st[slot] = new
-                    changed.append(slot)
-
-            return write_full
-
-        if isinstance(target, ast.Index):
-            name = self._base_name(target.base)
-            if name in self.mem_of:
-                # The interpreter raises SimulationError when this runs;
-                # refusing to compile routes "auto" to the interpreter,
-                # which reproduces that exact behaviour.
-                raise UncompilableDesign(
-                    "continuous assignment to memory element is not supported"
-                )
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            index_fn = self._compile_expr(target.index, 0, False)
-            return self._emit_direct_field(slot, sig_width, index_fn, 1, True)
-
-        if isinstance(target, ast.PartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            msb = self._static_int(target.msb)
-            lsb = self._static_int(target.lsb)
-            if msb < lsb:
-                msb, lsb = lsb, msb
-            return self._emit_direct_field(
-                slot, sig_width, lsb, msb - lsb + 1, False
-            )
-
-        if isinstance(target, ast.IndexedPartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            width = self._static_int(target.width)
-            start_fn = self._compile_expr(target.start, 0, False)
-            ascending = target.ascending
-
-            def lo_fn(st, mems, o, mo):
-                start = start_fn(st, mems, o, mo)
-                lo = start if ascending else start - width + 1
-                return lo if lo > 0 else 0
-
-            return self._emit_direct_field(slot, sig_width, lo_fn, width, True)
-
-        raise UncompilableDesign(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
-    def _emit_direct_field(self, slot, sig_width, lo, width, runtime_lo):
-        value_mask = (1 << width) - 1
-        sig_mask = (1 << sig_width) - 1
-
-        if not runtime_lo:
-            if lo == 0 and width >= sig_width:
-                def write_full(st, mems, value, changed):
-                    new = value & sig_mask
-                    if st[slot] != new:
-                        st[slot] = new
-                        changed.append(slot)
-
-                return write_full
-            field_mask = value_mask << lo
-            keep_mask = ~field_mask
-
-            def write_field(st, mems, value, changed):
-                full = st[slot]
-                new = (full & keep_mask) | (
-                    ((value & value_mask) << lo) & field_mask
-                )
-                if new != full:
-                    st[slot] = new
-                    changed.append(slot)
-
-            return write_field
-
-        lo_fn = lo
-
-        def write_dynamic(st, mems, value, changed):
-            at = lo_fn(st, mems, None, None)
-            full = st[slot]
-            if at == 0 and width >= sig_width:
-                new = value & sig_mask
-            else:
-                field_mask = value_mask << at
-                new = (full & ~field_mask) | (
-                    ((value & value_mask) << at) & field_mask
-                )
-            if new != full:
-                st[slot] = new
-                changed.append(slot)
-
-        return write_dynamic
-
-    # -- statement compilation ----------------------------------------------
-
-    def _compile_stmt(self, stmt: ast.Stmt) -> Optional[_StmtFn]:
-        if isinstance(stmt, ast.Block):
-            compiled = [
-                fn
-                for fn in (self._compile_stmt(s) for s in stmt.stmts)
-                if fn is not None
-            ]
-            if not compiled:
-                return None
-            if len(compiled) == 1:
-                return compiled[0]
-            steps = tuple(compiled)
-
-            def block(st, mems, o, mo, nba):
-                for step in steps:
-                    step(st, mems, o, mo, nba)
-
-            return block
-        if isinstance(stmt, ast.Assign):
-            lvalue_width = self._lvalue_width(stmt.target)
-            value_fn = self._compile_expr(stmt.value, lvalue_width, True)
-            writer = self._compile_proc_write(stmt.target, stmt.blocking)
-
-            def assign(st, mems, o, mo, nba):
-                writer(st, mems, o, mo, nba, value_fn(st, mems, o, mo))
-
-            return assign
-        if isinstance(stmt, ast.If):
-            cond = self._compile_expr(stmt.cond, 0, True)
-            then = self._compile_stmt(stmt.then)
-            other = self._compile_stmt(stmt.other) if stmt.other else None
-
-            def branch(st, mems, o, mo, nba):
-                if cond(st, mems, o, mo) != 0:
-                    if then is not None:
-                        then(st, mems, o, mo, nba)
-                elif other is not None:
-                    other(st, mems, o, mo, nba)
-
-            return branch
-        if isinstance(stmt, ast.Case):
-            return self._compile_case(stmt)
-        if isinstance(stmt, ast.For):
-            init = self._compile_stmt(stmt.init)
-            cond = self._compile_expr(stmt.cond, 0, True)
-            step = self._compile_stmt(stmt.step)
-            body = self._compile_stmt(stmt.body)
-
-            def loop(st, mems, o, mo, nba):
-                if init is not None:
-                    init(st, mems, o, mo, nba)
-                iterations = 0
-                while cond(st, mems, o, mo) != 0:
-                    if body is not None:
-                        body(st, mems, o, mo, nba)
-                    if step is not None:
-                        step(st, mems, o, mo, nba)
-                    iterations += 1
-                    if iterations > _MAX_LOOP_ITERS:
-                        raise SimulationError(
-                            f"for-loop exceeded {_MAX_LOOP_ITERS} iterations"
-                        )
-
-            return loop
-        if isinstance(stmt, (ast.NullStmt, ast.SystemTaskCall)):
-            return None
-        raise UncompilableDesign(f"cannot compile {type(stmt).__name__}")
-
-    def _compile_case(self, stmt: ast.Case) -> _StmtFn:
-        # Same hoisted sizing as the interpreter's _exec_case: one subject
-        # evaluation at the max width over subject and all labels.
-        width = self._self_width(stmt.subject)
-        for item in stmt.items:
-            for label in item.labels:
-                label_width = self._self_width(label)
-                if label_width > width:
-                    width = label_width
-        subject_fn = self._compile_eval(stmt.subject, width, True)
-        wildcard_kind = stmt.kind in ("casez", "casex")
-        arms = []
-        default_fn: Optional[_StmtFn] = None
-        for item in stmt.items:
-            body = self._compile_stmt(item.body)
-            if item.is_default:
-                default_fn = body  # last default wins, as in the interpreter
-                continue
-            for label in item.labels:
-                wildcard = 0
-                if wildcard_kind and isinstance(label, ast.Number):
-                    wildcard = label.unknown_mask
-                arms.append(
-                    (self._compile_eval(label, width, True), ~wildcard, body)
-                )
-        arms_t = tuple(arms)
-
-        def case(st, mems, o, mo, nba):
-            subject = subject_fn(st, mems, o, mo)
-            for label_fn, care, body in arms_t:
-                if (subject & care) == (label_fn(st, mems, o, mo) & care):
-                    if body is not None:
-                        body(st, mems, o, mo, nba)
-                    return
-            if default_fn is not None:
-                default_fn(st, mems, o, mo, nba)
-
-        return case
 
     # -- read/write-set analysis ---------------------------------------------
     #
@@ -1210,120 +555,6 @@ class _Compiler:
             return
         raise UncompilableDesign(f"cannot analyse {type(expr).__name__}")
 
-    def _expr_read_masks(self, expr: ast.Expr,
-                         masks: Dict[int, int]) -> None:
-        """Accumulate per-pseudo-slot *bit* read masks for one expression.
-
-        The bit-granular companion of :meth:`_expr_reads` for continuous
-        assigns: a static part-select or bit index of a signal records
-        only the bits it actually reads, everything else records -1 (any
-        bit).  Memories are always -1 — words have no per-bit dirty
-        tracking.  ``-1 | x == -1`` keeps accumulation a plain OR.
-        """
-        if isinstance(expr, (ast.Number, ast.StringLiteral)):
-            return
-        if isinstance(expr, ast.Identifier):
-            if expr.name in self.mem_of:
-                masks[self._mem_pseudo(expr.name)] = -1
-            else:
-                masks[self._slot(expr.name)] = -1
-            return
-        if isinstance(expr, ast.Unary):
-            self._expr_read_masks(expr.operand, masks)
-            return
-        if isinstance(expr, ast.Binary):
-            self._expr_read_masks(expr.lhs, masks)
-            self._expr_read_masks(expr.rhs, masks)
-            return
-        if isinstance(expr, ast.Ternary):
-            self._expr_read_masks(expr.cond, masks)
-            self._expr_read_masks(expr.then, masks)
-            self._expr_read_masks(expr.other, masks)
-            return
-        if isinstance(expr, ast.Concat):
-            for part in expr.parts:
-                self._expr_read_masks(part, masks)
-            return
-        if isinstance(expr, ast.Repeat):
-            self._expr_read_masks(expr.count, masks)
-            self._expr_read_masks(expr.inner, masks)
-            return
-        if isinstance(expr, ast.Index):
-            name = self._base_name(expr.base)
-            if name in self.mem_of:
-                masks[self._mem_pseudo(name)] = -1
-            else:
-                slot = self._slot(name)
-                if self._is_static(expr.index):
-                    index = self._static_int(expr.index)
-                    bit = (
-                        1 << index
-                        if 0 <= index < self.widths[slot]
-                        else 0  # out-of-range bit reads as constant 0
-                    )
-                    masks[slot] = masks.get(slot, 0) | bit
-                else:
-                    masks[slot] = -1
-            self._expr_read_masks(expr.index, masks)
-            return
-        if isinstance(expr, ast.PartSelect):
-            name = self._base_name(expr.base)
-            slot = self._slot(name)
-            if self._is_static(expr.msb) and self._is_static(expr.lsb):
-                msb = self._static_int(expr.msb)
-                lsb = self._static_int(expr.lsb)
-                if msb < lsb:
-                    msb, lsb = lsb, msb
-                field = ((1 << (msb - lsb + 1)) - 1) << max(lsb, 0)
-                masks[slot] = masks.get(slot, 0) | field
-            else:
-                masks[slot] = -1
-            self._expr_read_masks(expr.msb, masks)
-            self._expr_read_masks(expr.lsb, masks)
-            return
-        if isinstance(expr, ast.IndexedPartSelect):
-            name = self._base_name(expr.base)
-            slot = self._slot(name)
-            if self._is_static(expr.start) and self._is_static(expr.width):
-                start = self._static_int(expr.start)
-                width = self._static_int(expr.width)
-                if not expr.ascending:
-                    start = start - width + 1
-                field = ((1 << max(width, 0)) - 1) << max(start, 0)
-                masks[slot] = masks.get(slot, 0) | field
-            else:
-                masks[slot] = -1
-            self._expr_read_masks(expr.start, masks)
-            self._expr_read_masks(expr.width, masks)
-            return
-        if isinstance(expr, ast.SystemCall):
-            for arg in expr.args:
-                self._expr_read_masks(arg, masks)
-            return
-        raise UncompilableDesign(f"cannot analyse {type(expr).__name__}")
-
-    def _assign_read_masks(self, assign,
-                           reads: Set[int]) -> Dict[int, int]:
-        """Read-bit masks for one continuous assign, aligned to ``reads``.
-
-        Value-side reads get precise masks where statically known; reads
-        contributed by the lvalue (dynamic index expressions, the
-        self-read of a partial write) stay conservatively -1.  Any slot
-        the mask walk could not classify defaults to -1, so this can
-        only ever *narrow* the dirty set, never starve it.
-        """
-        masks: Dict[int, int] = {}
-        try:
-            self._expr_read_masks(assign.value, masks)
-        except UncompilableDesign:
-            masks = {}
-        lvalue_reads: Set[int] = set()
-        self._lvalue_effects(
-            assign.target, True, set(), lvalue_reads, set()
-        )
-        for ps in lvalue_reads:
-            masks[ps] = -1
-        return {ps: masks.get(ps, -1) for ps in reads}
 
     def _lvalue_effects(self, target: ast.Expr, blocking: bool,
                         written: Set[str], reads: Set[int],
@@ -1427,61 +658,23 @@ class _Compiler:
             return
         raise UncompilableDesign(f"cannot analyse {type(stmt).__name__}")
 
-    # -- node assembly -------------------------------------------------------
-
-    def _build_assign_node(self, assign):
-        lvalue_width = self._lvalue_width(assign.target)
-        value_fn = self._compile_expr(assign.value, lvalue_width, False)
-        writer = self._compile_direct_write(assign.target)
-
-        def run(st, mems):
-            changed: List[int] = []
-            writer(st, mems, value_fn(st, mems, None, None), changed)
-            return changed
-
-        reads: Set[int] = set()
-        writes: Set[int] = set()
-        self._expr_reads(assign.value, set(), reads)
-        self._lvalue_effects(assign.target, True, set(), reads, writes)
-        return run, reads, writes
-
-    def _build_block_node(self, block):
-        body = self._compile_stmt(block.body)
-        n_signals = self.n_signals
-        widths = self.widths
-
-        if body is None:
-            def run_empty(st, mems):
-                return ()
-
-            return run_empty, set(), set()
-
-        def run(st, mems):
-            overlay: Dict[int, int] = {}
-            mem_overlay: Dict[Tuple[int, int], int] = {}
-            nba: List[tuple] = []
-            body(st, mems, overlay, mem_overlay, nba)
-            changed: List[int] = []
-            for slot, value in overlay.items():
-                if st[slot] != value:
-                    st[slot] = value
-                    changed.append(slot)
-            if mem_overlay:
-                for (mem_slot, idx), value in mem_overlay.items():
-                    column = mems[mem_slot]
-                    if column[idx] != value:
-                        column[idx] = value
-                        changed.append(n_signals + mem_slot)
-            if nba:
-                _commit_nba(st, mems, nba, widths, n_signals, changed)
-            return changed
-
-        reads: Set[int] = set()
-        writes: Set[int] = set()
-        self._stmt_effects(block.body, set(), reads, writes)
-        return run, reads, writes
 
     # -- top-level compile ---------------------------------------------------
+    #
+    # A dialect supplies the emit half: `_compile_eval` and its helpers
+    # (expressions), `_compile_stmt` (a procedural body, or None when it
+    # holds no statement) and `_build_assign_node` / `_build_block_node`
+    # (a combinational node plus its read and write sets).  What they
+    # return is the dialect's own: source text here, closures over numpy
+    # lanes in repro.sim.batch.
+
+    def _compile_expr(self, expr: ast.Expr, context_width: int, ov: bool):
+        """Mirror of ``eval.eval_expr``: the context-width entry point."""
+        width = max(context_width, self._self_width(expr))
+        return self._compile_eval(expr, width, ov)
+
+    def masks_for(self, name: str) -> int:
+        return (1 << self.widths[self._slot(name)]) - 1
 
     def _new_image(self) -> CompiledDesign:
         """Execution-image factory; the batch compiler returns its own."""
@@ -1489,36 +682,20 @@ class _Compiler:
 
     def compile(self) -> CompiledDesign:
         design = self.design
-        cd = self._new_image()
-        cd.design = design
-        cd.n_signals = self.n_signals
-        cd.slot_of = self.slot_of
-        cd.names = list(design.signals)
-        cd.widths = self.widths
-        cd.masks = [(1 << w) - 1 for w in self.widths]
-        cd.mem_of = self.mem_of
-        cd.mem_names = list(design.memories)
-        cd.mem_widths = self.mem_widths
-        cd.mem_depths = self.mem_depths
-        cd.mem_bases = self.mem_bases
-        cd.comb_count = len(design.comb_assigns) + len(design.comb_blocks)
+        cd = self._image
 
         node_reads: List[Set[int]] = []
         node_writes: List[Set[int]] = []
-        node_read_masks: List[Dict[int, int]] = []
         for assign in design.comb_assigns:
             run, reads, writes = self._build_assign_node(assign)
             cd.nodes.append(run)
             node_reads.append(reads)
             node_writes.append(writes)
-            node_read_masks.append(self._assign_read_masks(assign, reads))
         for block in design.comb_blocks:
             run, reads, writes = self._build_block_node(block)
             cd.nodes.append(run)
             node_reads.append(reads)
             node_writes.append(writes)
-            # Blocks read under control flow: conservatively any bit.
-            node_read_masks.append({ps: -1 for ps in reads})
 
         # Sequential blocks + trigger-bit slots.
         trigger_names = sorted(
@@ -1532,26 +709,21 @@ class _Compiler:
         cd.trigger_slots = tuple(trigger_slots)
         for block in design.seq_blocks:
             body = self._compile_stmt(block.body)
-            if body is None:
-                # Extra args absorb the batch backend's lane predicate.
-                def body(st, mems, o, mo, nba, *_pred):  # noqa: E731
-                    return None
             triggers = [
                 (1 if edge == "posedge" else 0, trigger_index[name])
                 for edge, name in block.triggers
             ]
-            cd.seq.append((triggers, body))
+            cd.seq.append((triggers, _no_body if body is None else body))
 
         for stmt in design.initial_stmts:
             fn = self._compile_stmt(stmt)
             if fn is not None:
                 cd.initial.append(fn)
 
-        self._schedule(cd, node_reads, node_writes, node_read_masks)
+        self._schedule(cd, node_reads, node_writes)
         return cd
 
-    def _schedule(self, cd: CompiledDesign, node_reads, node_writes,
-                  node_read_masks=None) -> None:
+    def _schedule(self, cd: CompiledDesign, node_reads, node_writes) -> None:
         """Levelize the comb region; fall back to fixpoint order if the
         static scheduler cannot order it (cycle, multi-driver, self-dep)."""
         n = len(cd.nodes)
@@ -1564,14 +736,6 @@ class _Compiler:
                 readers.setdefault(ps, []).append(i)
         cd.readers = {ps: tuple(nodes) for ps, nodes in readers.items()}
         cd.writers = {ps: tuple(nodes) for ps, nodes in writers.items()}
-        if node_read_masks is not None:
-            cd.read_masks = {
-                ps: tuple(node_read_masks[i].get(ps, -1) for i in nodes)
-                for ps, nodes in readers.items()
-                # All-readers-read-all-bits slots need no mask row; the
-                # runtime treats a missing entry as -1 for every reader.
-                if any(node_read_masks[i].get(ps, -1) != -1 for i in nodes)
-            }
 
         levelized = all(len(nodes) == 1 for nodes in writers.values())
         succs: List[Set[int]] = [set() for _ in range(n)]
@@ -1608,6 +772,840 @@ class _Compiler:
 
 
 # ---------------------------------------------------------------------------
+# The scalar dialect: Python source text
+# ---------------------------------------------------------------------------
+
+#: every this-many levels of expression nesting, an operand is spilled to
+#: a temporary on its own line: CPython refuses ~200 nested parentheses,
+#: and an emitted level costs at most four
+_SPILL_EVERY = 24
+
+
+class _Body:
+    """One procedural body (comb block, seq block, ``initial`` statement)
+    lowered to lines: ``str`` entries are final, tuples are nonblocking
+    signal writes ``(pad, slot, lo, width, value)`` that each form renders
+    its own way (:meth:`_SourceCompiler._render`)."""
+
+    __slots__ = ("blocking", "mem_blocking", "nonblocking", "mem_nba", "lines")
+
+    def __init__(self) -> None:
+        #: signal slots some statement writes with ``=``: function locals
+        self.blocking: Set[int] = set()
+        #: memories some statement writes with ``=``: a local overlay dict
+        self.mem_blocking: Set[int] = set()
+        #: signal slots some statement writes with ``<=``
+        self.nonblocking: Set[int] = set()
+        #: whether a memory word is written with ``<=`` (always listed)
+        self.mem_nba = False
+        self.lines: list = []
+
+
+def _mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+def _and(text: str, mask: int) -> str:
+    """``text & mask``, folded when ``text`` is a literal."""
+    if text.isdigit():
+        return str(int(text) & mask)
+    return f"{text} & {mask}"
+
+
+class _SourceCompiler(_Compiler):
+    """Emits the design as Python source (see the module docstring).
+
+    Expression emitters return an expression string that is an atom or
+    parenthesized, whose value is a nonnegative int below ``2 ** width``
+    (comparisons and logical operators return ``bool``, which every store
+    turns back into ``int`` by masking).  They mirror ``eval._eval`` /
+    ``eval._operand`` decision for decision.  Statement emitters return
+    indented lines.  Names in the text: ``st`` / ``mems`` (state),
+    ``b<slot>`` (blocking local), ``n<slot>`` (pending nonblocking
+    value), ``s<k>`` (pre-edge trigger bit), ``t<k>`` / ``v`` / ``k``
+    (temporaries), ``mo`` (blocking memory overlay), ``nba`` / ``ch``
+    (ordered nonblocking list, changed pseudo-slots) and the helpers
+    ``CompiledDesign._load`` binds.
+    """
+
+    def __init__(self, design: Design) -> None:
+        super().__init__(design)
+        self._temps = 0
+        self._depth = 0
+        #: temporaries spilled by the expression being emitted, to be
+        #: placed on their own lines before the statement that uses it
+        self._pre: List[str] = []
+        #: the body being emitted (an empty one between bodies)
+        self._body = _Body()
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def _flush(self, pad: str) -> List[str]:
+        lines = [pad + line for line in self._pre]
+        self._pre.clear()
+        return lines
+
+    def _atom(self, text: str) -> str:
+        """``text`` if it is a name or literal, else a temporary bound to
+        it (for operands the emitted code mentions more than once)."""
+        if text.isalnum():
+            return text
+        temp = self._temp()
+        self._pre.append(f"{temp} = {text}")
+        return temp
+
+    # -- expressions ---------------------------------------------------------
+
+    def _raw(self, name: str) -> str:
+        """Unmasked read of a whole signal: its blocking local inside a
+        body that writes it with ``=``.  (Which body is being emitted
+        decides that; the ``ov`` flag threaded through the emitters is
+        the lane dialect's, where it selects an overlay lookup.)"""
+        slot = self._slot(name)
+        return f"b{slot}" if slot in self._body.blocking else f"st[{slot}]"
+
+    def _compile_operand(self, expr: ast.Expr, width: int, ov: bool) -> str:
+        own = self._self_width(expr)
+        text = self._compile_eval(expr, max(own, width), ov)
+        if width <= own:
+            return text
+        if self._is_signed(expr):
+            sign_bit = 1 << (own - 1)
+            if text.isdigit():
+                value = ((int(text) & _mask(own)) ^ sign_bit) - sign_bit
+                return str(value & _mask(width))
+            return (
+                f"(({text} & {_mask(own)} ^ {sign_bit}) - {sign_bit}"
+                f" & {_mask(width)})"
+            )
+        # Zero-extension is the value itself: `text` was evaluated at
+        # `width` and is below 2 ** width already.
+        return text
+
+    def _compile_eval(self, expr: ast.Expr, width: int, ov: bool) -> str:
+        if self._is_static(expr):
+            try:
+                return str(_ev._eval(expr, self._static, width))
+            except SimulationError as exc:
+                raise UncompilableDesign(str(exc)) from None
+        self._depth += 1
+        try:
+            text = self._emit_eval(expr, width, ov)
+        finally:
+            self._depth -= 1
+        if self._depth and self._depth % _SPILL_EVERY == 0:
+            return self._atom(text)
+        return text
+
+    def _emit_eval(self, expr: ast.Expr, width: int, ov: bool) -> str:
+        if isinstance(expr, ast.Identifier):
+            if expr.name in self.mem_of:
+                raise UncompilableDesign(
+                    f"memory {expr.name!r} used without an index"
+                )
+            return f"({self._raw(expr.name)} & {self.masks_for(expr.name)})"
+        if isinstance(expr, ast.Unary):
+            return self._compile_unary(expr, width, ov)
+        if isinstance(expr, ast.Binary):
+            return self._compile_binary(expr, width, ov)
+        if isinstance(expr, ast.Ternary):
+            cond = self._compile_expr(expr.cond, 0, ov)
+            then = self._compile_operand(expr.then, width, ov)
+            other = self._compile_operand(expr.other, width, ov)
+            return f"({then} if {cond} else {other})"
+        if isinstance(expr, ast.Concat):
+            parts = []
+            offset = 0
+            for part in reversed(expr.parts):
+                part_width = self._self_width(part)
+                text = self._compile_eval(part, part_width, ov)
+                if text != "0":
+                    parts.append(f"{text} << {offset}" if offset else text)
+                offset += part_width
+            parts.reverse()
+            return f"(({' | '.join(parts) or 0}) & {_mask(max(width, 1))})"
+        if isinstance(expr, ast.Repeat):
+            times = self._static_int(expr.count)
+            inner_width = self._self_width(expr.inner)
+            inner = self._compile_eval(expr.inner, inner_width, ov)
+            # Replication is multiplication by 0b...0001_0001 (one set bit
+            # per copy, spaced inner_width apart).
+            factor = 0
+            for i in range(times):
+                factor |= 1 << (inner_width * i)
+            return f"({inner} * {factor} & {_mask(max(width, 1))})"
+        if isinstance(expr, ast.Index):
+            return self._compile_index(expr, ov)
+        if isinstance(expr, ast.PartSelect):
+            raw = self._raw(self._base_name(expr.base))
+            lsb, sel_width = self._static_range(expr)
+            shifted = f"{raw} >> {lsb}" if lsb else raw
+            return f"({shifted} & {_mask(sel_width)})"
+        if isinstance(expr, ast.IndexedPartSelect):
+            raw = self._raw(self._base_name(expr.base))
+            sel_width = self._static_int(expr.width)
+            lo = self._select_lo(expr, sel_width, ov)
+            return f"({raw} >> {lo} & {_mask(sel_width)})"
+        if isinstance(expr, ast.SystemCall):
+            return self._compile_system_call(expr, width, ov)
+        raise UncompilableDesign(f"cannot compile {type(expr).__name__}")
+
+    def _static_range(self, expr: ast.PartSelect) -> Tuple[int, int]:
+        """``base[msb:lsb]`` as (low bit, width), either bound order."""
+        msb = self._static_int(expr.msb)
+        lsb = self._static_int(expr.lsb)
+        return min(msb, lsb), abs(msb - lsb) + 1
+
+    def _select_lo(self, expr: ast.IndexedPartSelect, sel_width: int,
+                   ov: bool) -> str:
+        """Low bit of ``base[start +: w]`` / ``base[start -: w]``, clamped
+        at 0 like the interpreter's ``max(lo, 0)``."""
+        start = self._compile_expr(expr.start, 0, ov)
+        if expr.ascending or sel_width == 1:
+            return start
+        if start.isdigit():
+            return str(max(int(start) - sel_width + 1, 0))
+        temp = self._temp()
+        return (
+            f"({temp} if ({temp} := {start} - {sel_width - 1}) > 0 else 0)"
+        )
+
+    def _compile_unary(self, expr: ast.Unary, width: int, ov: bool) -> str:
+        op = expr.op
+        if op in ("&", "~&", "|", "~|", "^", "~^"):
+            operand_width = self._self_width(expr.operand)
+            text = self._compile_eval(expr.operand, operand_width, ov)
+            if op in ("&", "~&"):
+                relation = "==" if op == "&" else "!="
+                return f"({text} {relation} {_mask(operand_width)})"
+            if op in ("|", "~|"):
+                return f"({text} {'!=' if op == '|' else '=='} 0)"
+            if op == "^":
+                return f"parity({text})"
+            return f"(parity({text}) ^ 1)"
+        if op == "!":
+            return f"({self._compile_expr(expr.operand, 0, ov)} == 0)"
+        text = self._compile_operand(expr.operand, width, ov)
+        mask = _mask(width) if width > 0 else 0
+        if op == "~":
+            return f"(~{text} & {mask})"
+        if op == "-":
+            return f"(-{text} & {mask})"
+        if op == "+":
+            return text
+        raise UncompilableDesign(f"unsupported unary operator {op!r}")
+
+    def _clamped(self, amount: str, limit: int, amount_width: int) -> str:
+        """``min(amount, limit)`` without the call."""
+        if amount.isdigit():
+            return str(min(int(amount), limit))
+        if _mask(amount_width) <= limit:
+            return amount
+        temp = self._temp()
+        return f"({temp} if ({temp} := {amount}) < {limit} else {limit})"
+
+    def _compile_binary(self, expr: ast.Binary, width: int, ov: bool) -> str:
+        op = expr.op
+        if op in ("&&", "||"):
+            # `x and y` is 0/1 only over 0/1 operands: wider ones compare
+            sides = [
+                self._compile_expr(side, 0, ov)
+                + ("" if self._self_width(side) == 1 else " != 0")
+                for side in (expr.lhs, expr.rhs)
+            ]
+            return f"({sides[0]} {'and' if op == '&&' else 'or'} {sides[1]})"
+        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
+            cmp_width = max(
+                self._self_width(expr.lhs), self._self_width(expr.rhs)
+            )
+            lhs = self._compile_operand(expr.lhs, cmp_width, ov)
+            rhs = self._compile_operand(expr.rhs, cmp_width, ov)
+            if self._is_signed(expr.lhs) and self._is_signed(expr.rhs):
+                # Flipping the sign bit maps two's-complement order onto
+                # unsigned order.
+                sign_bit = 1 << (cmp_width - 1)
+                lhs = f"({lhs} ^ {sign_bit})"
+                rhs = f"({rhs} ^ {sign_bit})"
+            return f"({lhs} {op[:2]} {rhs})"
+        mask = _mask(width) if width > 0 else 0
+        if op in ("<<", ">>", "<<<", ">>>"):
+            lhs = self._compile_operand(expr.lhs, width, ov)
+            amount = self._clamped(
+                self._compile_expr(expr.rhs, 0, ov),
+                max(width, 1) + 64,
+                self._self_width(expr.rhs),
+            )
+            if op in ("<<", "<<<"):
+                return f"({lhs} << {amount} & {mask})"
+            if op == ">>>" and self._is_signed(expr.lhs):
+                sign_bit = 1 << (width - 1)
+                return (
+                    f"(({lhs} & {mask} ^ {sign_bit}) - {sign_bit}"
+                    f" >> {amount} & {mask})"
+                )
+            return f"({lhs} >> {amount})"
+        if op == "**":
+            base = self._compile_operand(expr.lhs, width, ov)
+            exponent = self._clamped(
+                self._compile_expr(expr.rhs, 0, ov), 64,
+                self._self_width(expr.rhs),
+            )
+            return f"({base} ** {exponent} & {mask})"
+
+        signed = self._is_signed(expr.lhs) and self._is_signed(expr.rhs)
+        lhs = self._compile_operand(expr.lhs, width, ov)
+        rhs = self._compile_operand(expr.rhs, width, ov)
+        if op in ("+", "-", "*"):
+            return f"({lhs} {op} {rhs} & {mask})"
+        if op in ("/", "%"):
+            if signed:
+                return f"sdivmod({lhs}, {rhs}, {width}, {int(op == '/')})"
+            # Division by zero is 0: the two-state stand-in for X.
+            temp = self._temp()
+            python_op = "//" if op == "/" else "%"
+            return (
+                f"(0 if ({temp} := {rhs}) == 0"
+                f" else {lhs} {python_op} {temp} & {mask})"
+            )
+        if op in ("&", "|", "^"):
+            return f"({lhs} {op} {rhs})"
+        if op in ("^~", "~^"):
+            return f"(~({lhs} ^ {rhs}) & {mask})"
+        raise UncompilableDesign(f"unsupported binary operator {op!r}")
+
+    def _compile_index(self, expr: ast.Index, ov: bool) -> str:
+        name = self._base_name(expr.base)
+        index = self._compile_expr(expr.index, 0, ov)
+        mem_slot = self.mem_of.get(name)
+        if mem_slot is None:
+            raw = self._raw(name)
+            sig_width = self.widths[self._slot(name)]
+            if index.isdigit():
+                # out-of-range select reads as 0 (two-state X)
+                if int(index) >= sig_width:
+                    return "0"
+                return f"({raw} >> {index} & 1)" if index != "0" else f"({raw} & 1)"
+            temp = self._temp()
+            return (
+                f"({raw} >> {temp} & 1 if ({temp} := {index}) < {sig_width}"
+                f" else 0)"
+            )
+        base = self.mem_bases[mem_slot]
+        depth = self.mem_depths[mem_slot]
+        if index.isdigit():
+            word = int(index) - base
+            if word < 0 or word >= depth:
+                return "0"  # out-of-range read: two-state X
+            return self._mem_word(mem_slot, str(word))
+        temp = self._temp()
+        bind = f"({temp} := {index} - {base})" if base else f"({temp} := {index})"
+        in_range = f"0 <= {bind} < {depth}" if base else f"{bind} < {depth}"
+        return f"({self._mem_word(mem_slot, temp)} if {in_range} else 0)"
+
+    def _mem_word(self, mem_slot: int, word: str) -> str:
+        """An in-range memory word, through the body's blocking overlay."""
+        direct = f"mems[{mem_slot}][{word}]"
+        if mem_slot not in self._body.mem_blocking:
+            return direct
+        key = self._temp()
+        return (
+            f"(mo[{key}] if ({key} := ({mem_slot}, {word})) in mo"
+            f" else {direct})"
+        )
+
+    def _compile_system_call(self, expr: ast.SystemCall, width: int,
+                             ov: bool) -> str:
+        name = expr.name
+        if name in ("$signed", "$unsigned"):
+            if len(expr.args) != 1:
+                raise UncompilableDesign(f"{name} takes exactly one argument")
+            return self._compile_operand(expr.args[0], width, ov)
+        if name == "$clog2":
+            if len(expr.args) != 1:
+                raise UncompilableDesign("$clog2 takes exactly one argument")
+            return f"clog2({self._compile_expr(expr.args[0], 0, ov)})"
+        # $time / $stime / $realtime are static (folded to 0 above)
+        raise UncompilableDesign(f"unsupported system function {name!r}")
+
+    # -- writes --------------------------------------------------------------
+
+    @staticmethod
+    def _merge(current: str, sig_width: int, lo: str, width: int,
+               value: str) -> str:
+        """The new value of a signal after writing ``value`` into its
+        ``width`` bits at ``lo`` (digits when static, else a name) —
+        ``_write_lvalue``'s field path, including its "full write"
+        shortcut when ``lo == 0 and width >= sig_width``."""
+        full = _and(value, _mask(sig_width))
+        if lo.isdigit():
+            if lo == "0" and width >= sig_width:
+                return full
+            field = _mask(width) << int(lo)
+            return f"{current} & {~field} | ({_and(value, _mask(width))}) << {lo}"
+        field = (
+            f"{current} & ~({_mask(width)} << {lo})"
+            f" | ({_and(value, _mask(width))}) << {lo}"
+        )
+        if width >= sig_width:
+            return f"{full} if {lo} == 0 else {field}"
+        return field
+
+    def _write_location(self, target: ast.Expr, ov: bool):
+        """A non-concat signal lvalue as ``(slot, lo, width)``; ``lo`` is
+        digits when static, else a name bound on a spilled line."""
+        if isinstance(target, ast.Identifier):
+            if target.name in self.mem_of:
+                raise UncompilableDesign(
+                    f"cannot assign whole memory {target.name!r}"
+                )
+            slot = self._slot(target.name)
+            return slot, "0", self.widths[slot]
+        if isinstance(target, ast.Index):
+            slot = self._slot(self._base_name(target.base))
+            lo = self._compile_expr(target.index, 0, ov)
+            return slot, self._atom(lo), 1
+        if isinstance(target, ast.PartSelect):
+            slot = self._slot(self._base_name(target.base))
+            lsb, width = self._static_range(target)
+            return slot, str(lsb), width
+        if isinstance(target, ast.IndexedPartSelect):
+            slot = self._slot(self._base_name(target.base))
+            width = self._static_int(target.width)
+            return slot, self._atom(self._select_lo(target, width, ov)), width
+        raise UncompilableDesign(
+            f"invalid assignment target {type(target).__name__}"
+        )
+
+    def _split_concat(self, target: ast.Concat, value: str):
+        """``(part, its slice of value)`` pairs, most significant first."""
+        widths = [self._lvalue_width(p) for p in target.parts]
+        value = self._atom(value)
+        offset = sum(widths)
+        for part, part_width in zip(target.parts, widths):
+            offset -= part_width
+            yield part, f"({value} >> {offset} & {_mask(part_width)})"
+
+    def _compile_proc_write(self, target: ast.Expr, blocking: bool,
+                            value: str, pad: str) -> list:
+        """Lines of one procedural write (spills land in ``self._pre``)."""
+        if isinstance(target, ast.Concat):
+            lines: list = []
+            for part, chunk in self._split_concat(target, value):
+                lines += self._compile_proc_write(part, blocking, chunk, pad)
+            return lines
+        if isinstance(target, ast.Index):
+            mem_slot = self.mem_of.get(self._base_name(target.base))
+            if mem_slot is not None:
+                return self._compile_mem_write(
+                    mem_slot, target.index, blocking, value, pad
+                )
+        slot, lo, width = self._write_location(target, True)
+        if not blocking:
+            return [(pad, slot, lo, width, value)]
+        local = f"b{slot}"
+        merged = self._merge(local, self.widths[slot], lo, width, value)
+        return [f"{pad}{local} = {merged}"]
+
+    def _compile_mem_write(self, mem_slot: int, index_expr: ast.Expr,
+                           blocking: bool, value: str, pad: str) -> list:
+        base = self.mem_bases[mem_slot]
+        depth = self.mem_depths[mem_slot]
+        width = self.mem_widths[mem_slot]
+        index = self._compile_expr(index_expr, 0, True)
+        if index.isdigit():
+            if not 0 <= int(index) - base < depth:
+                return []  # out-of-range write ignored
+            word, guard = str(int(index) - base), ""
+        elif base:
+            word = self._atom(f"{index} - {base}")
+            guard = f"if 0 <= {word} < {depth}: "
+        else:
+            word = self._atom(index)
+            guard = f"if {word} < {depth}: "
+        stored = _and(value, _mask(width))
+        if blocking:
+            return [f"{pad}{guard}mo[({mem_slot}, {word})] = {stored}"]
+        self._body.mem_nba = True
+        return [
+            f"{pad}{guard}nba += ((1, {mem_slot}, {word}, {width}, {stored}),)"
+        ]
+
+    def _compile_direct_write(self, target: ast.Expr, value: str):
+        """Continuous-assign stores as ``(slot, new value)`` pairs, in
+        order (a later one may read what an earlier one stored)."""
+        if isinstance(target, ast.Concat):
+            stores = []
+            for part, chunk in self._split_concat(target, value):
+                stores += self._compile_direct_write(part, chunk)
+            return stores
+        if isinstance(target, ast.Index) and (
+            self._base_name(target.base) in self.mem_of
+        ):
+            # The interpreter raises SimulationError when this runs;
+            # refusing to compile routes "auto" to the interpreter,
+            # which reproduces that exact behaviour.
+            raise UncompilableDesign(
+                "continuous assignment to memory element is not supported"
+            )
+        slot, lo, width = self._write_location(target, False)
+        current = f"st[{slot}]"
+        return [
+            (slot, self._merge(current, self.widths[slot], lo, width, value))
+        ]
+
+    # -- statements ----------------------------------------------------------
+
+    def _targets(self, stmt: ast.Stmt, body: _Body) -> None:
+        """Record which signals and memories ``stmt`` writes, by kind."""
+        if isinstance(stmt, ast.Block):
+            for inner in stmt.stmts:
+                self._targets(inner, body)
+        elif isinstance(stmt, ast.Assign):
+            self._target(stmt.target, stmt.blocking, body)
+        elif isinstance(stmt, ast.If):
+            self._targets(stmt.then, body)
+            if stmt.other is not None:
+                self._targets(stmt.other, body)
+        elif isinstance(stmt, ast.Case):
+            for item in stmt.items:
+                self._targets(item.body, body)
+        elif isinstance(stmt, ast.For):
+            for inner in (stmt.init, stmt.body, stmt.step):
+                self._targets(inner, body)
+
+    def _target(self, target: ast.Expr, blocking: bool, body: _Body) -> None:
+        if isinstance(target, ast.Concat):
+            for part in target.parts:
+                self._target(part, blocking, body)
+            return
+        if isinstance(target, ast.Identifier):
+            name = target.name
+        elif isinstance(
+            target, (ast.Index, ast.PartSelect, ast.IndexedPartSelect)
+        ):
+            name = self._base_name(target.base)
+        else:
+            raise UncompilableDesign(
+                f"invalid assignment target {type(target).__name__}"
+            )
+        if name not in self.mem_of:
+            kind = body.blocking if blocking else body.nonblocking
+            kind.add(self._slot(name))
+        elif blocking:
+            body.mem_blocking.add(self.mem_of[name])
+
+    def _compile_stmt(self, stmt: ast.Stmt) -> Optional[_Body]:
+        """One procedural body, or None when it holds no statement."""
+        body = _Body()
+        self._targets(stmt, body)
+        self._body = body
+        try:
+            body.lines = self._stmt(stmt, 1)
+        finally:
+            self._body = _Body()
+        return None if body.lines is None else body
+
+    def _stmt(self, stmt: ast.Stmt, depth: int) -> Optional[list]:
+        pad = " " * depth
+        if isinstance(stmt, ast.Block):
+            lines: list = []
+            for inner in stmt.stmts:
+                lines += self._stmt(inner, depth) or ()
+            return lines or None
+        if isinstance(stmt, ast.Assign):
+            lvalue_width = self._lvalue_width(stmt.target)
+            value = self._compile_expr(stmt.value, lvalue_width, True)
+            write = self._compile_proc_write(
+                stmt.target, stmt.blocking, value, pad
+            )
+            return (self._flush(pad) + write) or None
+        if isinstance(stmt, ast.If):
+            cond = self._compile_expr(stmt.cond, 0, True)
+            lines = self._flush(pad)
+            then = self._stmt(stmt.then, depth + 1)
+            lines.append(f"{pad}if {cond}:")
+            lines += then or [f"{pad} pass"]
+            other = None
+            if isinstance(stmt.other, ast.If):
+                # `else if` chains stay flat: Python allows 100 nested
+                # blocks, a priority encoder can have more arms.
+                chain = self._stmt(stmt.other, depth)
+                if chain is not None and str(chain[0]).startswith(f"{pad}if "):
+                    return lines + [f"{pad}el{chain[0][depth:]}"] + chain[1:]
+            if stmt.other is not None:
+                other = self._stmt(stmt.other, depth + 1)
+            if other is None:
+                return None if then is None else lines
+            return lines + [f"{pad}else:"] + other
+        if isinstance(stmt, ast.Case):
+            return self._compile_case(stmt, depth)
+        if isinstance(stmt, ast.For):
+            init = self._stmt(stmt.init, depth) or []
+            cond = self._compile_expr(stmt.cond, 0, True)
+            cond_spills = self._flush(pad + " ")
+            counter = self._temp()
+            lines = init + [f"{pad}{counter} = 0"]
+            if cond_spills:
+                lines.append(f"{pad}while True:")
+                lines += cond_spills
+                lines.append(f"{pad} if not {cond}: break")
+            else:
+                lines.append(f"{pad}while {cond}:")
+            lines += self._stmt(stmt.body, depth + 1) or ()
+            lines += self._stmt(stmt.step, depth + 1) or ()
+            lines.append(f"{pad} {counter} += 1")
+            lines.append(
+                f"{pad} if {counter} > {_MAX_LOOP_ITERS}: raise loop_error()"
+            )
+            return lines
+        if isinstance(stmt, (ast.NullStmt, ast.SystemTaskCall)):
+            return None
+        raise UncompilableDesign(f"cannot compile {type(stmt).__name__}")
+
+    def _compile_case(self, stmt: ast.Case, depth: int) -> Optional[list]:
+        # Same hoisted sizing as the interpreter's _exec_case: one subject
+        # evaluation at the max width over subject and all labels.
+        pad = " " * depth
+        width = self._self_width(stmt.subject)
+        for item in stmt.items:
+            for label in item.labels:
+                width = max(width, self._self_width(label))
+        subject = self._atom(self._compile_eval(stmt.subject, width, True))
+        wildcard_kind = stmt.kind in ("casez", "casex")
+        conditions = []  # per item: its labels' match condition
+        for item in stmt.items:
+            matches = []
+            for label in item.labels:
+                care = -1
+                if wildcard_kind and isinstance(label, ast.Number):
+                    care = ~label.unknown_mask
+                text = self._compile_eval(label, width, True)
+                if care == -1:
+                    matches.append(f"{subject} == {text}")
+                else:
+                    matches.append(f"{subject} & {care} == {_and(text, care)}")
+            conditions.append(" or ".join(matches))
+        lines = self._flush(pad)
+        arms = []  # (condition, body lines or None)
+        default: Optional[list] = None
+        for item, condition in zip(stmt.items, conditions):
+            body = self._stmt(item.body, depth + 1)
+            if item.is_default:
+                default = body  # last default wins, as in the interpreter
+            elif condition:
+                arms.append((condition, body))
+        if default is None and all(body is None for _, body in arms):
+            return None
+        keyword = "if"
+        if not arms:
+            arms.append(("1", default))
+            default = None
+        for condition, body in arms:
+            lines.append(f"{pad}{keyword} {condition}:")
+            lines += body or [f"{pad} pass"]
+            keyword = "elif"
+        if default is not None:
+            lines.append(f"{pad}else:")
+            lines += default
+        return lines
+
+    # -- node assembly -------------------------------------------------------
+
+    def _build_assign_node(self, assign):
+        lvalue_width = self._lvalue_width(assign.target)
+        value = self._compile_expr(assign.value, lvalue_width, False)
+        stores = self._compile_direct_write(assign.target, value)
+        node = (self._flush(" "), stores)
+        reads: Set[int] = set()
+        writes: Set[int] = set()
+        self._expr_reads(assign.value, set(), reads)
+        self._lvalue_effects(assign.target, True, set(), reads, writes)
+        return node, reads, writes
+
+    def _build_block_node(self, block):
+        body = self._compile_stmt(block.body)
+        if body is None:
+            return None, set(), set()
+        reads: Set[int] = set()
+        writes: Set[int] = set()
+        self._stmt_effects(block.body, set(), reads, writes)
+        return body, reads, writes
+
+    def _render(self, body: _Body, pending, tracked: bool):
+        """Lines of one body for one form, and whether they use ``nba``.
+
+        Blocking targets are locals, read at entry and committed at exit
+        (``tracked``: only where they differ, reporting the pseudo-slot
+        in ``ch``).  A nonblocking write to a slot in ``pending`` updates
+        that slot's ``n<slot>`` local; any other joins the ordered list.
+        """
+        blocking = sorted(body.blocking)
+        lines = [f" b{slot} = st[{slot}]" for slot in blocking]
+        if body.mem_blocking:
+            lines.append(" mo = {}")
+        listed = body.mem_nba
+        for line in body.lines:
+            if isinstance(line, str):
+                lines.append(line)
+                continue
+            pad, slot, lo, width, value = line
+            if slot in pending:
+                merged = self._merge(
+                    f"n{slot}", self.widths[slot], lo, width, value
+                )
+                lines.append(f"{pad}n{slot} = {merged}")
+            else:
+                listed = True
+                lines.append(
+                    f"{pad}nba += ((0, {slot}, {lo}, {width}, {value}),)"
+                )
+        for slot in blocking:
+            if tracked:
+                lines.append(f" if st[{slot}] != b{slot}:")
+                lines.append(f"  st[{slot}] = b{slot}")
+                lines.append(f"  ch += ({slot},)")
+            else:
+                lines.append(f" st[{slot}] = b{slot}")
+        if body.mem_blocking:
+            lines.append(" for k in mo:")
+            if tracked:
+                lines.append("  if mems[k[0]][k[1]] != mo[k]:")
+                lines.append("   mems[k[0]][k[1]] = mo[k]")
+                lines.append("   ch += (N + k[0],)")
+            else:
+                lines.append("  mems[k[0]][k[1]] = mo[k]")
+        return lines, listed
+
+    def _standalone(self, body: _Body, tracked: bool) -> List[str]:
+        """A body that commits its own nonblocking writes, after its
+        blocking ones: a comb block or an ``initial`` statement."""
+        lines, listed = self._render(body, (), tracked)
+        if listed:
+            sink = "ch" if tracked else "[]"
+            lines.insert(0, " nba = []")
+            lines.append(f" commit(st, mems, nba, W, N, {sink})")
+        return lines
+
+    def _generic_source(self, cd: CompiledDesign) -> str:
+        """One change-reporting function per node, block and statement."""
+        out: List[str] = []
+        for index, node in enumerate(cd.nodes):
+            out += [f"def g{index}(st, mems):", " ch = []"]
+            if isinstance(node, tuple):
+                spills, stores = node
+                out += spills
+                for slot, new in stores:
+                    out += [
+                        f" v = {new}",
+                        f" if st[{slot}] != v:",
+                        f"  st[{slot}] = v",
+                        f"  ch += ({slot},)",
+                    ]
+            elif node is not None:
+                out += self._standalone(node, True)
+            out.append(" return ch")
+        for index, (_, body) in enumerate(cd.seq):
+            out.append(f"def s{index}(st, mems, nba, ch):")
+            if body is _no_body:
+                out.append(" pass")
+            else:
+                out += self._render(body, (), True)[0]
+        for index, body in enumerate(cd.initial):
+            # Initial statements commit per statement, like the interpreter.
+            out.append(f"def i{index}(st, mems):")
+            out += self._standalone(body, False)
+        out.append("")
+        return "\n".join(out)
+
+    def _fused_source(self, cd: CompiledDesign) -> str:
+        """``comb`` plus one function per (edge, trigger bit)."""
+        out: List[str] = []
+        if cd.nodes:
+            out.append("def comb(st, mems):")
+            for index in cd.topo:
+                node = cd.nodes[index]
+                if isinstance(node, tuple):
+                    spills, stores = node
+                    out += spills
+                    out += [f" st[{slot}] = {new}" for slot, new in stores]
+                elif node is not None:
+                    out += self._standalone(node, False)
+            if len(out) == 1:
+                out.append(" pass")
+        emitted: Dict[Tuple[int, ...], str] = {}
+        edges = sorted(
+            {edge for triggers, _ in cd.seq for edge in triggers}
+        )
+        for want, bit in edges:
+            members = tuple(
+                j for j, (triggers, _) in enumerate(cd.seq)
+                if (want, bit) in triggers
+            )
+            name = f"e{want}_{bit}"
+            if members in emitted:
+                # e.g. `posedge clk or posedge rst`: one body, two names
+                out.append(f"{name} = {emitted[members]}")
+                continue
+            emitted[members] = name
+            out.append(f"def {name}(st, mems):")
+            out += self._edge_lines(cd, [cd.seq[j][1] for j in members])
+        out.append("")
+        return "\n".join(out)
+
+    def _edge_lines(self, cd: CompiledDesign, bodies) -> List[str]:
+        bodies = [body for body in bodies if body is not _no_body]
+        blocking = {slot for body in bodies for slot in body.blocking}
+        # A slot some block of this edge also writes with `=` cannot hold
+        # its pending value in a local read at entry: it keeps the list.
+        pending = sorted(
+            {slot for body in bodies for slot in body.nonblocking} - blocking
+        )
+        written = blocking.union(*(body.nonblocking for body in bodies))
+        recheck = not written.isdisjoint(cd.trigger_slots)
+        lines: List[str] = []
+        if recheck:
+            lines += [
+                f" s{k} = st[{slot}] & 1"
+                for k, slot in enumerate(cd.trigger_slots)
+            ]
+        lines += [f" n{slot} = st[{slot}]" for slot in pending]
+        rendered = [self._render(body, pending, False) for body in bodies]
+        listed = any(uses_list for _, uses_list in rendered)
+        if listed:
+            lines.append(" nba = []")
+        for body_lines, _ in rendered:
+            lines += body_lines
+        lines += [f" st[{slot}] = n{slot}" for slot in pending]
+        if listed:
+            lines.append(" commit(st, mems, nba, W, N, [])")
+        if cd.nodes:
+            lines.append(" comb(st, mems)")
+        if recheck:
+            # A block moved a trigger bit (ripple and derived clocks):
+            # hand the pre-edge bits to the generic cascade.
+            moved = " or ".join(
+                f"s{k} != st[{slot}] & 1"
+                for k, slot in enumerate(cd.trigger_slots)
+            )
+            bits = ", ".join(f"s{k}" for k in range(len(cd.trigger_slots)))
+            lines.append(f" if {moved}: return [{bits}]")
+        return lines or [" pass"]
+
+    def compile(self) -> CompiledDesign:
+        cd = super().compile()
+        cd.source["generic"] = self._generic_source(cd)
+        if cd.levelized:
+            cd.source["fused"] = self._fused_source(cd)
+        # The image keeps the shape; `generic()` binds the functions.
+        cd.nodes = [None] * len(cd.nodes)
+        cd.seq = [(triggers, None) for triggers, _ in cd.seq]
+        cd.initial = [None] * len(cd.initial)
+        return cd
+
+
+# ---------------------------------------------------------------------------
 # Runtime
 # ---------------------------------------------------------------------------
 
@@ -1625,26 +1623,21 @@ class CompiledSimulator(Simulator):
         self._max_rounds = max_settle_rounds or (2 * cd.comb_count + 16)
         self._heap: List[int] = []
         self._queued = bytearray(len(cd.nodes))
-        #: readers skipped because an external write's changed-bit mask
-        #: missed their recorded read bits (``sim.dirty.reader_skips``)
-        self.stat_reader_skips = 0
-        # Initial statements commit per statement, like the interpreter.
-        for body in cd.initial:
-            overlay: Dict[int, int] = {}
-            mem_overlay: Dict[Tuple[int, int], int] = {}
-            nba: List[tuple] = []
-            body(self.st, self.mem_data, overlay, mem_overlay, nba)
-            for slot, value in overlay.items():
-                self.st[slot] = value
-            for (mem_slot, idx), value in mem_overlay.items():
-                self.mem_data[mem_slot][idx] = value
-            _commit_nba(self.st, self.mem_data, nba, cd.widths, cd.n_signals,
-                        [])
-        if cd.levelized:
-            for i in range(len(cd.nodes)):
-                self._queued[i] = 1
-                heapq.heappush(self._heap, cd.pos_of[i])
-        self.settle()
+        if cd.levelized and not cd.initial:
+            # One full pass settles a levelized design; no dirty set, and
+            # a candidate headed for the fused kernel never builds the
+            # generic form.
+            comb = cd.fused().get("comb")
+            if comb is not None:
+                comb(self.st, self.mem_data)
+        else:
+            for body in cd.generic().initial:
+                body(self.st, self.mem_data)
+            if cd.levelized:
+                for i in range(len(cd.nodes)):
+                    self._queued[i] = 1
+                    heapq.heappush(self._heap, cd.pos_of[i])
+            self.settle()
 
     # -- state views ---------------------------------------------------------
 
@@ -1692,66 +1685,44 @@ class CompiledSimulator(Simulator):
     def _poke_apply(self, name: str, value: int) -> None:
         cd = self.cdesign
         slot = cd.slot_of[name]
-        old = self.st[slot]
-        new = value & cd.masks[slot]
-        self.st[slot] = new
+        self.st[slot] = value & cd.masks[slot]
         if cd.levelized:
-            self._mark_external_masked(slot, old ^ new)
+            self._mark_external(slot)
 
     def _trigger_snapshot(self) -> List[int]:
         st = self.st
         return [st[s] & 1 for s in self.cdesign.trigger_slots]
 
     def _mark_external(self, pseudo_slot: int) -> None:
-        self._mark_external_masked(pseudo_slot, -1)
-
-    def _mark_external_masked(self, pseudo_slot: int, mask: int) -> None:
         """An out-of-schedule write landed on ``pseudo_slot``: re-run its
         readers *and* its driver (so a poked comb-driven net is restored,
-        exactly as the interpreter's full-pass settle would).  ``mask``
-        is the changed-bit mask (``old ^ new``; -1 = unknown/all):
-        readers with a recorded read mask that does not intersect it —
-        e.g. a static part-select of untouched bits of a wide bus — are
-        skipped."""
+        exactly as the interpreter's full-pass settle would)."""
         cd = self.cdesign
         queued = self._queued
         heap = self._heap
         pos_of = cd.pos_of
-        readers = cd.readers.get(pseudo_slot, ())
-        if readers:
-            read_masks = cd.read_masks.get(pseudo_slot)
-            skipped = 0
-            for index, node in enumerate(readers):
-                if read_masks is not None and not (read_masks[index] & mask):
-                    skipped += 1
-                    continue
+        for table in (cd.readers, cd.writers):
+            for node in table.get(pseudo_slot, ()):
                 if not queued[node]:
                     queued[node] = 1
                     heapq.heappush(heap, pos_of[node])
-            if skipped:
-                self.stat_reader_skips += skipped
-                obs.count("sim.dirty.reader_skips", skipped)
-        for node in cd.writers.get(pseudo_slot, ()):
-            if not queued[node]:
-                queued[node] = 1
-                heapq.heappush(heap, pos_of[node])
 
     # -- cycle kernel --------------------------------------------------------
 
     def cycle_fn(self, clock, input_names, output_names):
         """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``).
 
-        Three facts, all read off the :class:`CompiledDesign`, decide
-        whether the cycle can skip the generic poke protocol: the comb
-        region is levelized; the clock slot (if there is a clock) has no
-        combinational reader or driver, so toggling it dirties nothing,
-        its settle is a no-op, and the only blocks its edge fires are
-        the ones listing it; and the drive cannot move a trigger bit (no
-        driven input and no comb-driven net is a trigger slot), so the
-        drive needs no edge pass.  Then a clock poke is a state write
-        plus the blocks of that edge, followed by the generic loop's
-        re-check of the trigger bits so ripple and derived clocks still
-        cascade.  Any other design gets the generic kernel.
+        Four facts, all read off the :class:`CompiledDesign`, decide
+        whether the cycle can run the fused form instead of the generic
+        poke protocol: the comb region is levelized; the clock slot (if
+        there is a clock) has no combinational reader or driver, so
+        toggling it needs no settle and the only blocks its edge fires
+        are the ones listing it; no driven input is a trigger slot; and
+        no trigger slot has a comb driver, so the drive cannot fire an
+        edge.  Then the drive is a row of stores plus one full ``comb``
+        pass, and a clock poke is a store plus that edge's function,
+        whose trigger re-check hands ripple and derived clocks to the
+        generic cascade.  Any other design gets the generic kernel.
         """
         generic = super().cycle_fn(clock, input_names, output_names)
         cd = self.cdesign
@@ -1769,12 +1740,13 @@ class CompiledSimulator(Simulator):
             obs.count("sim.kernel.generic")
             return generic
         obs.count("sim.kernel.specialised")
-        negedge: list = []
-        posedge: list = []
+        fused = cd.fused()
+        comb = fused.get("comb")
+        negedge = posedge = None
         if clk in triggers:
             clk_bit = triggers.index(clk)
-            negedge = [p for p in cd.seq if (0, clk_bit) in p[0]]
-            posedge = [p for p in cd.seq if (1, clk_bit) in p[0]]
+            negedge = fused.get(f"e0_{clk_bit}")
+            posedge = fused.get(f"e1_{clk_bit}")
         drives = list(zip(in_slots, [cd.masks[s] for s in in_slots]))
         n_inputs = len(drives)
         out_slots = [slot_of[name] for name in output_names]
@@ -1784,20 +1756,18 @@ class CompiledSimulator(Simulator):
             def sample(st):
                 return tuple([st[s] for s in out_slots])
         st = self.st
-        mark = self._mark_external_masked
-        settle = self._settle_levelized
+        mems = self.mem_data
         fire = self._fire_edges
+        # The edge function was the cascade's first round.
+        rounds = self._max_rounds - 1
 
         def step(row):
             if len(row) != n_inputs:
                 raise _row_length_error(len(row), n_inputs)
             for (slot, mask), value in zip(drives, row):
-                old = st[slot]
-                new = value & mask
-                if old != new:
-                    st[slot] = new
-                    mark(slot, old ^ new)
-            settle()
+                st[slot] = value & mask
+            if comb is not None:
+                comb(st, mems)
             if clk is None:
                 return sample(st)
             # poke(clock, 0); poke(clock, 1).  A block may itself write
@@ -1805,13 +1775,17 @@ class CompiledSimulator(Simulator):
             old = st[clk]
             if old:
                 st[clk] = 0
-                if negedge and old & 1:
-                    fire(None, negedge)
+                if negedge is not None and old & 1:
+                    moved = negedge(st, mems)
+                    if moved:
+                        fire(moved, rounds)
                 old = st[clk]
             if old != 1:
                 st[clk] = 1
-                if posedge and not old & 1:
-                    fire(None, posedge)
+                if posedge is not None and not old & 1:
+                    moved = posedge(st, mems)
+                    if moved:
+                        fire(moved, rounds)
             return sample(st)
 
         return step
@@ -1829,7 +1803,7 @@ class CompiledSimulator(Simulator):
         heap = self._heap
         if not heap:
             return
-        cd = self.cdesign
+        cd = self.cdesign.generic()
         st = self.st
         mems = self.mem_data
         nodes = cd.nodes
@@ -1853,7 +1827,7 @@ class CompiledSimulator(Simulator):
     def _settle_fixpoint(self) -> None:
         st = self.st
         mems = self.mem_data
-        nodes = self.cdesign.nodes
+        nodes = self.cdesign.generic().nodes
         for _ in range(self._max_rounds):
             changed = False
             for run in nodes:
@@ -1868,35 +1842,30 @@ class CompiledSimulator(Simulator):
 
     # -- sequential execution ------------------------------------------------
 
-    def _fire_edges(self, snapshot: Optional[List[int]],
-                    known: Optional[list] = None) -> None:
+    def _fire_edges(self, snapshot: List[int],
+                    rounds: Optional[int] = None) -> None:
         """Fire the blocks whose trigger bits moved since ``snapshot``,
-        cascading until no trigger moves.  ``known`` names the blocks of
-        the first round when the caller already knows them (the cycle
-        kernel, which then needs no ``snapshot``)."""
+        cascading until no trigger moves, for at most ``rounds`` rounds
+        (default: the whole budget)."""
         cd = self.cdesign
         st = self.st
         trigger_slots = cd.trigger_slots
-        seq = cd.seq
-        for _ in range(self._max_rounds):
+        for _ in range(self._max_rounds if rounds is None else rounds):
             current = [st[s] & 1 for s in trigger_slots]
-            if known is not None:
-                triggered, known = known, None
-            else:
-                if current == snapshot:
-                    # No trigger bit moved, so no edge can fire: the exit
-                    # 3 of the 4 edge scans per generic clock cycle take.
-                    return
-                triggered = [
-                    proc
-                    for proc in seq
-                    if any(
-                        snapshot[ti] != current[ti] and current[ti] == want
-                        for want, ti in proc[0]
-                    )
-                ]
-                if not triggered:
-                    return
+            if current == snapshot:
+                # No trigger bit moved, so no edge can fire: the exit
+                # 3 of the 4 edge scans per generic clock cycle take.
+                return
+            triggered = [
+                body
+                for triggers, body in cd.generic().seq
+                if any(
+                    snapshot[ti] != current[ti] and current[ti] == want
+                    for want, ti in triggers
+                )
+            ]
+            if not triggered:
+                return
             self._run_seq_blocks(triggered)
             self.settle()
             snapshot = current
@@ -1904,33 +1873,17 @@ class CompiledSimulator(Simulator):
             "edge events failed to quiesce (oscillating clock loop?)"
         )
 
-    def _run_seq_blocks(self, procs) -> None:
+    def _run_seq_blocks(self, bodies) -> None:
         cd = self.cdesign
         st = self.st
         mems = self.mem_data
-        n_signals = cd.n_signals
         pending: List[tuple] = []
         changed: List[int] = []
-        masks: Dict[int, int] = {}
-        for _, body in procs:
-            overlay: Dict[int, int] = {}
-            mem_overlay: Dict[Tuple[int, int], int] = {}
-            body(st, mems, overlay, mem_overlay, pending)
-            # Blocking writes commit with the block; nonblocking updates
-            # commit once, after every triggered block ran.
-            for slot, value in overlay.items():
-                old = st[slot]
-                if old != value:
-                    st[slot] = value
-                    changed.append(slot)
-                    masks[slot] = masks.get(slot, 0) | (old ^ value)
-            for (mem_slot, idx), value in mem_overlay.items():
-                column = mems[mem_slot]
-                if column[idx] != value:
-                    column[idx] = value
-                    changed.append(n_signals + mem_slot)
-                    masks[n_signals + mem_slot] = -1
-        _commit_nba(st, mems, pending, cd.widths, n_signals, changed, masks)
+        # Blocking writes commit with their block; nonblocking updates
+        # commit once, after every triggered block ran.
+        for body in bodies:
+            body(st, mems, pending, changed)
+        _commit_nba(st, mems, pending, cd.widths, cd.n_signals, changed)
         if cd.levelized:
             for ps in changed:
-                self._mark_external_masked(ps, masks.get(ps, -1))
+                self._mark_external(ps)

@@ -94,12 +94,16 @@ class Design:
             raise ElaborationError(f"no signal named {name!r}") from None
 
     def __getstate__(self):
-        # The compiled-backend caches (repro.sim.compile, repro.sim.batch)
-        # are closures and cannot pickle; designs shipped to pool workers
-        # recompile there (or hit the repro.sim.cache disk cache).
+        # The lane images (repro.sim.batch) are closures and cannot
+        # pickle.  The scalar image (repro.sim.compile) pickles as its
+        # tables plus the code objects of the forms that ran, so a pool
+        # worker or a repro.sim.cache hit executes instead of lowering
+        # again; an image nothing ran has nothing worth keeping.
         state = dict(self.__dict__)
-        state.pop("_compiled", None)
         state.pop("_batch", None)
+        compiled = state.get("_compiled")
+        if compiled is not None and not compiled.code:
+            del state["_compiled"]
         return state
 
 

@@ -20,8 +20,8 @@ Two execution backends implement these semantics behind one constructor:
   until a global fixpoint; simple, slow, and treated as ground truth.
 * :class:`~repro.sim.compile.CompiledSimulator` — the compile-once
   backend in :mod:`repro.sim.compile`: slot-indexed state, expressions
-  lowered to closures, and the acyclic combinational region levelized
-  into a topologically sorted schedule driven by a fanout dirty set.
+  and statements lowered to generated Python source, and the acyclic
+  combinational region levelized into a topologically sorted schedule.
 
 ``Simulator(design)`` picks the backend: ``"auto"`` (the default,
 overridable via the ``REPRO_SIM_BACKEND`` environment variable or

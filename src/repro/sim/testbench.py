@@ -104,11 +104,16 @@ class Testbench:
         if self.reset is None:
             return
         active = 1 if self.reset_active_high else 0
-        self.sim.poke(self.reset, active)
-        if self.clock is not None:
+        # Two cycle kernels (re-poking an unchanged reset is free): a
+        # design whose reset is synchronous never leaves the fused form.
+        drive = self.sim.cycle_fn(None, (self.reset,), ())
+        if self.clock is not None and cycles > 0:
+            tick = self.sim.cycle_fn(self.clock, (self.reset,), ())
             for _ in range(cycles):
-                self.tick()
-        self.sim.poke(self.reset, 1 - active)
+                tick((active,))
+        else:
+            drive((active,))
+        drive((1 - active,))
 
     def drive(self, vector: StimulusVector) -> None:
         """Apply one vector of input values (no clock toggle).

@@ -744,6 +744,7 @@ def _check_candidates_lockstep(
                 fill(indices, (False, "elaboration"))
             parsed = []
     checkable = []  # (source, design, indices)
+    fresh = []  # (source, design) elaborated here, not loaded
     for source, candidate, candidate_file, indices in parsed:
         if candidate is None:
             try:
@@ -751,7 +752,7 @@ def _check_candidates_lockstep(
             except ElaborationError:
                 fill(indices, (False, "elaboration"))
                 continue
-            sim_cache.put_design(source, name, candidate)
+            fresh.append((source, candidate))
         checkable.append((source, candidate, indices))
     if checkable:
         from repro.vereval import cegis as _cegis
@@ -775,6 +776,11 @@ def _check_candidates_lockstep(
                 fill(indices, (True, ""))
             else:
                 fill(indices, (False, verdict.error or "mismatch"))
+    # Stored after the verdicts, not before: a design then carries the
+    # code of whichever compiled form its check ran, so the next hit
+    # executes it instead of lowering the design again.
+    for source, candidate in fresh:
+        sim_cache.put_design(source, name, candidate)
     return outcomes  # type: ignore[return-value]
 
 
@@ -820,11 +826,11 @@ def check_candidate_source(
             return False, "internal"
         if candidate_file.module(name) is None:
             return False, "missing_module"
+    fresh = candidate is None
     try:
         ref = _golden_ref(problem)
-        if candidate is None:
+        if fresh:
             candidate = elaborate(candidate_file, name)
-            sim_cache.put_design(candidate_source, name, candidate)
     except ElaborationError:
         return False, "elaboration"
     try:
@@ -840,6 +846,10 @@ def check_candidate_source(
             verdict = _check_against_trace(ref, candidate, problem)
     except SimulationError:
         return False, "simulation"
+    finally:
+        if fresh:
+            # after the check, so the entry carries the code it compiled
+            sim_cache.put_design(candidate_source, name, candidate)
     if verdict.equivalent:
         return True, ""
     return False, verdict.error or "mismatch"

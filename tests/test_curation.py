@@ -225,6 +225,26 @@ class TestPipeline:
             len(f.content.encode()) for f in dataset.files
         )
 
+    def test_lone_surrogate_file_is_hashed_not_raised(self):
+        # A scraped file whose JSON carried a "\ud800" escape: strict
+        # UTF-8 in the shingle hashes took down the whole curation run.
+        files = [
+            scraped(
+                "module a(input x, output y); // \ud800 stray\n"
+                " assign y = x;\nendmodule\n",
+                file_id="r/a:src/a.v",
+            ),
+            scraped(
+                "module b(input x, output y);\n"
+                " assign y = ~x;\nendmodule\n",
+                file_id="r/b:src/b.v",
+            ),
+        ]
+        dataset = CurationPipeline().run(files)
+        assert dataset.funnel.stage("dedup").out_count == 2
+        assert dataset.rows == 2
+        assert dataset.size_bytes > 0
+
     def test_funnel_text_render(self, freeset_result):
         text = freeset_result.dataset.funnel.to_text()
         assert "license_filter" in text

@@ -535,6 +535,7 @@ class TestSimTelemetry:
         from repro.vereval import reset_caches
 
         problem, sources = self._pool(cycles)
+        assert problem.module.interface.reset is not None
         want_cycles = self._reference_cycles(problem, sources)
         previous = sim_cache.configure("")
         try:
@@ -558,7 +559,13 @@ class TestSimTelemetry:
             snap.counters.get(f"sim.kernel.{path}", 0)
             for path in ("specialised", "generic")
         )
-        assert kernels == distinct + 1
+        # per design: the two reset kernels (clocked assert, drive-only
+        # release) and the stimulus kernel
+        assert kernels == 3 * (distinct + 1)
+        # one lowering per design, nothing taken from a cache entry
+        assert snap.counters["sim.codegen.emitted"] == distinct + 1
+        assert snap.counters["sim.codegen.lines"] > distinct + 1
+        assert "sim.codegen.loaded" not in snap.counters
 
     def test_no_span_or_counter_write_per_cycle(self):
         _, shallow_cycles, shallow = self._traced_check(24)
@@ -569,6 +576,10 @@ class TestSimTelemetry:
         assert {k: v[0] for k, v in deep.agg.items()} == {
             k: v[0] for k, v in shallow.agg.items()
         }
+        for name in ("sim.kernel.specialised", "sim.kernel.generic",
+                     "sim.codegen.emitted", "sim.codegen.loaded",
+                     "sim.codegen.lines"):
+            assert deep.counters.get(name) == shallow.counters.get(name), name
 
 
 # -- checkpoint resume -------------------------------------------------------

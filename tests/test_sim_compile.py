@@ -6,6 +6,13 @@ combinational loops — across every generator family, the vereval problem
 set, and randomized (hypothesis-driven) family/seed/stimulus draws.
 """
 
+import ast as python_ast
+import dataclasses
+import importlib.util
+import marshal
+import pickle
+import re
+
 import pytest
 
 from hypothesis import given, settings
@@ -208,17 +215,6 @@ class TestCompiledStructure:
         # compile is once-per-design (cached on the Design object)
         assert compile_design(design) is compiled
 
-    def test_compile_cache_does_not_pickle(self):
-        import pickle
-
-        design = build(
-            "module m(input a, output y); assign y = ~a; endmodule", "m"
-        )
-        Simulator(design)  # populates the compile cache
-        clone = pickle.loads(pickle.dumps(design))
-        assert not hasattr(clone, "_compiled")
-        assert isinstance(Simulator(clone), CompiledSimulator)
-
     def test_trigger_slots_precomputed(self):
         design = build(
             "module m(input clk, input rst, output reg q);"
@@ -338,8 +334,9 @@ class TestBackendSelection:
 
 
 class TestBitGranularDirty:
-    """Bit-level dirty masks: readers of untouched slices of a wide bus
-    are skipped, with simulation results identical to the interpreter."""
+    """Partial writes to a wide bus under the hand-``poke`` protocol:
+    dirtiness is per slot, so every reader of the bus re-runs, and each
+    slice reads what the interpreter reads."""
 
     _SLICES = """module slices(
   input clk, input [7:0] d,
@@ -352,49 +349,28 @@ class TestBitGranularDirty:
 endmodule
 """
 
-    def test_untouched_slice_readers_skip_identically(self):
-        design = build(self._SLICES, "slices")
+    def _compare(self, source, values):
+        design = build(source, "slices")
         compiled = Simulator(design, backend="compiled")
         interp = Simulator(design, backend="interp")
-        rng = DeterministicRNG(5)
-        for _ in range(40):
-            d = rng.randint(0, 255)
+        for d in values:
             for sim in (compiled, interp):
                 sim.poke("d", d)
                 sim.poke("clk", 1)
                 sim.poke("clk", 0)
             for name in ("lo", "hi", "whole"):
                 assert compiled.peek(name) == interp.peek(name), name
-        # The hi-byte reader never reruns for low-byte writes; the
-        # lo/whole readers always do.
-        assert compiled.stat_reader_skips > 0
 
-    def test_skip_counter_observed(self):
-        design = build(self._SLICES, "slices")
-        sim = Simulator(design, backend="compiled")
-        before = obs.counter_value("sim.dirty.reader_skips")
-        sim.poke("d", 0xAB)
-        sim.poke("clk", 1)
-        sim.poke("clk", 0)
-        after = obs.counter_value("sim.dirty.reader_skips")
-        assert after > before
-        assert sim.stat_reader_skips == after - before
+    def test_slice_readers_match_after_partial_writes(self):
+        rng = DeterministicRNG(5)
+        self._compare(self._SLICES, [rng.randint(0, 255) for _ in range(40)])
 
     def test_full_width_write_wakes_every_reader(self):
         # A write touching the high byte must re-run the hi reader.
         source = self._SLICES.replace(
             "bus[7:0] <= d;", "bus <= {d, 48'd0, d};"
         )
-        design = build(source, "slices")
-        compiled = Simulator(design, backend="compiled")
-        interp = Simulator(design, backend="interp")
-        for d in (0x00, 0xFF, 0x5A, 0xA5):
-            for sim in (compiled, interp):
-                sim.poke("d", d)
-                sim.poke("clk", 1)
-                sim.poke("clk", 0)
-            for name in ("lo", "hi", "whole"):
-                assert compiled.peek(name) == interp.peek(name), name
+        self._compare(source, (0x00, 0xFF, 0x5A, 0xA5))
 
 
 # -- the clocked cycle kernel ------------------------------------------------
@@ -593,6 +569,139 @@ GALLERY = {
         " assign y = a + b; endmodule",
         {"clock": None}, "specialised", None,
     ),
+    # -- what emitting text (locals for `=`, pending locals for `<=`,
+    # one function per edge) can get wrong --------------------------------
+    # B1's blocking write is read by B2, B2 reads a reg B1 just `<=`d
+    # (must see the old value), and both `<=` the same reg.
+    "two_blocks_one_edge": (
+        "module m(input clk, input [3:0] d, output reg [3:0] q,"
+        " output reg [3:0] t, output reg [3:0] a, output reg [3:0] b);"
+        " always @(posedge clk) begin t = d + 1; q <= t; a <= b + d; end"
+        " always @(posedge clk) begin if (t[0]) q <= q + t; b <= a; end"
+        " endmodule",
+        {}, "specialised", None,
+    ),
+    "blocking_then_read": (
+        "module m(input clk, input [3:0] d, output reg [3:0] q,"
+        " output reg [3:0] r); reg [3:0] tmp;"
+        " always @(posedge clk) begin tmp = d ^ q; q <= tmp + 1;"
+        " tmp = tmp << 1; r <= tmp; end endmodule",
+        {}, "specialised", None,
+    ),
+    "blocking_and_nonblocking_one_slot": (
+        "module m(input clk, input [3:0] d, output reg [3:0] q,"
+        " output reg [3:0] r);"
+        " always @(posedge clk) begin q = d; q <= q + 1; r <= 4'd3; end"
+        " always @(posedge clk) begin r = r + d; end endmodule",
+        {}, "specialised", None,
+    ),
+    "nba_in_comb_block": (
+        "module m(input [3:0] a, input [3:0] b, output reg [3:0] y,"
+        " output reg [3:0] z);"
+        " always @* begin z = a | b; y <= a & z; end endmodule",
+        {"clock": None}, "specialised", None,
+    ),
+    "two_nba_part_writes": (
+        "module m(input clk, input [3:0] d, output reg [7:0] q);"
+        " always @(posedge clk) begin q[3:0] <= d; q[7:4] <= ~d;"
+        " q[5:2] <= d; end endmodule",
+        {}, "specialised", None,
+    ),
+    # `i` reaches 15 on 8-bit regs: out-of-range writes included
+    "dynamic_select_writes": (
+        "module m(input clk, input [3:0] i, input v, output reg [7:0] q,"
+        " output reg [7:0] r, output reg [7:0] p, output reg [7:0] o,"
+        " output reg w);"
+        " always @(posedge clk) begin q[i] <= v; r[i] = v;"
+        " p[i +: 2] <= {v, ~v}; o[i -: 3] = {v, ~v, v}; w[i] <= v;"
+        " end endmodule",
+        {}, "specialised", None,
+    ),
+    "concat_lvalue": (
+        "module m(input clk, input [3:0] a, input [3:0] b, output reg c,"
+        " output reg [3:0] s, output x, output [2:0] y, output reg [3:0] u,"
+        " output reg [1:0] v);"
+        " assign {x, y} = a ^ b;"
+        " always @(posedge clk) begin {c, s} <= a + b;"
+        " {u, v} = {a[1:0], b}; end endmodule",
+        {}, "specialised", None,
+    ),
+    "casez_wildcards_and_empty_arm": (
+        "module m(input [3:0] a, output reg [1:0] y);"
+        " always @* casez (a) 4'b1???: y = 2'd3; 4'b01??: ;"
+        " 4'b001?, 4'b0001: y = 2'd1; default: y = 2'd0; endcase"
+        " endmodule",
+        {"clock": None}, "specialised", None,
+    ),
+    "for_with_blocking_index": (
+        "module m(input clk, input [7:0] d, output reg [3:0] q);"
+        " integer i; reg [3:0] acc;"
+        " always @(posedge clk) begin acc = 0;"
+        " for (i = 0; i < 8; i = i + 1) acc = acc + d[i];"
+        " q <= acc; end endmodule",
+        {}, "specialised", None,
+    ),
+    # 64 cycles: `b` is 0 on some of them (divide and modulo by zero)
+    "signed_operators": (
+        "module m(input signed [3:0] a, input signed [3:0] b, output lt,"
+        " output ge, output signed [3:0] sra, output signed [3:0] srb,"
+        " output signed [3:0] dv, output signed [3:0] md,"
+        " output signed [7:0] ext, output [3:0] udv);"
+        " assign lt = a < b; assign ge = a >= b; assign sra = a >>> 1;"
+        " assign srb = a >>> b[1:0]; assign dv = a / b; assign md = a % b;"
+        " assign ext = a; assign udv = $unsigned(a) / $unsigned(b);"
+        " endmodule",
+        {"clock": None, "cycles": 64}, "specialised", None,
+    ),
+    "comb_block_writes_memory": (
+        "module m(input we, input [1:0] a, input [2:0] r, input [3:0] d,"
+        " output [3:0] y); reg [3:0] mem [1:4];"
+        " always @* if (we) mem[a] = d;"
+        " assign y = mem[r]; endmodule",
+        {"clock": None}, "specialised", None,
+    ),
+    "seq_block_reads_its_memory_write": (
+        "module m(input clk, input [1:0] a, input [1:0] r, input [3:0] d,"
+        " output reg [3:0] q, output reg [3:0] p);"
+        " reg [3:0] mem [0:3];"
+        " always @(posedge clk) begin mem[a] = d; q <= mem[r];"
+        " mem[r] = mem[a] + 1; p <= mem[a]; end endmodule",
+        {}, "specialised", None,
+    ),
+    # constant word indices, in and out of a [1:4] range, both ways
+    "static_memory_indices": (
+        "module m(input clk, input [3:0] d, output reg [3:0] q);"
+        " reg [3:0] mem [1:4];"
+        " always @(posedge clk) begin mem[0] <= d; mem[5] = d;"
+        " mem[1] <= d; mem[4] = ~d; q <= mem[0] ^ mem[4] ^ mem[1] ^ mem[7];"
+        " end endmodule",
+        {}, "specialised", None,
+    ),
+    # The reset kernels drive a trigger (generic form); the stimulus
+    # kernel does not (fused form): one design, both forms.
+    "async_reset_outside_stimulus": (
+        "module m(input clk, input rst, input [3:0] d,"
+        " output reg [3:0] q);"
+        " always @(posedge clk or posedge rst)"
+        " if (rst) q <= 0; else q <= q + d; endmodule",
+        {"reset": "rst"}, "specialised", None,
+    ),
+    "initial_block": (
+        "module m(input clk, input en, output reg [3:0] q);"
+        " reg [3:0] mem [0:1];"
+        " initial begin q = 4'd5; mem[1] = 4'd9; end"
+        " initial q <= q + mem[1];"
+        " always @(posedge clk) if (en) q <= q + 1; endmodule",
+        {}, "specialised", None,
+    ),
+    # deeper than CPython's ~200 nested parentheses: operands spill
+    "sum_of_400_terms": (
+        "module m(input clk, input [7:0] a, input [7:0] b,"
+        " output reg [15:0] q); always @(posedge clk) q <= ("
+        + " + ".join(["a", "b"] * 100) + ") + ("
+        + " + ".join(["b", "a"] * 100) + "); endmodule",
+        {}, "specialised", None,
+    ),
 }
 
 
@@ -645,6 +754,25 @@ class TestCycleKernel:
         assert path == want_path
         assert error == want_error
 
+    def test_async_reset_design_runs_both_forms(self):
+        # Which form a kernel takes is a property of (design, driven
+        # inputs), not of the design alone: the gallery row's reset
+        # kernels were generic, its stimulus kernel fused.
+        source, kwargs, _, _ = GALLERY["async_reset_outside_stimulus"]
+        bench = Testbench(build(source, "m"), **kwargs, backend="compiled")
+        cd = bench.sim.cdesign
+        assert sorted(cd.code) == ["fused"]  # the initial settle
+        before = obs.counters("sim.kernel.")
+        bench.apply_reset()
+        assert sorted(cd.code) == ["fused", "generic"]
+        bench.step({"d": 3})
+        after = obs.counters("sim.kernel.")
+        moved = {
+            name.rsplit(".", 1)[1]: after[name] - before.get(name, 0)
+            for name in after
+        }
+        assert moved == {"generic": 2, "specialised": 1}
+
     def test_ripple_counter_counts(self):
         # The cascade the post-edge re-check exists for: q1/q2 only move
         # through edges the posedge block itself creates.
@@ -693,3 +821,321 @@ class TestCycleKernel:
             outs = [bench.step(vector) for bench in benches]
             assert outs[0] == outs[1], vector
         assert benches[0].sim.state == benches[1].sim.state
+
+
+# -- generated text ----------------------------------------------------------
+
+
+#: every identifier the emitter may write: state, its own locals and
+#: temporaries, the functions it defines, the helpers ``_load`` binds
+_TEXT_NAMES = re.compile(
+    r"st|mems|nba|ch|mo|k|v|W|N|comb|commit|parity|clog2|sdivmod|loop_error"
+    r"|[bnstgi]\d+|e[01]_\d+"
+)
+_TEXT_HELPERS = {"comb", "commit", "parity", "clog2", "sdivmod", "loop_error"}
+_TEXT_NODES = (
+    python_ast.Attribute, python_ast.Import, python_ast.ImportFrom,
+    python_ast.Global, python_ast.Nonlocal, python_ast.Lambda,
+    python_ast.ClassDef, python_ast.JoinedStr, python_ast.Starred,
+    python_ast.Await, python_ast.Yield, python_ast.YieldFrom,
+    python_ast.With, python_ast.Try, python_ast.Delete,
+)
+
+
+def assert_text_is_closed(design):
+    """No character of the design reaches its generated text: every name
+    is the emitter's, every constant an int, every call a helper's."""
+    compiled = compile_design(design)
+    assert compiled.source
+    for form, text in compiled.source.items():
+        for node in python_ast.walk(python_ast.parse(text)):
+            assert not isinstance(node, _TEXT_NODES), (form, node)
+            if isinstance(node, python_ast.Name):
+                assert _TEXT_NAMES.fullmatch(node.id), (form, node.id)
+            elif isinstance(node, python_ast.FunctionDef):
+                assert _TEXT_NAMES.fullmatch(node.name), (form, node.name)
+                assert not node.decorator_list
+                assert [a.arg for a in node.args.args] in (
+                    ["st", "mems"], ["st", "mems", "nba", "ch"]
+                )
+            elif isinstance(node, python_ast.Call):
+                assert isinstance(node.func, python_ast.Name), form
+                assert node.func.id in _TEXT_HELPERS, (form, node.func.id)
+                assert not node.keywords
+            elif isinstance(node, python_ast.Constant):
+                assert type(node.value) is int, (form, node.value)
+
+
+def _renamed(node, names):
+    """``node`` (a Design or anything inside one) with signal and memory
+    names replaced: what a front end that accepted them would hand the
+    compiler."""
+    if isinstance(node, str):
+        return names.get(node, node)
+    if isinstance(node, (list, tuple)):
+        return type(node)(_renamed(item, names) for item in node)
+    if isinstance(node, dict):
+        return {
+            _renamed(key, names): _renamed(value, names)
+            for key, value in node.items()
+        }
+    if dataclasses.is_dataclass(node):
+        return dataclasses.replace(node, **{
+            f.name: _renamed(getattr(node, f.name), names)
+            for f in dataclasses.fields(node)
+        })
+    return node
+
+
+class TestGeneratedTextIsClosed:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_every_family(self, family):
+        for seed in (3, 4):
+            module = generate_family(
+                family, DeterministicRNG(seed).fork("kernel", family)
+            )
+            assert_text_is_closed(build(module.source, module.name))
+
+    def test_vereval_goldens_and_near_misses(self):
+        for problem in build_problem_set(n_problems=60):
+            sources = [problem.golden_source]
+            sources += [m.source for m in mutate(problem.module)]
+            for source in sources:
+                assert_text_is_closed(build(source, problem.module.name))
+
+    def test_gallery(self):
+        for source, _, _, _ in GALLERY.values():
+            assert_text_is_closed(build(source, "m"))
+
+    _HOSTILE = """module child(input clk, input [7:0] d, output reg [7:0] q);
+  reg [7:0] mem [0:3];
+  always @(posedge clk) begin
+    $display("__import__('os').system('id') %d", d);
+    mem[d[1:0]] <= d ^ "\\\\";
+    q <= (d == "x") ? "'" : mem[d[3:2]];
+  end
+endmodule
+module m(input clk, input [7:0] d, output [7:0] q, output [15:0] s);
+  wire [7:0] w;
+  child u0(.clk(clk), .d(d), .q(w));
+  child u1(.clk(clk), .d(w), .q(q));
+  assign s = {w, q} + "ab";
+  initial $display("started");
+endmodule
+"""
+
+    def test_hostile_corpus(self):
+        design = build(self._HOSTILE, "m")
+        assert "u0.mem" in design.memories  # hierarchical dotted names
+        assert_text_is_closed(design)
+        # Escaped identifiers (the lexer refuses them today) and other
+        # names no Python identifier could carry.
+        hostile = {
+            "d": "\\x;import os ",
+            "w": "st[0]); __import__('os') #",
+            "u0.q": "a\nb",
+            "u1.mem": "mems' + \"",
+            "s": "é世",
+        }
+        renamed = _renamed(design, hostile)
+        assert set(hostile.values()) <= set(renamed.signals) | set(
+            renamed.memories
+        )
+        assert_text_is_closed(renamed)
+        # ... and the renamed design still is the design
+        reference = Simulator(design, backend="interp")
+        sim = Simulator(renamed, backend="compiled")
+        assert isinstance(sim, CompiledSimulator)
+        for value in (0x61, 0x78, 0x5C, 0x07):
+            sim.poke(hostile["d"], value)
+            reference.poke("d", value)
+            for simulator in (sim, reference):
+                simulator.poke("clk", 1)
+                simulator.poke("clk", 0)
+            assert sim.peek("q") == reference.peek("q")
+            assert sim.peek(hostile["s"]) == reference.peek("s")
+
+    def test_code_objects_carry_no_design_text(self):
+        design = _renamed(
+            build(self._HOSTILE, "m"), {"d": "hostile name", "m": "top!"}
+        )
+        sim = Simulator(design, backend="compiled")
+        sim.poke("hostile name", 3)
+        compiled = sim.cdesign
+        assert sorted(compiled.code) == ["fused", "generic"]
+
+        def strings(code):
+            yield code.co_filename
+            yield code.co_name
+            yield from code.co_names
+            yield from code.co_varnames
+            for const in code.co_consts:
+                if hasattr(const, "co_code"):
+                    yield from strings(const)
+                else:
+                    assert const is None or type(const) in (int, tuple)
+
+        for code in compiled.code.values():
+            for text in strings(code):
+                assert text in ("<module>", "<repro.sim.compile>") or (
+                    _TEXT_NAMES.fullmatch(text)
+                ), text
+
+
+# -- persistence of the compiled image ---------------------------------------
+
+
+class TestCodePersistence:
+    SOURCE = (
+        "module m(input clk, input rst, input [3:0] d, output reg [3:0] q,"
+        " output [3:0] y); assign y = q ^ d;"
+        " always @(posedge clk) if (rst) q <= 0; else q <= q + d; endmodule"
+    )
+
+    @staticmethod
+    def _run(design, cycles=12):
+        bench = Testbench(design, reset="rst", backend="compiled")
+        bench.apply_reset()
+        return [
+            bench.step(vector)
+            for vector in random_stimulus(design, cycles, seed=9)
+        ]
+
+    def test_design_pickles_code_not_functions(self):
+        design = build(self.SOURCE, "m")
+        assert "_compiled" not in pickle.loads(
+            pickle.dumps(design)
+        ).__dict__  # never lowered: nothing to keep
+        compile_design(design)
+        assert "_compiled" not in pickle.loads(
+            pickle.dumps(design)
+        ).__dict__  # lowered, nothing ran: still nothing worth keeping
+        want = self._run(design)
+        assert sorted(design._compiled.code) == ["fused"]
+        clone = pickle.loads(pickle.dumps(design))
+        image = clone._compiled
+        assert sorted(image.code) == ["fused"]
+        # tables and code only: no text, no namespace, no bound function
+        assert image.source == {} and image._fused is None
+        assert image.design is None and not image._bound
+        assert image.nodes == [None] and image.seq[0][1] is None
+        emitted = obs.counter_value("sim.codegen.emitted")
+        loaded = obs.counter_value("sim.codegen.loaded")
+        assert self._run(clone) == want
+        assert obs.counter_value("sim.codegen.emitted") == emitted
+        assert obs.counter_value("sim.codegen.loaded") == loaded + 1
+        assert image.design is clone
+
+    def test_missing_form_is_re_emitted(self):
+        design = build(self.SOURCE, "m")
+        self._run(design)
+        clone = pickle.loads(pickle.dumps(design))
+        reference = Simulator(build(self.SOURCE, "m"), backend="interp")
+        sim = Simulator(clone, backend="compiled")
+        emitted = obs.counter_value("sim.codegen.emitted")
+        for simulator in (sim, reference):  # hand pokes: the generic form
+            simulator.poke("d", 5)
+            simulator.poke("clk", 1)
+        assert obs.counter_value("sim.codegen.emitted") == emitted + 1
+        assert sim.state == reference.state
+        assert sorted(clone._compiled.code) == ["fused", "generic"]
+
+    def test_foreign_magic_number_is_re_emitted(self, monkeypatch):
+        from repro.sim import compile as sim_compile
+
+        design = build(self.SOURCE, "m")
+        want = self._run(design)
+        assert sim_compile._MAGIC == importlib.util.MAGIC_NUMBER
+        monkeypatch.setattr(sim_compile, "_MAGIC", b"\x00\x00\r\n")
+        blob = pickle.dumps(design)
+        monkeypatch.undo()
+        clone = pickle.loads(blob)
+        assert clone._compiled.code == {}
+        emitted = obs.counter_value("sim.codegen.emitted")
+        assert self._run(clone) == want
+        assert obs.counter_value("sim.codegen.emitted") == emitted + 1
+
+    def test_cache_entries_that_cannot_be_used(self, tmp_path, monkeypatch):
+        """Truncated marshal bytes and a parent-version entry: the
+        existing ``corrupt`` / ``version_mismatch`` accounting, a miss,
+        and the same verdicts from a fresh lowering."""
+        from repro.sim import cache as sim_cache
+        from repro.sim import compile as sim_compile
+        from repro.vereval import check_candidates_lockstep, reset_caches
+
+        (problem,) = build_problem_set(
+            n_problems=1, families=["shift_register"], stimulus_cycles=24
+        )
+        sources = [problem.golden_source]
+        sources += [m.source for m in mutate(problem.module)]
+        previous = sim_cache.configure("")
+
+        def counters():
+            return {
+                name: obs.counter_value(f"sim.cache.{name}")
+                for name in ("hit", "miss", "corrupt", "version_mismatch")
+            }
+
+        def delta(before):
+            return {
+                name: value - before[name]
+                for name, value in counters().items()
+                if value != before[name]
+            }
+
+        try:
+            reset_caches()
+            want = check_candidates_lockstep(problem, sources)
+            sim_cache.configure(str(tmp_path))
+            entries = len(set(sources)) + 1  # + the golden-ref bundle
+            # 1. marshal bytes cut short inside otherwise sound pickles
+            real_dumps = marshal.dumps
+            monkeypatch.setattr(
+                sim_compile.marshal, "dumps",
+                lambda code: real_dumps(code)[:-7],
+            )
+            reset_caches()
+            assert check_candidates_lockstep(problem, sources) == want
+            monkeypatch.undo()
+            before = counters()
+            reset_caches()
+            assert check_candidates_lockstep(problem, sources) == want
+            assert delta(before) == {"corrupt": entries, "miss": entries}
+            # 2. the refill is sound: every entry hits, nothing is lowered
+            before = counters()
+            emitted = obs.counter_value("sim.codegen.emitted")
+            reset_caches()
+            assert check_candidates_lockstep(problem, sources) == want
+            assert delta(before) == {"hit": entries}
+            assert obs.counter_value("sim.codegen.emitted") == emitted
+            # 3. the same directory read by the next backend version
+            monkeypatch.setattr(
+                sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION + 1
+            )
+            before = counters()
+            reset_caches()
+            assert check_candidates_lockstep(problem, sources) == want
+            assert delta(before) == {
+                "version_mismatch": entries, "miss": entries,
+            }
+        finally:
+            sim_cache.configure(previous)
+            reset_caches()
+
+    def test_stage_with_compiled_designs_ships_to_a_worker(self):
+        from repro.evalkit.stages import CheckStage
+
+        design = build(self.SOURCE, "m")
+        want = self._run(design)
+        Simulator(design, backend="compiled").poke("d", 1)  # both forms
+        stage = CheckStage({"task": _DesignChecker(design)}, cache_dir="")
+        clone = pickle.loads(pickle.dumps(stage)).checkers["task"].design
+        assert sorted(clone._compiled.code) == ["fused", "generic"]
+        assert self._run(clone) == want
+
+
+class _DesignChecker:
+    """A checker that holds an elaborated design (module level: pickles)."""
+
+    def __init__(self, design):
+        self.design = design
