@@ -34,7 +34,7 @@ def main() -> None:
         EvalConfig(n_samples=4, ks=(1,), temperatures=(0.4,),
                    max_new_tokens=64),
     )
-    # One chunk per problem's lockstep group: enough leases that the
+    # One chunk per problem's sample pool: enough leases that the
     # doomed worker reaches its second one.
     plan = EvalPlan([model], [task], chunk_size=4)
 

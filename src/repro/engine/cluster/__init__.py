@@ -6,8 +6,8 @@ The next scale axis past the in-process pool: a
 N worker *processes behind a socket*, speaking small typed, versioned
 protocol messages.  Leases with heartbeats and a bounded requeue budget
 survive worker death; a plan-fingerprint handshake rejects stale
-workers; sticky shape-aware routing keeps lockstep pass@k groups (and
-their hot ``sim.cache``) on one worker; results stream back in
+workers; sticky shape-aware routing keeps one problem's pass@k pool (and
+its hot golden artifacts) on one worker; results stream back in
 submission order so verdicts are identical to a serial run.
 
 Layout:

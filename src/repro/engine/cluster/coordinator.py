@@ -19,9 +19,9 @@ buys over the in-process pool:
   the honest workers (:class:`~.protocol.StaleWorkerError` only when
   none remain).
 * **Shape-aware routing.**  Chunks whose items all share one
-  ``(model, task, unit)`` coordinate — a lockstep group of pass@k
-  candidates — are routed *sticky*: every chunk of the group lands on
-  the same worker, so that worker's in-memory golden artifacts and its
+  ``(model, task, unit)`` coordinate — the pass@k candidates of one
+  problem — are routed *sticky*: every chunk of the unit lands on the
+  same worker, so that worker's in-memory golden artifacts and its
   ``sim.cache`` entries stay hot.
 * **Live progress.**  Results stream back in submission order while
   later chunks are still running; ``progress()`` snapshots the run and
@@ -96,10 +96,13 @@ def default_route_key(chunk: Sequence[Any]) -> Optional[Tuple]:
     """Sticky-routing key for a chunk, or None for any-worker dispatch.
 
     When every item in the chunk carries the same
-    ``(model_name, task_id, unit_id)`` — the shape of a lockstep group
-    of pass@k candidates for one problem — that coordinate is the key,
-    so the whole group (and any sibling chunk of the same unit) lands
-    on one worker and its compiled golden artifacts stay hot.
+    ``(model_name, task_id, unit_id)`` — the pass@k candidates of one
+    problem — that coordinate is the key, so the whole pool (and any
+    sibling chunk of the same unit) lands on one worker.  What that
+    keeps hot is per problem, not per candidate: the golden artifacts
+    (parse, elaboration, compiled code, recorded trace —
+    ``harness._GOLDEN_CACHE``) and the checker's verdict memo, which a
+    second worker would rebuild from scratch.
     """
     key = None
     for item in chunk:

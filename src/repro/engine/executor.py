@@ -64,9 +64,7 @@ class StageStat:
     """One stage's accounting for one chunk (or one aggregated run).
 
     Replaces the untyped ``(stage_name, n_in, n_out, seconds)`` tuples
-    the executors used to emit.  The tuple form survives as the
-    deprecated :attr:`as_tuple` property (and via iteration/indexing) so
-    callers that still unpack four values keep working.
+    the executors used to emit.
     """
 
     stage: str
@@ -78,19 +76,6 @@ class StageStat:
     def removed(self) -> int:
         return self.n_in - self.n_out
 
-    @property
-    def as_tuple(self) -> Tuple[str, int, int, float]:
-        """Deprecated: the legacy stat-tuple form."""
-        return (self.stage, self.n_in, self.n_out, self.seconds)
-
-    def __iter__(self):
-        # Deprecated tuple-unpacking compatibility:
-        # ``name, n_in, n_out, seconds = stat`` keeps working.
-        return iter(self.as_tuple)
-
-    def __getitem__(self, index):
-        return self.as_tuple[index]
-
 
 @dataclass
 class ChunkTrace:
@@ -99,11 +84,6 @@ class ChunkTrace:
     stats: List[StageStat] = field(default_factory=list)
     #: spans/metrics recorded while the chunk ran (None when nothing was)
     obs: Optional[obs.ObsBuffer] = None
-
-    def __iter__(self):
-        # Legacy compatibility: ``for name, n_in, n_out, s in trace``
-        # iterates the per-stage stats like the old stats list did.
-        return iter(self.stats)
 
 
 ChunkResult = Tuple[List[Any], ChunkTrace]

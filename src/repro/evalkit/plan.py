@@ -17,9 +17,9 @@ so a killed sweep resumes mid-problem and completes with a
 
 Checking is chunk-batched: :class:`~repro.evalkit.stages.CheckStage`
 hands each chunk's records to their task's checker together, so pass@k
-candidates of one problem check as one batch (duplicates once, wide
-groups in lockstep; see :func:`repro.vereval.check_candidates_lockstep`)
-before pool fan-out.
+candidates of one problem check as one batch (duplicates once, golden
+artifacts and stimulus rows derived once; see
+:func:`repro.vereval.check_candidates_lockstep`) before pool fan-out.
 
 Example (runnable; ``docs/architecture.md`` carries the resumable
 variant, executed by ``tools/check_docs.py``)::

@@ -120,20 +120,18 @@ class CheckStage(MapStage):
     Chunks are checked *per task, per chunk* rather than per record:
     when a checker exposes ``check_batch`` (see
     :class:`~repro.evalkit.tasks.PassAtKChecker`), all of the chunk's
-    records for that task are handed over together, which lets pass@k
-    candidates of one problem, in groups wide enough to pay, simulate
-    **in lockstep** — one
-    lane-parallel run per group of structurally compatible candidates —
-    before the pool fans the chunks out.  Checkers without a batch entry
-    point keep the per-record ``check`` path; either way the output is
-    1:1 and order-preserving, with verdicts identical to a per-record
-    loop.
+    records for that task are handed over together, so the pass@k
+    candidates of one problem share one golden lookup, one stimulus-row
+    derivation and one check per distinct source.  Checkers without a
+    batch entry point keep the per-record ``check`` path; either way the
+    output is 1:1 and order-preserving, with verdicts identical to a
+    per-record loop.
 
     Captures the active :mod:`repro.sim.cache` directory at construction
     and re-activates it after unpickling, so process-pool workers share
-    the run's persistent compile cache (golden artifacts, duplicate
-    candidate elaborations, and lockstep grouping digests hit disk
-    instead of being rederived) even under executor start methods that
+    the run's persistent compile cache (golden artifacts and duplicate
+    candidate elaborations hit disk instead of being rederived) even
+    under executor start methods that
     do not inherit the parent's environment.  The resolved CEGIS checking
     configuration (:func:`repro.vereval.cegis.active_config`) is captured
     and re-applied the same way, so every worker renders the same verdict

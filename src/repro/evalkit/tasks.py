@@ -100,11 +100,10 @@ class PassAtKChecker:
     :meth:`check_batch` is the chunk-level entry point
     :class:`~repro.evalkit.stages.CheckStage` prefers: all distinct
     completions of one problem inside a chunk check together through
-    :func:`~repro.vereval.harness.check_candidates_lockstep`, so
-    sequential candidates with compatible compiled shapes, in groups
-    wide enough to pay, simulate in lockstep (one lane per candidate)
-    instead of one at a time — with verdicts identical to :meth:`check`
-    per record.
+    :func:`~repro.vereval.harness.check_candidates_lockstep` (one golden
+    lookup and one stimulus-row derivation per problem, one check per
+    distinct source) — with verdicts identical to :meth:`check` per
+    record.
     """
 
     _VERDICT_CACHE_MAX = 8192
@@ -135,11 +134,11 @@ class PassAtKChecker:
         return record
 
     def check_batch(self, records: Sequence[SampleRecord]):
-        """Verdicts for a whole chunk, lockstep-grouped per problem.
+        """Verdicts for a whole chunk, pooled per problem.
 
         Equivalent to ``[self.check(r) for r in records]`` (same memo,
         same verdicts, same order) but unmemoized completions of one
-        problem are checked as one lockstep batch.
+        problem are checked in one ``check_candidates_lockstep`` call.
         """
         records = list(records)
         # Snapshot the verdicts this chunk needs before inserting fresh

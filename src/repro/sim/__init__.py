@@ -80,22 +80,17 @@ module for the key scheme), which evaluation pool workers use to skip
 re-lexing/re-parsing/re-elaborating golden and duplicate candidate
 modules.
 
-The lanes axis can also run over *candidate designs* instead of stimulus
-streams: :func:`~repro.sim.batch.build_lockstep_group` batches
-structurally compatible designs (grouped by
-:func:`~repro.sim.batch.lockstep_shape_digest`) into a
-:class:`~repro.sim.batch.LockstepSimulator` that steps one candidate per
-lane under one shared stimulus, with lane retirement and dirty-level
-schedule skipping — the wide-pool tier of
-:func:`repro.vereval.check_candidates_lockstep`.  See
-``docs/architecture.md`` for the full backend matrix and contracts.
+See ``docs/architecture.md`` for the full backend matrix and contracts.
+(:func:`~repro.sim.batch.build_lockstep_group` and
+:func:`~repro.sim.batch.lockstep_shape_digest` are exported only because
+the frozen perf-ledger walk imports them; nothing in ``repro`` calls
+them.)
 
 The public entry points are :func:`elaborate` and the
 :class:`~repro.sim.testbench.Testbench` /
 :func:`~repro.sim.testbench.equivalence_check` harness (lane-parallel:
 :class:`~repro.sim.testbench.BatchTestbench` /
-:func:`~repro.sim.testbench.sweep_random_stimulus`; per-candidate:
-:class:`~repro.sim.testbench.LockstepTestbench`).
+:func:`~repro.sim.testbench.sweep_random_stimulus`).
 """
 
 from repro.sim.values import mask, to_signed, from_signed, bit_length_for
@@ -117,8 +112,6 @@ from repro.sim.batch import (
     BatchDesign,
     BatchDivergence,
     BatchSimulator,
-    LockstepGroup,
-    LockstepSimulator,
     REPRESENTATIONS,
     UnbatchableDesign,
     batch_design,
@@ -130,7 +123,6 @@ from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
 from repro.sim.testbench import (
     BatchTestbench,
     EquivalenceResult,
-    LockstepTestbench,
     StimulusVector,
     SweepResult,
     Testbench,
@@ -160,8 +152,6 @@ __all__ = [
     "BatchDesign",
     "BatchDivergence",
     "BatchSimulator",
-    "LockstepGroup",
-    "LockstepSimulator",
     "REPRESENTATIONS",
     "UnbatchableDesign",
     "batch_design",
@@ -174,7 +164,6 @@ __all__ = [
     "POINTS_PER_BIT",
     "Testbench",
     "BatchTestbench",
-    "LockstepTestbench",
     "StimulusVector",
     "SweepResult",
     "EquivalenceResult",

@@ -47,36 +47,6 @@ the compiled backend:
 Lane-for-lane identity with the scalar compiled backend — values *and*
 error classification — is enforced by ``tests/test_sim_batch.py`` across
 every ``vgen`` family, the vereval problem set, and hypothesis draws.
-
-Lockstep candidate checking
----------------------------
-
-The lanes axis can also run over *candidates* instead of stimulus
-streams: :func:`build_lockstep_group` takes N structurally compatible
-designs (same signals/memories, same levelized schedule shape — see
-:func:`lockstep_shape_digest`) and builds one :class:`LockstepGroup`
-whose :class:`LockstepSimulator` steps every candidate in lockstep under
-one shared stimulus.  Node bodies are deduplicated by AST fingerprint —
-candidates that differ in a single expression share every other node's
-vectorized closure — and each distinct variant runs once per visit with
-a per-lane predicate selecting the candidates it belongs to.  The
-runtime adds two schedule refinements over the plain full-level sweep:
-
-* **lane retirement** — :meth:`LockstepSimulator.retire_lanes` drops
-  lanes (candidates) whose verdict is already decided; retired lanes are
-  excluded from every statement predicate and every edge trigger, so a
-  group where most candidates mismatch early converges to the cost of
-  the survivors;
-* **dirty-level skipping** — a settle walks the levelized schedule but
-  runs only nodes whose read set intersects the slots written since the
-  last settle (pokes, sequential-block commits); untouched levels of the
-  schedule are skipped entirely, mirroring the scalar backend's
-  fanout-driven dirty cone at whole-level, all-lanes granularity.
-
-The checking protocol built on top of this lives in
-:func:`repro.vereval.harness.check_candidates_lockstep`; groups or lanes
-the lockstep runner cannot carry replay on the scalar backends under the
-same scalar-fallback contract as everything above.
 """
 
 from __future__ import annotations
@@ -104,7 +74,6 @@ __all__ = [
     "BatchDivergence",
     "BatchSimulator",
     "LockstepGroup",
-    "LockstepSimulator",
     "REPRESENTATIONS",
     "UnbatchableDesign",
     "batch_design",
@@ -1738,7 +1707,13 @@ class BatchSimulator(Simulator):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep candidate groups: one lane per *candidate design*
+# Pinned remainder of the lane-per-candidate tier (deleted in PR 23, see
+# docs/architecture.md §4).  Nothing in src/ calls these any more: the
+# frozen ledger walk (benchmarks/perf/layers.py, spans
+# sim.batch.shape_digest / sim.batch.lower) imports lockstep_shape_digest
+# and build_lockstep_group, so they — with _lockstep_shape_digest,
+# _comb_node_fingerprints, LockstepGroup and the Design._lockstep_digest
+# memo — stay byte-for-byte until a [benchmark] PR drops those rows.
 # ---------------------------------------------------------------------------
 
 
@@ -1988,168 +1963,3 @@ def build_lockstep_group(designs: Sequence[Design]) -> LockstepGroup:
             seq_writes[j] |= block_writes
     group.seq_writes = tuple(frozenset(w) for w in seq_writes)
     return group
-
-
-class LockstepSimulator(BatchSimulator):
-    """Steps a :class:`LockstepGroup` — one candidate design per lane.
-
-    The observable API is the :class:`BatchSimulator` one (lane arrays
-    from ``peek_lanes``, broadcast or per-lane pokes), plus:
-
-    * :meth:`retire_lanes` — permanently drop lanes whose verdict is
-      decided; retired lanes are excluded from every write predicate and
-      edge trigger, and a fully retired group becomes (almost) free to
-      step;
-    * dirty-level settle — only schedule levels whose read sets
-      intersect the slots written since the last settle run at all, so
-      stimulus touching a narrow input cone skips the rest of the
-      schedule.
-
-    Verdict identity with checking every candidate on the scalar
-    backends is enforced by ``tests/test_sim_lockstep.py``.
-    """
-
-    def __init__(self, group: LockstepGroup):
-        rep = group.rep
-        n_lanes = group.n_lanes
-        self.group = group
-        self.design = group.designs[0]
-        self.bdesign = rep
-        self.n_lanes = n_lanes
-        self.active: np.ndarray = np.ones(n_lanes, dtype=bool)
-        self._all_active = True
-        self._any_active = True
-        dtype = rep.lane_dtype
-        self.st = [
-            np.zeros(n_lanes, dtype=dtype) for _ in range(rep.n_signals)
-        ]
-        self.mem_data = [
-            np.zeros((depth, n_lanes), dtype=dtype)
-            for depth in rep.mem_depths
-        ]
-        self._max_rounds = 2 * rep.comb_count + 16
-        #: plain-int settle accounting, read by the lockstep harness and
-        #: reported into the repro.obs metrics registry once per group
-        #: run (never per settle — this loop is hot)
-        self.stat_settles = 0
-        self.stat_nodes_run = 0
-        self.stat_nodes_skipped = 0
-        self._dirty = set(range(rep.n_signals + len(rep.mem_depths)))
-        # Every node is forced into the first settle (constant-driven
-        # nodes have empty read sets, so dirtiness alone would skip them).
-        self._forced: set = set(range(len(rep.nodes)))
-        # Initial statements commit per statement index; variant masks are
-        # pairwise disjoint, so merged overlays preserve per-lane order.
-        for stmt_variants in group.initial_plan:
-            overlay: Dict[int, np.ndarray] = {}
-            mem_overlay: Dict[int, np.ndarray] = {}
-            nba: List[tuple] = []
-            for entry in stmt_variants:
-                mask, body = entry[0], entry[1]
-                body(self.st, self.mem_data, overlay, mem_overlay, nba, mask)
-            _commit_lane_overlays(
-                self.st, self.mem_data, overlay, mem_overlay, nba,
-                rep.widths, rep.lane_ix, rep.shift_cap,
-            )
-        self.settle()
-
-    def retire_lanes(self, mask) -> None:
-        """Permanently exclude the lanes in boolean ``mask``."""
-        self.active = self.active & ~np.asarray(mask, dtype=bool)
-        self._all_active = bool(self.active.all())
-        self._any_active = bool(self.active.any())
-
-    # -- dirty tracking ------------------------------------------------------
-
-    def _poke_apply(self, name: str, value) -> None:
-        super()._poke_apply(name, value)
-        slot = self.bdesign.slot_of[name]
-        self._dirty.add(slot)
-        # Out-of-schedule write: like the scalar backend, re-run the
-        # slot's driver too so a poked comb-driven net is restored.
-        self._forced.update(self.bdesign.writers.get(slot, ()))
-
-    def _mark_written(self, pseudo_slots) -> None:
-        self._dirty |= pseudo_slots
-        writers = self.bdesign.writers
-        for ps in pseudo_slots:
-            self._forced.update(writers.get(ps, ()))
-
-    # -- settle / edges ------------------------------------------------------
-
-    def settle(self) -> None:
-        """Dirty-level sweep: skip schedule levels no write can reach."""
-        dirty = self._dirty
-        forced = self._forced
-        if not dirty and not forced:
-            return
-        st = self.st
-        mems = self.mem_data
-        active = self.active
-        all_active = self._all_active
-        group = self.group
-        node_reads = group.node_reads
-        node_writes = group.node_writes
-        comb_plan = group.comb_plan
-        nodes_run = 0
-        for node in self.bdesign.topo:
-            if node not in forced and dirty.isdisjoint(node_reads[node]):
-                continue
-            nodes_run += 1
-            node_variants = comb_plan[node]
-            if len(node_variants) == 1:
-                # One body covers every lane: take the unpredicated
-                # full-sweep runner unless retirement narrowed the lanes.
-                _, plain, pred_run = node_variants[0]
-                if all_active:
-                    plain(st, mems)
-                elif self._any_active:
-                    pred_run(st, mems, active)
-            else:
-                for mask, _, pred_run in node_variants:
-                    pred = mask & active
-                    if pred.any():
-                        pred_run(st, mems, pred)
-            dirty |= node_writes[node]
-        self.stat_settles += 1
-        self.stat_nodes_run += nodes_run
-        self.stat_nodes_skipped += len(self.bdesign.topo) - nodes_run
-        self._dirty = set()
-        self._forced = set()
-
-    def _fire_edges(self, snapshot: List[np.ndarray]) -> None:
-        if not self._any_active:
-            return  # every candidate is decided; nothing left to observe
-        group = self.group
-        for _ in range(self._max_rounds):
-            current = self._trigger_bits()
-            if _no_bit_moved(snapshot, current):
-                return
-            fired: List[tuple] = []
-            fired_writes: set = set()
-            for j, (triggers, block_variants) in enumerate(group.seq_plan):
-                lanes = None
-                for want, ti in triggers:
-                    edge = (snapshot[ti] != current[ti]) & (
-                        current[ti] == want
-                    )
-                    lanes = edge if lanes is None else (lanes | edge)
-                if lanes is None:
-                    continue
-                lanes = lanes & self.active
-                if not lanes.any():
-                    continue
-                for mask, body in block_variants:
-                    pred = lanes & mask
-                    if pred.any():
-                        fired.append((body, pred))
-                fired_writes |= group.seq_writes[j]
-            if not fired:
-                return
-            self._run_seq_blocks(fired)
-            self._mark_written(fired_writes)
-            self.settle()
-            snapshot = current
-        raise SimulationError(
-            "edge events failed to quiesce (oscillating clock loop?)"
-        )

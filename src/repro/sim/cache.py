@@ -27,12 +27,10 @@ This module gives those paths a disk tier:
 
 Consumers: :func:`repro.vereval.harness._golden_ref` persists whole
 golden artifact bundles (design + stimulus + output trace),
-:func:`repro.vereval.harness.check_candidate_source` persists elaborated
-candidate designs, :func:`repro.vereval.harness.check_candidates_lockstep`
-persists the lockstep grouping artifact (the structural shape digest of
-each candidate, or its unbatchability), and
-:class:`repro.evalkit.stages.CheckStage` forwards the configured cache
-directory to pool workers.
+:func:`repro.vereval.harness.check_candidate_source` and
+:func:`~repro.vereval.harness.check_candidates_lockstep` persist
+elaborated candidate designs, and :class:`repro.evalkit.stages.CheckStage`
+forwards the configured cache directory to pool workers.
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ __all__ = [
     "stats",
     "get_design",
     "put_design",
-    "get_shape",
-    "put_shape",
-    "UNBATCHABLE_SHAPE",
 ]
 
 #: Version carried inside every entry's envelope.  Bump on any change to
@@ -236,27 +231,3 @@ def put_design(source: str, module_name: str, design: Design) -> bool:
     """Persist an elaborated design keyed by its exact source text."""
     return store("design", design, source, module_name)
 
-
-#: marker stored instead of a digest when a candidate cannot carry a
-#: lockstep lane at all (not statically lowerable / not levelizable)
-UNBATCHABLE_SHAPE = ""
-
-
-def get_shape(source: str, module_name: str) -> Optional[str]:
-    """Cached lockstep shape digest for ``module_name`` in ``source``.
-
-    Returns the digest string, :data:`UNBATCHABLE_SHAPE` when the
-    candidate is known not to lane-lower, or None on a miss.  This is
-    the grouping half of the lockstep compile artifact: pool workers and
-    later runs group candidates without re-probing the compiler, and the
-    digest can never alias a different source because the key hashes the
-    full text (the envelope's :data:`BACKEND_VERSION` check evicts
-    digests stranded by grouping-rule changes).
-    """
-    shape = load("lockstep-shape", source, module_name)
-    return shape if isinstance(shape, str) else None
-
-
-def put_shape(source: str, module_name: str, digest: str) -> bool:
-    """Persist a lockstep shape digest (or :data:`UNBATCHABLE_SHAPE`)."""
-    return store("lockstep-shape", digest, source, module_name)

@@ -32,12 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.batch import (
-    BatchSimulator,
-    LockstepGroup,
-    LockstepSimulator,
-    UnbatchableDesign,
-)
+from repro.sim.batch import BatchSimulator
 from repro.sim.compile import UncompilableDesign
 from repro.sim.elaborate import Design, elaborate
 from repro.sim.simulator import Simulator
@@ -203,23 +198,7 @@ def random_stimulus(
     ]
 
 
-class _LaneTestbench(Testbench):
-    """What the lane-parallel benches share: outputs are per-lane arrays
-    (``peek_lanes``), so ``step`` stays ``drive``; ``tick``; ``sample``
-    instead of the scalar cycle kernel."""
-
-    def step(self, vector) -> Dict[str, np.ndarray]:
-        self.drive(vector)
-        self.tick()
-        return self.sample()
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        """Per-lane output arrays after combinational settle."""
-        peek_lanes = self.sim.peek_lanes
-        return {name: peek_lanes(name) for name in self._output_names}
-
-
-class BatchTestbench(_LaneTestbench):
+class BatchTestbench(Testbench):
     """Synchronous harness stepping ``n_lanes`` episodes in lockstep.
 
     Same protocol as :class:`Testbench` (clock/reset resolution, batched
@@ -262,36 +241,17 @@ class BatchTestbench(_LaneTestbench):
                         backend: Optional[str]) -> BatchSimulator:
         return BatchSimulator(design, n_lanes=self.n_lanes)
 
+    def step(self, vector) -> Dict[str, np.ndarray]:
+        """``drive``; ``tick``; ``sample`` — outputs are per-lane arrays,
+        so not the scalar cycle kernel."""
+        self.drive(vector)
+        self.tick()
+        return self.sample()
 
-class LockstepTestbench(_LaneTestbench):
-    """Harness stepping one *candidate group* — one candidate per lane.
-
-    Where :class:`BatchTestbench` runs one design under N stimulus
-    streams, this bench runs N structurally compatible designs (a
-    :class:`~repro.sim.batch.LockstepGroup`, see
-    :func:`~repro.sim.batch.build_lockstep_group`) under one shared
-    stimulus: ``drive``/``tick`` broadcast to every lane, ``sample``
-    returns per-lane (per-candidate) output arrays, and
-    ``sim.retire_lanes`` drops candidates whose verdict is already
-    decided.  This is the execution engine behind
-    :func:`repro.vereval.harness.check_candidates_lockstep`; port
-    resolution follows the group's first design (all members share the
-    interface by construction).
-    """
-
-    def __init__(
-        self,
-        group: LockstepGroup,
-        clock: Optional[str] = "clk",
-        reset: Optional[str] = None,
-        reset_active_high: bool = True,
-    ) -> None:
-        self._group = group
-        super().__init__(group.designs[0], clock, reset, reset_active_high)
-
-    def _make_simulator(self, design: Design,
-                        backend: Optional[str]) -> LockstepSimulator:
-        return LockstepSimulator(self._group)
+    def sample(self) -> Dict[str, np.ndarray]:
+        """Per-lane output arrays after combinational settle."""
+        peek_lanes = self.sim.peek_lanes
+        return {name: peek_lanes(name) for name in self._output_names}
 
 
 @dataclass

@@ -13,9 +13,10 @@ candidate, :func:`check_designs` runs three ordered stages:
    distinguishing vectors first.  Entries are short (each is minimized
    to the first divergent cycle when minted) so a kill here costs a few
    cycles instead of a full-depth check, and the replay rides the exact
-   lockstep machinery of the legacy checker
+   machinery of the legacy checker
    (:func:`repro.vereval.harness._check_many_against_trace` over an
-   entry-shaped golden ref), lanes, retirement, and all;
+   entry-shaped golden ref): all-vectors lanes for stateless
+   combinational candidates, the scalar replay for the rest;
 2. **legacy full check** — survivors run the unmodified golden-trace
    check, verbatim.  This stage is what makes the verdict a **strict
    refinement**: any candidate the old checker fails still fails here,
@@ -28,7 +29,7 @@ candidate, :func:`check_designs` runs three ordered stages:
    the compiled golden, and the first divergent lane is minimized to
    its first bad cycle, **verified through the scalar checker**, and
    appended to the set — so the next near-miss of the same kind dies in
-   stage 1 at lockstep price.  Searches that come up clear are
+   stage 1 at the price of a few cycles.  Searches that come up clear are
    memoized (in-process and via a ``cegis-clear`` disk marker), so
    correct candidates pay the search once.
 
@@ -392,8 +393,7 @@ class _EntryRef:
     :func:`repro.vereval.harness._check_against_trace` and
     :func:`~repro.vereval.harness._check_many_against_trace` read, so
     entry replay reuses the legacy machinery unchanged — signature gate,
-    combinational all-vectors fast path, lockstep lanes, retirement,
-    scalar straggler replay.
+    combinational all-vectors fast path, scalar replay.
     """
 
     __slots__ = (
@@ -721,9 +721,7 @@ def check_designs(
     if config is None:
         config = active_config()
     if ref.error is not None or not config.enabled:
-        return harness._check_many_against_trace(
-            ref, candidates, problem, sources=sources
-        )
+        return harness._check_many_against_trace(ref, candidates, problem)
     n = len(candidates)
     obs.count("cegis.checks", n)
     results: List[Optional[EquivalenceResult]] = [None] * n
@@ -732,7 +730,7 @@ def check_designs(
         return [values[i] for i in indices]
 
     # Stage 1: the distinguishing-input set, cheapest first.  Replay
-    # rides the legacy lockstep path with the entry as the golden.
+    # rides the legacy pool check with the entry as the golden.
     ds = distinguishing_set(problem)
     alive = list(range(n))
     for position, entry in enumerate(list(ds.entries)):
@@ -740,10 +738,7 @@ def check_designs(
             break
         entry_ref = _EntryRef(ref, entry)
         verdicts = harness._check_many_against_trace(
-            entry_ref,
-            _pick(alive, candidates),
-            problem,
-            sources=_pick(alive, sources) if sources is not None else None,
+            entry_ref, _pick(alive, candidates), problem
         )
         survivors = []
         for index, verdict in zip(alive, verdicts):
@@ -761,10 +756,7 @@ def check_designs(
     # Stage 2: the unmodified legacy full check — the refinement anchor.
     if alive:
         verdicts = harness._check_many_against_trace(
-            ref,
-            _pick(alive, candidates),
-            problem,
-            sources=_pick(alive, sources) if sources is not None else None,
+            ref, _pick(alive, candidates), problem
         )
         passing = []
         for index, verdict in zip(alive, verdicts):

@@ -13,18 +13,15 @@ Since the evalkit refactor this module plays two roles:
   the stimulus turned into value rows once per problem; the interpreter
   backend is cycle-identical and kicks in automatically for candidates
   the compiler cannot statically lower;
-* it owns the *batched* verdict path (:func:`check_candidates_lockstep`):
-  many candidates of one problem check at once, each on the tier that
-  pays for its group size — duplicates collapse,
-  stateless combinational candidates take the all-vectors lane fast path
-  (:func:`_check_all_vectors_batch`, one stimulus vector per lane), and
-  sequential candidates with compatible compiled shapes simulate **in
-  lockstep**, one lane per candidate under the shared golden stimulus
-  (:mod:`repro.sim.batch` lockstep groups), when the group holds at
-  least ``_MIN_LOCKSTEP_LANES`` of them.  Everything else — pass@k-sized
-  groups included — replays on the scalar backends, which leave a mutant
-  at its first bad cycle, so verdicts are candidate-for-candidate
-  identical to the scalar loop;
+* it owns the *pool* verdict path (:func:`check_candidates_lockstep`):
+  many candidates of one problem check in one call — duplicate sources
+  collapse to one check, and each distinct elaborating design then takes
+  exactly the path :func:`check_candidate_source` gives it: stateless
+  combinational candidates the all-vectors lane fast path
+  (:func:`_check_all_vectors_batch`, one stimulus vector per lane),
+  everything else the scalar replay against the golden trace, which
+  leaves a mutant at its first bad cycle — so verdicts are
+  candidate-for-candidate identical to the per-candidate loop;
 * :func:`evaluate_model` is a thin facade compiling the paper's pass@k
   protocol into a :class:`repro.evalkit.EvalPlan`, which runs it through
   the streaming/parallel/checkpointable engine with numerically identical
@@ -52,7 +49,6 @@ from repro.sim import (
     stimulus_rows,
 )
 from repro.sim import cache as sim_cache
-from repro.sim.retire import replay_stragglers
 from repro.utils.rng import DeterministicRNG
 from repro.verilog import parse_source_fast
 from repro.vereval.passk import mean_pass_at_k
@@ -61,26 +57,6 @@ from repro.vereval.problems import EvalProblem
 #: kill switch for the combinational all-vectors fast path (used by the
 #: differential tests and benchmarks to time the scalar loop)
 BATCH_CHECK_ENABLED = os.environ.get("REPRO_SIM_BATCH_CHECK", "1") != "0"
-
-#: kill switch for lockstep (one lane per candidate) sequential checking
-#: — same role as BATCH_CHECK_ENABLED, for the sequential fast path
-LOCKSTEP_CHECK_ENABLED = (
-    os.environ.get("REPRO_SIM_LOCKSTEP_CHECK", "1") != "0"
-)
-
-#: lockstep groups smaller than this run on the scalar replay instead.
-#: A group pays a fixed numpy dispatch cost per cycle whatever its lane
-#: count, for every cycle while any lane survives, and lowers one lane
-#: image per distinct AST; the scalar replay pays per candidate but
-#: leaves a mutant at its first bad cycle.  The floor is the smallest
-#: point of the lane sweep in ``benchmarks/bench_batch_perf.py``
-#: (``benchmarks/results/lockstep_crossover.json``) at which forced
-#: lockstep beats forced scalar on the all-pass pools of both its DUTs
-#: (they cross at 16-20 lanes; that bench asserts these rows at this
-#: lane count).  Half-mutant pools cross at 24-32 lanes on the datapath
-#: DUT; on the 1-bit-heavy DUT the two tiers stay at parity (0.75-1.2x
-#: measured) from 24 to 56 lanes, so that row does not place a floor.
-_MIN_LOCKSTEP_LANES = 32
 
 
 @dataclass
@@ -459,210 +435,37 @@ def _replay_against_trace(
     return EquivalenceResult(equivalent=True, cycles_run=len(rows))
 
 
-def _candidate_shape_digest(candidate, source: Optional[str]) -> str:
-    """Lockstep grouping digest for one elaborated candidate.
-
-    Backed by the :mod:`repro.sim.cache` disk tier when enabled (keyed
-    by exact source text), so pool workers and later runs group without
-    re-probing the compiler.  Raises
-    :class:`~repro.sim.compile.UncompilableDesign` for candidates that
-    cannot carry a lane — the caller routes those to the scalar path.
-    """
-    from repro.sim.batch import UnbatchableDesign, lockstep_shape_digest
-    from repro.sim.compile import UncompilableDesign
-
-    name = candidate.top
-    if source is not None:
-        cached = sim_cache.get_shape(source, name)
-        if cached is not None:
-            if cached == sim_cache.UNBATCHABLE_SHAPE:
-                raise UnbatchableDesign(
-                    "cached shape: not lane-parallelizable"
-                )
-            return cached
-    try:
-        digest = lockstep_shape_digest(candidate)
-    except UncompilableDesign:
-        if source is not None:
-            sim_cache.put_shape(source, name, sim_cache.UNBATCHABLE_SHAPE)
-        raise
-    if source is not None:
-        sim_cache.put_shape(source, name, digest)
-    return digest
-
-
-def _run_lockstep_group(
-    ref: _GoldenRef, designs, problem: EvalProblem
-) -> Optional[list]:
-    """Check one shape-compatible candidate group in lockstep.
-
-    Returns one :class:`EquivalenceResult` per design (aligned), with
-    ``None`` entries for lanes whose verdict the lockstep run could not
-    decide (a runtime :class:`~repro.sim.batch.BatchDivergence` or any
-    other ``SimulationError`` that cannot be attributed to a single
-    lane) — the caller replays those candidates on the scalar backends,
-    which preserves per-candidate error classification.  Returns ``None``
-    outright when the group does not lower at all.
-
-    The protocol mirrors :func:`_check_against_trace` cycle for cycle,
-    with verdict bookkeeping on :class:`repro.sim.retire.RetireEngine`
-    in lockstep mode (lane = candidate): golden reset/step errors
-    preempt with the recorded phase, mismatching lanes record the scalar
-    first-mismatch bookkeeping (first cycle, first output in golden name
-    order) and retire, and surviving lanes pass with the full cycle
-    count.
-    """
-    from repro.sim.batch import build_lockstep_group
-    from repro.sim.compile import UncompilableDesign
-    from repro.sim.retire import RetireEngine
-    from repro.sim.testbench import LockstepTestbench
-
-    n_lanes = len(designs)
-    engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
-    results = engine.results
-    try:
-        with obs.span("lockstep.compile", lanes=n_lanes):
-            group = build_lockstep_group(designs)
-    except UncompilableDesign:
-        return None
-    interface = problem.module.interface
-    names = engine.names
-    trace = ref.trace
-    sim = None
-    try:
-        bench = LockstepTestbench(
-            group,
-            clock=interface.clock,
-            reset=interface.reset,
-            reset_active_high=interface.reset_active_high,
-        )
-        if ref.error_phase == "reset":
-            return [
-                EquivalenceResult(equivalent=False, error=ref.error)
-            ] * n_lanes
-        bench.apply_reset()
-        sim = bench.sim
-        for cycle, vector in enumerate(ref.stimulus):
-            if cycle >= len(trace):
-                # The golden itself died at this cycle: it preempts both
-                # the candidate's step and the comparison, exactly as in
-                # the scalar trace check.
-                return engine.preempt(ref.error, sim.active)
-            bench.drive(vector)
-            bench.tick()
-            if not names:
-                continue
-            actual = np.stack(
-                [sim.peek_lanes(name) for name in names], axis=1
-            )
-            lane_bad = engine.retire_cycle(cycle, actual, sim.active)
-            if lane_bad.any():
-                obs.count("lockstep.lanes_retired", int(lane_bad.sum()))
-                sim.retire_lanes(lane_bad)
-                if not sim.active.any():
-                    return results
-        return engine.finish(len(ref.stimulus))
-    except (SimulationError, OverflowError, ValueError):
-        # Undecided lanes stay None: the caller replays them scalar.
-        return results
-    finally:
-        if sim is not None:
-            # Accumulated as plain ints in the hot settle loop; one
-            # metrics write per group run (the retirement cycle series).
-            obs.count("lockstep.settles", sim.stat_settles)
-            obs.count("lockstep.settle_nodes_run", sim.stat_nodes_run)
-            obs.count(
-                "lockstep.settle_nodes_skipped", sim.stat_nodes_skipped
-            )
-
-
 def _check_many_against_trace(
-    ref: _GoldenRef, candidates, problem: EvalProblem, sources=None
+    ref: _GoldenRef, candidates, problem: EvalProblem
 ) -> list:
-    """Verdicts for many candidates of one problem, lockstep when it pays.
+    """Verdicts for many candidates of one problem.
 
     Returns one :class:`EquivalenceResult` per candidate, identical to
-    calling :func:`_check_against_trace` per candidate (enforced by
-    ``tests/test_sim_lockstep.py``).  Sequential candidates group by
-    :func:`~repro.sim.batch.lockstep_shape_digest` and run one lane each
-    under the shared golden stimulus; stragglers (unique shapes, designs
-    that do not lane-lower, lanes the runner could not decide) take the
-    scalar path.  A ``SimulationError`` escaping a scalar check maps to
-    the ``"simulation"`` failure reason, as in
-    :func:`check_candidate_source`.
+    calling :func:`_check_against_trace` per candidate: the same two
+    gates, then :func:`_replay_against_trace` over stimulus rows derived
+    once per problem.  A ``SimulationError`` escaping a check maps to the
+    ``"simulation"`` failure reason, as in :func:`check_candidate_source`.
     """
-    from repro.sim import default_backend
-    from repro.sim.compile import UncompilableDesign
-
-    results: list = [None] * len(candidates)
-    pool = []
-    for index, candidate in enumerate(candidates):
-        mismatch = _interface_mismatch(ref, candidate)
-        if mismatch is not None:
-            results[index] = mismatch
-        elif ref.error_phase == "construct":
-            results[index] = EquivalenceResult(
-                equivalent=False, error=ref.error
-            )
-        else:
-            pool.append(index)
-
-    interface = problem.module.interface
-    scalar = list(pool)
-    if (
-        LOCKSTEP_CHECK_ENABLED
-        and interface.clock is not None
-        # An explicitly pinned interpreter backend is a ground-truth run.
-        and default_backend() != "interp"
-        and len(pool) >= _MIN_LOCKSTEP_LANES
-    ):
-        groups: dict = {}
-        scalar = []
-        for index in pool:
-            try:
-                digest = _candidate_shape_digest(
-                    candidates[index],
-                    sources[index] if sources is not None else None,
-                )
-            except UncompilableDesign:
-                scalar.append(index)
-                continue
-            groups.setdefault(digest, []).append(index)
-        for indices in groups.values():
-            if len(indices) < _MIN_LOCKSTEP_LANES:
-                scalar.extend(indices)
-                continue
-            obs.count("lockstep.groups")
-            obs.observe("lockstep.group_lanes", len(indices))
-            lane_results = _run_lockstep_group(
-                ref, [candidates[i] for i in indices], problem
-            )
-            if lane_results is None:
-                obs.count("lockstep.lanes_replayed", len(indices))
-                scalar.extend(indices)
-                continue
-            for index, lane_result in zip(indices, lane_results):
-                if lane_result is None:
-                    obs.count("lockstep.lanes_replayed")
-                    scalar.append(index)
-                else:
-                    results[index] = lane_result
-
     input_names, rows = stimulus_rows(ref.stimulus)
 
-    def _scalar_check(index: int) -> EquivalenceResult:
+    def check(candidate) -> EquivalenceResult:
+        mismatch = _interface_mismatch(ref, candidate)
+        if mismatch is not None:
+            return mismatch
+        if ref.error_phase == "construct":
+            return EquivalenceResult(equivalent=False, error=ref.error)
+        # retire.scalar_replays is the name the perf ledger's layer walk
+        # reads this count under
         obs.count("vereval.scalar_checks")
-        return _replay_against_trace(
-            ref, candidates[index], problem, input_names, rows
-        )
+        obs.count("retire.scalar_replays")
+        try:
+            return _replay_against_trace(
+                ref, candidate, problem, input_names, rows
+            )
+        except SimulationError:
+            return EquivalenceResult(equivalent=False, error="simulation")
 
-    replay_stragglers(
-        results,
-        scalar,
-        _scalar_check,
-        lambda exc: EquivalenceResult(equivalent=False, error="simulation"),
-    )
-    return results
+    return [check(candidate) for candidate in candidates]
 
 
 def check_candidates_lockstep(
@@ -675,25 +478,17 @@ def check_candidates_lockstep(
     ``(passed, failure_reason)`` classification (``syntax`` /
     ``internal`` / ``missing_module`` / ``elaboration`` / ``simulation``
     / mismatch detail), in input order, duplicates included — while
-    doing the work batched:
+    doing the shared work once:
 
     * duplicate sources parse, elaborate, and check once;
-    * sequential candidates with compatible compiled shapes
-      (:func:`~repro.sim.batch.lockstep_shape_digest`) run **in
-      lockstep**, one lane per candidate, under the shared golden
-      stimulus, with mismatching lanes retired at their first bad cycle
-      — in groups of at least ``_MIN_LOCKSTEP_LANES``, the measured
-      crossover below which the scalar replay is faster;
-    * everything else — smaller groups, combinational problems (which
-      keep the all-vectors fast path), designs that do not lane-lower,
-      and lanes hit by a runtime
-      :class:`~repro.sim.batch.BatchDivergence` — replays on the scalar
-      backends under the usual fallback contract;
+    * the golden artifacts and the stimulus rows are derived once per
+      call, and each distinct elaborating design takes the same path
+      :func:`check_candidate_source` gives it — the all-vectors fast
+      path when it is stateless combinational, the scalar replay
+      otherwise (docs/architecture.md §4; the function keeps the name
+      the perf ledger and ``evalkit`` import it under);
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
-      candidates and their grouping digests persist across workers/runs.
-
-    Set ``REPRO_SIM_LOCKSTEP_CHECK=0`` to force the scalar path (the
-    differential tests and benchmarks use this to time the baseline).
+      candidates persist across workers/runs.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -759,18 +554,16 @@ def _check_candidates_lockstep(
 
         cfg = _cegis.active_config()
         designs = [candidate for _, candidate, _ in checkable]
-        srcs = [source for source, _, _ in checkable]
         if cfg.enabled:
             # Adversarial checking: distinguishing-set pre-check, the
             # legacy full check for survivors, falsification search for
             # passers — a strict refinement of the plain call below.
             verdicts = _cegis.check_designs(
-                ref, designs, problem, sources=srcs, config=cfg
+                ref, designs, problem, config=cfg,
+                sources=[source for source, _, _ in checkable],
             )
         else:
-            verdicts = _check_many_against_trace(
-                ref, designs, problem, sources=srcs
-            )
+            verdicts = _check_many_against_trace(ref, designs, problem)
         for (_, _, indices), verdict in zip(checkable, verdicts):
             if verdict.equivalent:
                 fill(indices, (True, ""))

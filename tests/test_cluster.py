@@ -4,7 +4,7 @@ Every recovery path the coordinator promises is driven deterministically
 through the worker fault hooks (``die_on_lease``, ``hang_on_lease``,
 ``backend_version``): worker death mid-chunk, heartbeat-timeout
 requeue, stale-fingerprint rejection at handshake, coordinator loss
-resumed from checkpoint, and sticky lockstep-group routing — each
+resumed from checkpoint, and sticky per-unit routing — each
 asserting the cluster run stays verdict-identical to a serial one,
 candidate for candidate.  The local-pool analogue (``WorkerDiedError``
 plus one requeue in :class:`ParallelExecutor`) is covered at the end;
@@ -177,7 +177,7 @@ class TestRouting:
 
     def test_lockstep_groups_land_on_one_worker(self):
         # Two chunks per unit: every chunk of a unit must reuse the
-        # worker its first chunk landed on (hot sim cache).
+        # worker its first chunk landed on (hot golden artifacts).
         items = [
             _Unit("m", "t", f"u{unit}", sample)
             for unit in range(6)

@@ -6,8 +6,11 @@ examples fail tier-1 the moment they stop matching the code.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHECKER = REPO_ROOT / "tools" / "check_docs.py"
@@ -75,3 +78,27 @@ def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
     assert check_docs.check_env_table(
         REPO_ROOT / "src", REPO_ROOT / "docs" / "architecture.md"
     )
+
+
+#: names deleted with the lane-per-candidate checker tier (PR 23); a
+#: mention outside this list is a doc or comment that outlived the code
+_DELETED_NAMES = re.compile(
+    "LockstepSimulator|LockstepTestbench|_LaneTestbench|_run_lockstep_group"
+    "|_candidate_shape_digest|_MIN_LOCKSTEP_LANES|LOCKSTEP_CHECK_ENABLED"
+    "|REPRO_SIM_LOCKSTEP_CHECK|get_shape|put_shape|UNBATCHABLE_SHAPE"
+    "|retire_cycle|replay_stragglers"
+)
+
+
+@pytest.mark.parametrize("root", ["src", "docs", "examples", ".github"])
+def test_no_mention_of_deleted_names(root):
+    hits = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}: {line.strip()}"
+        for path in sorted((REPO_ROOT / root).rglob("*"))
+        if path.suffix in (".py", ".md", ".yml")
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if _DELETED_NAMES.search(line)
+    ]
+    assert not hits, "\n".join(hits)

@@ -20,8 +20,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.engine import ParallelExecutor, SerialExecutor, StageStat
-from repro.engine.executor import ChunkTrace
+from repro.engine import ParallelExecutor, SerialExecutor
 from repro.evalkit import EvalPlan, PassAtKTask
 from repro.llm import LanguageModel
 from repro.obs import export as obs_export
@@ -282,7 +281,7 @@ def _sample_buffer():
             obs.event("eval.candidate", passed=True)
         obs.count("sim.cache.hit", 2)
         obs.gauge("pool.workers", 2)
-        obs.observe("lockstep.group_lanes", 3)
+        obs.observe("pool.candidates", 3)
     return obs.pop_frame()
 
 
@@ -307,7 +306,7 @@ class TestExporters:
             "type": "counter", "name": "sim.cache.hit", "value": 2
         }
         hist = next(l for l in lines if l["type"] == "histogram")
-        assert hist["name"] == "lockstep.group_lanes"
+        assert hist["name"] == "pool.candidates"
         assert hist["count"] == 1 and hist["sum"] == 3
 
     def test_trace_event_file_is_loadable(self, tmp_path):
@@ -333,7 +332,7 @@ class TestExporters:
         )
         assert telemetry.wall_seconds > 0
         assert telemetry.counters["sim.cache.hit"] == 2
-        assert telemetry.histograms["lockstep.group_lanes"]["mean"] == 3
+        assert telemetry.histograms["pool.candidates"]["mean"] == 3
         text = telemetry.to_text()
         assert "vereval.problem" in text and "sim.cache.hit" in text
 
@@ -371,24 +370,6 @@ class TestExporters:
         )
         assert result.returncode == 1
         assert "no events.jsonl" in result.stderr
-
-
-# -- typed stage stats -------------------------------------------------------
-
-
-class TestStageStat:
-    def test_tuple_compat(self):
-        stat = StageStat("dedup", 10, 7, 0.5)
-        name, n_in, n_out, seconds = stat
-        assert (name, n_in, n_out, seconds) == ("dedup", 10, 7, 0.5)
-        assert stat.as_tuple == ("dedup", 10, 7, 0.5)
-        assert stat[0] == "dedup" and stat[3] == 0.5
-        assert stat.removed == 3
-
-    def test_chunk_trace_iterates_stats(self):
-        trace = ChunkTrace(stats=[StageStat("s", 1, 1, 0.0)])
-        (stat,) = list(trace)
-        assert stat.stage == "s"
 
 
 # -- cache metrics -----------------------------------------------------------
@@ -431,10 +412,10 @@ class TestCacheMetrics:
     def test_version_mismatch_counted_and_evicted(
         self, tmp_path, monkeypatch
     ):
-        # Entries written under the previous BACKEND_VERSION — a blob, a
-        # lockstep shape digest, and a design whose digest memo is still
-        # the old dict-per-pin layout — must be counted and evicted,
-        # never handed back to be misread.
+        # Entries written under the previous BACKEND_VERSION — a blob and
+        # a design whose digest memo is still the old dict-per-pin
+        # layout — must be counted and evicted, never handed back to be
+        # misread.
         from repro.sim import elaborate
         from repro.verilog import parse_source
 
@@ -446,18 +427,16 @@ class TestCacheMetrics:
         try:
             monkeypatch.setattr(sim_cache, "BACKEND_VERSION", current - 1)
             assert sim_cache.store("blob", [1], "k")
-            assert sim_cache.put_shape(source, "m", "0" * 64)
             assert sim_cache.put_design(source, "m", design)
             monkeypatch.setattr(sim_cache, "BACKEND_VERSION", current)
             assert sim_cache.load("blob", "k") is None
-            assert sim_cache.get_shape(source, "m") is None
             assert sim_cache.get_design(source, "m") is None
             assert not list(tmp_path.rglob("*.pkl"))  # evicted on disk
         finally:
             sim_cache.configure(previous)
         stats = sim_cache.stats()
-        assert stats["version_mismatch"] == 3
-        assert stats["evict"] == 3
+        assert stats["version_mismatch"] == 2
+        assert stats["evict"] == 2
         assert "hit" not in stats
 
 

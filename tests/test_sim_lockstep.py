@@ -1,18 +1,18 @@
-"""Differential tests: lockstep candidate checking vs the scalar path.
+"""Differential tests: ``check_candidates_lockstep`` vs the per-candidate path.
 
-``check_candidates_lockstep`` — and the whole machinery under it
-(:func:`repro.sim.batch.lockstep_shape_digest` grouping,
-:func:`repro.sim.batch.build_lockstep_group`,
-:class:`repro.sim.batch.LockstepSimulator` with lane retirement and
-dirty-level skipping) — must be *verdict-identical, candidate for
+The pool entry point must be *verdict-identical, candidate for
 candidate*, to checking every source through
 :func:`check_candidate_source`: the same pass/fail bits, the same
 failure-reason classification (``syntax`` / ``missing_module`` /
 ``elaboration`` / mismatch detail / ``SimulationError`` strings), and
 the same first-mismatch bookkeeping, across vgen families, the vereval
 problem set, engineered error scenarios (comb latches, division by
-zero, ``BatchDivergence``, unlevelizable and over-wide designs), and
-hypothesis draws.
+zero, out-of-range dynamic writes, unlevelizable and over-wide designs),
+hypothesis draws, the evalkit chunk path and a warm ``sim.cache``.
+
+The file also holds the lane-API validation cases and the cases for the
+group builder :mod:`repro.sim.batch` keeps only because the frozen perf
+ledger imports it (``lockstep_shape_digest`` / ``build_lockstep_group``).
 """
 
 import numpy as np
@@ -21,19 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.sim import (
     BatchSimulator,
-    LockstepSimulator,
-    LockstepTestbench,
     Simulator,
-    Testbench,
     UnbatchableDesign,
     batch_design,
     build_lockstep_group,
+    compile_design,
     elaborate,
     lockstep_shape_digest,
-    random_stimulus,
     sweep_random_stimulus,
 )
 from repro.sim import cache as sim_cache
@@ -69,15 +65,6 @@ def _problem_for(module, cycles=24, seed=5, problem_id="lockstep"):
         problem_id=problem_id, module=module,
         stimulus_cycles=cycles, stimulus_seed=seed,
     )
-
-
-@pytest.fixture(autouse=True)
-def _small_groups_ride_lanes(monkeypatch):
-    """Production routes groups below the measured crossover to the
-    scalar replay; this file is about the lockstep tier, so every group
-    of two or more rides lanes here (routing itself:
-    ``tests/test_vereval.py::TestLaneFloorRouting``)."""
-    monkeypatch.setattr(harness, "_MIN_LOCKSTEP_LANES", 2)
 
 
 def assert_lockstep_identical(problem, sources):
@@ -201,9 +188,8 @@ def test_fuzz_verdict_identity(family, seed, mutation):
 
 class TestErrorClassificationPerCandidate:
     def test_division_by_zero_sibling(self):
-        # Same reads/writes as the golden node, so it groups and runs in
-        # lockstep; division by zero yields the two-state 0 in every
-        # backend and surfaces as a plain mismatch, identically.
+        # Division by zero yields the two-state 0 in every backend and
+        # surfaces as a plain mismatch, identically.
         problem = _dut_problem()
         sources = [
             _dut(),
@@ -216,9 +202,8 @@ class TestErrorClassificationPerCandidate:
         assert outcomes[2][0] is False
 
     def test_comb_latch_sibling_takes_its_own_path(self):
-        # `always @* if (en) ...` levelizes but its schedule shape
-        # differs from the golden's, so it is a straggler: the siblings
-        # run in lockstep, the latch replays scalar — verdicts identical.
+        # `always @* if (en) ...` levelizes but holds state between
+        # settles, unlike its siblings' continuous assign.
         problem = _dut_problem()
         latch = _dut().replace(
             "assign mix = stage ^ (a & b);",
@@ -228,11 +213,9 @@ class TestErrorClassificationPerCandidate:
         sources = [_dut(), _dut(op_sum="b + a"), latch]
         assert_lockstep_identical(problem, sources)
 
-    def test_batch_divergence_lane_replays_scalar(self):
-        # Two candidates share a shape; one performs a dynamic field
-        # write that lands above bit 62 (BatchDivergence at runtime in
-        # lane form, raw-state bits in scalar form).  The lockstep run
-        # aborts and both replay scalar, so verdicts stay identical.
+    def test_write_above_bit_62_sibling(self):
+        # One candidate's dynamic field write lands above its 63-bit
+        # target; the scalar backends keep such bits in raw state.
         wide = """module dut(
   input clk, input rst, input [3:0] a, input [7:0] b,
   output reg [62:0] wide);
@@ -254,21 +237,6 @@ endmodule
             description="divergence DUT",
         )
         problem = _problem_for(module, cycles=24, problem_id="diverge")
-        # Shapes match, so the pair forms one lockstep group...
-        designs = [build(safe, "dut"), build(diverging, "dut")]
-        assert lockstep_shape_digest(designs[0]) == lockstep_shape_digest(
-            designs[1]
-        )
-        # ...and the diverging lane actually raises in lane form.
-        from repro.errors import SimulationError
-
-        group = build_lockstep_group(designs)
-        bench = LockstepTestbench(group, clock="clk", reset="rst")
-        bench.apply_reset()
-        with pytest.raises(SimulationError):
-            for vector in random_stimulus(designs[0], 24, seed=5):
-                bench.drive(vector)
-                bench.tick()
         assert_lockstep_identical(problem, [safe, diverging])
 
     def test_unlevelizable_and_wide_siblings(self):
@@ -282,21 +250,14 @@ endmodule
         ).replace(
             "stage <= a ^ b;", "stage <= a ^ b; big <= {56'd0, b};"
         )
-        from repro.sim.compile import UncompilableDesign
-        from repro.sim.batch import lane_representation
-
-        with pytest.raises(UncompilableDesign):
-            lockstep_shape_digest(build(multi_driver, "dut"))
-        # Wide siblings carry spill lanes instead of raising.
-        assert lane_representation(build(wide, "dut")) == "spill"
-        assert lockstep_shape_digest(build(wide, "dut"))
+        # the multi-driver sibling replays on the generic kernel path
+        assert not compile_design(build(multi_driver, "dut")).levelized
         sources = [_dut(), _dut(op_mix="b & a"), multi_driver, wide]
         assert_lockstep_identical(problem, sources)
 
-    def test_wide_family_locksteps_without_scalar_fallback(self):
-        # A >63-bit sequential family: every candidate groups on spill
-        # lanes and the group runs in lockstep — no lane is replayed on
-        # the scalar path, and verdicts stay candidate-identical.
+    def test_wide_datapath_family(self):
+        # A >63-bit sequential family: python ints keep every candidate
+        # exact on the scalar replay.
         source = """module dut(
   input clk, input rst, input [63:0] d,
   output reg [127:0] acc, output [127:0] mix);
@@ -317,18 +278,13 @@ endmodule
             description="wide-datapath DUT",
         )
         problem = _problem_for(module, cycles=24, problem_id="widepath")
-        from repro.sim.batch import lane_representation
-
-        assert lane_representation(build(source, "dut")) == "spill"
         sources = [
             source,
             source + "\n// variant\n",
             source.replace("acc ^ {d, d}", "acc & {d, d}"),
             source.replace("+ {64'd0, d}", "- {64'd0, d}"),
         ]
-        replayed = obs.counter_value("lockstep.lanes_replayed")
         outcomes = assert_lockstep_identical(problem, sources)
-        assert obs.counter_value("lockstep.lanes_replayed") == replayed
         assert outcomes[0] == (True, "")
         assert outcomes[1] == (True, "")
         assert outcomes[2][0] is False
@@ -337,7 +293,7 @@ endmodule
     def test_golden_error_phases_propagate(self):
         # A golden that dies mid-trace (combinational loop poked into
         # oscillation is hard to build; use a for-loop bound instead)
-        # must preempt candidate verdicts identically in lockstep.
+        # must preempt candidate verdicts identically on the pool path.
         source = """module dut(
   input clk, input rst, input [7:0] a, output reg [15:0] acc);
   reg [7:0] i;
@@ -379,9 +335,7 @@ class TestRetirementBookkeeping:
             _dut(op_sum="a - b"),        # diverges on acc
         ]
         designs = [build(source, "dut") for source in sources]
-        many = harness._check_many_against_trace(
-            ref, designs, problem, sources=sources
-        )
+        many = harness._check_many_against_trace(ref, designs, problem)
         scalar = [
             harness._check_against_trace(ref, design, problem)
             for design in designs
@@ -391,80 +345,13 @@ class TestRetirementBookkeeping:
         assert {v.equivalent for v in many[1:]} == {False}
         assert all(v.first_mismatch_cycle is not None for v in many[1:])
 
-    def test_kill_switch_forces_scalar(self, monkeypatch):
-        problem = _dut_problem()
-        calls = []
-        original = harness._run_lockstep_group
-
-        def spy(ref, designs, problem_):
-            calls.append(len(designs))
-            return original(ref, designs, problem_)
-
-        monkeypatch.setattr(harness, "_run_lockstep_group", spy)
-        sources = [_dut(), _dut(op_sum="b + a")]
-        check_candidates_lockstep(problem, sources)
-        assert calls == [2]
-        calls.clear()
-        monkeypatch.setattr(harness, "LOCKSTEP_CHECK_ENABLED", False)
-        off = check_candidates_lockstep(problem, sources)
-        assert calls == []
-        assert off == [
-            harness.check_candidate_source(problem, s) for s in sources
-        ]
-
 
 # ---------------------------------------------------------------------------
-# the lockstep runtime itself
+# the group builder the frozen perf ledger still imports
 # ---------------------------------------------------------------------------
 
 
-class TestLockstepSimulator:
-    def test_lanes_match_scalar_sims(self):
-        sources = [_dut(), _dut(op_sum="b + a"), _dut(op_stage="a & b")]
-        designs = [build(source, "dut") for source in sources]
-        group = build_lockstep_group(designs)
-        bench = LockstepTestbench(group, clock="clk", reset="rst")
-        assert isinstance(bench.sim, LockstepSimulator)
-        bench.apply_reset()
-        refs = []
-        for design in designs:
-            ref = Testbench(design, clock="clk", reset="rst")
-            ref.apply_reset()
-            refs.append(ref)
-        for vector in random_stimulus(designs[0], 16, seed=9):
-            out = bench.step(vector)
-            for lane, ref in enumerate(refs):
-                expected = ref.step(vector)
-                got = {name: int(values[lane]) for name, values in out.items()}
-                assert got == expected, (lane, vector)
-
-    def test_retired_lanes_freeze(self):
-        designs = [build(_dut(), "dut"), build(_dut("b + a"), "dut")]
-        group = build_lockstep_group(designs)
-        bench = LockstepTestbench(group, clock="clk", reset="rst")
-        bench.apply_reset()
-        stimulus = random_stimulus(designs[0], 8, seed=2)
-        for vector in stimulus[:4]:
-            bench.step(vector)
-        frozen = bench.sim.peek_lanes("acc")[1]
-        bench.sim.retire_lanes(np.array([False, True]))
-        for vector in stimulus[4:]:
-            bench.step(vector)
-        assert bench.sim.peek_lanes("acc")[1] == frozen
-        assert bench.sim.active.tolist() == [True, False]
-
-    def test_single_lane_group_matches_batch(self):
-        design = build(_dut(), "dut")
-        group = build_lockstep_group([design])
-        lock = LockstepSimulator(group)
-        batch = BatchSimulator(build(_dut(), "dut"), n_lanes=1)
-        for vector in random_stimulus(design, 12, seed=4):
-            lock.poke_many(vector)
-            batch.poke_many(vector)
-            lock.poke("clk", 0); lock.poke("clk", 1)
-            batch.poke("clk", 0); batch.poke("clk", 1)
-            assert lock.peek_lanes("acc").tolist() == [batch.peek("acc")]
-
+class TestGroupBuilder:
     def test_shifted_resamples_share_one_variant_and_one_image(
         self, monkeypatch
     ):
@@ -540,7 +427,7 @@ class TestLaneValidation:
 
 
 # ---------------------------------------------------------------------------
-# disk-cached grouping artifacts
+# the evalkit chunk path and the disk tier
 # ---------------------------------------------------------------------------
 
 
@@ -625,40 +512,8 @@ class TestEvalkitLockstepWiring:
         assert batching.batches == [2]
         assert single.calls == 2
 
-    def test_evaluate_model_identical_with_lockstep_off(
-        self, tiny_model, monkeypatch
-    ):
-        from repro.vereval import EvalConfig, evaluate_model
-
-        problems = build_problem_set(n_problems=4, seed=47)
-        config = EvalConfig(
-            n_samples=3, ks=(1, 3), temperatures=(0.2,), max_new_tokens=96
-        )
-        with_lockstep = evaluate_model(tiny_model, problems, config)
-        monkeypatch.setattr(harness, "LOCKSTEP_CHECK_ENABLED", False)
-        without = evaluate_model(tiny_model, problems, config)
-        assert with_lockstep == without
-
 
 class TestShapeCache:
-    def test_shape_digest_round_trip(self, tmp_path):
-        previous = sim_cache.configure(str(tmp_path))
-        try:
-            design = build(_dut(), "dut")
-            digest = lockstep_shape_digest(design)
-            assert sim_cache.get_shape(_dut(), "dut") is None  # cold
-            assert sim_cache.put_shape(_dut(), "dut", digest)
-            assert sim_cache.get_shape(_dut(), "dut") == digest
-            assert sim_cache.put_shape(
-                "bad source", "dut", sim_cache.UNBATCHABLE_SHAPE
-            )
-            assert (
-                sim_cache.get_shape("bad source", "dut")
-                == sim_cache.UNBATCHABLE_SHAPE
-            )
-        finally:
-            sim_cache.configure(previous)
-
     def test_design_round_trip_groups_identically(self, tmp_path):
         # A persisted design carries its shape digest as a plain value:
         # the loaded copy reports the same digest without re-deriving it

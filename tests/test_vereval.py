@@ -22,7 +22,6 @@ from repro.vereval import (
     pass_at_k,
     reset_caches,
 )
-from repro.vereval import harness
 from repro.vereval.passk import mean_pass_at_k
 from repro.vgen import GeneratedModule, ModuleInterface, mutate
 
@@ -174,7 +173,7 @@ class TestEvaluateModel:
 
 
 # ---------------------------------------------------------------------------
-# check_candidates_lockstep: each group on the tier that pays for its size
+# check_candidates_lockstep: the pool path vs the per-candidate loop
 # ---------------------------------------------------------------------------
 
 _ACC = """module acc(
@@ -205,7 +204,7 @@ def _clocked_problem():
     )
     module = GeneratedModule(
         family="bench", source=_acc(), interface=interface,
-        description="routing DUT",
+        description="pool DUT",
     )
     return EvalProblem(
         problem_id="acc", module=module, stimulus_cycles=24, stimulus_seed=7,
@@ -214,59 +213,6 @@ def _clocked_problem():
 
 def _reference(problem, sources):
     return [check_candidate_source(problem, source) for source in sources]
-
-
-def _counters(*names):
-    return [obs.counter_value(name) for name in names]
-
-
-class TestLaneFloorRouting:
-    """Groups below the measured crossover take the scalar replay."""
-
-    def _distinct(self, count):
-        # same schedule shape, pairwise different ASTs, none the golden
-        return [_acc(f"a + b + 9'd{k}") for k in range(1, count + 1)]
-
-    def test_pool_below_the_floor_builds_no_group(self):
-        problem = _clocked_problem()
-        sources = self._distinct(harness._MIN_LOCKSTEP_LANES - 1)
-        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
-        verdicts = check_candidates_lockstep(problem, sources)
-        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
-            groups, scalar + len(sources),
-        ]
-        assert verdicts == _reference(problem, sources)
-
-    def test_pool_at_the_floor_rides_lanes(self):
-        problem = _clocked_problem()
-        sources = self._distinct(harness._MIN_LOCKSTEP_LANES)
-        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
-        verdicts = check_candidates_lockstep(problem, sources)
-        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
-            groups + 1, scalar,
-        ]
-        assert verdicts == _reference(problem, sources)
-
-    def test_a_shape_group_below_the_floor_is_scalar_in_a_wide_pool(self):
-        # The floor is per shape group, not per pool: a straggler family
-        # of another shape (its latch reads rst) does not ride along.
-        problem = _clocked_problem()
-        floor = harness._MIN_LOCKSTEP_LANES
-        latch = [
-            _acc(f"a + b + 9'd{k}").replace(
-                "wire [8:0] sum;\n  assign sum =",
-                "reg [8:0] sum;\n  always @(*) if (!rst) sum =",
-            )
-            for k in (1, 2)
-        ]
-        assert "always @(*) if (!rst)" in latch[0]
-        sources = self._distinct(floor) + latch
-        groups, scalar = _counters("lockstep.groups", "vereval.scalar_checks")
-        verdicts = check_candidates_lockstep(problem, sources)
-        assert _counters("lockstep.groups", "vereval.scalar_checks") == [
-            groups + 1, scalar + len(latch),
-        ]
-        assert verdicts == _reference(problem, sources)
 
 
 def _resample_pool(problem):
@@ -285,6 +231,29 @@ def _resample_pool(problem):
 
 
 class TestIdentityWithThePerCandidateLoop:
+    def test_forty_same_shape_sequential_candidates(self):
+        # One schedule shape, pairwise different ASTs, wider than any
+        # pass@k pool: every distinct design is replayed exactly once.
+        problem = _clocked_problem()
+        passing = [_acc()] + [
+            _acc(f"({spelling}) {tail}")
+            for spelling in ("a + b", "b + a")
+            for tail in ("+ 9'd0", "| 9'd0", "^ 9'd0", "- 9'd0")
+        ]
+        mutants = [_acc(f"a + b + 9'd{k}") for k in range(1, 29)]
+        div_by_zero = _acc("{1'b0, b / (a - a)}")  # two-state: 0
+        sources = passing + mutants + [div_by_zero, passing[3], mutants[0]]
+        assert len(sources) == 40
+        before = obs.counter_value("vereval.scalar_checks")
+        verdicts = check_candidates_lockstep(problem, sources)
+        assert obs.counter_value("vereval.scalar_checks") - before == len(
+            set(sources)
+        )
+        assert verdicts == _reference(problem, sources)
+        assert verdicts[: len(passing)] == [(True, "")] * len(passing)
+        assert not any(ok for ok, _ in verdicts[len(passing):-2])
+        assert verdicts[-2:] == [(True, ""), verdicts[len(passing)]]
+
     def test_every_problem_with_resample_variants(self):
         for problem in build_problem_set():
             pool = _resample_pool(problem)
