@@ -51,15 +51,15 @@ block reading a value it also drives) still run compiled node bodies, but
 under the interpreter's bounded full-pass fixpoint — same evaluation
 order, same round bound, same ``SimulationError`` classification for true
 combinational loops (*fixpoint fallback*).  The batch backend narrows
-further: designs that do not levelize fall back to the scalar backends
-(*scalar fallback*) — signals wider than the 63-bit int64 lane budget
-instead ride exact python-int *spill* lanes
-(:func:`repro.sim.batch.lane_representation`) — and the rare lane that
-hits an unrepresentable runtime construct replays on the scalar path — so
-per-lane values and error classification always match a lane-by-lane
-scalar run.  Differential tests in ``tests/test_sim_compile.py`` and
-``tests/test_sim_batch.py`` enforce
-cycle identity across every ``vgen`` family and the vereval problem set.
+further: it has one lane representation (``int64``), and designs that do
+not levelize or that carry anything wider than its 63-bit lane budget
+fall back to the scalar backends, which are exact at any width (*scalar
+fallback*); the rare lane that hits an unrepresentable runtime construct
+replays on the scalar path too — so per-lane values and error
+classification always match a lane-by-lane scalar run.  Differential
+tests in ``tests/test_sim_compile.py`` and ``tests/test_sim_batch.py``
+enforce cycle identity across every ``vgen`` family and the vereval
+problem set.
 
 One testbench cycle is one call: ``sim.cycle_fn(clock, input_names,
 output_names)`` returns ``step(row) -> outputs``, defined as exactly
@@ -112,11 +112,9 @@ from repro.sim.batch import (
     BatchDesign,
     BatchDivergence,
     BatchSimulator,
-    REPRESENTATIONS,
     UnbatchableDesign,
     batch_design,
     build_lockstep_group,
-    lane_representation,
     lockstep_shape_digest,
 )
 from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
@@ -152,11 +150,9 @@ __all__ = [
     "BatchDesign",
     "BatchDivergence",
     "BatchSimulator",
-    "REPRESENTATIONS",
     "UnbatchableDesign",
     "batch_design",
     "build_lockstep_group",
-    "lane_representation",
     "lockstep_shape_digest",
     "default_backend",
     "set_default_backend",

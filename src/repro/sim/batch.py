@@ -18,31 +18,24 @@ interpreter and the scalar compiled backend:
   chasing a dirty cone: with many lanes a single vectorized sweep beats
   per-lane cone chasing.
 
-Per-slot storage is a function of the design's widths
-(:func:`lane_representation`), one of two *lane representations*:
+There is one lane representation: one ``int64`` per lane holding a
+nonnegative value in bits 0..62, masked arithmetic.  The backend is
+intentionally narrower than the scalar one, with a *scalar-fallback
+contract* mirroring the fixpoint-fallback contract of the compiled
+backend:
 
-* ``int64`` — one ``int64`` per lane, masked arithmetic, when every
-  signal and memory fits the 63-bit lane budget;
-* ``spill`` — multi-word python-int lanes (``object`` dtype) for designs
-  carrying >63-bit signals or memories; numpy dispatches the same
-  vectorized lowering to the python-int dunders, exact at any width
-  (see :class:`_SpillCompiler`).
-
-The backend is intentionally narrower than the scalar one, with a
-*scalar-fallback contract* mirroring the fixpoint-fallback contract of
-the compiled backend:
-
-* designs whose combinational region cannot be levelized raise
+* designs whose combinational region cannot be levelized, or that carry
+  any signal, memory or expression wider than 63 bits, raise
   :class:`UnbatchableDesign` at lowering — callers (the ``Simulator``
   facade with ``backend="batch"``, :class:`~repro.sim.testbench.BatchTestbench`
   users, the vereval fast path) then fall back to the scalar backends,
-  which preserves ``SimulationError`` classification per lane (so does
-  a wide design lowered with an explicit ``representation="int64"``);
-* the rare runtime construct a bounded lane cannot represent (a dynamic
-  field write landing above the representation's write budget — bit 62
-  for int64 lanes, ``width + 64`` for spill) raises
-  :class:`BatchDivergence` (a ``SimulationError``), again routing
-  callers to the scalar replay.
+  which are exact at any width and preserve ``SimulationError``
+  classification per lane (python-int lanes for wide designs lost to
+  that fallback at every lane count callers use and were deleted:
+  ``BENCH_24.json`` → ``deleted_ab``);
+* the rare runtime construct a lane cannot represent (a dynamic field
+  write landing above bit 62) raises :class:`BatchDivergence` (a
+  ``SimulationError``), again routing callers to the scalar replay.
 
 Lane-for-lane identity with the scalar compiled backend — values *and*
 error classification — is enforced by ``tests/test_sim_batch.py`` across
@@ -74,12 +67,10 @@ __all__ = [
     "BatchDivergence",
     "BatchSimulator",
     "LockstepGroup",
-    "REPRESENTATIONS",
     "UnbatchableDesign",
     "batch_design",
     "build_lockstep_group",
     "is_stateless_comb",
-    "lane_representation",
     "lockstep_shape_digest",
 ]
 
@@ -88,25 +79,6 @@ __all__ = [
 _MAX_LANE_WIDTH = 63
 
 _I64 = np.int64
-
-#: the lane representations: ``int64`` (one int64 per lane) and ``spill``
-#: (python-int object lanes for >63-bit designs)
-REPRESENTATIONS = ("int64", "spill")
-
-
-def lane_representation(design: Design) -> str:
-    """The lane representation ``design`` runs under, from its widths.
-
-    ``"int64"`` when every signal and memory fits the int64 lane budget,
-    ``"spill"`` (python-int lanes) otherwise.
-    """
-    wide = any(
-        sig.width > _MAX_LANE_WIDTH for sig in design.signals.values()
-    ) or any(
-        memory.width > _MAX_LANE_WIDTH
-        for memory in design.memories.values()
-    )
-    return "spill" if wide else "int64"
 
 
 class UnbatchableDesign(UncompilableDesign):
@@ -178,7 +150,7 @@ class BatchDesign(CompiledDesign):
     """Compile-once lane-parallel execution image of one design."""
 
     __slots__ = ("n_lanes", "lane_ix", "ones", "sched_nodes", "nodes_pred",
-                 "comb_latched", "representation", "lane_dtype", "shift_cap")
+                 "comb_latched")
 
     def __init__(self) -> None:
         super().__init__()
@@ -196,59 +168,39 @@ class BatchDesign(CompiledDesign):
         #: (a combinational latch): the signal then holds state between
         #: settles, so outputs are not a pure function of inputs
         self.comb_latched = False
-        #: which of :data:`REPRESENTATIONS` this image was lowered for
-        self.representation = "int64"
-        #: lane-array dtype (``object`` for spill: python-int lanes)
-        self.lane_dtype = _I64
-        #: clamp for nonblocking-commit shift counts (spill lanes admit
-        #: far larger shifts than the int64 budget)
-        self.shift_cap = _MAX_LANE_WIDTH
 
 
-def batch_design(design: Design, n_lanes: int,
-                 representation: Optional[str] = None) -> BatchDesign:
-    """Lower ``design`` for ``n_lanes`` lanes, caching per (lanes, rep).
+def batch_design(design: Design, n_lanes: int) -> BatchDesign:
+    """Lower ``design`` for ``n_lanes`` lanes, caching per lane count.
 
-    The lane representation defaults to :func:`lane_representation`
-    (int64, or spill for >63-bit designs); pass one explicitly to force
-    ``"spill"`` on a narrow design, or ``"int64"`` on a wide one to reach
-    the scalar fallback.  Raises :class:`UnbatchableDesign` when the
-    design cannot be lane lowered under the chosen representation (not
-    levelizable, or wider than an int64 lane budget that applies); the
-    negative outcome is cached too, so repeated probes stay cheap.  The
-    cache is dropped on pickling (``Design.__getstate__``), like the
-    scalar compile cache.  ``n_lanes`` must be at least 1; asking for
-    zero or negative lanes is a caller bug surfaced as ``ValueError``
-    instead of an empty-array failure deep inside numpy.
+    Raises :class:`UnbatchableDesign` when the design cannot be lane
+    lowered (not levelizable, or wider than the 63-bit int64 lane
+    budget — the scalar-fallback signal); the negative outcome is cached
+    too, so repeated probes stay cheap.  The cache is dropped on pickling
+    (``Design.__getstate__``), like the scalar compile cache.
+    ``n_lanes`` must be at least 1; asking for zero or negative lanes is
+    a caller bug surfaced as ``ValueError`` instead of an empty-array
+    failure deep inside numpy.
     """
     if n_lanes < 1:
         raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    rep = representation or lane_representation(design)
-    if rep not in REPRESENTATIONS:
-        raise ValueError(
-            f"unknown lane representation {rep!r}; expected one of "
-            f"{REPRESENTATIONS}"
-        )
     cache = getattr(design, "_batch", None)
     if cache is None:
         cache = {}
         design._batch = cache
-    key = (n_lanes, rep)
-    cached = cache.get(key, False)
+    cached = cache.get(n_lanes, False)
     if cached is not False:
         if cached is None:
             raise UnbatchableDesign("design is not lane-parallelizable")
         return cached
     try:
-        if rep == "spill":
-            bd = _SpillCompiler(design, n_lanes).compile()
-        else:
-            bd = _BatchCompiler(design, n_lanes).compile()
+        bd = _BatchCompiler(design, n_lanes).compile()
     except UncompilableDesign:
-        cache[key] = None
+        cache[n_lanes] = None
         raise
-    obs.count(f"batch.rep.{bd.representation}")
-    cache[key] = bd
+    # the perf ledger's layer walk reads lowerings under this name
+    obs.count("batch.rep.int64")
+    cache[n_lanes] = bd
     return bd
 
 
@@ -283,22 +235,7 @@ class _BatchCompiler(_Compiler):
     ``(st, mems, o, mo) -> int64 array`` (constants stay python ints and
     broadcast); statement closures gain a lane-predicate argument:
     ``(st, mems, o, mo, nba, pred)``.
-
-    The class attributes parameterize the lane representation; the
-    :class:`_SpillCompiler` subclass overrides them (plus a handful of
-    emission hooks) to lower the same designs onto python-int object
-    lanes with no width budget.
     """
-
-    #: which of :data:`REPRESENTATIONS` this compiler emits
-    REPRESENTATION = "int64"
-    #: dtype of lane state arrays
-    LANE_DTYPE = _I64
-    #: max representable signal/expression width; None disables the check
-    WIDTH_BUDGET: Optional[int] = _MAX_LANE_WIDTH
-    #: clamp for dynamic *right*-shift counts (right shifts are safe at
-    #: any clamp; int64 lanes additionally need counts kept below 64)
-    SHIFT_CAP = _MAX_LANE_WIDTH
 
     def __init__(self, design: Design, n_lanes: int) -> None:
         super().__init__(design)
@@ -314,45 +251,12 @@ class _BatchCompiler(_Compiler):
             self._check_width(width)
 
     def _check_width(self, width: int) -> int:
-        if self.WIDTH_BUDGET is not None and width > self.WIDTH_BUDGET:
+        if width > _MAX_LANE_WIDTH:
             raise UnbatchableDesign(
-                f"width {width} exceeds the {self.WIDTH_BUDGET}-bit int64 "
+                f"width {width} exceeds the {_MAX_LANE_WIDTH}-bit int64 "
                 "lane budget"
             )
         return width
-
-    def _shl_clamp(self, width: int) -> int:
-        """Clamp for *left*-shift counts producing ``width``-bit values.
-
-        int64 lanes hold values below 2**63, so clamping at 63 is exact
-        (a shift of >= width bits masks to zero either way) and keeps
-        numpy's shift count in range.
-        """
-        return _MAX_LANE_WIDTH
-
-    def _dynamic_write_limit(self, sig_width: int) -> int:
-        """Highest bit position a dynamic field write may touch.
-
-        Beyond it the emitted guard raises :class:`BatchDivergence` and
-        the caller replays on the scalar backend (which keeps such
-        out-of-range bits in raw state — int64 lanes cannot).
-        """
-        return _MAX_LANE_WIDTH
-
-    @staticmethod
-    def _pred_of(arr):
-        """Coerce a lane condition to a predicate array (int64: already
-        a numpy bool array — identity)."""
-        return arr
-
-    def _as_index(self, fn):
-        """Wrap an index closure for fancy-indexing use (int64: as-is)."""
-        return fn
-
-    #: dtype 0/1 results of comparisons/reductions are cast to —
-    #: ``object`` for spill so bool-element arrays keep python-int
-    #: semantics under the arbitrary-width masks downstream
-    BOOL_DTYPE = _I64
 
     def _new_image(self) -> BatchDesign:
         return BatchDesign()
@@ -370,9 +274,6 @@ class _BatchCompiler(_Compiler):
         bd.sched_nodes = tuple(bd.nodes[i] for i in bd.topo)
         bd.nodes_pred = tuple(self._pred_nodes)
         bd.comb_latched = self._latched
-        bd.representation = self.REPRESENTATION
-        bd.lane_dtype = self.LANE_DTYPE
-        bd.shift_cap = self.SHIFT_CAP
         return bd
 
     def _lvalue_width(self, target: ast.Expr) -> int:
@@ -416,10 +317,6 @@ class _BatchCompiler(_Compiler):
             return read
         return lambda st, mems, o, mo, _s=slot: st[_s]
 
-    def _emit_const(self, value: int):
-        """Closure for a folded constant (int64: a broadcasting int)."""
-        return lambda st, mems, o, mo, _v=value: _v
-
     def _compile_eval(self, expr: ast.Expr, width: int, ov: bool):
         self._check_width(width)
         if self._is_static(expr):
@@ -427,12 +324,12 @@ class _BatchCompiler(_Compiler):
                 value = _ev._eval(expr, self._static, width)
             except SimulationError as exc:
                 raise UncompilableDesign(str(exc)) from None
-            if (self.WIDTH_BUDGET is not None
-                    and value.bit_length() > self.WIDTH_BUDGET):
+            if value.bit_length() > _MAX_LANE_WIDTH:
                 raise UnbatchableDesign(
                     f"constant {value} exceeds the int64 lane budget"
                 )
-            return self._emit_const(value)
+            # a python int: broadcasts over the lanes
+            return lambda st, mems, o, mo, _v=value: _v
 
         if isinstance(expr, ast.Identifier):
             name = expr.name
@@ -498,9 +395,8 @@ class _BatchCompiler(_Compiler):
             self._check_width(msb - lsb + 1)
             sel_mask = (1 << (msb - lsb + 1)) - 1
             # Lane values are < 2**63, so shifts past 62 read as 0 either
-            # way; the clamp only keeps numpy's shift count in range
-            # (spill raises the cap — python-int lanes shift exactly).
-            shift = min(lsb, self.SHIFT_CAP)
+            # way; the clamp only keeps numpy's shift count in range.
+            shift = min(lsb, _MAX_LANE_WIDTH)
             raw = self._emit_read_raw(name, ov)
             return lambda st, mems, o, mo: (
                 raw(st, mems, o, mo) >> shift
@@ -513,7 +409,7 @@ class _BatchCompiler(_Compiler):
             sel_mask = (1 << sel_width) - 1
             ascending = expr.ascending
             raw = self._emit_read_raw(name, ov)
-            cap = self.SHIFT_CAP
+            cap = _MAX_LANE_WIDTH
 
             def indexed(st, mems, o, mo):
                 lo = start(st, mems, o, mo)
@@ -531,7 +427,6 @@ class _BatchCompiler(_Compiler):
 
     def _compile_unary(self, expr: ast.Unary, width: int, ov: bool):
         op = expr.op
-        bdt = self.BOOL_DTYPE
         if op in ("&", "~&", "|", "~|", "^", "~^"):
             operand_width = self._self_width(expr.operand)
             self._check_width(operand_width)
@@ -541,11 +436,11 @@ class _BatchCompiler(_Compiler):
                 full = (1 << operand_width) - 1
                 return lambda st, mems, o, mo: np.equal(
                     fn(st, mems, o, mo), full
-                ).astype(bdt) ^ invert
+                ).astype(_I64) ^ invert
             if op in ("|", "~|"):
                 return lambda st, mems, o, mo: np.not_equal(
                     fn(st, mems, o, mo), 0
-                ).astype(bdt) ^ invert
+                ).astype(_I64) ^ invert
             folds = _parity_folds(operand_width)
             return lambda st, mems, o, mo: _parity(
                 fn(st, mems, o, mo), folds
@@ -554,7 +449,7 @@ class _BatchCompiler(_Compiler):
             fn = self._compile_expr(expr.operand, 0, ov)
             return lambda st, mems, o, mo: np.equal(
                 fn(st, mems, o, mo), 0
-            ).astype(bdt)
+            ).astype(_I64)
         fn = self._compile_operand(expr.operand, width, ov)
         m = (1 << width) - 1 if width > 0 else 0
         if op == "~":
@@ -567,7 +462,6 @@ class _BatchCompiler(_Compiler):
 
     def _compile_binary(self, expr: ast.Binary, width: int, ov: bool):
         op = expr.op
-        bdt = self.BOOL_DTYPE
         if op in ("&&", "||"):
             lhs = self._compile_expr(expr.lhs, 0, ov)
             rhs = self._compile_expr(expr.rhs, 0, ov)
@@ -575,11 +469,11 @@ class _BatchCompiler(_Compiler):
                 return lambda st, mems, o, mo: np.logical_and(
                     np.not_equal(lhs(st, mems, o, mo), 0),
                     np.not_equal(rhs(st, mems, o, mo), 0),
-                ).astype(bdt)
+                ).astype(_I64)
             return lambda st, mems, o, mo: np.logical_or(
                 np.not_equal(lhs(st, mems, o, mo), 0),
                 np.not_equal(rhs(st, mems, o, mo), 0),
-            ).astype(bdt)
+            ).astype(_I64)
         if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
             cmp_width = max(
                 self._self_width(expr.lhs), self._self_width(expr.rhs)
@@ -598,46 +492,38 @@ class _BatchCompiler(_Compiler):
                 def compare(st, mems, o, mo):
                     a = _signed(lhs(st, mems, o, mo), cmp_width)
                     b = _signed(rhs(st, mems, o, mo), cmp_width)
-                    return ufunc(a, b).astype(bdt)
+                    return ufunc(a, b).astype(_I64)
             else:
                 def compare(st, mems, o, mo):
                     return ufunc(
                         lhs(st, mems, o, mo), rhs(st, mems, o, mo)
-                    ).astype(bdt)
+                    ).astype(_I64)
             return compare
         if op in ("<<", ">>", "<<<", ">>>"):
             lhs = self._compile_operand(expr.lhs, width, ov)
             amount_fn = self._compile_expr(expr.rhs, 0, ov)
             m = (1 << width) - 1 if width > 0 else 0
             # Lane values are nonnegative and < 2**63, so clamping the
-            # shift count to 63 preserves the scalar backend's semantics:
-            # a shift of >= width bits masks/reads to zero either way.
-            # Spill raises the left-shift clamp to the scalar backend's
-            # own width+64 and leaves right shifts effectively unclamped.
-            shl_cap = self._shl_clamp(width)
-            shr_cap = self.SHIFT_CAP
+            # shift count to 63 preserves the scalar backend's semantics
+            # (a shift of >= width bits masks/reads to zero either way)
+            # and keeps numpy's shift count in range.
+            cap = _MAX_LANE_WIDTH
             if op in ("<<", "<<<"):
                 def shl(st, mems, o, mo):
-                    amount = np.minimum(
-                        amount_fn(st, mems, o, mo), shl_cap
-                    )
+                    amount = np.minimum(amount_fn(st, mems, o, mo), cap)
                     return np.left_shift(lhs(st, mems, o, mo), amount) & m
 
                 return shl
             if op == ">>>" and self._is_signed(expr.lhs):
                 def sra(st, mems, o, mo):
-                    amount = np.minimum(
-                        amount_fn(st, mems, o, mo), shr_cap
-                    )
+                    amount = np.minimum(amount_fn(st, mems, o, mo), cap)
                     v = _signed(lhs(st, mems, o, mo) & m, width)
                     return np.right_shift(v, amount) & m
 
                 return sra
 
             def shr(st, mems, o, mo):
-                amount = np.minimum(
-                    amount_fn(st, mems, o, mo), shr_cap
-                )
+                amount = np.minimum(amount_fn(st, mems, o, mo), cap)
                 return np.right_shift(lhs(st, mems, o, mo), amount)
 
             return shr
@@ -716,7 +602,6 @@ class _BatchCompiler(_Compiler):
         index_fn = self._compile_expr(expr.index, 0, ov)
         mem_slot = self.mem_of.get(name)
         if mem_slot is not None:
-            index_fn = self._as_index(index_fn)
             base = self.mem_bases[mem_slot]
             depth = self.mem_depths[mem_slot]
             lane_ix = self.lane_ix
@@ -760,7 +645,7 @@ class _BatchCompiler(_Compiler):
             return read_mem
         raw = self._emit_read_raw(name, ov)
         sig_width = self.widths[self._slot(name)]
-        cap = self.SHIFT_CAP
+        cap = _MAX_LANE_WIDTH
 
         def read_bit(st, mems, o, mo):
             idx = index_fn(st, mems, o, mo)
@@ -848,7 +733,6 @@ class _BatchCompiler(_Compiler):
             index_fn = self._compile_expr(target.index, 0, True)
             mem_slot = self.mem_of.get(name)
             if mem_slot is not None:
-                index_fn = self._as_index(index_fn)
                 base = self.mem_bases[mem_slot]
                 depth = self.mem_depths[mem_slot]
                 mem_mask = (1 << self.mem_widths[mem_slot]) - 1
@@ -925,7 +809,10 @@ class _BatchCompiler(_Compiler):
                           runtime_lo):
         value_mask = (1 << width) - 1
         sig_mask = (1 << sig_width) - 1
-        limit = self._dynamic_write_limit(sig_width)
+        # Highest bit a field write may touch: beyond it the scalar
+        # backends keep out-of-range bits in raw state, which an int64
+        # lane cannot — BatchDivergence routes the caller to them.
+        limit = _MAX_LANE_WIDTH
 
         if not runtime_lo:
             if lo == 0 and width >= sig_width:
@@ -1092,7 +979,7 @@ class _BatchCompiler(_Compiler):
         value_mask = (1 << width) - 1
         sig_mask = (1 << sig_width) - 1
         lanes_of = self._lanes_of
-        limit = self._dynamic_write_limit(sig_width)
+        limit = _MAX_LANE_WIDTH
 
         if not runtime_lo:
             if lo == 0 and width >= sig_width:
@@ -1173,10 +1060,9 @@ class _BatchCompiler(_Compiler):
             cond = self._compile_expr(stmt.cond, 0, True)
             then = self._compile_stmt(stmt.then)
             other = self._compile_stmt(stmt.other) if stmt.other else None
-            pof = self._pred_of
 
             def branch(st, mems, o, mo, nba, pred):
-                taken = pof(np.not_equal(cond(st, mems, o, mo), 0))
+                taken = np.not_equal(cond(st, mems, o, mo), 0)
                 if then is not None:
                     p = pred & taken
                     if p.any():
@@ -1194,12 +1080,11 @@ class _BatchCompiler(_Compiler):
             cond = self._compile_expr(stmt.cond, 0, True)
             step = self._compile_stmt(stmt.step)
             body = self._compile_stmt(stmt.body)
-            pof = self._pred_of
 
             def loop(st, mems, o, mo, nba, pred):
                 if init is not None:
                     init(st, mems, o, mo, nba, pred)
-                active = pred & pof(np.not_equal(cond(st, mems, o, mo), 0))
+                active = pred & np.not_equal(cond(st, mems, o, mo), 0)
                 iterations = 0
                 while active.any():
                     if body is not None:
@@ -1211,8 +1096,8 @@ class _BatchCompiler(_Compiler):
                         raise SimulationError(
                             f"for-loop exceeded {_MAX_LOOP_ITERS} iterations"
                         )
-                    active = active & pof(
-                        np.not_equal(cond(st, mems, o, mo), 0)
+                    active = active & np.not_equal(
+                        cond(st, mems, o, mo), 0
                     )
 
             return loop
@@ -1245,15 +1130,14 @@ class _BatchCompiler(_Compiler):
                     (self._compile_eval(label, width, True), ~wildcard, body)
                 )
         arms_t = tuple(arms)
-        pof = self._pred_of
 
         def case(st, mems, o, mo, nba, pred):
             subject = subject_fn(st, mems, o, mo)
             remaining = pred
             for label_fn, care, body in arms_t:
-                hit = remaining & pof(np.equal(
+                hit = remaining & np.equal(
                     subject & care, label_fn(st, mems, o, mo) & care
-                ))
+                )
                 if hit.any():
                     if body is not None:
                         body(st, mems, o, mo, nba, hit)
@@ -1280,7 +1164,6 @@ class _BatchCompiler(_Compiler):
         pred_writer = self._compile_proc_write(assign.target, blocking=True)
         widths = self.widths
         lane_ix = self.lane_ix
-        shift_cap = self.SHIFT_CAP
 
         def run_pred(st, mems, pred):
             overlay: Dict[int, np.ndarray] = {}
@@ -1290,8 +1173,7 @@ class _BatchCompiler(_Compiler):
                 value_fn(st, mems, None, None), pred,
             )
             _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, None, widths, lane_ix,
-                shift_cap,
+                st, mems, overlay, mem_overlay, None, widths, lane_ix
             )
 
         self._pred_nodes.append(run_pred)
@@ -1315,7 +1197,6 @@ class _BatchCompiler(_Compiler):
         ones = self.ones
         widths = self.widths
         lane_ix = self.lane_ix
-        shift_cap = self.SHIFT_CAP
 
         def run_pred(st, mems, pred):
             overlay: Dict[int, np.ndarray] = {}
@@ -1323,8 +1204,7 @@ class _BatchCompiler(_Compiler):
             nba: List[tuple] = []
             body(st, mems, overlay, mem_overlay, nba, pred)
             _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, nba, widths, lane_ix,
-                shift_cap,
+                st, mems, overlay, mem_overlay, nba, widths, lane_ix
             )
 
         def run(st, mems):
@@ -1349,86 +1229,8 @@ class _BatchCompiler(_Compiler):
         return run, reads, writes
 
 
-class _SpillCompiler(_BatchCompiler):
-    """Multi-word spill lowering: python-int object lanes, no width cap.
-
-    Re-emits the exact int64 lowering over ``object``-dtype lane arrays
-    whose elements are python ints, so >63-bit signals, memories, and
-    constants run lane-parallel instead of falling back to the scalar
-    loop.  Semantics mirror the *scalar* compiled backend (the verdict
-    reference): the left-shift clamp is the scalar ``width + 64``, the
-    power clamp stays at 64, and dynamic field writes are guarded at
-    ``sig_width + 64`` — beyond that the scalar backends keep raw
-    out-of-range bits that any bounded lane encoding would fold, so the
-    guard raises :class:`BatchDivergence` and the episode replays on the
-    scalar backend, exactly like the int64 guard at bit 63.
-
-    numpy dispatches ufuncs on object arrays to the python-int dunders,
-    which keeps every op exact at any width; the overrides below only
-    (a) keep *values* in object arrays (constants fold to object arrays
-    so ``np.where`` never re-infers an int64 dtype that would overflow
-    under a wide mask), (b) coerce *predicates* to numpy bool arrays and
-    *memory indices* to int64 arrays, because boolean/fancy indexing
-    rejects object dtypes.
-    """
-
-    REPRESENTATION = "spill"
-    LANE_DTYPE = object
-    WIDTH_BUDGET = None
-    #: right shifts of python ints are exact and cheap at any count;
-    #: the cap only bounds pathological dynamic counts
-    SHIFT_CAP = 1 << 20
-    BOOL_DTYPE = object
-
-    def _shl_clamp(self, width: int) -> int:
-        # The scalar backend's clamp: exact, because a count of
-        # width + 64 shifts every representable bit past the mask.
-        return max(width, 1) + 64
-
-    def _dynamic_write_limit(self, sig_width: int) -> int:
-        return sig_width + 64
-
-    @staticmethod
-    def _pred_of(arr):
-        return arr if arr.dtype == np.bool_ else arr.astype(bool)
-
-    def _as_index(self, fn):
-        def as_index(st, mems, o, mo, _f=fn):
-            idx = _f(st, mems, o, mo)
-            if isinstance(idx, np.ndarray):
-                if idx.dtype == object:
-                    # python-int lanes → bounded int64 indices (memory
-                    # depths sit far below 2**62, so the clamp cannot
-                    # alias an in-range element)
-                    idx = np.minimum(idx, 1 << 62).astype(np.int64)
-                return idx
-            return int(idx)
-
-        return as_index
-
-    def _emit_const(self, value: int):
-        # Constants fold to read-only object arrays: an np.where over a
-        # python-int scalar would re-infer an int64 result dtype (or
-        # overflow outright for >63-bit constants).
-        const = np.empty(self.n_lanes, dtype=object)
-        const[:] = value
-        const.setflags(write=False)
-        return lambda st, mems, o, mo, _v=const: _v
-
-    def _lanes_of(self, value):
-        if isinstance(value, np.ndarray) and value.shape == (self.n_lanes,):
-            if value.dtype == object:
-                return value
-            value = value.tolist()  # native python ints: stay mask-exact
-        elif isinstance(value, (np.integer, np.bool_)):
-            value = int(value)
-        arr = np.empty(self.n_lanes, dtype=object)
-        arr[:] = value
-        return arr
-
-
 def _commit_lane_overlays(st, mems, overlay, mem_overlay, nba, widths,
-                          lane_ix, shift_cap=_MAX_LANE_WIDTH) -> None:
+                          lane_ix) -> None:
     """Commit one blocking-overlay epoch (plus optional NBA list).
 
     The single definition of how overlays land in lane state — shared by
@@ -1440,19 +1242,18 @@ def _commit_lane_overlays(st, mems, overlay, mem_overlay, nba, widths,
     for mem_slot, column in mem_overlay.items():
         mems[mem_slot] = column
     if nba:
-        _commit_nba_lanes(st, mems, nba, widths, lane_ix, shift_cap)
+        _commit_nba_lanes(st, mems, nba, widths, lane_ix)
 
 
-def _commit_nba_lanes(st, mems, updates, widths, lane_ix,
-                      shift_cap=_MAX_LANE_WIDTH) -> None:
+def _commit_nba_lanes(st, mems, updates, widths, lane_ix) -> None:
     """Commit nonblocking updates lane-parallel, in append order.
 
     Updates are ``(is_mem, slot, lo, width, value, pred)``; ``lo`` and
     ``value`` may be per-lane arrays or python ints, and ``pred`` masks
     the lanes the write applies to.  Mirrors the scalar backend's
-    ``_commit_nba`` update-for-update.  ``shift_cap`` bounds the merge
-    shift count (the int64 budget, or the far larger spill cap — the
-    emission-time guards already rejected anything beyond it).
+    ``_commit_nba`` update-for-update; the emission-time guards already
+    rejected any field landing beyond the int64 budget the merge shift
+    is clamped to.
     """
     for is_mem, slot, lo, width, value, pred in updates:
         if is_mem:
@@ -1476,7 +1277,7 @@ def _commit_nba_lanes(st, mems, updates, widths, lane_ix,
             st[slot] = np.where(pred, value & sig_mask, keep)
             continue
         value_mask = (1 << width) - 1
-        at_c = np.minimum(lo, shift_cap)
+        at_c = np.minimum(lo, _MAX_LANE_WIDTH)
         field_mask = value_mask << at_c
         merged = (keep & ~field_mask) | (
             ((value & value_mask) << at_c) & field_mask
@@ -1513,20 +1314,16 @@ class BatchSimulator(Simulator):
     """
 
     def __init__(self, design: Design, max_settle_rounds: Optional[int] = None,
-                 backend: Optional[str] = None, n_lanes: int = 1,
-                 representation: Optional[str] = None):
-        bd = batch_design(design, n_lanes, representation)
+                 backend: Optional[str] = None, n_lanes: int = 1):
+        bd = batch_design(design, n_lanes)
         self.design = design
         self.bdesign = bd
         self.n_lanes = n_lanes
-        dtype = bd.lane_dtype
-        # np.zeros fills object arrays with python-int zeros, which is
-        # exactly what the spill lowering expects lane elements to be.
         self.st: List[np.ndarray] = [
-            np.zeros(n_lanes, dtype=dtype) for _ in range(bd.n_signals)
+            np.zeros(n_lanes, dtype=_I64) for _ in range(bd.n_signals)
         ]
         self.mem_data: List[np.ndarray] = [
-            np.zeros((depth, n_lanes), dtype=dtype) for depth in bd.mem_depths
+            np.zeros((depth, n_lanes), dtype=_I64) for depth in bd.mem_depths
         ]
         self._max_rounds = max_settle_rounds or (2 * bd.comb_count + 16)
         ones = bd.ones
@@ -1538,7 +1335,7 @@ class BatchSimulator(Simulator):
             body(self.st, self.mem_data, overlay, mem_overlay, nba, ones)
             _commit_lane_overlays(
                 self.st, self.mem_data, overlay, mem_overlay, nba,
-                bd.widths, bd.lane_ix, bd.shift_cap,
+                bd.widths, bd.lane_ix,
             )
         self.settle()
 
@@ -1598,19 +1395,6 @@ class BatchSimulator(Simulator):
         mask = self.bdesign.masks[slot]
         if isinstance(value, int):
             return value & mask  # python-int mask first: may exceed int64
-        if self.bdesign.lane_dtype is object:
-            lanes = np.asarray(value, dtype=object)
-            if lanes.ndim == 0:
-                return int(lanes.item()) & mask
-            if lanes.shape != (self.n_lanes,):
-                raise ValueError(
-                    f"per-lane poke value has shape {lanes.shape}; expected "
-                    f"a scalar or shape ({self.n_lanes},) for "
-                    f"{self.n_lanes} lanes"
-                )
-            out = np.empty(self.n_lanes, dtype=object)
-            out[:] = [int(v) & mask for v in lanes]
-            return out
         lanes = np.asarray(value, dtype=_I64)
         if lanes.ndim != 0 and lanes.shape != (self.n_lanes,):
             # Surface shape bugs here, with the lane contract named,
@@ -1629,7 +1413,7 @@ class BatchSimulator(Simulator):
 
     def _poke_apply(self, name: str, value) -> None:
         slot = self.bdesign.slot_of[name]
-        lanes = np.empty(self.n_lanes, dtype=self.bdesign.lane_dtype)
+        lanes = np.empty(self.n_lanes, dtype=_I64)
         lanes[:] = self._masked(slot, value)
         self.st[slot] = lanes
 
@@ -1638,15 +1422,8 @@ class BatchSimulator(Simulator):
         self.poke(name, values)
 
     def _trigger_bits(self) -> List[np.ndarray]:
-        # Trigger bits normalize to int64 even for object lanes: edge
-        # detection compares and boolean-combines these arrays, and the
-        # resulting lane predicates must be numpy-bool (object-dtype
-        # "bools" cannot drive boolean indexing in the compiled bodies).
         st = self.st
-        bits = [st[s] & 1 for s in self.bdesign.trigger_slots]
-        if self.bdesign.lane_dtype is object:
-            bits = [b.astype(_I64) for b in bits]
-        return bits
+        return [st[s] & 1 for s in self.bdesign.trigger_slots]
 
     def _trigger_snapshot(self) -> List[np.ndarray]:
         return self._trigger_bits()
@@ -1697,13 +1474,10 @@ class BatchSimulator(Simulator):
             # Blocking writes commit with the block; nonblocking updates
             # commit once, after every triggered block ran.
             _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, None, bd.widths, bd.lane_ix,
-                bd.shift_cap,
+                st, mems, overlay, mem_overlay, None, bd.widths, bd.lane_ix
             )
         if pending:
-            _commit_nba_lanes(
-                st, mems, pending, bd.widths, bd.lane_ix, bd.shift_cap
-            )
+            _commit_nba_lanes(st, mems, pending, bd.widths, bd.lane_ix)
 
 
 # ---------------------------------------------------------------------------
@@ -1713,7 +1487,9 @@ class BatchSimulator(Simulator):
 # sim.batch.shape_digest / sim.batch.lower) imports lockstep_shape_digest
 # and build_lockstep_group, so they — with _lockstep_shape_digest,
 # _comb_node_fingerprints, LockstepGroup and the Design._lockstep_digest
-# memo — stay byte-for-byte until a [benchmark] PR drops those rows.
+# memo — stay byte-for-byte until a [benchmark] PR drops those rows
+# (one authorised edit since: PR 24 took the lane-representation line and
+# the third batch_design argument out of build_lockstep_group).
 # ---------------------------------------------------------------------------
 
 
@@ -1847,10 +1623,6 @@ def build_lockstep_group(designs: Sequence[Design]) -> LockstepGroup:
         raise UnbatchableDesign(
             "lockstep group members have mismatched schedule shapes"
         )
-    # Digest equality covers the signal/memory width tables, so one
-    # member's representation is the whole group's.
-    representation = lane_representation(designs[0])
-
     node_fp_lists = [_comb_node_fingerprints(design) for design in designs]
     seq_fp_lists = [
         [repr((block.triggers, block.body)) for block in design.seq_blocks]
@@ -1880,7 +1652,7 @@ def build_lockstep_group(designs: Sequence[Design]) -> LockstepGroup:
     for lane, design in enumerate(designs):
         bd = shared.get(design_fps[lane])
         if bd is None:
-            bd = batch_design(design, n_lanes, representation)
+            bd = batch_design(design, n_lanes)
             shared[design_fps[lane]] = bd
         bds.append(bd)
     rep = bds[0]

@@ -6,12 +6,9 @@ combinational candidate once with one stimulus vector per lane;
 the scalar per-cycle loop would have produced.  It owns:
 
 * **expectation packing** (:func:`expected_matrix`) — the golden trace
-  becomes a ``[cycles, outputs]`` matrix, ``int64`` when every value fits
-  a lane word and exact-object (arbitrary-precision python ints) when any
-  golden output exceeds 63 bits, so wide-datapath problems compare
-  exactly instead of overflowing;
+  becomes a ``[cycles, outputs]`` ``int64`` matrix;
 * **stimulus packing** (:func:`lane_vector`) — one input's values over
-  all vectors as a lane column of the matching dtype;
+  all vectors as an ``int64`` lane column;
 * **comparison + verdict derivation**
   (:meth:`RetireEngine.retire_all_vectors`) — the lane axis is the cycle
   axis, so the scalar loop's bookkeeping (first mismatching cycle, first
@@ -19,12 +16,14 @@ the scalar per-cycle loop would have produced.  It owns:
   ``argmax`` over the mismatch matrix.
 
 Pure bookkeeping over arrays the simulator produces; the settle work
-itself stays in :mod:`repro.sim.batch`.  The engine is dtype-blind:
-``int64`` and spill (object) lane arrays compare through the same numpy
-elementwise paths.
+itself stays in :mod:`repro.sim.batch`.  Everything here is ``int64``:
+a golden output wider than 63 bits implies, through the checker's
+interface gate, a candidate that does not lane-lower, and
+``batch_design`` runs before an engine is built — such candidates take
+the scalar replay.
 
 Counters (:mod:`repro.obs`): ``retire.allvec_checks``,
-``retire.allvec_mismatch``, ``retire.wide_expected``.
+``retire.allvec_mismatch``.
 """
 
 from __future__ import annotations
@@ -45,35 +44,17 @@ __all__ = [
 def expected_matrix(
     trace: Sequence[Tuple[int, ...]], n_outputs: int
 ) -> np.ndarray:
-    """Golden trace as a ``[cycles, n_outputs]`` comparison matrix.
-
-    ``int64`` when every golden value fits a lane word; exact-object
-    (python ints) when any output exceeds the int64 range, so >63-bit
-    datapaths compare exactly instead of raising ``OverflowError``.
-    Returns an empty int64 matrix for an empty trace.
+    """Golden trace as a ``[cycles, n_outputs]`` int64 comparison matrix
+    (empty for an empty trace).  A value past the int64 range raises
+    ``OverflowError``: such a golden has no lane-lowerable candidate.
     """
     if not trace:
         return np.zeros((0, n_outputs), dtype=np.int64)
-    try:
-        return np.array(trace, dtype=np.int64)
-    except OverflowError:
-        obs.count("retire.wide_expected")
-        wide = np.empty((len(trace), n_outputs), dtype=object)
-        for row, values in enumerate(trace):
-            wide[row, :] = values
-        return wide
+    return np.array(trace, dtype=np.int64)
 
 
-def lane_vector(values: Sequence[int], wide: bool) -> np.ndarray:
-    """One per-lane stimulus column, dtype-matched to the lane backend.
-
-    ``wide`` selects exact-object storage (spill lanes, >63-bit values);
-    otherwise the column packs into int64 like every narrow poke.
-    """
-    if wide:
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = list(values)
-        return arr
+def lane_vector(values: Sequence[int]) -> np.ndarray:
+    """One per-lane stimulus column, packed into int64 like every poke."""
     return np.fromiter(values, dtype=np.int64, count=len(values))
 
 

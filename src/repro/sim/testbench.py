@@ -35,6 +35,7 @@ from repro.errors import SimulationError
 from repro.sim.batch import BatchSimulator
 from repro.sim.compile import UncompilableDesign
 from repro.sim.elaborate import Design, elaborate
+from repro.sim.retire import lane_vector
 from repro.sim.simulator import Simulator
 from repro.sim.values import mask
 from repro.utils.rng import DeterministicRNG
@@ -347,9 +348,13 @@ def sweep_random_stimulus(
                 "stimuli must supply exactly one episode per lane"
             )
         stimuli = [list(episode) for episode in stimuli]
-        # Lanes step in lockstep; ragged episode lengths can only run on
+        # Lanes step in lockstep: episodes of ragged length, or driving
+        # different input sets (key order may differ), can only run on
         # the scalar path (which the fallback below is anyway).
-        lockstep = len({len(episode) for episode in stimuli}) <= 1
+        lockstep = (
+            len({len(episode) for episode in stimuli}) <= 1
+            and len({frozenset(ep[0]) for ep in stimuli if ep}) <= 1
+        )
     if lockstep and backend in (None, "batch"):
         try:
             return _sweep_lanes(
@@ -364,15 +369,6 @@ def sweep_random_stimulus(
     )
 
 
-def _lane_vector(values: List[int], wide: bool) -> np.ndarray:
-    """Per-lane stimulus column; object dtype keeps >63-bit values exact."""
-    if wide:
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = values
-        return arr
-    return np.fromiter(values, dtype=np.int64, count=len(values))
-
-
 def _sweep_lanes(design, stimuli, seeds, clock, reset,
                  reset_active_high) -> SweepResult:
     n_lanes = len(seeds)
@@ -383,11 +379,10 @@ def _sweep_lanes(design, stimuli, seeds, clock, reset,
     names = tuple(bench.output_names)
     traces: List[List[Tuple[int, ...]]] = [[] for _ in seeds]
     input_names = list(stimuli[0][0]) if stimuli and stimuli[0] else []
-    wide = bench.sim.bdesign.lane_dtype is object
     for cycle in range(len(stimuli[0]) if stimuli else 0):
         vector = {
-            name: _lane_vector(
-                [stimuli[lane][cycle][name] for lane in range(n_lanes)], wide
+            name: lane_vector(
+                [stimuli[lane][cycle][name] for lane in range(n_lanes)]
             )
             for name in input_names
         }

@@ -30,7 +30,6 @@ Since the evalkit refactor this module plays two roles:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,9 +53,10 @@ from repro.verilog import parse_source_fast
 from repro.vereval.passk import mean_pass_at_k
 from repro.vereval.problems import EvalProblem
 
-#: kill switch for the combinational all-vectors fast path (used by the
-#: differential tests and benchmarks to time the scalar loop)
-BATCH_CHECK_ENABLED = os.environ.get("REPRO_SIM_BATCH_CHECK", "1") != "0"
+#: the combinational all-vectors fast path; the differential tests and
+#: the recorded A/B (``BENCH_23.json`` → ``comb_tier_ab``) flip it to
+#: time the scalar loop
+BATCH_CHECK_ENABLED = True
 
 
 @dataclass
@@ -282,9 +282,9 @@ def _check_all_vectors_batch(
     or a lane diverges; the verdict (including first-mismatch
     bookkeeping) is identical either way: comparison and bookkeeping run
     on :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane
-    = stimulus vector).  The lane representation follows the candidate's
-    widths — spill (exact python-int lanes) for >63-bit datapaths, int64
-    otherwise.
+    = stimulus vector).  Lanes are int64: a candidate carrying anything
+    wider than 63 bits does not lane-lower and takes the scalar replay
+    like any other unbatchable design (``batch.fallback_scalar``).
     """
     from repro.sim import default_backend
 
@@ -315,7 +315,6 @@ def _check_all_vectors_batch(
             return None
         engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
         sim = BatchSimulator(candidate, n_lanes=n_lanes)
-        wide = bd.lane_dtype is object
         vector: Dict[str, object] = {}
         reset = interface.reset
         if reset is not None and any(
@@ -325,9 +324,7 @@ def _check_all_vectors_batch(
             # input rests at its deasserted level.
             vector[reset] = 0 if interface.reset_active_high else 1
         for name in ref.stimulus[0]:
-            vector[name] = lane_vector(
-                [v[name] for v in ref.stimulus], wide
-            )
+            vector[name] = lane_vector([v[name] for v in ref.stimulus])
         sim.poke_many(vector)
         actual = np.stack(
             [sim.peek_lanes(name) for name in ref.output_names], axis=1

@@ -28,7 +28,6 @@ from repro.sim import (
     UnbatchableDesign,
     batch_design,
     elaborate,
-    lane_representation,
     equivalence_check,
     random_stimulus,
     sweep_random_stimulus,
@@ -178,36 +177,45 @@ class TestOneLaneFacade:
             sim.poke("clk", 1)
         assert sim.peek("count") == 3
 
-    def test_wide_design_falls_back_when_pinned_int64(self):
-        # 64-bit datapath exceeds the int64 lane budget: forcing int64
-        # lanes is unbatchable, the signal callers take the scalar
-        # fallback on.
-        source = (
-            "module m(input [63:0] a, output [63:0] y); assign y = ~a;"
-            " endmodule"
-        )
-        design = build(source, "m")
-        with pytest.raises(UnbatchableDesign):
-            batch_design(design, 1, representation="int64")
-        with pytest.raises(UnbatchableDesign):
-            BatchSimulator(design, representation="int64")
+    def test_wide_design_falls_back_to_scalar(self):
+        # Anything wider than the 63-bit int64 lane budget is
+        # unbatchable — the signal every caller takes the scalar
+        # fallback on, which is exact at any width.
+        def sweeps_scalar(design, cycles):
+            swept = sweep_random_stimulus(
+                design, cycles, range(4), clock=None
+            )
+            scalar = sweep_random_stimulus(
+                design, cycles, range(4), clock=None, backend="compiled"
+            )
+            assert not swept.vectorized
+            assert swept.traces == scalar.traces
+            assert swept.errors == scalar.errors
 
-    def test_wide_design_runs_on_spill_lanes(self):
-        # Default census: >63-bit designs run lane-parallel on the
-        # multi-word spill representation — no scalar fallback.
-        source = (
-            "module m(input [127:0] a, output [127:0] y); assign y = ~a;"
-            " endmodule"
-        )
-        design = build(source, "m")
-        assert lane_representation(design) == "spill"
-        bd = batch_design(design, 4)
-        assert bd.representation == "spill"
-        sim = Simulator(design, backend="batch")
-        assert isinstance(sim, BatchSimulator)
-        value = (1 << 128) - 2
-        sim.poke("a", value)
-        assert sim.peek("y") == value ^ ((1 << 128) - 1)
+        for width in (64, 96, 128):
+            source = (
+                f"module m(input [{width - 1}:0] a,"
+                f" output [{width - 1}:0] y); assign y = ~a; endmodule"
+            )
+            design = build(source, "m")
+            with pytest.raises(UnbatchableDesign):
+                batch_design(design, 4)
+            with pytest.raises(UnbatchableDesign):
+                BatchSimulator(design)
+            sim = Simulator(design, backend="batch")
+            assert isinstance(sim, CompiledSimulator)
+            value = (1 << width) - 2
+            sim.poke("a", value)
+            assert sim.peek("y") == value ^ ((1 << width) - 1)
+            sweeps_scalar(design, 6)
+        # A dynamic field write landing far above a 128-bit register:
+        # the raw out-of-range semantics are the scalar backend's.
+        sweeps_scalar(build(
+            "module m(input [7:0] idx, input [7:0] d,"
+            " output reg [127:0] y);"
+            " always @* begin y = 128'd0; y[idx*32 +: 8] = d; end"
+            " endmodule", "m"
+        ), 8)
 
     def test_explicit_lane_request_on_unbatchable_raises_cleanly(self):
         # The scalar fallback cannot honour an explicit n_lanes request;
@@ -341,12 +349,39 @@ class TestBatchTestbench:
         )
         assert lockstep.vectorized
         assert lockstep.traces == [t[:3] for t in reference.traces]
+        # Episodes driving different input sets cannot share a lane
+        # vector either (the undriven input holds its value): scalar
+        # path, same answer; reordered keys still ride lanes.
+        reg = build(
+            "module r(input clk, input a, input b, output reg [1:0] q);"
+            " always @(posedge clk) q <= {a, b}; endmodule", "r"
+        )
+        uneven = [
+            [{"a": 1, "b": 0}, {"a": 0, "b": 1}],
+            [{"a": 1}, {"a": 0}],
+        ]
+        swept = sweep_random_stimulus(reg, 0, seeds=(0, 1), stimuli=uneven)
+        reference = sweep_random_stimulus(
+            reg, 0, seeds=(0, 1), stimuli=uneven, backend="compiled"
+        )
+        assert not swept.vectorized
+        assert swept.traces == reference.traces == [
+            [(2,), (1,)], [(2,), (0,)]
+        ]
+        reordered = [uneven[0], [{"b": 1, "a": 0}, {"b": 1, "a": 1}]]
+        swept = sweep_random_stimulus(
+            reg, 0, seeds=(0, 1), stimuli=reordered
+        )
+        assert swept.vectorized
+        assert swept.traces == sweep_random_stimulus(
+            reg, 0, seeds=(0, 1), stimuli=reordered, backend="compiled"
+        ).traces
 
 
-def sweep_representation(module, cycles, seeds, representation):
-    """Sweep ``module`` on lanes forced to ``representation``; compare
-    lane for lane against the interpreter.  Returns False when the design
-    cannot ride that representation (the scalar fallback applies, which
+def sweep_lanes_vs_interp(module, cycles, seeds):
+    """Step ``module`` on a :class:`BatchTestbench` directly; compare lane
+    for lane against the interpreter.  Returns False when the design
+    cannot ride lanes (the scalar fallback applies, which
     ``sweep_module`` checks)."""
     interface = module.interface
     design = build(module.source, module.name)
@@ -359,23 +394,14 @@ def sweep_representation(module, cycles, seeds, representation):
     reference = sweep_random_stimulus(
         design, cycles, seeds, backend="interp", stimuli=stimuli, **kwargs
     )
-
-    class ForcedBench(BatchTestbench):
-        def _make_simulator(self, design, backend):
-            return BatchSimulator(
-                design, n_lanes=self.n_lanes, representation=representation
-            )
-
     try:
-        bench = ForcedBench(design, len(seeds), **kwargs)
-        assert bench.sim.bdesign.representation == representation
+        bench = BatchTestbench(design, len(seeds), **kwargs)
         bench.apply_reset()
         traces = [[] for _ in seeds]
         for cycle in range(cycles):
             outputs = bench.step({
                 name: lane_vector(
-                    [episode[cycle][name] for episode in stimuli],
-                    representation == "spill",
+                    [episode[cycle][name] for episode in stimuli]
                 )
                 for name in stimuli[0][cycle]
             })
@@ -386,57 +412,31 @@ def sweep_representation(module, cycles, seeds, representation):
     except (UncompilableDesign, SimulationError):
         return False
     assert reference.ok
-    assert traces == reference.traces, (module.name, representation)
+    assert traces == reference.traces, module.name
     return True
 
 
 class TestLaneRepresentationMatrix:
-    """Identity across the int64 / spill lane representations.
+    """The int64 lanes, driven without the sweep front door, stay
+    lane-for-lane identical to the interpreter; wide designs replay
+    scalar with the same per-lane classification."""
 
-    Forced through the explicit ``representation=`` argument, each must
-    stay lane-for-lane identical to the interpreter.
-    """
-
-    @pytest.mark.parametrize("representation", ["int64", "spill"])
     @pytest.mark.parametrize("family", ["alu", "traffic_fsm", "lfsr"])
-    def test_pinned_representation_lane_identical(
-        self, representation, family
-    ):
+    def test_pinned_representation_lane_identical(self, family):
         module = generate_family(
             family, DeterministicRNG(11).fork("repmatrix", family)
         )
-        assert sweep_representation(module, 16, range(3), representation)
-
-    def test_spill_divergence_replays_identically(self):
-        # A dynamic field write past the spill guard (sig_width + 64)
-        # raises BatchDivergence; the sweep must transparently replay on
-        # the scalar backend with identical raw out-of-range semantics.
-        source = (
-            "module m(input [7:0] idx, input [7:0] d,"
-            " output reg [127:0] y);"
-            " always @* begin y = 128'd0; y[idx*32 +: 8] = d; end"
-            " endmodule"
-        )
-        design = build(source, "m")
-        assert lane_representation(design) == "spill"
-        batch = sweep_random_stimulus(design, 8, range(4), clock=None)
-        scalar = sweep_random_stimulus(
-            design, 8, range(4), clock=None, backend="compiled"
-        )
-        assert not batch.vectorized  # the guard forced the replay
-        assert batch.traces == scalar.traces
-        assert batch.errors == scalar.errors
+        assert sweep_lanes_vs_interp(module, 16, range(3))
 
     def test_wide_error_classification_matches_scalar(self):
-        # Wide (spill-census) multi-driven net: unlevelizable, so every
-        # lane replays scalar — per-lane error classification must match
-        # a lane-by-lane scalar run exactly.
+        # Wide multi-driven net: unbatchable twice over, so every lane
+        # replays scalar — per-lane error classification must match a
+        # lane-by-lane scalar run exactly.
         source = (
             "module m(input [95:0] a, input [95:0] b,"
             " output [95:0] y); assign y = a; assign y = b; endmodule"
         )
         design = build(source, "m")
-        assert lane_representation(design) == "spill"
         batch = sweep_random_stimulus(design, 6, range(3), clock=None)
         scalar = sweep_random_stimulus(
             design, 6, range(3), clock=None, backend="compiled"
@@ -450,13 +450,12 @@ class TestLaneRepresentationMatrix:
 @given(
     family=st.sampled_from(ALL_FAMILIES),
     seed=st.integers(0, 2**18),
-    representation=st.sampled_from(["int64", "spill"]),
 )
-def test_fuzz_representation_identity(family, seed, representation):
+def test_fuzz_representation_identity(family, seed):
     module = generate_family(
         family, DeterministicRNG(seed).fork("repfuzz", family)
     )
-    sweep_representation(module, 10, range(3), representation)
+    sweep_lanes_vs_interp(module, 10, range(3))
 
 
 class TestCombinationalFastPath:
@@ -520,10 +519,10 @@ class TestCombinationalFastPath:
         if fast is not None:  # replacement may be a no-op for some styles
             assert fast == slow
 
-    def test_wide_comb_problem_rides_spill_lanes(self):
-        # >63-bit combinational family: the all-vectors fast path runs
-        # on spill lanes through the retirement engine instead of
-        # falling back to the scalar per-cycle loop.
+    def test_wide_comb_problem_takes_the_scalar_replay(self):
+        # >63-bit combinational family: the candidate does not
+        # lane-lower, so the all-vectors rung declines (counted) and the
+        # scalar per-cycle loop decides, exact at full width.
         source = (
             "module widecomb(input [95:0] a, input [95:0] b,"
             " output [96:0] s, output [95:0] x);"
@@ -546,23 +545,23 @@ class TestCombinationalFastPath:
             stimulus_seed=2,
         )
         design = build(source, "widecomb")
-        assert lane_representation(design) == "spill"
         ref = harness._GoldenRef(problem)
         fallbacks = obs.counter_value("batch.fallback_scalar")
-        verdict = harness._check_all_vectors_batch(ref, design, problem)
-        assert verdict is not None and verdict.equivalent
-        assert obs.counter_value("batch.fallback_scalar") == fallbacks
-        # Mismatch bookkeeping stays scalar-identical at full width.
+        assert harness._check_all_vectors_batch(ref, design, problem) is None
+        assert obs.counter_value("batch.fallback_scalar") == fallbacks + 1
+        # Pass and mismatch verdicts equal the flag-off replay field for
+        # field.
         broken = build(source.replace("a + b", "a - b"), "widecomb")
-        fast = harness._check_all_vectors_batch(ref, broken, problem)
-        previous = harness.BATCH_CHECK_ENABLED
-        try:
-            harness.BATCH_CHECK_ENABLED = False
-            slow = harness._check_against_trace(ref, broken, problem)
-        finally:
-            harness.BATCH_CHECK_ENABLED = previous
-        assert fast == slow
-        assert not fast.equivalent
+        for candidate, equivalent in ((design, True), (broken, False)):
+            default = harness._check_against_trace(ref, candidate, problem)
+            previous = harness.BATCH_CHECK_ENABLED
+            try:
+                harness.BATCH_CHECK_ENABLED = False
+                slow = harness._check_against_trace(ref, candidate, problem)
+            finally:
+                harness.BATCH_CHECK_ENABLED = previous
+            assert default == slow
+            assert default.equivalent is equivalent
 
     def test_sequential_problem_skips_fast_path(self):
         problems = build_problem_set(n_problems=33)
