@@ -1,90 +1,61 @@
-"""Multi-seed stimulus sweeps on the lane-parallel simulation backend.
+"""All-vectors evaluation of a combinational design on numpy lanes.
 
-Demonstrates the third execution backend (``repro.sim.batch``): one
-design, N independent seeded stimulus episodes, all stepped in lockstep
-with per-slot numpy lanes — the shape of validation sweeps, vgen family
-checks, and the ablation benches.
+Demonstrates the lane evaluator (``repro.sim.batch``): a stateless
+combinational design's outputs are a pure function of its inputs, so
+every stimulus vector can ride its own lane and one settle evaluates
+them all — the all-vectors rung of the pass@k checker.  The same
+vectors then go through the per-vector scalar loop, and the two output
+lists must be identical.
 
 Run:  PYTHONPATH=src python examples/batch_simulation.py
 """
 
 import time
 
-import numpy as np
-
-from repro.sim import (
-    BatchTestbench,
-    elaborate,
-    random_stimulus,
-    sweep_random_stimulus,
-)
+from repro.sim import BatchSimulator, Simulator, elaborate, random_stimulus
+from repro.sim.retire import lane_vector
 from repro.utils.rng import DeterministicRNG
 from repro.vgen import generate_family
 from repro.verilog import parse_source
 
-# The batch backend's per-sweep cost is (nearly) lane-count independent,
-# so the win grows with lanes: ~breakeven near 16 lanes, >3x at 64.
-LANES = 64
-CYCLES = 120
+VECTORS = 384  # the pass@k protocol's stimulus depth
 
 
 def main() -> None:
-    module = generate_family("fifo", DeterministicRNG(0x9EEF))
+    module = generate_family("alu", DeterministicRNG(0x9EEF))
     design = elaborate(parse_source(module.source), module.name)
-    interface = module.interface
-    print(f"design: {module.name} ({module.family}), "
-          f"{LANES} lanes x {CYCLES} cycles")
+    outputs = [s.name for s in design.outputs]
+    stimulus = random_stimulus(design, VECTORS, seed=1)
+    print(f"design: {module.name} ({module.family}), {VECTORS} vectors, "
+          f"outputs {outputs}")
 
-    # -- high-level: one call sweeps N seeded episodes --------------------
-    kwargs = dict(
-        clock=interface.clock,
-        reset=interface.reset,
-        reset_active_high=interface.reset_active_high,
-    )
-    # Warm both compile caches and share the stimulus so the timings
-    # compare steady-state sweep throughput, not one-time lowering.
-    stimuli = [random_stimulus(design, CYCLES, seed) for seed in range(LANES)]
-    sweep_random_stimulus(design, 2, range(LANES), **kwargs)
-    sweep_random_stimulus(design, 2, range(LANES), backend="compiled",
-                          **kwargs)
-
+    # -- every vector in its own lane: one poke_many, one settle ----------
     start = time.perf_counter()
-    batch = sweep_random_stimulus(
-        design, CYCLES, range(LANES), stimuli=stimuli, **kwargs
-    )
-    batch_seconds = time.perf_counter() - start
-    print(f"lane-parallel sweep:  {batch_seconds * 1e3:7.1f} ms "
-          f"(vectorized={batch.vectorized})")
-
-    start = time.perf_counter()
-    scalar = sweep_random_stimulus(
-        design, CYCLES, range(LANES), backend="compiled", stimuli=stimuli,
-        **kwargs
-    )
-    scalar_seconds = time.perf_counter() - start
-    print(f"scalar episode loop:  {scalar_seconds * 1e3:7.1f} ms")
-    print(f"speedup:              {scalar_seconds / batch_seconds:7.2f} x")
-
-    assert batch.traces == scalar.traces  # lane-for-lane identical
-    assert batch.errors == scalar.errors
-    print("per-lane traces identical across backends")
-    for lane in (0, LANES - 1):
-        final = batch.lane(lane)[-1]
-        print(f"  lane {lane:2d} (seed {batch.seeds[lane]}): "
-              f"final outputs {final}")
-
-    # -- low-level: drive lanes yourself through BatchTestbench -----------
-    bench = BatchTestbench(design, n_lanes=4, **kwargs)
-    bench.apply_reset()
-    # Each poke value may be an int (broadcast) or one value per lane.
-    outputs = bench.step({
-        "push": np.array([1, 1, 0, 0]),
-        "pop": 0,
-        "din": np.array([0xA, 0xB, 0xC, 0xD]),
+    sim = BatchSimulator(design, n_lanes=VECTORS)
+    sim.poke_many({
+        name: lane_vector([vector[name] for vector in stimulus])
+        for name in stimulus[0]
     })
-    print("BatchTestbench step, per-lane outputs:")
-    for name, values in outputs.items():
-        print(f"  {name:8s} {values.tolist()}")
+    columns = [sim.peek_lanes(name).tolist() for name in outputs]
+    lanes = list(zip(*columns))
+    lane_seconds = time.perf_counter() - start
+    print(f"one lane settle:     {lane_seconds * 1e3:7.2f} ms")
+
+    # -- the scalar loop: one poke_many + peek per vector -----------------
+    start = time.perf_counter()
+    scalar_sim = Simulator(design)
+    scalar = []
+    for vector in stimulus:
+        scalar_sim.poke_many(vector)
+        scalar.append(tuple(scalar_sim.peek(name) for name in outputs))
+    scalar_seconds = time.perf_counter() - start
+    print(f"per-vector scalar:   {scalar_seconds * 1e3:7.2f} ms")
+
+    assert lanes == scalar  # vector-for-vector identical
+    print("outputs identical for every vector")
+    for index in (0, VECTORS - 1):
+        print(f"  vector {index:3d} {stimulus[index]} -> "
+              f"{dict(zip(outputs, lanes[index]))}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ with synchronous semantics:
 Execution backends
 ------------------
 
-``Simulator(design)`` fronts three cycle-identical backends:
+``Simulator(design)`` fronts two cycle-identical backends:
 
 ========== ==================== ===========================================
 backend    module               when it is selected
@@ -25,19 +25,17 @@ compiled   repro.sim.compile    default (``"auto"``): slot-indexed state,
                                 generated Python source (fused per-edge
                                 functions behind the cycle kernel, per-node
                                 functions under a levelized schedule behind
-                                ``poke``) — one stimulus stream, fastest
-                                scalar path
+                                ``poke``) — the scalar path
 interp     repro.sim.simulator  ``backend="interp"``, or ``"auto"`` when
                                 the design cannot be statically lowered;
                                 AST-walking ground truth for differentials
-batch      repro.sim.batch      ``backend="batch"`` or the lane APIs
-                                (``BatchSimulator(n_lanes=...)``,
-                                ``BatchTestbench``,
-                                ``sweep_random_stimulus``): per-slot numpy
-                                int64 arrays of shape ``[n_lanes]``, one
-                                full-level sweep evaluates every lane —
-                                many stimulus streams per node visit
 ========== ==================== ===========================================
+
+Beside them, :mod:`repro.sim.batch` is a lane-parallel evaluator for
+stateless combinational designs (:class:`~repro.sim.batch.BatchSimulator`:
+per-slot numpy ``int64`` arrays of shape ``[n_lanes]``, one full-level
+sweep evaluates every lane); its one caller is the vereval all-vectors
+rung, which puts one stimulus vector in each lane.
 
 Backend selection: ``Simulator(design, backend=...)``, the
 ``REPRO_SIM_BACKEND`` environment variable, or
@@ -50,29 +48,27 @@ Fallback contracts: regions the static scheduler cannot levelize
 block reading a value it also drives) still run compiled node bodies, but
 under the interpreter's bounded full-pass fixpoint — same evaluation
 order, same round bound, same ``SimulationError`` classification for true
-combinational loops (*fixpoint fallback*).  The batch backend narrows
-further: it has one lane representation (``int64``), and designs that do
-not levelize or that carry anything wider than its 63-bit lane budget
-fall back to the scalar backends, which are exact at any width (*scalar
-fallback*); the rare lane that hits an unrepresentable runtime construct
-replays on the scalar path too — so per-lane values and error
-classification always match a lane-by-lane scalar run.  Differential
-tests in ``tests/test_sim_compile.py`` and ``tests/test_sim_batch.py``
-enforce cycle identity across every ``vgen`` family and the vereval
-problem set.
+combinational loops (*fixpoint fallback*).  The lane evaluator is
+narrower: a design that holds state (edge blocks, ``initial``
+statements, memories, latches, nonblocking writes), writes a select
+lvalue, does not levelize or carries anything wider than 63 bits raises
+``UnbatchableDesign`` and takes the scalar replay (*scalar fallback*).
+Differential tests in ``tests/test_sim_compile.py`` and
+``tests/test_sim_batch.py`` enforce identity across every ``vgen``
+family and the vereval problem set.
 
 One testbench cycle is one call: ``sim.cycle_fn(clock, input_names,
 output_names)`` returns ``step(row) -> outputs``, defined as exactly
 ``poke_many`` + ``poke(clock, 0)`` + ``poke(clock, 1)`` + one ``peek``
-per output.  The interpreter and batch backends run that sequence; the
-compiled backend resolves slots, masks and an output getter once and —
-when the design levelizes, the clock feeds only edge triggers, and the
-drive cannot move a trigger bit — replaces the clock pokes by a state
-write plus the blocks of that edge, keeping the generic loop's trigger
-re-check so ripple and derived clocks still cascade
+per output.  The interpreter runs that sequence; the compiled backend
+resolves slots, masks and an output getter once and — when the design
+levelizes, the clock feeds only edge triggers, and the drive cannot move
+a trigger bit — replaces the clock pokes by a state write plus the
+blocks of that edge, keeping the generic loop's trigger re-check so
+ripple and derived clocks still cascade
 (``tests/test_sim_compile.py::TestCycleKernel`` is the identity oracle).
-:meth:`Testbench.step <repro.sim.testbench.Testbench.step>`, the scalar
-sweep and the vereval trace check are all built on it.
+:meth:`Testbench.step <repro.sim.testbench.Testbench.step>`, the sweep
+and the vereval trace check are all built on it.
 
 Compiled artifacts can persist across processes through the opt-in disk
 cache in :mod:`repro.sim.cache` (``REPRO_SIM_CACHE=/path`` — see that
@@ -88,9 +84,8 @@ them.)
 
 The public entry points are :func:`elaborate` and the
 :class:`~repro.sim.testbench.Testbench` /
-:func:`~repro.sim.testbench.equivalence_check` harness (lane-parallel:
-:class:`~repro.sim.testbench.BatchTestbench` /
-:func:`~repro.sim.testbench.sweep_random_stimulus`).
+:func:`~repro.sim.testbench.equivalence_check` /
+:func:`~repro.sim.testbench.sweep_random_stimulus` harness.
 """
 
 from repro.sim.values import mask, to_signed, from_signed, bit_length_for
@@ -110,7 +105,6 @@ from repro.sim.compile import (
 )
 from repro.sim.batch import (
     BatchDesign,
-    BatchDivergence,
     BatchSimulator,
     UnbatchableDesign,
     batch_design,
@@ -119,7 +113,6 @@ from repro.sim.batch import (
 )
 from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
 from repro.sim.testbench import (
-    BatchTestbench,
     EquivalenceResult,
     StimulusVector,
     SweepResult,
@@ -148,7 +141,6 @@ __all__ = [
     "UncompilableDesign",
     "compile_design",
     "BatchDesign",
-    "BatchDivergence",
     "BatchSimulator",
     "UnbatchableDesign",
     "batch_design",
@@ -159,7 +151,6 @@ __all__ = [
     "CoverageTracker",
     "POINTS_PER_BIT",
     "Testbench",
-    "BatchTestbench",
     "StimulusVector",
     "SweepResult",
     "EquivalenceResult",

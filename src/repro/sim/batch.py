@@ -1,45 +1,37 @@
-"""Lane-parallel numpy execution backend: many stimulus streams per visit.
+"""Lane-parallel numpy evaluator for stateless combinational designs.
 
-:func:`batch_design` lowers an elaborated design into a
-:class:`BatchDesign` — the third cycle-identical backend after the
-interpreter and the scalar compiled backend:
+:func:`batch_design` lowers an elaborated design whose outputs are a
+pure function of its current inputs into a :class:`BatchDesign`, and a
+:class:`BatchSimulator` settles it once with one stimulus vector per
+lane — the all-vectors rung of :mod:`repro.vereval.harness`, its one
+caller:
 
 * **lane-parallel state** — every signal slot holds a numpy ``int64``
-  array of shape ``[n_lanes]`` (memories ``[depth, n_lanes]``), so one
-  node visit evaluates every lane at once;
+  array of shape ``[n_lanes]``, one nonnegative value in bits 0..62 per
+  lane, so one node visit evaluates every lane at once;
 * **vectorized closures** — the expression/statement emitters of
   :class:`repro.sim.compile._Compiler` are re-emitted over vectorized
   integer ops: masking, two's-complement sign correction for signed
   compares/divides/shifts, ``np.where`` for selects, and per-lane
   predicate masks for control flow (``if``/``case``/``for`` execute every
   reachable branch, with writes merged only into active lanes);
-* **full-level sweeps** — the PR-3 levelized schedule is reused, but a
-  settle runs the whole topologically sorted schedule once instead of
-  chasing a dirty cone: with many lanes a single vectorized sweep beats
-  per-lane cone chasing.
+* **one full-level sweep** — a settle runs the levelized schedule once,
+  in topological order.
 
-There is one lane representation: one ``int64`` per lane holding a
-nonnegative value in bits 0..62, masked arithmetic.  The backend is
-intentionally narrower than the scalar one, with a *scalar-fallback
-contract* mirroring the fixpoint-fallback contract of the compiled
-backend:
+Lanes are combinational.  A design that holds state of any kind — an
+edge-triggered block, an ``initial`` statement, a memory, a
+combinational latch, a nonblocking write — or that writes a bit-, part-
+or indexed-part-select lvalue, that does not levelize, or that carries
+anything wider than 63 bits raises :class:`UnbatchableDesign` at
+lowering, and the caller takes the scalar replay, which is exact for
+all of them (the *scalar-fallback contract*).  Sequential lanes, lane
+sweeps and the one-lane ``batch`` simulator backend lost to that replay
+at every size a caller used and were deleted (``BENCH_25.json`` →
+``deleted_ab``).
 
-* designs whose combinational region cannot be levelized, or that carry
-  any signal, memory or expression wider than 63 bits, raise
-  :class:`UnbatchableDesign` at lowering — callers (the ``Simulator``
-  facade with ``backend="batch"``, :class:`~repro.sim.testbench.BatchTestbench`
-  users, the vereval fast path) then fall back to the scalar backends,
-  which are exact at any width and preserve ``SimulationError``
-  classification per lane (python-int lanes for wide designs lost to
-  that fallback at every lane count callers use and were deleted:
-  ``BENCH_24.json`` → ``deleted_ab``);
-* the rare runtime construct a lane cannot represent (a dynamic field
-  write landing above bit 62) raises :class:`BatchDivergence` (a
-  ``SimulationError``), again routing callers to the scalar replay.
-
-Lane-for-lane identity with the scalar compiled backend — values *and*
-error classification — is enforced by ``tests/test_sim_batch.py`` across
-every ``vgen`` family, the vereval problem set, and hypothesis draws.
+One settle equals the scalar compiled backend vector for vector —
+enforced by ``tests/test_sim_batch.py`` across every combinational
+``vgen`` family, the vereval problem set and hypothesis draws.
 """
 
 from __future__ import annotations
@@ -60,17 +52,15 @@ from repro.sim.compile import (
     _Compiler,
     compile_design,
 )
-from repro.sim.simulator import _MAX_LOOP_ITERS, Simulator
+from repro.sim.simulator import _MAX_LOOP_ITERS
 
 __all__ = [
     "BatchDesign",
-    "BatchDivergence",
     "BatchSimulator",
     "LockstepGroup",
     "UnbatchableDesign",
     "batch_design",
     "build_lockstep_group",
-    "is_stateless_comb",
     "lockstep_shape_digest",
 ]
 
@@ -85,18 +75,8 @@ class UnbatchableDesign(UncompilableDesign):
     """The design cannot be lowered to int64 lane-parallel form.
 
     Subclasses :class:`~repro.sim.compile.UncompilableDesign` so every
-    facade that already falls back to a scalar backend on uncompilable
+    caller that already falls back to a scalar backend on uncompilable
     designs handles unbatchable ones the same way.
-    """
-
-
-class BatchDivergence(SimulationError):
-    """A lane hit a construct int64 lanes cannot represent at runtime.
-
-    Raised (for example) when a dynamic bit/part write lands above bit 62
-    — the scalar backends keep such out-of-range bits in raw state, which
-    an int64 lane cannot.  Callers replay the affected episode on the
-    scalar backend, so verdicts stay lane-for-lane identical.
     """
 
 
@@ -149,14 +129,10 @@ def _signed(v, width: int):
 class BatchDesign(CompiledDesign):
     """Compile-once lane-parallel execution image of one design."""
 
-    __slots__ = ("n_lanes", "lane_ix", "ones", "sched_nodes", "nodes_pred",
-                 "comb_latched")
+    __slots__ = ("sched_nodes", "nodes_pred")
 
     def __init__(self) -> None:
         super().__init__()
-        self.n_lanes = 1
-        self.lane_ix: np.ndarray = np.arange(1)
-        self.ones: np.ndarray = np.ones(1, dtype=bool)
         #: combinational nodes pre-ordered by the levelized schedule
         self.sched_nodes: Tuple = ()
         #: per node (declaration order, like ``nodes``): a predicated
@@ -164,20 +140,17 @@ class BatchDesign(CompiledDesign):
         #: — the building block of lockstep groups, where one node
         #: position carries different bodies for different lanes
         self.nodes_pred: Tuple = ()
-        #: True when some comb block writes a signal only conditionally
-        #: (a combinational latch): the signal then holds state between
-        #: settles, so outputs are not a pure function of inputs
-        self.comb_latched = False
 
 
 def batch_design(design: Design, n_lanes: int) -> BatchDesign:
     """Lower ``design`` for ``n_lanes`` lanes, caching per lane count.
 
     Raises :class:`UnbatchableDesign` when the design cannot be lane
-    lowered (not levelizable, or wider than the 63-bit int64 lane
-    budget — the scalar-fallback signal); the negative outcome is cached
-    too, so repeated probes stay cheap.  The cache is dropped on pickling
-    (``Design.__getstate__``), like the scalar compile cache.
+    lowered (not stateless combinational, not levelizable, or wider than
+    the 63-bit int64 lane budget — the scalar-fallback signal); the
+    negative outcome is cached too, so repeated probes stay cheap.  The
+    cache is dropped on pickling (``Design.__getstate__``), like the
+    scalar compile cache.
     ``n_lanes`` must be at least 1; asking for zero or negative lanes is
     a caller bug surfaced as ``ValueError`` instead of an empty-array
     failure deep inside numpy.
@@ -204,22 +177,6 @@ def batch_design(design: Design, n_lanes: int) -> BatchDesign:
     return bd
 
 
-def is_stateless_comb(bd: BatchDesign) -> bool:
-    """No sequential blocks, memory writes, or combinational latches.
-
-    Such a design's outputs after settle are a pure function of its
-    current input values, so independent stimulus vectors can ride one
-    lane each — the basis of the combinational all-vectors fast path in
-    :mod:`repro.vereval.harness`.  A comb block that writes a signal
-    only on some paths (``always @* if (en) y = a;``) is a latch: the
-    signal carries state between settles, so such designs are excluded
-    even though they levelize.
-    """
-    if bd.seq or bd.comb_latched:
-        return False
-    return all(ps < bd.n_signals for ps in bd.writers)
-
-
 # ---------------------------------------------------------------------------
 # Compiler
 # ---------------------------------------------------------------------------
@@ -234,20 +191,23 @@ class _BatchCompiler(_Compiler):
     Expression closures keep the scalar signature
     ``(st, mems, o, mo) -> int64 array`` (constants stay python ints and
     broadcast); statement closures gain a lane-predicate argument:
-    ``(st, mems, o, mo, nba, pred)``.
+    ``(st, mems, o, mo, nba, pred)``.  A lowered design has no memory
+    and no nonblocking write, so ``mems``, ``mo`` and ``nba`` are passed
+    through untouched.
     """
 
     def __init__(self, design: Design, n_lanes: int) -> None:
+        if design.seq_blocks or design.initial_stmts or design.memories:
+            raise UnbatchableDesign(
+                "lanes are combinational: the design has an edge-triggered "
+                "block, an initial statement or a memory"
+            )
         super().__init__(design)
         self.n_lanes = n_lanes
-        self.lane_ix = np.arange(n_lanes)
         self.ones = np.ones(n_lanes, dtype=bool)
-        self._latched = False
         #: predicated comb-node runners, appended in node build order
         self._pred_nodes: List = []
         for width in self.widths:
-            self._check_width(width)
-        for width in self.mem_widths:
             self._check_width(width)
 
     def _check_width(self, width: int) -> int:
@@ -268,15 +228,20 @@ class _BatchCompiler(_Compiler):
                 "combinational region is not levelizable (scalar fixpoint "
                 "fallback applies)"
             )
-        bd.n_lanes = self.n_lanes
-        bd.lane_ix = self.lane_ix
-        bd.ones = self.ones
         bd.sched_nodes = tuple(bd.nodes[i] for i in bd.topo)
         bd.nodes_pred = tuple(self._pred_nodes)
-        bd.comb_latched = self._latched
         return bd
 
     def _lvalue_width(self, target: ast.Expr) -> int:
+        """Every assignment target passes here first: only whole signals
+        and concatenations of them are lane-writable."""
+        if isinstance(
+            target, (ast.Index, ast.PartSelect, ast.IndexedPartSelect)
+        ):
+            raise UnbatchableDesign(
+                f"{type(target).__name__} lvalue: lanes write whole "
+                "signals only"
+            )
         return self._check_width(super()._lvalue_width(target))
 
     # -- expression emission -------------------------------------------------
@@ -333,10 +298,6 @@ class _BatchCompiler(_Compiler):
 
         if isinstance(expr, ast.Identifier):
             name = expr.name
-            if name in self.mem_of:
-                raise UncompilableDesign(
-                    f"memory {name!r} used without an index"
-                )
             raw = self._emit_read_raw(name, ov)
             m = self.masks_for(name)
             return lambda st, mems, o, mo, _f=raw, _m=m: _f(st, mems, o, mo) & _m
@@ -600,49 +561,6 @@ class _BatchCompiler(_Compiler):
     def _compile_index(self, expr: ast.Index, ov: bool):
         name = self._base_name(expr.base)
         index_fn = self._compile_expr(expr.index, 0, ov)
-        mem_slot = self.mem_of.get(name)
-        if mem_slot is not None:
-            base = self.mem_bases[mem_slot]
-            depth = self.mem_depths[mem_slot]
-            lane_ix = self.lane_ix
-            use_overlay = ov
-            # When the index expression's own width bounds it inside the
-            # memory, the range guards are statically dead: read with one
-            # fancy index instead of clip + compare + select per visit.
-            index_width = self._self_width(expr.index)
-            always_in_range = (
-                base == 0
-                and index_width <= _MAX_LANE_WIDTH
-                and (1 << index_width) - 1 < depth
-            )
-
-            if always_in_range:
-                def read_mem_direct(st, mems, o, mo, _ms=mem_slot):
-                    column = mo.get(_ms) if use_overlay else None
-                    if column is None:
-                        column = mems[_ms]
-                    idx = index_fn(st, mems, o, mo)
-                    if isinstance(idx, (int, np.integer)):
-                        return column[idx].copy()  # rows may mutate later
-                    return column[idx, lane_ix]
-
-                return read_mem_direct
-
-            def read_mem(st, mems, o, mo, _ms=mem_slot):
-                column = mo.get(_ms) if use_overlay else None
-                if column is None:
-                    column = mems[_ms]
-                idx = index_fn(st, mems, o, mo) - base
-                if isinstance(idx, (int, np.integer)):
-                    if idx < 0 or idx >= depth:
-                        return 0  # out-of-range read: two-state X
-                    return column[idx].copy()  # copy: rows may mutate later
-                safe = np.clip(idx, 0, depth - 1)
-                return np.where(
-                    (idx >= 0) & (idx < depth), column[safe, lane_ix], 0
-                )
-
-            return read_mem
         raw = self._emit_read_raw(name, ov)
         sig_width = self.widths[self._slot(name)]
         cap = _MAX_LANE_WIDTH
@@ -684,9 +602,12 @@ class _BatchCompiler(_Compiler):
 
     # -- lvalue emission -----------------------------------------------------
 
-    def _compile_proc_write(self, target: ast.Expr, blocking: bool):
-        """Predicated procedural write:
-        ``(st, mems, o, mo, nba, value, pred)``."""
+    def _compile_proc_write(self, target: ast.Expr):
+        """Predicated blocking write:
+        ``(st, mems, o, mo, nba, value, pred)``.
+
+        ``_lvalue_width`` has already admitted ``target``: a signal or a
+        concatenation of signals."""
         if isinstance(target, ast.Concat):
             widths = [self._lvalue_width(p) for p in target.parts]
             total = sum(widths)
@@ -697,7 +618,7 @@ class _BatchCompiler(_Compiler):
                 offset -= part_width
                 part_mask = (1 << part_width) - 1
                 writers.append(
-                    (self._compile_proc_write(part, blocking), offset, part_mask)
+                    (self._compile_proc_write(part), offset, part_mask)
                 )
 
             def write_concat(st, mems, o, mo, nba, value, pred):
@@ -706,198 +627,22 @@ class _BatchCompiler(_Compiler):
 
             return write_concat
 
-        if isinstance(target, ast.Identifier):
-            slot = self._slot(target.name)
-            if target.name in self.mem_of:
-                raise UncompilableDesign(
-                    f"cannot assign whole memory {target.name!r}"
-                )
-            width = self.widths[slot]
-            m = (1 << width) - 1
-            if blocking:
-                def write_full(st, mems, o, mo, nba, value, pred):
-                    cur = o.get(slot)
-                    if cur is None:
-                        cur = st[slot]
-                    o[slot] = np.where(pred, value & m, cur)
+        slot = self._slot(target.name)
+        m = (1 << self.widths[slot]) - 1
 
-                return write_full
+        def write_full(st, mems, o, mo, nba, value, pred):
+            cur = o.get(slot)
+            if cur is None:
+                cur = st[slot]
+            o[slot] = np.where(pred, value & m, cur)
 
-            def nba_full(st, mems, o, mo, nba, value, pred):
-                nba.append((False, slot, 0, width, value, pred))
-
-            return nba_full
-
-        if isinstance(target, ast.Index):
-            name = self._base_name(target.base)
-            index_fn = self._compile_expr(target.index, 0, True)
-            mem_slot = self.mem_of.get(name)
-            if mem_slot is not None:
-                base = self.mem_bases[mem_slot]
-                depth = self.mem_depths[mem_slot]
-                mem_mask = (1 << self.mem_widths[mem_slot]) - 1
-                mem_width = self.mem_widths[mem_slot]
-                lane_ix = self.lane_ix
-                if blocking:
-                    def write_mem(st, mems, o, mo, nba, value, pred):
-                        idx = index_fn(st, mems, o, mo) - base
-                        column = mo.get(mem_slot)
-                        if column is None:
-                            column = mems[mem_slot].copy()
-                            mo[mem_slot] = column
-                        v = value & mem_mask
-                        if isinstance(idx, (int, np.integer)):
-                            if 0 <= idx < depth:
-                                column[idx] = np.where(pred, v, column[idx])
-                            return
-                        sel = pred & (idx >= 0) & (idx < depth)
-                        if sel.any():
-                            vals = v[sel] if isinstance(v, np.ndarray) else v
-                            column[idx[sel], lane_ix[sel]] = vals
-
-                    return write_mem
-
-                def nba_mem(st, mems, o, mo, nba, value, pred):
-                    idx = index_fn(st, mems, o, mo) - base
-                    nba.append(
-                        (True, mem_slot, idx, mem_width, value & mem_mask, pred)
-                    )
-
-                return nba_mem
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            return self._emit_field_write(
-                slot, sig_width, index_fn, 1, blocking, runtime_lo=True
-            )
-
-        if isinstance(target, ast.PartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            msb = self._static_int(target.msb)
-            lsb = self._static_int(target.lsb)
-            if msb < lsb:
-                msb, lsb = lsb, msb
-            width = msb - lsb + 1
-            return self._emit_field_write(
-                slot, sig_width, lsb, width, blocking, runtime_lo=False
-            )
-
-        if isinstance(target, ast.IndexedPartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            width = self._static_int(target.width)
-            self._check_width(width)
-            start_fn = self._compile_expr(target.start, 0, True)
-            ascending = target.ascending
-
-            def lo_fn(st, mems, o, mo):
-                start = start_fn(st, mems, o, mo)
-                lo = start if ascending else start - width + 1
-                return np.maximum(lo, 0)
-
-            return self._emit_field_write(
-                slot, sig_width, lo_fn, width, blocking, runtime_lo=True
-            )
-
-        raise UncompilableDesign(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
-    def _emit_field_write(self, slot, sig_width, lo, width, blocking,
-                          runtime_lo):
-        value_mask = (1 << width) - 1
-        sig_mask = (1 << sig_width) - 1
-        # Highest bit a field write may touch: beyond it the scalar
-        # backends keep out-of-range bits in raw state, which an int64
-        # lane cannot — BatchDivergence routes the caller to them.
-        limit = _MAX_LANE_WIDTH
-
-        if not runtime_lo:
-            if lo == 0 and width >= sig_width:
-                if blocking:
-                    def write_full(st, mems, o, mo, nba, value, pred):
-                        cur = o.get(slot)
-                        if cur is None:
-                            cur = st[slot]
-                        o[slot] = np.where(pred, value & sig_mask, cur)
-
-                    return write_full
-
-                def nba_full(st, mems, o, mo, nba, value, pred):
-                    nba.append((False, slot, 0, width, value, pred))
-
-                return nba_full
-            if lo + width > limit:
-                # The scalar backends keep such out-of-range bits in raw
-                # state; bounded lanes cannot.
-                raise UnbatchableDesign(
-                    f"static field write at bits [{lo + width - 1}:{lo}] "
-                    "exceeds the lane budget"
-                )
-            field_mask = value_mask << lo
-            keep_mask = ~field_mask
-            if blocking:
-                def write_field(st, mems, o, mo, nba, value, pred):
-                    cur = o.get(slot)
-                    if cur is None:
-                        cur = st[slot]
-                    merged = (cur & keep_mask) | (
-                        ((value & value_mask) << lo) & field_mask
-                    )
-                    o[slot] = np.where(pred, merged, cur)
-
-                return write_field
-
-            def nba_field(st, mems, o, mo, nba, value, pred):
-                nba.append((False, slot, lo, width, value, pred))
-
-            return nba_field
-
-        lo_fn = lo
-
-        def guard(at, pred):
-            bad = pred & (at + width > limit)
-            if width >= sig_width:
-                bad = bad & np.not_equal(at, 0)
-            if np.any(bad):
-                raise BatchDivergence(
-                    "dynamic field write above the lane budget "
-                    f"(bit {limit}+)"
-                )
-
-        if blocking:
-            def write_dynamic(st, mems, o, mo, nba, value, pred):
-                at = lo_fn(st, mems, o, mo)
-                guard(at, pred)
-                cur = o.get(slot)
-                if cur is None:
-                    cur = st[slot]
-                at_c = np.minimum(at, limit)
-                field_mask = value_mask << at_c
-                merged = (cur & ~field_mask) | (
-                    ((value & value_mask) << at_c) & field_mask
-                )
-                if width >= sig_width:
-                    merged = np.where(
-                        np.equal(at, 0), value & sig_mask, merged
-                    )
-                o[slot] = np.where(pred, merged, cur)
-
-            return write_dynamic
-
-        def nba_dynamic(st, mems, o, mo, nba, value, pred):
-            at = lo_fn(st, mems, o, mo)
-            guard(at, pred)
-            nba.append((False, slot, at, width, value, pred))
-
-        return nba_dynamic
+        return write_full
 
     def _compile_direct_write(self, target: ast.Expr):
         """Continuous-assign write over all lanes: ``(st, mems, value)``.
 
         No change detection: the full-level sweep makes it unnecessary.
+        ``_lvalue_width`` has already admitted ``target``.
         """
         if isinstance(target, ast.Concat):
             widths = [self._lvalue_width(p) for p in target.parts]
@@ -918,114 +663,14 @@ class _BatchCompiler(_Compiler):
 
             return write_concat
 
-        if isinstance(target, ast.Identifier):
-            if target.name in self.mem_of:
-                raise UncompilableDesign(
-                    f"cannot assign whole memory {target.name!r}"
-                )
-            slot = self._slot(target.name)
-            m = (1 << self.widths[slot]) - 1
-            lanes_of = self._lanes_of
-
-            def write_full(st, mems, value):
-                st[slot] = lanes_of(value & m)
-
-            return write_full
-
-        if isinstance(target, ast.Index):
-            name = self._base_name(target.base)
-            if name in self.mem_of:
-                raise UncompilableDesign(
-                    "continuous assignment to memory element is not supported"
-                )
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            index_fn = self._compile_expr(target.index, 0, False)
-            return self._emit_direct_field(slot, sig_width, index_fn, 1, True)
-
-        if isinstance(target, ast.PartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            msb = self._static_int(target.msb)
-            lsb = self._static_int(target.lsb)
-            if msb < lsb:
-                msb, lsb = lsb, msb
-            return self._emit_direct_field(
-                slot, sig_width, lsb, msb - lsb + 1, False
-            )
-
-        if isinstance(target, ast.IndexedPartSelect):
-            name = self._base_name(target.base)
-            slot = self._slot(name)
-            sig_width = self.widths[slot]
-            width = self._static_int(target.width)
-            self._check_width(width)
-            start_fn = self._compile_expr(target.start, 0, False)
-            ascending = target.ascending
-
-            def lo_fn(st, mems, o, mo):
-                start = start_fn(st, mems, o, mo)
-                lo = start if ascending else start - width + 1
-                return np.maximum(lo, 0)
-
-            return self._emit_direct_field(slot, sig_width, lo_fn, width, True)
-
-        raise UncompilableDesign(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
-    def _emit_direct_field(self, slot, sig_width, lo, width, runtime_lo):
-        value_mask = (1 << width) - 1
-        sig_mask = (1 << sig_width) - 1
+        slot = self._slot(target.name)
+        m = (1 << self.widths[slot]) - 1
         lanes_of = self._lanes_of
-        limit = _MAX_LANE_WIDTH
 
-        if not runtime_lo:
-            if lo == 0 and width >= sig_width:
-                def write_full(st, mems, value):
-                    st[slot] = lanes_of(value & sig_mask)
+        def write_full(st, mems, value):
+            st[slot] = lanes_of(value & m)
 
-                return write_full
-            if lo + width > limit:
-                raise UnbatchableDesign(
-                    f"static field write at bits [{lo + width - 1}:{lo}] "
-                    "exceeds the lane budget"
-                )
-            field_mask = value_mask << lo
-            keep_mask = ~field_mask
-
-            def write_field(st, mems, value):
-                full = st[slot]
-                st[slot] = (full & keep_mask) | (
-                    ((value & value_mask) << lo) & field_mask
-                )
-
-            return write_field
-
-        lo_fn = lo
-
-        def write_dynamic(st, mems, value):
-            at = lo_fn(st, mems, None, None)
-            bad = at + width > limit
-            if width >= sig_width:
-                bad = bad & np.not_equal(at, 0)
-            if np.any(bad):
-                raise BatchDivergence(
-                    "dynamic field write above the lane budget "
-                    f"(bit {limit}+)"
-                )
-            full = st[slot]
-            at_c = np.minimum(at, limit)
-            field_mask = value_mask << at_c
-            merged = (full & ~field_mask) | (
-                ((value & value_mask) << at_c) & field_mask
-            )
-            if width >= sig_width:
-                merged = np.where(np.equal(at, 0), value & sig_mask, merged)
-            st[slot] = lanes_of(merged)
-
-        return write_dynamic
+        return write_full
 
     # -- statement emission --------------------------------------------------
 
@@ -1048,9 +693,13 @@ class _BatchCompiler(_Compiler):
 
             return block
         if isinstance(stmt, ast.Assign):
+            if not stmt.blocking:
+                raise UnbatchableDesign(
+                    "nonblocking write: lanes are combinational"
+                )
             lvalue_width = self._lvalue_width(stmt.target)
             value_fn = self._compile_expr(stmt.value, lvalue_width, True)
-            writer = self._compile_proc_write(stmt.target, stmt.blocking)
+            writer = self._compile_proc_write(stmt.target)
 
             def assign(st, mems, o, mo, nba, pred):
                 writer(st, mems, o, mo, nba, value_fn(st, mems, o, mo), pred)
@@ -1161,20 +810,15 @@ class _BatchCompiler(_Compiler):
 
         # Predicated variant for lockstep groups: the overlay-merging
         # procedural writer touches only lanes in ``pred``, then commits.
-        pred_writer = self._compile_proc_write(assign.target, blocking=True)
-        widths = self.widths
-        lane_ix = self.lane_ix
+        pred_writer = self._compile_proc_write(assign.target)
 
         def run_pred(st, mems, pred):
             overlay: Dict[int, np.ndarray] = {}
-            mem_overlay: Dict[int, np.ndarray] = {}
             pred_writer(
-                st, mems, overlay, mem_overlay, None,
+                st, mems, overlay, None, None,
                 value_fn(st, mems, None, None), pred,
             )
-            _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, None, widths, lane_ix
-            )
+            _commit_lane_overlays(st, overlay)
 
         self._pred_nodes.append(run_pred)
         reads = set()
@@ -1194,97 +838,41 @@ class _BatchCompiler(_Compiler):
 
             self._pred_nodes.append(run_empty_pred)
             return run_empty, set(), set()
-        ones = self.ones
-        widths = self.widths
-        lane_ix = self.lane_ix
-
-        def run_pred(st, mems, pred):
-            overlay: Dict[int, np.ndarray] = {}
-            mem_overlay: Dict[int, np.ndarray] = {}
-            nba: List[tuple] = []
-            body(st, mems, overlay, mem_overlay, nba, pred)
-            _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, nba, widths, lane_ix
-            )
-
-        def run(st, mems):
-            run_pred(st, mems, ones)
-
-        self._pred_nodes.append(run_pred)
         reads = set()
         writes = set()
         # `written` ends as the names this block is *guaranteed* to fully
         # write on every execution; any other signal write is conditional
         # — a combinational latch, whose target carries state between
-        # settles (nonblocking writes count as latched conservatively).
+        # settles, so the design's outputs are not a function of its inputs.
         written = set()
         self._stmt_effects(block.body, written, reads, writes)
-        written_slots = {
-            self.slot_of[name] for name in written if name in self.slot_of
-        }
-        if any(
-            ps < self.n_signals and ps not in written_slots for ps in writes
-        ):
-            self._latched = True
+        if not writes <= {self.slot_of[name] for name in written}:
+            raise UnbatchableDesign(
+                "combinational latch: lanes are combinational"
+            )
+        ones = self.ones
+
+        def run_pred(st, mems, pred):
+            overlay: Dict[int, np.ndarray] = {}
+            body(st, mems, overlay, None, None, pred)
+            _commit_lane_overlays(st, overlay)
+
+        def run(st, mems):
+            run_pred(st, mems, ones)
+
+        self._pred_nodes.append(run_pred)
         return run, reads, writes
 
 
-def _commit_lane_overlays(st, mems, overlay, mem_overlay, nba, widths,
-                          lane_ix) -> None:
-    """Commit one blocking-overlay epoch (plus optional NBA list).
+def _commit_lane_overlays(st, overlay) -> None:
+    """Commit one blocking-overlay epoch.
 
     The single definition of how overlays land in lane state — shared by
-    node runners, sequential/initial execution, and lockstep variants,
-    so commit semantics cannot silently diverge between them.
+    the node runners and their predicated variants, so commit semantics
+    cannot silently diverge between them.
     """
     for slot, value in overlay.items():
         st[slot] = value
-    for mem_slot, column in mem_overlay.items():
-        mems[mem_slot] = column
-    if nba:
-        _commit_nba_lanes(st, mems, nba, widths, lane_ix)
-
-
-def _commit_nba_lanes(st, mems, updates, widths, lane_ix) -> None:
-    """Commit nonblocking updates lane-parallel, in append order.
-
-    Updates are ``(is_mem, slot, lo, width, value, pred)``; ``lo`` and
-    ``value`` may be per-lane arrays or python ints, and ``pred`` masks
-    the lanes the write applies to.  Mirrors the scalar backend's
-    ``_commit_nba`` update-for-update; the emission-time guards already
-    rejected any field landing beyond the int64 budget the merge shift
-    is clamped to.
-    """
-    for is_mem, slot, lo, width, value, pred in updates:
-        if is_mem:
-            column = mems[slot]
-            depth = column.shape[0]
-            if isinstance(lo, (int, np.integer)):
-                if 0 <= lo < depth:
-                    column[lo] = np.where(pred, value, column[lo])
-                continue
-            sel = pred & (lo >= 0) & (lo < depth)
-            if sel.any():
-                vals = value[sel] if isinstance(value, np.ndarray) else value
-                column[lo[sel], lane_ix[sel]] = vals
-            continue
-        keep = st[slot]
-        sig_width = widths[slot]
-        sig_mask = (1 << sig_width) - 1
-        if width >= sig_width and isinstance(lo, int) and lo == 0:
-            # Whole-signal write (the common `reg <= expr` case): skip
-            # the field-merge arithmetic entirely.
-            st[slot] = np.where(pred, value & sig_mask, keep)
-            continue
-        value_mask = (1 << width) - 1
-        at_c = np.minimum(lo, _MAX_LANE_WIDTH)
-        field_mask = value_mask << at_c
-        merged = (keep & ~field_mask) | (
-            ((value & value_mask) << at_c) & field_mask
-        )
-        if width >= sig_width:
-            merged = np.where(np.equal(lo, 0), value & sig_mask, merged)
-        st[slot] = np.where(pred, merged, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,29 +880,19 @@ def _commit_nba_lanes(st, mems, updates, widths, lane_ix) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _no_bit_moved(snapshot, current) -> bool:
-    """True when no trigger bit differs in any lane: no edge can fire (the
-    exit 3 of the 4 edge scans per clock cycle take)."""
-    for before, after in zip(snapshot, current):
-        if (before != after).any():
-            return False
-    return True
+class BatchSimulator:
+    """Settles a :class:`BatchDesign` over ``n_lanes`` parallel lanes.
 
-
-class BatchSimulator(Simulator):
-    """Executes a :class:`BatchDesign` over ``n_lanes`` parallel lanes.
-
-    With ``n_lanes=1`` (the default, and what the ``Simulator`` facade
-    constructs for ``backend="batch"``) the scalar observable API —
-    ``poke``/``poke_many``/``peek``/``state``/``mems`` — is drop-in
-    compatible with the other backends (``peek`` returns ints).  With
-    more lanes, pokes broadcast ints or take per-lane arrays, and
-    ``peek_lanes`` exposes per-lane values; ``poke_many`` with array
-    values is how wide sweeps route through the lanes.
+    :meth:`poke_many` drives inputs — an int broadcasts to every lane, an
+    ``int64`` array of shape ``(n_lanes,)`` gives one value per lane —
+    and settles once; :meth:`peek_lanes` reads one signal's per-lane
+    values.  Each lane is an independent evaluation of one stateless
+    combinational design: the all-vectors rung puts one stimulus vector
+    in each.  Construction raises :class:`UnbatchableDesign` for any
+    other design.
     """
 
-    def __init__(self, design: Design, max_settle_rounds: Optional[int] = None,
-                 backend: Optional[str] = None, n_lanes: int = 1):
+    def __init__(self, design: Design, n_lanes: int = 1) -> None:
         bd = batch_design(design, n_lanes)
         self.design = design
         self.bdesign = bd
@@ -1322,55 +900,7 @@ class BatchSimulator(Simulator):
         self.st: List[np.ndarray] = [
             np.zeros(n_lanes, dtype=_I64) for _ in range(bd.n_signals)
         ]
-        self.mem_data: List[np.ndarray] = [
-            np.zeros((depth, n_lanes), dtype=_I64) for depth in bd.mem_depths
-        ]
-        self._max_rounds = max_settle_rounds or (2 * bd.comb_count + 16)
-        ones = bd.ones
-        # Initial statements commit per statement, like the other backends.
-        for body in bd.initial:
-            overlay: Dict[int, np.ndarray] = {}
-            mem_overlay: Dict[int, np.ndarray] = {}
-            nba: List[tuple] = []
-            body(self.st, self.mem_data, overlay, mem_overlay, nba, ones)
-            _commit_lane_overlays(
-                self.st, self.mem_data, overlay, mem_overlay, nba,
-                bd.widths, bd.lane_ix,
-            )
         self.settle()
-
-    # -- state views ---------------------------------------------------------
-
-    def _scalarize(self, array: np.ndarray):
-        return int(array[0]) if self.n_lanes == 1 else array.copy()
-
-    @property
-    def state(self):
-        """Name-keyed snapshot: ints for one lane, arrays otherwise."""
-        return {
-            name: self._scalarize(self.st[slot])
-            for name, slot in self.bdesign.slot_of.items()
-        }
-
-    @property
-    def mems(self):
-        """Name-keyed memory snapshot (lists of ints for one lane)."""
-        if self.n_lanes == 1:
-            return {
-                name: [int(v) for v in self.mem_data[ms][:, 0]]
-                for name, ms in self.bdesign.mem_of.items()
-            }
-        return {
-            name: self.mem_data[ms].copy()
-            for name, ms in self.bdesign.mem_of.items()
-        }
-
-    def peek(self, name: str):
-        try:
-            slot = self.bdesign.slot_of[name]
-        except KeyError:
-            raise SimulationError(f"peek of unknown signal {name!r}") from None
-        return self._scalarize(self.st[slot])
 
     def peek_lanes(self, name: str) -> np.ndarray:
         """Per-lane values of ``name`` as a fresh lane array."""
@@ -1379,17 +909,6 @@ class BatchSimulator(Simulator):
         except KeyError:
             raise SimulationError(f"peek of unknown signal {name!r}") from None
         return self.st[slot].copy()
-
-    def peek_mem(self, name: str, index: int):
-        memory = self.design.memories[name]
-        slot = index - memory.base
-        if slot < 0 or slot >= memory.depth:
-            raise SimulationError(
-                f"memory index {index} out of range for {name!r}"
-            )
-        return self._scalarize(self.mem_data[self.bdesign.mem_of[name]][slot])
-
-    # -- poke hooks ----------------------------------------------------------
 
     def _masked(self, slot: int, value):
         mask = self.bdesign.masks[slot]
@@ -1405,79 +924,23 @@ class BatchSimulator(Simulator):
             )
         return lanes & mask
 
-    def _poke_pending(self, name: str, value) -> bool:
-        slot = self.bdesign.slot_of.get(name)
-        if slot is None:
-            self.design.signal(name)  # raises the canonical error
-        return bool(np.any(self.st[slot] != self._masked(slot, value)))
-
-    def _poke_apply(self, name: str, value) -> None:
-        slot = self.bdesign.slot_of[name]
-        lanes = np.empty(self.n_lanes, dtype=_I64)
-        lanes[:] = self._masked(slot, value)
-        self.st[slot] = lanes
-
-    def poke_lanes(self, name: str, values) -> None:
-        """Per-lane poke (alias of :meth:`poke` with an array value)."""
-        self.poke(name, values)
-
-    def _trigger_bits(self) -> List[np.ndarray]:
-        st = self.st
-        return [st[s] & 1 for s in self.bdesign.trigger_slots]
-
-    def _trigger_snapshot(self) -> List[np.ndarray]:
-        return self._trigger_bits()
-
-    # -- settle / edges ------------------------------------------------------
+    def poke_many(self, values) -> None:
+        """Drive every ``name -> value`` entry, then settle once."""
+        slot_of = self.bdesign.slot_of
+        for name, value in values.items():
+            slot = slot_of.get(name)
+            if slot is None:
+                self.design.signal(name)  # raises the canonical error
+            lanes = np.empty(self.n_lanes, dtype=_I64)
+            lanes[:] = self._masked(slot, value)
+            self.st[slot] = lanes
+        self.settle()
 
     def settle(self) -> None:
         """One full-level sweep of the levelized schedule (all lanes)."""
         st = self.st
-        mems = self.mem_data
         for run in self.bdesign.sched_nodes:
-            run(st, mems)
-
-    def _fire_edges(self, snapshot: List[np.ndarray]) -> None:
-        seq = self.bdesign.seq
-        for _ in range(self._max_rounds):
-            current = self._trigger_bits()
-            if _no_bit_moved(snapshot, current):
-                return
-            fired = []
-            for triggers, body in seq:
-                lanes = None
-                for want, ti in triggers:
-                    edge = (snapshot[ti] != current[ti]) & (
-                        current[ti] == want
-                    )
-                    lanes = edge if lanes is None else (lanes | edge)
-                if lanes is not None and lanes.any():
-                    fired.append((body, lanes))
-            if not fired:
-                return
-            self._run_seq_blocks(fired)
-            self.settle()
-            snapshot = current
-        raise SimulationError(
-            "edge events failed to quiesce (oscillating clock loop?)"
-        )
-
-    def _run_seq_blocks(self, fired) -> None:
-        bd = self.bdesign
-        st = self.st
-        mems = self.mem_data
-        pending: List[tuple] = []
-        for body, pred in fired:
-            overlay: Dict[int, np.ndarray] = {}
-            mem_overlay: Dict[int, np.ndarray] = {}
-            body(st, mems, overlay, mem_overlay, pending, pred)
-            # Blocking writes commit with the block; nonblocking updates
-            # commit once, after every triggered block ran.
-            _commit_lane_overlays(
-                st, mems, overlay, mem_overlay, None, bd.widths, bd.lane_ix
-            )
-        if pending:
-            _commit_nba_lanes(st, mems, pending, bd.widths, bd.lane_ix)
+            run(st, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1489,7 +952,9 @@ class BatchSimulator(Simulator):
 # _comb_node_fingerprints, LockstepGroup and the Design._lockstep_digest
 # memo — stay byte-for-byte until a [benchmark] PR drops those rows
 # (one authorised edit since: PR 24 took the lane-representation line and
-# the third batch_design argument out of build_lockstep_group).
+# the third batch_design argument out of build_lockstep_group).  Lanes
+# are combinational, so a clocked group stops at batch_design's
+# UnbatchableDesign, which the walk counts under sim.batch.unbatchable.
 # ---------------------------------------------------------------------------
 
 

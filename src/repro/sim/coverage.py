@@ -13,9 +13,9 @@ bit, four coverage points:
 
 The tracker is backend-agnostic by construction: it reads values through
 ``sim.peek`` (scalar backends) or ``sim.peek_lanes`` (lane-parallel
-backends, where a point covered in *any* lane counts), so the interp,
-compiled, and batch backends report identical coverage for identical
-stimulus — enforced by ``tests/test_cegis.py``.
+simulators, where a point covered in *any* lane counts), so the interp
+and compiled backends report identical coverage for identical stimulus
+— enforced by ``tests/test_cegis.py``.
 
 Saturation — :meth:`CoverageTracker.saturated` — is the signal consumers
 act on: once ``window`` consecutive observations add no new coverage

@@ -45,7 +45,7 @@ from repro.sim.values import mask
 
 _MAX_LOOP_ITERS = 1 << 16
 
-BACKENDS = ("auto", "compiled", "interp", "batch")
+BACKENDS = ("auto", "compiled", "interp")
 
 _DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "auto")
 
@@ -133,15 +133,15 @@ class Simulator:
 
     This class is a transparent facade over the cycle-identical
     backends.  Constructing ``Simulator(design)`` returns an
-    :class:`InterpreterSimulator`, a
-    :class:`~repro.sim.compile.CompiledSimulator`, or a
-    :class:`~repro.sim.batch.BatchSimulator` depending on ``backend``
-    (``"auto"`` / ``"compiled"`` / ``"interp"`` / ``"batch"``; ``None``
-    means the process default, see :func:`set_default_backend`).  All
+    :class:`InterpreterSimulator` or a
+    :class:`~repro.sim.compile.CompiledSimulator` depending on
+    ``backend`` (``"auto"`` / ``"compiled"`` / ``"interp"``; ``None``
+    means the process default, see :func:`set_default_backend`).  Both
     expose the same observable API: ``poke``, ``poke_many``, ``peek``,
     ``peek_mem``, ``settle``, ``cycle_fn`` (a whole testbench cycle as
-    one call), and ``state`` / ``mems`` views of the flat state.  Backends that cannot carry a design fall back along the
-    documented contracts (batch -> scalar, compiled -> interpreter).
+    one call), and ``state`` / ``mems`` views of the flat state.  Under
+    ``"auto"`` a design the compiler cannot lower falls back to the
+    interpreter.
 
     Example (any backend name gives the same cycles):
 
@@ -158,7 +158,7 @@ class Simulator:
     """
 
     def __new__(cls, design: Design, max_settle_rounds: Optional[int] = None,
-                backend: Optional[str] = None, **kwargs):
+                backend: Optional[str] = None):
         if cls is not Simulator:
             return object.__new__(cls)
         choice = backend or _DEFAULT_BACKEND
@@ -174,24 +174,6 @@ class Simulator:
             UncompilableDesign,
             compile_design,
         )
-        if choice == "batch":
-            # Scalar-fallback contract: designs the lane compiler cannot
-            # lower (not levelizable, too wide) run on the scalar
-            # backends instead, preserving error classification.
-            from repro.sim.batch import BatchSimulator, batch_design
-
-            try:
-                batch_design(design, kwargs.get("n_lanes", 1))
-            except UncompilableDesign as exc:
-                if "n_lanes" in kwargs:
-                    # An explicit lane request cannot be honoured by the
-                    # scalar backends (whose constructors do not take
-                    # n_lanes); surface the reason instead.
-                    raise SimulationError(
-                        f"design is not lane-parallelizable: {exc}"
-                    ) from None
-            else:
-                return object.__new__(BatchSimulator)
         try:
             compile_design(design)
         except UncompilableDesign as exc:

@@ -5,23 +5,20 @@ completion by simulating it against the problem's golden module under the
 same stimulus and comparing every output each cycle.  This module provides:
 
 * :class:`Testbench` — drive a single design with named clock/reset,
-* :class:`BatchTestbench` — drive N independent lanes of one design in
-  lockstep on the lane-parallel numpy backend (:mod:`repro.sim.batch`),
 * :func:`random_stimulus` — seeded random input vectors,
 * :func:`stimulus_rows` — an episode as input names + one value row per
   cycle, the shape the cycle kernel steps through,
-* :func:`sweep_random_stimulus` — N seeded stimulus episodes at once,
-  lane-parallel when the design lowers, scalar replay otherwise,
+* :func:`sweep_random_stimulus` — N seeded stimulus episodes, one
+  scalar replay each,
 * :func:`equivalence_check` — lockstep golden-vs-candidate comparison.
 
 All front the multi-backend :class:`~repro.sim.simulator.Simulator`
-(compiled by default, interpreter as reference, lane-parallel ``batch``);
-pass ``backend=`` to pin one explicitly.  ``Testbench.drive`` applies a
-whole stimulus vector through
-:meth:`~repro.sim.simulator.Simulator.poke_many`, so one vector costs one
-combinational settle and one edge-detection pass regardless of how many
-inputs it carries; ``Testbench.step`` and the scalar sweep run a whole
-cycle as one :meth:`~repro.sim.simulator.Simulator.cycle_fn` call.
+(compiled by default, interpreter as reference); pass ``backend=`` to
+pin one explicitly.  ``Testbench.drive`` applies a whole stimulus vector
+through :meth:`~repro.sim.simulator.Simulator.poke_many`, so one vector
+costs one combinational settle and one edge-detection pass regardless
+of how many inputs it carries; ``Testbench.step`` and the sweep run a
+whole cycle as one :meth:`~repro.sim.simulator.Simulator.cycle_fn` call.
 """
 
 from __future__ import annotations
@@ -29,13 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.sim.batch import BatchSimulator
-from repro.sim.compile import UncompilableDesign
 from repro.sim.elaborate import Design, elaborate
-from repro.sim.retire import lane_vector
 from repro.sim.simulator import Simulator
 from repro.sim.values import mask
 from repro.utils.rng import DeterministicRNG
@@ -63,7 +55,7 @@ class Testbench:
         backend: Optional[str] = None,
     ) -> None:
         self.design = design
-        self.sim = self._make_simulator(design, backend)
+        self.sim = Simulator(design, backend=backend)
         input_names = {s.name for s in design.inputs}
         if clock is not None and clock not in input_names:
             clock = None  # combinational design; tolerate a missing clock
@@ -81,11 +73,6 @@ class Testbench:
         self._output_names = [s.name for s in design.outputs]
         self._step_names: Optional[Tuple[str, ...]] = None
         self._step_fn = None
-
-    def _make_simulator(self, design: Design,
-                        backend: Optional[str]) -> Simulator:
-        """Backend-selection hook (BatchTestbench builds lane sims)."""
-        return Simulator(design, backend=backend)
 
     @property
     def input_names(self) -> List[str]:
@@ -199,82 +186,23 @@ def random_stimulus(
     ]
 
 
-class BatchTestbench(Testbench):
-    """Synchronous harness stepping ``n_lanes`` episodes in lockstep.
-
-    Same protocol as :class:`Testbench` (clock/reset resolution, batched
-    ``drive``, ``step = drive + tick + sample``) but the simulator is a
-    lane-parallel :class:`~repro.sim.batch.BatchSimulator`: every poke
-    value may be an int (broadcast to all lanes) or a per-lane int64
-    array, and ``sample`` returns per-lane arrays.  Construction raises
-    :class:`~repro.sim.batch.UnbatchableDesign` when the design cannot be
-    lane-lowered — callers fall back to N scalar benches (see
-    :func:`sweep_random_stimulus`, which automates exactly that) — and
-    ``ValueError`` for ``n_lanes < 1`` or a per-lane poke value whose
-    shape does not match the lane count.
-
-    Example (three lanes of one adder, each with its own operands):
-
-    >>> from repro.sim import BatchTestbench, elaborate
-    >>> from repro.verilog import parse_source
-    >>> import numpy as np
-    >>> design = elaborate(parse_source(
-    ...     "module add(input [3:0] a, input [3:0] b, output [4:0] y);"
-    ...     " assign y = a + b; endmodule"), "add")
-    >>> bench = BatchTestbench(design, n_lanes=3, clock=None)
-    >>> out = bench.step({"a": np.array([1, 2, 3]), "b": 10})
-    >>> out["y"].tolist()
-    [11, 12, 13]
-    """
-
-    def __init__(
-        self,
-        design: Design,
-        n_lanes: int,
-        clock: Optional[str] = "clk",
-        reset: Optional[str] = None,
-        reset_active_high: bool = True,
-    ) -> None:
-        self.n_lanes = n_lanes  # read by _make_simulator during super init
-        super().__init__(design, clock, reset, reset_active_high)
-
-    def _make_simulator(self, design: Design,
-                        backend: Optional[str]) -> BatchSimulator:
-        return BatchSimulator(design, n_lanes=self.n_lanes)
-
-    def step(self, vector) -> Dict[str, np.ndarray]:
-        """``drive``; ``tick``; ``sample`` — outputs are per-lane arrays,
-        so not the scalar cycle kernel."""
-        self.drive(vector)
-        self.tick()
-        return self.sample()
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        """Per-lane output arrays after combinational settle."""
-        peek_lanes = self.sim.peek_lanes
-        return {name: peek_lanes(name) for name in self._output_names}
-
-
 @dataclass
 class SweepResult:
-    """Per-lane outcomes of a multi-seed stimulus sweep.
+    """Per-episode outcomes of a multi-seed stimulus sweep.
 
-    ``traces[lane]`` is one output tuple per completed cycle, aligned to
-    ``output_names``; ``errors[lane]`` carries the lane's
-    ``SimulationError`` message (with a truncated trace) when the episode
-    failed.  ``vectorized`` records whether the lane-parallel backend ran
-    the sweep or the scalar replay did — outcomes are identical either
-    way, which ``tests/test_sim_batch.py`` enforces.
+    ``traces[i]`` is one output tuple per completed cycle of episode
+    ``i``, aligned to ``output_names``; ``errors[i]`` carries the
+    episode's ``SimulationError`` message (with a truncated trace) when
+    it failed.
     """
 
     seeds: Tuple[int, ...]
     output_names: Tuple[str, ...]
     traces: List[List[Tuple[int, ...]]]
     errors: List[Optional[str]]
-    vectorized: bool
 
     def lane(self, index: int) -> List[Dict[str, int]]:
-        """Materialize one lane's trace as per-cycle output dicts."""
+        """Materialize one episode's trace as per-cycle output dicts."""
         return [
             dict(zip(self.output_names, row)) for row in self.traces[index]
         ]
@@ -295,27 +223,25 @@ def sweep_random_stimulus(
     backend: Optional[str] = None,
     stimuli: Optional[Sequence[Sequence[StimulusVector]]] = None,
 ) -> SweepResult:
-    """Run one seeded :func:`random_stimulus` episode per lane.
+    """Run one seeded :func:`random_stimulus` episode per seed.
 
-    With ``backend`` ``None`` or ``"batch"`` the sweep runs all episodes
-    in lockstep on the lane-parallel backend; designs that cannot lane
-    lower — or a lane that hits a construct int64 lanes cannot represent
-    (:class:`~repro.sim.batch.BatchDivergence`) — transparently replay on
-    the scalar backend, so per-lane results (values *and* error
-    classification) always match a lane-by-lane scalar run.  Pass
-    ``backend="compiled"``/``"interp"``/``"auto"`` to force the scalar
-    path, which is how the differential tests build their reference.
+    Every episode is its own scalar replay: a fresh :class:`Testbench`
+    on ``backend`` (``None``: the process default), reset, then one
+    :meth:`~repro.sim.simulator.Simulator.cycle_fn` call per cycle — so
+    a ``SimulationError`` ends that episode only, with its message in
+    ``errors``.
 
     ``stimuli`` supplies one pre-generated episode (a vector list) per
-    lane instead of deriving them from ``seeds`` — for custom stimulus
+    seed instead of deriving them from ``seeds`` — for custom stimulus
     programs, or to amortize generation across repeated sweeps.
+    Episodes may differ in length; the vectors of one episode must drive
+    the same inputs (:func:`stimulus_rows`).
 
-    Malformed inputs fail fast with ``ValueError`` (negative ``cycles``,
-    a ``stimuli`` list whose length does not match ``seeds``) rather
-    than as a broadcasting error deep inside numpy; the same applies to
-    per-lane poke arrays whose shape does not match the lane count.
+    Malformed inputs fail fast with ``ValueError``: negative ``cycles``,
+    a ``stimuli`` list whose length does not match ``seeds``, an episode
+    whose vectors drive different inputs.
 
-    Example (two seeded episodes of a toggling register, in lockstep):
+    Example (two seeded episodes of a toggling register):
 
     >>> from repro.sim import elaborate, sweep_random_stimulus
     >>> from repro.verilog import parse_source
@@ -323,8 +249,8 @@ def sweep_random_stimulus(
     ...     "module t(input clk, input d, output reg q);"
     ...     " always @(posedge clk) q <= d; endmodule"), "t")
     >>> result = sweep_random_stimulus(design, cycles=4, seeds=(0, 1))
-    >>> result.vectorized, result.ok, len(result.traces)
-    (True, True, 2)
+    >>> result.ok, len(result.traces), len(result.traces[0])
+    (True, 2, 4)
     >>> result.lane(0) == [
     ...     {"q": row[0]} for row in result.traces[0]]
     True
@@ -332,79 +258,12 @@ def sweep_random_stimulus(
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     seeds = tuple(seeds)
-    if not seeds:
-        return SweepResult(
-            seeds=(), output_names=tuple(s.name for s in design.outputs),
-            traces=[], errors=[], vectorized=False,
-        )
-    lockstep = True
     if stimuli is None:
         stimuli = [
             random_stimulus(design, cycles, seed, exclude) for seed in seeds
         ]
-    else:
-        if len(stimuli) != len(seeds):
-            raise ValueError(
-                "stimuli must supply exactly one episode per lane"
-            )
-        stimuli = [list(episode) for episode in stimuli]
-        # Lanes step in lockstep: episodes of ragged length, or driving
-        # different input sets (key order may differ), can only run on
-        # the scalar path (which the fallback below is anyway).
-        lockstep = (
-            len({len(episode) for episode in stimuli}) <= 1
-            and len({frozenset(ep[0]) for ep in stimuli if ep}) <= 1
-        )
-    if lockstep and backend in (None, "batch"):
-        try:
-            return _sweep_lanes(
-                design, stimuli, seeds, clock, reset, reset_active_high
-            )
-        except (UncompilableDesign, SimulationError):
-            pass  # scalar replay preserves per-lane verdicts exactly
-    scalar_backend = None if backend in (None, "batch") else backend
-    return _sweep_scalar(
-        design, stimuli, seeds, clock, reset, reset_active_high,
-        scalar_backend,
-    )
-
-
-def _sweep_lanes(design, stimuli, seeds, clock, reset,
-                 reset_active_high) -> SweepResult:
-    n_lanes = len(seeds)
-    bench = BatchTestbench(
-        design, n_lanes, clock, reset, reset_active_high
-    )
-    bench.apply_reset()
-    names = tuple(bench.output_names)
-    traces: List[List[Tuple[int, ...]]] = [[] for _ in seeds]
-    input_names = list(stimuli[0][0]) if stimuli and stimuli[0] else []
-    for cycle in range(len(stimuli[0]) if stimuli else 0):
-        vector = {
-            name: lane_vector(
-                [stimuli[lane][cycle][name] for lane in range(n_lanes)]
-            )
-            for name in input_names
-        }
-        outputs = bench.step(vector)
-        if names:
-            rows = np.stack([outputs[name] for name in names], axis=1)
-            for lane, row in enumerate(rows.tolist()):
-                traces[lane].append(tuple(row))
-        else:
-            for lane in range(n_lanes):
-                traces[lane].append(())
-    return SweepResult(
-        seeds=seeds,
-        output_names=names,
-        traces=traces,
-        errors=[None] * n_lanes,
-        vectorized=True,
-    )
-
-
-def _sweep_scalar(design, stimuli, seeds, clock, reset, reset_active_high,
-                  backend) -> SweepResult:
+    elif len(stimuli) != len(seeds):
+        raise ValueError("stimuli must supply exactly one episode per seed")
     names = tuple(s.name for s in design.outputs)
     traces: List[List[Tuple[int, ...]]] = []
     errors: List[Optional[str]] = []
@@ -425,11 +284,7 @@ def _sweep_scalar(design, stimuli, seeds, clock, reset, reset_active_high,
         traces.append(trace)
         errors.append(error)
     return SweepResult(
-        seeds=tuple(seeds),
-        output_names=names,
-        traces=traces,
-        errors=errors,
-        vectorized=False,
+        seeds=seeds, output_names=names, traces=traces, errors=errors
     )
 
 

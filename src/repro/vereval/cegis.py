@@ -24,14 +24,15 @@ candidate, :func:`check_designs` runs three ordered stages:
    the stages around it can only add kills;
 3. **falsification search** — candidates that pass the full check are
    attacked: boundary episodes (held-max, walking ones, alternating),
-   mutations of the base stimulus, and fresh random episodes sweep
-   lane-parallel over :func:`repro.sim.sweep_random_stimulus` against
-   the compiled golden, and the first divergent lane is minimized to
-   its first bad cycle, **verified through the scalar checker**, and
-   appended to the set — so the next near-miss of the same kind dies in
-   stage 1 at the price of a few cycles.  Searches that come up clear are
-   memoized (in-process and via a ``cegis-clear`` disk marker), so
-   correct candidates pay the search once.
+   mutations of the base stimulus, and fresh random episodes replay
+   through :func:`repro.sim.sweep_random_stimulus` (one scalar replay
+   per episode) against the compiled golden, and the first divergent
+   episode is minimized to its first bad cycle, **verified through the
+   checker**, and appended to the set — so the next near-miss of the
+   same kind dies in stage 1 at the price of a few cycles.  Searches
+   that come up clear are memoized (in-process and via a
+   ``cegis-clear`` disk marker), so correct candidates pay the search
+   once.
 
 The set persists through :mod:`repro.sim.cache` next to the golden
 artifacts, keyed by golden source + module + testbench protocol, with
@@ -676,9 +677,8 @@ def _falsify(
                     golden.traces[lane][: cycle + 1],
                     origin=f"search:{label}",
                 )
-                # Scalar verification guards the set against lane-side
-                # artifacts: only episodes the reference checker agrees
-                # are distinguishing get minted.
+                # Verification guards the set: only episodes the
+                # reference checker agrees are distinguishing get minted.
                 if _check_entry(ref, entry, candidate, problem).equivalent:
                     continue
                 if ds.add(entry, max_set=config.max_set):

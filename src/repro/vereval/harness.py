@@ -273,18 +273,18 @@ def _check_all_vectors_batch(
 ) -> Optional[EquivalenceResult]:
     """Combinational fast path: every stimulus vector rides its own lane.
 
-    Valid only when the problem is unclocked and the candidate carries no
-    sequential state at all (no edge blocks, no memory writes from the
-    combinational region): outputs are then a pure function of the
-    current inputs, so N per-cycle scalar steps collapse into one
-    lane-parallel settle.  Returns None — caller takes the scalar loop —
-    whenever the preconditions fail, the candidate does not lane-lower,
-    or a lane diverges; the verdict (including first-mismatch
-    bookkeeping) is identical either way: comparison and bookkeeping run
-    on :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane
-    = stimulus vector).  Lanes are int64: a candidate carrying anything
-    wider than 63 bits does not lane-lower and takes the scalar replay
-    like any other unbatchable design (``batch.fallback_scalar``).
+    Valid only when the problem is unclocked and the candidate is
+    stateless combinational — what :func:`repro.sim.batch.batch_design`
+    lowers: outputs are then a pure function of the current inputs, so N
+    per-cycle scalar steps collapse into one lane-parallel settle.
+    Returns None — caller takes the scalar loop — when the problem or
+    golden rules the rung out, and (counted as ``batch.fallback_scalar``)
+    when the candidate does not lane-lower (state of any kind, a select
+    lvalue, no levelized schedule, anything wider than 63 bits) or its
+    settle raises; the verdict (including first-mismatch bookkeeping) is
+    identical either way: comparison and bookkeeping run on
+    :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane =
+    stimulus vector).
     """
     from repro.sim import default_backend
 
@@ -292,7 +292,7 @@ def _check_all_vectors_batch(
     if (
         not BATCH_CHECK_ENABLED
         # An explicitly pinned interpreter backend is a ground-truth run;
-        # it must not silently route through the lane-parallel backend.
+        # it must not silently route through the lane evaluator.
         or default_backend() == "interp"
         or interface.clock is not None
         or ref.error is not None
@@ -300,21 +300,14 @@ def _check_all_vectors_batch(
         or not ref.output_names
     ):
         return None
-    from repro.sim.batch import (
-        BatchSimulator,
-        batch_design,
-        is_stateless_comb,
-    )
+    from repro.sim.batch import BatchSimulator
     from repro.sim.compile import UncompilableDesign
     from repro.sim.retire import RetireEngine, lane_vector
 
     n_lanes = len(ref.stimulus)
     try:
-        bd = batch_design(candidate, n_lanes)
-        if not is_stateless_comb(bd):
-            return None
-        engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
         sim = BatchSimulator(candidate, n_lanes=n_lanes)
+        engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
         vector: Dict[str, object] = {}
         reset = interface.reset
         if reset is not None and any(

@@ -655,7 +655,7 @@ class TestCoverageOracles:
         cov.observe_sim(bench.sim)
         assert cov.saturated(4)
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled", "batch"])
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
     def test_counters_match_across_backends(self, backend):
         """Identical stimulus → identical tracker state and identical
         sim.coverage.* counter deltas on every backend."""
@@ -666,14 +666,7 @@ class TestCoverageOracles:
             name: obs.counter_value(f"sim.coverage.{name}")
             for name in ("observes", "new_points")
         }
-        if backend == "batch":
-            from repro.sim.testbench import BatchTestbench
-
-            bench = BatchTestbench(design, n_lanes=1, clock="clk", reset="rst")
-        else:
-            bench = Testbench(
-                design, clock="clk", reset="rst", backend=backend
-            )
+        bench = Testbench(design, clock="clk", reset="rst", backend=backend)
         cov = CoverageTracker(design, exclude=("clk", "rst"))
         bench.apply_reset()
         cov.observe_sim(bench.sim)

@@ -80,9 +80,9 @@ def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
     )
 
 
-#: names deleted with the lane-per-candidate checker tier (PR 23) and
-#: with spill lanes (PR 24); a mention outside this list is a doc or
-#: comment that outlived the code
+#: names deleted with the lane-per-candidate checker tier, with spill
+#: lanes and with sequential lanes; a mention outside this list is a doc
+#: or comment that outlived the code
 _DELETED_NAMES = re.compile(
     "LockstepSimulator|LockstepTestbench|_LaneTestbench|_run_lockstep_group"
     "|_candidate_shape_digest|_MIN_LOCKSTEP_LANES|LOCKSTEP_CHECK_ENABLED"
@@ -90,6 +90,9 @@ _DELETED_NAMES = re.compile(
     "|retire_cycle|replay_stragglers"
     "|_SpillCompiler|lane_representation|REPRESENTATIONS|lane_dtype"
     "|shift_cap|wide_expected|REPRO_SIM_BATCH_CHECK"
+    "|BatchTestbench|BatchDivergence|is_stateless_comb|comb_latched"
+    "|_sweep_lanes|_commit_nba_lanes|_emit_field_write|_emit_direct_field"
+    '|_make_simulator|backend="batch"'
 )
 
 

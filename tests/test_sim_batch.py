@@ -1,11 +1,14 @@
-"""Differential tests: lane-parallel batch backend vs the scalar backends.
+"""Differential tests: the lane evaluator vs the scalar backends.
 
-The batch backend must be *lane-for-lane identical* to the scalar
-compiled backend — same per-cycle outputs for every lane under its own
-seeded stimulus, same ``SimulationError`` classification — across every
-generator family, the vereval problem set, and hypothesis draws; and the
-persistent compile cache (:mod:`repro.sim.cache`) must round-trip
-artifacts with identical behaviour while rejecting stale-version keys.
+Lanes are combinational.  For a stateless combinational design one
+N-vector :class:`BatchSimulator` settle must equal the per-vector scalar
+outputs (compiled and interpreter, stepped in order on one simulator);
+every other design must raise :class:`UnbatchableDesign` at lowering,
+and its sweep — the scalar replay every caller falls back to — must
+equal the interpreter's.  The oracle runs across every generator family,
+the vereval problem set and hypothesis draws.  The persistent compile
+cache (:mod:`repro.sim.cache`) must round-trip artifacts with identical
+behaviour while rejecting stale-version keys.
 """
 
 import pickle
@@ -20,11 +23,8 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.sim import (
     BatchSimulator,
-    BatchTestbench,
     CompiledSimulator,
-    InterpreterSimulator,
     Simulator,
-    Testbench,
     UnbatchableDesign,
     batch_design,
     elaborate,
@@ -33,8 +33,6 @@ from repro.sim import (
     sweep_random_stimulus,
 )
 from repro.sim import cache as sim_cache
-from repro.sim.batch import is_stateless_comb
-from repro.sim.compile import UncompilableDesign
 from repro.sim.retire import lane_vector
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
@@ -52,51 +50,163 @@ def build(source, top):
     return elaborate(parse_source(source), top)
 
 
-def sweep_module(module, cycles, seeds):
-    """Sweep a GeneratedModule on the batch and scalar paths; compare."""
+def assert_settle_equals_scalar(source, top, stimulus):
+    """One settle with vector ``i`` of ``stimulus`` in lane ``i`` equals
+    the same vectors applied in order to one scalar simulator (compiled,
+    then the interpreter)."""
+    design = build(source, top)
+    sim = BatchSimulator(design, n_lanes=len(stimulus))
+    sim.poke_many({
+        name: lane_vector([vector[name] for vector in stimulus])
+        for name in stimulus[0]
+    })
+    columns = [sim.peek_lanes(s.name).tolist() for s in design.outputs]
+    lanes = list(zip(*columns))
+    for backend in ("compiled", "interp"):
+        scalar = Simulator(build(source, top), backend=backend)
+        expected = []
+        for vector in stimulus:
+            scalar.poke_many(vector)
+            expected.append(tuple(scalar.peek(s.name) for s in design.outputs))
+        assert lanes == expected, (top, backend)
+
+
+def assert_lane_oracle(module, cycles, seeds):
+    """Combinational: the settle equals the scalar steps.  Otherwise:
+    lowering refuses and the sweep equals the interpreter sweep.
+    Returns which side of that split ``module`` fell on."""
     interface = module.interface
     design = build(module.source, module.name)
+    if interface.clock is None:
+        stimulus = [
+            vector for seed in seeds
+            for vector in random_stimulus(design, cycles, seed)
+        ]
+        assert_settle_equals_scalar(module.source, module.name, stimulus)
+        return "lanes"
+    with pytest.raises(UnbatchableDesign, match="combinational"):
+        batch_design(design, len(seeds))
     kwargs = dict(
         clock=interface.clock,
         reset=interface.reset,
         reset_active_high=interface.reset_active_high,
     )
-    batch = sweep_random_stimulus(design, cycles, seeds, **kwargs)
-    scalar = sweep_random_stimulus(
-        design, cycles, seeds, backend="compiled", **kwargs
+    swept = sweep_random_stimulus(design, cycles, seeds, **kwargs)
+    reference = sweep_random_stimulus(
+        design, cycles, seeds, backend="interp", **kwargs
     )
-    assert not scalar.vectorized
-    assert batch.output_names == scalar.output_names
-    assert batch.traces == scalar.traces, module.name
-    assert batch.errors == scalar.errors, module.name
-    return batch
+    assert swept == reference, module.name
+    return "scalar"
+
+
+#: combinational control flow and operators the families leave out, each
+#: a predicate-mask or sign mistake the family corpus would not see
+LANE_GALLERY = {
+    "casez_overlapping_arms": """module m(input [3:0] r, output reg [1:0] y,
+  output reg v);
+  always @* begin
+    v = 1;
+    casez (r)
+      4'b1???: y = 3;
+      4'b?1??: y = 2;
+      4'b??1?: y = 1;
+      4'b???1: y = 0;
+      default: begin y = 0; v = 0; end
+    endcase
+  end
+endmodule""",
+    "case_duplicate_label": """module m(input [1:0] s, input [3:0] a,
+  input [3:0] b, output reg [3:0] y);
+  always @* begin
+    case (s)
+      2'd1: y = a;
+      2'd1: y = b;
+      2'd2, 2'd3: y = a ^ b;
+      default: y = 4'd0;
+    endcase
+  end
+endmodule""",
+    "nested_if_in_case": """module m(input [2:0] a, input [1:0] s,
+  output reg [1:0] y);
+  always @* begin
+    y = 0;
+    case (s)
+      2'd0: if (a[0]) begin
+        if (a[1]) y = 1; else y = 2;
+      end else if (a[2]) y = 3;
+      2'd1: y = a[1:0];
+      default: if (a == 3'd7) y = 3;
+    endcase
+  end
+endmodule""",
+    "for_loop_count": """module m(input [7:0] d, input [3:0] n,
+  output reg [3:0] c, output reg [2:0] hi);
+  integer i;
+  always @* begin
+    c = 0;
+    hi = 0;
+    for (i = 0; i < n; i = i + 1)
+      if (d[i]) begin
+        c = c + 1;
+        hi = i;
+      end
+  end
+endmodule""",
+    "signed_operators": """module m(input [7:0] a, input [7:0] b,
+  input [2:0] n, output [7:0] q, output [7:0] r, output [7:0] sr,
+  output lt, output [7:0] p, output [3:0] lg);
+  wire signed [7:0] sa = a;
+  wire signed [7:0] sb = b;
+  assign q = sa / sb;
+  assign r = sa % sb;
+  assign sr = sa >>> n;
+  assign lt = sa < sb;
+  assign p = a ** n;
+  assign lg = $clog2(a);
+endmodule""",
+    "concat_and_select": """module m(input [7:0] a, input [7:0] b,
+  input [2:0] i, output [7:0] s, output c, output reg [3:0] hi,
+  output reg [3:0] lo, output [3:0] w, output bit);
+  assign {c, s} = a + b;
+  assign w = a[i +: 4];
+  assign bit = b[{1'b0, i} + 4'd6];
+  always @* {hi, lo} = a ^ b;
+endmodule""",
+}
 
 
 class TestEveryFamilyLaneIdentity:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_lane_identical(self, family):
-        vectorized = 0
         for seed in range(2):
             module = generate_family(
                 family, DeterministicRNG(seed).fork("batchdiff", family)
             )
-            result = sweep_module(module, 24, seeds=range(4))
-            vectorized += result.vectorized
-        # Every current generator family lane-lowers; if one stops doing
-        # so this assert flags the silent loss of vector coverage.
-        assert vectorized > 0, f"{family} never took the lane-parallel path"
+            assert_lane_oracle(module, 24, seeds=range(4))
+
+    @pytest.mark.parametrize("name", sorted(LANE_GALLERY))
+    def test_gallery_lane_identical(self, name):
+        source = LANE_GALLERY[name]
+        design = build(source, "m")
+        stimulus = [
+            vector for seed in range(4)
+            for vector in random_stimulus(design, 24, seed)
+        ]
+        assert_settle_equals_scalar(source, "m", stimulus)
 
 
 class TestProblemSetLaneIdentity:
     def test_vereval_goldens_lane_identical(self):
         problems = build_problem_set(n_problems=20)
-        assert problems
-        for problem in problems:
-            sweep_module(
+        sides = {
+            assert_lane_oracle(
                 problem.module,
                 cycles=problem.stimulus_cycles,
                 seeds=[problem.stimulus_seed, problem.stimulus_seed + 1],
             )
+            for problem in problems
+        }
+        assert sides == {"lanes", "scalar"}
 
 
 @settings(max_examples=15, deadline=None)
@@ -110,44 +220,22 @@ def test_fuzz_lane_identity(family, seed, stim_seed, lanes):
     module = generate_family(
         family, DeterministicRNG(seed).fork("batchfuzz", family)
     )
-    sweep_module(module, 12, seeds=range(stim_seed, stim_seed + lanes))
+    assert_lane_oracle(module, 12, seeds=range(stim_seed, stim_seed + lanes))
 
 
 class TestOneLaneFacade:
-    """``backend="batch"`` with one lane is a drop-in scalar simulator."""
+    """One lane, the narrowest width, against the interpreter."""
 
     @pytest.mark.parametrize("family", ["alu", "fifo", "traffic_fsm", "lfsr"])
     def test_cycle_identical_to_interpreter(self, family):
         module = generate_family(
             family, DeterministicRNG(7).fork("facade", family)
         )
-        interface = module.interface
-        benches = []
-        for backend in ("batch", "interp"):
-            design = build(module.source, module.name)
-            benches.append(
-                Testbench(
-                    design,
-                    clock=interface.clock,
-                    reset=interface.reset,
-                    reset_active_high=interface.reset_active_high,
-                    backend=backend,
-                )
-            )
-        batch, interp = benches
-        assert isinstance(batch.sim, BatchSimulator)
-        assert isinstance(interp.sim, InterpreterSimulator)
-        batch.apply_reset()
-        interp.apply_reset()
-        for vector in random_stimulus(batch.design, 24, seed=13):
-            assert batch.step(vector) == interp.step(vector)
-        # Full-state check, not just ports (1-lane views scalarize).
-        assert batch.sim.state == interp.sim.state
-        assert batch.sim.mems == interp.sim.mems
+        assert_lane_oracle(module, 24, seeds=[13])
 
     def test_scalar_fallback_for_unlevelizable(self):
-        # Comb loop: unbatchable and unlevelizable; backend="batch" falls
-        # back to the scalar path, which classifies the loop identically.
+        # Comb loop: unbatchable and unlevelizable; the scalar path every
+        # caller falls back to classifies the loop.
         source = (
             "module m(output y); wire a, b;"
             " assign a = ~b; assign b = a; assign y = a; endmodule"
@@ -155,12 +243,13 @@ class TestOneLaneFacade:
         with pytest.raises(UnbatchableDesign):
             batch_design(build(source, "m"), 2)
         with pytest.raises(SimulationError) as err:
-            Simulator(build(source, "m"), backend="batch")
+            Simulator(build(source, "m"))
         assert "combinational loop" in str(err.value)
 
     def test_fallback_is_scalar_simulator(self):
-        # Self-assign: compiled-but-not-levelized; "batch" lands on the
-        # compiled fixpoint fallback, preserving behaviour.
+        # Self-assign behind a clocked block: not a lane design, and the
+        # scalar simulator callers fall back to is the compiled one, on
+        # its fixpoint fallback.
         source = (
             "module m(input clk, input en, output wire [3:0] count);"
             " reg [3:0] count;"
@@ -168,9 +257,10 @@ class TestOneLaneFacade:
             " assign count = count;"
             " endmodule"
         )
-        sim = Simulator(build(source, "m"), backend="batch")
+        with pytest.raises(UnbatchableDesign):
+            batch_design(build(source, "m"), 1)
+        sim = Simulator(build(source, "m"))
         assert isinstance(sim, CompiledSimulator)
-        assert not isinstance(sim, BatchSimulator)
         sim.poke("en", 1)
         for _ in range(3):
             sim.poke("clk", 0)
@@ -179,19 +269,7 @@ class TestOneLaneFacade:
 
     def test_wide_design_falls_back_to_scalar(self):
         # Anything wider than the 63-bit int64 lane budget is
-        # unbatchable — the signal every caller takes the scalar
-        # fallback on, which is exact at any width.
-        def sweeps_scalar(design, cycles):
-            swept = sweep_random_stimulus(
-                design, cycles, range(4), clock=None
-            )
-            scalar = sweep_random_stimulus(
-                design, cycles, range(4), clock=None, backend="compiled"
-            )
-            assert not swept.vectorized
-            assert swept.traces == scalar.traces
-            assert swept.errors == scalar.errors
-
+        # unbatchable; the scalar replay is exact at any width.
         for width in (64, 96, 128):
             source = (
                 f"module m(input [{width - 1}:0] a,"
@@ -202,105 +280,55 @@ class TestOneLaneFacade:
                 batch_design(design, 4)
             with pytest.raises(UnbatchableDesign):
                 BatchSimulator(design)
-            sim = Simulator(design, backend="batch")
-            assert isinstance(sim, CompiledSimulator)
+            sim = Simulator(design)
             value = (1 << width) - 2
             sim.poke("a", value)
             assert sim.peek("y") == value ^ ((1 << width) - 1)
-            sweeps_scalar(design, 6)
-        # A dynamic field write landing far above a 128-bit register:
-        # the raw out-of-range semantics are the scalar backend's.
-        sweeps_scalar(build(
+            assert sweep_random_stimulus(
+                design, 6, range(4), clock=None
+            ) == sweep_random_stimulus(
+                design, 6, range(4), clock=None, backend="interp"
+            )
+        # A dynamic field write far above a 128-bit register (a select
+        # lvalue, too): raw out-of-range semantics are the scalar
+        # backends'.
+        design = build(
             "module m(input [7:0] idx, input [7:0] d,"
             " output reg [127:0] y);"
             " always @* begin y = 128'd0; y[idx*32 +: 8] = d; end"
             " endmodule", "m"
-        ), 8)
-
-    def test_explicit_lane_request_on_unbatchable_raises_cleanly(self):
-        # The scalar fallback cannot honour an explicit n_lanes request;
-        # that must be a SimulationError, not a constructor TypeError.
-        source = (
-            "module m(input a, input b, output y);"
-            " assign y = a; assign y = b; endmodule"
         )
-        with pytest.raises(SimulationError) as err:
-            Simulator(build(source, "m"), backend="batch", n_lanes=4)
-        assert "lane-parallelizable" in str(err.value)
+        with pytest.raises(UnbatchableDesign):
+            batch_design(design, 8)
+        assert sweep_random_stimulus(
+            design, 8, range(4), clock=None
+        ) == sweep_random_stimulus(
+            design, 8, range(4), clock=None, backend="interp"
+        )
 
 
 class TestErrorClassificationPerLane:
     def test_sweep_replays_errors_identically(self):
         # Multi-driven net: drivers disagree once poked, and the design
-        # is unlevelizable, so the sweep replays on the scalar backend —
-        # per-lane errors must equal a lane-by-lane scalar run.
+        # is unlevelizable — per-episode errors must equal the
+        # interpreter's.
         source = (
             "module m(input a, input b, output y);"
             " assign y = a; assign y = b; endmodule"
         )
         design = build(source, "m")
-        batch = sweep_random_stimulus(design, 8, range(3), clock=None)
-        scalar = sweep_random_stimulus(
-            design, 8, range(3), clock=None, backend="compiled"
+        with pytest.raises(UnbatchableDesign):
+            batch_design(design, 3)
+        swept = sweep_random_stimulus(design, 8, range(3), clock=None)
+        reference = sweep_random_stimulus(
+            design, 8, range(3), clock=None, backend="interp"
         )
-        assert batch.errors == scalar.errors
-        assert batch.traces == scalar.traces
-        assert any(error for error in batch.errors)
-
-    def test_equivalence_check_accepts_batch_backend(self):
-        source = (
-            "module m(input [3:0] a, output [3:0] y); assign y = ~a;"
-            " endmodule"
-        )
-        golden = build(source, "m")
-        candidate = build(source, "m")
-        stim = random_stimulus(golden, 16, seed=1)
-        assert equivalence_check(
-            golden, candidate, stim, clock=None, backend="batch"
-        ).equivalent
+        assert swept.errors == reference.errors
+        assert swept.traces == reference.traces
+        assert any(error for error in swept.errors)
 
 
 class TestBatchTestbench:
-    def test_lanes_step_independent_episodes(self):
-        module = generate_family("fifo", DeterministicRNG(0x9EEF))
-        design = build(module.source, module.name)
-        interface = module.interface
-        bench = BatchTestbench(
-            design, 3, clock=interface.clock, reset=interface.reset,
-            reset_active_high=interface.reset_active_high,
-        )
-        bench.apply_reset()
-        inputs = bench.input_names
-        rng = DeterministicRNG(5)
-        lane_vectors = [
-            {
-                name: np.array(
-                    [rng.randint(0, 1) for _ in range(3)], dtype=np.int64
-                )
-                for name in inputs
-            }
-            for _ in range(10)
-        ]
-        traces = [[] for _ in range(3)]
-        for vector in lane_vectors:
-            outputs = bench.step(vector)
-            for lane in range(3):
-                traces[lane].append(
-                    {name: int(values[lane]) for name, values in outputs.items()}
-                )
-        # Reference: scalar benches driven with each lane's column.
-        for lane in range(3):
-            ref = Testbench(
-                design, clock=interface.clock, reset=interface.reset,
-                reset_active_high=interface.reset_active_high,
-            )
-            ref.apply_reset()
-            for cycle, vector in enumerate(lane_vectors):
-                expected = ref.step(
-                    {name: int(vector[name][lane]) for name in inputs}
-                )
-                assert traces[lane][cycle] == expected, (lane, cycle)
-
     def test_poke_many_routes_lanes(self):
         design = build(
             "module m(input [7:0] a, input [7:0] b, output [8:0] y);"
@@ -314,16 +342,30 @@ class TestBatchTestbench:
         assert sim.peek_lanes("y").tolist() == [11, 22, 33, 44]
 
     def test_unbatchable_design_raises_at_construction(self):
-        source = (
-            "module m(input a, output y);"
-            " assign y = a; assign y = ~a; endmodule"
-        )
-        with pytest.raises(UnbatchableDesign):
-            BatchTestbench(build(source, "m"), 2, clock=None)
+        # Not levelizable, then one design per kind of state or select
+        # lvalue lanes refuse.
+        for source in (
+            "module m(input a, output y); assign y = a; assign y = ~a;"
+            " endmodule",
+            "module m(input clk, input a, output reg y);"
+            " always @(posedge clk) y <= a; endmodule",
+            "module m(input a, output reg y); initial y = 1;"
+            " always @* y = a; endmodule",
+            "module m(input [1:0] a, output [3:0] y); reg [3:0] rom [0:3];"
+            " assign y = rom[a]; endmodule",
+            "module m(input en, input a, output reg y);"
+            " always @* if (en) y = a; endmodule",
+            "module m(input a, output reg y); always @* y <= a; endmodule",
+            "module m(input a, output [1:0] y); assign y[0] = a;"
+            " assign y[1] = ~a; endmodule",
+            "module m(input a, output reg [1:0] y);"
+            " always @* begin y = 0; y[1:0] = {a, a}; end endmodule",
+        ):
+            with pytest.raises(UnbatchableDesign):
+                BatchSimulator(build(source, "m"), 2)
 
     def test_ragged_custom_stimuli_match_scalar(self):
-        # Custom episodes of unequal length cannot run in lockstep; the
-        # sweep must take the scalar path and report per-lane lengths.
+        # Custom episodes may differ in length; each is its own replay.
         design = build(
             "module m(input [3:0] a, output [3:0] y); assign y = ~a;"
             " endmodule", "m"
@@ -337,21 +379,12 @@ class TestBatchTestbench:
         )
         reference = sweep_random_stimulus(
             design, 0, seeds=(0, 1), clock=None, stimuli=stimuli,
-            backend="compiled",
+            backend="interp",
         )
-        assert not swept.vectorized
         assert [len(t) for t in swept.traces] == [3, 5]
-        assert swept.traces == reference.traces
-        # Equal-length custom episodes do vectorize, identically.
-        even = [episode[:3] for episode in stimuli]
-        lockstep = sweep_random_stimulus(
-            design, 0, seeds=(0, 1), clock=None, stimuli=even
-        )
-        assert lockstep.vectorized
-        assert lockstep.traces == [t[:3] for t in reference.traces]
-        # Episodes driving different input sets cannot share a lane
-        # vector either (the undriven input holds its value): scalar
-        # path, same answer; reordered keys still ride lanes.
+        assert swept == reference
+        # Episodes may drive different input sets (the undriven input
+        # holds its value) and reorder keys.
         reg = build(
             "module r(input clk, input a, input b, output reg [1:0] q);"
             " always @(posedge clk) q <= {a, b}; endmodule", "r"
@@ -359,91 +392,53 @@ class TestBatchTestbench:
         uneven = [
             [{"a": 1, "b": 0}, {"a": 0, "b": 1}],
             [{"a": 1}, {"a": 0}],
+            [{"b": 1, "a": 0}, {"b": 1, "a": 1}],
         ]
-        swept = sweep_random_stimulus(reg, 0, seeds=(0, 1), stimuli=uneven)
+        swept = sweep_random_stimulus(reg, 0, seeds=(0, 1, 2), stimuli=uneven)
         reference = sweep_random_stimulus(
-            reg, 0, seeds=(0, 1), stimuli=uneven, backend="compiled"
+            reg, 0, seeds=(0, 1, 2), stimuli=uneven, backend="interp"
         )
-        assert not swept.vectorized
-        assert swept.traces == reference.traces == [
-            [(2,), (1,)], [(2,), (0,)]
-        ]
-        reordered = [uneven[0], [{"b": 1, "a": 0}, {"b": 1, "a": 1}]]
-        swept = sweep_random_stimulus(
-            reg, 0, seeds=(0, 1), stimuli=reordered
-        )
-        assert swept.vectorized
-        assert swept.traces == sweep_random_stimulus(
-            reg, 0, seeds=(0, 1), stimuli=reordered, backend="compiled"
-        ).traces
-
-
-def sweep_lanes_vs_interp(module, cycles, seeds):
-    """Step ``module`` on a :class:`BatchTestbench` directly; compare lane
-    for lane against the interpreter.  Returns False when the design
-    cannot ride lanes (the scalar fallback applies, which
-    ``sweep_module`` checks)."""
-    interface = module.interface
-    design = build(module.source, module.name)
-    kwargs = dict(
-        clock=interface.clock,
-        reset=interface.reset,
-        reset_active_high=interface.reset_active_high,
-    )
-    stimuli = [random_stimulus(design, cycles, seed) for seed in seeds]
-    reference = sweep_random_stimulus(
-        design, cycles, seeds, backend="interp", stimuli=stimuli, **kwargs
-    )
-    try:
-        bench = BatchTestbench(design, len(seeds), **kwargs)
-        bench.apply_reset()
-        traces = [[] for _ in seeds]
-        for cycle in range(cycles):
-            outputs = bench.step({
-                name: lane_vector(
-                    [episode[cycle][name] for episode in stimuli]
+        assert swept == reference
+        assert swept.traces == [[(2,), (1,)], [(2,), (0,)], [(1,), (3,)]]
+        # Within one episode every vector drives the same inputs: the
+        # default path raises the documented error, like every backend.
+        for backend in (None, "compiled", "interp"):
+            with pytest.raises(ValueError, match="same inputs"):
+                sweep_random_stimulus(
+                    reg, 0, seeds=(0,), backend=backend,
+                    stimuli=[[{"a": 1, "b": 0}, {"a": 0}]],
                 )
-                for name in stimuli[0][cycle]
-            })
-            for lane, trace in enumerate(traces):
-                trace.append(tuple(
-                    int(outputs[name][lane]) for name in reference.output_names
-                ))
-    except (UncompilableDesign, SimulationError):
-        return False
-    assert reference.ok
-    assert traces == reference.traces, module.name
-    return True
 
 
 class TestLaneRepresentationMatrix:
-    """The int64 lanes, driven without the sweep front door, stay
-    lane-for-lane identical to the interpreter; wide designs replay
-    scalar with the same per-lane classification."""
+    """The oracle on pinned families, and wide designs' per-episode error
+    classification on the scalar replay."""
 
     @pytest.mark.parametrize("family", ["alu", "traffic_fsm", "lfsr"])
     def test_pinned_representation_lane_identical(self, family):
         module = generate_family(
             family, DeterministicRNG(11).fork("repmatrix", family)
         )
-        assert sweep_lanes_vs_interp(module, 16, range(3))
+        assert_lane_oracle(module, 16, range(3))
 
     def test_wide_error_classification_matches_scalar(self):
-        # Wide multi-driven net: unbatchable twice over, so every lane
-        # replays scalar — per-lane error classification must match a
-        # lane-by-lane scalar run exactly.
+        # Wide multi-driven net: unbatchable twice over, so every episode
+        # replays scalar — per-episode error classification must match
+        # the interpreter's exactly.
         source = (
             "module m(input [95:0] a, input [95:0] b,"
             " output [95:0] y); assign y = a; assign y = b; endmodule"
         )
         design = build(source, "m")
-        batch = sweep_random_stimulus(design, 6, range(3), clock=None)
-        scalar = sweep_random_stimulus(
-            design, 6, range(3), clock=None, backend="compiled"
+        with pytest.raises(UnbatchableDesign):
+            batch_design(design, 3)
+        swept = sweep_random_stimulus(design, 6, range(3), clock=None)
+        reference = sweep_random_stimulus(
+            design, 6, range(3), clock=None, backend="interp"
         )
-        assert batch.errors == scalar.errors
-        assert batch.traces == scalar.traces
-        assert any(batch.errors)
+        assert swept.errors == reference.errors
+        assert swept.traces == reference.traces
+        assert any(swept.errors)
 
 
 @settings(max_examples=12, deadline=None)
@@ -455,7 +450,7 @@ def test_fuzz_representation_identity(family, seed):
     module = generate_family(
         family, DeterministicRNG(seed).fork("repfuzz", family)
     )
-    sweep_lanes_vs_interp(module, 10, range(3))
+    assert_lane_oracle(module, 10, range(3))
 
 
 class TestCombinationalFastPath:
@@ -473,9 +468,7 @@ class TestCombinationalFastPath:
     def test_fast_path_engages(self):
         problem = self._comb_problem()
         design = build(problem.golden_source, problem.module.name)
-        assert is_stateless_comb(
-            batch_design(design, problem.stimulus_cycles)
-        )
+        batch_design(design, problem.stimulus_cycles)  # lowers
         ref = harness._GoldenRef(problem)
         verdict = harness._check_all_vectors_batch(ref, design, problem)
         assert verdict is not None and verdict.equivalent
@@ -585,7 +578,8 @@ class TestCombinationalFastPath:
             " endmodule"
         )
         latch_design = build(latch, problem.module.name)
-        assert not is_stateless_comb(batch_design(latch_design, 4))
+        with pytest.raises(UnbatchableDesign, match="latch"):
+            batch_design(latch_design, 4)
         ref = harness._GoldenRef(problem)
         # Interface differs from the problem's golden, so go straight at
         # the fast-path helper: it must decline, not mis-verdict.
@@ -754,6 +748,5 @@ class TestPersistentCache:
         BatchSimulator(design, n_lanes=2)  # populates design._batch
         clone = pickle.loads(pickle.dumps(design))
         assert not hasattr(clone, "_batch")
-        assert isinstance(
-            Simulator(clone, backend="batch"), BatchSimulator
-        )
+        BatchSimulator(clone, n_lanes=2)  # re-lowers on first use
+        assert set(clone._batch) == {2}

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     BatchSimulator,
-    Simulator,
     UnbatchableDesign,
     batch_design,
     build_lockstep_group,
@@ -351,6 +350,27 @@ class TestRetirementBookkeeping:
 # ---------------------------------------------------------------------------
 
 
+#: lanes are combinational, so a group the builder can lower is one
+_COMB_DUT = """module cdut(
+  input sel,
+  input [7:0] a,
+  input [7:0] b,
+  output [8:0] sum,
+  output reg [7:0] mix
+);
+  assign sum = {OP_SUM};
+  always @(*) begin
+    if (sel) mix = a & b;
+    else mix = a ^ b;
+  end
+endmodule
+"""
+
+
+def _comb_dut(op_sum="a + b"):
+    return _COMB_DUT.replace("{OP_SUM}", op_sum)
+
+
 class TestGroupBuilder:
     def test_shifted_resamples_share_one_variant_and_one_image(
         self, monkeypatch
@@ -360,11 +380,11 @@ class TestGroupBuilder:
         import repro.sim.batch as batch
 
         sources = [
-            _dut(),
-            "// note\n" + _dut(),
-            _dut().replace("\n", "\n\n", 3),
+            _comb_dut(),
+            "// note\n" + _comb_dut(),
+            _comb_dut().replace("\n", "\n\n", 3),
         ]
-        designs = [build(source, "dut") for source in sources]
+        designs = [build(source, "cdut") for source in sources]
         lowered = []
         original = batch.batch_design
 
@@ -376,16 +396,25 @@ class TestGroupBuilder:
         group = build_lockstep_group(designs)
         assert len(lowered) == 1
         assert [len(variants) for variants in group.comb_plan] == [1, 1]
-        assert [len(variants) for _, variants in group.seq_plan] == [1]
+        assert group.seq_plan == ()
         assert all(variants[0][0].all() for variants in group.comb_plan)
 
     def test_mismatched_shapes_rejected(self):
-        latch = _dut().replace(
-            "assign mix = stage ^ (a & b);",
-            "reg [7:0] mix; always @(*) if (en) mix = stage ^ (a & b);",
+        latch = _comb_dut().replace(
+            "assign sum = a + b;",
+            "reg [8:0] sum; always @(*) if (sel) sum = a + b;",
         )
         with pytest.raises(UnbatchableDesign):
-            build_lockstep_group([build(_dut(), "dut"), build(latch, "dut")])
+            build_lockstep_group(
+                [build(_comb_dut(), "cdut"), build(latch, "cdut")]
+            )
+
+    def test_clocked_group_stops_at_lowering(self):
+        # What the frozen ledger walk now counts as unbatchable.
+        with pytest.raises(UnbatchableDesign, match="combinational"):
+            build_lockstep_group(
+                [build(_dut(), "dut"), build(_dut(op_sum="b + a"), "dut")]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +433,7 @@ class TestLaneValidation:
         with pytest.raises(ValueError, match="n_lanes"):
             batch_design(self._design(), 0)
         with pytest.raises(ValueError, match="n_lanes"):
-            BatchSimulator(self._design(), n_lanes=0)
-        with pytest.raises(ValueError, match="n_lanes"):
-            Simulator(self._design(), backend="batch", n_lanes=-3)
+            BatchSimulator(self._design(), n_lanes=-3)
 
     def test_empty_lockstep_group_is_a_value_error(self):
         with pytest.raises(ValueError):
@@ -415,10 +442,10 @@ class TestLaneValidation:
     def test_wrong_shape_poke_is_a_value_error(self):
         sim = BatchSimulator(self._design(), n_lanes=4)
         with pytest.raises(ValueError, match="4 lanes"):
-            sim.poke("a", np.array([1, 2, 3]))
+            sim.poke_many({"a": np.array([1, 2, 3])})
         with pytest.raises(ValueError, match="shape"):
             sim.poke_many({"a": np.array([[1, 2], [3, 4]])})
-        sim.poke("a", np.array([1, 2, 3, 4]))  # the right shape still works
+        sim.poke_many({"a": np.array([1, 2, 3, 4])})  # the right shape works
         assert sim.peek_lanes("y").tolist() == [14, 13, 12, 11]
 
     def test_negative_cycles_is_a_value_error(self):
@@ -520,17 +547,17 @@ class TestShapeCache:
         # and joins a lockstep group with a freshly elaborated sibling.
         previous = sim_cache.configure(str(tmp_path))
         try:
-            design = build(_dut(), "dut")
+            design = build(_comb_dut(), "cdut")
             digest = lockstep_shape_digest(design)
-            assert sim_cache.put_design(_dut(), "dut", design)
-            loaded = sim_cache.get_design(_dut(), "dut")
+            assert sim_cache.put_design(_comb_dut(), "cdut", design)
+            loaded = sim_cache.get_design(_comb_dut(), "cdut")
         finally:
             sim_cache.configure(previous)
         assert loaded is not design
         assert loaded._lockstep_digest == digest
         assert lockstep_shape_digest(loaded) == digest
         group = build_lockstep_group(
-            [loaded, build(_dut(op_sum="b + a"), "dut")]
+            [loaded, build(_comb_dut(op_sum="b + a"), "cdut")]
         )
         assert group.n_lanes == 2
 

@@ -13,11 +13,9 @@ from repro.sim import (
 from repro.verilog import parse_source
 
 
-@pytest.fixture(
-    scope="module", params=["compiled", "interp", "batch"], autouse=True
-)
+@pytest.fixture(scope="module", params=["compiled", "interp"], autouse=True)
 def sim_backend(request):
-    """Run the harness tests against all three execution backends."""
+    """Run the harness tests against both execution backends."""
     previous = set_default_backend(request.param)
     yield request.param
     set_default_backend(previous)
