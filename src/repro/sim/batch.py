@@ -827,17 +827,20 @@ class _BatchCompiler(_Compiler):
         self._lvalue_effects(assign.target, True, set(), reads, writes)
         return run, reads, writes
 
+    def _build_empty_node(self):
+        def run_empty(st, mems):
+            return None
+
+        def run_empty_pred(st, mems, pred):
+            return None
+
+        self._pred_nodes.append(run_empty_pred)
+        return run_empty, set(), set()
+
     def _build_block_node(self, block):
         body = self._compile_stmt(block.body)
         if body is None:
-            def run_empty(st, mems):
-                return None
-
-            def run_empty_pred(st, mems, pred):
-                return None
-
-            self._pred_nodes.append(run_empty_pred)
-            return run_empty, set(), set()
+            return self._build_empty_node()
         reads = set()
         writes = set()
         # `written` ends as the names this block is *guaranteed* to fully

@@ -63,8 +63,10 @@ __all__ = [
 #: of deserializing stale behaviour (or leaking on disk forever, as the
 #: old key-embedded-version scheme did).  9: a persisted ``Design`` carries
 #: its compiled image (tables + marshalled code objects of the generated
-#: source, see ``repro.sim.compile``).
-BACKEND_VERSION = 9
+#: source, see ``repro.sim.compile``).  10: an identity self-assign
+#: (``assign x = x;``) no longer blocks levelization, so a version-9 image
+#: of such a design carries a stale non-levelized schedule.
+BACKEND_VERSION = 10
 
 _ENV = "REPRO_SIM_CACHE"
 

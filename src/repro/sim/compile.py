@@ -47,7 +47,9 @@ numbers, string literals fold to ints, ``$display`` is dropped, the
 
 The scheduler refuses to levelize regions it cannot order statically —
 combinational cycles, several combinational drivers of one signal, or a
-block that reads a value it also drives.  Those designs run their generic
+node that reads a value it also drives.  A whole-signal identity
+``assign x = x;`` is not such a node: it stores what it reads, so it is
+scheduled with no body and no effects.  The other designs run their generic
 node bodies under the interpreter's bounded full-pass **fixpoint
 fallback** (same node order, same round bound, same ``SimulationError``
 on non-convergence), so combinational-loop classification is identical to
@@ -663,8 +665,9 @@ class _Compiler:
     #
     # A dialect supplies the emit half: `_compile_eval` and its helpers
     # (expressions), `_compile_stmt` (a procedural body, or None when it
-    # holds no statement) and `_build_assign_node` / `_build_block_node`
-    # (a combinational node plus its read and write sets).  What they
+    # holds no statement) and `_build_assign_node` / `_build_block_node` /
+    # `_build_empty_node` (a combinational node plus its read and write
+    # sets; the empty one has neither body nor effects).  What they
     # return is the dialect's own: source text here, closures over numpy
     # lanes in repro.sim.batch.
 
@@ -680,6 +683,18 @@ class _Compiler:
         """Execution-image factory; the batch compiler returns its own."""
         return CompiledDesign()
 
+    def _is_identity(self, assign) -> bool:
+        """A whole-signal continuous assign of a signal to itself: same
+        slot, same width, so the masked store is the value already there."""
+        target, value = assign.target, assign.value
+        return (
+            isinstance(target, ast.Identifier)
+            and isinstance(value, ast.Identifier)
+            and target.name == value.name
+            and target.name in self.slot_of
+            and target.name not in self.mem_of
+        )
+
     def compile(self) -> CompiledDesign:
         design = self.design
         cd = self._image
@@ -687,7 +702,14 @@ class _Compiler:
         node_reads: List[Set[int]] = []
         node_writes: List[Set[int]] = []
         for assign in design.comb_assigns:
-            run, reads, writes = self._build_assign_node(assign)
+            if self._is_identity(assign):
+                # `assign x = x;` stores exactly what it reads: no body and
+                # no effects, so it neither blocks levelization nor wakes
+                # anything.  The node keeps its index (and comb_count its
+                # share of the round bound).
+                run, reads, writes = self._build_empty_node()
+            else:
+                run, reads, writes = self._build_assign_node(assign)
             cd.nodes.append(run)
             node_reads.append(reads)
             node_writes.append(writes)
@@ -725,7 +747,11 @@ class _Compiler:
 
     def _schedule(self, cd: CompiledDesign, node_reads, node_writes) -> None:
         """Levelize the comb region; fall back to fixpoint order if the
-        static scheduler cannot order it (cycle, multi-driver, self-dep)."""
+        static scheduler cannot order it (cycle, multi-driver, self-dep).
+
+        An identity ``assign x = x;`` arrives here with empty read and
+        write sets (see :meth:`compile`): it is never a self-dependency
+        and never a second driver of ``x``."""
         n = len(cd.nodes)
         writers: Dict[int, List[int]] = {}
         readers: Dict[int, List[int]] = {}
@@ -1424,10 +1450,13 @@ class _SourceCompiler(_Compiler):
         self._lvalue_effects(assign.target, True, set(), reads, writes)
         return node, reads, writes
 
+    def _build_empty_node(self):
+        return None, set(), set()
+
     def _build_block_node(self, block):
         body = self._compile_stmt(block.body)
         if body is None:
-            return None, set(), set()
+            return self._build_empty_node()
         reads: Set[int] = set()
         writes: Set[int] = set()
         self._stmt_effects(block.body, set(), reads, writes)

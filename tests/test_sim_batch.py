@@ -248,8 +248,7 @@ class TestOneLaneFacade:
 
     def test_fallback_is_scalar_simulator(self):
         # Self-assign behind a clocked block: not a lane design, and the
-        # scalar simulator callers fall back to is the compiled one, on
-        # its fixpoint fallback.
+        # scalar simulator callers fall back to is the compiled one.
         source = (
             "module m(input clk, input en, output wire [3:0] count);"
             " reg [3:0] count;"

@@ -149,14 +149,14 @@ class TestErrorClassification:
 
 class TestFallbackModes:
     def test_self_assign_falls_back_to_fixpoint(self):
-        # `assign count = count` (a vgen counter style variant) is a
-        # self-edge: not levelizable, still cycle-identical via the
-        # compiled fixpoint fallback.
+        # `assign x = x | a` reads what it drives: a real self-edge, not
+        # levelizable, still cycle-identical via the compiled fixpoint
+        # fallback.
         source = (
-            "module m(input clk, input en, output wire [3:0] count);"
-            " reg [3:0] count;"
-            " always @(posedge clk) if (en) count <= count + 1'b1;"
-            " assign count = count;"
+            "module m(input clk, input [3:0] a, output wire [3:0] x,"
+            " output reg [3:0] q);"
+            " assign x = x | a;"
+            " always @(posedge clk) q <= q + x;"
             " endmodule"
         )
         compiled = compile_design(build(source, "m"))
@@ -164,6 +164,28 @@ class TestFallbackModes:
         sims = [Simulator(build(source, "m"), backend=b)
                 for b in ("compiled", "interp")]
         assert isinstance(sims[0], CompiledSimulator)
+        for sim in sims:
+            for a in (0b0001, 0b0100, 0b0001, 0b1000, 0b0000):
+                sim.poke("a", a)
+                sim.poke("clk", 0)
+                sim.poke("clk", 1)
+        assert sims[0].state == sims[1].state
+        assert sims[0].peek("x") == 0b1101
+        assert sims[0].peek("q") == (0b0001 + 0b0101 * 2 + 0b1101 * 2) % 16
+
+    def test_identity_self_assign_levelizes(self):
+        # `assign count = count` (a vgen counter style variant) stores
+        # what it reads: it levelizes, and the node still counts towards
+        # the settle round bound exactly as in the interpreter.
+        source = GALLERY["identity_self_assign_counter"][0]
+        compiled = compile_design(build(source, "m"))
+        assert compiled.levelized
+        assert len(compiled.nodes) == compiled.comb_count == 1
+        sims = [Simulator(build(source, "m"), backend=b)
+                for b in ("compiled", "interp")]
+        assert isinstance(sims[0], CompiledSimulator)
+        assert isinstance(sims[1], InterpreterSimulator)
+        assert sims[0]._max_rounds == sims[1]._max_rounds == 2 * 1 + 16
         for sim in sims:
             sim.poke("en", 1)
             for _ in range(5):
@@ -508,11 +530,35 @@ GALLERY = {
         " always @(posedge clk) q <= d; endmodule",
         {}, "generic", None,
     ),
-    "non_levelizing_counter": (
+    # `assign x = x;` is an identity: no body, no effects, levelized.
+    "identity_self_assign_counter": (
         "module m(input clk, input en, output wire [3:0] count);"
         " reg [3:0] count;"
         " always @(posedge clk) if (en) count <= count + 1'b1;"
         " assign count = count; endmodule",
+        {}, "specialised", None,
+    ),
+    # ... and nothing else that reads its own target is: a part-select
+    # self-assign, a real feedback and a concatenation lvalue stay
+    # self-edges on the generic kernel.
+    "part_select_self_assign": (
+        "module m(input clk, input en, output wire [3:0] count);"
+        " reg [3:0] count;"
+        " always @(posedge clk) if (en) count <= count + 1'b1;"
+        " assign count[1:0] = count[1:0]; endmodule",
+        {}, "generic", None,
+    ),
+    "self_feedback": (
+        "module m(input clk, input [3:0] a, output wire [3:0] x,"
+        " output reg [3:0] q);"
+        " assign x = x | a; always @(posedge clk) q <= q + x; endmodule",
+        {}, "generic", None,
+    ),
+    "concat_self_assign": (
+        "module m(input clk, input en, output wire [3:0] count);"
+        " reg [3:0] count;"
+        " always @(posedge clk) if (en) count <= count + 1'b1;"
+        " assign {count} = count; endmodule",
         {}, "generic", None,
     ),
     "oscillating_clock_loop": (
@@ -732,9 +778,10 @@ class TestCycleKernel:
                     stim_seed=problem.stimulus_seed,
                 )
                 paths[path] += 1
-        # Both sides carry real traffic on the problem set: the five
-        # non-levelizing counter goldens and their mutants stay generic.
-        assert paths == {"specialised": 144, "generic": 20}
+        # Every golden and mutant takes the fused kernel, the five
+        # `assign count = count` counters included (an identity does not
+        # block levelization); the gallery holds the generic side.
+        assert paths == {"specialised": 164, "generic": 0}
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1123,6 +1170,55 @@ class TestCodePersistence:
         finally:
             sim_cache.configure(previous)
             reset_caches()
+
+    def test_previous_version_counter_image_is_not_reused(
+        self, tmp_path, monkeypatch
+    ):
+        """A counter stored by the previous backend version carries a
+        non-levelized schedule: ``get_design`` misses on it, and the
+        re-elaborated design takes the fused kernel."""
+        from repro.sim import cache as sim_cache
+        from repro.sim import compile as sim_compile
+
+        source = GALLERY["identity_self_assign_counter"][0]
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            # the previous version's lowering: the self-assign is a
+            # self-edge, and its image ran the generic form
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    sim_compile._Compiler, "_is_identity",
+                    lambda self, assign: False,
+                )
+                patch.setattr(
+                    sim_cache, "BACKEND_VERSION",
+                    sim_cache.BACKEND_VERSION - 1,
+                )
+                stale = build(source, "m")
+                assert kernel_trio(source, "m")[0] == "generic"
+                Testbench(stale, "clk", backend="compiled").step({"en": 1})
+                assert not stale._compiled.levelized
+                assert sim_cache.put_design(source, "m", stale)
+            mismatch = obs.counter_value("sim.cache.version_mismatch")
+            miss = obs.counter_value("sim.cache.miss")
+            assert sim_cache.get_design(source, "m") is None
+            assert obs.counter_value(
+                "sim.cache.version_mismatch"
+            ) == mismatch + 1
+            assert obs.counter_value("sim.cache.miss") == miss + 1
+            # the caller's miss path: elaborate again, check, store
+            fresh = build(source, "m")
+            before = obs.counter_value("sim.kernel.specialised")
+            Simulator(fresh, backend="compiled").cycle_fn(
+                "clk", ("en",), ("count",)
+            )
+            assert obs.counter_value("sim.kernel.specialised") == before + 1
+            assert sim_cache.put_design(source, "m", fresh)
+            restored = sim_cache.get_design(source, "m")
+            assert restored._compiled.levelized
+            assert sorted(restored._compiled.code) == ["fused"]
+        finally:
+            sim_cache.configure(previous)
 
     def test_stage_with_compiled_designs_ships_to_a_worker(self):
         from repro.evalkit.stages import CheckStage
