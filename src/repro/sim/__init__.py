@@ -22,13 +22,14 @@ Execution backends
 backend    module               when it is selected
 ========== ==================== ===========================================
 compiled   repro.sim.compile    default (``"auto"``): slot-indexed state,
-                                generated Python source (fused per-edge
-                                functions behind the cycle kernel, per-node
-                                functions under a levelized schedule behind
-                                ``poke``) — the scalar path
+                                generated Python source (one full-pass
+                                ``comb`` that is every settle, fused
+                                per-edge functions behind the cycle
+                                kernel) — the scalar path
 interp     repro.sim.simulator  ``backend="interp"``, or ``"auto"`` when
-                                the design cannot be statically lowered;
-                                AST-walking ground truth for differentials
+                                the design cannot be statically lowered or
+                                does not levelize; AST-walking ground truth
+                                for differentials
 ========== ==================== ===========================================
 
 Beside them, :mod:`repro.sim.batch` is a lane-parallel evaluator for
@@ -43,16 +44,17 @@ Backend selection: ``Simulator(design, backend=...)``, the
 compiled backend whenever the design statically lowers and silently falls
 back to the interpreter otherwise.
 
-Fallback contracts: regions the static scheduler cannot levelize
-(combinational cycles, multiple combinational drivers of one signal, or a
-block reading a value it also drives) still run compiled node bodies, but
-under the interpreter's bounded full-pass fixpoint — same evaluation
-order, same round bound, same ``SimulationError`` classification for true
-combinational loops (*fixpoint fallback*).  The lane evaluator is
-narrower: a design that holds state (edge blocks, ``initial``
-statements, memories, latches, nonblocking writes), writes a select
-lvalue, does not levelize or carries anything wider than 63 bits raises
-``UnbatchableDesign`` and takes the scalar replay (*scalar fallback*).
+Fallback contracts: a design the compiler cannot size, or whose
+combinational region the static scheduler cannot levelize (combinational
+cycles, multiple combinational drivers of one signal, or a node reading a
+value it also drives), raises ``UncompilableDesign``; ``"auto"`` runs it
+on the interpreter, whose bounded full-pass fixpoint classifies true
+combinational loops, and ``"compiled"`` refuses it (*interpreter
+fallback*).  The lane evaluator is narrower: a design that holds state
+(edge blocks, ``initial`` statements, memories, latches, nonblocking
+writes), writes a select lvalue or carries anything wider than 63 bits
+raises ``UnbatchableDesign`` (one that does not levelize, the broader
+``UncompilableDesign``) and takes the scalar replay (*scalar fallback*).
 Differential tests in ``tests/test_sim_compile.py`` and
 ``tests/test_sim_batch.py`` enforce identity across every ``vgen``
 family and the vereval problem set.

@@ -21,10 +21,11 @@ caller:
 Lanes are combinational.  A design that holds state of any kind — an
 edge-triggered block, an ``initial`` statement, a memory, a
 combinational latch, a nonblocking write — or that writes a bit-, part-
-or indexed-part-select lvalue, that does not levelize, or that carries
-anything wider than 63 bits raises :class:`UnbatchableDesign` at
-lowering, and the caller takes the scalar replay, which is exact for
-all of them (the *scalar-fallback contract*).  Sequential lanes, lane
+or indexed-part-select lvalue, or that carries anything wider than 63
+bits raises :class:`UnbatchableDesign` at lowering (one that does not
+levelize raises the scheduler's :class:`UncompilableDesign`, its base),
+and the caller takes the scalar replay, which is exact for all of them
+(the *scalar-fallback contract*).  Sequential lanes, lane
 sweeps and the one-lane ``batch`` simulator backend lost to that replay
 at every size a caller used and were deleted (``BENCH_25.json`` →
 ``deleted_ab``).
@@ -146,8 +147,9 @@ def batch_design(design: Design, n_lanes: int) -> BatchDesign:
     """Lower ``design`` for ``n_lanes`` lanes, caching per lane count.
 
     Raises :class:`UnbatchableDesign` when the design cannot be lane
-    lowered (not stateless combinational, not levelizable, or wider than
-    the 63-bit int64 lane budget — the scalar-fallback signal); the
+    lowered (not stateless combinational, or wider than the 63-bit int64
+    lane budget — the scalar-fallback signal; a region that does not
+    levelize raises its base, :class:`UncompilableDesign`); the
     negative outcome is cached too, so repeated probes stay cheap.  The
     cache is dropped on pickling (``Design.__getstate__``), like the
     scalar compile cache.
@@ -222,12 +224,7 @@ class _BatchCompiler(_Compiler):
         return BatchDesign()
 
     def compile(self) -> BatchDesign:
-        bd = super().compile()
-        if not bd.levelized:
-            raise UnbatchableDesign(
-                "combinational region is not levelizable (scalar fixpoint "
-                "fallback applies)"
-            )
+        bd = super().compile()  # raises when the region does not levelize
         bd.sched_nodes = tuple(bd.nodes[i] for i in bd.topo)
         bd.nodes_pred = tuple(self._pred_nodes)
         return bd

@@ -65,8 +65,10 @@ __all__ = [
 #: its compiled image (tables + marshalled code objects of the generated
 #: source, see ``repro.sim.compile``).  10: an identity self-assign
 #: (``assign x = x;``) no longer blocks levelization, so a version-9 image
-#: of such a design carries a stale non-levelized schedule.
-BACKEND_VERSION = 10
+#: of such a design carries a stale non-levelized schedule.  11: the
+#: generic form holds only sequential and ``initial`` bodies, and its
+#: ``commit`` takes four arguments (version-10 code passes six).
+BACKEND_VERSION = 11
 
 _ENV = "REPRO_SIM_CACHE"
 

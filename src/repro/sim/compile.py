@@ -7,27 +7,24 @@ the staging is resolve, schedule, *then* generate text:
 * **slot-indexed state** — every signal resolves to an integer slot in a
   flat list (memories to an index into a list of lists), with widths,
   masks, and signedness frozen at compile time;
-* **levelized scheduling** — the acyclic combinational region is
-  topologically sorted into a single-pass schedule, with per-slot
-  reader/writer tables for the dirty set the hand-``poke`` protocol
-  drives;
+* **levelized scheduling** — the combinational region is topologically
+  sorted into a single-pass schedule, or refused (see below);
 * **generated source** — :class:`_SourceCompiler` walks every expression
   and statement once and emits Python source: every width and signedness
   decision is taken at emission, constant subtrees fold to int literals,
   blocking writes live in function locals.  Two forms come of that walk.
-  The **fused** form (levelized designs only) is ``comb(st, mems)`` —
-  every combinational node in schedule order, no dirty set — and one
-  ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that edge's
-  blocks in declaration order, blocking writes committed per block,
-  nonblocking updates held in per-slot locals and committed once after
-  all blocks, then ``comb``; it returns the pre-edge trigger bits when a
-  block moved one.  :meth:`CompiledSimulator.cycle_fn` steps it when the
-  design meets its four preconditions.  The **generic** form is one
-  function per combinational node (returning the pseudo-slots it
-  changed), per sequential block (appending to a shared ordered
-  nonblocking list) and per ``initial`` statement: what ``poke``,
-  ``settle``, the fixpoint fallback, edge cascades and non-levelizing
-  designs run;
+  The **fused** form is ``comb(st, mems)`` — every combinational node in
+  schedule order, the one combinational evaluator: it is ``settle`` —
+  and one ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that
+  edge's blocks in declaration order, blocking writes committed per
+  block, nonblocking updates held in per-slot locals and committed once
+  after all blocks, then ``comb``; it returns the pre-edge trigger bits
+  when a block moved one.  :meth:`CompiledSimulator.cycle_fn` steps it
+  when the design meets its preconditions.  The **generic** form is one
+  function per sequential block (appending to a shared ordered
+  nonblocking list) and per ``initial`` statement: what edge cascades
+  fire — the union of the blocks whose triggers moved, with one
+  nonblocking commit — and what the constructor runs first;
 * **lower once, compile lazily** — emission happens inside
   :func:`compile_design` (so :class:`UncompilableDesign` is raised
   there); a form is byte-compiled the first time something runs it, so a
@@ -49,15 +46,12 @@ The scheduler refuses to levelize regions it cannot order statically —
 combinational cycles, several combinational drivers of one signal, or a
 node that reads a value it also drives.  A whole-signal identity
 ``assign x = x;`` is not such a node: it stores what it reads, so it is
-scheduled with no body and no effects.  The other designs run their generic
-node bodies under the interpreter's bounded full-pass **fixpoint
-fallback** (same node order, same round bound, same ``SimulationError``
-on non-convergence), so combinational-loop classification is identical to
-the reference backend.  Designs the compiler cannot statically *size* at
-all (e.g. part selects with non-constant bounds) raise
-:class:`UncompilableDesign`; under ``backend="auto"`` the
-:class:`~repro.sim.simulator.Simulator` facade then falls back to the
-interpreter entirely.
+scheduled with no body and no effects.  Those designs, like the ones the
+compiler cannot statically *size* (e.g. part selects with non-constant
+bounds), raise :class:`UncompilableDesign`; under ``backend="auto"`` the
+:class:`~repro.sim.simulator.Simulator` facade then runs them on the
+interpreter, whose bounded full-pass fixpoint classifies combinational
+loops, and ``backend="compiled"`` refuses them.
 
 Cycle-identity with :class:`~repro.sim.simulator.InterpreterSimulator` is
 enforced by differential tests over every ``vgen`` family and the vereval
@@ -137,34 +131,26 @@ class _StaticScope:
 # ---------------------------------------------------------------------------
 
 
-def _commit_nba(st, mems, updates, widths, n_signals, changed) -> None:
-    """Commit nonblocking updates; append changed pseudo-slots to ``changed``.
+def _commit_nba(st, mems, updates, widths) -> None:
+    """Commit nonblocking updates in order.
 
     Mirrors ``InterpreterSimulator._commit_nba`` update-for-update.
-    Updates are ``(is_mem, slot, lo, width, value)`` tuples; memory
-    changes are reported as pseudo-slot ``n_signals + mem_slot``.
+    Updates are ``(is_mem, slot, lo, width, value)`` tuples.
     """
     for is_mem, slot, lo, width, value in updates:
         if is_mem:
             column = mems[slot]
             if 0 <= lo < len(column):
-                new = value & ((1 << width) - 1)
-                if column[lo] != new:
-                    column[lo] = new
-                    changed.append(n_signals + slot)
+                column[lo] = value & ((1 << width) - 1)
             continue
-        keep = st[slot]
         sig_width = widths[slot]
         if lo == 0 and width >= sig_width:
-            new = value & ((1 << sig_width) - 1)
+            st[slot] = value & ((1 << sig_width) - 1)
         else:
             field_mask = ((1 << width) - 1) << lo
-            new = (keep & ~field_mask) | (
+            st[slot] = (st[slot] & ~field_mask) | (
                 ((value & ((1 << width) - 1)) << lo) & field_mask
             )
-        if new != keep:
-            st[slot] = new
-            changed.append(slot)
 
 
 def _parity(value: int) -> int:
@@ -211,9 +197,10 @@ class CompiledDesign:
 
     #: what a pickle keeps besides the code objects: the schedule (the
     #: slot tables are re-read off the design, see :meth:`attach`)
-    _SCHEDULE = (
-        "levelized", "topo", "pos_of", "readers", "writers", "trigger_slots",
-    )
+    _SCHEDULE = ("topo", "readers", "writers", "trigger_slots")
+
+    #: the scheduler refuses any region it cannot levelize
+    levelized = True
 
     __slots__ = _SCHEDULE + (
         "design", "n_signals", "slot_of", "names", "widths", "masks",
@@ -235,17 +222,14 @@ class CompiledDesign:
         self.mem_depths: List[int] = []
         self.mem_bases: List[int] = []
         self.comb_count = 0
-        #: combinational nodes in declaration order; each is a callable
-        #: ``run(st, mems) -> [changed pseudo-slots]`` (``None`` until
-        #: :meth:`generic` binds the generic form)
+        #: combinational nodes in declaration order (``None`` once the
+        #: fused ``comb`` holds them; the lane dialect keeps closures)
         self.nodes: List[Optional[Callable]] = []
-        self.levelized = False
         self.topo: List[int] = []     # schedule position -> node index
-        self.pos_of: List[int] = []   # node index -> schedule position
         self.readers: Dict[int, Tuple[int, ...]] = {}
         self.writers: Dict[int, Tuple[int, ...]] = {}
         #: seq blocks: (trigger list [(wanted bit, index)], body) with
-        #: ``body(st, mems, nba, changed)`` once :meth:`generic` bound it
+        #: ``body(st, mems, nba)`` once :meth:`generic` bound it
         self.seq: List[Tuple[List[Tuple[int, int]], Optional[Callable]]] = []
         self.trigger_slots: Tuple[int, ...] = ()
         #: one ``run(st, mems)`` per non-empty ``initial`` statement
@@ -278,17 +262,15 @@ class CompiledDesign:
 
     def fused(self) -> dict:
         """Functions of the fused form by name: ``comb`` (absent when the
-        design has no combinational node) and ``e<pol>_<trigger index>``.
-        Levelized designs only."""
+        design has no combinational node) and ``e<pol>_<trigger index>``."""
         if self._fused is None:
             self._fused = self._load("fused")
         return self._fused
 
     def generic(self) -> "CompiledDesign":
-        """Bind the generic form into ``nodes`` / ``seq`` / ``initial``."""
+        """Bind the generic form into ``seq`` / ``initial``."""
         if not self._bound:
             fns = self._load("generic")
-            self.nodes = [fns[f"g{i}"] for i in range(len(self.nodes))]
             self.seq = [
                 (triggers, fns[f"s{j}"])
                 for j, (triggers, _) in enumerate(self.seq)
@@ -315,7 +297,6 @@ class CompiledDesign:
             "sdivmod": _sdivmod,
             "loop_error": _loop_error,
             "W": self.widths,
-            "N": self.n_signals,
         }
         exec(code, namespace)
         return namespace
@@ -746,8 +727,9 @@ class _Compiler:
         return cd
 
     def _schedule(self, cd: CompiledDesign, node_reads, node_writes) -> None:
-        """Levelize the comb region; fall back to fixpoint order if the
-        static scheduler cannot order it (cycle, multi-driver, self-dep).
+        """Levelize the comb region, or raise :class:`UncompilableDesign`
+        when the static scheduler cannot order it (cycle, multi-driver,
+        self-dependency): such a design runs on the interpreter.
 
         An identity ``assign x = x;`` arrives here with empty read and
         write sets (see :meth:`compile`): it is never a self-dependency
@@ -763,38 +745,36 @@ class _Compiler:
         cd.readers = {ps: tuple(nodes) for ps, nodes in readers.items()}
         cd.writers = {ps: tuple(nodes) for ps, nodes in writers.items()}
 
-        levelized = all(len(nodes) == 1 for nodes in writers.values())
+        def refuse(why: str):
+            return UncompilableDesign(
+                f"combinational region does not levelize: {why}"
+            )
+
+        if any(len(nodes) > 1 for nodes in writers.values()):
+            raise refuse("several combinational drivers of one signal")
         succs: List[Set[int]] = [set() for _ in range(n)]
         indegree = [0] * n
-        if levelized:
-            for i in range(n):
-                for ps in node_reads[i]:
-                    for w in writers.get(ps, ()):
-                        if w == i:
-                            levelized = False
-                        elif i not in succs[w]:
-                            succs[w].add(i)
-                            indegree[i] += 1
-        if levelized:
-            ready = [i for i in range(n) if indegree[i] == 0]
-            heapq.heapify(ready)
-            topo: List[int] = []
-            while ready:
-                i = heapq.heappop(ready)
-                topo.append(i)
-                for j in succs[i]:
-                    indegree[j] -= 1
-                    if indegree[j] == 0:
-                        heapq.heappush(ready, j)
-            if len(topo) != n:
-                levelized = False  # combinational cycle
-            else:
-                cd.topo = topo
-                pos_of = [0] * n
-                for pos, i in enumerate(topo):
-                    pos_of[i] = pos
-                cd.pos_of = pos_of
-        cd.levelized = levelized
+        for i in range(n):
+            for ps in node_reads[i]:
+                for w in writers.get(ps, ()):
+                    if w == i:
+                        raise refuse("a node reads a signal it drives")
+                    if i not in succs[w]:
+                        succs[w].add(i)
+                        indegree[i] += 1
+        ready = [i for i in range(n) if indegree[i] == 0]
+        heapq.heapify(ready)
+        topo: List[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            topo.append(i)
+            for j in succs[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    heapq.heappush(ready, j)
+        if len(topo) != n:
+            raise refuse("a combinational cycle")
+        cd.topo = topo
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +828,9 @@ class _SourceCompiler(_Compiler):
     ``eval._operand`` decision for decision.  Statement emitters return
     indented lines.  Names in the text: ``st`` / ``mems`` (state),
     ``b<slot>`` (blocking local), ``n<slot>`` (pending nonblocking
-    value), ``s<k>`` (pre-edge trigger bit), ``t<k>`` / ``v`` / ``k``
-    (temporaries), ``mo`` (blocking memory overlay), ``nba`` / ``ch``
-    (ordered nonblocking list, changed pseudo-slots) and the helpers
-    ``CompiledDesign._load`` binds.
+    value), ``s<k>`` (pre-edge trigger bit), ``t<k>`` / ``k``
+    (temporaries), ``mo`` (blocking memory overlay), ``nba`` (ordered
+    nonblocking list) and the helpers ``CompiledDesign._load`` binds.
     """
 
     def __init__(self, design: Design) -> None:
@@ -1462,13 +1441,12 @@ class _SourceCompiler(_Compiler):
         self._stmt_effects(block.body, set(), reads, writes)
         return body, reads, writes
 
-    def _render(self, body: _Body, pending, tracked: bool):
-        """Lines of one body for one form, and whether they use ``nba``.
+    def _render(self, body: _Body, pending):
+        """Lines of one body, and whether they use ``nba``.
 
-        Blocking targets are locals, read at entry and committed at exit
-        (``tracked``: only where they differ, reporting the pseudo-slot
-        in ``ch``).  A nonblocking write to a slot in ``pending`` updates
-        that slot's ``n<slot>`` local; any other joins the ordered list.
+        Blocking targets are locals, read at entry and committed at exit.
+        A nonblocking write to a slot in ``pending`` updates that slot's
+        ``n<slot>`` local; any other joins the ordered list.
         """
         blocking = sorted(body.blocking)
         lines = [f" b{slot} = st[{slot}]" for slot in blocking]
@@ -1490,61 +1468,34 @@ class _SourceCompiler(_Compiler):
                 lines.append(
                     f"{pad}nba += ((0, {slot}, {lo}, {width}, {value}),)"
                 )
-        for slot in blocking:
-            if tracked:
-                lines.append(f" if st[{slot}] != b{slot}:")
-                lines.append(f"  st[{slot}] = b{slot}")
-                lines.append(f"  ch += ({slot},)")
-            else:
-                lines.append(f" st[{slot}] = b{slot}")
+        lines += [f" st[{slot}] = b{slot}" for slot in blocking]
         if body.mem_blocking:
             lines.append(" for k in mo:")
-            if tracked:
-                lines.append("  if mems[k[0]][k[1]] != mo[k]:")
-                lines.append("   mems[k[0]][k[1]] = mo[k]")
-                lines.append("   ch += (N + k[0],)")
-            else:
-                lines.append("  mems[k[0]][k[1]] = mo[k]")
+            lines.append("  mems[k[0]][k[1]] = mo[k]")
         return lines, listed
 
-    def _standalone(self, body: _Body, tracked: bool) -> List[str]:
+    def _standalone(self, body: _Body) -> List[str]:
         """A body that commits its own nonblocking writes, after its
         blocking ones: a comb block or an ``initial`` statement."""
-        lines, listed = self._render(body, (), tracked)
+        lines, listed = self._render(body, ())
         if listed:
-            sink = "ch" if tracked else "[]"
             lines.insert(0, " nba = []")
-            lines.append(f" commit(st, mems, nba, W, N, {sink})")
+            lines.append(" commit(st, mems, nba, W)")
         return lines
 
     def _generic_source(self, cd: CompiledDesign) -> str:
-        """One change-reporting function per node, block and statement."""
+        """One function per sequential block and ``initial`` statement."""
         out: List[str] = []
-        for index, node in enumerate(cd.nodes):
-            out += [f"def g{index}(st, mems):", " ch = []"]
-            if isinstance(node, tuple):
-                spills, stores = node
-                out += spills
-                for slot, new in stores:
-                    out += [
-                        f" v = {new}",
-                        f" if st[{slot}] != v:",
-                        f"  st[{slot}] = v",
-                        f"  ch += ({slot},)",
-                    ]
-            elif node is not None:
-                out += self._standalone(node, True)
-            out.append(" return ch")
         for index, (_, body) in enumerate(cd.seq):
-            out.append(f"def s{index}(st, mems, nba, ch):")
+            out.append(f"def s{index}(st, mems, nba):")
             if body is _no_body:
                 out.append(" pass")
             else:
-                out += self._render(body, (), True)[0]
+                out += self._render(body, ())[0]
         for index, body in enumerate(cd.initial):
             # Initial statements commit per statement, like the interpreter.
             out.append(f"def i{index}(st, mems):")
-            out += self._standalone(body, False)
+            out += self._standalone(body)
         out.append("")
         return "\n".join(out)
 
@@ -1560,7 +1511,7 @@ class _SourceCompiler(_Compiler):
                     out += spills
                     out += [f" st[{slot}] = {new}" for slot, new in stores]
                 elif node is not None:
-                    out += self._standalone(node, False)
+                    out += self._standalone(node)
             if len(out) == 1:
                 out.append(" pass")
         emitted: Dict[Tuple[int, ...], str] = {}
@@ -1600,7 +1551,7 @@ class _SourceCompiler(_Compiler):
                 for k, slot in enumerate(cd.trigger_slots)
             ]
         lines += [f" n{slot} = st[{slot}]" for slot in pending]
-        rendered = [self._render(body, pending, False) for body in bodies]
+        rendered = [self._render(body, pending) for body in bodies]
         listed = any(uses_list for _, uses_list in rendered)
         if listed:
             lines.append(" nba = []")
@@ -1608,7 +1559,7 @@ class _SourceCompiler(_Compiler):
             lines += body_lines
         lines += [f" st[{slot}] = n{slot}" for slot in pending]
         if listed:
-            lines.append(" commit(st, mems, nba, W, N, [])")
+            lines.append(" commit(st, mems, nba, W)")
         if cd.nodes:
             lines.append(" comb(st, mems)")
         if recheck:
@@ -1625,9 +1576,8 @@ class _SourceCompiler(_Compiler):
     def compile(self) -> CompiledDesign:
         cd = super().compile()
         cd.source["generic"] = self._generic_source(cd)
-        if cd.levelized:
-            cd.source["fused"] = self._fused_source(cd)
-        # The image keeps the shape; `generic()` binds the functions.
+        cd.source["fused"] = self._fused_source(cd)
+        # The image keeps the shape; each form binds on first use.
         cd.nodes = [None] * len(cd.nodes)
         cd.seq = [(triggers, None) for triggers, _ in cd.seq]
         cd.initial = [None] * len(cd.initial)
@@ -1649,24 +1599,13 @@ class CompiledSimulator(Simulator):
         self.cdesign = cd
         self.st: List[int] = [0] * cd.n_signals
         self.mem_data: List[List[int]] = [[0] * d for d in cd.mem_depths]
+        # the interpreter's round bound: here it bounds edge cascades
         self._max_rounds = max_settle_rounds or (2 * cd.comb_count + 16)
-        self._heap: List[int] = []
-        self._queued = bytearray(len(cd.nodes))
-        if cd.levelized and not cd.initial:
-            # One full pass settles a levelized design; no dirty set, and
-            # a candidate headed for the fused kernel never builds the
-            # generic form.
-            comb = cd.fused().get("comb")
-            if comb is not None:
-                comb(self.st, self.mem_data)
-        else:
+        self._comb = cd.fused().get("comb")  # all of `settle`, or None
+        if cd.initial:
             for body in cd.generic().initial:
                 body(self.st, self.mem_data)
-            if cd.levelized:
-                for i in range(len(cd.nodes)):
-                    self._queued[i] = 1
-                    heapq.heappush(self._heap, cd.pos_of[i])
-            self.settle()
+        self.settle()
 
     # -- state views ---------------------------------------------------------
 
@@ -1696,7 +1635,9 @@ class CompiledSimulator(Simulator):
             raise SimulationError(f"peek of unknown signal {name!r}") from None
 
     def peek_mem(self, name: str, index: int) -> int:
-        memory = self.design.memories[name]
+        memory = self.design.memories.get(name)
+        if memory is None:
+            raise SimulationError(f"peek_mem of unknown memory {name!r}")
         slot = index - memory.base
         if slot < 0 or slot >= memory.depth:
             raise SimulationError(f"memory index {index} out of range for {name!r}")
@@ -1715,36 +1656,20 @@ class CompiledSimulator(Simulator):
         cd = self.cdesign
         slot = cd.slot_of[name]
         self.st[slot] = value & cd.masks[slot]
-        if cd.levelized:
-            self._mark_external(slot)
 
     def _trigger_snapshot(self) -> List[int]:
         st = self.st
         return [st[s] & 1 for s in self.cdesign.trigger_slots]
-
-    def _mark_external(self, pseudo_slot: int) -> None:
-        """An out-of-schedule write landed on ``pseudo_slot``: re-run its
-        readers *and* its driver (so a poked comb-driven net is restored,
-        exactly as the interpreter's full-pass settle would)."""
-        cd = self.cdesign
-        queued = self._queued
-        heap = self._heap
-        pos_of = cd.pos_of
-        for table in (cd.readers, cd.writers):
-            for node in table.get(pseudo_slot, ()):
-                if not queued[node]:
-                    queued[node] = 1
-                    heapq.heappush(heap, pos_of[node])
 
     # -- cycle kernel --------------------------------------------------------
 
     def cycle_fn(self, clock, input_names, output_names):
         """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``).
 
-        Four facts, all read off the :class:`CompiledDesign`, decide
-        whether the cycle can run the fused form instead of the generic
-        poke protocol: the comb region is levelized; the clock slot (if
-        there is a clock) has no combinational reader or driver, so
+        Every compiled design levelizes; three more facts, all read off
+        the :class:`CompiledDesign`, decide whether the cycle can run the
+        fused form instead of the generic poke protocol: the clock slot
+        (if there is a clock) has no combinational reader or driver, so
         toggling it needs no settle and the only blocks its edge fires
         are the ones listing it; no driven input is a trigger slot; and
         no trigger slot has a comb driver, so the drive cannot fire an
@@ -1760,8 +1685,7 @@ class CompiledSimulator(Simulator):
         clk = None if clock is None else slot_of[clock]
         triggers = cd.trigger_slots
         if (
-            not cd.levelized
-            or clk in cd.readers
+            clk in cd.readers
             or clk in cd.writers
             or not set(triggers).isdisjoint(in_slots)
             or not cd.writers.keys().isdisjoint(triggers)
@@ -1770,7 +1694,7 @@ class CompiledSimulator(Simulator):
             return generic
         obs.count("sim.kernel.specialised")
         fused = cd.fused()
-        comb = fused.get("comb")
+        comb = self._comb
         negedge = posedge = None
         if clk in triggers:
             clk_bit = triggers.index(clk)
@@ -1822,60 +1746,19 @@ class CompiledSimulator(Simulator):
     # -- settle --------------------------------------------------------------
 
     def settle(self) -> None:
-        """Propagate combinational logic (dirty cone, or fixpoint fallback)."""
-        if self.cdesign.levelized:
-            self._settle_levelized()
-        else:
-            self._settle_fixpoint()
-
-    def _settle_levelized(self) -> None:
-        heap = self._heap
-        if not heap:
-            return
-        cd = self.cdesign.generic()
-        st = self.st
-        mems = self.mem_data
-        nodes = cd.nodes
-        topo = cd.topo
-        pos_of = cd.pos_of
-        readers = cd.readers
-        queued = self._queued
-        pop = heapq.heappop
-        push = heapq.heappush
-        while heap:
-            node = topo[pop(heap)]
-            queued[node] = 0
-            changed = nodes[node](st, mems)
-            if changed:
-                for ps in changed:
-                    for reader in readers.get(ps, ()):
-                        if not queued[reader]:
-                            queued[reader] = 1
-                            push(heap, pos_of[reader])
-
-    def _settle_fixpoint(self) -> None:
-        st = self.st
-        mems = self.mem_data
-        nodes = self.cdesign.generic().nodes
-        for _ in range(self._max_rounds):
-            changed = False
-            for run in nodes:
-                if run(st, mems):
-                    changed = True
-            if not changed:
-                return
-        raise SimulationError(
-            "combinational logic failed to settle "
-            f"within {self._max_rounds} rounds (combinational loop?)"
-        )
+        """Propagate combinational logic: one schedule-order pass of the
+        fused ``comb`` settles a levelized region, whatever moved."""
+        if self._comb is not None:
+            self._comb(self.st, self.mem_data)
 
     # -- sequential execution ------------------------------------------------
 
     def _fire_edges(self, snapshot: List[int],
                     rounds: Optional[int] = None) -> None:
-        """Fire the blocks whose trigger bits moved since ``snapshot``,
-        cascading until no trigger moves, for at most ``rounds`` rounds
-        (default: the whole budget)."""
+        """Fire the blocks whose trigger bits moved since ``snapshot`` —
+        their union, with one nonblocking commit, so two bits moved by
+        one ``poke_many`` are one event — and settle, cascading until no
+        trigger moves, for at most ``rounds`` rounds (default: all)."""
         cd = self.cdesign
         st = self.st
         trigger_slots = cd.trigger_slots
@@ -1907,12 +1790,8 @@ class CompiledSimulator(Simulator):
         st = self.st
         mems = self.mem_data
         pending: List[tuple] = []
-        changed: List[int] = []
         # Blocking writes commit with their block; nonblocking updates
         # commit once, after every triggered block ran.
         for body in bodies:
-            body(st, mems, pending, changed)
-        _commit_nba(st, mems, pending, cd.widths, cd.n_signals, changed)
-        if cd.levelized:
-            for ps in changed:
-                self._mark_external(ps)
+            body(st, mems, pending)
+        _commit_nba(st, mems, pending, cd.widths)

@@ -20,15 +20,20 @@ Two execution backends implement these semantics behind one constructor:
   until a global fixpoint; simple, slow, and treated as ground truth.
 * :class:`~repro.sim.compile.CompiledSimulator` — the compile-once
   backend in :mod:`repro.sim.compile`: slot-indexed state, expressions
-  and statements lowered to generated Python source, and the acyclic
-  combinational region levelized into a topologically sorted schedule.
+  and statements lowered to generated Python source, and the
+  combinational region levelized into a topologically sorted schedule
+  that one pass settles.
 
 ``Simulator(design)`` picks the backend: ``"auto"`` (the default,
 overridable via the ``REPRO_SIM_BACKEND`` environment variable or
 :func:`set_default_backend`) compiles the design and falls back to the
-interpreter when the compiler cannot statically lower it; ``"compiled"``
-requires the compiled backend; ``"interp"`` forces the interpreter.
-Both backends are cycle-identical (enforced by the differential tests in
+interpreter when the compiler cannot statically lower it — a design it
+cannot size, or whose combinational region does not levelize (a
+combinational cycle, several drivers of one signal, a node reading what
+it drives), so combinational loops are always classified by the
+interpreter's fixpoint; ``"compiled"`` requires the compiled backend and
+refuses those designs; ``"interp"`` forces the interpreter.  Both
+backends are cycle-identical (enforced by the differential tests in
 ``tests/test_sim_compile.py``).
 """
 
@@ -365,7 +370,9 @@ class InterpreterSimulator(Simulator):
             raise SimulationError(f"peek of unknown signal {name!r}") from None
 
     def peek_mem(self, name: str, index: int) -> int:
-        memory = self.design.memories[name]
+        memory = self.design.memories.get(name)
+        if memory is None:
+            raise SimulationError(f"peek_mem of unknown memory {name!r}")
         slot = index - memory.base
         if slot < 0 or slot >= memory.depth:
             raise SimulationError(f"memory index {index} out of range for {name!r}")

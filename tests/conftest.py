@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.comparison import ModelZoo
 from repro.core.freeset import FreeSetBuilder
 from repro.copyright import collect_copyrighted_corpus
 from repro.github import SimulatedGitHubAPI, WorldConfig, generate_world
 from repro.llm import LanguageModel
+from repro.sim import cache as sim_cache
+from repro.sim import default_backend, set_default_backend
 from repro.utils.rng import DeterministicRNG
+from repro.vereval import cegis
 from repro.vgen import generate as generate_module
 
 SMALL_WORLD_CONFIG = WorldConfig(
@@ -22,6 +26,33 @@ SMALL_WORLD_CONFIG = WorldConfig(
     seed=0xA11CE,
     mega_file_modules=12,
 )
+
+
+def _pin(configure):
+    """The current override of a ``configure(value) -> previous`` pin."""
+    value = configure(None)
+    configure(value)
+    return value
+
+
+@pytest.fixture(autouse=True)
+def _restore_module_pins():
+    """Every test leaves the process-wide pins as it found them.
+
+    ``cegis.configure``, ``set_default_backend``, ``sim.cache.configure``
+    and ``obs.configure`` are module globals: a test that sets one (or
+    unpickles a ``CheckStage``, whose ``__setstate__`` re-applies its
+    pins) would otherwise change what every later test runs under.
+    """
+    backend = default_backend()
+    cegis_pin = _pin(cegis.configure)
+    cache_pin = _pin(sim_cache.configure)
+    obs_mode, obs_dir = obs.configure()
+    yield
+    set_default_backend(backend)
+    cegis.configure(cegis_pin)
+    sim_cache.configure(cache_pin)
+    obs.configure(obs_mode, obs_dir or "")
 
 
 @pytest.fixture(scope="session")

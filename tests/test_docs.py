@@ -81,7 +81,8 @@ def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
 
 
 #: names deleted with the lane-per-candidate checker tier, with spill
-#: lanes and with sequential lanes; a mention outside this list is a doc
+#: lanes, with sequential lanes and with the compiled backend's
+#: dirty-cone and fixpoint settles; a mention outside this list is a doc
 #: or comment that outlived the code
 _DELETED_NAMES = re.compile(
     "LockstepSimulator|LockstepTestbench|_LaneTestbench|_run_lockstep_group"
@@ -93,6 +94,7 @@ _DELETED_NAMES = re.compile(
     "|BatchTestbench|BatchDivergence|is_stateless_comb|comb_latched"
     "|_sweep_lanes|_commit_nba_lanes|_emit_field_write|_emit_direct_field"
     '|_make_simulator|backend="batch"'
+    "|_settle_levelized|_settle_fixpoint|_mark_external|pos_of"
 )
 
 

@@ -3,8 +3,9 @@
 Lanes are combinational.  For a stateless combinational design one
 N-vector :class:`BatchSimulator` settle must equal the per-vector scalar
 outputs (compiled and interpreter, stepped in order on one simulator);
-every other design must raise :class:`UnbatchableDesign` at lowering,
-and its sweep — the scalar replay every caller falls back to — must
+every other design must raise :class:`UnbatchableDesign` at lowering
+(its base :class:`UncompilableDesign` when it does not levelize), and
+its sweep — the scalar replay every caller falls back to — must
 equal the interpreter's.  The oracle runs across every generator family,
 the vereval problem set and hypothesis draws.  The persistent compile
 cache (:mod:`repro.sim.cache`) must round-trip artifacts with identical
@@ -26,6 +27,7 @@ from repro.sim import (
     CompiledSimulator,
     Simulator,
     UnbatchableDesign,
+    UncompilableDesign,
     batch_design,
     elaborate,
     equivalence_check,
@@ -234,13 +236,14 @@ class TestOneLaneFacade:
         assert_lane_oracle(module, 24, seeds=[13])
 
     def test_scalar_fallback_for_unlevelizable(self):
-        # Comb loop: unbatchable and unlevelizable; the scalar path every
-        # caller falls back to classifies the loop.
+        # Comb loop: unlevelizable, so neither lanes nor the compiled
+        # backend lower it; the scalar path every caller falls back to
+        # ("auto": the interpreter) classifies the loop.
         source = (
             "module m(output y); wire a, b;"
             " assign a = ~b; assign b = a; assign y = a; endmodule"
         )
-        with pytest.raises(UnbatchableDesign):
+        with pytest.raises(UncompilableDesign, match="does not levelize"):
             batch_design(build(source, "m"), 2)
         with pytest.raises(SimulationError) as err:
             Simulator(build(source, "m"))
@@ -316,7 +319,7 @@ class TestErrorClassificationPerLane:
             " assign y = a; assign y = b; endmodule"
         )
         design = build(source, "m")
-        with pytest.raises(UnbatchableDesign):
+        with pytest.raises(UncompilableDesign, match="does not levelize"):
             batch_design(design, 3)
         swept = sweep_random_stimulus(design, 8, range(3), clock=None)
         reference = sweep_random_stimulus(
@@ -341,11 +344,14 @@ class TestBatchTestbench:
         assert sim.peek_lanes("y").tolist() == [11, 22, 33, 44]
 
     def test_unbatchable_design_raises_at_construction(self):
-        # Not levelizable, then one design per kind of state or select
-        # lvalue lanes refuse.
+        # Not levelizable: the scheduler's refusal, which lanes share.
+        with pytest.raises(UncompilableDesign, match="does not levelize"):
+            BatchSimulator(build(
+                "module m(input a, output y); assign y = a; assign y = ~a;"
+                " endmodule", "m"
+            ), 2)
+        # Then one design per kind of state or select lvalue lanes refuse.
         for source in (
-            "module m(input a, output y); assign y = a; assign y = ~a;"
-            " endmodule",
             "module m(input clk, input a, output reg y);"
             " always @(posedge clk) y <= a; endmodule",
             "module m(input a, output reg y); initial y = 1;"

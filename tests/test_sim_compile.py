@@ -25,6 +25,7 @@ from repro.sim import (
     InterpreterSimulator,
     Simulator,
     Testbench,
+    UncompilableDesign,
     compile_design,
     default_backend,
     elaborate,
@@ -119,24 +120,30 @@ class TestErrorClassification:
     )
 
     def test_comb_loop_detected_by_both(self):
-        for backend in ("compiled", "interp"):
-            with pytest.raises(SimulationError) as err:
+        # A loop does not levelize: "auto" runs it on the interpreter,
+        # whose fixpoint classifies it, and "compiled" refuses it.
+        for backend in ("auto", "interp"):
+            with pytest.raises(SimulationError, match="combinational loop"):
                 Simulator(build(self.LOOP, "m"), backend=backend)
-            assert "combinational loop" in str(err.value)
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(self.LOOP, "m"), backend="compiled")
 
     def test_loop_design_is_not_levelized(self):
-        compiled = compile_design(build(self.LOOP, "m"))
-        assert not compiled.levelized
+        with pytest.raises(UncompilableDesign, match="combinational cycle"):
+            compile_design(build(self.LOOP, "m"))
 
     def test_multi_driver_oscillation_matches(self):
         source = (
             "module m(input a, input b, output y);"
             " assign y = a; assign y = b; endmodule"
         )
-        for backend in ("compiled", "interp"):
+        for backend in ("auto", "interp"):
             sim = Simulator(build(source, "m"), backend=backend)
+            assert isinstance(sim, InterpreterSimulator)
             with pytest.raises(SimulationError):
                 sim.poke("a", 1)  # drivers disagree -> never settles
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(source, "m"), backend="compiled")
 
     def test_unknown_signal_errors_match(self):
         design = build("module m(input a, output y); assign y = a;"
@@ -146,12 +153,25 @@ class TestErrorClassification:
             with pytest.raises(SimulationError):
                 sim.peek("ghost")
 
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_unknown_memory_peek_errors_match(self, backend):
+        sim = Simulator(build(
+            "module m(input clk, input [1:0] a, input [3:0] d);"
+            " reg [3:0] mem [0:3]; always @(posedge clk) mem[a] <= d;"
+            " endmodule", "m"
+        ), backend=backend)
+        assert sim.peek_mem("mem", 3) == 0
+        with pytest.raises(SimulationError, match="unknown memory 'ghost'"):
+            sim.peek_mem("ghost", 0)
+        with pytest.raises(SimulationError, match="out of range"):
+            sim.peek_mem("mem", 4)
+
 
 class TestFallbackModes:
     def test_self_assign_falls_back_to_fixpoint(self):
         # `assign x = x | a` reads what it drives: a real self-edge, not
-        # levelizable, still cycle-identical via the compiled fixpoint
-        # fallback.
+        # levelizable.  "auto" runs it on the interpreter's fixpoint;
+        # "compiled" refuses it.
         source = (
             "module m(input clk, input [3:0] a, output wire [3:0] x,"
             " output reg [3:0] q);"
@@ -159,11 +179,13 @@ class TestFallbackModes:
             " always @(posedge clk) q <= q + x;"
             " endmodule"
         )
-        compiled = compile_design(build(source, "m"))
-        assert not compiled.levelized
+        with pytest.raises(UncompilableDesign, match="reads a signal it"):
+            compile_design(build(source, "m"))
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(source, "m"), backend="compiled")
         sims = [Simulator(build(source, "m"), backend=b)
-                for b in ("compiled", "interp")]
-        assert isinstance(sims[0], CompiledSimulator)
+                for b in ("auto", "interp")]
+        assert all(isinstance(sim, InterpreterSimulator) for sim in sims)
         for sim in sims:
             for a in (0b0001, 0b0100, 0b0001, 0b1000, 0b0000):
                 sim.poke("a", a)
@@ -198,10 +220,13 @@ class TestFallbackModes:
             "module m(input [3:0] a, input [3:0] b, output [7:0] y);"
             " assign y[3:0] = a; assign y[7:4] = b; endmodule"
         )
-        compiled = compile_design(build(source, "m"))
-        assert not compiled.levelized  # two comb drivers of y
+        with pytest.raises(UncompilableDesign, match="several"):
+            compile_design(build(source, "m"))  # two comb drivers of y
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(source, "m"), backend="compiled")
         sims = [Simulator(build(source, "m"), backend=b)
-                for b in ("compiled", "interp")]
+                for b in ("auto", "interp")]
+        assert all(isinstance(sim, InterpreterSimulator) for sim in sims)
         for sim in sims:
             sim.poke("a", 0x5)
             sim.poke("b", 0xA)
@@ -290,6 +315,39 @@ class TestPokeSemantics:
             sim.poke_many({"strobe": 1, "d": 9})
             assert sim.peek("q") == 9, backend
 
+    #: name -> (source, the two trigger inputs, rounds, final values)
+    TWO_TRIGGERS = {
+        "clock_or_async_reset": (
+            "module m(input clk, input arst, output reg [3:0] q);"
+            " always @(posedge clk or posedge arst) q <= q + 1; endmodule",
+            ("clk", "arst"), 2, {"q": 2},
+        ),
+        "block_reads_the_other_blocks_register": (
+            "module m(input a, input b, output reg [3:0] q,"
+            " output reg [3:0] p);"
+            " always @(posedge a) q <= q + 1;"
+            " always @(posedge b) p <= p + q; endmodule",
+            ("a", "b"), 4, {"q": 4, "p": 6},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TWO_TRIGGERS))
+    def test_two_trigger_bits_in_one_poke_many_are_one_event(self, name):
+        # One call moves both trigger bits: the union of the triggered
+        # blocks runs once, with one nonblocking commit.  One edge
+        # function per moved bit in sequence would fire the shared block
+        # twice, or let `p` read the `q` the first edge just committed.
+        source, inputs, rounds, want = self.TWO_TRIGGERS[name]
+        sims = [Simulator(build(source, "m"), backend=b)
+                for b in ("compiled", "interp")]
+        assert isinstance(sims[0], CompiledSimulator)
+        for _ in range(rounds):
+            for level in (1, 0):
+                for sim in sims:
+                    sim.poke_many(dict.fromkeys(inputs, level))
+                assert sims[0].state == sims[1].state
+        assert {signal: sims[0].peek(signal) for signal in want} == want
+
     def test_poke_many_no_change_is_free(self):
         design = build(
             "module m(input [3:0] a, output [3:0] y); assign y = a;"
@@ -358,9 +416,9 @@ class TestBackendSelection:
 
 
 class TestBitGranularDirty:
-    """Partial writes to a wide bus under the hand-``poke`` protocol:
-    dirtiness is per slot, so every reader of the bus re-runs, and each
-    slice reads what the interpreter reads."""
+    """Partial writes to a wide bus under the hand-``poke`` protocol: the
+    settle after the edge is one full ``comb`` pass, so every reader of
+    the bus re-runs, and each slice reads what the interpreter reads."""
 
     _SLICES = """module slices(
   input clk, input [7:0] d,
@@ -418,20 +476,22 @@ def _outcome(call):
 
 def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
                 cycles=32, stim_seed=11, exclude=None):
-    """Kernel on a compiled sim vs the literal sequence on a second
-    compiled sim vs the literal sequence on the interpreter: output
-    tuples and the *whole* state after every cycle, errors included.
+    """Kernel on an ``"auto"`` sim vs the literal sequence on a second
+    one vs the literal sequence on the interpreter: output tuples and the
+    *whole* state after every cycle, errors included.
 
-    Returns ``(path, error)``: which kernel the compiled simulator built
-    (``"specialised"`` | ``"generic"``) and the ``(cycle, message)`` all three
-    stopped at, or None.
+    Returns ``(path, error)``: which kernel the ``"auto"`` simulator built
+    (``"specialised"`` | ``"generic"`` on the compiled backend,
+    ``"interp"`` when the design does not compile) and the ``(cycle,
+    message)`` all three stopped at, or None.
     """
     kernel, literal, interp = (
         Testbench(build(source, top), clock, reset, reset_active_high,
                   backend=backend)
-        for backend in ("compiled", "compiled", "interp")
+        for backend in ("auto", "auto", "interp")
     )
-    assert isinstance(kernel.sim, CompiledSimulator)
+    compiled = isinstance(kernel.sim, CompiledSimulator)
+    assert compiled or isinstance(kernel.sim, InterpreterSimulator)
     assert isinstance(interp.sim, InterpreterSimulator)
     for bench in (kernel, literal, interp):
         bench.apply_reset()
@@ -443,10 +503,15 @@ def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
     before = obs.counters("sim.kernel.")
     step = kernel.sim.cycle_fn(kernel.clock, names, outputs)
     after = obs.counters("sim.kernel.")
-    # exactly one path counter moves, by one, per kernel built
-    (path,) = [n for n in after if after[n] != before.get(n, 0)]
-    assert after[path] - before.get(path, 0) == 1
-    path = path.rsplit(".", 1)[1]
+    # exactly one path counter moves, by one, per compiled kernel built
+    moved = [n for n in after if after[n] != before.get(n, 0)]
+    if compiled:
+        (path,) = moved
+        assert after[path] - before.get(path, 0) == 1
+        path = path.rsplit(".", 1)[1]
+    else:
+        assert moved == []
+        path = "interp"
     for cycle, row in enumerate(rows):
         got = _outcome(lambda: step(row))
         assert got == _outcome(lambda: literal_cycle(
@@ -455,8 +520,8 @@ def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
             interp.sim, interp.clock, names, outputs, row)), (top, cycle)
         if got[0] == "error":
             return path, (cycle, got[1])
-        assert kernel.sim.st == literal.sim.st, (top, cycle)
-        assert kernel.sim.mem_data == literal.sim.mem_data, (top, cycle)
+        assert kernel.sim.state == literal.sim.state, (top, cycle)
+        assert kernel.sim.mems == literal.sim.mems, (top, cycle)
         assert kernel.sim.state == interp.sim.state, (top, cycle)
         assert kernel.sim.mems == interp.sim.mems, (top, cycle)
     return path, None
@@ -473,7 +538,8 @@ def module_trio(module, source=None, **kwargs):
 
 #: name -> (source, kernel_trio kwargs, expected path, expected error)
 #: — designs that must stay on the generic kernel, designs the
-#: specialised one must still cascade on, and the output-count corners.
+#: specialised one must still cascade on, designs that do not levelize
+#: and so run on the interpreter, and the output-count corners.
 GALLERY = {
     "plain_counter": (
         "module m(input clk, input rst, input en, output reg [3:0] q);"
@@ -481,14 +547,17 @@ GALLERY = {
         " endmodule",
         {"reset": "rst"}, "specialised", None,
     ),
+    # `y` and `n` read what the cascade wrote: they move only if the
+    # cascade settles after its blocks
     "gated_clock": (
-        "module m(input clk, input en, input d, output reg q);"
-        " wire gclk; assign gclk = clk & en;"
+        "module m(input clk, input en, input d, output reg q, output y);"
+        " wire gclk; assign gclk = clk & en; assign y = ~q;"
         " always @(posedge gclk) q <= d; endmodule",
         {}, "generic", None,
     ),
     "ripple_counter": (
-        "module m(input clk, output reg q0, output reg q1, output reg q2);"
+        "module m(input clk, output reg q0, output reg q1, output reg q2,"
+        " output [2:0] n); assign n = {q2, q1, q0};"
         " always @(posedge clk) q0 <= ~q0;"
         " always @(negedge q0) q1 <= ~q1;"
         " always @(negedge q1) q2 <= ~q2; endmodule",
@@ -540,26 +609,26 @@ GALLERY = {
     ),
     # ... and nothing else that reads its own target is: a part-select
     # self-assign, a real feedback and a concatenation lvalue stay
-    # self-edges on the generic kernel.
+    # self-edges, which do not compile and run on the interpreter.
     "part_select_self_assign": (
         "module m(input clk, input en, output wire [3:0] count);"
         " reg [3:0] count;"
         " always @(posedge clk) if (en) count <= count + 1'b1;"
         " assign count[1:0] = count[1:0]; endmodule",
-        {}, "generic", None,
+        {}, "interp", None,
     ),
     "self_feedback": (
         "module m(input clk, input [3:0] a, output wire [3:0] x,"
         " output reg [3:0] q);"
         " assign x = x | a; always @(posedge clk) q <= q + x; endmodule",
-        {}, "generic", None,
+        {}, "interp", None,
     ),
     "concat_self_assign": (
         "module m(input clk, input en, output wire [3:0] count);"
         " reg [3:0] count;"
         " always @(posedge clk) if (en) count <= count + 1'b1;"
         " assign {count} = count; endmodule",
-        {}, "generic", None,
+        {}, "interp", None,
     ),
     "oscillating_clock_loop": (
         "module m(input clk, output reg a, output reg b);"
@@ -607,10 +676,11 @@ GALLERY = {
         " always @(posedge strobe) q <= d; endmodule",
         {"clock": None}, "generic", None,
     ),
+    # two comb drivers of y: does not levelize
     "unclocked_partial_assigns": (
         "module m(input [3:0] a, input [3:0] b, output [7:0] y);"
         " assign y[3:0] = a; assign y[7:4] = b; endmodule",
-        {"clock": None}, "generic", None,
+        {"clock": None}, "interp", None,
     ),
     "unclocked": (
         "module m(input [3:0] a, input [3:0] b, output [4:0] y);"
@@ -767,7 +837,7 @@ class TestCycleKernel:
     def test_vereval_goldens_and_near_misses(self):
         problems = build_problem_set(n_problems=60)
         assert len(problems) == 60
-        paths = {"specialised": 0, "generic": 0}
+        paths = {"specialised": 0, "generic": 0, "interp": 0}
         for problem in problems:
             sources = [problem.golden_source]
             sources += [m.source for m in mutate(problem.module)]
@@ -780,8 +850,8 @@ class TestCycleKernel:
                 paths[path] += 1
         # Every golden and mutant takes the fused kernel, the five
         # `assign count = count` counters included (an identity does not
-        # block levelization); the gallery holds the generic side.
-        assert paths == {"specialised": 164, "generic": 0}
+        # block levelization); the gallery holds the other sides.
+        assert paths == {"specialised": 164, "generic": 0, "interp": 0}
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -799,7 +869,7 @@ class TestCycleKernel:
     def test_gallery(self, name):
         source, kwargs, want_path, want_error = GALLERY[name]
         path, error = kernel_trio(source, "m", **kwargs)
-        # The companion assertion: the gallery provably holds both sides.
+        # The companion assertion: the gallery provably holds every side.
         assert path == want_path
         assert error == want_error
 
@@ -878,8 +948,8 @@ class TestCycleKernel:
 #: every identifier the emitter may write: state, its own locals and
 #: temporaries, the functions it defines, the helpers ``_load`` binds
 _TEXT_NAMES = re.compile(
-    r"st|mems|nba|ch|mo|k|v|W|N|comb|commit|parity|clog2|sdivmod|loop_error"
-    r"|[bnstgi]\d+|e[01]_\d+"
+    r"st|mems|nba|mo|k|W|comb|commit|parity|clog2|sdivmod|loop_error"
+    r"|[bnsti]\d+|e[01]_\d+"
 )
 _TEXT_HELPERS = {"comb", "commit", "parity", "clog2", "sdivmod", "loop_error"}
 _TEXT_NODES = (
@@ -905,7 +975,7 @@ def assert_text_is_closed(design):
                 assert _TEXT_NAMES.fullmatch(node.name), (form, node.name)
                 assert not node.decorator_list
                 assert [a.arg for a in node.args.args] in (
-                    ["st", "mems"], ["st", "mems", "nba", "ch"]
+                    ["st", "mems"], ["st", "mems", "nba"]
                 )
             elif isinstance(node, python_ast.Call):
                 assert isinstance(node.func, python_ast.Name), form
@@ -953,8 +1023,12 @@ class TestGeneratedTextIsClosed:
                 assert_text_is_closed(build(source, problem.module.name))
 
     def test_gallery(self):
-        for source, _, _, _ in GALLERY.values():
-            assert_text_is_closed(build(source, "m"))
+        for source, _, path, _ in GALLERY.values():
+            if path == "interp":  # does not compile: no text at all
+                with pytest.raises(UncompilableDesign):
+                    compile_design(build(source, "m"))
+            else:
+                assert_text_is_closed(build(source, "m"))
 
     _HOSTILE = """module child(input clk, input [7:0] d, output reg [7:0] q);
   reg [7:0] mem [0:3];
@@ -1010,6 +1084,7 @@ endmodule
         )
         sim = Simulator(design, backend="compiled")
         sim.poke("hostile name", 3)
+        sim.poke("clk", 1)  # an edge outside the kernel: the generic form
         compiled = sim.cdesign
         assert sorted(compiled.code) == ["fused", "generic"]
 
@@ -1174,30 +1249,34 @@ class TestCodePersistence:
     def test_previous_version_counter_image_is_not_reused(
         self, tmp_path, monkeypatch
     ):
-        """A counter stored by the previous backend version carries a
-        non-levelized schedule: ``get_design`` misses on it, and the
-        re-elaborated design takes the fused kernel."""
+        """A counter stored by the previous backend version carries
+        generic code whose blocks take a fourth argument and whose
+        ``commit`` takes six: served, it breaks the first edge cascade;
+        ``get_design`` misses on it, and the re-elaborated design takes
+        the fused kernel."""
         from repro.sim import cache as sim_cache
-        from repro.sim import compile as sim_compile
 
         source = GALLERY["identity_self_assign_counter"][0]
         previous = sim_cache.configure(str(tmp_path))
         try:
-            # the previous version's lowering: the self-assign is a
-            # self-edge, and its image ran the generic form
+            stale = build(source, "m")
+            Simulator(stale, backend="compiled").poke("clk", 1)
+            assert sorted(stale._compiled.code) == ["fused", "generic"]
+            # the previous version's generic text for this block
+            stale._compiled.code["generic"] = compile(
+                "def s0(st, mems, nba, ch):\n"
+                " commit(st, mems, nba, W, N, ch)\n",
+                "<repro.sim.compile>", "exec", dont_inherit=True,
+            )
+            assert sim_cache.put_design(source, "m", stale)
+            served = sim_cache.get_design(source, "m")
+            with pytest.raises(TypeError):
+                Simulator(served, backend="compiled").poke("clk", 1)
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    sim_compile._Compiler, "_is_identity",
-                    lambda self, assign: False,
-                )
                 patch.setattr(
                     sim_cache, "BACKEND_VERSION",
                     sim_cache.BACKEND_VERSION - 1,
                 )
-                stale = build(source, "m")
-                assert kernel_trio(source, "m")[0] == "generic"
-                Testbench(stale, "clk", backend="compiled").step({"en": 1})
-                assert not stale._compiled.levelized
                 assert sim_cache.put_design(source, "m", stale)
             mismatch = obs.counter_value("sim.cache.version_mismatch")
             miss = obs.counter_value("sim.cache.miss")
@@ -1225,7 +1304,7 @@ class TestCodePersistence:
 
         design = build(self.SOURCE, "m")
         want = self._run(design)
-        Simulator(design, backend="compiled").poke("d", 1)  # both forms
+        Simulator(design, backend="compiled").poke("clk", 1)  # both forms
         stage = CheckStage({"task": _DesignChecker(design)}, cache_dir="")
         clone = pickle.loads(pickle.dumps(stage)).checkers["task"].design
         assert sorted(clone._compiled.code) == ["fused", "generic"]

@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     BatchSimulator,
+    InterpreterSimulator,
+    Simulator,
     UnbatchableDesign,
+    UncompilableDesign,
     batch_design,
     build_lockstep_group,
     compile_design,
@@ -249,8 +252,13 @@ endmodule
         ).replace(
             "stage <= a ^ b;", "stage <= a ^ b; big <= {56'd0, b};"
         )
-        # the multi-driver sibling replays on the generic kernel path
-        assert not compile_design(build(multi_driver, "dut")).levelized
+        # the multi-driver sibling does not compile: it replays on the
+        # interpreter
+        with pytest.raises(UncompilableDesign, match="does not levelize"):
+            compile_design(build(multi_driver, "dut"))
+        assert isinstance(
+            Simulator(build(multi_driver, "dut")), InterpreterSimulator
+        )
         sources = [_dut(), _dut(op_mix="b & a"), multi_driver, wide]
         assert_lockstep_identical(problem, sources)
 
