@@ -14,8 +14,8 @@ their sizes: the lane-per-candidate tier's last table is
 replace them, are ``BENCH_24.json`` → ``deleted_ab`` /
 ``lane_sweep_crossover``.)
 
-``bench_sim_perf.py`` and ``bench_eval_perf.py`` guard the scalar paths;
-this file only adds claims, it does not relax theirs.
+``bench_sim_perf.py`` guards the scalar paths; this file only adds
+claims and relaxes none of that file's.
 """
 
 import gc

@@ -14,8 +14,7 @@ Claims, measured at bench scale:
   n-gram sampler is the floor and the ratio shrinks toward 1).
 
 Both comparisons run the *current* harness code on both backends, so the
-deltas isolate the execution backend (unlike ``bench_eval_perf.py``,
-whose baseline freezes the seed-era evaluation loop).
+deltas isolate the execution backend.
 """
 
 import gc

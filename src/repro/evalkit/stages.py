@@ -114,7 +114,7 @@ class GenerationStage(MapStage):
 
 
 @register_stage("eval_check")
-class CheckStage(MapStage):
+class CheckStage(Stage):
     """Score each completion via its task's checker (the hot stage).
 
     Chunks are checked *per task, per chunk* rather than per record:
@@ -152,9 +152,6 @@ class CheckStage(MapStage):
         if self.cache_dir:
             sim_cache.configure(self.cache_dir)
         self.cegis_config = cegis.active_config()
-
-    def map_item(self, record: SampleRecord) -> SampleRecord:
-        return self.checkers[record.task_id].check(record)
 
     @staticmethod
     def _note_candidate(record: SampleRecord) -> None:

@@ -32,7 +32,6 @@ from repro.vereval.harness import (
     EvalConfig,
     EvalResult,
     ProblemOutcome,
-    check_candidate_source,
     check_candidates_lockstep,
 )
 from repro.vereval.passk import mean_pass_at_k
@@ -102,8 +101,7 @@ class PassAtKChecker:
     completions of one problem inside a chunk check together through
     :func:`~repro.vereval.harness.check_candidates_lockstep` (one golden
     lookup and one stimulus-row derivation per problem, one check per
-    distinct source) — with verdicts identical to :meth:`check` per
-    record.
+    distinct source); :meth:`check` is a chunk of one.
     """
 
     _VERDICT_CACHE_MAX = 8192
@@ -122,23 +120,14 @@ class PassAtKChecker:
         self._verdicts[key] = verdict
 
     def check(self, record: SampleRecord) -> SampleRecord:
-        key = (record.unit_index, record.completion)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = check_candidate_source(
-                self.problems[record.unit_index],
-                record.prompt + record.completion,
-            )
-            self._memoize(key, verdict)
-        record.passed, record.failure_reason = verdict
-        return record
+        return self.check_batch([record])[0]
 
     def check_batch(self, records: Sequence[SampleRecord]):
         """Verdicts for a whole chunk, pooled per problem.
 
-        Equivalent to ``[self.check(r) for r in records]`` (same memo,
-        same verdicts, same order) but unmemoized completions of one
-        problem are checked in one ``check_candidates_lockstep`` call.
+        Memoized completions reuse their verdict; the unmemoized
+        completions of one problem are checked in one
+        ``check_candidates_lockstep`` call.  Records come back in order.
         """
         records = list(records)
         # Snapshot the verdicts this chunk needs before inserting fresh

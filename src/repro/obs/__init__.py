@@ -8,11 +8,10 @@ engine → evalkit → sim stack:
   returns a context manager; when the mode is ``off`` it is a shared
   no-op object, so instrumentation sites cost one branch plus a kwargs
   dict.
-* **Metrics** — a process-wide registry of counters, gauges, and
-  histograms (``count`` / ``gauge`` / ``observe``).  Metrics are always
-  recorded (they are dict updates at episode granularity, never in
-  per-cycle loops), so e.g. :func:`repro.sim.cache.stats` works even
-  with tracing off.
+* **Metrics** — a process-wide registry of counters and gauges
+  (``count`` / ``gauge``).  Metrics are always recorded (they are dict
+  updates at episode granularity, never in per-cycle loops), so e.g.
+  :func:`repro.sim.cache.stats` works even with tracing off.
 * **Process-pool correctness** — recording goes to the top of a *frame
   stack*.  :func:`repro.engine.executor.apply_stages` pushes a fresh
   frame per chunk and ships the drained :class:`ObsBuffer` home inside
@@ -57,7 +56,6 @@ __all__ = [
     "event",
     "count",
     "gauge",
-    "observe",
     "counters",
     "counter_value",
     "push_frame",
@@ -103,56 +101,10 @@ class SpanEvent:
     attrs: Dict[str, Any] = field(default_factory=dict)
 
 
-class _Histogram:
-    """Count/sum/min/max accumulator (value distribution summary)."""
-
-    __slots__ = ("n", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.n += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def merge(self, other: Tuple[int, float, float, float]) -> None:
-        n, total, vmin, vmax = other
-        self.n += n
-        self.total += total
-        if vmin < self.min:
-            self.min = vmin
-        if vmax > self.max:
-            self.max = vmax
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.n,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min if self.n else 0.0,
-            "max": self.max if self.n else 0.0,
-        }
-
-    def state(self) -> Tuple[int, float, float, float]:
-        return (self.n, self.total, self.min, self.max)
-
-
 class _Frame:
     """One collector frame: events, span aggregates, and metrics."""
 
-    __slots__ = ("events", "agg", "counters", "gauges", "hists",
-                 "stack", "next_id")
+    __slots__ = ("events", "agg", "counters", "gauges", "stack", "next_id")
 
     def __init__(self) -> None:
         self.events: List[SpanEvent] = []
@@ -160,16 +112,12 @@ class _Frame:
         self.agg: Dict[str, List[float]] = {}
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.hists: Dict[str, _Histogram] = {}
         #: ids of currently open spans (trace mode parenting)
         self.stack: List[int] = []
         self.next_id = 1
 
     def empty(self) -> bool:
-        return not (
-            self.events or self.agg or self.counters or self.gauges
-            or self.hists
-        )
+        return not (self.events or self.agg or self.counters or self.gauges)
 
 
 @dataclass
@@ -180,15 +128,9 @@ class ObsBuffer:
     agg: Dict[str, List[float]] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    hists: Dict[str, Tuple[int, float, float, float]] = field(
-        default_factory=dict
-    )
 
     def __bool__(self) -> bool:
-        return bool(
-            self.events or self.agg or self.counters or self.gauges
-            or self.hists
-        )
+        return bool(self.events or self.agg or self.counters or self.gauges)
 
 
 _frames: List[_Frame] = [_Frame()]
@@ -369,15 +311,6 @@ def gauge(name: str, value: float) -> None:
     _frames[-1].gauges[name] = value
 
 
-def observe(name: str, value: float) -> None:
-    """Record ``value`` into histogram ``name``."""
-    hists = _frames[-1].hists
-    hist = hists.get(name)
-    if hist is None:
-        hist = hists[name] = _Histogram()
-    hist.observe(value)
-
-
 def counter_value(name: str) -> float:
     """Current value of one counter, summed across the frame stack."""
     return sum(frame.counters.get(name, 0) for frame in _frames)
@@ -413,7 +346,6 @@ def pop_frame() -> Optional[ObsBuffer]:
         agg=frame.agg,
         counters=frame.counters,
         gauges=frame.gauges,
-        hists={name: h.state() for name, h in frame.hists.items()},
     )
 
 
@@ -451,11 +383,6 @@ def merge_buffer(buffer: Optional[ObsBuffer]) -> None:
     for name, value in buffer.counters.items():
         frame.counters[name] = frame.counters.get(name, 0) + value
     frame.gauges.update(buffer.gauges)
-    for name, state in buffer.hists.items():
-        hist = frame.hists.get(name)
-        if hist is None:
-            hist = frame.hists[name] = _Histogram()
-        hist.merge(state)
 
 
 def snapshot() -> ObsBuffer:
@@ -467,7 +394,6 @@ def snapshot() -> ObsBuffer:
             agg={k: list(v) for k, v in frame.agg.items()},
             counters=dict(frame.counters),
             gauges=dict(frame.gauges),
-            hists={k: h.state() for k, h in frame.hists.items()},
         )
         for name, (n, wall, cpu) in merge.agg.items():
             entry = merged.agg.get(name)
@@ -481,17 +407,6 @@ def snapshot() -> ObsBuffer:
         for name, value in merge.counters.items():
             merged.counters[name] = merged.counters.get(name, 0) + value
         merged.gauges.update(merge.gauges)
-        for name, state in merge.hists.items():
-            if name in merged.hists:
-                n, total, vmin, vmax = merged.hists[name]
-                merged.hists[name] = (
-                    n + state[0],
-                    total + state[1],
-                    min(vmin, state[2]),
-                    max(vmax, state[3]),
-                )
-            else:
-                merged.hists[name] = state
     return merged
 
 

@@ -4,7 +4,7 @@ Three artifacts per traced run, written into one run subdirectory:
 
 * ``events.jsonl`` — one JSON object per line: a ``meta`` header, every
   span (``type: "span"``), then the final metric values (``counter`` /
-  ``gauge`` / ``histogram``).  This is the machine-readable log
+  ``gauge``).  This is the machine-readable log
   ``tools/trace_report.py`` consumes and the stream a future cluster
   coordinator would ship over the wire.
 * ``trace.json`` — Chrome/Perfetto ``trace_event`` JSON (``ph: "X"``
@@ -49,8 +49,6 @@ class RunTelemetry:
     spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    #: histogram name -> {count, sum, mean, min, max}
-    histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def wall_seconds(self) -> float:
@@ -64,7 +62,6 @@ class RunTelemetry:
             "spans": self.spans,
             "counters": self.counters,
             "gauges": self.gauges,
-            "histograms": self.histograms,
         }
 
     def to_text(self) -> str:
@@ -90,15 +87,6 @@ class RunTelemetry:
             width = max(len(name) for name in self.gauges)
             for name in sorted(self.gauges):
                 lines.append(f"  {name:<{width}}  {self.gauges[name]:g}")
-        if self.histograms:
-            lines.append("histograms:")
-            width = max(len(name) for name in self.histograms)
-            for name in sorted(self.histograms):
-                h = self.histograms[name]
-                lines.append(
-                    f"  {name:<{width}}  n={int(h['count']):<7} "
-                    f"mean={h['mean']:g} min={h['min']:g} max={h['max']:g}"
-                )
         return "\n".join(lines)
 
 
@@ -114,22 +102,12 @@ def telemetry_from_buffer(
         }
         for name, (n, wall, cpu) in buffer.agg.items()
     }
-    histograms = {}
-    for name, (n, total, vmin, vmax) in buffer.hists.items():
-        histograms[name] = {
-            "count": n,
-            "sum": total,
-            "mean": total / n if n else 0.0,
-            "min": vmin if n else 0.0,
-            "max": vmax if n else 0.0,
-        }
     return RunTelemetry(
         run=run,
         mode=mode,
         spans=spans,
         counters=dict(buffer.counters),
         gauges=dict(buffer.gauges),
-        histograms=histograms,
     )
 
 
@@ -167,12 +145,6 @@ def write_events_jsonl(
             handle.write(json.dumps(
                 {"type": "gauge", "name": name,
                  "value": buffer.gauges[name]}, sort_keys=True))
-            handle.write("\n")
-        for name in sorted(buffer.hists):
-            n, total, vmin, vmax = buffer.hists[name]
-            handle.write(json.dumps(
-                {"type": "histogram", "name": name, "count": n,
-                 "sum": total, "min": vmin, "max": vmax}, sort_keys=True))
             handle.write("\n")
 
 

@@ -71,7 +71,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.policy import env_int
-from repro.errors import SimulationError
 from repro.sim import cache as sim_cache
 from repro.sim.testbench import (
     EquivalenceResult,
@@ -391,8 +390,7 @@ class _EntryRef:
     """A distinguishing vector dressed as a golden ref.
 
     Duck-types exactly the fields
-    :func:`repro.vereval.harness._check_against_trace` and
-    :func:`~repro.vereval.harness._check_many_against_trace` read, so
+    :func:`repro.vereval.harness._check_many_against_trace` reads, so
     entry replay reuses the legacy machinery unchanged — signature gate,
     combinational all-vectors fast path, scalar replay.
     """
@@ -418,12 +416,9 @@ def _check_entry(
     """Scalar replay of one candidate against one entry."""
     from repro.vereval import harness
 
-    try:
-        return harness._check_against_trace(
-            _EntryRef(golden_ref, entry), candidate, problem
-        )
-    except SimulationError as exc:
-        return EquivalenceResult(equivalent=False, error=str(exc))
+    return harness._check_many_against_trace(
+        _EntryRef(golden_ref, entry), [candidate], problem
+    )[0]
 
 
 # -- falsification search ----------------------------------------------------
@@ -711,10 +706,10 @@ def check_designs(
     :func:`repro.vereval.harness._check_many_against_trace`: every
     candidate that function fails, this fails (stage 2 *is* that
     function), and the set pre-check and falsification search can only
-    convert passes into fails.  Called by the harness entry points when
-    :func:`active_config` is enabled; falls back to the legacy check
-    outright when the golden itself errored (CEGIS needs a healthy
-    golden to search against).
+    convert passes into fails.  The harness pool calls it for every
+    check; it is the legacy check outright when ``config`` (default
+    :func:`active_config`) is disabled or the golden itself errored
+    (CEGIS needs a healthy golden to search against).
     """
     from repro.vereval import harness
 

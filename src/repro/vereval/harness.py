@@ -13,15 +13,14 @@ Since the evalkit refactor this module plays two roles:
   the stimulus turned into value rows once per problem; the interpreter
   backend is cycle-identical and kicks in automatically for candidates
   the compiler cannot statically lower;
-* it owns the *pool* verdict path (:func:`check_candidates_lockstep`):
-  many candidates of one problem check in one call — duplicate sources
-  collapse to one check, and each distinct elaborating design then takes
-  exactly the path :func:`check_candidate_source` gives it: stateless
-  combinational candidates the all-vectors lane fast path
-  (:func:`_check_all_vectors_batch`, one stimulus vector per lane),
-  everything else the scalar replay against the golden trace, which
-  leaves a mutant at its first bad cycle — so verdicts are
-  candidate-for-candidate identical to the per-candidate loop;
+* the *pool* (:func:`check_candidates_lockstep`) is the only verdict
+  path; :func:`check_candidate_source` is a pool of one.  Many
+  candidates of one problem check in one call — duplicate sources
+  collapse to one check, and each distinct elaborating design then
+  takes one of two rungs: stateless combinational candidates the
+  all-vectors lane fast path (:func:`_check_all_vectors_batch`, one
+  stimulus vector per lane), everything else the scalar replay against
+  the golden trace, which leaves a mutant at its first bad cycle;
 * :func:`evaluate_model` is a thin facade compiling the paper's pass@k
   protocol into a :class:`repro.evalkit.EvalPlan`, which runs it through
   the streaming/parallel/checkpointable engine with numerically identical
@@ -345,41 +344,16 @@ def _interface_mismatch(
     )
 
 
-def _check_against_trace(
-    ref: _GoldenRef, candidate, problem: EvalProblem
-) -> EquivalenceResult:
-    """Candidate-only lockstep against the cached golden trace.
-
-    Mirrors :func:`repro.sim.equivalence_check` verdict-for-verdict: the
-    interface gate, error precedence (the golden design steps first each
-    cycle, so a golden simulation error at cycle ``c`` preempts both the
-    candidate's step and the output comparison at ``c``), and the
-    first-mismatch bookkeeping are all preserved.  Combinational
-    stateless candidates take the lane-parallel all-vectors fast path
-    (:func:`_check_all_vectors_batch`) with the identical verdict.
-    """
-    mismatch = _interface_mismatch(ref, candidate)
-    if mismatch is not None:
-        return mismatch
-    # Lockstep order is: golden bench built, candidate bench built,
-    # golden reset, candidate reset, then per cycle golden step before
-    # candidate step.  Golden-failure checks interleave with the
-    # candidate's own stages in exactly that order, so whichever design
-    # failed first in lockstep supplies the error string here too.
-    if ref.error_phase == "construct":
-        return EquivalenceResult(equivalent=False, error=ref.error)
-    return _replay_against_trace(
-        ref, candidate, problem, *stimulus_rows(ref.stimulus)
-    )
-
-
 def _replay_against_trace(
     ref: _GoldenRef, candidate, problem: EvalProblem,
     input_names: Tuple[str, ...], rows: List[Tuple[int, ...]],
 ) -> EquivalenceResult:
-    """:func:`_check_against_trace` past its two gates (interface,
-    golden construct error), over ``stimulus_rows(ref.stimulus)`` — which
-    :func:`_check_many_against_trace` derives once per problem."""
+    """One candidate past :func:`_check_many_against_trace`'s two gates.
+
+    The only place a candidate is simulated, so the only place a
+    ``SimulationError`` becomes a verdict (the all-vectors rung catches
+    its own; the replay's construct, reset and steps sit in the ``try``).
+    """
     fast = _check_all_vectors_batch(ref, candidate, problem)
     if fast is not None:
         return fast
@@ -428,13 +402,15 @@ def _replay_against_trace(
 def _check_many_against_trace(
     ref: _GoldenRef, candidates, problem: EvalProblem
 ) -> list:
-    """Verdicts for many candidates of one problem.
+    """Candidate-only lockstep against the cached golden trace.
 
-    Returns one :class:`EquivalenceResult` per candidate, identical to
-    calling :func:`_check_against_trace` per candidate: the same two
-    gates, then :func:`_replay_against_trace` over stimulus rows derived
-    once per problem.  A ``SimulationError`` escaping a check maps to the
-    ``"simulation"`` failure reason, as in :func:`check_candidate_source`.
+    Returns one :class:`EquivalenceResult` per candidate and mirrors
+    :func:`repro.sim.equivalence_check` verdict-for-verdict: the
+    interface gate, error precedence (the golden design steps first each
+    cycle, so a golden simulation error at cycle ``c`` preempts both the
+    candidate's step and the output comparison at ``c``), and the
+    first-mismatch bookkeeping.  The stimulus rows are derived once per
+    call, then each candidate runs :func:`_replay_against_trace`.
     """
     input_names, rows = stimulus_rows(ref.stimulus)
 
@@ -442,18 +418,20 @@ def _check_many_against_trace(
         mismatch = _interface_mismatch(ref, candidate)
         if mismatch is not None:
             return mismatch
+        # Lockstep order is: golden bench built, candidate bench built,
+        # golden reset, candidate reset, then per cycle golden step
+        # before candidate step.  Golden-failure checks interleave with
+        # the candidate's own stages in exactly that order, so whichever
+        # design failed first in lockstep supplies the error string.
         if ref.error_phase == "construct":
             return EquivalenceResult(equivalent=False, error=ref.error)
         # retire.scalar_replays is the name the perf ledger's layer walk
         # reads this count under
         obs.count("vereval.scalar_checks")
         obs.count("retire.scalar_replays")
-        try:
-            return _replay_against_trace(
-                ref, candidate, problem, input_names, rows
-            )
-        except SimulationError:
-            return EquivalenceResult(equivalent=False, error="simulation")
+        return _replay_against_trace(
+            ref, candidate, problem, input_names, rows
+        )
 
     return [check(candidate) for candidate in candidates]
 
@@ -463,22 +441,23 @@ def check_candidates_lockstep(
 ) -> List[Tuple[bool, str]]:
     """Functional verdicts for many candidate sources of one problem.
 
-    The batch counterpart of :func:`check_candidate_source`, guaranteed
-    to return exactly what a per-candidate loop would — the same
-    ``(passed, failure_reason)`` classification (``syntax`` /
-    ``internal`` / ``missing_module`` / ``elaboration`` / ``simulation``
-    / mismatch detail), in input order, duplicates included — while
-    doing the shared work once:
+    One ``(passed, failure_reason)`` per source, in input order,
+    duplicates included; the reason is ``""`` on success.  ``syntax`` is
+    only for actual lexer/parser errors; any other parse exception is a
+    harness bug and surfaces as ``internal`` instead of being miscounted
+    as a model failure.  The shared work is done once:
 
     * duplicate sources parse, elaborate, and check once;
     * the golden artifacts and the stimulus rows are derived once per
-      call, and each distinct elaborating design takes the same path
-      :func:`check_candidate_source` gives it — the all-vectors fast
-      path when it is stateless combinational, the scalar replay
-      otherwise (docs/architecture.md §4; the function keeps the name
-      the perf ledger and ``evalkit`` import it under);
+      call; :func:`repro.vereval.cegis.check_designs` (the plain trace
+      check unless CEGIS is enabled) gives each distinct elaborating
+      design the all-vectors fast path when it is stateless
+      combinational, the scalar replay otherwise (docs/architecture.md
+      §4; the name is the one the perf ledger and ``evalkit`` import);
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
-      candidates persist across workers/runs.
+      candidates persist by source hash, so a duplicate in another
+      worker or run skips lex/parse/elaborate — a hit implies the source
+      parsed and the module existed, so the classification is unchanged.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -542,18 +521,10 @@ def _check_candidates_lockstep(
     if checkable:
         from repro.vereval import cegis as _cegis
 
-        cfg = _cegis.active_config()
-        designs = [candidate for _, candidate, _ in checkable]
-        if cfg.enabled:
-            # Adversarial checking: distinguishing-set pre-check, the
-            # legacy full check for survivors, falsification search for
-            # passers — a strict refinement of the plain call below.
-            verdicts = _cegis.check_designs(
-                ref, designs, problem, config=cfg,
-                sources=[source for source, _, _ in checkable],
-            )
-        else:
-            verdicts = _check_many_against_trace(ref, designs, problem)
+        verdicts = _cegis.check_designs(
+            ref, [candidate for _, candidate, _ in checkable], problem,
+            sources=[source for source, _, _ in checkable],
+        )
         for (_, _, indices), verdict in zip(checkable, verdicts):
             if verdict.equivalent:
                 fill(indices, (True, ""))
@@ -585,57 +556,9 @@ def reset_caches() -> None:
 def check_candidate_source(
     problem: EvalProblem, candidate_source: str
 ) -> Tuple[bool, str]:
-    """Functional verdict for a full candidate module source.
-
-    Returns (passed, failure_reason); reason is "" on success.  Parsing
-    failures are classified ``syntax`` only for actual lexer/parser
-    errors; any other exception is a harness bug and surfaces as
-    ``internal`` instead of being miscounted as a model failure.  When
-    the :mod:`repro.sim.cache` disk tier is enabled, successfully
-    elaborated candidates are persisted by source hash, so duplicate
-    completions in other pool workers (and later runs) skip
-    lex/parse/elaborate entirely — a cache hit implies the source parsed
-    and the module existed, so the verdict classification is unchanged.
-    """
-    name = problem.module.name
-    candidate = sim_cache.get_design(candidate_source, name)
-    candidate_file = None
-    if candidate is None:
-        try:
-            candidate_file = parse_source_fast(candidate_source)
-        except (LexError, ParseError):
-            return False, "syntax"
-        except Exception:
-            return False, "internal"
-        if candidate_file.module(name) is None:
-            return False, "missing_module"
-    fresh = candidate is None
-    try:
-        ref = _golden_ref(problem)
-        if fresh:
-            candidate = elaborate(candidate_file, name)
-    except ElaborationError:
-        return False, "elaboration"
-    try:
-        from repro.vereval import cegis as _cegis
-
-        cfg = _cegis.active_config()
-        if cfg.enabled:
-            verdict = _cegis.check_designs(
-                ref, [candidate], problem,
-                sources=[candidate_source], config=cfg,
-            )[0]
-        else:
-            verdict = _check_against_trace(ref, candidate, problem)
-    except SimulationError:
-        return False, "simulation"
-    finally:
-        if fresh:
-            # after the check, so the entry carries the code it compiled
-            sim_cache.put_design(candidate_source, name, candidate)
-    if verdict.equivalent:
-        return True, ""
-    return False, verdict.error or "mismatch"
+    """``(passed, failure_reason)`` for one full candidate module source:
+    the pool of :func:`check_candidates_lockstep`, with one member."""
+    return check_candidates_lockstep(problem, [candidate_source])[0]
 
 
 def check_completion(

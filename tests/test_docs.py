@@ -81,9 +81,10 @@ def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
 
 
 #: names deleted with the lane-per-candidate checker tier, with spill
-#: lanes, with sequential lanes and with the compiled backend's
-#: dirty-cone and fixpoint settles; a mention outside this list is a doc
-#: or comment that outlived the code
+#: lanes, with sequential lanes, with the compiled backend's dirty-cone
+#: and fixpoint settles, with the per-candidate trace check and with the
+#: histogram metric kind; a mention outside this list is a doc or
+#: comment that outlived the code
 _DELETED_NAMES = re.compile(
     "LockstepSimulator|LockstepTestbench|_LaneTestbench|_run_lockstep_group"
     "|_candidate_shape_digest|_MIN_LOCKSTEP_LANES|LOCKSTEP_CHECK_ENABLED"
@@ -95,6 +96,7 @@ _DELETED_NAMES = re.compile(
     "|_sweep_lanes|_commit_nba_lanes|_emit_field_write|_emit_direct_field"
     '|_make_simulator|backend="batch"'
     "|_settle_levelized|_settle_fixpoint|_mark_external|pos_of"
+    "|_check_against_trace|_Histogram"
 )
 
 

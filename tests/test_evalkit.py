@@ -16,19 +16,14 @@ import json
 
 import pytest
 
+from oracle import lockstep_verdict
 from repro.copyright import CopyrightBenchmark
 from repro.core.freev import HeadlineReport
 from repro.engine import CheckpointStore, ParallelExecutor
-from repro.errors import (
-    ElaborationError,
-    EvaluationError,
-    SimulationError,
-)
+from repro.errors import EvaluationError
 from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
 from repro.llm.sampler import GenerationConfig
-from repro.sim import elaborate, equivalence_check, random_stimulus
 from repro.utils.rng import DeterministicRNG
-from repro.verilog import parse_source
 from repro.vereval import (
     EvalConfig,
     EvalResult,
@@ -41,42 +36,9 @@ from repro.vereval.passk import mean_pass_at_k
 
 
 # ---------------------------------------------------------------------------
-# The seed-era serial harnesses, frozen verbatim (pre-evalkit behavior).
+# The seed-era serial harnesses, frozen verbatim (pre-evalkit behavior);
+# the per-sample check is the lockstep reference in tests/oracle.py.
 # ---------------------------------------------------------------------------
-
-
-def _seed_check_completion(problem, completion):
-    candidate_source = problem.prompt() + completion
-    try:
-        candidate_file = parse_source(candidate_source)
-    except Exception:
-        return False, "syntax"
-    name = problem.module.name
-    if candidate_file.module(name) is None:
-        return False, "missing_module"
-    try:
-        golden = elaborate(parse_source(problem.golden_source), name)
-        candidate = elaborate(candidate_file, name)
-    except ElaborationError:
-        return False, "elaboration"
-    interface = problem.module.interface
-    stimulus = random_stimulus(
-        golden, problem.stimulus_cycles, seed=problem.stimulus_seed
-    )
-    try:
-        verdict = equivalence_check(
-            golden,
-            candidate,
-            stimulus,
-            clock=interface.clock,
-            reset=interface.reset,
-            reset_active_high=interface.reset_active_high,
-        )
-    except SimulationError:
-        return False, "simulation"
-    if verdict.equivalent:
-        return True, ""
-    return False, verdict.error or "mismatch"
 
 
 def _seed_evaluate_model(model, problems, config):
@@ -97,7 +59,7 @@ def _seed_evaluate_model(model, problems, config):
                     model.name, temperature, problem.problem_id, sample_index
                 ).seed
                 completion = model.generate(prompt, gen_config, seed=seed)
-                ok, reason = _seed_check_completion(problem, completion)
+                ok, reason = lockstep_verdict(problem, prompt + completion)
                 if ok:
                     passes += 1
                 else:

@@ -79,22 +79,6 @@ class TestMetrics:
         obs.gauge("g", 7.0)
         assert obs.snapshot().gauges["g"] == 7.0
 
-    def test_histogram_math(self):
-        for value in (1.0, 3.0, 8.0):
-            obs.observe("h", value)
-        n, total, vmin, vmax = obs.snapshot().hists["h"]
-        assert (n, total, vmin, vmax) == (3, 12.0, 1.0, 8.0)
-
-    def test_histogram_merge_across_buffers(self):
-        obs.push_frame()
-        obs.observe("h", 2.0)
-        obs.observe("h", 10.0)
-        buffer = obs.pop_frame()
-        obs.observe("h", 4.0)
-        obs.merge_buffer(buffer)
-        n, total, vmin, vmax = obs.snapshot().hists["h"]
-        assert (n, total, vmin, vmax) == (3, 16.0, 2.0, 10.0)
-
     def test_metrics_recorded_even_when_off(self):
         assert obs.mode() == obs.MODE_OFF
         obs.count("always.on")
@@ -156,7 +140,6 @@ class TestSpans:
         obs.push_frame()
         with obs.span("w"):
             obs.count("c", 2)
-            obs.observe("h", 1.5)
         buffer = obs.pop_frame()
         clone = pickle.loads(pickle.dumps(buffer))
         assert clone.counters == {"c": 2}
@@ -281,7 +264,6 @@ def _sample_buffer():
             obs.event("eval.candidate", passed=True)
         obs.count("sim.cache.hit", 2)
         obs.gauge("pool.workers", 2)
-        obs.observe("pool.candidates", 3)
     return obs.pop_frame()
 
 
@@ -305,9 +287,8 @@ class TestExporters:
         assert counter == {
             "type": "counter", "name": "sim.cache.hit", "value": 2
         }
-        hist = next(l for l in lines if l["type"] == "histogram")
-        assert hist["name"] == "pool.candidates"
-        assert hist["count"] == 1 and hist["sum"] == 3
+        gauge = next(l for l in lines if l["type"] == "gauge")
+        assert gauge == {"type": "gauge", "name": "pool.workers", "value": 2}
 
     def test_trace_event_file_is_loadable(self, tmp_path):
         buffer = _sample_buffer()
@@ -332,7 +313,7 @@ class TestExporters:
         )
         assert telemetry.wall_seconds > 0
         assert telemetry.counters["sim.cache.hit"] == 2
-        assert telemetry.histograms["pool.candidates"]["mean"] == 3
+        assert telemetry.gauges["pool.workers"] == 2
         text = telemetry.to_text()
         assert "vereval.problem" in text and "sim.cache.hit" in text
 
@@ -602,7 +583,7 @@ class TestOffModeOverhead:
         workload_seconds = time.perf_counter() - start
 
         calls = {"n": 0}
-        for name in ("span", "event", "count", "gauge", "observe"):
+        for name in ("span", "event", "count", "gauge"):
             real = getattr(obs, name)
 
             def wrapper(*args, _real=real, **kwargs):

@@ -511,7 +511,9 @@ class TestCombinationalFastPath:
         previous = harness.BATCH_CHECK_ENABLED
         try:
             harness.BATCH_CHECK_ENABLED = False
-            slow = harness._check_against_trace(ref, broken, problem)
+            slow = harness._check_many_against_trace(
+                ref, [broken], problem
+            )[0]
         finally:
             harness.BATCH_CHECK_ENABLED = previous
         if fast is not None:  # replacement may be a no-op for some styles
@@ -551,11 +553,15 @@ class TestCombinationalFastPath:
         # field.
         broken = build(source.replace("a + b", "a - b"), "widecomb")
         for candidate, equivalent in ((design, True), (broken, False)):
-            default = harness._check_against_trace(ref, candidate, problem)
+            default = harness._check_many_against_trace(
+                ref, [candidate], problem
+            )[0]
             previous = harness.BATCH_CHECK_ENABLED
             try:
                 harness.BATCH_CHECK_ENABLED = False
-                slow = harness._check_against_trace(ref, candidate, problem)
+                slow = harness._check_many_against_trace(
+                    ref, [candidate], problem
+                )[0]
             finally:
                 harness.BATCH_CHECK_ENABLED = previous
             assert default == slow
@@ -656,7 +662,9 @@ class TestTupleTraces:
             interface = problem.module.interface
             ref = harness._GoldenRef(problem)
             golden = build(problem.golden_source, problem.module.name)
-            verdict = harness._check_against_trace(ref, golden, problem)
+            verdict = harness._check_many_against_trace(
+                ref, [golden], problem
+            )[0]
             reference = equivalence_check(
                 build(problem.golden_source, problem.module.name),
                 golden,

@@ -1,14 +1,16 @@
-"""Differential tests: ``check_candidates_lockstep`` vs the per-candidate path.
+"""Differential tests: ``check_candidates_lockstep`` vs the lockstep reference.
 
 The pool entry point must be *verdict-identical, candidate for
-candidate*, to checking every source through
-:func:`check_candidate_source`: the same pass/fail bits, the same
-failure-reason classification (``syntax`` / ``missing_module`` /
-``elaboration`` / mismatch detail / ``SimulationError`` strings), and
-the same first-mismatch bookkeeping, across vgen families, the vereval
-problem set, engineered error scenarios (comb latches, division by
-zero, out-of-range dynamic writes, unlevelizable and over-wide designs),
-hypothesis draws, the evalkit chunk path and a warm ``sim.cache``.
+candidate*, to the independent reference in ``tests/oracle.py``
+(reference lexer, fresh elaboration, golden and candidate simulated in
+lockstep by :func:`repro.sim.equivalence_check`): the same pass/fail
+bits, the same failure-reason classification (``syntax`` /
+``missing_module`` / ``elaboration`` / mismatch detail /
+``SimulationError`` strings), and the same first-mismatch bookkeeping,
+across vgen families, the vereval problem set, engineered error
+scenarios (comb latches, division by zero, out-of-range dynamic writes,
+unlevelizable and over-wide designs), hypothesis draws, the evalkit
+chunk path and a warm ``sim.cache``.
 
 The file also holds the lane-API validation cases and the cases for the
 group builder :mod:`repro.sim.batch` keeps only because the frozen perf
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import lockstep_result, lockstep_verdict
 from repro.sim import (
     BatchSimulator,
     InterpreterSimulator,
@@ -71,9 +74,7 @@ def _problem_for(module, cycles=24, seed=5, problem_id="lockstep"):
 
 def assert_lockstep_identical(problem, sources):
     batch = check_candidates_lockstep(problem, sources)
-    reference = [
-        harness.check_candidate_source(problem, source) for source in sources
-    ]
+    reference = [lockstep_verdict(problem, source) for source in sources]
     assert batch == reference
     return batch
 
@@ -343,11 +344,8 @@ class TestRetirementBookkeeping:
         ]
         designs = [build(source, "dut") for source in sources]
         many = harness._check_many_against_trace(ref, designs, problem)
-        scalar = [
-            harness._check_against_trace(ref, design, problem)
-            for design in designs
-        ]
-        assert many == scalar  # full EquivalenceResult dataclass equality
+        reference = [lockstep_result(problem, design) for design in designs]
+        assert many == reference  # full EquivalenceResult dataclass equality
         assert many[0].equivalent
         assert {v.equivalent for v in many[1:]} == {False}
         assert all(v.first_mismatch_cycle is not None for v in many[1:])
@@ -501,9 +499,12 @@ class TestEvalkitLockstepWiring:
         single_checker = PassAtKChecker(problems)
         batched = batch_checker.check_batch(copy.deepcopy(records))
         singled = [single_checker.check(r) for r in copy.deepcopy(records)]
-        assert [(r.passed, r.failure_reason) for r in batched] == [
-            (r.passed, r.failure_reason) for r in singled
+        reference = [
+            lockstep_verdict(problems[r.unit_index], r.prompt + r.completion)
+            for r in records
         ]
+        assert [(r.passed, r.failure_reason) for r in batched] == reference
+        assert [(r.passed, r.failure_reason) for r in singled] == reference
         # both paths fill the same memo keys
         assert set(batch_checker._verdicts) == set(single_checker._verdicts)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import lockstep_verdict
 from repro import obs
 from repro.llm import LanguageModel
 from repro.vereval import (
@@ -15,7 +16,6 @@ from repro.vereval import (
     EvalProblem,
     build_problem_set,
     cegis_configure,
-    check_candidate_source,
     check_candidates_lockstep,
     check_completion,
     evaluate_model,
@@ -173,7 +173,8 @@ class TestEvaluateModel:
 
 
 # ---------------------------------------------------------------------------
-# check_candidates_lockstep: the pool path vs the per-candidate loop
+# check_candidates_lockstep: the pool path vs the independent lockstep
+# reference (tests/oracle.py), one candidate at a time
 # ---------------------------------------------------------------------------
 
 _ACC = """module acc(
@@ -212,7 +213,7 @@ def _clocked_problem():
 
 
 def _reference(problem, sources):
-    return [check_candidate_source(problem, source) for source in sources]
+    return [lockstep_verdict(problem, source) for source in sources]
 
 
 def _resample_pool(problem):
@@ -255,11 +256,13 @@ class TestIdentityWithThePerCandidateLoop:
         assert verdicts[-2:] == [(True, ""), verdicts[len(passing)]]
 
     def test_every_problem_with_resample_variants(self):
-        for problem in build_problem_set():
-            pool = _resample_pool(problem)
-            assert check_candidates_lockstep(problem, pool) == _reference(
-                problem, pool
-            ), problem.problem_id
+        # the library default depth and the perf ledger's pool depth
+        for cycles in (24, 384):
+            for problem in build_problem_set(stimulus_cycles=cycles):
+                pool = _resample_pool(problem)
+                assert check_candidates_lockstep(problem, pool) == _reference(
+                    problem, pool
+                ), (problem.problem_id, cycles)
 
     def test_cegis_stays_a_strict_refinement(self, tmp_path):
         from repro.sim import cache as sim_cache

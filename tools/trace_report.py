@@ -9,14 +9,14 @@ Usage::
 directory containing ``events.jsonl`` directly, or a parent directory
 holding any number of exported runs (``<name>-<pid>-<seq>/``) — each run
 found is reported in turn, or, with ``--merge``, every log found is
-folded into one combined report (spans concatenated, counters and
-histograms summed, gauges last-wins) — the view you want for a cluster
-run, whose coordinator and ``cluster-worker-<id>-<pid>/`` logs land
-side by side.  For every run the report shows:
+folded into one combined report (spans concatenated, counters summed,
+gauges last-wins) — the view you want for a cluster run, whose
+coordinator and ``cluster-worker-<id>-<pid>/`` logs land side by side.
+For every run the report shows:
 
 * the per-span breakdown: call count, total/mean/max wall time, CPU
   time, grouped by span name;
-* the final metric values (counters, gauges, histograms);
+* the final metric values (counters, gauges);
 * the top-N slowest ``vereval.problem`` spans — the problems to look at
   first when an evaluation run is slow.
 
@@ -93,14 +93,6 @@ def _metric_table(lines_in: List[Dict[str, Any]]) -> List[str]:
     for line in lines_in:
         if line["type"] in ("counter", "gauge"):
             rows.append((line["name"], f"{line['value']:g}"))
-        elif line["type"] == "histogram":
-            n = line["count"]
-            mean = line["sum"] / n if n else 0.0
-            rows.append((
-                line["name"],
-                f"n={n} mean={mean:g} min={line['min']:g} "
-                f"max={line['max']:g}",
-            ))
     if not rows:
         return []
     width = max(len(name) for name, _ in rows)
@@ -159,15 +151,13 @@ def report_run(path: str, top: int) -> List[str]:
 def merge_logs(paths: List[str]) -> List[Dict[str, Any]]:
     """Fold several event logs into one combined line list.
 
-    Spans concatenate; counters sum by name; gauges are last-wins;
-    histograms merge count/sum/min/max.  This is how a cluster run —
-    one coordinator log plus one residual log per worker — reads as a
-    single report.
+    Spans concatenate; counters sum by name; gauges are last-wins.  This
+    is how a cluster run — one coordinator log plus one residual log per
+    worker — reads as a single report.
     """
     spans: List[Dict[str, Any]] = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
     runs: List[str] = []
     for path in paths:
         for line in read_lines(path):
@@ -182,15 +172,6 @@ def merge_logs(paths: List[str]) -> List[Dict[str, Any]]:
                 )
             elif kind == "gauge":
                 gauges[line["name"]] = line["value"]
-            elif kind == "histogram":
-                merged = histograms.get(line["name"])
-                if merged is None:
-                    histograms[line["name"]] = dict(line)
-                else:
-                    merged["count"] += line["count"]
-                    merged["sum"] += line["sum"]
-                    merged["min"] = min(merged["min"], line["min"])
-                    merged["max"] = max(merged["max"], line["max"])
     out: List[Dict[str, Any]] = [
         {"type": "meta", "run": "+".join(runs) or "?", "mode": "merged"}
     ]
@@ -203,7 +184,6 @@ def merge_logs(paths: List[str]) -> List[Dict[str, Any]]:
         {"type": "gauge", "name": name, "value": value}
         for name, value in gauges.items()
     )
-    out.extend(histograms.values())
     return out
 
 
