@@ -67,10 +67,17 @@ resolves slots, masks and an output getter once and — when the design
 levelizes, the clock feeds only edge triggers, and the drive cannot move
 a trigger bit — replaces the clock pokes by a state write plus the
 blocks of that edge, keeping the generic loop's trigger re-check so
-ripple and derived clocks still cascade
-(``tests/test_sim_compile.py::TestCycleKernel`` is the identity oracle).
+ripple and derived clocks still cascade.
 :meth:`Testbench.step <repro.sim.testbench.Testbench.step>`, the sweep
-and the vereval trace check are all built on it.
+and the golden trace are built on it.  One replay against a recorded
+trace is one call too: ``sim.replay_fn(clock, input_names,
+output_names)`` returns ``replay(rows, trace) -> (cycles_matched,
+outputs)``, the ``cycle_fn`` loop that stops at the first cycle whose
+outputs differ from the trace's (``outputs`` is None when none does).
+The compiled backend builds it from the same resolution and runs the
+whole episode in one frame; the vereval trace check is one such call
+per candidate (``tests/test_sim_compile.py::TestCycleKernel`` is the
+identity oracle for both kernels).
 
 Compiled artifacts can persist across processes through the opt-in disk
 cache in :mod:`repro.sim.cache` (``REPRO_SIM_CACHE=/path`` — see that

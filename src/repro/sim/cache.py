@@ -26,11 +26,12 @@ This module gives those paths a disk tier:
   an anecdote.
 
 Consumers: :func:`repro.vereval.harness._golden_ref` persists whole
-golden artifact bundles (design + stimulus + output trace),
-:func:`repro.vereval.harness.check_candidate_source` and
-:func:`~repro.vereval.harness.check_candidates_lockstep` persist
-elaborated candidate designs, and :class:`repro.evalkit.stages.CheckStage`
-forwards the configured cache directory to pool workers.
+golden artifact bundles (design + stimulus rows + output trace),
+:func:`~repro.vereval.harness.check_candidates_lockstep` (which
+:func:`~repro.vereval.harness.check_candidate_source` runs as a pool of
+one) persists elaborated candidate designs, and
+:class:`repro.evalkit.stages.CheckStage` forwards the configured cache
+directory to pool workers.
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ __all__ = [
 #: (``assign x = x;``) no longer blocks levelization, so a version-9 image
 #: of such a design carries a stale non-levelized schedule.  11: the
 #: generic form holds only sequential and ``initial`` bodies, and its
-#: ``commit`` takes four arguments (version-10 code passes six).
-BACKEND_VERSION = 11
+#: ``commit`` takes four arguments (version-10 code passes six).  12: a
+#: pickled ``Design`` carries its AST as one nested pickle, unpickled on
+#: first read, and a golden bundle stores its stimulus as input names +
+#: value rows instead of per-cycle dicts.
+BACKEND_VERSION = 12
 
 _ENV = "REPRO_SIM_CACHE"
 

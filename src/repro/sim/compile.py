@@ -20,7 +20,9 @@ the staging is resolve, schedule, *then* generate text:
   block, nonblocking updates held in per-slot locals and committed once
   after all blocks, then ``comb``; it returns the pre-edge trigger bits
   when a block moved one.  :meth:`CompiledSimulator.cycle_fn` steps it
-  when the design meets its preconditions.  The **generic** form is one
+  when the design meets its preconditions, and
+  :meth:`CompiledSimulator.replay_fn` runs a whole episode of those
+  cycles against a recorded trace in one call.  The **generic** form is one
   function per sequential block (appending to a shared ordered
   nonblocking list) and per ``initial`` statement: what edge cascades
   fire — the union of the blocks whose triggers moved, with one
@@ -72,7 +74,12 @@ from repro.errors import SimulationError
 from repro.verilog import ast
 from repro.sim import eval as _ev
 from repro.sim.elaborate import Design
-from repro.sim.simulator import _MAX_LOOP_ITERS, Simulator, _row_length_error
+from repro.sim.simulator import (
+    _MAX_LOOP_ITERS,
+    Simulator,
+    _episode,
+    _row_length_error,
+)
 
 __all__ = [
     "CompiledDesign",
@@ -205,7 +212,7 @@ class CompiledDesign:
     __slots__ = _SCHEDULE + (
         "design", "n_signals", "slot_of", "names", "widths", "masks",
         "mem_of", "mem_names", "mem_widths", "mem_depths", "mem_bases",
-        "comb_count", "nodes", "seq", "initial", "source", "code", "_fused",
+        "nodes", "seq", "initial", "source", "code", "_fused",
         "_bound",
     )
 
@@ -221,7 +228,6 @@ class CompiledDesign:
         self.mem_widths: List[int] = []
         self.mem_depths: List[int] = []
         self.mem_bases: List[int] = []
-        self.comb_count = 0
         #: combinational nodes in declaration order (``None`` once the
         #: fused ``comb`` holds them; the lane dialect keeps closures)
         self.nodes: List[Optional[Callable]] = []
@@ -256,7 +262,13 @@ class CompiledDesign:
         self.mem_widths = [memory.width for memory in memories]
         self.mem_depths = [memory.depth for memory in memories]
         self.mem_bases = [memory.base for memory in memories]
-        self.comb_count = len(design.comb_assigns) + len(design.comb_blocks)
+
+    @property
+    def comb_count(self) -> int:
+        """Combinational nodes, identity assigns and empty blocks included
+        (the interpreter's ``comb_assigns + comb_blocks``), read off the
+        image so a restored design's AST stays unread."""
+        return len(self.nodes)
 
     # -- the two forms -------------------------------------------------------
 
@@ -1661,10 +1673,12 @@ class CompiledSimulator(Simulator):
         st = self.st
         return [st[s] & 1 for s in self.cdesign.trigger_slots]
 
-    # -- cycle kernel --------------------------------------------------------
+    # -- cycle and episode kernels --------------------------------------------
 
-    def cycle_fn(self, clock, input_names, output_names):
-        """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``).
+    def _fused_kernel(self, clock, input_names, output_names):
+        """The resolution both kernels are built from: the generic cycle
+        (``Simulator.cycle_fn``, which also checks the names) and, when
+        the cycle can run the fused form, its parts; else None.
 
         Every compiled design levelizes; three more facts, all read off
         the :class:`CompiledDesign`, decide whether the cycle can run the
@@ -1691,23 +1705,37 @@ class CompiledSimulator(Simulator):
             or not cd.writers.keys().isdisjoint(triggers)
         ):
             obs.count("sim.kernel.generic")
-            return generic
+            return generic, None
         obs.count("sim.kernel.specialised")
         fused = cd.fused()
-        comb = self._comb
         negedge = posedge = None
         if clk in triggers:
             clk_bit = triggers.index(clk)
             negedge = fused.get(f"e0_{clk_bit}")
             posedge = fused.get(f"e1_{clk_bit}")
         drives = list(zip(in_slots, [cd.masks[s] for s in in_slots]))
-        n_inputs = len(drives)
         out_slots = [slot_of[name] for name in output_names]
         if len(out_slots) > 1:
             sample = itemgetter(*out_slots)
+        elif out_slots:
+            (out,) = out_slots
+
+            def sample(st):
+                return (st[out],)
         else:
             def sample(st):
-                return tuple([st[s] for s in out_slots])
+                return ()
+        return generic, (drives, clk, negedge, posedge, sample)
+
+    def cycle_fn(self, clock, input_names, output_names):
+        """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``;
+        which form it runs: :meth:`_fused_kernel`)."""
+        generic, parts = self._fused_kernel(clock, input_names, output_names)
+        if parts is None:
+            return generic
+        drives, clk, negedge, posedge, sample = parts
+        n_inputs = len(drives)
+        comb = self._comb
         st = self.st
         mems = self.mem_data
         fire = self._fire_edges
@@ -1742,6 +1770,58 @@ class CompiledSimulator(Simulator):
             return sample(st)
 
         return step
+
+    def replay_fn(self, clock, input_names, output_names):
+        """Slot-resolved episode kernel (contract:
+        ``Simulator.replay_fn``): on the fused form, the cycle of
+        :meth:`cycle_fn` — drive, clock protocol, hand-off to
+        ``_fire_edges``, sample — with the compare and the early exit,
+        the whole episode in one frame; otherwise the generic loop."""
+        generic, parts = self._fused_kernel(clock, input_names, output_names)
+        if parts is None:
+            return _episode(generic)
+        drives, clk, negedge, posedge, sample = parts
+        n_inputs = len(drives)
+        comb = self._comb
+        st = self.st
+        mems = self.mem_data
+        fire = self._fire_edges
+        rounds = self._max_rounds - 1
+        count = obs.count
+
+        def replay(rows, trace):
+            cycle = -1
+            try:
+                for cycle, (row, expected) in enumerate(zip(rows, trace)):
+                    if len(row) != n_inputs:
+                        raise _row_length_error(len(row), n_inputs)
+                    for (slot, mask), value in zip(drives, row):
+                        st[slot] = value & mask
+                    if comb is not None:
+                        comb(st, mems)
+                    if clk is not None:
+                        old = st[clk]
+                        if old:
+                            st[clk] = 0
+                            if negedge is not None and old & 1:
+                                moved = negedge(st, mems)
+                                if moved:
+                                    fire(moved, rounds)
+                            old = st[clk]
+                        if old != 1:
+                            st[clk] = 1
+                            if posedge is not None and not old & 1:
+                                moved = posedge(st, mems)
+                                if moved:
+                                    fire(moved, rounds)
+                    actual = sample(st)
+                    if actual != expected:
+                        return cycle, actual
+                return cycle + 1, None
+            finally:
+                count("sim.cycles", cycle + 1)
+
+        return replay
 
     # -- settle --------------------------------------------------------------
 

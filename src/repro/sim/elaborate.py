@@ -10,6 +10,7 @@ processes — everything the runtime in :mod:`repro.sim.simulator` needs.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -98,13 +99,43 @@ class Design:
         # pickle.  The scalar image (repro.sim.compile) pickles as its
         # tables plus the code objects of the forms that ran, so a pool
         # worker or a repro.sim.cache hit executes instead of lowering
-        # again; an image nothing ran has nothing worth keeping.
+        # again; an image nothing ran has nothing worth keeping.  Such a
+        # hit never reads the AST, so the four AST lists travel as one
+        # nested pickle that is unpickled on first read (__getattr__); a
+        # restored design nothing read passes its blob through unchanged.
         state = dict(self.__dict__)
         state.pop("_batch", None)
         compiled = state.get("_compiled")
         if compiled is not None and not compiled.code:
             del state["_compiled"]
+        if "_ast" not in state:
+            state["_ast"] = pickle.dumps(
+                tuple(state.pop(name) for name in _AST_FIELDS),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
         return state
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the AST
+        # fields of a restored design, until the first read of any of
+        # them.  A field assigned since the restore keeps its new value.
+        blob = self.__dict__.get("_ast") if name in _AST_FIELDS else None
+        if blob is None:
+            raise AttributeError(name)
+        for field_name, value in zip(_AST_FIELDS, _thaw(blob)):
+            self.__dict__.setdefault(field_name, value)
+        del self.__dict__["_ast"]
+        return self.__dict__[name]
+
+
+#: the AST-bearing fields of a :class:`Design`, which a pickle packs
+#: into one nested blob (see ``Design.__getstate__``)
+_AST_FIELDS = ("comb_assigns", "comb_blocks", "seq_blocks", "initial_stmts")
+
+
+def _thaw(blob: bytes) -> tuple:
+    """The four AST lists of a restored design, in ``_AST_FIELDS`` order."""
+    return pickle.loads(blob)
 
 
 class _Rewriter:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.verilog import ast
 from repro.sim.elaborate import CombAssign, CombBlock, Design, SeqBlock
@@ -77,6 +78,24 @@ def _row_length_error(got: int, want: int) -> ValueError:
         f"cycle kernel row has {got} values; expected {want} "
         "(one per input name)"
     )
+
+
+def _episode(step: Callable[[Sequence[int]], Tuple[int, ...]]):
+    """``Simulator.replay_fn``'s contract over any cycle kernel."""
+    count = obs.count
+
+    def replay(rows, trace):
+        cycle = -1
+        try:
+            for cycle, (row, expected) in enumerate(zip(rows, trace)):
+                actual = step(row)
+                if actual != expected:
+                    return cycle, actual
+            return cycle + 1, None
+        finally:
+            count("sim.cycles", cycle + 1)
+
+    return replay
 
 
 class _SimScope:
@@ -144,6 +163,7 @@ class Simulator:
     means the process default, see :func:`set_default_backend`).  Both
     expose the same observable API: ``poke``, ``poke_many``, ``peek``,
     ``peek_mem``, ``settle``, ``cycle_fn`` (a whole testbench cycle as
+    one call), ``replay_fn`` (a whole episode against a recorded trace as
     one call), and ``state`` / ``mems`` views of the flat state.  Under
     ``"auto"`` a design the compiler cannot lower falls back to the
     interpreter.
@@ -275,6 +295,34 @@ class Simulator:
             return tuple([peek(name) for name in output_names])
 
         return step
+
+    def replay_fn(
+        self,
+        clock: Optional[str],
+        input_names: Sequence[str],
+        output_names: Sequence[str],
+    ) -> Callable[[Sequence[Sequence[int]], Sequence[Tuple[int, ...]]],
+                  Tuple[int, Optional[Tuple[int, ...]]]]:
+        """One episode against a recorded trace as a single call:
+        ``replay(rows, trace) -> (cycles_matched, outputs)``.
+
+        The contract is the :meth:`cycle_fn` loop with an early exit ::
+
+            for cycle, (row, expected) in enumerate(zip(rows, trace)):
+                actual = step(row)
+                if actual != expected:
+                    return cycle, actual
+            return <cycles stepped>, None
+
+        so ``outputs`` is None when every compared cycle matched, state,
+        cascades and ``SimulationError`` text (which propagates) are the
+        cycle kernel's, and names resolve when the episode kernel is
+        built.  It counts the cycles it started, the mismatching or
+        failing one included, under ``sim.cycles``.  This generic
+        implementation *is* that loop;
+        :class:`~repro.sim.compile.CompiledSimulator` overrides it.
+        """
+        return _episode(self.cycle_fn(clock, input_names, output_names))
 
     # -- backend hooks -------------------------------------------------------
 

@@ -75,6 +75,7 @@ from repro.sim import cache as sim_cache
 from repro.sim.testbench import (
     EquivalenceResult,
     StimulusVector,
+    stimulus_rows,
     sweep_random_stimulus,
 )
 from repro.utils.rng import DeterministicRNG
@@ -396,14 +397,14 @@ class _EntryRef:
     """
 
     __slots__ = (
-        "design", "signature", "stimulus", "output_names", "trace",
-        "error", "error_phase",
+        "design", "signature", "input_names", "rows", "output_names",
+        "trace", "error", "error_phase",
     )
 
     def __init__(self, golden_ref, entry: DistinguishingVector) -> None:
         self.design = golden_ref.design
         self.signature = golden_ref.signature
-        self.stimulus = entry.vectors()
+        self.input_names, self.rows = stimulus_rows(entry.vectors())
         self.output_names = entry.output_names
         self.trace = [tuple(row) for row in entry.trace]
         self.error: Optional[str] = None

@@ -9,10 +9,11 @@ Since the evalkit refactor this module plays two roles:
   trace, instead of re-deriving all of that per sample.  Golden and
   candidate simulation both run on the compiled simulator backend
   (:mod:`repro.sim.compile`) through the :class:`~repro.sim.Testbench`
-  facade, one :meth:`~repro.sim.Simulator.cycle_fn` call per cycle over
-  the stimulus turned into value rows once per problem; the interpreter
-  backend is cycle-identical and kicks in automatically for candidates
-  the compiler cannot statically lower;
+  facade over the stimulus the golden bundle keeps as value rows: the
+  golden trace is one :meth:`~repro.sim.Simulator.cycle_fn` call per
+  cycle, a candidate's replay one :meth:`~repro.sim.Simulator.replay_fn`
+  call per episode; the interpreter backend is cycle-identical and kicks
+  in automatically for candidates the compiler cannot statically lower;
 * the *pool* (:func:`check_candidates_lockstep`) is the only verdict
   path; :func:`check_candidate_source` is a pool of one.  Many
   candidates of one problem check in one call — duplicate sources
@@ -40,6 +41,7 @@ from repro.errors import ElaborationError, LexError, ParseError, SimulationError
 from repro.llm.model import LanguageModel
 from repro.sim import (
     EquivalenceResult,
+    StimulusVector,
     Testbench,
     elaborate,
     interface_signature,
@@ -106,9 +108,11 @@ class EvalResult:
 class _GoldenRef:
     """Per-problem golden artifacts, derived once and reused per sample.
 
-    ``trace`` holds one tuple of golden output values per stimulus cycle,
-    aligned to the frozen ``output_names`` tuple, recorded under the
-    exact reset/clock protocol of :func:`repro.sim.equivalence_check`; a
+    ``rows`` holds one tuple of input values per stimulus cycle, aligned
+    to ``input_names`` (the shape both kernels take; ``stimulus`` is a
+    dict view of it), and ``trace`` one tuple of golden output values per
+    cycle, aligned to the frozen ``output_names`` tuple, recorded under
+    the exact reset/clock protocol of :func:`repro.sim.equivalence_check`; a
     candidate is then simulated alone and its output tuples compared
     against the trace, which is verdict-identical to lockstep simulation
     of both designs but does the golden half of the work once per problem
@@ -117,8 +121,8 @@ class _GoldenRef:
     """
 
     __slots__ = (
-        "design", "signature", "stimulus", "output_names", "trace",
-        "error", "error_phase", "coverage", "full_cycles",
+        "design", "signature", "input_names", "rows", "output_names",
+        "trace", "error", "error_phase", "coverage", "full_cycles",
     )
 
     def __init__(self, problem: EvalProblem, cegis_config=None) -> None:
@@ -126,9 +130,11 @@ class _GoldenRef:
             parse_source_fast(problem.golden_source), problem.module.name
         )
         self.signature = interface_signature(self.design)
-        self.stimulus = random_stimulus(
+        #: the stimulus as the cycle kernel takes it: input names once,
+        #: one value row per cycle (see :attr:`stimulus`)
+        self.input_names, self.rows = stimulus_rows(random_stimulus(
             self.design, problem.stimulus_cycles, seed=problem.stimulus_seed
-        )
+        ))
         #: per-cycle golden output tuples; cut short when the golden
         #: simulation itself errors, with the message and the phase it
         #: failed in recorded so candidates observe the exact verdict
@@ -140,7 +146,7 @@ class _GoldenRef:
         #: coverage summary dict when a CEGIS config measured this golden
         self.coverage: Optional[Dict] = None
         #: the configured stimulus depth, before any coverage truncation
-        self.full_cycles: int = len(self.stimulus)
+        self.full_cycles: int = len(self.rows)
         interface = problem.module.interface
         cov = None
         truncate = False
@@ -168,11 +174,10 @@ class _GoldenRef:
             if cov is not None:
                 cov.observe_sim(bench.sim)  # post-reset level baseline
             phase = "step"
-            input_names, rows = stimulus_rows(self.stimulus)
             step = bench.sim.cycle_fn(
-                bench.clock, input_names, self.output_names
+                bench.clock, self.input_names, self.output_names
             )
-            for row in rows:
+            for row in self.rows:
                 self.trace.append(step(row))
                 if cov is not None:
                     cov.observe_sim(bench.sim)
@@ -188,11 +193,26 @@ class _GoldenRef:
         # candidate checks replay only the measured depth.  Error-cut
         # traces keep the full stimulus: the trace-shorter-than-stimulus
         # shape is what encodes a golden-error verdict downstream.
-        if self.error is None and len(self.trace) < len(self.stimulus):
-            saved = len(self.stimulus) - len(self.trace)
-            self.stimulus = self.stimulus[: len(self.trace)]
+        if self.error is None and len(self.trace) < len(self.rows):
+            saved = len(self.rows) - len(self.trace)
+            self.rows = self.rows[: len(self.trace)]
             obs.count("sim.coverage.saturated_runs")
             obs.count("sim.coverage.cycles_saved", saved)
+
+    @property
+    def stimulus(self) -> List[StimulusVector]:
+        """The stimulus as per-cycle input dicts: a view of ``rows``."""
+        names = self.input_names
+        return [dict(zip(names, row)) for row in self.rows]
+
+    def __setstate__(self, state) -> None:
+        # Slots only.  An entry of an older layout (one that stored the
+        # stimulus dicts) must still unpickle, so that repro.sim.cache
+        # counts it as a version mismatch instead of a corrupt entry.
+        _, slots = state
+        for name, value in slots.items():
+            if name in _GoldenRef.__slots__:
+                setattr(self, name, value)
 
 
 #: golden artifacts keyed by problem identity *and* content (including
@@ -295,7 +315,7 @@ def _check_all_vectors_batch(
         or default_backend() == "interp"
         or interface.clock is not None
         or ref.error is not None
-        or not ref.stimulus
+        or not ref.rows
         or not ref.output_names
     ):
         return None
@@ -303,7 +323,7 @@ def _check_all_vectors_batch(
     from repro.sim.compile import UncompilableDesign
     from repro.sim.retire import RetireEngine, lane_vector
 
-    n_lanes = len(ref.stimulus)
+    n_lanes = len(ref.rows)
     try:
         sim = BatchSimulator(candidate, n_lanes=n_lanes)
         engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
@@ -315,8 +335,8 @@ def _check_all_vectors_batch(
             # Net effect of apply_reset on a stateless design: the reset
             # input rests at its deasserted level.
             vector[reset] = 0 if interface.reset_active_high else 1
-        for name in ref.stimulus[0]:
-            vector[name] = lane_vector([v[name] for v in ref.stimulus])
+        for name, column in zip(ref.input_names, zip(*ref.rows)):
+            vector[name] = lane_vector(column)
         sim.poke_many(vector)
         actual = np.stack(
             [sim.peek_lanes(name) for name in ref.output_names], axis=1
@@ -345,21 +365,22 @@ def _interface_mismatch(
 
 
 def _replay_against_trace(
-    ref: _GoldenRef, candidate, problem: EvalProblem,
-    input_names: Tuple[str, ...], rows: List[Tuple[int, ...]],
+    ref: _GoldenRef, candidate, problem: EvalProblem
 ) -> EquivalenceResult:
     """One candidate past :func:`_check_many_against_trace`'s two gates.
 
     The only place a candidate is simulated, so the only place a
     ``SimulationError`` becomes a verdict (the all-vectors rung catches
-    its own; the replay's construct, reset and steps sit in the ``try``).
+    its own; the replay's construct, reset and episode sit in the
+    ``try``).  The episode is one call of the candidate's
+    :meth:`~repro.sim.Simulator.replay_fn`, which stops at the first
+    bad cycle and counts ``sim.cycles``.
     """
     fast = _check_all_vectors_batch(ref, candidate, problem)
     if fast is not None:
         return fast
     interface = problem.module.interface
     names = ref.output_names
-    cycle = -1
     try:
         bench = Testbench(
             candidate,
@@ -372,31 +393,27 @@ def _replay_against_trace(
         bench.apply_reset()
         # The interface gate guarantees the candidate presents every
         # golden output, so sampling by golden name order is total.
-        step = bench.sim.cycle_fn(bench.clock, input_names, names)
-        # The early exit at the first bad cycle lives here, not in the
-        # kernel: one call is one cycle.
-        for cycle, (row, expected) in enumerate(zip(rows, ref.trace)):
-            actual = step(row)
-            if actual != expected:
-                for index, name in enumerate(names):
-                    if actual[index] != expected[index]:
-                        return EquivalenceResult(
-                            equivalent=False,
-                            cycles_run=cycle + 1,
-                            first_mismatch_cycle=cycle,
-                            mismatched_output=name,
-                            expected=expected[index],
-                            actual=actual[index],
-                        )
+        replay = bench.sim.replay_fn(bench.clock, ref.input_names, names)
+        cycle, actual = replay(ref.rows, ref.trace)
     except SimulationError as exc:
         return EquivalenceResult(equivalent=False, error=str(exc))
-    finally:
-        obs.count("sim.cycles", cycle + 1)
-    if len(ref.trace) < len(rows):
+    if actual is not None:
+        expected = ref.trace[cycle]
+        for index, name in enumerate(names):
+            if actual[index] != expected[index]:
+                return EquivalenceResult(
+                    equivalent=False,
+                    cycles_run=cycle + 1,
+                    first_mismatch_cycle=cycle,
+                    mismatched_output=name,
+                    expected=expected[index],
+                    actual=actual[index],
+                )
+    if len(ref.trace) < len(ref.rows):
         # The golden itself died at this cycle: it preempts both the
         # candidate's step and the comparison.
         return EquivalenceResult(equivalent=False, error=ref.error)
-    return EquivalenceResult(equivalent=True, cycles_run=len(rows))
+    return EquivalenceResult(equivalent=True, cycles_run=len(ref.rows))
 
 
 def _check_many_against_trace(
@@ -409,10 +426,9 @@ def _check_many_against_trace(
     interface gate, error precedence (the golden design steps first each
     cycle, so a golden simulation error at cycle ``c`` preempts both the
     candidate's step and the output comparison at ``c``), and the
-    first-mismatch bookkeeping.  The stimulus rows are derived once per
-    call, then each candidate runs :func:`_replay_against_trace`.
+    first-mismatch bookkeeping.  Each candidate past the gates runs
+    :func:`_replay_against_trace`.
     """
-    input_names, rows = stimulus_rows(ref.stimulus)
 
     def check(candidate) -> EquivalenceResult:
         mismatch = _interface_mismatch(ref, candidate)
@@ -429,9 +445,7 @@ def _check_many_against_trace(
         # reads this count under
         obs.count("vereval.scalar_checks")
         obs.count("retire.scalar_replays")
-        return _replay_against_trace(
-            ref, candidate, problem, input_names, rows
-        )
+        return _replay_against_trace(ref, candidate, problem)
 
     return [check(candidate) for candidate in candidates]
 
@@ -448,10 +462,10 @@ def check_candidates_lockstep(
     as a model failure.  The shared work is done once:
 
     * duplicate sources parse, elaborate, and check once;
-    * the golden artifacts and the stimulus rows are derived once per
-      call; :func:`repro.vereval.cegis.check_designs` (the plain trace
-      check unless CEGIS is enabled) gives each distinct elaborating
-      design the all-vectors fast path when it is stateless
+    * the golden artifacts (stimulus rows and output trace) are derived
+      once per problem; :func:`repro.vereval.cegis.check_designs` (the
+      plain trace check unless CEGIS is enabled) gives each distinct
+      elaborating design the all-vectors fast path when it is stateless
       combinational, the scalar replay otherwise (docs/architecture.md
       §4; the name is the one the perf ledger and ``evalkit`` import);
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated

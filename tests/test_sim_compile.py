@@ -10,6 +10,7 @@ import ast as python_ast
 import dataclasses
 import importlib.util
 import marshal
+import os
 import pickle
 import re
 
@@ -22,6 +23,7 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.sim import (
     CompiledSimulator,
+    Design,
     InterpreterSimulator,
     Simulator,
     Testbench,
@@ -480,15 +482,21 @@ def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
     one vs the literal sequence on the interpreter: output tuples and the
     *whole* state after every cycle, errors included.
 
+    The episode kernel rides along (:func:`episode_trio`): ``replay_fn``
+    on fresh ``"auto"`` benches over the same rows, against the literal
+    sequence's outputs.
+
     Returns ``(path, error)``: which kernel the ``"auto"`` simulator built
     (``"specialised"`` | ``"generic"`` on the compiled backend,
     ``"interp"`` when the design does not compile) and the ``(cycle,
     message)`` all three stopped at, or None.
     """
+    def new_bench(backend):
+        return Testbench(build(source, top), clock, reset, reset_active_high,
+                         backend=backend)
+
     kernel, literal, interp = (
-        Testbench(build(source, top), clock, reset, reset_active_high,
-                  backend=backend)
-        for backend in ("auto", "auto", "interp")
+        new_bench(backend) for backend in ("auto", "auto", "interp")
     )
     compiled = isinstance(kernel.sim, CompiledSimulator)
     assert compiled or isinstance(kernel.sim, InterpreterSimulator)
@@ -512,6 +520,8 @@ def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
     else:
         assert moved == []
         path = "interp"
+    error = None
+    trace, states = [], []  # the literal sequence's, per completed cycle
     for cycle, row in enumerate(rows):
         got = _outcome(lambda: step(row))
         assert got == _outcome(lambda: literal_cycle(
@@ -519,12 +529,63 @@ def kernel_trio(source, top, clock="clk", reset=None, reset_active_high=True,
         assert got == _outcome(lambda: literal_cycle(
             interp.sim, interp.clock, names, outputs, row)), (top, cycle)
         if got[0] == "error":
-            return path, (cycle, got[1])
+            error = (cycle, got[1])
+            break
         assert kernel.sim.state == literal.sim.state, (top, cycle)
         assert kernel.sim.mems == literal.sim.mems, (top, cycle)
         assert kernel.sim.state == interp.sim.state, (top, cycle)
         assert kernel.sim.mems == interp.sim.mems, (top, cycle)
-    return path, None
+        trace.append(got[1])
+        states.append(_snapshot(literal.sim))
+    episode_trio(lambda: new_bench("auto"), names, outputs, rows, trace,
+                 states + [_snapshot(literal.sim)], error, path)
+    return path, error
+
+
+def _snapshot(sim):
+    """Copies of the whole state (the interpreter's views are live)."""
+    return dict(sim.state), {
+        name: list(words) for name, words in sim.mems.items()
+    }
+
+
+def episode_trio(fresh, names, outputs, rows, trace, states, error, path):
+    """``replay_fn`` on fresh ``"auto"`` benches (``fresh()``) against the
+    literal sequence that produced ``trace`` and ``states`` (the whole
+    state after each completed cycle, then where the sequence ended):
+
+    * with ``trace`` itself: every cycle matches, or the same
+      ``SimulationError`` text at the same cycle;
+    * with one output of the middle cycle changed: the episode stops
+      there with the literal outputs of that cycle;
+
+    each time the same kernel path as ``cycle_fn``, ``sim.cycles`` moved
+    by the cycles the literal sequence started, and the same final state.
+    """
+    cases = [(trace + [None] * (len(rows) - len(trace)), None)]
+    if trace and outputs:
+        k = len(trace) // 2
+        wrong = (trace[k][0] + 1,) + trace[k][1:]
+        cases.append((trace[:k] + [wrong] + trace[k + 1:], k))
+    for expected, stop in cases:
+        bench = fresh()
+        bench.apply_reset()
+        before = obs.counters("sim.")
+        replay = bench.sim.replay_fn(bench.clock, names, outputs)
+        built = obs.counters("sim.kernel.")
+        moved = [n for n in built if built[n] != before.get(n, 0)]
+        assert moved == ([] if path == "interp" else [f"sim.kernel.{path}"])
+        got = _outcome(lambda: replay(rows, expected))
+        if stop is not None:
+            want, cycles, final = ("ok", (stop, trace[stop])), stop + 1, stop
+        elif error is not None:
+            want, cycles, final = ("error", error[1]), error[0] + 1, -1
+        else:
+            want, cycles, final = ("ok", (len(rows), None)), len(rows), -1
+        assert got == want, (stop, got, want)
+        counted = obs.counter_value("sim.cycles") - before.get("sim.cycles", 0)
+        assert counted == cycles, (stop, counted, cycles)
+        assert _snapshot(bench.sim) == states[final], stop
 
 
 def module_trio(module, source=None, **kwargs):
@@ -942,6 +1003,48 @@ class TestCycleKernel:
         assert benches[0].sim.state == benches[1].sim.state
 
 
+class TestEpisodeKernel:
+    """``Simulator.replay_fn`` beyond what ``episode_trio`` (run by every
+    ``kernel_trio`` above) covers: the call contract at its edges."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_ripple_counter_stops_at_the_first_bad_cycle(self, backend):
+        sim = Simulator(build(GALLERY["ripple_counter"][0], "m"),
+                        backend=backend)
+        replay = sim.replay_fn("clk", (), ("q2", "q1", "q0"))
+        trace = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 0, 1)]
+        cycles = obs.counter_value("sim.cycles")
+        assert replay([()] * 5, trace) == (3, (1, 0, 0))
+        assert obs.counter_value("sim.cycles") == cycles + 4
+        # the episode left the state where the fourth cycle did
+        assert replay([()] * 2, [(1, 0, 1), (1, 1, 0)]) == (2, None)
+        assert obs.counter_value("sim.cycles") == cycles + 6
+        assert replay([], []) == (0, None)
+        assert obs.counter_value("sim.cycles") == cycles + 6
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_row_length_is_a_value_error(self, backend):
+        sim = Simulator(build(GALLERY["plain_counter"][0], "m"),
+                        backend=backend)
+        replay = sim.replay_fn("clk", ("rst", "en"), ("q",))
+        assert replay([(1, 0), (0, 1)], [(0,), (1,)]) == (2, None)
+        for bad in ([(0,)], [(0, 1, 0)]):
+            with pytest.raises(ValueError, match="cycle kernel row"):
+                replay(bad, [(1,)])
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_unknown_names_raise_when_the_kernel_is_built(self, backend):
+        from repro.errors import ElaborationError
+
+        sim = Simulator(
+            build(GALLERY["one_output"][0], "m"), backend=backend
+        )
+        with pytest.raises(ElaborationError, match="no signal named"):
+            sim.replay_fn("clk", ("ghost",), ("q",))
+        with pytest.raises(SimulationError, match="peek of unknown"):
+            sim.replay_fn("clk", ("d",), ("ghost",))
+
+
 # -- generated text ----------------------------------------------------------
 
 
@@ -1296,6 +1399,139 @@ class TestCodePersistence:
             restored = sim_cache.get_design(source, "m")
             assert restored._compiled.levelized
             assert sorted(restored._compiled.code) == ["fused"]
+        finally:
+            sim_cache.configure(previous)
+
+    def test_restored_design_equals_the_original(self):
+        design = build(self.SOURCE, "m")
+        want = self._run(design)
+        clone = pickle.loads(pickle.dumps(design))
+        assert "_ast" in clone.__dict__
+        assert "seq_blocks" not in clone.__dict__
+        assert clone == design  # reads the AST
+        assert "_ast" not in clone.__dict__
+        assert repr(clone) == repr(design)
+        assert self._run(clone) == want
+
+    def test_untouched_restored_design_re_pickles_its_blob(self):
+        design = build(self.SOURCE, "m")
+        self._run(design)
+        clone = pickle.loads(pickle.dumps(design))
+        blob = clone.__dict__["_ast"]
+        again = pickle.loads(pickle.dumps(clone))
+        assert again.__dict__["_ast"] == blob
+        assert "_ast" in clone.__dict__  # pickling read nothing
+        assert again == design
+
+    def test_restored_candidate_replays_with_its_ast_deferred(self):
+        """A sequential candidate restored from a pickle runs a whole
+        episode off its image: the AST is never unpickled."""
+        design = build(self.SOURCE, "m")
+        stimulus = random_stimulus(design, 40, seed=9)
+        names, rows = stimulus_rows(stimulus)
+
+        def episode(candidate, trace):
+            bench = Testbench(candidate, reset="rst", backend="compiled")
+            bench.apply_reset()
+            return bench.sim.replay_fn(bench.clock, names, ("q", "y"))(
+                rows, trace
+            )
+
+        bench = Testbench(design, reset="rst", backend="compiled")
+        bench.apply_reset()
+        step = bench.sim.cycle_fn(bench.clock, names, ("q", "y"))
+        trace = [step(row) for row in rows]
+        clone = pickle.loads(pickle.dumps(design))
+        emitted = obs.counter_value("sim.codegen.emitted")
+        assert episode(clone, trace) == (40, None)
+        assert "_ast" in clone.__dict__
+        assert obs.counter_value("sim.codegen.emitted") == emitted
+
+    def test_lane_rung_materialises_the_ast_once(self, monkeypatch):
+        from repro.vereval import harness
+
+        # the module, not the function `repro.sim` exports under its name
+        sim_elaborate = importlib.import_module("repro.sim.elaborate")
+
+        (problem,) = build_problem_set(
+            n_problems=1, families=["alu"], stimulus_cycles=24
+        )
+        assert problem.module.interface.clock is None
+        ref = harness._GoldenRef(problem)
+        clone = pickle.loads(pickle.dumps(
+            build(problem.golden_source, problem.module.name)
+        ))
+        thawed = []
+        real_thaw = sim_elaborate._thaw
+        monkeypatch.setattr(
+            sim_elaborate, "_thaw",
+            lambda blob: thawed.append(blob) or real_thaw(blob),
+        )
+        allvec = obs.counter_value("batch.allvec_checks")
+        (verdict,) = harness._check_many_against_trace(ref, [clone], problem)
+        assert verdict.equivalent
+        assert obs.counter_value("batch.allvec_checks") == allvec + 1
+        assert len(thawed) == 1 and "_ast" not in clone.__dict__
+
+    def test_previous_version_entries_are_evicted(self, tmp_path,
+                                                  monkeypatch):
+        """A version-11 ``design`` entry (AST inline) and a version-11
+        ``golden-ref`` entry (stimulus dicts) unpickle, count a version
+        mismatch and a miss, and leave the directory."""
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        (problem,) = build_problem_set(
+            n_problems=1, families=["shift_register"], stimulus_cycles=24
+        )
+        name = problem.module.name
+        ref = harness._GoldenRef(problem)
+        layout_11 = {
+            "signature": ref.signature,
+            "stimulus": ref.stimulus,
+            "output_names": ref.output_names,
+            "trace": ref.trace,
+            "error": None,
+            "error_phase": "",
+            "coverage": None,
+            "full_cycles": ref.full_cycles,
+        }
+        entries = [
+            (("design", problem.golden_source, name),
+             build(problem.golden_source, name)),
+            (("golden-ref", *harness._golden_disk_key(problem)), ref),
+        ]
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            for (kind, *parts), payload in entries:
+                path = sim_cache._path_for(
+                    str(tmp_path), sim_cache._key(kind, *parts)
+                )
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        Design, "__getstate__",
+                        lambda self: dict(self.__dict__),
+                    )
+                    patch.setattr(
+                        harness._GoldenRef, "__getstate__",
+                        lambda self: (
+                            None, {"design": self.design, **layout_11}
+                        ),
+                    )
+                    with open(path, "wb") as handle:
+                        pickle.dump((11, payload), handle)
+                counts = {
+                    n: obs.counter_value(f"sim.cache.{n}")
+                    for n in ("version_mismatch", "miss", "corrupt", "evict")
+                }
+                assert sim_cache.load(kind, *parts) is None
+                assert {
+                    n: obs.counter_value(f"sim.cache.{n}") - counts[n]
+                    for n in counts
+                } == {"version_mismatch": 1, "miss": 1, "corrupt": 0,
+                      "evict": 1}
+                assert not os.path.exists(path)
         finally:
             sim_cache.configure(previous)
 
