@@ -128,6 +128,7 @@ from repro.sim.testbench import (
     Testbench,
     equivalence_check,
     interface_signature,
+    random_rows,
     random_stimulus,
     simulate_source,
     stimulus_rows,
@@ -165,6 +166,7 @@ __all__ = [
     "EquivalenceResult",
     "equivalence_check",
     "interface_signature",
+    "random_rows",
     "random_stimulus",
     "simulate_source",
     "stimulus_rows",

@@ -15,21 +15,35 @@ This module gives those paths a disk tier:
 * the cache root comes from the ``REPRO_SIM_CACHE`` environment variable
   or :func:`configure`; when neither is set every call is a cheap no-op,
   so the tier is strictly opt-in;
-* writes are atomic (temp file + ``os.replace``) so concurrent pool
-  workers can share one directory; unreadable/corrupt entries are
-  deleted, treated as misses, and counted (a one-line warning fires the
-  first time a corrupt entry is evicted in a process);
+* one call's entries share one **pack** file: :func:`store_many` writes
+  a header, an index (key digest -> offset, length) and the
+  ``(BACKEND_VERSION, payload)`` records under a temp name, hard-links
+  that one inode to ``root/<key>.pkl`` once per key in a flat directory
+  (no fan-out subdirectories), then unlinks the temp name — so a cold
+  pool check creates one inode, not one file per entry.  A name that
+  already exists is replaced (link under a temp name, ``os.replace``
+  onto the key): the last writer wins, and concurrent pool workers can
+  share one directory;
+* :func:`load` opens the key's name and reads the index and its own
+  record only (one open, at most two reads for packs of up to 85
+  entries); a bad index, a key missing from it and an unpickle error
+  count as ``corrupt``, a stale envelope as ``version_mismatch``.
+  Either way the entry is a miss and its one name is unlinked — its
+  siblings stay loadable, and the pack's inode goes with its last name
+  (a one-line warning fires the first time a corrupt entry is evicted
+  in a process);
 * every outcome feeds the :mod:`repro.obs` metrics registry
   (``sim.cache.hit`` / ``.miss`` / ``.store`` / ``.evict`` /
-  ``.corrupt`` / ``.version_mismatch``), and :func:`stats` snapshots
-  those counters — so cache behaviour is a measured quantity instead of
-  an anecdote.
+  ``.corrupt`` / ``.version_mismatch``; ``store`` counts entries, not
+  packs), and :func:`stats` snapshots those counters — so cache
+  behaviour is a measured quantity instead of an anecdote.
 
-Consumers: :func:`repro.vereval.harness._golden_ref` persists whole
-golden artifact bundles (design + stimulus rows + output trace),
-:func:`~repro.vereval.harness.check_candidates_lockstep` (which
-:func:`~repro.vereval.harness.check_candidate_source` runs as a pool of
-one) persists elaborated candidate designs, and
+Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
+(which :func:`~repro.vereval.harness.check_candidate_source` runs as a
+pool of one) loads golden artifact bundles (design + stimulus rows +
+output trace) and elaborated candidate designs, and stores the bundle it
+built plus every design it elaborated as one pack;
+:mod:`repro.vereval.cegis` persists distinguishing sets; and
 :class:`repro.evalkit.stages.CheckStage` forwards the configured cache
 directory to pool workers.
 """
@@ -40,8 +54,9 @@ import hashlib
 import logging
 import os
 import pickle
+import struct
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.sim.elaborate import Design
@@ -53,6 +68,7 @@ __all__ = [
     "configure",
     "load",
     "store",
+    "store_many",
     "stats",
     "get_design",
     "put_design",
@@ -71,8 +87,10 @@ __all__ = [
 #: ``commit`` takes four arguments (version-10 code passes six).  12: a
 #: pickled ``Design`` carries its AST as one nested pickle, unpickled on
 #: first read, and a golden bundle stores its stimulus as input names +
-#: value rows instead of per-cycle dicts.
-BACKEND_VERSION = 12
+#: value rows instead of per-cycle dicts.  13: entries live in packs
+#: hard-linked into a flat directory; a pre-13 directory's fan-out
+#: subdirectories are never read.
+BACKEND_VERSION = 13
 
 _ENV = "REPRO_SIM_CACHE"
 
@@ -83,6 +101,19 @@ _log = logging.getLogger("repro.sim.cache")
 
 #: set after the first corrupt-entry eviction warning in this process
 _warned_corrupt = False
+
+#: pack header (magic, entry count) and one index entry (sha256 digest of
+#: the key, record offset from the start of the pack, record length)
+_MAGIC = b"RSCP"
+_HEADER = struct.Struct("<4sI")
+_ENTRY = struct.Struct("<32sQQ")
+
+#: a load's first read: the header plus the index of any pack of up to
+#: 85 entries, and whatever records follow it
+_HEAD_BYTES = 4096
+
+#: one store_many entry: (kind, key parts, payload)
+Entry = Tuple[str, Sequence[str], Any]
 
 
 def cache_dir() -> Optional[str]:
@@ -128,8 +159,14 @@ def _key(kind: str, *parts: str) -> str:
 
 
 def _path_for(root: str, key: str) -> str:
-    # Two-level fan-out keeps directories small under large sweeps.
-    return os.path.join(root, key[:2], key + ".pkl")
+    return os.path.join(root, key + ".pkl")
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def _evict(path: str) -> None:
@@ -154,24 +191,71 @@ def _evict_corrupt(path: str) -> None:
         )
 
 
+def _head(records: Dict[str, bytes]) -> bytes:
+    """Header and index of one pack; the records follow in order."""
+    offset = _HEADER.size + len(records) * _ENTRY.size
+    index = [_HEADER.pack(_MAGIC, len(records))]
+    for key, record in records.items():
+        index.append(_ENTRY.pack(bytes.fromhex(key), offset, len(record)))
+        offset += len(record)
+    return b"".join(index)
+
+
+def _read_record(path: str, key: str) -> bytes:
+    """``key``'s record from the pack at ``path``.
+
+    Raises ``FileNotFoundError`` when the name does not exist, and
+    ``ValueError`` or ``struct.error`` when the pack is malformed,
+    truncated or does not index ``key``.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = os.read(fd, _HEAD_BYTES)
+        magic, count = _HEADER.unpack_from(head)
+        if magic != _MAGIC:
+            raise ValueError("not a sim-cache pack")
+        end = _HEADER.size + count * _ENTRY.size
+        if end > len(head):
+            if end > os.fstat(fd).st_size:
+                raise ValueError("truncated pack index")
+            head += os.pread(fd, end - len(head), len(head))
+        digest = bytes.fromhex(key)
+        for entry, offset, length in _ENTRY.iter_unpack(
+            head[_HEADER.size:end]
+        ):
+            if entry == digest:
+                break
+        else:
+            raise ValueError("key not in pack index")
+        if offset + length <= len(head):
+            return head[offset:offset + length]
+        record = os.pread(fd, length, offset)
+    finally:
+        os.close(fd)
+    if len(record) != length:
+        raise ValueError("truncated pack record")
+    return record
+
+
 def load(kind: str, *parts: str) -> Optional[Any]:
     """Fetch the artifact stored under ``(kind, *parts)``, or None.
 
     Misses, a disabled cache, and unreadable entries all return None;
-    corrupt and version-stale entries are evicted so they stop costing a
-    read each time, and every outcome is counted (see :func:`stats`).
+    corrupt and version-stale entries are evicted (their one name) so
+    they stop costing a read each time, and every outcome is counted
+    (see :func:`stats`).
     """
     root = cache_dir()
     if root is None:
         return None
-    path = _path_for(root, _key(kind, *parts))
+    key = _key(kind, *parts)
+    path = _path_for(root, key)
     try:
         # An armed "raise" at this point stands in for a corrupt or
         # unreadable entry: it lands in the generic handler below, so
         # the evict-and-miss recovery path is directly testable.
         faults.fire("sim.cache.load")
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
+        entry = pickle.loads(_read_record(path, key))
     except FileNotFoundError:
         obs.count("sim.cache.miss")
         return None
@@ -191,42 +275,81 @@ def load(kind: str, *parts: str) -> Optional[Any]:
     return payload
 
 
-def store(kind: str, payload: Any, *parts: str) -> bool:
-    """Persist ``payload`` under ``(kind, *parts)``; True when written.
+def _link(pack_path: str, path: str) -> None:
+    """Give the pack at ``pack_path`` the name ``path``, replacing a name
+    that exists (the last writer wins)."""
+    try:
+        os.link(pack_path, path)
+        return
+    except FileExistsError:
+        pass
+    # mkstemp names never contain "-", so this alias is the caller's own
+    alias = pack_path[: -len(".tmp")] + "-link.tmp"
+    os.link(pack_path, alias)
+    try:
+        os.replace(alias, path)
+    except BaseException:
+        _remove(alias)
+        raise
 
-    The payload is wrapped in a ``(BACKEND_VERSION, payload)`` envelope.
-    Atomic against concurrent writers of the same key (last replace
-    wins — both wrote identical content-addressed payloads).  Failures
-    (unpicklable payload, full disk, read-only root) are swallowed: the
-    cache is an accelerator, never a correctness dependency.
+
+def store_many(entries: Iterable[Entry]) -> int:
+    """Persist ``(kind, parts, payload)`` entries as one pack; returns
+    how many were stored.
+
+    Each payload is wrapped in a ``(BACKEND_VERSION, payload)`` envelope
+    and pickled on its own: an entry that cannot be pickled is skipped
+    and the rest are still written, and a key repeated within one call
+    is stored once (its last payload).  The pack is written under a temp
+    name, hard-linked to every key's name, then unlinked.  Failures
+    (full disk, read-only root, a filesystem without hard links) are
+    swallowed: the cache is an accelerator, never a correctness
+    dependency.  ``sim.cache.store`` counts one per linked entry.
     """
     root = cache_dir()
     if root is None:
-        return False
-    path = _path_for(root, _key(kind, *parts))
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
+        return 0
+    records: Dict[str, bytes] = {}
+    for kind, parts, payload in entries:
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    (BACKEND_VERSION, payload),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
+            records[_key(kind, *parts)] = pickle.dumps(
+                (BACKEND_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        except Exception:
+            continue
+    if not records:
+        return 0
+    stored = 0
+    pack_path = None
+    try:
+        os.makedirs(root, exist_ok=True)
+        fd, pack_path = tempfile.mkstemp(dir=root, suffix=".tmp")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_head(records))
+            for record in records.values():
+                handle.write(record)
+        # An armed "raise" here is a store that dies between writing the
+        # pack and naming it: no name, no temp file, the next load a miss.
+        faults.fire("sim.cache.store")
+        for key in records:
+            _link(pack_path, _path_for(root, key))
+            stored += 1
     except Exception:
-        return False
-    obs.count("sim.cache.store")
-    return True
+        pass
+    finally:
+        if pack_path is not None:
+            _remove(pack_path)
+    if stored:
+        obs.count("sim.cache.store", stored)
+    return stored
+
+
+def store(kind: str, payload: Any, *parts: str) -> bool:
+    """Persist ``payload`` under ``(kind, *parts)``; True when written.
+
+    A pack of one entry (:func:`store_many`).
+    """
+    return store_many([(kind, parts, payload)]) == 1
 
 
 def get_design(source: str, module_name: str) -> Optional[Design]:
@@ -238,4 +361,3 @@ def get_design(source: str, module_name: str) -> Optional[Design]:
 def put_design(source: str, module_name: str, design: Design) -> bool:
     """Persist an elaborated design keyed by its exact source text."""
     return store("design", design, source, module_name)
-

@@ -5,9 +5,10 @@ completion by simulating it against the problem's golden module under the
 same stimulus and comparing every output each cycle.  This module provides:
 
 * :class:`Testbench` — drive a single design with named clock/reset,
-* :func:`random_stimulus` — seeded random input vectors,
-* :func:`stimulus_rows` — an episode as input names + one value row per
-  cycle, the shape the cycle kernel steps through,
+* :func:`random_rows` — seeded random stimulus as input names + one
+  value row per cycle, the shape the cycle kernel steps through, and
+  :func:`random_stimulus`, its per-cycle dict view,
+* :func:`stimulus_rows` — any episode of dicts in that row shape,
 * :func:`sweep_random_stimulus` — N seeded stimulus episodes, one
   scalar replay each,
 * :func:`equivalence_check` — lockstep golden-vs-candidate comparison.
@@ -35,6 +36,9 @@ from repro.verilog import ast
 
 #: One cycle of input values, keyed by port name (clock excluded).
 StimulusVector = Dict[str, int]
+
+#: inputs random stimulus leaves to the harness by default
+_CONTROL_INPUTS = ("clk", "rst", "rst_n", "reset", "resetn")
 
 
 class Testbench:
@@ -162,28 +166,47 @@ def stimulus_rows(
     return names, rows
 
 
+def random_rows(
+    design: Design,
+    cycles: int,
+    seed: int,
+    exclude: Sequence[str] = _CONTROL_INPUTS,
+) -> Tuple[Tuple[str, ...], List[Tuple[int, ...]]]:
+    """``cycles`` random input rows for ``design``, as ``(input names,
+    one value row per cycle)`` — the shape :func:`stimulus_rows` returns.
+
+    Values are uniform over each input's width.  Control-looking inputs
+    in ``exclude`` are left to the harness.  The stream is exactly
+    ``DeterministicRNG(seed).randint(0, 2**w - 1)`` per input per cycle,
+    drawn without its call chain: CPython's ``randint`` there is
+    ``_randbelow(2**w)``, which takes ``w + 1`` bits from
+    ``getrandbits`` and draws again while the value is ``>= 2**w``.
+    """
+    getrandbits = DeterministicRNG(seed).getrandbits
+    inputs = [s for s in design.inputs if s.name not in exclude]
+    draws = [(s.width + 1, 1 << s.width) for s in inputs]
+    rows = []
+    for _ in range(cycles):
+        row = []
+        for bits, bound in draws:
+            value = getrandbits(bits)
+            while value >= bound:
+                value = getrandbits(bits)
+            row.append(value)
+        rows.append(tuple(row))
+    return tuple(s.name for s in inputs), rows
+
+
 def random_stimulus(
     design: Design,
     cycles: int,
     seed: int,
-    exclude: Sequence[str] = ("clk", "rst", "rst_n", "reset", "resetn"),
+    exclude: Sequence[str] = _CONTROL_INPUTS,
 ) -> List[StimulusVector]:
-    """Generate ``cycles`` random input vectors for ``design``.
-
-    Values are uniform over each input's width.  Control-looking inputs in
-    ``exclude`` are left to the harness.  The data-input list and each
-    input's range are resolved once up front, not per cycle.
-    """
-    rng = DeterministicRNG(seed)
-    spans = [
-        (s.name, (1 << s.width) - 1)
-        for s in design.inputs
-        if s.name not in exclude
-    ]
-    return [
-        {name: rng.randint(0, hi) for name, hi in spans}
-        for _ in range(cycles)
-    ]
+    """Generate ``cycles`` random input vectors for ``design``: the
+    per-cycle dict view of :func:`random_rows`."""
+    names, rows = random_rows(design, cycles, seed, exclude)
+    return [dict(zip(names, row)) for row in rows]
 
 
 @dataclass
@@ -219,11 +242,11 @@ def sweep_random_stimulus(
     clock: Optional[str] = "clk",
     reset: Optional[str] = None,
     reset_active_high: bool = True,
-    exclude: Sequence[str] = ("clk", "rst", "rst_n", "reset", "resetn"),
+    exclude: Sequence[str] = _CONTROL_INPUTS,
     backend: Optional[str] = None,
     stimuli: Optional[Sequence[Sequence[StimulusVector]]] = None,
 ) -> SweepResult:
-    """Run one seeded :func:`random_stimulus` episode per seed.
+    """Run one seeded :func:`random_rows` episode per seed.
 
     Every episode is its own scalar replay: a fresh :class:`Testbench`
     on ``backend`` (``None``: the process default), reset, then one
@@ -259,15 +282,17 @@ def sweep_random_stimulus(
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     seeds = tuple(seeds)
     if stimuli is None:
-        stimuli = [
-            random_stimulus(design, cycles, seed, exclude) for seed in seeds
+        episodes = [
+            random_rows(design, cycles, seed, exclude) for seed in seeds
         ]
     elif len(stimuli) != len(seeds):
         raise ValueError("stimuli must supply exactly one episode per seed")
+    else:
+        episodes = [stimulus_rows(stimulus) for stimulus in stimuli]
     names = tuple(s.name for s in design.outputs)
     traces: List[List[Tuple[int, ...]]] = []
     errors: List[Optional[str]] = []
-    for stimulus in stimuli:
+    for input_names, rows in episodes:
         trace: List[Tuple[int, ...]] = []
         error: Optional[str] = None
         try:
@@ -275,7 +300,6 @@ def sweep_random_stimulus(
                 design, clock, reset, reset_active_high, backend=backend
             )
             bench.apply_reset()
-            input_names, rows = stimulus_rows(stimulus)
             step = bench.sim.cycle_fn(bench.clock, input_names, names)
             for row in rows:
                 trace.append(step(row))

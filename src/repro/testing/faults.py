@@ -9,8 +9,8 @@ with a first-class switchboard:
 * Production code hosts **fault points**: a call to :func:`fire` with a
   stable dotted name (``checkpoint.save``, ``cluster.send``,
   ``cluster.recv``, ``cluster.worker.lease``, ``pool.chunk``,
-  ``sim.cache.load``, ``service.executor.<name>``).  Unarmed, a point
-  costs one dict lookup and is a no-op.
+  ``sim.cache.load``, ``sim.cache.store``, ``service.executor.<name>``).
+  Unarmed, a point costs one dict lookup and is a no-op.
 * Tests (or CI smoke runs) **arm** faults — programmatically via
   :func:`arm` or from the environment::
 

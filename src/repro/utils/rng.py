@@ -52,6 +52,12 @@ class DeterministicRNG:
         """Uniform integer in [lo, hi] inclusive."""
         return self._rng.randint(lo, hi)
 
+    @property
+    def getrandbits(self):
+        """The stream's own ``getrandbits(k)``, the draw ``randint`` is
+        built on; bind it once in a hot loop."""
+        return self._rng.getrandbits
+
     def random(self) -> float:
         return self._rng.random()
 

@@ -45,8 +45,7 @@ from repro.sim import (
     Testbench,
     elaborate,
     interface_signature,
-    random_stimulus,
-    stimulus_rows,
+    random_rows,
 )
 from repro.sim import cache as sim_cache
 from repro.utils.rng import DeterministicRNG
@@ -132,9 +131,9 @@ class _GoldenRef:
         self.signature = interface_signature(self.design)
         #: the stimulus as the cycle kernel takes it: input names once,
         #: one value row per cycle (see :attr:`stimulus`)
-        self.input_names, self.rows = stimulus_rows(random_stimulus(
+        self.input_names, self.rows = random_rows(
             self.design, problem.stimulus_cycles, seed=problem.stimulus_seed
-        ))
+        )
         #: per-cycle golden output tuples; cut short when the golden
         #: simulation itself errors, with the message and the phase it
         #: failed in recorded so candidates observe the exact verdict
@@ -243,7 +242,13 @@ def _golden_disk_key(problem: EvalProblem) -> Tuple[str, ...]:
     )
 
 
-def _golden_ref(problem: EvalProblem) -> _GoldenRef:
+def _golden_ref(
+    problem: EvalProblem, pack: Optional[list] = None
+) -> _GoldenRef:
+    """The problem's golden bundle: from memory, from ``sim.cache``, or
+    built here.  A bundle built here is not stored; it is appended to
+    ``pack`` as a :func:`repro.sim.cache.store_many` entry, which the
+    pool writes with the designs it elaborated."""
     from repro.vereval import cegis as _cegis
 
     cfg = _cegis.active_config()
@@ -280,7 +285,8 @@ def _golden_ref(problem: EvalProblem) -> _GoldenRef:
             cycles=problem.stimulus_cycles,
         ):
             ref = _GoldenRef(problem, cfg if cfg.enabled else None)
-        sim_cache.store("golden-ref", ref, *disk_key)
+        if pack is not None:
+            pack.append(("golden-ref", disk_key, ref))
     while len(_GOLDEN_CACHE) >= _GOLDEN_CACHE_MAX:
         _GOLDEN_CACHE.popitem(last=False)
     _GOLDEN_CACHE[key] = ref
@@ -471,7 +477,10 @@ def check_candidates_lockstep(
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
       candidates persist by source hash, so a duplicate in another
       worker or run skips lex/parse/elaborate — a hit implies the source
-      parsed and the module existed, so the classification is unchanged.
+      parsed and the module existed, so the classification is unchanged;
+      the golden bundle (if this call built it) and every design
+      elaborated here are written as one pack
+      (:func:`repro.sim.cache.store_many`).
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -514,15 +523,17 @@ def _check_candidates_lockstep(
                 continue
         parsed.append((source, candidate, candidate_file, indices))
 
+    # sim.cache entries built here: the golden bundle if this call built
+    # it, and every design elaborated here rather than loaded
+    pack: list = []
     if parsed:
         try:
-            ref = _golden_ref(problem)
+            ref = _golden_ref(problem, pack)
         except ElaborationError:
             for _, _, _, indices in parsed:
                 fill(indices, (False, "elaboration"))
             parsed = []
     checkable = []  # (source, design, indices)
-    fresh = []  # (source, design) elaborated here, not loaded
     for source, candidate, candidate_file, indices in parsed:
         if candidate is None:
             try:
@@ -530,7 +541,7 @@ def _check_candidates_lockstep(
             except ElaborationError:
                 fill(indices, (False, "elaboration"))
                 continue
-            fresh.append((source, candidate))
+            pack.append(("design", (source, name), candidate))
         checkable.append((source, candidate, indices))
     if checkable:
         from repro.vereval import cegis as _cegis
@@ -546,9 +557,9 @@ def _check_candidates_lockstep(
                 fill(indices, (False, verdict.error or "mismatch"))
     # Stored after the verdicts, not before: a design then carries the
     # code of whichever compiled form its check ran, so the next hit
-    # executes it instead of lowering the design again.
-    for source, candidate in fresh:
-        sim_cache.put_design(source, name, candidate)
+    # executes it instead of lowering the design again.  One pack per
+    # call: one new inode however many entries it holds.
+    sim_cache.store_many(pack)
     return outcomes  # type: ignore[return-value]
 
 

@@ -361,3 +361,30 @@ class TestSimCacheFault:
             assert sim_cache.load("unit", "k") is None  # really evicted
         finally:
             sim_cache.configure(None)
+
+    def test_injected_store_failure_leaves_no_name_and_no_temp_file(
+        self, tmp_path
+    ):
+        root = tmp_path / "cache"
+        previous = sim_cache.configure(str(root))
+        try:
+            faults.arm("sim.cache.store", "raise", nth=1)
+            fired = obs.counter_value("faults.fired")
+            stores = obs.counter_value("sim.cache.store")
+            # fired after the pack is written, before its first link
+            assert sim_cache.store_many(
+                [("unit", ("a",), 1), ("unit", ("b",), 2)]
+            ) == 0
+            assert obs.counter_value("faults.fired") == fired + 1
+            assert obs.counter_value("sim.cache.store") == stores
+            assert list(root.iterdir()) == []
+            misses = obs.counter_value("sim.cache.miss")
+            corrupt = obs.counter_value("sim.cache.corrupt")
+            assert sim_cache.load("unit", "a") is None
+            assert obs.counter_value("sim.cache.miss") == misses + 1
+            assert obs.counter_value("sim.cache.corrupt") == corrupt
+            # disarmed after one firing: the next store names its pack
+            assert sim_cache.store("unit", 1, "a")
+            assert sim_cache.load("unit", "a") == 1
+        finally:
+            sim_cache.configure(previous)

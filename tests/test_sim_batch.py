@@ -676,6 +676,16 @@ class TestTupleTraces:
             assert verdict == reference
 
 
+def _store_rounds(root, keys, tag, rounds=40):
+    """One cache writer process: ``rounds`` packs over ``keys``."""
+    sim_cache.configure(root)
+    for index in range(rounds):
+        stored = sim_cache.store_many(
+            [("blob", (f"k{i}",), [i, tag, index]) for i in keys]
+        )
+        assert stored == len(keys)
+
+
 class TestPersistentCache:
     def _problem(self) -> EvalProblem:
         return build_problem_set(n_problems=1)[0]
@@ -714,8 +724,28 @@ class TestPersistentCache:
             problem = self._problem()
             harness._GOLDEN_CACHE.clear()
             cold = harness._golden_ref(problem)
+            # built outside a pool, the bundle is not stored: the pool
+            # writes it with the designs of its own pack
+            assert not list(tmp_path.iterdir())
             harness._GOLDEN_CACHE.clear()
+            assert harness.check_candidate_source(problem, "module")[1] == (
+                "syntax"
+            )
+            assert not list(tmp_path.iterdir())  # nothing got past parse
+            passed, reason = harness.check_candidate_source(
+                problem, problem.golden_source
+            )
+            assert passed, reason
+            # the golden bundle and the candidate design: one pack
+            names = list(tmp_path.iterdir())
+            assert len(names) == 2
+            assert {name.stat().st_ino for name in names} == {
+                names[0].stat().st_ino
+            }
+            harness._GOLDEN_CACHE.clear()
+            hits = obs.counter_value("sim.cache.hit")
             warm = harness._golden_ref(problem)  # disk hit, new object
+            assert obs.counter_value("sim.cache.hit") == hits + 1
             assert warm is not cold
             assert warm.trace == cold.trace
             assert warm.output_names == cold.output_names
@@ -723,10 +753,9 @@ class TestPersistentCache:
             assert (warm.error, warm.error_phase) == (
                 cold.error, cold.error_phase
             )
-            passed, reason = harness.check_candidate_source(
-                problem, problem.golden_source
+            assert (warm.input_names, warm.rows) == (
+                cold.input_names, cold.rows
             )
-            assert passed, reason
         finally:
             sim_cache.configure(previous)
             harness._GOLDEN_CACHE.clear()
@@ -753,6 +782,157 @@ class TestPersistentCache:
             assert not pkl.exists()
         finally:
             sim_cache.configure(previous)
+
+    @staticmethod
+    def _blobs(n, size=0):
+        """``n`` store_many entries with distinct keys; ``size`` pads
+        each payload so the records outgrow a load's first read."""
+        return [("blob", (f"k{i}",), [i, "x" * size]) for i in range(n)]
+
+    def test_pack_names_share_one_inode(self, tmp_path):
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            assert sim_cache.store_many(self._blobs(5, size=3000)) == 5
+            names = sorted(tmp_path.iterdir())
+            # a flat directory of five names: no fan-out, no temp file
+            assert len(names) == 5
+            assert all(n.suffix == ".pkl" and n.is_file() for n in names)
+            stats = {(n.stat().st_ino, n.stat().st_nlink) for n in names}
+            assert len(stats) == 1 and stats.pop()[1] == 5
+            for i in range(5):
+                assert sim_cache.load("blob", f"k{i}") == [i, "x" * 3000]
+        finally:
+            sim_cache.configure(previous)
+
+    def test_evicting_one_name_leaves_its_siblings(self, tmp_path):
+        from repro.testing import faults
+
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            assert sim_cache.store_many(self._blobs(3)) == 3
+            faults.arm("sim.cache.load", "raise", nth=1)
+            try:
+                assert sim_cache.load("blob", "k1") is None  # evicted
+            finally:
+                faults.disarm("sim.cache.load")
+            names = list(tmp_path.iterdir())
+            assert len(names) == 2
+            assert names[0].stat().st_nlink == 2
+            assert sim_cache.load("blob", "k0") == [0, ""]
+            assert sim_cache.load("blob", "k2") == [2, ""]
+            assert sim_cache.load("blob", "k1") is None  # a plain miss now
+        finally:
+            sim_cache.configure(previous)
+
+    @pytest.mark.parametrize("cut", ["index", "record"])
+    def test_truncated_pack_is_corrupt_on_every_name_read(
+        self, tmp_path, cut
+    ):
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            assert sim_cache.store_many(self._blobs(3, size=3000)) == 3
+            pack = next(tmp_path.iterdir())
+            header = sim_cache._HEADER.size
+            keep = (
+                header + sim_cache._ENTRY.size  # mid-index
+                if cut == "index"
+                else header + 3 * sim_cache._ENTRY.size + 100  # record 0
+            )
+            with open(pack, "r+b") as handle:
+                handle.truncate(keep)
+            before = {
+                n: obs.counter_value(f"sim.cache.{n}")
+                for n in ("corrupt", "miss", "evict")
+            }
+            for i in range(3):
+                assert sim_cache.load("blob", f"k{i}") is None
+            assert {
+                n: obs.counter_value(f"sim.cache.{n}") - before[n]
+                for n in before
+            } == {"corrupt": 3, "miss": 3, "evict": 3}
+            assert not list(tmp_path.iterdir())
+        finally:
+            sim_cache.configure(previous)
+
+    def test_key_repeated_in_one_call_is_stored_once(self, tmp_path):
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            stores = obs.counter_value("sim.cache.store")
+            assert sim_cache.store_many(
+                [("blob", ("k",), 1), ("blob", ("k",), 2)]
+            ) == 1
+            assert obs.counter_value("sim.cache.store") == stores + 1
+            (name,) = tmp_path.iterdir()
+            assert name.stat().st_nlink == 1
+            with open(name, "rb") as handle:
+                magic, count = sim_cache._HEADER.unpack(
+                    handle.read(sim_cache._HEADER.size)
+                )
+            assert count == 1
+            assert sim_cache.load("blob", "k") == 2  # the last payload
+        finally:
+            sim_cache.configure(previous)
+
+    def test_unpicklable_entry_is_skipped_not_the_pack(self, tmp_path):
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            assert sim_cache.store_many(
+                [("blob", ("a",), 1), ("blob", ("b",), lambda: 0),
+                 ("blob", ("c",), 3)]
+            ) == 2
+            assert sim_cache.load("blob", "a") == 1
+            assert sim_cache.load("blob", "b") is None
+            assert sim_cache.load("blob", "c") == 3
+        finally:
+            sim_cache.configure(previous)
+
+    def test_restoring_an_existing_key_replaces_its_value(self, tmp_path):
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            assert sim_cache.store("blob", [1], "k")
+            assert sim_cache.store_many(
+                [("blob", ("k",), [2]), ("blob", ("j",), [3])]
+            ) == 2
+            assert sim_cache.load("blob", "k") == [2]  # the last writer
+            assert sim_cache.load("blob", "j") == [3]
+            names = list(tmp_path.iterdir())
+            assert len(names) == 2
+            assert not [n for n in names if n.suffix == ".tmp"]
+            # the first pack lost its only name and is gone; the second
+            # holds both
+            assert {n.stat().st_nlink for n in names} == {2}
+        finally:
+            sim_cache.configure(previous)
+
+    def test_concurrent_writers_on_overlapping_keys(self, tmp_path):
+        import multiprocessing
+
+        # three writer processes over overlapping key sets
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(
+                target=_store_rounds, args=(str(tmp_path), list(keys), tag)
+            )
+            for tag, keys in (
+                ("a", range(0, 12)), ("b", range(6, 18)),
+                ("c", range(0, 18, 2)),
+            )
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(60)
+            assert writer.exitcode == 0
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            for i in range(18):
+                value = sim_cache.load("blob", f"k{i}")
+                assert value is not None and value[0] == i, i
+        finally:
+            sim_cache.configure(previous)
+        names = list(tmp_path.iterdir())
+        assert len(names) == 18
+        assert not [n for n in names if n.suffix != ".pkl"]
 
     def test_design_batch_cache_not_pickled(self):
         design = build(

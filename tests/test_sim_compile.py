@@ -1352,11 +1352,12 @@ class TestCodePersistence:
     def test_previous_version_counter_image_is_not_reused(
         self, tmp_path, monkeypatch
     ):
-        """A counter stored by the previous backend version carries
-        generic code whose blocks take a fourth argument and whose
-        ``commit`` takes six: served, it breaks the first edge cascade;
-        ``get_design`` misses on it, and the re-elaborated design takes
-        the fused kernel."""
+        """A counter stored by an earlier backend version carries generic
+        code whose blocks take a fourth argument and whose ``commit``
+        takes six: served, it breaks the first edge cascade; in a
+        version-12 pack at its key name ``get_design`` misses on it
+        (``version_mismatch``, not ``corrupt``), and the re-elaborated
+        design takes the fused kernel."""
         from repro.sim import cache as sim_cache
 
         source = GALLERY["identity_self_assign_counter"][0]
@@ -1375,19 +1376,19 @@ class TestCodePersistence:
             served = sim_cache.get_design(source, "m")
             with pytest.raises(TypeError):
                 Simulator(served, backend="compiled").poke("clk", 1)
+            # a version-12 pack replaces the name the entry above holds
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    sim_cache, "BACKEND_VERSION",
-                    sim_cache.BACKEND_VERSION - 1,
-                )
+                patch.setattr(sim_cache, "BACKEND_VERSION", 12)
                 assert sim_cache.put_design(source, "m", stale)
             mismatch = obs.counter_value("sim.cache.version_mismatch")
             miss = obs.counter_value("sim.cache.miss")
+            corrupt = obs.counter_value("sim.cache.corrupt")
             assert sim_cache.get_design(source, "m") is None
             assert obs.counter_value(
                 "sim.cache.version_mismatch"
             ) == mismatch + 1
             assert obs.counter_value("sim.cache.miss") == miss + 1
+            assert obs.counter_value("sim.cache.corrupt") == corrupt
             # the caller's miss path: elaborate again, check, store
             fresh = build(source, "m")
             before = obs.counter_value("sim.kernel.specialised")
@@ -1475,9 +1476,10 @@ class TestCodePersistence:
 
     def test_previous_version_entries_are_evicted(self, tmp_path,
                                                   monkeypatch):
-        """A version-11 ``design`` entry (AST inline) and a version-11
-        ``golden-ref`` entry (stimulus dicts) unpickle, count a version
-        mismatch and a miss, and leave the directory."""
+        """A version-12 pack at the key names, holding a ``design`` entry
+        (AST inline) and a ``golden-ref`` entry (stimulus dicts) of older
+        layouts: each unpickles, counts a version mismatch and a miss, and
+        loses its one name while its sibling stays."""
         from repro.sim import cache as sim_cache
         from repro.vereval import harness
 
@@ -1503,24 +1505,30 @@ class TestCodePersistence:
         ]
         previous = sim_cache.configure(str(tmp_path))
         try:
-            for (kind, *parts), payload in entries:
-                path = sim_cache._path_for(
+            with monkeypatch.context() as patch:
+                patch.setattr(sim_cache, "BACKEND_VERSION", 12)
+                patch.setattr(
+                    Design, "__getstate__",
+                    lambda self: dict(self.__dict__),
+                )
+                patch.setattr(
+                    harness._GoldenRef, "__getstate__",
+                    lambda self: (
+                        None, {"design": self.design, **layout_11}
+                    ),
+                )
+                assert sim_cache.store_many(
+                    [(kind, parts, payload)
+                     for (kind, *parts), payload in entries]
+                ) == 2
+            paths = [
+                sim_cache._path_for(
                     str(tmp_path), sim_cache._key(kind, *parts)
                 )
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with monkeypatch.context() as patch:
-                    patch.setattr(
-                        Design, "__getstate__",
-                        lambda self: dict(self.__dict__),
-                    )
-                    patch.setattr(
-                        harness._GoldenRef, "__getstate__",
-                        lambda self: (
-                            None, {"design": self.design, **layout_11}
-                        ),
-                    )
-                    with open(path, "wb") as handle:
-                        pickle.dump((11, payload), handle)
+                for (kind, *parts), _ in entries
+            ]
+            assert os.stat(paths[0]).st_ino == os.stat(paths[1]).st_ino
+            for ((kind, *parts), _), path in zip(entries, paths):
                 counts = {
                     n: obs.counter_value(f"sim.cache.{n}")
                     for n in ("version_mismatch", "miss", "corrupt", "evict")
@@ -1532,6 +1540,7 @@ class TestCodePersistence:
                 } == {"version_mismatch": 1, "miss": 1, "corrupt": 0,
                       "evict": 1}
                 assert not os.path.exists(path)
+                assert os.path.exists(paths[1]) == (path == paths[0])
         finally:
             sim_cache.configure(previous)
 
