@@ -36,13 +36,21 @@ This module gives those paths a disk tier:
   (``sim.cache.hit`` / ``.miss`` / ``.store`` / ``.evict`` /
   ``.corrupt`` / ``.version_mismatch``; ``store`` counts entries, not
   packs), and :func:`stats` snapshots those counters — so cache
-  behaviour is a measured quantity instead of an anecdote.
+  behaviour is a measured quantity instead of an anecdote;
+* the ``design`` entry of ``(source, module name)`` is the source's
+  **front-end outcome**: the elaborated :class:`Design`, or one reason
+  from the closed set :data:`FRONTEND_FAILURES` when the source does
+  not lex and parse, does not define the module, or does not
+  elaborate.  :func:`get_frontend` reads either; a payload outside that
+  set counts as ``corrupt``.  :func:`get_design` still returns a
+  ``Design`` or None.
 
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
 pool of one) loads golden artifact bundles (design + stimulus rows +
-output trace) and elaborated candidate designs, and stores the bundle it
-built plus every design it elaborated as one pack;
+output trace + the all-vectors rung's lanes) and candidates' front-end
+outcomes, and stores the bundle it built plus every outcome it derived
+as one pack;
 :mod:`repro.vereval.cegis` persists distinguishing sets; and
 :class:`repro.evalkit.stages.CheckStage` forwards the configured cache
 directory to pool workers.
@@ -56,7 +64,9 @@ import os
 import pickle
 import struct
 import tempfile
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union,
+)
 
 from repro import obs
 from repro.sim.elaborate import Design
@@ -71,7 +81,9 @@ __all__ = [
     "store_many",
     "stats",
     "get_design",
+    "get_frontend",
     "put_design",
+    "FRONTEND_FAILURES",
 ]
 
 #: Version carried inside every entry's envelope.  Bump on any change to
@@ -89,8 +101,15 @@ __all__ = [
 #: first read, and a golden bundle stores its stimulus as input names +
 #: value rows instead of per-cycle dicts.  13: entries live in packs
 #: hard-linked into a flat directory; a pre-13 directory's fan-out
-#: subdirectories are never read.
-BACKEND_VERSION = 13
+#: subdirectories are never read.  14: a ``design`` entry may hold a
+#: front-end failure reason instead of a ``Design``, and a golden bundle
+#: carries the all-vectors rung's input columns and expected matrix.
+BACKEND_VERSION = 14
+
+#: the front-end failure reasons a ``design`` entry may hold in place of
+#: a ``Design``: the source does not lex and parse, does not define the
+#: module, or the module does not elaborate
+FRONTEND_FAILURES = frozenset({"syntax", "missing_module", "elaboration"})
 
 _ENV = "REPRO_SIM_CACHE"
 
@@ -245,6 +264,13 @@ def load(kind: str, *parts: str) -> Optional[Any]:
     they stop costing a read each time, and every outcome is counted
     (see :func:`stats`).
     """
+    return _load(kind, parts, None)
+
+
+def _load(
+    kind: str, parts: Sequence[str], accept: Optional[Callable[[Any], bool]]
+) -> Optional[Any]:
+    """:func:`load`, where a payload ``accept`` rejects counts as corrupt."""
     root = cache_dir()
     if root is None:
         return None
@@ -270,6 +296,9 @@ def load(kind: str, *parts: str) -> Optional[Any]:
         obs.count("sim.cache.version_mismatch")
         obs.count("sim.cache.miss")
         _evict(path)
+        return None
+    if accept is not None and not accept(payload):
+        _evict_corrupt(path)
         return None
     obs.count("sim.cache.hit")
     return payload
@@ -352,10 +381,25 @@ def store(kind: str, payload: Any, *parts: str) -> bool:
     return store_many([(kind, parts, payload)]) == 1
 
 
+def _is_frontend_outcome(payload: Any) -> bool:
+    return isinstance(payload, Design) or (
+        isinstance(payload, str) and payload in FRONTEND_FAILURES
+    )
+
+
+def get_frontend(
+    source: str, module_name: str
+) -> Union[Design, str, None]:
+    """The front-end outcome stored for ``module_name`` in ``source``:
+    the elaborated design, a reason from :data:`FRONTEND_FAILURES`, or
+    None on a miss."""
+    return _load("design", (source, module_name), _is_frontend_outcome)
+
+
 def get_design(source: str, module_name: str) -> Optional[Design]:
     """Disk-cached elaborated design for ``module_name`` in ``source``."""
-    design = load("design", source, module_name)
-    return design if isinstance(design, Design) else None
+    outcome = get_frontend(source, module_name)
+    return outcome if isinstance(outcome, Design) else None
 
 
 def put_design(source: str, module_name: str, design: Design) -> bool:

@@ -8,7 +8,8 @@ the scalar per-cycle loop would have produced.  It owns:
 * **expectation packing** (:func:`expected_matrix`) — the golden trace
   becomes a ``[cycles, outputs]`` ``int64`` matrix;
 * **stimulus packing** (:func:`lane_vector`) — one input's values over
-  all vectors as an ``int64`` lane column;
+  all vectors as an ``int64`` lane column (the checker packs both once
+  per golden bundle, ``_GoldenRef.lanes``, not once per candidate);
 * **comparison + verdict derivation**
   (:meth:`RetireEngine.retire_all_vectors`) — the lane axis is the cycle
   axis, so the scalar loop's bookkeeping (first mismatching cycle, first
@@ -61,8 +62,10 @@ def lane_vector(values: Sequence[int]) -> np.ndarray:
 class RetireEngine:
     """Compare→verdict bookkeeping for one all-vectors check.
 
-    Construct one engine per golden reference (output name order and
-    trace are frozen at construction), then call
+    Construct one engine per check from the golden's output name order
+    and its prebuilt ``[cycles, outputs]`` :func:`expected_matrix` (the
+    checker builds that once per golden bundle and shares it read-only;
+    the engine never writes it), then call
     :meth:`retire_all_vectors` once with the full
     ``[n_lanes, n_outputs]`` output matrix of a stateless combinational
     design (lane = stimulus vector) and receive the single
@@ -79,7 +82,7 @@ class RetireEngine:
     def __init__(
         self,
         output_names: Sequence[str],
-        trace: Sequence[Tuple[int, ...]],
+        expected: np.ndarray,
         n_lanes: int,
         result_type: Optional[type] = None,
     ) -> None:
@@ -87,7 +90,7 @@ class RetireEngine:
             from repro.sim.testbench import EquivalenceResult
             result_type = EquivalenceResult
         self.names: Tuple[str, ...] = tuple(output_names)
-        self.expected = expected_matrix(trace, len(self.names))
+        self.expected = expected
         self.n_lanes = n_lanes
         self._result_type = result_type
 

@@ -393,12 +393,13 @@ class _EntryRef:
     Duck-types exactly the fields
     :func:`repro.vereval.harness._check_many_against_trace` reads, so
     entry replay reuses the legacy machinery unchanged — signature gate,
-    combinational all-vectors fast path, scalar replay.
+    combinational all-vectors fast path, scalar replay.  ``lanes`` starts
+    empty: the all-vectors rung builds this entry's arrays on first use.
     """
 
     __slots__ = (
         "design", "signature", "input_names", "rows", "output_names",
-        "trace", "error", "error_phase",
+        "trace", "error", "error_phase", "lanes",
     )
 
     def __init__(self, golden_ref, entry: DistinguishingVector) -> None:
@@ -409,6 +410,7 @@ class _EntryRef:
         self.trace = [tuple(row) for row in entry.trace]
         self.error: Optional[str] = None
         self.error_phase = ""
+        self.lanes = None
 
 
 def _check_entry(

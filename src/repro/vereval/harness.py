@@ -117,11 +117,18 @@ class _GoldenRef:
     of both designs but does the golden half of the work once per problem
     instead of once per sample — and compares flat tuples instead of
     iterating per-cycle dicts in the innermost check loop.
+
+    ``lanes`` is None until the all-vectors rung first checks a candidate
+    against this bundle; it then holds that rung's per-problem arrays
+    (:func:`_bundle_lanes`): one read-only int64 column per input and the
+    ``[cycles, outputs]`` expected matrix.  They are pickled with the
+    bundle, so a warm check never builds them.
     """
 
     __slots__ = (
         "design", "signature", "input_names", "rows", "output_names",
         "trace", "error", "error_phase", "coverage", "full_cycles",
+        "lanes",
     )
 
     def __init__(self, problem: EvalProblem, cegis_config=None) -> None:
@@ -146,6 +153,7 @@ class _GoldenRef:
         self.coverage: Optional[Dict] = None
         #: the configured stimulus depth, before any coverage truncation
         self.full_cycles: int = len(self.rows)
+        self.lanes: Optional[Tuple[Dict[str, np.ndarray], np.ndarray]] = None
         interface = problem.module.interface
         cov = None
         truncate = False
@@ -212,6 +220,9 @@ class _GoldenRef:
         for name, value in slots.items():
             if name in _GoldenRef.__slots__:
                 setattr(self, name, value)
+        lanes = slots.get("lanes")
+        if lanes is not None:
+            _frozen(lanes)  # an unpickled array is writeable again
 
 
 #: golden artifacts keyed by problem identity *and* content (including
@@ -293,6 +304,31 @@ def _golden_ref(
     return ref
 
 
+def _frozen(lanes):
+    """``lanes`` with every array marked read-only."""
+    columns, expected = lanes
+    for array in (*columns.values(), expected):
+        array.flags.writeable = False
+    return lanes
+
+
+def _bundle_lanes(ref) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """The all-vectors rung's per-problem arrays, built on first use and
+    kept in ``ref.lanes``: one int64 column per input (``name ->
+    [cycles]``) and the ``[cycles, outputs]`` expected matrix, all
+    read-only.  Raises ``OverflowError`` for a value past int64."""
+    from repro.sim.retire import expected_matrix, lane_vector
+
+    if ref.lanes is None:
+        columns = {
+            name: lane_vector(column)
+            for name, column in zip(ref.input_names, zip(*ref.rows))
+        }
+        expected = expected_matrix(ref.trace, len(ref.output_names))
+        ref.lanes = _frozen((columns, expected))
+    return ref.lanes
+
+
 def _check_all_vectors_batch(
     ref: _GoldenRef, candidate, problem: EvalProblem
 ) -> Optional[EquivalenceResult]:
@@ -327,12 +363,13 @@ def _check_all_vectors_batch(
         return None
     from repro.sim.batch import BatchSimulator
     from repro.sim.compile import UncompilableDesign
-    from repro.sim.retire import RetireEngine, lane_vector
+    from repro.sim.retire import RetireEngine
 
     n_lanes = len(ref.rows)
     try:
         sim = BatchSimulator(candidate, n_lanes=n_lanes)
-        engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
+        columns, expected = _bundle_lanes(ref)
+        engine = RetireEngine(ref.output_names, expected, n_lanes)
         vector: Dict[str, object] = {}
         reset = interface.reset
         if reset is not None and any(
@@ -341,8 +378,7 @@ def _check_all_vectors_batch(
             # Net effect of apply_reset on a stateless design: the reset
             # input rests at its deasserted level.
             vector[reset] = 0 if interface.reset_active_high else 1
-        for name, column in zip(ref.input_names, zip(*ref.rows)):
-            vector[name] = lane_vector(column)
+        vector.update(columns)
         sim.poke_many(vector)
         actual = np.stack(
             [sim.peek_lanes(name) for name in ref.output_names], axis=1
@@ -474,12 +510,15 @@ def check_candidates_lockstep(
       elaborating design the all-vectors fast path when it is stateless
       combinational, the scalar replay otherwise (docs/architecture.md
       §4; the name is the one the perf ledger and ``evalkit`` import);
-    * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
-      candidates persist by source hash, so a duplicate in another
-      worker or run skips lex/parse/elaborate — a hit implies the source
-      parsed and the module existed, so the classification is unchanged;
-      the golden bundle (if this call built it) and every design
-      elaborated here are written as one pack
+    * with the :mod:`repro.sim.cache` disk tier enabled, each source's
+      front-end outcome persists by source text and module name — the
+      elaborated design, or its ``syntax`` / ``missing_module`` /
+      ``elaboration`` reason — so a duplicate in another worker or run
+      skips lex/parse/elaborate, and a cached reason is the verdict
+      (counted as ``vereval.cached_failures``).  ``internal`` and the
+      ``elaboration`` every candidate gets when the *golden* does not
+      elaborate are never stored.  The golden bundle (if this call built
+      it) and every outcome derived here are written as one pack
       (:func:`repro.sim.cache.store_many`).
     """
     sources = list(candidate_sources)
@@ -505,31 +544,43 @@ def _check_candidates_lockstep(
         for index in indices:
             outcomes[index] = outcome
 
+    # sim.cache entries built here: the golden bundle if this call built
+    # it, and the front-end outcome of every source decided here rather
+    # than loaded (its design, or why it has none)
+    pack: list = []
+
+    def fail(source: str, indices: List[int], reason: str) -> None:
+        fill(indices, (False, reason))
+        pack.append(("design", (source, name), reason))
+
     parsed = []  # (source, design-or-None, parsed-file-or-None, indices)
     for source, indices in positions.items():
-        candidate = sim_cache.get_design(source, name)
+        candidate = sim_cache.get_frontend(source, name)
         candidate_file = None
+        if isinstance(candidate, str):
+            obs.count("vereval.cached_failures")
+            fill(indices, (False, candidate))
+            continue
         if candidate is None:
             try:
                 candidate_file = parse_source_fast(source)
             except (LexError, ParseError):
-                fill(indices, (False, "syntax"))
+                fail(source, indices, "syntax")
                 continue
             except Exception:
+                # a harness bug, not the source's outcome: never stored
                 fill(indices, (False, "internal"))
                 continue
             if candidate_file.module(name) is None:
-                fill(indices, (False, "missing_module"))
+                fail(source, indices, "missing_module")
                 continue
         parsed.append((source, candidate, candidate_file, indices))
 
-    # sim.cache entries built here: the golden bundle if this call built
-    # it, and every design elaborated here rather than loaded
-    pack: list = []
     if parsed:
         try:
             ref = _golden_ref(problem, pack)
         except ElaborationError:
+            # the golden's failure, not the candidates': stored for none
             for _, _, _, indices in parsed:
                 fill(indices, (False, "elaboration"))
             parsed = []
@@ -539,7 +590,7 @@ def _check_candidates_lockstep(
             try:
                 candidate = elaborate(candidate_file, name)
             except ElaborationError:
-                fill(indices, (False, "elaboration"))
+                fail(source, indices, "elaboration")
                 continue
             pack.append(("design", (source, name), candidate))
         checkable.append((source, candidate, indices))

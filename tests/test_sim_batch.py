@@ -630,6 +630,196 @@ class TestCombinationalFastPath:
         assert fast == slow == (True, "")
 
 
+#: body-only operator swaps for near-miss candidates; the spaced forms
+#: cannot touch ``<=``
+_SWAPS = (
+    (" + ", " - "), (" - ", " + "), (" & ", " | "), (" | ", " & "),
+    (" ^ ", " | "), (" == ", " != "), (" != ", " == "), (" << ", " >> "),
+    (" >> ", " << "), (" < ", " > "), (" > ", " < "),
+)
+
+
+def _near_misses(problem):
+    """The golden, its ``vgen.mutate`` mutants and every single
+    operator swap in its body, elaborated (those that elaborate)."""
+    from repro.errors import ElaborationError, ParseError
+    from repro.vgen.mutate import mutate
+
+    source = problem.golden_source
+    body_at = source.index(");") + 2
+    sources = [source] + [m.source for m in mutate(problem.module)]
+    for old, new in _SWAPS:
+        at = source.find(old, body_at)
+        while at != -1:
+            sources.append(source[:at] + new + source[at + len(old):])
+            at = source.find(old, at + len(old))
+    designs = []
+    for candidate in sources:
+        try:
+            designs.append(build(candidate, problem.module.name))
+        except (ElaborationError, ParseError):
+            pass
+    return designs
+
+
+def _per_candidate_rebuild(ref, candidate, problem):
+    """The all-vectors rung as it was before bundles kept their lanes:
+    input columns and the expected matrix rebuilt for each candidate."""
+    from repro.sim.retire import RetireEngine, expected_matrix
+
+    interface = problem.module.interface
+    n_lanes = len(ref.rows)
+    try:
+        sim = BatchSimulator(candidate, n_lanes=n_lanes)
+        engine = RetireEngine(
+            ref.output_names,
+            expected_matrix(ref.trace, len(ref.output_names)),
+            n_lanes,
+        )
+        vector = {}
+        reset = interface.reset
+        if reset is not None and any(
+            s.name == reset for s in candidate.inputs
+        ):
+            vector[reset] = 0 if interface.reset_active_high else 1
+        for name, column in zip(ref.input_names, zip(*ref.rows)):
+            vector[name] = lane_vector(column)
+        sim.poke_many(vector)
+        actual = np.stack(
+            [sim.peek_lanes(name) for name in ref.output_names], axis=1
+        )
+    except (UncompilableDesign, SimulationError, OverflowError, ValueError):
+        return None
+    return engine.retire_all_vectors(actual)
+
+
+class TestBundleLanes:
+    """The all-vectors rung's input columns and expected matrix are
+    built once per golden bundle (``_GoldenRef.lanes``), pickled with
+    it, and shared read-only by every candidate's check."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        problems = [
+            p for p in build_problem_set(60, stimulus_cycles=384)
+            if p.module.interface.clock is None
+        ]
+        assert len(problems) == 20
+        return [(p, _near_misses(p)) for p in problems]
+
+    def test_fresh_loaded_and_rebuilt_arrays_agree(self, corpus):
+        engaged = 0
+        for problem, designs in corpus:
+            fresh = harness._GoldenRef(problem)
+            assert fresh.lanes is None
+            first = [
+                harness._check_all_vectors_batch(fresh, d, problem)
+                for d in designs
+            ]
+            assert fresh.lanes is not None
+            loaded = pickle.loads(pickle.dumps(fresh))
+            assert loaded.lanes is not None
+            second = [
+                harness._check_all_vectors_batch(loaded, d, problem)
+                for d in designs
+            ]
+            rebuilt = [
+                _per_candidate_rebuild(fresh, d, problem) for d in designs
+            ]
+            # EquivalenceResult equality: every field
+            assert first == second == rebuilt, problem.problem_id
+            previous = harness.BATCH_CHECK_ENABLED
+            try:
+                harness.BATCH_CHECK_ENABLED = False
+                scalar = harness._check_many_against_trace(
+                    fresh, designs, problem
+                )
+            finally:
+                harness.BATCH_CHECK_ENABLED = previous
+            for lanes, replay in zip(first, scalar):
+                if lanes is not None:
+                    engaged += 1
+                    assert lanes == replay, problem.problem_id
+        assert engaged >= 45  # 49 when written
+
+    def test_shared_arrays_are_read_only(self, corpus):
+        problem, designs = corpus[0]
+        ref = harness._GoldenRef(problem)
+        assert harness._check_all_vectors_batch(
+            ref, designs[0], problem
+        ).equivalent
+        loaded = pickle.loads(pickle.dumps(ref))
+        for columns, expected in (ref.lanes, loaded.lanes):
+            assert list(columns) == list(ref.input_names)
+            for array in (*columns.values(), expected):
+                assert array.dtype == np.int64
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        columns, expected = ref.lanes
+        snapshot = [array.copy() for array in (*columns.values(), expected)]
+        sim = BatchSimulator(designs[0], n_lanes=len(ref.rows))
+        sim.poke_many(dict(columns))
+        for name, column in columns.items():
+            lanes = sim.st[sim.bdesign.slot_of[name]]
+            assert lanes.flags.writeable
+            assert not np.shares_memory(lanes, column)
+        for design in designs:
+            harness._check_all_vectors_batch(ref, design, problem)
+        for before, after in zip(
+            snapshot, (*columns.values(), expected)
+        ):
+            assert np.array_equal(before, after)
+
+    def test_an_overflowing_bundle_still_falls_back_per_candidate(self):
+        # The arrays are built inside the rung's try: a trace value past
+        # int64 is a counted fallback for every candidate, as before.
+        problem = TestCombinationalFastPath._comb_problem()
+        ref = harness._GoldenRef(problem)
+        design = build(problem.golden_source, problem.module.name)
+        ref.trace = [tuple(1 << 64 for _ in row) for row in ref.trace]
+        fallbacks = obs.counter_value("batch.fallback_scalar")
+        for _ in range(2):
+            assert harness._check_all_vectors_batch(
+                ref, design, problem
+            ) is None
+        assert ref.lanes is None
+        assert obs.counter_value("batch.fallback_scalar") == fallbacks + 2
+
+    def test_a_cegis_entry_ref_takes_the_rung(self, corpus):
+        from repro.vereval.cegis import DistinguishingVector, _EntryRef
+
+        problem, designs = corpus[0]
+        ref = harness._GoldenRef(problem)
+        entry = DistinguishingVector.from_run(
+            ref.stimulus[:8], ref.output_names, ref.trace[:8]
+        )
+        checks = obs.counter_value("retire.allvec_checks")
+        for design in designs:
+            entry_ref = _EntryRef(ref, entry)
+            assert entry_ref.lanes is None
+            lanes = harness._check_all_vectors_batch(
+                entry_ref, design, problem
+            )
+            assert lanes is not None and entry_ref.lanes is not None
+            assert lanes == _per_candidate_rebuild(entry_ref, design, problem)
+            previous = harness.BATCH_CHECK_ENABLED
+            try:
+                harness.BATCH_CHECK_ENABLED = False
+                replay = harness._check_many_against_trace(
+                    _EntryRef(ref, entry), [design], problem
+                )[0]
+            finally:
+                harness.BATCH_CHECK_ENABLED = previous
+            assert lanes == replay
+        assert obs.counter_value("retire.allvec_checks") == (
+            checks + 2 * len(designs)
+        )
+        assert harness._check_all_vectors_batch(
+            _EntryRef(ref, entry), designs[0], problem
+        ).cycles_run == 8
+
+
 class TestGoldenCacheLRU:
     def test_eviction_is_lru_not_wholesale(self, monkeypatch):
         monkeypatch.setattr(harness, "_GOLDEN_CACHE_MAX", 2)
@@ -731,17 +921,29 @@ class TestPersistentCache:
             assert harness.check_candidate_source(problem, "module")[1] == (
                 "syntax"
             )
-            assert not list(tmp_path.iterdir())  # nothing got past parse
+            # nothing got past parse: one name, holding the reason
+            (failure,) = tmp_path.iterdir()
+            assert sim_cache.load(
+                "design", "module", problem.module.name
+            ) == "syntax"
+            tokens = obs.counter_value("verilog.tokens")
+            hits = obs.counter_value("sim.cache.hit")
+            assert harness.check_candidate_source(problem, "module") == (
+                False, "syntax"
+            )
+            assert obs.counter_value("sim.cache.hit") == hits + 1
+            assert obs.counter_value("verilog.tokens") == tokens  # no parse
             passed, reason = harness.check_candidate_source(
                 problem, problem.golden_source
             )
             assert passed, reason
-            # the golden bundle and the candidate design: one pack
-            names = list(tmp_path.iterdir())
+            # the golden bundle and the candidate design: one more pack
+            names = [n for n in tmp_path.iterdir() if n != failure]
             assert len(names) == 2
             assert {name.stat().st_ino for name in names} == {
                 names[0].stat().st_ino
             }
+            assert names[0].stat().st_ino != failure.stat().st_ino
             harness._GOLDEN_CACHE.clear()
             hits = obs.counter_value("sim.cache.hit")
             warm = harness._golden_ref(problem)  # disk hit, new object

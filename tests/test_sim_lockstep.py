@@ -584,3 +584,186 @@ class TestShapeCache:
             sim_cache.configure(previous)
             harness._GOLDEN_CACHE.clear()
         assert cold == warm == baseline
+
+
+# ---------------------------------------------------------------------------
+# front-end failure verdicts in sim.cache
+# ---------------------------------------------------------------------------
+
+
+class TestFrontendFailureCache:
+    """A ``design`` entry holds the source's front-end outcome: its
+    design or its ``syntax`` / ``missing_module`` / ``elaboration``
+    reason, so a warm check lexes and parses nothing it already saw."""
+
+    SYNTAX = "module dut(input clk"
+    MISSING = _dut().replace("module dut(", "module other(")
+    ELABORATION = _dut(op_mix="a & zz")
+    #: one source per front-end reason, then a pass and a mismatch
+    SOURCES = [SYNTAX, MISSING, ELABORATION, _dut(), _dut(op_sum="a - b")]
+    REASONS = ["syntax", "missing_module", "elaboration"]
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        previous = sim_cache.configure(str(tmp_path))
+        harness.reset_caches()
+        try:
+            yield tmp_path
+        finally:
+            sim_cache.configure(previous)
+            harness.reset_caches()
+
+    @staticmethod
+    def _counts(*names):
+        from repro import obs
+
+        return {name: obs.counter_value(name) for name in names}
+
+    @classmethod
+    def _delta(cls, before):
+        after = cls._counts(*before)
+        return {name: after[name] - before[name] for name in before}
+
+    def test_cold_warm_and_oracle_agree(self, cache):
+        problem = _dut_problem(problem_id="frontend")
+        sources = self.SOURCES + self.SOURCES[:3]  # duplicates decide once
+        reference = [lockstep_verdict(problem, s) for s in sources]
+        assert [r for _, r in reference[:3]] == self.REASONS
+        names = (
+            "verilog.tokens", "vereval.cached_failures", "sim.cache.hit",
+            "sim.cache.miss",
+        )
+        before = self._counts(*names)
+        assert check_candidates_lockstep(problem, sources) == reference
+        cold = self._delta(before)
+        assert cold["vereval.cached_failures"] == 0
+        assert cold["sim.cache.miss"] == 6  # five sources and the golden
+        for source, reason in zip(self.SOURCES, self.REASONS):
+            assert sim_cache.get_frontend(source, "dut") == reason
+        harness.reset_caches()
+        before = self._counts(*names)
+        assert check_candidates_lockstep(problem, sources) == reference
+        assert self._delta(before) == {
+            "verilog.tokens": 0,
+            "vereval.cached_failures": 3,
+            "sim.cache.hit": 6,
+            "sim.cache.miss": 0,
+        }
+
+    def test_a_call_where_every_source_fails_writes_one_pack(self, cache):
+        problem = _dut_problem(problem_id="frontend")
+        assert check_candidates_lockstep(problem, self.SOURCES[:3]) == [
+            (False, reason) for reason in self.REASONS
+        ]
+        # three reasons and the golden bundle (the elaboration failure got
+        # past parse, so the golden was built): one pack
+        names = list(cache.iterdir())
+        assert len(names) == 4
+        assert len({name.stat().st_ino for name in names}) == 1
+        # get_design stays a Design-or-None view of the same entries
+        assert sim_cache.get_design(self.SYNTAX, "dut") is None
+
+    def test_a_golden_elaboration_error_stores_nothing_for_candidates(
+        self, cache
+    ):
+        module = GeneratedModule(
+            family="bench", source=_dut(op_mix="a & zz"),
+            interface=ModuleInterface(
+                module_name="dut", clock="clk", reset="rst",
+                reset_active_high=True,
+                inputs=[("en", 1), ("a", 8), ("b", 8)],
+                outputs=[("acc", 16), ("mix", 8)],
+            ),
+            description="a golden that does not elaborate",
+        )
+        problem = _problem_for(module, problem_id="broken-golden")
+        sources = [_dut(), self.SYNTAX]
+        reference = [lockstep_verdict(problem, s) for s in sources]
+        assert reference == [(False, "elaboration"), (False, "syntax")]
+        assert check_candidates_lockstep(problem, sources) == reference
+        assert len(list(cache.iterdir())) == 1  # the syntax reason only
+        assert sim_cache.get_frontend(_dut(), "dut") is None
+        tokens = self._counts("verilog.tokens")
+        assert check_candidates_lockstep(problem, sources) == reference
+        assert self._delta(tokens)["verilog.tokens"] > 0  # parsed again
+
+    def test_an_internal_parse_error_stores_nothing(
+        self, cache, monkeypatch
+    ):
+        problem = _dut_problem(problem_id="frontend")
+
+        def broken(source):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr(harness, "parse_source_fast", broken)
+        assert check_candidates_lockstep(problem, [_dut()]) == [
+            (False, "internal")
+        ]
+        assert not list(cache.iterdir())
+
+    def test_an_unknown_reason_is_corrupt_evicted_and_reparsed(self, cache):
+        problem = _dut_problem(problem_id="frontend")
+        assert sim_cache.store("design", "bogus", self.SYNTAX, "dut")
+        before = self._counts(
+            "sim.cache.corrupt", "sim.cache.miss", "sim.cache.hit",
+            "verilog.tokens", "vereval.cached_failures",
+        )
+        assert check_candidates_lockstep(problem, [self.SYNTAX]) == [
+            lockstep_verdict(problem, self.SYNTAX)
+        ]
+        delta = self._delta(before)
+        assert delta["sim.cache.corrupt"] == 1
+        assert delta["sim.cache.miss"] == 1
+        assert delta["sim.cache.hit"] == 0
+        assert delta["verilog.tokens"] > 0
+        assert delta["vereval.cached_failures"] == 0
+        # the pool stored the real reason in the evicted name's place
+        assert sim_cache.get_frontend(self.SYNTAX, "dut") == "syntax"
+
+    def test_a_version_13_reason_is_a_version_mismatch(
+        self, cache, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_cache, "BACKEND_VERSION", 13)
+            assert sim_cache.store("design", "syntax", self.SYNTAX, "dut")
+        before = self._counts(
+            "sim.cache.version_mismatch", "sim.cache.miss",
+            "sim.cache.corrupt",
+        )
+        assert sim_cache.get_frontend(self.SYNTAX, "dut") is None
+        assert self._delta(before) == {
+            "sim.cache.version_mismatch": 1,
+            "sim.cache.miss": 1,
+            "sim.cache.corrupt": 0,
+        }
+
+    def test_the_oracle_catches_a_key_without_the_module_name(
+        self, cache, monkeypatch
+    ):
+        # _dut() defines `dut`: it is missing_module for any other module
+        # and a pass for `dut`.  Keyed by the source alone, the first
+        # verdict leaks to the second problem.
+        other = build_problem_set(n_problems=1)[0]
+        assert other.module.name != "dut"
+        problem = _dut_problem(problem_id="frontend")
+        real_key = sim_cache._key
+
+        def naive_key(kind, *parts):
+            return real_key(kind, *(parts[:1] if kind == "design" else parts))
+
+        def verdicts():
+            harness.reset_caches()
+            return [
+                check_candidates_lockstep(p, [_dut()])[0]
+                for p in (other, problem)
+            ]
+
+        reference = [lockstep_verdict(p, _dut()) for p in (other, problem)]
+        assert reference == [(False, "missing_module"), (True, "")]
+        assert verdicts() == reference
+        for name in cache.iterdir():
+            name.unlink()
+        monkeypatch.setattr(sim_cache, "_key", naive_key)
+        leaked = verdicts()
+        assert leaked != reference
+        assert leaked[1] == (False, "missing_module")
