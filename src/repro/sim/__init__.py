@@ -63,11 +63,13 @@ One testbench cycle is one call: ``sim.cycle_fn(clock, input_names,
 output_names)`` returns ``step(row) -> outputs``, defined as exactly
 ``poke_many`` + ``poke(clock, 0)`` + ``poke(clock, 1)`` + one ``peek``
 per output.  The interpreter runs that sequence; the compiled backend
-resolves slots, masks and an output getter once and — when the design
-levelizes, the clock feeds only edge triggers, and the drive cannot move
-a trigger bit — replaces the clock pokes by a state write plus the
-blocks of that edge, keeping the generic loop's trigger re-check so
-ripple and derived clocks still cascade.
+resolves slots, masks and an output getter once and — when the clock
+feeds only edge triggers and the drive cannot move a trigger bit —
+replaces the clock pokes by a state write plus that edge's generated
+function.  Every compiled edge event is one such call: a design whose
+blocks can move a trigger (ripple and register-gated clocks) or whose
+triggers fire block sets that do not nest (independent clock domains)
+does not compile and runs on the interpreter.
 :meth:`Testbench.step <repro.sim.testbench.Testbench.step>`, the sweep
 and the golden trace are built on it.  One replay against a recorded
 trace is one call too: ``sim.replay_fn(clock, input_names,

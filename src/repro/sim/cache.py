@@ -95,7 +95,8 @@ __all__ = [
 #: source, see ``repro.sim.compile``).  10: an identity self-assign
 #: (``assign x = x;``) no longer blocks levelization, so a version-9 image
 #: of such a design carries a stale non-levelized schedule.  11: the
-#: generic form holds only sequential and ``initial`` bodies, and its
+#: per-block form (removed in 15) holds only sequential and ``initial``
+#: bodies, and its
 #: ``commit`` takes four arguments (version-10 code passes six).  12: a
 #: pickled ``Design`` carries its AST as one nested pickle, unpickled on
 #: first read, and a golden bundle stores its stimulus as input names +
@@ -104,7 +105,10 @@ __all__ = [
 #: subdirectories are never read.  14: a ``design`` entry may hold a
 #: front-end failure reason instead of a ``Design``, and a golden bundle
 #: carries the all-vectors rung's input columns and expected matrix.
-BACKEND_VERSION = 14
+#: 15: a compiled image holds one code object (``comb``, ``init`` and the
+#: edge functions) instead of a form-keyed dict, and designs whose edges
+#: cascade or split across clock domains no longer compile.
+BACKEND_VERSION = 15
 
 #: the front-end failure reasons a ``design`` entry may hold in place of
 #: a ``Design``: the source does not lex and parse, does not define the

@@ -12,28 +12,30 @@ the staging is resolve, schedule, *then* generate text:
 * **generated source** — :class:`_SourceCompiler` walks every expression
   and statement once and emits Python source: every width and signedness
   decision is taken at emission, constant subtrees fold to int literals,
-  blocking writes live in function locals.  Two forms come of that walk.
-  The **fused** form is ``comb(st, mems)`` — every combinational node in
-  schedule order, the one combinational evaluator: it is ``settle`` —
-  and one ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that
-  edge's blocks in declaration order, blocking writes committed per
-  block, nonblocking updates held in per-slot locals and committed once
-  after all blocks, then ``comb``; it returns the pre-edge trigger bits
-  when a block moved one.  :meth:`CompiledSimulator.cycle_fn` steps it
-  when the design meets its preconditions, and
-  :meth:`CompiledSimulator.replay_fn` runs a whole episode of those
-  cycles against a recorded trace in one call.  The **generic** form is one
-  function per sequential block (appending to a shared ordered
-  nonblocking list) and per ``initial`` statement: what edge cascades
-  fire — the union of the blocks whose triggers moved, with one
-  nonblocking commit — and what the constructor runs first;
+  blocking writes live in function locals.  The text has one form:
+  ``comb(st, mems)``, every combinational node in schedule order (the
+  one combinational evaluator: it is ``settle``); ``init(st, mems)``,
+  the ``initial`` statements, each committing before the next; and one
+  ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that edge's
+  blocks in declaration order, blocking writes committed per block,
+  nonblocking updates held in per-slot locals and committed once after
+  all blocks, then ``comb``.  :meth:`CompiledSimulator.cycle_fn` and
+  :meth:`~CompiledSimulator.replay_fn` (a whole episode against a
+  recorded trace in one call) step the clock's edge functions directly
+  when the drive cannot move a trigger; ``poke`` runs them too;
+* **one call per edge event, or the interpreter** — no sequential block
+  may write a trigger or a slot in a trigger's combinational fan-in
+  (ripple counters, a block writing its clock, register-gated clocks,
+  oscillators), and for two different triggers the block sets of their
+  edges must nest (two clock domains do not), so the edge that fires
+  the most blocks is the whole event.  ``posedge clk or posedge rst``
+  and ``or negedge rst_n`` pass both;
 * **lower once, compile lazily** — emission happens inside
   :func:`compile_design` (so :class:`UncompilableDesign` is raised
-  there); a form is byte-compiled the first time something runs it, so a
-  candidate that only takes the fused kernel never pays for the generic
-  form, and one that rides the numpy lanes pays for neither;
+  there); the text is byte-compiled the first time a simulator runs it,
+  so a candidate that rides the numpy lanes never pays for it;
 * **persist by use** — a pickled ``Design`` keeps the image's tables and
-  the marshalled code objects of the forms that ran (guarded by the
+  the marshalled code object once something ran it (guarded by the
   interpreter's magic number), so a :mod:`repro.sim.cache` hit is an
   ``exec``, not a re-lowering.  There is deliberately no process-wide
   memo of code by text or digest: a cold check must stay cold.
@@ -48,17 +50,18 @@ The scheduler refuses to levelize regions it cannot order statically —
 combinational cycles, several combinational drivers of one signal, or a
 node that reads a value it also drives.  A whole-signal identity
 ``assign x = x;`` is not such a node: it stores what it reads, so it is
-scheduled with no body and no effects.  Those designs, like the ones the
-compiler cannot statically *size* (e.g. part selects with non-constant
-bounds), raise :class:`UncompilableDesign`; under ``backend="auto"`` the
+scheduled with no body and no effects.  Those designs, the ones whose
+edges cascade or split across clock domains, and the ones the compiler
+cannot statically *size* (e.g. part selects with non-constant bounds)
+raise :class:`UncompilableDesign`; under ``backend="auto"`` the
 :class:`~repro.sim.simulator.Simulator` facade then runs them on the
-interpreter, whose bounded full-pass fixpoint classifies combinational
-loops, and ``backend="compiled"`` refuses them.
+interpreter, whose bounded fixpoints classify combinational loops and
+oscillating clocks, and ``backend="compiled"`` refuses them.
 
 Cycle-identity with :class:`~repro.sim.simulator.InterpreterSimulator` is
 enforced by differential tests over every ``vgen`` family and the vereval
 problem set (``tests/test_sim_compile.py``; ``TestCycleKernel`` is the
-oracle for the fused form).
+oracle for the kernels, ``TestEdgeAdmission`` for the admission rule).
 """
 
 from __future__ import annotations
@@ -187,10 +190,6 @@ def _loop_error() -> SimulationError:
     return SimulationError(f"for-loop exceeded {_MAX_LOOP_ITERS} iterations")
 
 
-def _no_body(*_args) -> None:
-    """A sequential block with no statements (any dialect's arguments)."""
-
-
 #: ``compile()`` filename of every generated module: a constant, so no
 #: design-derived string reaches a code object
 _FILENAME = "<repro.sim.compile>"
@@ -202,9 +201,10 @@ _MAGIC = importlib.util.MAGIC_NUMBER
 class CompiledDesign:
     """The compile-once execution image of one elaborated design."""
 
-    #: what a pickle keeps besides the code objects: the schedule (the
+    #: what a pickle keeps besides the code object: the schedule (the
     #: slot tables are re-read off the design, see :meth:`attach`)
-    _SCHEDULE = ("topo", "readers", "writers", "trigger_slots")
+    _SCHEDULE = ("topo", "readers", "writers", "trigger_slots",
+                 "trigger_fanin")
 
     #: the scheduler refuses any region it cannot levelize
     levelized = True
@@ -213,7 +213,6 @@ class CompiledDesign:
         "design", "n_signals", "slot_of", "names", "widths", "masks",
         "mem_of", "mem_names", "mem_widths", "mem_depths", "mem_bases",
         "nodes", "seq", "initial", "source", "code", "_fused",
-        "_bound",
     )
 
     def __init__(self) -> None:
@@ -234,19 +233,21 @@ class CompiledDesign:
         self.topo: List[int] = []     # schedule position -> node index
         self.readers: Dict[int, Tuple[int, ...]] = {}
         self.writers: Dict[int, Tuple[int, ...]] = {}
-        #: seq blocks: (trigger list [(wanted bit, index)], body) with
-        #: ``body(st, mems, nba)`` once :meth:`generic` bound it
-        self.seq: List[Tuple[List[Tuple[int, int]], Optional[Callable]]] = []
+        #: seq blocks: (trigger list [(wanted bit, index)], None); the
+        #: bodies live in the edge functions
+        self.seq: List[Tuple[List[Tuple[int, int]], None]] = []
         self.trigger_slots: Tuple[int, ...] = ()
-        #: one ``run(st, mems)`` per non-empty ``initial`` statement
-        self.initial: List[Optional[Callable]] = []
-        #: form (``"fused"`` | ``"generic"``) -> generated Python source;
-        #: empty on an image restored from a pickle
-        self.source: Dict[str, str] = {}
-        #: form -> code object, for the forms something has run
-        self.code: Dict[str, object] = {}
+        #: the trigger slots and every slot (memories as pseudo-slots) in
+        #: their combinational fan-in: what can move a trigger bit
+        self.trigger_fanin: frozenset = frozenset()
+        #: one entry per non-empty ``initial`` statement (all in ``init``)
+        self.initial: List[None] = []
+        #: the generated Python source; None on an image restored from a
+        #: pickle
+        self.source: Optional[str] = None
+        #: its code object, once something has run it
+        self.code = None
         self._fused: Optional[dict] = None
-        self._bound = False
 
     def attach(self, design: Design) -> None:
         """Resolve ``design``'s signals and memories to slots."""
@@ -263,44 +264,24 @@ class CompiledDesign:
         self.mem_depths = [memory.depth for memory in memories]
         self.mem_bases = [memory.base for memory in memories]
 
-    @property
-    def comb_count(self) -> int:
-        """Combinational nodes, identity assigns and empty blocks included
-        (the interpreter's ``comb_assigns + comb_blocks``), read off the
-        image so a restored design's AST stays unread."""
-        return len(self.nodes)
-
-    # -- the two forms -------------------------------------------------------
+    # -- the generated functions ---------------------------------------------
 
     def fused(self) -> dict:
-        """Functions of the fused form by name: ``comb`` (absent when the
-        design has no combinational node) and ``e<pol>_<trigger index>``."""
+        """The generated functions by name: ``comb`` and ``init`` (each
+        absent when the design has no combinational node, no ``initial``
+        statement) and ``e<pol>_<trigger index>``."""
         if self._fused is None:
-            self._fused = self._load("fused")
+            self._fused = self._load()
         return self._fused
 
-    def generic(self) -> "CompiledDesign":
-        """Bind the generic form into ``seq`` / ``initial``."""
-        if not self._bound:
-            fns = self._load("generic")
-            self.seq = [
-                (triggers, fns[f"s{j}"])
-                for j, (triggers, _) in enumerate(self.seq)
-            ]
-            self.initial = [fns[f"i{k}"] for k in range(len(self.initial))]
-            self._bound = True
-        return self
-
-    def _load(self, form: str) -> dict:
-        code = self.code.get(form)
-        if code is None:
-            if form not in self.source:
-                # restored from a pickle whose run never built this form
+    def _load(self) -> dict:
+        if self.code is None:
+            if self.source is None:
+                # restored from a pickle whose run never compiled the text
                 self.source = _lower(self.design).source
-            code = compile(
-                self.source[form], _FILENAME, "exec", dont_inherit=True
+            self.code = compile(
+                self.source, _FILENAME, "exec", dont_inherit=True
             )
-            self.code[form] = code
         namespace = {
             "__builtins__": {},
             "commit": _commit_nba,
@@ -310,7 +291,7 @@ class CompiledDesign:
             "loop_error": _loop_error,
             "W": self.widths,
         }
-        exec(code, namespace)
+        exec(self.code, namespace)
         return namespace
 
     # -- persistence ---------------------------------------------------------
@@ -322,42 +303,39 @@ class CompiledDesign:
             [triggers for triggers, _ in self.seq],
             len(self.initial),
             _MAGIC,
-            {form: marshal.dumps(code) for form, code in self.code.items()},
+            marshal.dumps(self.code),
         )
 
     def __setstate__(self, state) -> None:
-        schedule, nodes, seq, initial, magic, blobs = state
+        schedule, nodes, seq, initial, magic, blob = state
         self.__init__()  # the owner re-attaches: see compile_design
         for name, value in zip(self._SCHEDULE, schedule):
             setattr(self, name, value)
         self.nodes = [None] * nodes
         self.seq = [(triggers, None) for triggers in seq]
         self.initial = [None] * initial
-        # Another interpreter's bytecode is re-emitted on demand; bytes
-        # marshal cannot read raise here, inside the unpickle, where
-        # repro.sim.cache counts the entry corrupt and evicts it.
-        if magic == _MAGIC:
-            self.code = {
-                form: marshal.loads(blob) for form, blob in blobs.items()
-            }
+        # Another interpreter's bytecode is re-emitted on demand, and so
+        # is an earlier layout's form-keyed dict, which lets
+        # repro.sim.cache read the entry's version and evict it as a
+        # mismatch; bytes marshal cannot read raise here, inside the
+        # unpickle, where the cache counts the entry corrupt.
+        if magic == _MAGIC and isinstance(blob, bytes):
+            self.code = marshal.loads(blob)
 
 
 def _lower(design: Design) -> CompiledDesign:
     with obs.span("sim.compile"):
         compiled = _SourceCompiler(design).compile()
     obs.count("sim.codegen.emitted")
-    obs.count(
-        "sim.codegen.lines",
-        sum(text.count("\n") for text in compiled.source.values()),
-    )
+    obs.count("sim.codegen.lines", compiled.source.count("\n"))
     return compiled
 
 
 def compile_design(design: Design) -> CompiledDesign:
     """Compile ``design``, caching the result on the design object.
 
-    A pickled ``Design`` carries the image with the code of the forms its
-    run built (see ``Design.__getstate__``), so pool workers and
+    A pickled ``Design`` carries the image with its code once a run built
+    it (see ``Design.__getstate__``), so pool workers and
     :mod:`repro.sim.cache` hits adopt it here instead of lowering again.
     """
     cached = getattr(design, "_compiled", None)
@@ -376,6 +354,19 @@ def compile_design(design: Design) -> CompiledDesign:
 # ---------------------------------------------------------------------------
 
 
+def _edges_nest(seq) -> bool:
+    """Whether, for every two different trigger bits, the block sets of
+    their edges nest (one holds the other)."""
+    fires: Dict[Tuple[int, int], Set[int]] = {}
+    for j, (triggers, _) in enumerate(seq):
+        for edge in triggers:
+            fires.setdefault(edge, set()).add(j)
+    return all(
+        blocks <= others or others <= blocks
+        for (_, bit), blocks in fires.items()
+        for (_, other), others in fires.items()
+        if bit < other
+    )
 
 
 class _Compiler:
@@ -698,8 +689,7 @@ class _Compiler:
             if self._is_identity(assign):
                 # `assign x = x;` stores exactly what it reads: no body and
                 # no effects, so it neither blocks levelization nor wakes
-                # anything.  The node keeps its index (and comb_count its
-                # share of the round bound).
+                # anything.  The node keeps its index.
                 run, reads, writes = self._build_empty_node()
             else:
                 run, reads, writes = self._build_assign_node(assign)
@@ -712,9 +702,31 @@ class _Compiler:
             node_reads.append(reads)
             node_writes.append(writes)
 
-        # Sequential blocks + trigger-bit slots.
+        # Sequential blocks + trigger-bit slots.  A trigger a whole-signal
+        # assign copies (port glue) moves exactly when its source's bit 0
+        # does, so its edges are the source's: one clock reaching several
+        # instances is one trigger bit.  (A cycle of copies does not
+        # levelize and is refused below.)
+        copies = {
+            assign.target.name: assign.value.name
+            for assign in design.comb_assigns
+            if isinstance(assign.target, ast.Identifier)
+            and isinstance(assign.value, ast.Identifier)
+            and assign.value.name in self.slot_of
+        }
+
+        def source(name: str) -> str:
+            for _ in copies:
+                name = copies.get(name, name)
+            return name
+
+        block_triggers = [
+            [(1 if edge == "posedge" else 0, source(name))
+             for edge, name in block.triggers]
+            for block in design.seq_blocks
+        ]
         trigger_names = sorted(
-            {name for block in design.seq_blocks for _, name in block.triggers}
+            {name for triggers in block_triggers for _, name in triggers}
         )
         trigger_index = {}
         trigger_slots = []
@@ -722,13 +734,9 @@ class _Compiler:
             trigger_index[name] = len(trigger_slots)
             trigger_slots.append(self._slot(name))
         cd.trigger_slots = tuple(trigger_slots)
-        for block in design.seq_blocks:
-            body = self._compile_stmt(block.body)
-            triggers = [
-                (1 if edge == "posedge" else 0, trigger_index[name])
-                for edge, name in block.triggers
-            ]
-            cd.seq.append((triggers, _no_body if body is None else body))
+        for block, named in zip(design.seq_blocks, block_triggers):
+            triggers = [(want, trigger_index[name]) for want, name in named]
+            cd.seq.append((triggers, self._compile_stmt(block.body)))
 
         for stmt in design.initial_stmts:
             fn = self._compile_stmt(stmt)
@@ -736,7 +744,43 @@ class _Compiler:
                 cd.initial.append(fn)
 
         self._schedule(cd, node_reads, node_writes)
+        cd.trigger_fanin = self._trigger_fanin(cd, node_reads)
+        self._admit(cd)
         return cd
+
+    def _trigger_fanin(self, cd: CompiledDesign, node_reads) -> frozenset:
+        """The trigger slots and, transitively, what their comb drivers
+        read: every slot whose change can move a trigger bit."""
+        fanin: Set[int] = set()
+        stack = list(cd.trigger_slots)
+        while stack:
+            ps = stack.pop()
+            if ps not in fanin:
+                fanin.add(ps)
+                for node in cd.writers.get(ps, ()):
+                    stack += node_reads[node]
+        return frozenset(fanin)
+
+    def _admit(self, cd: CompiledDesign) -> None:
+        """Refuse a design that one edge function per event cannot run
+        (the generated code has no cascade and no union of edges): a
+        sequential block writes a slot in ``trigger_fanin``, so its edge
+        can fire further edges; or two triggers' edges fire block sets
+        that do not nest, so bits moving together would fire a union no
+        edge function holds.  When every pair nests, the largest moved
+        edge is the union."""
+        reads: Set[int] = set()
+        writes: Set[int] = set()
+        for block in self.design.seq_blocks:
+            self._stmt_effects(block.body, set(), reads, writes)
+        if not cd.trigger_fanin.isdisjoint(writes):
+            raise UncompilableDesign(
+                "a sequential block can move an edge trigger"
+            )
+        if not _edges_nest(cd.seq):
+            raise UncompilableDesign(
+                "two edge triggers fire blocks no single edge fires"
+            )
 
     def _schedule(self, cd: CompiledDesign, node_reads, node_writes) -> None:
         """Levelize the comb region, or raise :class:`UncompilableDesign`
@@ -802,8 +846,8 @@ _SPILL_EVERY = 24
 class _Body:
     """One procedural body (comb block, seq block, ``initial`` statement)
     lowered to lines: ``str`` entries are final, tuples are nonblocking
-    signal writes ``(pad, slot, lo, width, value)`` that each form renders
-    its own way (:meth:`_SourceCompiler._render`)."""
+    signal writes ``(pad, slot, lo, width, value)`` that each function
+    renders its own way (:meth:`_SourceCompiler._render`)."""
 
     __slots__ = ("blocking", "mem_blocking", "nonblocking", "mem_nba", "lines")
 
@@ -840,9 +884,9 @@ class _SourceCompiler(_Compiler):
     ``eval._operand`` decision for decision.  Statement emitters return
     indented lines.  Names in the text: ``st`` / ``mems`` (state),
     ``b<slot>`` (blocking local), ``n<slot>`` (pending nonblocking
-    value), ``s<k>`` (pre-edge trigger bit), ``t<k>`` / ``k``
-    (temporaries), ``mo`` (blocking memory overlay), ``nba`` (ordered
-    nonblocking list) and the helpers ``CompiledDesign._load`` binds.
+    value), ``t<k>`` / ``k`` (temporaries), ``mo`` (blocking memory
+    overlay), ``nba`` (ordered nonblocking list) and the helpers
+    ``CompiledDesign._load`` binds.
     """
 
     def __init__(self, design: Design) -> None:
@@ -1495,24 +1539,8 @@ class _SourceCompiler(_Compiler):
             lines.append(" commit(st, mems, nba, W)")
         return lines
 
-    def _generic_source(self, cd: CompiledDesign) -> str:
-        """One function per sequential block and ``initial`` statement."""
-        out: List[str] = []
-        for index, (_, body) in enumerate(cd.seq):
-            out.append(f"def s{index}(st, mems, nba):")
-            if body is _no_body:
-                out.append(" pass")
-            else:
-                out += self._render(body, ())[0]
-        for index, body in enumerate(cd.initial):
-            # Initial statements commit per statement, like the interpreter.
-            out.append(f"def i{index}(st, mems):")
-            out += self._standalone(body)
-        out.append("")
-        return "\n".join(out)
-
-    def _fused_source(self, cd: CompiledDesign) -> str:
-        """``comb`` plus one function per (edge, trigger bit)."""
+    def _source(self, cd: CompiledDesign) -> str:
+        """``comb``, ``init`` and one function per (edge, trigger bit)."""
         out: List[str] = []
         if cd.nodes:
             out.append("def comb(st, mems):")
@@ -1526,6 +1554,12 @@ class _SourceCompiler(_Compiler):
                     out += self._standalone(node)
             if len(out) == 1:
                 out.append(" pass")
+        if cd.initial:
+            out.append("def init(st, mems):")
+            for body in cd.initial:
+                # each statement commits before the next, like the
+                # interpreter's
+                out += self._standalone(body)
         emitted: Dict[Tuple[int, ...], str] = {}
         edges = sorted(
             {edge for triggers, _ in cd.seq for edge in triggers}
@@ -1547,22 +1581,14 @@ class _SourceCompiler(_Compiler):
         return "\n".join(out)
 
     def _edge_lines(self, cd: CompiledDesign, bodies) -> List[str]:
-        bodies = [body for body in bodies if body is not _no_body]
+        bodies = [body for body in bodies if body is not None]
         blocking = {slot for body in bodies for slot in body.blocking}
         # A slot some block of this edge also writes with `=` cannot hold
         # its pending value in a local read at entry: it keeps the list.
         pending = sorted(
             {slot for body in bodies for slot in body.nonblocking} - blocking
         )
-        written = blocking.union(*(body.nonblocking for body in bodies))
-        recheck = not written.isdisjoint(cd.trigger_slots)
-        lines: List[str] = []
-        if recheck:
-            lines += [
-                f" s{k} = st[{slot}] & 1"
-                for k, slot in enumerate(cd.trigger_slots)
-            ]
-        lines += [f" n{slot} = st[{slot}]" for slot in pending]
+        lines = [f" n{slot} = st[{slot}]" for slot in pending]
         rendered = [self._render(body, pending) for body in bodies]
         listed = any(uses_list for _, uses_list in rendered)
         if listed:
@@ -1574,22 +1600,12 @@ class _SourceCompiler(_Compiler):
             lines.append(" commit(st, mems, nba, W)")
         if cd.nodes:
             lines.append(" comb(st, mems)")
-        if recheck:
-            # A block moved a trigger bit (ripple and derived clocks):
-            # hand the pre-edge bits to the generic cascade.
-            moved = " or ".join(
-                f"s{k} != st[{slot}] & 1"
-                for k, slot in enumerate(cd.trigger_slots)
-            )
-            bits = ", ".join(f"s{k}" for k in range(len(cd.trigger_slots)))
-            lines.append(f" if {moved}: return [{bits}]")
         return lines or [" pass"]
 
     def compile(self) -> CompiledDesign:
         cd = super().compile()
-        cd.source["generic"] = self._generic_source(cd)
-        cd.source["fused"] = self._fused_source(cd)
-        # The image keeps the shape; each form binds on first use.
+        cd.source = self._source(cd)
+        # The image keeps the shape; the text binds on first use.
         cd.nodes = [None] * len(cd.nodes)
         cd.seq = [(triggers, None) for triggers, _ in cd.seq]
         cd.initial = [None] * len(cd.initial)
@@ -1611,12 +1627,10 @@ class CompiledSimulator(Simulator):
         self.cdesign = cd
         self.st: List[int] = [0] * cd.n_signals
         self.mem_data: List[List[int]] = [[0] * d for d in cd.mem_depths]
-        # the interpreter's round bound: here it bounds edge cascades
-        self._max_rounds = max_settle_rounds or (2 * cd.comb_count + 16)
-        self._comb = cd.fused().get("comb")  # all of `settle`, or None
-        if cd.initial:
-            for body in cd.generic().initial:
-                body(self.st, self.mem_data)
+        fused = cd.fused()
+        self._comb = fused.get("comb")  # all of `settle`, or None
+        if "init" in fused:
+            fused["init"](self.st, self.mem_data)
         self.settle()
 
     # -- state views ---------------------------------------------------------
@@ -1676,41 +1690,38 @@ class CompiledSimulator(Simulator):
     # -- cycle and episode kernels --------------------------------------------
 
     def _fused_kernel(self, clock, input_names, output_names):
-        """The resolution both kernels are built from: the generic cycle
-        (``Simulator.cycle_fn``, which also checks the names) and, when
-        the cycle can run the fused form, its parts; else None.
+        """The resolution both kernels are built from: the poke-sequence
+        cycle (``Simulator.cycle_fn``, which also checks the names) and,
+        when the cycle can run the edge functions directly, their parts;
+        else None.
 
-        Every compiled design levelizes; three more facts, all read off
-        the :class:`CompiledDesign`, decide whether the cycle can run the
-        fused form instead of the generic poke protocol: the clock slot
-        (if there is a clock) has no combinational reader or driver, so
-        toggling it needs no settle and the only blocks its edge fires
-        are the ones listing it; no driven input is a trigger slot; and
-        no trigger slot has a comb driver, so the drive cannot fire an
-        edge.  Then the drive is a row of stores plus one full ``comb``
-        pass, and a clock poke is a store plus that edge's function,
-        whose trigger re-check hands ripple and derived clocks to the
-        generic cascade.  Any other design gets the generic kernel.
+        Two facts, read off the :class:`CompiledDesign`, decide it: the
+        clock slot (if there is a clock) has no combinational reader or
+        driver, so toggling it needs no settle and fires only its own
+        edges; and no driven input is in :attr:`~CompiledDesign.trigger_fanin`,
+        so the drive cannot fire an edge.  Then the drive is a row of
+        stores plus one full ``comb`` pass, and a clock poke is a store
+        plus that edge's function (the admission rule lets no block move
+        a trigger, so nothing cascades).  Any other cycle runs the poke
+        sequence, whose ``poke`` fires the same edge functions.
         """
-        generic = super().cycle_fn(clock, input_names, output_names)
+        pokes = super().cycle_fn(clock, input_names, output_names)
         cd = self.cdesign
         slot_of = cd.slot_of
         in_slots = [slot_of[name] for name in input_names]
         clk = None if clock is None else slot_of[clock]
-        triggers = cd.trigger_slots
         if (
             clk in cd.readers
             or clk in cd.writers
-            or not set(triggers).isdisjoint(in_slots)
-            or not cd.writers.keys().isdisjoint(triggers)
+            or not cd.trigger_fanin.isdisjoint(in_slots)
         ):
             obs.count("sim.kernel.generic")
-            return generic, None
+            return pokes, None
         obs.count("sim.kernel.specialised")
         fused = cd.fused()
         negedge = posedge = None
-        if clk in triggers:
-            clk_bit = triggers.index(clk)
+        if clk in cd.trigger_slots:
+            clk_bit = cd.trigger_slots.index(clk)
             negedge = fused.get(f"e0_{clk_bit}")
             posedge = fused.get(f"e1_{clk_bit}")
         drives = list(zip(in_slots, [cd.masks[s] for s in in_slots]))
@@ -1725,22 +1736,19 @@ class CompiledSimulator(Simulator):
         else:
             def sample(st):
                 return ()
-        return generic, (drives, clk, negedge, posedge, sample)
+        return pokes, (drives, clk, negedge, posedge, sample)
 
     def cycle_fn(self, clock, input_names, output_names):
         """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``;
-        which form it runs: :meth:`_fused_kernel`)."""
-        generic, parts = self._fused_kernel(clock, input_names, output_names)
+        which cycle it runs: :meth:`_fused_kernel`)."""
+        pokes, parts = self._fused_kernel(clock, input_names, output_names)
         if parts is None:
-            return generic
+            return pokes
         drives, clk, negedge, posedge, sample = parts
         n_inputs = len(drives)
         comb = self._comb
         st = self.st
         mems = self.mem_data
-        fire = self._fire_edges
-        # The edge function was the cascade's first round.
-        rounds = self._max_rounds - 1
 
         def step(row):
             if len(row) != n_inputs:
@@ -1751,42 +1759,33 @@ class CompiledSimulator(Simulator):
                 comb(st, mems)
             if clk is None:
                 return sample(st)
-            # poke(clock, 0); poke(clock, 1).  A block may itself write
-            # the clock slot, so both writes keep poke's pending test.
+            # poke(clock, 0); poke(clock, 1): nothing else writes the
+            # clock slot, so the second poke always lands
             old = st[clk]
             if old:
                 st[clk] = 0
                 if negedge is not None and old & 1:
-                    moved = negedge(st, mems)
-                    if moved:
-                        fire(moved, rounds)
-                old = st[clk]
-            if old != 1:
-                st[clk] = 1
-                if posedge is not None and not old & 1:
-                    moved = posedge(st, mems)
-                    if moved:
-                        fire(moved, rounds)
+                    negedge(st, mems)
+            st[clk] = 1
+            if posedge is not None:
+                posedge(st, mems)
             return sample(st)
 
         return step
 
     def replay_fn(self, clock, input_names, output_names):
         """Slot-resolved episode kernel (contract:
-        ``Simulator.replay_fn``): on the fused form, the cycle of
-        :meth:`cycle_fn` — drive, clock protocol, hand-off to
-        ``_fire_edges``, sample — with the compare and the early exit,
-        the whole episode in one frame; otherwise the generic loop."""
-        generic, parts = self._fused_kernel(clock, input_names, output_names)
+        ``Simulator.replay_fn``): the cycle of :meth:`cycle_fn` — drive,
+        clock protocol, sample — with the compare and the early exit, the
+        whole episode in one frame; otherwise the poke-sequence loop."""
+        pokes, parts = self._fused_kernel(clock, input_names, output_names)
         if parts is None:
-            return _episode(generic)
+            return _episode(pokes)
         drives, clk, negedge, posedge, sample = parts
         n_inputs = len(drives)
         comb = self._comb
         st = self.st
         mems = self.mem_data
-        fire = self._fire_edges
-        rounds = self._max_rounds - 1
         count = obs.count
 
         def replay(rows, trace):
@@ -1804,16 +1803,10 @@ class CompiledSimulator(Simulator):
                         if old:
                             st[clk] = 0
                             if negedge is not None and old & 1:
-                                moved = negedge(st, mems)
-                                if moved:
-                                    fire(moved, rounds)
-                            old = st[clk]
-                        if old != 1:
-                            st[clk] = 1
-                            if posedge is not None and not old & 1:
-                                moved = posedge(st, mems)
-                                if moved:
-                                    fire(moved, rounds)
+                                negedge(st, mems)
+                        st[clk] = 1
+                        if posedge is not None:
+                            posedge(st, mems)
                     actual = sample(st)
                     if actual != expected:
                         return cycle, actual
@@ -1833,45 +1826,21 @@ class CompiledSimulator(Simulator):
 
     # -- sequential execution ------------------------------------------------
 
-    def _fire_edges(self, snapshot: List[int],
-                    rounds: Optional[int] = None) -> None:
-        """Fire the blocks whose trigger bits moved since ``snapshot`` —
-        their union, with one nonblocking commit, so two bits moved by
-        one ``poke_many`` are one event — and settle, cascading until no
-        trigger moves, for at most ``rounds`` rounds (default: all)."""
+    def _fire_edges(self, snapshot: List[int]) -> None:
+        """Run the edge that fires the most blocks among the trigger bits
+        that moved since ``snapshot``.  The admission rule (see
+        ``_Compiler._admit``) makes its blocks the union of every moved
+        bit's and lets none of them move a trigger, so that one call,
+        which ends on the ``comb`` pass, is the whole event."""
         cd = self.cdesign
         st = self.st
-        trigger_slots = cd.trigger_slots
-        for _ in range(self._max_rounds if rounds is None else rounds):
-            current = [st[s] & 1 for s in trigger_slots]
-            if current == snapshot:
-                # No trigger bit moved, so no edge can fire: the exit
-                # 3 of the 4 edge scans per generic clock cycle take.
-                return
-            triggered = [
-                body
-                for triggers, body in cd.generic().seq
-                if any(
-                    snapshot[ti] != current[ti] and current[ti] == want
-                    for want, ti in triggers
-                )
-            ]
-            if not triggered:
-                return
-            self._run_seq_blocks(triggered)
-            self.settle()
-            snapshot = current
-        raise SimulationError(
-            "edge events failed to quiesce (oscillating clock loop?)"
-        )
-
-    def _run_seq_blocks(self, bodies) -> None:
-        cd = self.cdesign
-        st = self.st
-        mems = self.mem_data
-        pending: List[tuple] = []
-        # Blocking writes commit with their block; nonblocking updates
-        # commit once, after every triggered block ran.
-        for body in bodies:
-            body(st, mems, pending)
-        _commit_nba(st, mems, pending, cd.widths)
+        moved = [
+            (st[slot] & 1, bit)
+            for bit, (slot, old) in enumerate(zip(cd.trigger_slots, snapshot))
+            if st[slot] & 1 != old
+        ]
+        fired = [sum(edge in triggers for triggers, _ in cd.seq)
+                 for edge in moved]
+        if moved and max(fired):
+            want, bit = moved[fired.index(max(fired))]
+            cd.fused()[f"e{want}_{bit}"](st, self.mem_data)

@@ -97,7 +97,7 @@ class Design:
     def __getstate__(self):
         # The lane images (repro.sim.batch) are closures and cannot
         # pickle.  The scalar image (repro.sim.compile) pickles as its
-        # tables plus the code objects of the forms that ran, so a pool
+        # tables plus its code object once something ran it, so a pool
         # worker or a repro.sim.cache hit executes instead of lowering
         # again; an image nothing ran has nothing worth keeping.  Such a
         # hit never reads the AST, so the four AST lists travel as one

@@ -10,7 +10,9 @@ The simulator is cycle-based and two-state:
 * combinational logic (continuous assigns + ``always @(*)``) re-settles to
   a fixpoint after every change, with an iteration bound that turns
   combinational loops into :class:`~repro.errors.SimulationError` instead
-  of hangs;
+  of hangs (``max_settle_rounds``, which also bounds edge cascades, is
+  the interpreter's: a compiled design settles in one pass and fires one
+  edge function per event, so it has nothing to bound);
 * ``peek`` reads any flat signal.
 
 Two execution backends implement these semantics behind one constructor:
@@ -20,19 +22,22 @@ Two execution backends implement these semantics behind one constructor:
   until a global fixpoint; simple, slow, and treated as ground truth.
 * :class:`~repro.sim.compile.CompiledSimulator` — the compile-once
   backend in :mod:`repro.sim.compile`: slot-indexed state, expressions
-  and statements lowered to generated Python source, and the
-  combinational region levelized into a topologically sorted schedule
-  that one pass settles.
+  and statements lowered to generated Python source, the combinational
+  region levelized into a topologically sorted schedule that one pass
+  settles, and every edge event one generated function call.
 
 ``Simulator(design)`` picks the backend: ``"auto"`` (the default,
 overridable via the ``REPRO_SIM_BACKEND`` environment variable or
 :func:`set_default_backend`) compiles the design and falls back to the
 interpreter when the compiler cannot statically lower it — a design it
-cannot size, or whose combinational region does not levelize (a
+cannot size, whose combinational region does not levelize (a
 combinational cycle, several drivers of one signal, a node reading what
-it drives), so combinational loops are always classified by the
-interpreter's fixpoint; ``"compiled"`` requires the compiled backend and
-refuses those designs; ``"interp"`` forces the interpreter.  Both
+it drives), or whose edges cascade or split across clock domains (a
+block that can move a trigger, two triggers whose edges fire block sets
+that do not nest) — and counts ``sim.interp_fallback``, so combinational
+loops and oscillating clocks are always classified by the interpreter's
+fixpoints; ``"compiled"`` requires the compiled backend and refuses
+those designs; ``"interp"`` forces the interpreter.  Both
 backends are cycle-identical (enforced by the differential tests in
 ``tests/test_sim_compile.py``).
 """
@@ -206,6 +211,7 @@ class Simulator:
                 raise SimulationError(
                     f"design does not compile: {exc}"
                 ) from None
+            obs.count("sim.interp_fallback")
             return object.__new__(InterpreterSimulator)
         return object.__new__(CompiledSimulator)
 
@@ -220,9 +226,11 @@ class Simulator:
 
         Edge detection compares trigger-signal values before the poke with
         their values after combinational settle, so edges that propagate
-        through hierarchy glue or derived-clock logic are seen.  Blocks
-        whose updates create further edges (ripple counters) fire in
-        cascading rounds, bounded to catch oscillating clock loops.
+        through hierarchy glue or derived-clock logic are seen.  On the
+        interpreter, blocks whose updates create further edges (ripple
+        counters) fire in cascading rounds, bounded to catch oscillating
+        clock loops; the compiler admits no such design, so a compiled
+        edge event is one generated function call.
         """
         if not self._poke_pending(name, value):
             return

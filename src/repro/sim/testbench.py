@@ -92,7 +92,9 @@ class Testbench:
             return
         active = 1 if self.reset_active_high else 0
         # Two cycle kernels (re-poking an unchanged reset is free): a
-        # design whose reset is synchronous never leaves the fused form.
+        # synchronous reset takes the specialised kernel; an asynchronous
+        # one is a driven trigger, so it takes the poke sequence, whose
+        # pokes fire the same generated edge functions.
         drive = self.sim.cycle_fn(None, (self.reset,), ())
         if self.clock is not None and cycles > 0:
             tick = self.sim.cycle_fn(self.clock, (self.reset,), ())

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.sim import compile as sim_compile
 from repro.sim import (
     CompiledSimulator,
     Design,
@@ -46,6 +47,40 @@ ALL_FAMILIES = sorted(FAMILIES)
 
 def build(source, top):
     return elaborate(parse_source(source), top)
+
+
+#: two clock domains: `p` reads the register the other domain writes
+TWO_DOMAINS = (
+    "module m(input a, input b, output reg [3:0] q, output reg [3:0] p);"
+    " always @(posedge a) q <= q + 1;"
+    " always @(posedge b) p <= p + q; endmodule"
+)
+
+#: `u0.clk` and `u1.clk` are port copies of `clk`: their edges are its
+ONE_CLOCK_TWO_INSTANCES = (
+    "module r(input clk, input [3:0] d, output reg [3:0] q);"
+    " always @(posedge clk) q <= d; endmodule"
+    " module m(input clk, input [3:0] d, output [3:0] q, output [3:0] w);"
+    " r u0(.clk(clk), .d(d), .q(w)); r u1(.clk(clk), .d(w + 1), .q(q));"
+    " endmodule"
+)
+
+#: one trigger, `gclk`, which the posedge block closes by writing `stop`
+REGISTER_GATED_CLOCK = (
+    "module m(input clk, input en, output reg q, output reg [3:0] n);"
+    " reg stop; wire gclk; assign gclk = clk & ~stop;"
+    " always @(posedge gclk) begin n <= n + 1; stop <= en; end"
+    " always @(negedge gclk) q <= ~q; endmodule"
+)
+
+#: the same gate held in a memory word
+MEMORY_GATED_CLOCK = (
+    "module m(input clk, input en, input [1:0] a, output reg q,"
+    " output reg [3:0] n); reg [1:0] stop [0:3]; wire gclk;"
+    " assign gclk = clk & (stop[0] == 0);"
+    " always @(posedge gclk) begin n <= n + 1; stop[a] <= {1'b0, en}; end"
+    " always @(negedge gclk) q <= ~q; endmodule"
+)
 
 
 def lockstep_module(module, cycles=32, stim_seed=11):
@@ -199,23 +234,36 @@ class TestFallbackModes:
 
     def test_identity_self_assign_levelizes(self):
         # `assign count = count` (a vgen counter style variant) stores
-        # what it reads: it levelizes, and the node still counts towards
-        # the settle round bound exactly as in the interpreter.
+        # what it reads: it levelizes and keeps its node index, and the
+        # node still counts towards the interpreter's settle round bound
+        # (the compiled backend settles in one pass and has none).
         source = GALLERY["identity_self_assign_counter"][0]
         compiled = compile_design(build(source, "m"))
         assert compiled.levelized
-        assert len(compiled.nodes) == compiled.comb_count == 1
+        assert len(compiled.nodes) == 1
         sims = [Simulator(build(source, "m"), backend=b)
                 for b in ("compiled", "interp")]
         assert isinstance(sims[0], CompiledSimulator)
         assert isinstance(sims[1], InterpreterSimulator)
-        assert sims[0]._max_rounds == sims[1]._max_rounds == 2 * 1 + 16
+        assert not hasattr(sims[0], "_max_rounds")
+        assert sims[1]._max_rounds == 2 * 1 + 16
         for sim in sims:
             sim.poke("en", 1)
             for _ in range(5):
                 sim.poke("clk", 0)
                 sim.poke("clk", 1)
         assert sims[0].peek("count") == sims[1].peek("count") == 5
+
+    def test_auto_counts_each_interpreter_fallback(self):
+        before = obs.counter_value("sim.interp_fallback")
+        source = GALLERY["ripple_counter"][0]
+        sim = Simulator(build(source, "m"), backend="auto")
+        assert isinstance(sim, InterpreterSimulator)
+        Simulator(build(source, "m"), backend="interp")
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(source, "m"), backend="compiled")
+        Simulator(build(GALLERY["plain_counter"][0], "m"), backend="auto")
+        assert obs.counter_value("sim.interp_fallback") == before + 1
 
     def test_partial_continuous_assigns_fall_back(self):
         source = (
@@ -257,7 +305,9 @@ class TestCompiledStructure:
         design = build(module.source, module.name)
         compiled = compile_design(design)
         assert compiled.levelized
-        assert len(compiled.topo) == len(compiled.nodes) == compiled.comb_count
+        assert len(compiled.topo) == len(compiled.nodes) == (
+            len(design.comb_assigns) + len(design.comb_blocks)
+        )
         assert sorted(compiled.slot_of.values()) == list(
             range(compiled.n_signals)
         )
@@ -317,19 +367,17 @@ class TestPokeSemantics:
             sim.poke_many({"strobe": 1, "d": 9})
             assert sim.peek("q") == 9, backend
 
-    #: name -> (source, the two trigger inputs, rounds, final values)
+    #: name -> (source, the two trigger inputs, rounds, final values,
+    #: the backend "auto" picks)
     TWO_TRIGGERS = {
         "clock_or_async_reset": (
             "module m(input clk, input arst, output reg [3:0] q);"
             " always @(posedge clk or posedge arst) q <= q + 1; endmodule",
-            ("clk", "arst"), 2, {"q": 2},
+            ("clk", "arst"), 2, {"q": 2}, CompiledSimulator,
         ),
         "block_reads_the_other_blocks_register": (
-            "module m(input a, input b, output reg [3:0] q,"
-            " output reg [3:0] p);"
-            " always @(posedge a) q <= q + 1;"
-            " always @(posedge b) p <= p + q; endmodule",
-            ("a", "b"), 4, {"q": 4, "p": 6},
+            TWO_DOMAINS, ("a", "b"), 4, {"q": 4, "p": 6},
+            InterpreterSimulator,
         ),
     }
 
@@ -339,10 +387,13 @@ class TestPokeSemantics:
         # blocks runs once, with one nonblocking commit.  One edge
         # function per moved bit in sequence would fire the shared block
         # twice, or let `p` read the `q` the first edge just committed.
-        source, inputs, rounds, want = self.TWO_TRIGGERS[name]
+        # The compiled backend runs one edge function, which is the union
+        # when the edges nest; two domains whose edges do not nest run on
+        # the interpreter (see TestEdgeAdmission).
+        source, inputs, rounds, want, backend = self.TWO_TRIGGERS[name]
         sims = [Simulator(build(source, "m"), backend=b)
-                for b in ("compiled", "interp")]
-        assert isinstance(sims[0], CompiledSimulator)
+                for b in ("auto", "interp")]
+        assert type(sims[0]) is backend
         for _ in range(rounds):
             for level in (1, 0):
                 for sim in sims:
@@ -598,9 +649,10 @@ def module_trio(module, source=None, **kwargs):
 
 
 #: name -> (source, kernel_trio kwargs, expected path, expected error)
-#: — designs that must stay on the generic kernel, designs the
-#: specialised one must still cascade on, designs that do not levelize
-#: and so run on the interpreter, and the output-count corners.
+#: — designs that must stay on the poke-sequence kernel (``generic``),
+#: designs the compiler refuses (their edges cascade or split across
+#: clock domains, or their comb region does not levelize), which run on
+#: the interpreter, and the output-count corners.
 GALLERY = {
     "plain_counter": (
         "module m(input clk, input rst, input en, output reg [3:0] q);"
@@ -608,8 +660,8 @@ GALLERY = {
         " endmodule",
         {"reset": "rst"}, "specialised", None,
     ),
-    # `y` and `n` read what the cascade wrote: they move only if the
-    # cascade settles after its blocks
+    # `y` reads what the edge wrote: it moves only if the edge function
+    # settles after its blocks
     "gated_clock": (
         "module m(input clk, input en, input d, output reg q, output y);"
         " wire gclk; assign gclk = clk & en; assign y = ~q;"
@@ -622,7 +674,7 @@ GALLERY = {
         " always @(posedge clk) q0 <= ~q0;"
         " always @(negedge q0) q1 <= ~q1;"
         " always @(negedge q1) q2 <= ~q2; endmodule",
-        {}, "specialised", None,
+        {}, "interp", None,
     ),
     "comb_reads_clock": (
         "module m(input clk, input d, output y, output reg q);"
@@ -650,15 +702,40 @@ GALLERY = {
         " if (arst) q <= 0; else q <= q + d; endmodule",
         {}, "generic", None,
     ),
-    # A trigger derived from a data input through comb logic: no driven
-    # input is a trigger slot, yet the drive can fire an edge.
+    # A trigger derived from a data input through comb logic: the drive
+    # can fire an edge, and `tclk` and `clk` fire blocks that do not nest.
     "comb_derived_trigger": (
         "module m(input clk, input en, input d, output reg q,"
         " output reg [3:0] n);"
         " wire tclk; assign tclk = en & d;"
         " always @(posedge tclk) n <= n + 1;"
         " always @(posedge clk) q <= d; endmodule",
+        {}, "interp", None,
+    ),
+    # ... and with one trigger: a driven input is in its fan-in
+    "input_derived_trigger": (
+        "module m(input clk, input en, input d, output reg [3:0] n);"
+        " wire tclk; assign tclk = en & d;"
+        " always @(posedge tclk) n <= n + 1; endmodule",
         {}, "generic", None,
+    ),
+    "two_domains": (TWO_DOMAINS, {"clock": None}, "interp", None),
+    # one clock reaching two instances through port glue: one trigger
+    "one_clock_two_instances": (ONE_CLOCK_TWO_INSTANCES, {}, "generic", None),
+    # a block writes the register that gates its own clock: the gate
+    # closing is a negedge in the same event
+    "register_gated_clock": (REGISTER_GATED_CLOCK, {}, "interp", None),
+    # the same through a memory word an edge writes
+    "memory_gated_clock": (MEMORY_GATED_CLOCK, {}, "interp", None),
+    # nested edges: `posedge clk` fires both blocks, `posedge rst` one,
+    # so both bits moving together fire what the clock's edge fires
+    "nested_async_reset": (
+        "module m(input clk, input rst, input [3:0] d, output reg [3:0] q,"
+        " output reg [3:0] p);"
+        " always @(posedge clk or posedge rst)"
+        " if (rst) q <= 0; else q <= q + d;"
+        " always @(posedge clk) p <= q; endmodule",
+        {"reset": "rst"}, "specialised", None,
     ),
     # `assign x = x;` is an identity: no body, no effects, levelized.
     "identity_self_assign_counter": (
@@ -696,14 +773,14 @@ GALLERY = {
         " always @(posedge clk) a <= ~a;"
         " always @(posedge a or negedge a) b <= ~b;"
         " always @(posedge b or negedge b) a <= ~a; endmodule",
-        {}, "specialised",
+        {}, "interp",
         (0, "edge events failed to quiesce (oscillating clock loop?)"),
     ),
     "block_writes_clock": (
         "module m(input clk, input d, output reg q, output reg [3:0] n);"
         " always @(posedge clk) begin q <= d; n <= n + 1; clk <= 0; end"
         " endmodule",
-        {}, "specialised", None,
+        {}, "interp", None,
     ),
     "two_bit_clock": (
         "module m(input [1:0] clk, input d, output reg q);"
@@ -856,8 +933,8 @@ GALLERY = {
         " end endmodule",
         {}, "specialised", None,
     ),
-    # The reset kernels drive a trigger (generic form); the stimulus
-    # kernel does not (fused form): one design, both forms.
+    # The reset kernels drive a trigger (the poke sequence); the stimulus
+    # kernel does not (specialised): both run the same edge function.
     "async_reset_outside_stimulus": (
         "module m(input clk, input rst, input [3:0] d,"
         " output reg [3:0] q);"
@@ -934,30 +1011,41 @@ class TestCycleKernel:
         assert path == want_path
         assert error == want_error
 
-    def test_async_reset_design_runs_both_forms(self):
-        # Which form a kernel takes is a property of (design, driven
-        # inputs), not of the design alone: the gallery row's reset
-        # kernels were generic, its stimulus kernel fused.
+    def test_async_reset_kernels_compile_only_fused(self):
+        # Which kernel a cycle takes is a property of (design, driven
+        # inputs): the gallery row's reset kernels drive a trigger (the
+        # poke sequence), its stimulus kernel does not.  Both run the
+        # one code object the constructor compiled, whose only function
+        # is the edge both triggers share.
         source, kwargs, _, _ = GALLERY["async_reset_outside_stimulus"]
         bench = Testbench(build(source, "m"), **kwargs, backend="compiled")
+        reference = Testbench(build(source, "m"), **kwargs, backend="interp")
         cd = bench.sim.cdesign
-        assert sorted(cd.code) == ["fused"]  # the initial settle
+        code = cd.code  # compiled for the initial settle
+        assert sorted(
+            const.co_name for const in code.co_consts
+            if hasattr(const, "co_code")
+        ) == ["e1_0"]
         before = obs.counters("sim.kernel.")
-        bench.apply_reset()
-        assert sorted(cd.code) == ["fused", "generic"]
-        bench.step({"d": 3})
+        for tb in (bench, reference):
+            tb.apply_reset()
+            tb.step({"d": 3})
         after = obs.counters("sim.kernel.")
         moved = {
             name.rsplit(".", 1)[1]: after[name] - before.get(name, 0)
             for name in after
         }
         assert moved == {"generic": 2, "specialised": 1}
+        assert cd.code is code
+        assert bench.sim.state == reference.sim.state
 
     def test_ripple_counter_counts(self):
-        # The cascade the post-edge re-check exists for: q1/q2 only move
-        # through edges the posedge block itself creates.
+        # The cascade the interpreter's edge rounds exist for: q1/q2 only
+        # move through edges the posedge block itself creates.  The
+        # compiler refuses it, so "auto" runs it on the interpreter.
         source = GALLERY["ripple_counter"][0]
-        sim = Simulator(build(source, "m"), backend="compiled")
+        sim = Simulator(build(source, "m"), backend="auto")
+        assert isinstance(sim, InterpreterSimulator)
         step = sim.cycle_fn("clk", (), ("q2", "q1", "q0"))
         seen = [step(()) for _ in range(8)]
         assert seen == [
@@ -1007,7 +1095,7 @@ class TestEpisodeKernel:
     """``Simulator.replay_fn`` beyond what ``episode_trio`` (run by every
     ``kernel_trio`` above) covers: the call contract at its edges."""
 
-    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    @pytest.mark.parametrize("backend", ["auto", "interp"])
     def test_ripple_counter_stops_at_the_first_bad_cycle(self, backend):
         sim = Simulator(build(GALLERY["ripple_counter"][0], "m"),
                         backend=backend)
@@ -1045,14 +1133,110 @@ class TestEpisodeKernel:
             sim.replay_fn("clk", ("d",), ("ghost",))
 
 
+class TestEdgeAdmission:
+    """The compiler's admission rule (``_Compiler._admit``): every edge
+    event is one generated call, or the design runs on the interpreter.
+    Each half is shown against the naive rule without it, which admits a
+    design whose compiled run diverges from the interpreter."""
+
+    @pytest.mark.parametrize("name", [
+        "ripple_counter", "block_writes_clock", "oscillating_clock_loop",
+        "register_gated_clock", "memory_gated_clock",
+    ])
+    def test_a_block_that_can_move_a_trigger_is_refused(self, name):
+        source = GALLERY[name][0]
+        with pytest.raises(UncompilableDesign, match="move an edge trigger"):
+            compile_design(build(source, "m"))
+        with pytest.raises(SimulationError, match="design does not compile"):
+            Simulator(build(source, "m"), backend="compiled")
+
+    @pytest.mark.parametrize("name", ["two_domains", "comb_derived_trigger"])
+    def test_edges_that_do_not_nest_are_refused(self, name):
+        with pytest.raises(UncompilableDesign, match="no single edge"):
+            compile_design(build(GALLERY[name][0], "m"))
+
+    @pytest.mark.parametrize(
+        "name", ["register_gated_clock", "memory_gated_clock"]
+    )
+    def test_direct_writes_only_admits_a_gated_clock_that_diverges(
+        self, name, monkeypatch
+    ):
+        # the naive rule: a block moves a trigger only by writing it
+        monkeypatch.setattr(
+            sim_compile._Compiler, "_trigger_fanin",
+            lambda self, cd, node_reads: frozenset(cd.trigger_slots),
+        )
+        source = GALLERY[name][0]
+        naive = Simulator(build(source, "m"), backend="compiled")
+        assert isinstance(naive, CompiledSimulator)
+        reference = Simulator(build(source, "m"), backend="interp")
+        for sim in (naive, reference):
+            sim.poke("en", 1)
+            sim.poke("clk", 1)  # the posedge block closes the gate
+        # the gate closing is a negedge of `gclk`: only the cascade sees it
+        assert (reference.peek("n"), reference.peek("q")) == (1, 1)
+        assert (naive.peek("n"), naive.peek("q")) == (1, 0)
+
+    def test_rule_without_nesting_admits_two_domains_that_diverge(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(sim_compile, "_edges_nest", lambda seq: True)
+        naive = Simulator(build(TWO_DOMAINS, "m"), backend="compiled")
+        assert isinstance(naive, CompiledSimulator)
+        reference = Simulator(build(TWO_DOMAINS, "m"), backend="interp")
+        for _ in range(2):
+            for level in (1, 0):
+                for sim in (naive, reference):
+                    sim.poke_many({"a": level, "b": level})
+        # one edge function per event runs one domain's block
+        assert (reference.peek("q"), reference.peek("p")) == (2, 1)
+        assert (naive.peek("q"), naive.peek("p")) == (2, 0)
+
+    ASYNC_RESETS = {
+        "posedge_reset": GALLERY["async_reset_outside_stimulus"][0],
+        "negedge_reset": (
+            "module m(input clk, input rst_n, input [3:0] d,"
+            " output reg [3:0] q);"
+            " always @(posedge clk or negedge rst_n)"
+            " if (!rst_n) q <= 0; else q <= q + d; endmodule"
+        ),
+        # `arst` sorts before `clk`: the first moved bit's edge is the
+        # smaller one, the clock's holds both blocks
+        "nested": (
+            "module m(input clk, input arst, input [3:0] d,"
+            " output reg [3:0] q, output reg [3:0] p);"
+            " always @(posedge clk or posedge arst)"
+            " if (arst) q <= 0; else q <= q + d;"
+            " always @(posedge clk) p <= q; endmodule"
+        ),
+        "one_clock_two_instances": ONE_CLOCK_TWO_INSTANCES,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ASYNC_RESETS))
+    def test_nesting_edges_stay_compiled(self, name):
+        # the clock and reset bits in every combination, moved by one
+        # poke_many each, against the interpreter
+        source = self.ASYNC_RESETS[name]
+        sims = [Simulator(build(source, "m"), backend=b)
+                for b in ("compiled", "interp")]
+        assert isinstance(sims[0], CompiledSimulator)
+        inputs = [s.name for s in sims[1].design.inputs]
+        rng = DeterministicRNG(7)
+        for _ in range(64):
+            vector = {name: rng.randint(0, 3) for name in inputs}
+            for sim in sims:
+                sim.poke_many(vector)
+            assert sims[0].state == sims[1].state
+
+
 # -- generated text ----------------------------------------------------------
 
 
 #: every identifier the emitter may write: state, its own locals and
 #: temporaries, the functions it defines, the helpers ``_load`` binds
 _TEXT_NAMES = re.compile(
-    r"st|mems|nba|mo|k|W|comb|commit|parity|clog2|sdivmod|loop_error"
-    r"|[bnsti]\d+|e[01]_\d+"
+    r"st|mems|nba|mo|k|W|comb|init|commit|parity|clog2|sdivmod|loop_error"
+    r"|[bnt]\d+|e[01]_\d+"
 )
 _TEXT_HELPERS = {"comb", "commit", "parity", "clog2", "sdivmod", "loop_error"}
 _TEXT_NODES = (
@@ -1068,24 +1252,21 @@ def assert_text_is_closed(design):
     """No character of the design reaches its generated text: every name
     is the emitter's, every constant an int, every call a helper's."""
     compiled = compile_design(design)
-    assert compiled.source
-    for form, text in compiled.source.items():
-        for node in python_ast.walk(python_ast.parse(text)):
-            assert not isinstance(node, _TEXT_NODES), (form, node)
-            if isinstance(node, python_ast.Name):
-                assert _TEXT_NAMES.fullmatch(node.id), (form, node.id)
-            elif isinstance(node, python_ast.FunctionDef):
-                assert _TEXT_NAMES.fullmatch(node.name), (form, node.name)
-                assert not node.decorator_list
-                assert [a.arg for a in node.args.args] in (
-                    ["st", "mems"], ["st", "mems", "nba"]
-                )
-            elif isinstance(node, python_ast.Call):
-                assert isinstance(node.func, python_ast.Name), form
-                assert node.func.id in _TEXT_HELPERS, (form, node.func.id)
-                assert not node.keywords
-            elif isinstance(node, python_ast.Constant):
-                assert type(node.value) is int, (form, node.value)
+    assert compiled.source is not None
+    for node in python_ast.walk(python_ast.parse(compiled.source)):
+        assert not isinstance(node, _TEXT_NODES), node
+        if isinstance(node, python_ast.Name):
+            assert _TEXT_NAMES.fullmatch(node.id), node.id
+        elif isinstance(node, python_ast.FunctionDef):
+            assert _TEXT_NAMES.fullmatch(node.name), node.name
+            assert not node.decorator_list
+            assert [a.arg for a in node.args.args] == ["st", "mems"]
+        elif isinstance(node, python_ast.Call):
+            assert isinstance(node.func, python_ast.Name)
+            assert node.func.id in _TEXT_HELPERS, node.func.id
+            assert not node.keywords
+        elif isinstance(node, python_ast.Constant):
+            assert type(node.value) is int, node.value
 
 
 def _renamed(node, names):
@@ -1187,9 +1368,8 @@ endmodule
         )
         sim = Simulator(design, backend="compiled")
         sim.poke("hostile name", 3)
-        sim.poke("clk", 1)  # an edge outside the kernel: the generic form
+        sim.poke("clk", 1)  # an edge outside the kernel
         compiled = sim.cdesign
-        assert sorted(compiled.code) == ["fused", "generic"]
 
         def strings(code):
             yield code.co_filename
@@ -1202,11 +1382,10 @@ endmodule
                 else:
                     assert const is None or type(const) in (int, tuple)
 
-        for code in compiled.code.values():
-            for text in strings(code):
-                assert text in ("<module>", "<repro.sim.compile>") or (
-                    _TEXT_NAMES.fullmatch(text)
-                ), text
+        for text in strings(compiled.code):
+            assert text in ("<module>", "<repro.sim.compile>") or (
+                _TEXT_NAMES.fullmatch(text)
+            ), text
 
 
 # -- persistence of the compiled image ---------------------------------------
@@ -1238,13 +1417,13 @@ class TestCodePersistence:
             pickle.dumps(design)
         ).__dict__  # lowered, nothing ran: still nothing worth keeping
         want = self._run(design)
-        assert sorted(design._compiled.code) == ["fused"]
+        assert design._compiled.code is not None
         clone = pickle.loads(pickle.dumps(design))
         image = clone._compiled
-        assert sorted(image.code) == ["fused"]
+        assert image.code is not None
         # tables and code only: no text, no namespace, no bound function
-        assert image.source == {} and image._fused is None
-        assert image.design is None and not image._bound
+        assert image.source is None and image._fused is None
+        assert image.design is None
         assert image.nodes == [None] and image.seq[0][1] is None
         emitted = obs.counter_value("sim.codegen.emitted")
         loaded = obs.counter_value("sim.codegen.loaded")
@@ -1253,19 +1432,20 @@ class TestCodePersistence:
         assert obs.counter_value("sim.codegen.loaded") == loaded + 1
         assert image.design is clone
 
-    def test_missing_form_is_re_emitted(self):
+    def test_hand_pokes_on_a_restored_image_lower_nothing(self):
+        # the kernels and hand pokes run the same edge functions: the
+        # code the first run pickled serves both
         design = build(self.SOURCE, "m")
         self._run(design)
         clone = pickle.loads(pickle.dumps(design))
         reference = Simulator(build(self.SOURCE, "m"), backend="interp")
         sim = Simulator(clone, backend="compiled")
         emitted = obs.counter_value("sim.codegen.emitted")
-        for simulator in (sim, reference):  # hand pokes: the generic form
+        for simulator in (sim, reference):
             simulator.poke("d", 5)
             simulator.poke("clk", 1)
-        assert obs.counter_value("sim.codegen.emitted") == emitted + 1
+        assert obs.counter_value("sim.codegen.emitted") == emitted
         assert sim.state == reference.state
-        assert sorted(clone._compiled.code) == ["fused", "generic"]
 
     def test_foreign_magic_number_is_re_emitted(self, monkeypatch):
         from repro.sim import compile as sim_compile
@@ -1277,7 +1457,7 @@ class TestCodePersistence:
         blob = pickle.dumps(design)
         monkeypatch.undo()
         clone = pickle.loads(blob)
-        assert clone._compiled.code == {}
+        assert clone._compiled.code is None
         emitted = obs.counter_value("sim.codegen.emitted")
         assert self._run(clone) == want
         assert obs.counter_value("sim.codegen.emitted") == emitted + 1
@@ -1352,54 +1532,60 @@ class TestCodePersistence:
     def test_previous_version_counter_image_is_not_reused(
         self, tmp_path, monkeypatch
     ):
-        """A counter stored by an earlier backend version carries generic
-        code whose blocks take a fourth argument and whose ``commit``
-        takes six: served, it breaks the first edge cascade; in a
-        version-12 pack at its key name ``get_design`` misses on it
-        (``version_mismatch``, not ``corrupt``), and the re-elaborated
-        design takes the fused kernel."""
+        """An async-reset counter stored by backend version 14 carries a
+        form-keyed code dict whose ``generic`` entry ran its reset
+        pokes: under this layout the entry still unpickles (the dict is
+        not marshal bytes), so ``get_design`` reads its version and misses
+        on it (``version_mismatch``, not ``corrupt``), and the
+        re-elaborated design pickles one code object."""
         from repro.sim import cache as sim_cache
+        from repro.sim import compile as sim_compile
 
-        source = GALLERY["identity_self_assign_counter"][0]
+        source, kwargs, _, _ = GALLERY["async_reset_outside_stimulus"]
         previous = sim_cache.configure(str(tmp_path))
         try:
             stale = build(source, "m")
-            Simulator(stale, backend="compiled").poke("clk", 1)
-            assert sorted(stale._compiled.code) == ["fused", "generic"]
-            # the previous version's generic text for this block
-            stale._compiled.code["generic"] = compile(
-                "def s0(st, mems, nba, ch):\n"
-                " commit(st, mems, nba, W, N, ch)\n",
+            Testbench(stale, **kwargs, backend="compiled").apply_reset()
+            image = stale._compiled
+            # version 14's generic text for this block, and its layout
+            generic = compile(
+                "def s0(st, mems, nba):\n"
+                " nba += ((0, 2, 0, 4, 0),)\n",
                 "<repro.sim.compile>", "exec", dont_inherit=True,
             )
-            assert sim_cache.put_design(source, "m", stale)
-            served = sim_cache.get_design(source, "m")
-            with pytest.raises(TypeError):
-                Simulator(served, backend="compiled").poke("clk", 1)
-            # a version-12 pack replaces the name the entry above holds
+            layout_14 = (
+                [image.topo, image.readers, image.writers,
+                 image.trigger_slots],
+                len(image.nodes),
+                [triggers for triggers, _ in image.seq],
+                len(image.initial),
+                sim_compile._MAGIC,
+                {"fused": marshal.dumps(image.code),
+                 "generic": marshal.dumps(generic)},
+            )
             with monkeypatch.context() as patch:
-                patch.setattr(sim_cache, "BACKEND_VERSION", 12)
+                patch.setattr(sim_cache, "BACKEND_VERSION", 14)
+                patch.setattr(
+                    sim_compile.CompiledDesign, "__getstate__",
+                    lambda self: layout_14,
+                )
                 assert sim_cache.put_design(source, "m", stale)
-            mismatch = obs.counter_value("sim.cache.version_mismatch")
-            miss = obs.counter_value("sim.cache.miss")
-            corrupt = obs.counter_value("sim.cache.corrupt")
+            counts = {
+                name: obs.counter_value(f"sim.cache.{name}")
+                for name in ("version_mismatch", "miss", "corrupt")
+            }
             assert sim_cache.get_design(source, "m") is None
-            assert obs.counter_value(
-                "sim.cache.version_mismatch"
-            ) == mismatch + 1
-            assert obs.counter_value("sim.cache.miss") == miss + 1
-            assert obs.counter_value("sim.cache.corrupt") == corrupt
+            assert {
+                name: obs.counter_value(f"sim.cache.{name}") - value
+                for name, value in counts.items()
+            } == {"version_mismatch": 1, "miss": 1, "corrupt": 0}
             # the caller's miss path: elaborate again, check, store
             fresh = build(source, "m")
-            before = obs.counter_value("sim.kernel.specialised")
-            Simulator(fresh, backend="compiled").cycle_fn(
-                "clk", ("en",), ("count",)
-            )
-            assert obs.counter_value("sim.kernel.specialised") == before + 1
+            Testbench(fresh, **kwargs, backend="compiled").apply_reset()
             assert sim_cache.put_design(source, "m", fresh)
             restored = sim_cache.get_design(source, "m")
             assert restored._compiled.levelized
-            assert sorted(restored._compiled.code) == ["fused"]
+            assert isinstance(restored._compiled.code, type(generic))
         finally:
             sim_cache.configure(previous)
 
@@ -1549,10 +1735,10 @@ class TestCodePersistence:
 
         design = build(self.SOURCE, "m")
         want = self._run(design)
-        Simulator(design, backend="compiled").poke("clk", 1)  # both forms
+        Simulator(design, backend="compiled").poke("clk", 1)
         stage = CheckStage({"task": _DesignChecker(design)}, cache_dir="")
         clone = pickle.loads(pickle.dumps(stage)).checkers["task"].design
-        assert sorted(clone._compiled.code) == ["fused", "generic"]
+        assert clone._compiled.code is not None
         assert self._run(clone) == want
 
 
