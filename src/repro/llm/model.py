@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import TrainingError
-from repro.llm.ngram import DEFAULT_ORDERS, NGramCounts, NGramLM
+from repro.llm.ngram import DEFAULT_ORDERS, NGramCounts, NGramLM, check_weight
 from repro.llm.sampler import GenerationConfig, Sampler
 from repro.llm.tokenizer import BPETokenizer, train_tokenizer
 
@@ -87,6 +87,7 @@ class LanguageModel:
         """
         if not corpus:
             raise TrainingError(f"model {name!r}: empty fine-tuning corpus")
+        check_weight(weight)
         sequences = _encode_corpus(self.tokenizer, corpus, max_train_tokens)
         new_counts = NGramCounts.train(sequences, orders=self.counts.orders)
         merged = self.counts.merged_with(new_counts, weight)

@@ -7,6 +7,16 @@ CSR offsets, next-token ids, counts), so memory is ~16 bytes per distinct
 (context, next-token) pair and merging two tables (continual pre-training)
 is a vectorized concatenate + re-aggregate.
 
+Training is one flat pass per order: :meth:`NGramCounts.train`
+concatenates the files into one token array, hashes every window of
+that order in place, drops the windows that straddle a file end (a mask
+built from the file lengths) and builds the order's table before it
+hashes the next order.  :meth:`_OrderTable.from_pairs` aggregates with
+two integer sorts — the context hashes, then each pair's dense context
+rank x next-token span + next token — and ``merge`` re-aggregates the
+two tables' pairs the same way.  Training weights are finite and > 0
+(:func:`check_weight`).
+
 Context hashing uses a polynomial rolling hash in uint64 wraparound
 arithmetic; collisions between distinct contexts are possible but
 astronomically unlikely at corpus scale and only perturb one
@@ -50,8 +60,10 @@ rebuilt per process:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -84,22 +96,25 @@ _PICKS_MAX = 1 << 15
 def _hash_contexts(tokens: np.ndarray, order: int) -> np.ndarray:
     """Rolling polynomial hash of every length-``order`` window.
 
-    Returns an array ``h`` where ``h[i]`` hashes ``tokens[i-order:i]`` for
-    ``i in [order, len(tokens)]`` — i.e. the context *ending just before*
-    position ``i``; the array is aligned so entry ``j`` corresponds to
-    next-token position ``j + order``.
+    Returns an array ``h`` where ``h[i]`` hashes ``tokens[i:i+order]`` —
+    the context *ending just before* position ``i + order`` — for ``i in
+    [0, len(tokens) - order]``; at order 0 every entry is the seed, one
+    per token.  The windows are accumulated in place in one uint64
+    array; ``tokens`` is read as uint64 (a negative id wraps, as
+    :func:`hash_context`'s mask does).
     """
+    tokens = np.asarray(tokens).astype(np.uint64, copy=False)
     n = len(tokens)
     if order == 0:
         return np.full(n, _HASH_SEED, dtype=np.uint64)
     if n < order:
         return np.empty(0, dtype=np.uint64)
-    acc = np.full(n - order + 1, _HASH_SEED, dtype=np.uint64)
+    width = n - order + 1
+    acc = np.full(width, _HASH_SEED, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for j in range(order):
-            acc = acc * _HASH_MULT + tokens[j:n - order + 1 + j].astype(np.uint64)
-    # acc[i] hashes tokens[i : i+order]; contexts for next positions
-    # order..n are acc[0 : n-order+1].
+            acc *= _HASH_MULT
+            acc += tokens[j:j + width]
     return acc
 
 
@@ -115,6 +130,32 @@ def hash_context(context: Sequence[int], order: int) -> int:
         for token in window:
             acc = ((acc * _MULT) + int(token)) & _MASK_64
     return acc
+
+
+def check_weight(weight: float) -> None:
+    """Training weights scale counts, so they must be finite and > 0.
+
+    A zero weight adds zero-count continuations, which turns a row with
+    one continuation into a sampled row; a negative or NaN count makes
+    ``_DecodeView.sample`` take its log.
+    """
+    if not (math.isfinite(weight) and weight > 0):
+        raise TrainingError(f"weight must be finite and > 0, got {weight!r}")
+
+
+def _pair_key_span(rows: int, lowest: int, highest: int) -> int:
+    """The span ``highest - lowest + 1`` of the next tokens, once it is
+    known that ``from_pairs``' largest key ``rows * span - 1`` fits int64.
+
+    At int32 token ids the span is at most 2**32, so only a table of
+    more than 2**31 distinct contexts could be refused.
+    """
+    span = highest - lowest + 1
+    if rows * span > 1 << 63:
+        raise TrainingError(
+            f"{rows} contexts x {span} next-token span overflows the sort key"
+        )
+    return span
 
 
 @dataclass
@@ -139,29 +180,65 @@ class _OrderTable:
     def from_pairs(
         cls, ctx_hashes: np.ndarray, next_tokens: np.ndarray, weights: np.ndarray
     ) -> "_OrderTable":
-        if len(ctx_hashes) == 0:
+        """The table of ``(context hash, next token, weight)`` triples:
+        one entry per distinct pair, its weights summed.
+
+        Two integer sorts instead of a lexsort over (hash, token): the
+        hashes alone, which gives every pair its context's dense rank
+        ``r``; then the key ``r * span + (token - lowest)``, which is
+        already in rank order and only needs each row's continuations
+        put in order — a stable sort takes those runs as they are.
+        :func:`_pair_key_span` refuses a key that could wrap int64.
+
+        Neither sort keeps tied pairs in their input order, and no
+        current caller's sums can notice: ``NGramCounts.train`` gives
+        every pair the same weight (any order of equal values is the
+        same sequence), and ``merge`` sums at most two entries per
+        pair, one from each table (``a + b == b + a``).  Each
+        intermediate is dropped as soon as it is used: this is
+        training's memory peak, and a test bounds it.
+        """
+        n = len(ctx_hashes)
+        if n == 0:
             return cls.empty()
-        order_idx = np.lexsort((next_tokens, ctx_hashes))
-        ctx = ctx_hashes[order_idx]
-        nxt = next_tokens[order_idx].astype(np.int32)
-        wts = weights[order_idx].astype(np.float64)
-        boundary = np.empty(len(ctx), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (ctx[1:] != ctx[:-1]) | (nxt[1:] != nxt[:-1])
-        starts = np.flatnonzero(boundary)
-        agg_counts = np.add.reduceat(wts, starts)
-        agg_ctx = ctx[starts]
-        agg_next = nxt[starts]
-        key_boundary = np.empty(len(agg_ctx), dtype=bool)
-        key_boundary[0] = True
-        key_boundary[1:] = agg_ctx[1:] != agg_ctx[:-1]
-        key_starts = np.flatnonzero(key_boundary)
-        keys = agg_ctx[key_starts]
-        offsets = np.empty(len(keys) + 1, dtype=np.int64)
-        offsets[:-1] = key_starts
-        offsets[-1] = len(agg_ctx)
+        by_ctx = np.argsort(ctx_hashes)
+        ctx = ctx_hashes[by_ctx]
+        new_ctx = np.empty(n, dtype=bool)
+        new_ctx[0] = True
+        np.not_equal(ctx[1:], ctx[:-1], out=new_ctx[1:])
+        keys = ctx[new_ctx]
+        del ctx
+        lowest = int(next_tokens.min())
+        span = _pair_key_span(len(keys), lowest, int(next_tokens.max()))
+        # rank * span + (token - lowest); int64 arithmetic is modular, so
+        # only the final key has to fit
+        pair_key = np.cumsum(new_ctx, dtype=np.int64)
+        del new_ctx
+        pair_key -= 1
+        pair_key *= span
+        pair_key += next_tokens[by_ctx]
+        pair_key -= lowest
+        by_pair = np.argsort(pair_key, kind="stable")
+        pair_key = pair_key[by_pair]
+        by_ctx = by_ctx[by_pair]
+        del by_pair
+        new_pair = np.empty(n, dtype=bool)
+        new_pair[0] = True
+        np.not_equal(pair_key[1:], pair_key[:-1], out=new_pair[1:])
+        starts = np.flatnonzero(new_pair)
+        del new_pair
+        counts = np.add.reduceat(
+            weights[by_ctx].astype(np.float64, copy=False), starts
+        )
+        rows, tokens = np.divmod(pair_key[starts], span)
+        tokens += lowest
         return cls(
-            keys=keys, offsets=offsets, next_tokens=agg_next, counts=agg_counts
+            keys=keys,
+            offsets=np.searchsorted(rows, np.arange(len(keys) + 1)).astype(
+                np.int64, copy=False
+            ),
+            next_tokens=tokens.astype(np.int32),
+            counts=counts,
         )
 
     def merge(self, other: "_OrderTable", weight: float) -> "_OrderTable":
@@ -205,33 +282,55 @@ class NGramCounts:
         weight: float = 1.0,
     ) -> "NGramCounts":
         """Count n-grams from token sequences (each sequence = one file;
-        n-grams never cross file boundaries)."""
+        n-grams never cross file boundaries).
+
+        The files are concatenated into one token array and each order is
+        one pass over it: every window hashed, the windows that straddle
+        a file end dropped, the table built — before the next order is
+        hashed.
+        """
+        check_weight(weight)
         counts = cls(orders=orders)
-        per_order_ctx: Dict[int, List[np.ndarray]] = {o: [] for o in orders}
-        per_order_next: Dict[int, List[np.ndarray]] = {o: [] for o in orders}
-        total = 0
-        for sequence in token_sequences:
-            tokens = np.asarray(sequence, dtype=np.int64)
-            total += len(tokens)
-            for order in orders:
-                if len(tokens) <= order:
-                    continue
-                hashes = _hash_contexts(tokens, order)
-                per_order_ctx[order].append(hashes[: len(tokens) - order])
-                per_order_next[order].append(tokens[order:].astype(np.int32))
+        sequences = list(token_sequences)
+        lengths = np.fromiter(
+            map(len, sequences), dtype=np.int64, count=len(sequences)
+        )
+        total = int(lengths.sum())
+        signed = np.fromiter(
+            chain.from_iterable(sequences), dtype=np.int64, count=total
+        )
+        tokens = signed.view(np.uint64)
+        ends = np.cumsum(lengths)
         for order in orders:
-            if not per_order_ctx[order]:
+            # windows that have a next token start at 0 .. width - 1
+            width = total - order
+            if width <= 0:
                 continue
-            ctx = np.concatenate(per_order_ctx[order])
-            nxt = np.concatenate(per_order_next[order])
+            ctx = _hash_contexts(tokens, order)[:width]
+            nxt = signed[order:].astype(np.int32)
+            if order:
+                # A file of length L > order contributes the windows that
+                # start in [end - L, end - order): +1 / -1 at those ends of
+                # disjoint, non-touching runs, so the running sum is 0 / 1.
+                longer = lengths > order
+                edges = np.zeros(width + 1, dtype=np.int8)
+                edges[(ends - lengths)[longer]] = 1
+                edges[ends[longer] - order] = -1
+                inside = np.cumsum(edges[:width], dtype=np.int8).view(bool)
+                del edges
+                ctx = ctx[inside]
+                nxt = nxt[inside]
+                del inside
             counts.tables[order] = _OrderTable.from_pairs(
-                ctx, nxt, np.full(len(ctx), weight, dtype=np.float64)
+                ctx, nxt, np.broadcast_to(np.float64(weight), ctx.shape)
             )
+            del ctx, nxt
         counts.tokens_trained = float(total) * weight
         return counts
 
     def merged_with(self, other: "NGramCounts", weight: float = 1.0) -> "NGramCounts":
         """New counts = self + weight x other (continual pre-training)."""
+        check_weight(weight)
         if self.orders != other.orders:
             raise TrainingError("cannot merge models with different orders")
         merged = NGramCounts(orders=self.orders)

@@ -11,6 +11,7 @@ never seen in training.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import TrainingError
@@ -78,10 +79,17 @@ class BPETokenizer:
         return result
 
     def encode(self, text: str) -> List[int]:
-        out: List[int] = []
-        for word in pretokenize(text):
-            out.extend(self._encode_word(word))
-        return out
+        words = pretokenize(text)
+        pieces = list(map(self._word_cache.get, words))
+        if None in pieces:
+            # Misses in text order, so the cache (pickled with the model)
+            # gains its keys in the order the word-by-word loop adds them.
+            encode_word = self._encode_word
+            pieces = [
+                piece if piece is not None else encode_word(word)
+                for piece, word in zip(pieces, words)
+            ]
+        return list(chain.from_iterable(pieces))
 
     def token_bytes(self, token: int) -> bytes:
         """The UTF-8 bytes of one token.  A character can span several

@@ -1,5 +1,7 @@
 """Tests and properties for the BPE tokenizer."""
 
+import pickle
+
 import pytest
 
 from hypothesis import given, settings
@@ -93,3 +95,44 @@ class TestRoundtripProperty:
     def test_encoding_is_deterministic(self, text):
         tok = train_tokenizer(["assign y = a;"] * 5, num_merges=20)
         assert tok.encode(text) == tok.encode(text)
+
+
+_MERGES = train_tokenizer(
+    [
+        "module m_$x(input [3:0] a,\r\n\toutput y); assign y = ^a; endmodule",
+        "// reg \u00e9t\u00e9 \u2192 $display(\"caf\u00e9\"); always @(posedge clk) q <= d;",
+    ]
+    * 4,
+    num_merges=60,
+).merges
+
+#: text with non-ASCII letters, \r, tabs and $ identifiers, so words miss
+#: and hit the cache in every mix
+_TOKENIZER_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("amodule_$xy \t\r\n[](){};=+^'0123")),
+        st.sampled_from(["\u00e9", "\u2192", "\u00df", "\U0001f600"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=120,
+)
+
+
+def _reference_encode(tokenizer, text):
+    """What ``encode`` is: ``_encode_word`` on each word, in order."""
+    return [t for word in pretokenize(text) for t in tokenizer._encode_word(word)]
+
+
+class TestEncodeIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_TOKENIZER_TEXT, min_size=1, max_size=4))
+    def test_encode_equals_the_word_loop(self, texts):
+        fast, reference = BPETokenizer(_MERGES), BPETokenizer(_MERGES)
+        # a warm cache on both, so each text mixes hits and misses
+        warm = "module m_$x(input a); assign y = a; endmodule\r\n"
+        assert fast.encode(warm) == _reference_encode(reference, warm)
+        for text in texts:
+            assert fast.encode(text) == _reference_encode(reference, text)
+        # the cache is pickled with the model: same keys, same order
+        assert list(fast._word_cache.items()) == list(reference._word_cache.items())
+        assert pickle.dumps(fast) == pickle.dumps(reference)
