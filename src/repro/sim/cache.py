@@ -107,8 +107,12 @@ __all__ = [
 #: carries the all-vectors rung's input columns and expected matrix.
 #: 15: a compiled image holds one code object (``comb``, ``init`` and the
 #: edge functions) instead of a form-keyed dict, and designs whose edges
-#: cascade or split across clock domains no longer compile.
-BACKEND_VERSION = 15
+#: cascade or split across clock domains no longer compile.  16: a
+#: pickled ``Design`` carries the token digest of its source file outside
+#: the AST blob, and the checker passes a candidate whose digest is the
+#: golden's without compiling or replaying it (a version-15 design has no
+#: digest, so it would always be replayed).
+BACKEND_VERSION = 16
 
 #: the front-end failure reasons a ``design`` entry may hold in place of
 #: a ``Design``: the source does not lex and parse, does not define the

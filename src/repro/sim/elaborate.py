@@ -79,6 +79,12 @@ class Design:
     seq_blocks: List[SeqBlock] = field(default_factory=list)
     initial_stmts: List[ast.Stmt] = field(default_factory=list)
     params: Dict[str, int] = field(default_factory=dict)
+    #: the token digest of the source file this design was elaborated
+    #: from (``repro.verilog.parse_source_digest``), or None; it lives
+    #: outside the pickled AST blob, so reading it thaws nothing
+    token_digest: Optional[bytes] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def inputs(self) -> List[Signal]:

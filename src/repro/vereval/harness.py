@@ -16,9 +16,10 @@ Since the evalkit refactor this module plays two roles:
   in automatically for candidates the compiler cannot statically lower;
 * the *pool* (:func:`check_candidates_lockstep`) is the only verdict
   path; :func:`check_candidate_source` is a pool of one.  Many
-  candidates of one problem check in one call — duplicate sources
-  collapse to one check, and each distinct elaborating design then
-  takes one of two rungs: stateless combinational candidates the
+  candidates of one problem check in one call — duplicate sources and
+  token-identical files collapse to one check, a file token-identical to
+  the golden passes without one, and each other distinct elaborating
+  design takes one of two rungs: stateless combinational candidates the
   all-vectors lane fast path (:func:`_check_all_vectors_batch`, one
   stimulus vector per lane), everything else the scalar replay against
   the golden trace, which leaves a mutant at its first bad cycle;
@@ -49,7 +50,7 @@ from repro.sim import (
 )
 from repro.sim import cache as sim_cache
 from repro.utils.rng import DeterministicRNG
-from repro.verilog import parse_source_fast
+from repro.verilog import parse_source_digest
 from repro.vereval.passk import mean_pass_at_k
 from repro.vereval.problems import EvalProblem
 
@@ -132,9 +133,9 @@ class _GoldenRef:
     )
 
     def __init__(self, problem: EvalProblem, cegis_config=None) -> None:
-        self.design = elaborate(
-            parse_source_fast(problem.golden_source), problem.module.name
-        )
+        golden_file, digest = parse_source_digest(problem.golden_source)
+        self.design = elaborate(golden_file, problem.module.name)
+        self.design.token_digest = digest
         self.signature = interface_signature(self.design)
         #: the stimulus as the cycle kernel takes it: input names once,
         #: one value row per cycle (see :attr:`stimulus`)
@@ -406,6 +407,23 @@ def _interface_mismatch(
     )
 
 
+def _golden_equal_digest(ref: _GoldenRef) -> Optional[bytes]:
+    """The token digest a candidate passes on without a check, or None.
+
+    A candidate whose whole file has the golden file's token stream
+    parses to the golden's AST (up to line numbers, which simulation
+    never reads) and elaborates to the same design, and the simulator is
+    deterministic, so its replay reproduces the trace exactly.  That is
+    a pass only when the golden trace ran to completion: a golden error
+    is every candidate's verdict, so then there is no shortcut.
+    """
+    if ref.error is None and not ref.error_phase and len(ref.trace) == len(
+        ref.rows
+    ):
+        return ref.design.token_digest
+    return None
+
+
 def _replay_against_trace(
     ref: _GoldenRef, candidate, problem: EvalProblem
 ) -> EquivalenceResult:
@@ -503,7 +521,20 @@ def check_candidates_lockstep(
     harness bug and surfaces as ``internal`` instead of being miscounted
     as a model failure.  The shared work is done once:
 
-    * duplicate sources parse, elaborate, and check once;
+    * duplicate sources parse, elaborate, and check once, and so do
+      sources with one token digest (the 16-byte ``blake2b`` of the
+      whole file's parser-visible symbols,
+      :func:`repro.verilog.parse_source_digest`, kept on the ``Design``);
+    * a source whose digest is the golden file's passes with no lowering,
+      compile, all-vectors rung or replay (``vereval.golden_equal``),
+      provided the golden trace ran to completion: no ``error``, no
+      ``error_phase``, a trace as long as the stimulus rows.  Equal token
+      streams parse to one AST up to line numbers, which simulation never
+      reads, so the candidate elaborates to the golden's design and the
+      deterministic simulator would reproduce the golden trace; with a
+      golden error there is no shortcut, as that error is the verdict.
+      The digest covers the whole file, not the top module, because
+      elaboration reads every module it instantiates;
     * the golden artifacts (stimulus rows and output trace) are derived
       once per problem; :func:`repro.vereval.cegis.check_designs` (the
       plain trace check unless CEGIS is enabled) gives each distinct
@@ -519,7 +550,9 @@ def check_candidates_lockstep(
       ``elaboration`` every candidate gets when the *golden* does not
       elaborate are never stored.  The golden bundle (if this call built
       it) and every outcome derived here are written as one pack
-      (:func:`repro.sim.cache.store_many`).
+      (:func:`repro.sim.cache.store_many`); both carry their token
+      digest, so a warm golden-equal hit decides without thawing the
+      candidate's AST.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -553,17 +586,18 @@ def _check_candidates_lockstep(
         fill(indices, (False, reason))
         pack.append(("design", (source, name), reason))
 
-    parsed = []  # (source, design-or-None, parsed-file-or-None, indices)
+    # (source, design-or-None, (parsed file, token digest)-or-None, indices)
+    parsed = []
     for source, indices in positions.items():
         candidate = sim_cache.get_frontend(source, name)
-        candidate_file = None
+        front = None
         if isinstance(candidate, str):
             obs.count("vereval.cached_failures")
             fill(indices, (False, candidate))
             continue
         if candidate is None:
             try:
-                candidate_file = parse_source_fast(source)
+                front = parse_source_digest(source)
             except (LexError, ParseError):
                 fail(source, indices, "syntax")
                 continue
@@ -571,11 +605,12 @@ def _check_candidates_lockstep(
                 # a harness bug, not the source's outcome: never stored
                 fill(indices, (False, "internal"))
                 continue
-            if candidate_file.module(name) is None:
+            if front[0].module(name) is None:
                 fail(source, indices, "missing_module")
                 continue
-        parsed.append((source, candidate, candidate_file, indices))
+        parsed.append((source, candidate, front, indices))
 
+    golden = None
     if parsed:
         try:
             ref = _golden_ref(problem, pack)
@@ -584,17 +619,32 @@ def _check_candidates_lockstep(
             for _, _, _, indices in parsed:
                 fill(indices, (False, "elaboration"))
             parsed = []
-    checkable = []  # (source, design, indices)
-    for source, candidate, candidate_file, indices in parsed:
+        else:
+            golden = _golden_equal_digest(ref)
+    # token digest (or source, for a design without one) -> [source,
+    # design, indices]: token-identical designs share one check
+    groups: "OrderedDict[object, list]" = OrderedDict()
+    for source, candidate, front, indices in parsed:
         if candidate is None:
+            candidate_file, digest = front
             try:
                 candidate = elaborate(candidate_file, name)
             except ElaborationError:
                 fail(source, indices, "elaboration")
                 continue
+            candidate.token_digest = digest
             pack.append(("design", (source, name), candidate))
-        checkable.append((source, candidate, indices))
-    if checkable:
+        digest = candidate.token_digest
+        if digest is not None and digest == golden:
+            obs.count("vereval.golden_equal")
+            fill(indices, (True, ""))
+            continue
+        group = groups.setdefault(
+            source if digest is None else digest, [source, candidate, []]
+        )
+        group[2].extend(indices)
+    if groups:
+        checkable = list(groups.values())
         from repro.vereval import cegis as _cegis
 
         verdicts = _cegis.check_designs(

@@ -24,7 +24,9 @@ Supported subset (the synthesizable constructs our corpus generators emit):
 from repro.verilog.tokens import Token, TokenKind, TokenStream, KEYWORDS
 from repro.verilog.lexer import Lexer, lex
 from repro.verilog.fastlex import check_syntax_fast, lex_fast
-from repro.verilog.parser import Parser, parse_source, parse_source_fast
+from repro.verilog.parser import (
+    Parser, parse_source, parse_source_digest, parse_source_fast,
+)
 from repro.verilog.syntax import SyntaxReport, check_syntax
 from repro.verilog import ast
 
@@ -40,6 +42,7 @@ __all__ = [
     "Parser",
     "parse_source",
     "parse_source_fast",
+    "parse_source_digest",
     "SyntaxReport",
     "check_syntax",
     "ast",

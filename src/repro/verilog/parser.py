@@ -20,6 +20,7 @@ from either (``tests/test_fastlex.py``).
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -65,6 +66,16 @@ _PORT_DIRECTIONS = ("input", "output", "inout")
 
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 
+#: the digits (lower case) a based literal of each radix may hold
+_RADIX_DIGITS = {
+    radix: frozenset("0123456789abcdef"[:radix] + "xz?")
+    for radix in _BASE_RADIX.values()
+}
+_UNKNOWN_DIGIT_RE = re.compile("[xXzZ?]")
+_KNOWN_DIGIT_RE = re.compile("[^xXzZ?]")
+#: one digit with every bit set, per power-of-two radix
+_ALL_ONES_DIGIT = {2: "1", 8: "7", 16: "f"}
+
 
 def parse_based_literal(text: str, line: int = 0) -> ast.Number:
     """Parse a sized/based literal such as ``8'hF0`` or ``4'b10x?``.
@@ -88,29 +99,27 @@ def parse_based_literal(text: str, line: int = 0) -> ast.Number:
     digits = rest[1:].replace("_", "")
     if not digits:
         raise ParseError("based literal has no digits", line)
-    bits_per_digit = {2: 1, 8: 3, 16: 4}.get(radix)
-    value = 0
-    unknown = 0
-    if radix == 10:
-        if any(d.lower() in "xz?" for d in digits):
-            # A decimal x/z literal sets every bit unknown.
-            value = 0
-            unknown = (1 << (width or 32)) - 1
-        else:
-            value = int(digits, 10)
+    allowed = _RADIX_DIGITS[radix]
+    if not allowed.issuperset(digits.lower()):
+        # Checked before any int(): int() takes "0b1" as base 2.
+        bad = next(d for d in digits if d.lower() not in allowed)
+        raise ParseError(f"digit {bad!r} invalid for base {radix}", line)
+    if not _UNKNOWN_DIGIT_RE.search(digits):
+        value = int(digits, radix)
+        unknown = 0
+    elif radix == 10:
+        # A decimal x/z literal sets every bit unknown.
+        value = 0
+        unknown = (1 << (width or 32)) - 1
     else:
-        for digit in digits:
-            value <<= bits_per_digit
-            unknown <<= bits_per_digit
-            if digit.lower() in "xz?":
-                unknown |= (1 << bits_per_digit) - 1
-            else:
-                try:
-                    value |= int(digit, radix)
-                except ValueError:
-                    raise ParseError(
-                        f"digit {digit!r} invalid for base {radix}", line
-                    ) from None
+        # An x/z/? digit is all of its bits unknown and contributes zero.
+        value = int(_UNKNOWN_DIGIT_RE.sub("0", digits), radix)
+        unknown = int(
+            _UNKNOWN_DIGIT_RE.sub(
+                _ALL_ONES_DIGIT[radix], _KNOWN_DIGIT_RE.sub("0", digits)
+            ),
+            radix,
+        )
     if width is not None:
         mask = (1 << width) - 1
         value &= mask
@@ -760,8 +769,9 @@ _MODULE_ITEM_HANDLERS = {
 }
 
 
-def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
-    """Lex ``source`` with ``lexer`` and parse the result.
+def _parse(source: str, lexer) -> Tuple[ast.SourceFile, TokenStream]:
+    """Lex ``source`` with ``lexer`` and parse the result; the AST and
+    the stream the parser read.
 
     The one place a source becomes an AST, so the one place the front
     end's telemetry is taken: a ``verilog.lex`` and a ``verilog.parse``
@@ -777,7 +787,12 @@ def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
         # an order of magnitude bigger and must not outlive the conversion
         # (on the bench world's 477 kB file it would sit under the AST).
         del tokens
-        return parser.parse_source()
+        return parser.parse_source(), parser._stream
+
+
+def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
+    """Lex ``source`` with ``lexer`` and parse the result."""
+    return _parse(source, lexer)[0]
 
 
 def parse_source(source: str) -> ast.SourceFile:
@@ -794,3 +809,13 @@ def parse_source_fast(source: str) -> ast.SourceFile:
     Evaluation-side hot paths use this entry point.
     """
     return parse_with_lexer(source, lex_fast)
+
+
+def parse_source_digest(source: str) -> Tuple[ast.SourceFile, bytes]:
+    """:func:`parse_source_fast` plus the token digest of ``source``
+    (:meth:`~repro.verilog.tokens.TokenStream.digest`), taken from the
+    stream the parse read.  The functional checker's front end; the
+    curation path (``check_syntax_fast``) computes no digest.
+    """
+    tree, stream = _parse(source, lex_fast)
+    return tree, stream.digest()

@@ -13,6 +13,8 @@ holds the two lexers to token identity.
 from __future__ import annotations
 
 import enum
+import hashlib
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -171,6 +173,24 @@ class TokenStream(Sequence):
             starts.append(start)
         newlines = [line * width - 1 for line in range(tokens[-1].line + 1)]
         return cls(kinds, syms, starts, directives, newlines)
+
+    def digest(self) -> bytes:
+        """A 16-byte ``blake2b`` of what the parser reads: the token count,
+        every token's kind and the length and text of every symbol.
+
+        Two streams with one digest hold the same kinds and symbols in the
+        same order, so the parser takes the same path through both and
+        builds ASTs that differ at most in their ``line`` fields (the
+        count and lengths make the encoding injective: a string literal
+        may hold any character).  Positions, trivia and directives are
+        not part of it.
+        """
+        syms = self.syms
+        h = hashlib.blake2b(len(syms).to_bytes(8, "little"), digest_size=16)
+        h.update(bytes(self.kinds))
+        h.update(array("Q", map(len, syms)).tobytes())
+        h.update("".join(syms).encode("utf-8", "surrogatepass"))
+        return h.digest()
 
     # -- positions ---------------------------------------------------------
 

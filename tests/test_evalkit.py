@@ -351,7 +351,7 @@ class TestSatelliteFixes:
         def boom(source):
             raise RuntimeError("parser bug")
 
-        monkeypatch.setattr("repro.vereval.harness.parse_source_fast", boom)
+        monkeypatch.setattr("repro.vereval.harness.parse_source_digest", boom)
         ok, reason = check_completion(problem, "\nendmodule")
         assert not ok
         assert reason == "internal"

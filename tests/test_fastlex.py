@@ -331,3 +331,45 @@ class TestVerdictEquivalence:
         fast, slow = check_syntax_fast(source), check_syntax(source)
         assert fast.ok == slow.ok
         assert fast.module_names == slow.module_names
+
+
+class TestTokenDigest:
+    """``TokenStream.digest`` keys the checker's golden-equal rule: equal
+    digests must mean equal parser-visible symbols, nothing more."""
+
+    SOURCE = 'module m(output [3:0] y); assign y = 4\'d3; endmodule\n'
+
+    @staticmethod
+    def digest(source):
+        return lex_fast(source).digest()
+
+    def test_trivia_and_directives_do_not_count(self):
+        respelt = "`timescale 1ns/1ps\n// c\n" + self.SOURCE.replace(
+            " ", "\n  /* x */ "
+        )
+        assert self.digest(respelt) == self.digest(self.SOURCE)
+
+    def test_every_symbol_counts(self):
+        for variant in (
+            self.SOURCE.replace("= 4'd3", "= (4'd3)"),
+            self.SOURCE.replace("4'd3", "4'b11"),
+            self.SOURCE.replace("y", "z"),
+        ):
+            assert self.digest(variant) != self.digest(self.SOURCE)
+
+    def test_symbol_boundaries_count(self):
+        # the same kinds and the same text once joined: a digest over the
+        # joined text alone would take one for the other
+        one, two = lex_fast('"ab" c'), lex_fast('"a" bc')
+        assert one.kinds == two.kinds
+        assert "".join(one.syms) == "".join(two.syms)
+        assert one.digest() != two.digest()
+
+    def test_both_lexers_give_one_digest(self):
+        from repro.verilog.tokens import TokenStream
+
+        for problem in build_problem_set(n_problems=10):
+            source = problem.golden_source
+            assert TokenStream.from_tokens(lex(source)).digest() == (
+                self.digest(source)
+            )

@@ -466,6 +466,22 @@ class TestSimTelemetry:
         return problem, sources + [problem.golden_source]
 
     @staticmethod
+    def _simulated(problem, sources):
+        """The distinct sources the check simulates: all but those with
+        the golden's tokens (kind and text, directives aside), which pass
+        on their digest."""
+        from repro.verilog import TokenKind, lex
+
+        def symbols(source):
+            return [
+                (token.kind, token.text) for token in lex(source)
+                if token.kind is not TokenKind.DIRECTIVE
+            ]
+
+        golden = symbols(problem.golden_source)
+        return [s for s in dict.fromkeys(sources) if symbols(s) != golden]
+
+    @staticmethod
     def _reference_cycles(problem, sources):
         """Steps the trace check must take, from the two-design lockstep
         reference: the golden's own trace plus each distinct candidate up
@@ -480,7 +496,7 @@ class TestSimTelemetry:
             golden, problem.stimulus_cycles, seed=problem.stimulus_seed
         )
         total = len(stimulus)
-        for source in dict.fromkeys(sources):
+        for source in TestSimTelemetry._simulated(problem, sources):
             result = equivalence_check(
                 golden, elaborate(parse_source(source), name), stimulus,
                 clock=interface.clock, reset=interface.reset,
@@ -507,13 +523,16 @@ class TestSimTelemetry:
         finally:
             sim_cache.configure(previous)
             reset_caches()
-        return len(set(sources)), want_cycles, snap
+        simulated = len(self._simulated(problem, sources))
+        return len(set(sources)), simulated, want_cycles, snap
 
     def test_one_span_per_design_and_exact_cycles(self):
-        distinct, want_cycles, snap = self._traced_check(24)
-        # the golden + each distinct candidate, elaborated and compiled once
+        distinct, simulated, want_cycles, snap = self._traced_check(24)
+        # the golden + each distinct candidate elaborated once, and each
+        # one simulated (not the golden's token twin) compiled once
+        assert simulated == distinct - 1
         assert snap.agg["sim.elaborate"][0] == distinct + 1
-        assert snap.agg["sim.compile"][0] == distinct + 1
+        assert snap.agg["sim.compile"][0] == simulated + 1
         assert snap.counters["sim.cycles"] == want_cycles
         kernels = sum(
             snap.counters.get(f"sim.kernel.{path}", 0)
@@ -521,15 +540,15 @@ class TestSimTelemetry:
         )
         # per design: the two reset kernels (clocked assert, drive-only
         # release) and the stimulus kernel
-        assert kernels == 3 * (distinct + 1)
+        assert kernels == 3 * (simulated + 1)
         # one lowering per design, nothing taken from a cache entry
-        assert snap.counters["sim.codegen.emitted"] == distinct + 1
-        assert snap.counters["sim.codegen.lines"] > distinct + 1
+        assert snap.counters["sim.codegen.emitted"] == simulated + 1
+        assert snap.counters["sim.codegen.lines"] > simulated + 1
         assert "sim.codegen.loaded" not in snap.counters
 
     def test_no_span_or_counter_write_per_cycle(self):
-        _, shallow_cycles, shallow = self._traced_check(24)
-        _, deep_cycles, deep = self._traced_check(96)
+        _, _, shallow_cycles, shallow = self._traced_check(24)
+        _, _, deep_cycles, deep = self._traced_check(96)
         assert deep_cycles > shallow_cycles
         assert deep.counters["sim.cycles"] == deep_cycles
         # Four times the cycles, the same spans: nothing is per cycle.

@@ -1507,7 +1507,11 @@ class TestCodePersistence:
             before = counters()
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
-            assert delta(before) == {"corrupt": entries, "miss": entries}
+            # the golden's own source passes on its token digest, so its
+            # design entry holds no code to cut short: a sound hit
+            assert delta(before) == {
+                "corrupt": entries - 1, "miss": entries - 1, "hit": 1,
+            }
             # 2. the refill is sound: every entry hits, nothing is lowered
             before = counters()
             emitted = obs.counter_value("sim.codegen.emitted")

@@ -695,7 +695,7 @@ class TestFrontendFailureCache:
         def broken(source):
             raise RuntimeError("parser bug")
 
-        monkeypatch.setattr(harness, "parse_source_fast", broken)
+        monkeypatch.setattr(harness, "parse_source_digest", broken)
         assert check_candidates_lockstep(problem, [_dut()]) == [
             (False, "internal")
         ]

@@ -1,6 +1,7 @@
 """Tests for pass@k, problems, and the functional-eval harness."""
 
 import math
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.vereval import (
     EvalProblem,
     build_problem_set,
     cegis_configure,
+    check_candidate_source,
     check_candidates_lockstep,
     check_completion,
     evaluate_model,
@@ -234,7 +236,8 @@ def _resample_pool(problem):
 class TestIdentityWithThePerCandidateLoop:
     def test_forty_same_shape_sequential_candidates(self):
         # One schedule shape, pairwise different ASTs, wider than any
-        # pass@k pool: every distinct design is replayed exactly once.
+        # pass@k pool: every distinct design is replayed exactly once,
+        # except the golden's own source, which passes on its digest.
         problem = _clocked_problem()
         passing = [_acc()] + [
             _acc(f"({spelling}) {tail}")
@@ -246,10 +249,12 @@ class TestIdentityWithThePerCandidateLoop:
         sources = passing + mutants + [div_by_zero, passing[3], mutants[0]]
         assert len(sources) == 40
         before = obs.counter_value("vereval.scalar_checks")
+        golden_equal = obs.counter_value("vereval.golden_equal")
         verdicts = check_candidates_lockstep(problem, sources)
         assert obs.counter_value("vereval.scalar_checks") - before == len(
             set(sources)
-        )
+        ) - 1
+        assert obs.counter_value("vereval.golden_equal") == golden_equal + 1
         assert verdicts == _reference(problem, sources)
         assert verdicts[: len(passing)] == [(True, "")] * len(passing)
         assert not any(ok for ok, _ in verdicts[len(passing):-2])
@@ -289,3 +294,217 @@ class TestIdentityWithThePerCandidateLoop:
         finally:
             sim_cache.configure(previous_dir)
             reset_caches()
+
+
+# ---------------------------------------------------------------------------
+# The golden-equal rule: a candidate whose whole file has the golden's
+# token stream passes on its digest, with no lowering and no replay
+# ---------------------------------------------------------------------------
+
+#: the right-hand side of every one-line assignment (``=`` or ``<=``,
+#: not a comparison): wrapped in parentheses it is the same AST from a
+#: different token stream
+_RHS = re.compile(r"(?<![<>=!])(<=|=)(?!=)[ \t]*([^;\n]+);")
+
+
+def _golden_variants(problem):
+    """The golden verbatim, a comment/whitespace respelling (its token
+    twin) and an over-parenthesised respelling (not its token twin)."""
+    golden = problem.golden_source
+    return [
+        golden,
+        "// resample\n" + golden.replace("\n", "\n  ", 1),
+        _RHS.sub(r"\1 (\2);", golden),
+    ]
+
+
+@pytest.fixture
+def sim_cache_dir(tmp_path):
+    from repro.sim import cache as sim_cache
+
+    previous = sim_cache.configure(str(tmp_path))
+    reset_caches()
+    try:
+        yield tmp_path
+    finally:
+        sim_cache.configure(previous)
+        reset_caches()
+
+
+def _counted(names, run):
+    before = {name: obs.counter_value(name) for name in names}
+    result = run()
+    return result, {
+        name: obs.counter_value(name) - before[name] for name in names
+    }
+
+
+class TestGoldenEqualIdentity:
+    COUNTERS = ("vereval.golden_equal", "vereval.scalar_checks")
+
+    def _check_every_family(self):
+        for problem in build_problem_set():
+            pool = _golden_variants(problem) + [problem.golden_source]
+            assert pool[2] != pool[0], problem.problem_id
+            verdicts, moved = _counted(
+                self.COUNTERS, lambda: check_candidates_lockstep(problem, pool)
+            )
+            assert verdicts == _reference(problem, pool), problem.problem_id
+            assert verdicts == [(True, "")] * 4, problem.problem_id
+            # the verbatim golden and its respelling pass on the digest;
+            # only the over-parenthesised file is checked
+            assert moved["vereval.golden_equal"] == 2, problem.problem_id
+            assert moved["vereval.scalar_checks"] == 1, problem.problem_id
+
+    def test_every_family_with_the_cache_off(self):
+        from repro.sim import cache as sim_cache
+
+        assert sim_cache.cache_dir() is None
+        self._check_every_family()
+
+    def test_every_family_cold_then_warm(self, sim_cache_dir):
+        self._check_every_family()
+        reset_caches()
+        self._check_every_family()
+
+    def test_token_twins_share_one_check(self):
+        problem = _clocked_problem()
+        mutant = _acc("a - b")
+        twin = "// twin\n" + mutant.replace("\n", "\n\n")
+        pool = [mutant, twin, _acc(), twin]
+        verdicts, moved = _counted(
+            self.COUNTERS, lambda: check_candidates_lockstep(problem, pool)
+        )
+        assert verdicts == _reference(problem, pool)
+        assert moved == {"vereval.golden_equal": 1, "vereval.scalar_checks": 1}
+
+
+_HIER = """module top(input [3:0] a, input [3:0] b, output [3:0] y);
+  sub u0(.a(a), .b(b), .y(y));
+endmodule
+module sub(input [3:0] a, input [3:0] b, output [3:0] y);
+  assign y = a {OP} b;
+endmodule
+"""
+
+_SPIN = """module spin(
+  input clk, input rst, input [7:0] a, output reg [15:0] acc);
+  reg [7:0] i;
+  always @(posedge clk) begin
+    if (rst) acc <= 16'd0;
+    else begin
+      for (i = 8'd0; i < 8'd255; i = i)
+        acc <= acc + {8'd0, a};
+    end
+  end
+endmodule
+"""
+
+
+def _problem(source, name, inputs, outputs, clocked):
+    interface = ModuleInterface(
+        module_name=name,
+        clock="clk" if clocked else None,
+        reset="rst" if clocked else None,
+        reset_active_high=True,
+        inputs=inputs, outputs=outputs,
+    )
+    module = GeneratedModule(
+        family="bench", source=source, interface=interface,
+        description="golden-equal rule",
+    )
+    return EvalProblem(
+        problem_id=f"golden-equal-{name}", module=module,
+        stimulus_cycles=24, stimulus_seed=5,
+    )
+
+
+class TestGoldenEqualAdversarial:
+    def test_a_differing_submodule_fails(self, monkeypatch):
+        from repro.vereval import harness
+        from repro.verilog import parse_source_digest
+
+        problem = _problem(
+            _HIER.replace("{OP}", "&"), "top",
+            [("a", 4), ("b", 4)], [("y", 4)], clocked=False,
+        )
+        candidate = _HIER.replace("{OP}", "|")
+        expected = lockstep_verdict(problem, candidate)
+        assert expected == (False, "mismatch")
+        reset_caches()
+        assert check_candidate_source(problem, candidate) == expected
+
+        def top_module_only(source):
+            # the naive digest: the tokens of the top module alone
+            tree, _ = parse_source_digest(source)
+            top = source[: source.index("endmodule") + len("endmodule")]
+            return tree, parse_source_digest(top)[1]
+
+        monkeypatch.setattr(harness, "parse_source_digest", top_module_only)
+        reset_caches()
+        try:
+            assert check_candidate_source(problem, candidate) == (True, "")
+        finally:
+            reset_caches()
+
+    def test_a_golden_simulation_error_is_the_twin_verdict(
+        self, monkeypatch
+    ):
+        from repro.vereval import harness
+
+        problem = _problem(
+            _SPIN, "spin", [("a", 8)], [("acc", 16)], clocked=True
+        )
+        pool = [_SPIN, "// twin\n" + _SPIN]
+        reference = _reference(problem, pool)
+        assert reference == [
+            (False, "for-loop exceeded 65536 iterations")
+        ] * 2
+        reset_caches()
+        verdicts, moved = _counted(
+            ("vereval.golden_equal",),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert verdicts == reference
+        assert moved == {"vereval.golden_equal": 0}
+
+        # the naive rule, without the precondition, passes both
+        monkeypatch.setattr(
+            harness, "_golden_equal_digest",
+            lambda ref: ref.design.token_digest,
+        )
+        reset_caches()
+        try:
+            assert check_candidates_lockstep(problem, pool) == [(True, "")] * 2
+        finally:
+            reset_caches()
+
+    def test_a_warm_hit_thaws_nothing_and_replays_nothing(
+        self, sim_cache_dir, monkeypatch
+    ):
+        from repro.sim import cache as sim_cache
+        from repro.sim.elaborate import Design
+
+        problem = _clocked_problem()
+        pool = [_acc(), "// twin\n" + _acc(), _acc("b + a")]
+        cold = check_candidates_lockstep(problem, pool)
+        assert cold == _reference(problem, pool) == [(True, "")] * 3
+        reset_caches()
+        loaded = {}
+        get_frontend = sim_cache.get_frontend
+
+        def recording(source, module):
+            loaded[source] = outcome = get_frontend(source, module)
+            return outcome
+
+        monkeypatch.setattr(sim_cache, "get_frontend", recording)
+        warm, moved = _counted(
+            ("vereval.golden_equal", "retire.scalar_replays"),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert warm == cold
+        assert moved == {"vereval.golden_equal": 2, "retire.scalar_replays": 1}
+        for source in pool[:2]:
+            design = loaded[source]
+            assert isinstance(design, Design)
+            assert "_ast" in design.__dict__  # never thawed

@@ -1,6 +1,8 @@
 """Unit tests for the Verilog parser."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.verilog import ast, parse_source
@@ -287,6 +289,69 @@ class TestBasedLiterals:
     def test_bad_digit_for_base(self):
         with pytest.raises(ParseError):
             parse_based_literal("8'b123")
+
+    def test_a_python_prefix_is_a_bad_digit(self, monkeypatch):
+        from repro.verilog import parser, parse_source_fast
+
+        source = "module m(output [3:0] y); assign y = 4'b0b1; endmodule"
+        for parse in (parse_source, parse_source_fast):
+            with pytest.raises(ParseError, match="digit 'b' invalid for base 2"):
+                parse(source)
+        # int() alone takes "0b1" as base 2: without the digit check the
+        # literal would parse to 1
+        lexer_digits = frozenset("0123456789abcdefxz?")
+        monkeypatch.setattr(
+            parser, "_RADIX_DIGITS", dict.fromkeys((2, 8, 10, 16), lexer_digits)
+        )
+        assert parse_based_literal("4'b0b1").value == 1
+
+    def test_decimal_letter_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="digit 'a' invalid for base 10"):
+            parse_based_literal("4'd1a")
+
+    @given(
+        st.sampled_from("bBoOhH"),
+        st.text("0123456789abcdefABCDEFxXzZ?_", min_size=1, max_size=24),
+        st.sampled_from(["", "1", "7", "32", "70"]),
+    )
+    def test_matches_the_digit_loop(self, base, digits, size):
+        text = f"{size}'{base}{digits}"
+        try:
+            want = _digit_loop(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_based_literal(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_based_literal(text) == want
+
+
+def _digit_loop(text):
+    """A radix-2/8/16 literal decoded one digit at a time."""
+    tick = text.index("'")
+    width = int(text[:tick]) if text[:tick] else None
+    radix = {"b": 2, "o": 8, "h": 16}[text[tick + 1].lower()]
+    digits = text[tick + 2:].replace("_", "")
+    if not digits:
+        raise ParseError("based literal has no digits", 0)
+    bits = {2: 1, 8: 3, 16: 4}[radix]
+    value = unknown = 0
+    for digit in digits:
+        value <<= bits
+        unknown <<= bits
+        if digit.lower() in "xz?":
+            unknown |= (1 << bits) - 1
+        elif digit.lower() in "0123456789abcdef"[:radix]:
+            value |= int(digit, radix)
+        else:
+            raise ParseError(f"digit {digit!r} invalid for base {radix}", 0)
+    if width is not None:
+        value &= (1 << width) - 1
+        unknown &= (1 << width) - 1
+    return ast.Number(
+        line=0, value=value, width=width, signed=False,
+        has_unknown=bool(unknown), unknown_mask=unknown,
+    )
 
 
 class TestErrorRecoveryBoundaries:
