@@ -27,6 +27,7 @@ from repro.copyright.benchmark import (
     ViolationReport,
 )
 from repro.copyright.prompts import build_prompt
+from repro.llm.sampler import check_max_new_tokens, check_temperature
 from repro.utils.rng import DeterministicRNG
 from repro.vereval.harness import (
     EvalConfig,
@@ -358,6 +359,8 @@ class CopyrightTask(EvalTask):
         seed: int = 0,
         task_id: str = "copyright",
     ) -> None:
+        check_temperature(temperature)
+        check_max_new_tokens(max_new_tokens)
         self.task_id = task_id
         self.benchmark = benchmark
         self.temperature = temperature

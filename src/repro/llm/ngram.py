@@ -49,10 +49,12 @@ rebuilt per process:
   (exact — it is the same polynomial, so it adds no collision caveat;
   :func:`hash_context` is its oracle and the way into a decode state);
 * two memos, each with a bound that does not depend on how long the
-  process lives: ``succ_row`` / ``succ_out`` (two ints per row: where a
-  single-continuation row leads, and the outgoing token that was
-  computed under) and ``_picks`` (cumulative probabilities of sampled
-  rows per temperature, at most :data:`_PICKS_MAX` entries).
+  process lives: ``runs`` (the run memo: per top-order context, as a
+  tuple of its tokens, the run of single-continuation steps the decoder
+  took from it and the decode state after it; at most
+  :data:`_RUNS_MAX_TOKENS` stored tokens) and ``_picks`` (cumulative
+  probabilities of sampled rows per temperature, at most
+  :data:`_PICKS_MAX` entries).
 
 :meth:`NGramLM.distribution` is the stateless query over the views;
 :class:`repro.llm.sampler.Sampler` is the stateful one.
@@ -91,6 +93,16 @@ _BELOW_EVIDENCE = -2
 #: world's largest table under the paper's two temperatures; past the
 #: bound (a caller sweeping temperatures) it starts over.
 _PICKS_MAX = 1 << 15
+
+#: bound on one view's run memo, in stored tokens (each run's context key
+#: and its tokens).  A headline pass stores about 77 k in the two models'
+#: top-order views together, and later passes add none; past the bound it
+#: starts over.
+_RUNS_MAX_TOKENS = 1 << 18
+
+#: a memoised run: its tokens, their bytes, where the last token's bytes
+#: start, and the top-order row and context hash after the last token
+_Run = Tuple[Tuple[int, ...], bytes, int, int, int]
 
 
 def _hash_contexts(tokens: np.ndarray, order: int) -> np.ndarray:
@@ -355,15 +367,16 @@ class _DecodeView:
     """
 
     __slots__ = (
-        "table", "order", "keys", "rows", "single", "succ_row", "succ_out",
+        "table", "order", "rows", "single", "runs", "_run_tokens",
         "_out_mult", "_shift", "_picks",
     )
 
     def __init__(self, table: _OrderTable, order: int, min_evidence: float) -> None:
         self.table = table
         self.order = order
-        self.keys: List[int] = table.keys.tolist()
-        self.rows: Dict[int, int] = dict(zip(self.keys, range(len(self.keys))))
+        self.rows: Dict[int, int] = dict(
+            zip(table.keys.tolist(), range(len(table.keys)))
+        )
         starts = table.offsets[:-1]
         sizes = np.diff(table.offsets)
         single = np.where(sizes == 1, table.next_tokens[starts], _BRANCHES)
@@ -378,11 +391,10 @@ class _DecodeView:
                 totals[row] = table.counts[lo:hi].sum()
             single[totals < min_evidence] = _BELOW_EVIDENCE
         self.single: List[int] = single.tolist()
-        # Links are only ever set on single-continuation rows, and only
-        # in the view the sampler carries its state in (the top order's);
-        # -1 is no token, so an unset link never matches.
-        self.succ_row: List[int] = [-1] * len(self.keys)
-        self.succ_out: List[int] = [-1] * len(self.keys)
+        # filled only in the view the sampler carries its state in (the
+        # top order's), keyed by the top-order context's tokens
+        self.runs: Dict[Tuple[int, ...], _Run] = {}
+        self._run_tokens = 0
         # h' = h*M + t_in - t_out*M^K - seed*(M^(K+1) - M^K)  (mod 2^64)
         self._out_mult = pow(_MULT, order, 1 << 64)
         self._shift = int(_HASH_SEED) * self._out_mult * (_MULT - 1) & _MASK_64
@@ -395,6 +407,23 @@ class _DecodeView:
         return (
             ctx_hash * _MULT + t_in - t_out * self._out_mult - self._shift
         ) & _MASK_64
+
+    def record_run(
+        self,
+        context: Tuple[int, ...],
+        tokens: Tuple[int, ...],
+        data: bytes,
+        last: int,
+        row: int,
+        ctx_hash: int,
+    ) -> None:
+        """Memoise the run the decoder took from ``context``."""
+        stored = self._run_tokens + len(context) + len(tokens)
+        if stored > _RUNS_MAX_TOKENS:
+            self.runs.clear()
+            stored = len(context) + len(tokens)
+        self.runs[context] = tokens, data, last, row, ctx_hash
+        self._run_tokens = stored
 
     def bounds(self, row: int) -> Tuple[int, int]:
         offsets = self.table.offsets

@@ -40,6 +40,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ElaborationError, LexError, ParseError, SimulationError
 from repro.llm.model import LanguageModel
+from repro.llm.sampler import check_max_new_tokens, check_temperature
 from repro.sim import (
     EquivalenceResult,
     StimulusVector,
@@ -69,6 +70,12 @@ class EvalConfig:
     temperatures: Tuple[float, ...] = (0.2, 0.8)
     max_new_tokens: int = 1024
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # what GenerationConfig would refuse, refused before a plan runs
+        for temperature in self.temperatures:
+            check_temperature(temperature)
+        check_max_new_tokens(self.max_new_tokens)
 
 
 @dataclass

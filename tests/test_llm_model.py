@@ -168,10 +168,12 @@ class TestGeneration:
         config = GenerationConfig(temperature=0.8, max_new_tokens=80)
         # the tokenizer's word cache is pickled: fill it before measuring
         model.encode_prompt(prompt)
-        before = len(pickle.dumps(model))
+        fresh = pickle.dumps(model)
         outs = [model.generate(prompt, config, seed=s) for s in range(4)]
-        assert len(pickle.dumps(model)) == before
-        clone = pickle.loads(pickle.dumps(model))
+        lm = model._sampler.lm
+        assert lm.view(lm.counts.orders[0]).runs  # the run memo was filled
+        assert pickle.dumps(model) == fresh
+        clone = pickle.loads(fresh)
         assert [clone.generate(prompt, config, seed=s) for s in range(4)] == outs
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TrainingError
+from repro import obs
+from repro.errors import ConfigError, TrainingError
 from repro.llm import LanguageModel
 from repro.llm.ngram import (
     DEFAULT_ORDERS,
@@ -177,10 +178,20 @@ def _oracle_distribution(counts, min_evidence, context):
     raise TrainingError("empty")
 
 
-def _oracle_generate(lm, prompt_tokens, temperature, max_new_tokens, seed):
-    """One stateless query per token; checks ``lm.distribution`` on the way."""
+def _oracle_generate(
+    lm, prompt_tokens, temperature, max_new_tokens, seed,
+    stops=(), include_stop=True,
+):
+    """The completion's bytes from one stateless query per token (checking
+    ``lm.distribution`` on the way), tokens being the bytes of a
+    ``BPETokenizer([])``.  After each token it looks for every stop string
+    in the whole text; at the first token where any occurs it cuts at the
+    smallest end (start, without ``include_stop``) of their first
+    occurrences."""
     rng = DeterministicRNG(seed)
     sequence = list(prompt_tokens)
+    stops = [s.encode("ascii") for s in stops if s]
+    out = b""
     for _ in range(max_new_tokens):
         next_tokens, weights, order = _oracle_distribution(
             lm.counts, lm.min_evidence, sequence
@@ -201,7 +212,11 @@ def _oracle_generate(lm, prompt_tokens, temperature, max_new_tokens, seed):
             pick = rng.random()
             token = int(next_tokens[int(np.searchsorted(np.cumsum(probs), pick))])
         sequence.append(token)
-    return sequence[len(prompt_tokens):]
+        out += bytes([token])
+        found = [(out.find(s), s) for s in stops if s in out]
+        if found:
+            return out[:min(p + len(s) if include_stop else p for p, s in found)]
+    return out
 
 
 def _phrase_corpus(seed, n_sequences=24):
@@ -244,27 +259,123 @@ def _orders_1_0_lm():
     return NGramLM(NGramCounts.train(_phrase_corpus(1), orders=(1, 0)))
 
 
+def _phrase(index, start, stop):
+    """Bytes of a training sequence, as a stop string."""
+    return bytes(_phrase_corpus(1)[index][start:stop]).decode("ascii")
+
+
+#: stop-string configurations over the phrase corpus's text: one
+#: multi-token stop, two stops (of different lengths, so the earliest
+#: *end* decides), and each without the stop kept
+_STOP_CASES = {
+    "multi_token": ((_phrase(0, 5, 8),), True),
+    "multi_token_dropped": ((_phrase(0, 5, 8),), False),
+    "two_stops": ((_phrase(2, 10, 14), _phrase(5, 3, 5)), True),
+    "two_stops_dropped": ((_phrase(2, 10, 14), _phrase(5, 3, 5)), False),
+}
+
+_MAKE_LMS = [_default_orders_lm, _rows_below_evidence_lm, _orders_1_0_lm]
+
+
+def _can_replay(lm):
+    """Whether any top-order row has one continuation, so runs exist."""
+    return max(lm.view(lm.counts.orders[0]).single) >= 0
+
+
+def _replayed(fn):
+    """``sampler.tokens_replayed`` moved while ``fn`` ran."""
+    before = obs.counter_value("sampler.tokens_replayed")
+    fn()
+    return obs.counter_value("sampler.tokens_replayed") - before
+
+
 class TestStatefulDecoding:
-    @pytest.mark.parametrize(
-        "make_lm", [_default_orders_lm, _rows_below_evidence_lm, _orders_1_0_lm]
-    )
+    """``Sampler.generate`` against ``_oracle_generate``, through one
+    sampler per test, so later completions replay the runs that earlier
+    ones recorded and draw on the sampled-row memo they left behind."""
+
+    @staticmethod
+    def _check(sampler, lm, temperature, seeds, budgets, stops=(), include_stop=True):
+        for seed in seeds:
+            for prompt_tokens in _PROMPTS.values():
+                for budget in budgets:
+                    config = GenerationConfig(
+                        temperature=temperature, max_new_tokens=budget,
+                        stop_strings=stops, include_stop=include_stop,
+                    )
+                    text = sampler.generate(
+                        "", config, seed=seed, prompt_tokens=prompt_tokens
+                    )
+                    expected = _oracle_generate(
+                        lm, prompt_tokens, temperature, budget, seed,
+                        stops, include_stop,
+                    )
+                    assert text.encode("ascii") == expected
+
+    @pytest.mark.parametrize("make_lm", _MAKE_LMS)
     @pytest.mark.parametrize("temperature", [0.0, 0.2, 0.8, 1.2])
     def test_generate_equals_stateless_oracle(self, make_lm, temperature):
         lm = make_lm()
         sampler = Sampler(BPETokenizer([]), lm)
         # no stop string: every completion runs into the token budget
-        config = GenerationConfig(
-            temperature=temperature, max_new_tokens=90, stop_strings=()
+        replayed = _replayed(
+            lambda: self._check(sampler, lm, temperature, range(4), [90])
         )
-        # Several seeds through one sampler: later ones run over the
-        # links and the sampled-row memo the earlier ones left behind.
-        for seed in range(4):
-            for prompt_tokens in _PROMPTS.values():
-                expected = _oracle_generate(lm, prompt_tokens, temperature, 90, seed)
-                text = sampler.generate(
-                    "", config, seed=seed, prompt_tokens=prompt_tokens
-                )
-                assert list(text.encode("ascii")) == expected
+        assert (replayed > 0) == _can_replay(lm)
+
+    @pytest.mark.parametrize("make_lm", _MAKE_LMS)
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("case", list(_STOP_CASES))
+    def test_stop_strings_equal_stateless_oracle(self, make_lm, temperature, case):
+        lm = make_lm()
+        sampler = Sampler(BPETokenizer([]), lm)
+        stops, include_stop = _STOP_CASES[case]
+        # runs recorded without a stop in sight, then replayed under one
+        self._check(sampler, lm, temperature, range(2), [90])
+        replayed = _replayed(
+            lambda: self._check(
+                sampler, lm, temperature, range(4), [90], stops, include_stop
+            )
+        )
+        assert (replayed > 0) == _can_replay(lm)
+
+    @pytest.mark.parametrize("make_lm", _MAKE_LMS)
+    def test_budgets_ending_inside_memoised_runs(self, make_lm):
+        lm = make_lm()
+        sampler = Sampler(BPETokenizer([]), lm)
+        stops, include_stop = _STOP_CASES["two_stops"]
+        self._check(sampler, lm, 0.8, range(3), [90])
+        # every budget from one token to past the longest run
+        self._check(sampler, lm, 0.8, range(3), range(1, 40))
+        self._check(sampler, lm, 0.8, range(3), range(1, 40), stops, include_stop)
+
+    def test_replays_cover_every_stop_outcome(self, monkeypatch):
+        """The cases above put a stop before, across and inside memoised
+        runs: a spy on the replay's stop check sees a run with no stop,
+        one cut at its last token, one that falls back to per-token
+        steps, and a stop that starts before the run it ends in."""
+        from repro.llm import sampler as sampler_module
+
+        seen = set()
+        real = sampler_module._stop_cut
+
+        def spy(out, since, last, stops, reach, include_stop):
+            cut = real(out, since, last, stops, reach, include_stop)
+            if last > since:  # a replayed run of two or more tokens
+                seen.add("none" if cut == -1 else "inside" if cut < -1 else "cut")
+                if cut >= 0 and any(
+                    since > out.find(s, max(since - reach, 0)) >= 0 for s in stops
+                ):
+                    seen.add("straddles_start")
+            return cut
+
+        monkeypatch.setattr(sampler_module, "_stop_cut", spy)
+        lm = _default_orders_lm()
+        sampler = Sampler(BPETokenizer([]), lm)
+        self._check(sampler, lm, 0.8, range(2), [90])
+        for stops, include_stop in _STOP_CASES.values():
+            self._check(sampler, lm, 0.8, range(4), [90], stops, include_stop)
+        assert seen == {"none", "inside", "cut", "straddles_start"}
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -498,6 +609,69 @@ class TestWeightValidation:
             for s in range(10)
         )
         assert differ > 0
+
+
+class TestSamplingValidation:
+    """A temperature is a real number >= 0 and a token budget an int >= 0,
+    refused at ``GenerationConfig`` and, for a plan, at ``EvalConfig``."""
+
+    BAD_TEMPERATURES = [
+        math.nan, -1.0, -1e-9, math.inf, -math.inf, True, "0.8", None,
+    ]
+    BAD_BUDGETS = [-1, 1.5, 10.0, True, "10", None]
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_generation_config_refuses_temperature(self, temperature):
+        with pytest.raises(ConfigError, match="temperature"):
+            GenerationConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("max_new_tokens", BAD_BUDGETS)
+    def test_generation_config_refuses_budget(self, max_new_tokens):
+        with pytest.raises(ConfigError, match="max_new_tokens"):
+            GenerationConfig(max_new_tokens=max_new_tokens)
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_eval_config_refuses_temperature(self, temperature):
+        from repro.vereval import EvalConfig
+
+        with pytest.raises(ConfigError, match="temperature"):
+            EvalConfig(temperatures=(0.2, temperature))
+
+    @pytest.mark.parametrize("max_new_tokens", BAD_BUDGETS)
+    def test_eval_config_refuses_budget(self, max_new_tokens):
+        from repro.vereval import EvalConfig
+
+        with pytest.raises(ConfigError, match="max_new_tokens"):
+            EvalConfig(max_new_tokens=max_new_tokens)
+
+    def test_copyright_task_refuses_before_a_plan_runs(self):
+        from repro.evalkit import CopyrightTask
+
+        with pytest.raises(ConfigError, match="temperature"):
+            CopyrightTask(None, temperature=math.nan)
+        with pytest.raises(ConfigError, match="max_new_tokens"):
+            CopyrightTask(None, max_new_tokens=-1)
+
+    def test_accepts_greedy_and_numpy_values(self):
+        from repro.vereval import EvalConfig
+
+        for temperature in (0, 0.0, 1e-7, np.float64(0.2), np.float32(1.5)):
+            GenerationConfig(temperature=temperature)
+        for budget in (0, 1, np.int64(600)):
+            GenerationConfig(max_new_tokens=budget)
+        EvalConfig(temperatures=(0.0, np.float64(0.8)), max_new_tokens=np.int32(0))
+
+    def test_nan_temperature_would_collapse_the_seeds(self, tiny_model):
+        # What a NaN temperature did before it was refused: every sampled
+        # row's cumulative list is NaN, its bisection lands on the first
+        # continuation, and 20 seeds give one completion.
+        config = GenerationConfig(temperature=0.8, max_new_tokens=60)
+        seeded = {tiny_model.generate("module ", config, seed=s) for s in range(20)}
+        config.temperature = math.nan
+        with np.errstate(invalid="ignore"):
+            nan = {tiny_model.generate("module ", config, seed=s) for s in range(20)}
+        assert len(seeded) > 1
+        assert len(nan) == 1
 
 
 class TestTrainingMemory:
