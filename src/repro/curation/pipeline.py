@@ -118,7 +118,7 @@ class CurationPipeline:
     ``chunk_size`` and ``executor`` tune the underlying engine run;
     the defaults stream serially in chunks and match the seed pipeline's
     output exactly.  ``executor`` may be an instance or a spec string
-    (``"serial"``, ``"pool"``, ``"cluster"``, ``"auto"``) resolved via
+    (``"serial"``, ``"pool"``, ``"auto"``) resolved via
     :func:`repro.engine.make_executor`; a string-built executor is owned
     by :meth:`run` and closed when the run finishes.
     """

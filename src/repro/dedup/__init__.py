@@ -8,7 +8,7 @@ are treated as duplicates, keeping one representative per cluster.
 :func:`deduplicate` signs every file and is the reference;
 :meth:`StreamingDeduplicator.offer_batch`, which the curation engine
 runs, makes the same decisions while signing each distinct
-comment-stripped text once (``docs/architecture.md`` §10).
+comment-stripped text once (``docs/architecture.md`` §8).
 """
 
 from repro.dedup.shingle import shingles, shingle_hashes

@@ -13,11 +13,8 @@ Layout:
 * :mod:`repro.engine.stage` — the ``Stage`` protocol and per-stage metrics;
 * :mod:`repro.engine.graph` — the chunked ``StageGraph`` runner;
 * :mod:`repro.engine.executor` — serial and process-pool chunk executors;
-* :mod:`repro.engine.cluster` — sharded coordinator/worker execution
-  behind typed protocol messages, with fault recovery;
-* :mod:`repro.engine.policy` — the one :class:`RetryPolicy` /
-  :class:`Deadline` implementation every retry loop routes through,
-  plus validated ``env_int``/``env_float`` parsing;
+* :mod:`repro.engine.policy` — validated ``env_int`` parsing with a
+  typed :class:`~repro.errors.ConfigError`;
 * :mod:`repro.engine.checkpoint` — atomic pickle-per-key snapshot store
   with two-generation corruption fallback;
 * :mod:`repro.engine.registry` — declarative stage registration/compilation;
@@ -25,12 +22,6 @@ Layout:
 """
 
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.cluster import (
-    ClusterError,
-    ClusterExecutor,
-    ClusterProgress,
-    StaleWorkerError,
-)
 from repro.engine.executor import (
     ChunkTrace,
     ParallelExecutor,
@@ -42,14 +33,7 @@ from repro.engine.executor import (
     make_executor,
 )
 from repro.engine.graph import DEFAULT_CHUNK_SIZE, StageGraph, iter_chunks
-from repro.engine.policy import (
-    ConfigError,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-    env_float,
-    env_int,
-)
+from repro.engine.policy import ConfigError, env_int
 from repro.engine.registry import (
     build_stages,
     create_stage,
@@ -75,19 +59,11 @@ from repro.engine.stages import (
 __all__ = [
     "CheckpointStore",
     "ChunkTrace",
-    "ClusterError",
-    "ClusterExecutor",
-    "ClusterProgress",
     "ConfigError",
-    "Deadline",
-    "DeadlineExceeded",
-    "RetryPolicy",
-    "env_float",
     "env_int",
     "ParallelExecutor",
     "SerialExecutor",
     "StageStat",
-    "StaleWorkerError",
     "WorkerDiedError",
     "apply_stages",
     "auto_executor",

@@ -3,10 +3,10 @@
 Writes are crash-safe: the payload is written to a temp file, flushed
 and fsynced, atomically renamed over the target with ``os.replace``,
 and the directory entry is fsynced too.  A crash mid-save — including a
-power cut or a hard-killed coordinator, which ``os.replace`` alone does
-not cover because the rename can hit disk before the data — leaves
-either the old snapshot or the new one, never a torn file.  That
-durability is what cluster coordinator-loss resume leans on.
+power cut or a hard-killed run, which ``os.replace`` alone does not
+cover because the rename can hit disk before the data — leaves either
+the old snapshot or the new one, never a torn file.  That durability is
+what resuming a killed :class:`~repro.evalkit.EvalPlan` leans on.
 
 On top of the atomic write, every key keeps **two generations**: saving
 rotates the current snapshot to ``<key>.ckpt.1`` before the new one

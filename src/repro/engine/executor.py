@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.policy import RetryPolicy
 from repro.errors import TransientError
 from repro.testing import faults
 
@@ -32,8 +31,8 @@ from repro.testing import faults
 class WorkerDiedError(TransientError):
     """A worker died and the chunk's requeue budget ran out.
 
-    Raised by :class:`ParallelExecutor` (and the cluster coordinator)
-    in place of a bare ``BrokenProcessPool`` traceback, naming the chunk
+    Raised by :class:`ParallelExecutor` in place of a bare
+    ``BrokenProcessPool`` traceback, naming the chunk
     index and the fused stage run so the failure reads as *"chunk 12 of
     [eval_generate -> eval_check] failed twice"*, with the chunk having
     been requeued once before the run gave up.
@@ -99,7 +98,7 @@ def _apply_pickled_stages(
     obs.ensure_mode(obs_mode)
     # The pool-worker fault point: an armed ``exit`` here is the
     # deterministic replacement for the old poison-stage os._exit races
-    # (the parent sees BrokenProcessPool and requeues under its policy).
+    # (the parent sees BrokenProcessPool and requeues the chunk once).
     faults.fire("pool.chunk")
     stages = _WORKER_STAGE_CACHE.get(stage_blob)
     if stages is None:
@@ -161,21 +160,13 @@ class ParallelExecutor:
     serial executor would produce.
     """
 
-    #: default broken-pool recovery: one rebuild+resubmit, no backoff
-    #: (the pool restart itself is the delay), then a typed failure
-    DEFAULT_RETRY = RetryPolicy(
-        max_attempts=2, base_delay_s=0.0, jitter=0.0
-    )
+    #: attempts per chunk before a broken pool is a typed failure: one
+    #: rebuild+resubmit, no backoff (the pool restart is the delay)
+    MAX_ATTEMPTS = 2
 
-    def __init__(
-        self,
-        workers: int = 0,
-        window: int = 0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, workers: int = 0, window: int = 0) -> None:
         self.workers = workers if workers > 0 else (os.cpu_count() or 1)
         self.window = window if window > 0 else 2 * self.workers
-        self.retry = retry if retry is not None else self.DEFAULT_RETRY
         self._pool = None
         #: last fused-stage list and its pickle, so checkpointed runs
         #: (one map_chunks call per block) serialize heavy stage payloads
@@ -254,15 +245,14 @@ class ParallelExecutor:
         """Rebuild a broken pool and mark its lost chunks for resubmit.
 
         The head chunk — the one the merge was blocked on — carries the
-        attempt count; the executor's :class:`RetryPolicy` decides when
-        the budget is spent (default: one requeue), at which point a
+        attempt count; after :attr:`MAX_ATTEMPTS` (one requeue) a
         typed :class:`WorkerDiedError` names the chunk and the stage
         run instead of a bare ``BrokenProcessPool``.
         """
         head = pending[0]
         head[3] += 1
         stage_names = " -> ".join(s.name for s in stages)
-        if not self.retry.grant(head[3]):
+        if head[3] >= self.MAX_ATTEMPTS:
             self._pool = None  # broken; nothing worth keeping
             raise WorkerDiedError(
                 chunk_index=head[1],
@@ -281,7 +271,6 @@ class ParallelExecutor:
         obs.event(
             "engine.pool.requeue", chunk=head[1], stages=stage_names
         )
-        self.retry.sleep(head[3])
         for entry in pending:
             future = entry[0]
             # a result that finished before the crash survives
@@ -328,7 +317,7 @@ def make_executor(spec="auto", **kwargs):
     """Resolve an executor from a spec string (or pass an instance through).
 
     ``spec`` is ``"serial"``, ``"pool"`` (aliases ``"process"``,
-    ``"parallel"``), ``"cluster"``, or ``"auto"``; keyword arguments feed
+    ``"parallel"``), or ``"auto"``; keyword arguments feed
     the chosen constructor.  Anything already shaped like an executor
     (has ``map_chunks``) is returned unchanged, so call sites can accept
     both names and instances.
@@ -340,14 +329,9 @@ def make_executor(spec="auto", **kwargs):
         return SerialExecutor()
     if name in ("pool", "process", "parallel"):
         return ParallelExecutor(**kwargs)
-    if name == "cluster":
-        # Late import: the cluster package imports this module.
-        from repro.engine.cluster import ClusterExecutor
-
-        return ClusterExecutor(**kwargs)
     if name == "auto":
         return auto_executor(kwargs.get("workers"))
     raise ValueError(
         f"unknown executor spec {spec!r} "
-        "(expected 'serial', 'pool', 'cluster', or 'auto')"
+        "(expected 'serial', 'pool', or 'auto')"
     )

@@ -1,89 +1,22 @@
-"""Unified retry, backoff, and deadline policy for the whole stack.
+"""Validated environment parsing for the ``REPRO_*`` tuning knobs.
 
-Before this module, every layer that survived faults did so with its own
-hand-rolled loop: the process pool counted chunk attempts in a mutable
-list, the cluster coordinator compared ``attempts > max_requeues`` in
-one place and open-coded handshake deadlines in another, and each parsed
-its ``REPRO_*`` tuning knobs ad hoc.  Three divergent implementations of
-the same three decisions — *is this error worth retrying, how long do we
-wait, and when do we give up* — none of them observable.
-
-Now there is one:
-
-* :class:`RetryPolicy` — a frozen value object answering "retry
-  number ``n``, after ``exc``: yes or no, and after how long a sleep".
-  Classification is type-based (:class:`~repro.errors.TransientError`
-  and friends), backoff is exponential with a *deterministic* jitter
-  (reproducible runs stay reproducible), and every granted retry counts
-  ``policy.retries`` in :mod:`repro.obs`.
-* :class:`Deadline` — a monotonic time budget created once and threaded
-  through blocking waits; ``remaining()`` caps each individual wait and
-  :meth:`Deadline.check` raises a typed :class:`DeadlineExceeded`
-  (counting ``policy.deadline_exceeded``) instead of letting a stack of
-  nested timeouts silently add up past the caller's budget.
-* :func:`env_int` / :func:`env_float` — validated environment parsing
-  with range checks.  A bad value raises
-  :class:`~repro.errors.ConfigError` *naming the variable* at
-  construction time, instead of surfacing as a bare ``ValueError``
-  traceback deep inside a coordinator tick.
-
-Consumers: :class:`~repro.engine.ParallelExecutor` broken-pool recovery,
-:class:`~repro.engine.ClusterExecutor` lease/requeue and handshake
-paths, and the :mod:`repro.service` job supervisor — the acceptance bar
-is that none of those keep a private retry loop.
+:func:`env_int` reads one integer knob with range checks.  A bad value
+raises :class:`~repro.errors.ConfigError` *naming the variable* at
+construction time, instead of surfacing as a bare ``ValueError``
+traceback deep inside a subsystem.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, Union
+from typing import Optional
 
-from repro import obs
-from repro.errors import ConfigError, ReproError, TransientError
+from repro.errors import ConfigError
 
 __all__ = [
     "ConfigError",
-    "Deadline",
-    "DeadlineExceeded",
-    "DEFAULT_RETRYABLE",
-    "RetryPolicy",
-    "TransientError",
-    "env_float",
     "env_int",
 ]
-
-
-# -- validated environment parsing -------------------------------------------
-
-
-def _env_number(
-    name: str,
-    default,
-    parse: Callable,
-    kind: str,
-    minimum,
-    maximum,
-):
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = parse(raw.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{name}={raw!r} is not a valid {kind}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(
-            f"{name}={raw!r} is below the minimum of {minimum}"
-        )
-    if maximum is not None and value > maximum:
-        raise ConfigError(
-            f"{name}={raw!r} is above the maximum of {maximum}"
-        )
-    return value
 
 
 def env_int(
@@ -98,213 +31,19 @@ def env_int(
     ``[minimum, maximum]`` raises :class:`~repro.errors.ConfigError`
     naming the variable and the offending value.
     """
-    return _env_number(name, default, int, "integer", minimum, maximum)
-
-
-def env_float(
-    name: str,
-    default: Optional[float],
-    minimum: Optional[float] = None,
-    maximum: Optional[float] = None,
-) -> Optional[float]:
-    """``float(os.environ[name])`` with range checks and a typed error."""
-    return _env_number(name, default, float, "number", minimum, maximum)
-
-
-# -- deadlines ---------------------------------------------------------------
-
-
-class DeadlineExceeded(ReproError):
-    """A monotonic time budget ran out (typed, names the budget)."""
-
-    def __init__(self, what: str, budget_s: Optional[float]) -> None:
-        self.what = what
-        self.budget_s = budget_s
-        label = what or "operation"
-        if budget_s is not None:
-            super().__init__(
-                f"deadline exceeded: {label} did not finish within "
-                f"{budget_s:.1f}s"
-            )
-        else:
-            super().__init__(f"deadline exceeded: {label}")
-
-
-class Deadline:
-    """A monotonic time budget threaded through blocking waits.
-
-    Created once at the top of an operation and passed down, so nested
-    waits (socket polls, handshake acks, retry sleeps) each take at most
-    ``remaining()`` and the whole operation honors one budget instead of
-    accumulating per-layer timeouts.  ``Deadline(None)`` never expires,
-    so call sites need no conditional plumbing.
-    """
-
-    __slots__ = ("budget_s", "_expires_at")
-
-    def __init__(self, seconds: Optional[float]) -> None:
-        if seconds is not None and seconds < 0:
-            raise ValueError(f"deadline budget must be >= 0, got {seconds}")
-        self.budget_s = seconds
-        self._expires_at = (
-            None if seconds is None else time.monotonic() + seconds
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        value = int(raw.strip())
+    except ValueError:
+        raise ConfigError(f"{name}={raw!r} is not a valid integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(
+            f"{name}={raw!r} is below the minimum of {minimum}"
         )
-
-    @classmethod
-    def never(cls) -> "Deadline":
-        """A deadline that never expires (the no-budget default)."""
-        return cls(None)
-
-    def remaining(self, cap: Optional[float] = None) -> Optional[float]:
-        """Seconds left (>= 0), capped at ``cap``; None means unbounded.
-
-        The usual call shape is ``wait(deadline.remaining(tick))``: the
-        wait honors both the local tick and the overall budget.
-        """
-        if self._expires_at is None:
-            return cap
-        left = max(0.0, self._expires_at - time.monotonic())
-        return left if cap is None else min(left, cap)
-
-    def expired(self) -> bool:
-        return (
-            self._expires_at is not None
-            and time.monotonic() >= self._expires_at
+    if maximum is not None and value > maximum:
+        raise ConfigError(
+            f"{name}={raw!r} is above the maximum of {maximum}"
         )
-
-    def check(self, what: str = "") -> None:
-        """Raise :class:`DeadlineExceeded` (and count it) when expired."""
-        if self.expired():
-            obs.count("policy.deadline_exceeded")
-            obs.event("policy.deadline_exceeded", what=what)
-            raise DeadlineExceeded(what, self.budget_s)
-
-    def __repr__(self) -> str:
-        if self._expires_at is None:
-            return "Deadline(None)"
-        return f"Deadline({self.budget_s}, remaining={self.remaining():.3f})"
-
-
-# -- retry policy ------------------------------------------------------------
-
-#: error types every policy treats as retryable unless overridden;
-#: :class:`~repro.errors.TransientError` is the marker subsystems raise
-#: (injected faults, dead workers, lost cluster connections) and the
-#: stdlib connection/timeout types cover socket plumbing.
-DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
-    TransientError,
-    ConnectionError,
-    TimeoutError,
-    EOFError,
-)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """One typed answer to "should this be retried, and after how long".
-
-    ``max_attempts`` counts *total* attempts including the first (so a
-    cluster ``max_requeues=2`` maps to ``max_attempts=3``).  Backoff is
-    exponential — ``base_delay_s * multiplier**(n-1)`` capped at
-    ``max_delay_s`` — with a deterministic jitter derived from the
-    attempt number, so retry schedules are reproducible run to run.
-    ``retryable`` lists the exception types worth retrying; anything
-    else fails immediately regardless of remaining budget.
-
-    The low-level surface the executors use is :meth:`grant` (budget +
-    classification + the ``policy.retries`` metric) and :meth:`sleep`;
-    :meth:`call` wraps both around a callable for straight-line callers
-    like the service supervisor.
-    """
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.05
-    max_delay_s: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.1
-    retryable: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-
-    def is_retryable(self, exc: Optional[BaseException]) -> bool:
-        """Type-based classification; ``None`` (no error) is retryable."""
-        return exc is None or isinstance(exc, self.retryable)
-
-    def grant(
-        self, failures: int, exc: Optional[BaseException] = None
-    ) -> bool:
-        """Permit (and count) one more attempt after ``failures`` of them.
-
-        ``failures`` is the number of attempts that have already failed.
-        Returns False when the error is not retryable or the budget is
-        spent; True counts ``policy.retries`` so every retry anywhere in
-        the stack lands in the same metric.
-        """
-        if not self.is_retryable(exc):
-            return False
-        if failures >= self.max_attempts:
-            return False
-        obs.count("policy.retries")
-        return True
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (1-based), jittered.
-
-        The jitter term is a hash of the attempt number, not a random
-        draw: spread in the large, reproducible in the small.
-        """
-        if attempt < 1:
-            attempt = 1
-        delay = min(
-            self.max_delay_s,
-            self.base_delay_s * (self.multiplier ** (attempt - 1)),
-        )
-        if self.jitter and delay > 0:
-            frac = ((attempt * 2654435761) % 1024) / 1024.0
-            delay += delay * self.jitter * frac
-        return delay
-
-    def sleep(
-        self, attempt: int, deadline: Optional[Deadline] = None
-    ) -> None:
-        """Sleep the backoff for ``attempt``, bounded by ``deadline``."""
-        delay = self.backoff_s(attempt)
-        if deadline is not None:
-            delay = deadline.remaining(delay)
-        if delay:
-            time.sleep(delay)
-
-    def call(
-        self,
-        fn: Callable,
-        deadline: Optional[Deadline] = None,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-        describe: str = "",
-    ):
-        """Run ``fn()`` under this policy; the supervisor's entry point.
-
-        Retryable failures are retried with backoff until the attempt
-        budget or the ``deadline`` runs out; the final error (or a
-        :class:`DeadlineExceeded`) propagates.  ``on_retry(failures,
-        exc)`` fires before each granted retry — the service uses it to
-        move a job through ``resumable`` between attempts.
-        """
-        failures = 0
-        while True:
-            if deadline is not None:
-                deadline.check(describe)
-            try:
-                return fn()
-            except BaseException as exc:
-                failures += 1
-                if not self.grant(failures, exc):
-                    raise
-                if on_retry is not None:
-                    on_retry(failures, exc)
-                self.sleep(failures, deadline)
+    return value

@@ -14,12 +14,9 @@ class ReproError(Exception):
 class TransientError(ReproError):
     """A failure that is expected to succeed on retry.
 
-    Marker base for errors the default
-    :class:`repro.engine.policy.RetryPolicy` classifies as retryable:
-    injected faults, lost connections, workers that died mid-chunk.
-    Subsystems raise subclasses of this (or list their own types in a
-    policy's ``retryable``) so retry classification lives in one place
-    instead of per-call-site ``except`` tuples.
+    Marker base for retryable failures: injected faults
+    (:class:`repro.testing.faults.InjectedFault`) and pool workers that
+    died mid-chunk (:class:`repro.engine.WorkerDiedError`).
     """
 
 
@@ -29,17 +26,6 @@ class ConfigError(ReproError):
     Always names the offending variable and the accepted range, so a
     bad ``REPRO_*`` setting fails at construction with a one-line
     message instead of a bare ``ValueError`` deep inside a subsystem.
-    """
-
-
-class PlanInterrupted(ReproError):
-    """A run was stopped cooperatively at a checkpoint boundary.
-
-    Raised by :meth:`repro.evalkit.EvalPlan.run` when its ``stop`` hook
-    returns True between checkpoint blocks: everything completed so far
-    is saved, so the run can resume from the same store/tag.  The
-    evaluation service maps this to the ``resumable`` job state on
-    drain/cancel.
     """
 
 

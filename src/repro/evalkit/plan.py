@@ -55,11 +55,12 @@ from repro.engine import (
     iter_chunks,
     make_executor,
 )
-from repro.errors import EvaluationError, PlanInterrupted
+from repro.errors import EvaluationError
 from repro.llm.model import LanguageModel
 from repro.evalkit.records import RunResult, SampleRecord
 from repro.evalkit.stages import AggregateStage
 from repro.evalkit.tasks import EvalTask
+from repro.vereval import cegis
 
 #: one work unit is a full generate+simulate sample, so dispatch chunks
 #: are much smaller than curation's (a chunk is the pool's unit of work)
@@ -79,8 +80,7 @@ class PlanProgress:
 
     Emitted as checked records land in the aggregation sink — including
     the replayed records of a resumed run — so a long sweep reports
-    partial results while later chunks are still generating (on a
-    cluster executor, while they are still out on lease).
+    partial results while later chunks are still generating.
     """
 
     done: int
@@ -138,7 +138,7 @@ class EvalPlan:
 
         ``executor`` overrides the plan's own; either may be an executor
         *instance* or a spec string (``"serial"``, ``"pool"``,
-        ``"cluster"``, ``"auto"``) resolved through
+        ``"auto"``) resolved through
         :func:`repro.engine.make_executor`.
         """
         spec = executor if executor is not None else self.executor
@@ -168,12 +168,14 @@ class EvalPlan:
         """Identity of the plan's sample stream, guarding resume mismatches.
 
         Covers the models (name plus training-scale descriptors — a
-        retrained same-name model almost surely differs in these) and
-        each task's :meth:`~EvalTask.protocol_fingerprint`, so a
-        checkpoint cannot silently resume under a changed protocol even
-        when the spec *count* happens to match.
+        retrained same-name model almost surely differs in these), each
+        task's :meth:`~EvalTask.protocol_fingerprint` and the active
+        CEGIS checking configuration (which changes verdicts without
+        changing any task), so a checkpoint cannot silently resume under
+        a changed protocol even when the spec *count* happens to match.
         """
         digest = hashlib.sha256()
+        digest.update(f"cegis:{cegis.fingerprint_token()}".encode("utf-8"))
         for model in self.models:
             counts = getattr(model, "counts", None)
             descriptor = (
@@ -197,25 +199,16 @@ class EvalPlan:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         executor=None,
         on_progress=None,
-        stop=None,
     ) -> RunResult:
         """Execute the plan, resuming from ``store``/``tag`` if a snapshot
         exists; a completed snapshot just replays its result.
 
         ``executor`` overrides the plan's executor for this run — an
-        instance or a spec string (``executor="cluster"`` shards the
-        pooled generate+check phase across cluster workers); a
-        string-built executor is owned by the run and closed on exit.
+        instance or a spec string (``executor="pool"`` fans the
+        generate+check phase across a process pool); a string-built
+        executor is owned by the run and closed on exit.
         ``on_progress`` receives a :class:`PlanProgress` as checked
         records stream into the sink.
-
-        ``stop`` is the cooperative-drain hook: a zero-argument callable
-        polled at each checkpoint-block boundary.  When it returns True
-        the run raises :class:`~repro.errors.PlanInterrupted` *after*
-        saving the blocks completed so far, so a rerun with the same
-        ``store``/``tag`` resumes where the drain landed — the
-        :mod:`repro.service` supervisor maps this to the ``resumable``
-        job state on SIGTERM/cancel.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -226,7 +219,7 @@ class EvalPlan:
             specs=self.total_specs(),
         ) as capture:
             run = self._run(
-                store, tag, checkpoint_every, executor, on_progress, stop
+                store, tag, checkpoint_every, executor, on_progress
             )
         # Built when the capture closes; the summary travels on the
         # result so callers see it without touching the obs module.
@@ -240,14 +233,13 @@ class EvalPlan:
         checkpoint_every: int,
         executor=None,
         on_progress=None,
-        stop=None,
     ) -> RunResult:
         spec = executor if executor is not None else self.executor
         owned = isinstance(spec, str)
         resolved = make_executor(spec) if owned else spec
         try:
             return self._run_graph(
-                store, tag, checkpoint_every, resolved, on_progress, stop
+                store, tag, checkpoint_every, resolved, on_progress
             )
         finally:
             if owned and resolved is not None:
@@ -260,7 +252,6 @@ class EvalPlan:
         checkpoint_every: int,
         executor,
         on_progress,
-        stop=None,
     ) -> RunResult:
         # ``executor`` is already resolved (or None when the plan has
         # none), so compile never re-resolves a spec string here.
@@ -324,20 +315,9 @@ class EvalPlan:
         if done:
             stream = islice(stream, done, None)
         if store is None:
-            if stop is not None and stop():
-                raise PlanInterrupted(
-                    f"plan {tag!r} stopped before ingest (no store: "
-                    "a rerun starts from scratch)"
-                )
             graph.ingest(stream)
         else:
             for block in iter_chunks(stream, checkpoint_every):
-                if stop is not None and stop():
-                    raise PlanInterrupted(
-                        f"plan {tag!r} drained at a checkpoint boundary "
-                        f"({graph.items_in} of {self.total_specs()} "
-                        "specs done; resume with the same store/tag)"
-                    )
                 collected = len(sink.records)
                 graph.ingest(block)
                 # Segment first, then the head that references it: a

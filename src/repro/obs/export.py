@@ -5,8 +5,7 @@ Three artifacts per traced run, written into one run subdirectory:
 * ``events.jsonl`` — one JSON object per line: a ``meta`` header, every
   span (``type: "span"``), then the final metric values (``counter`` /
   ``gauge``).  This is the machine-readable log
-  ``tools/trace_report.py`` consumes and the stream a future cluster
-  coordinator would ship over the wire.
+  ``tools/trace_report.py`` consumes.
 * ``trace.json`` — Chrome/Perfetto ``trace_event`` JSON (``ph: "X"``
   complete events, microsecond timestamps relative to the run start,
   one track per process), loadable in ``ui.perfetto.dev`` or

@@ -7,9 +7,8 @@ one a small race wired to incidental data.  This module replaces those
 with a first-class switchboard:
 
 * Production code hosts **fault points**: a call to :func:`fire` with a
-  stable dotted name (``checkpoint.save``, ``cluster.send``,
-  ``cluster.recv``, ``cluster.worker.lease``, ``pool.chunk``,
-  ``sim.cache.load``, ``sim.cache.store``, ``service.executor.<name>``).
+  stable dotted name (``checkpoint.save``, ``pool.chunk``,
+  ``sim.cache.load``, ``sim.cache.store``).
   Unarmed, a point costs one dict lookup and is a no-op.
 * Tests (or CI smoke runs) **arm** faults — programmatically via
   :func:`arm` or from the environment::
@@ -21,18 +20,17 @@ with a first-class switchboard:
   optional ``once_marker`` is a filesystem path used as a cross-process
   once-gate: the first process to reach the trigger atomically creates
   the marker and fires; everyone else skips — which is how "exactly one
-  pool/cluster worker dies, once" is expressed without races.
+  pool worker dies, once" is expressed without races.
 
 Kinds with built-in behavior: ``raise`` (raise :class:`InjectedFault`,
-a :class:`~repro.errors.TransientError`, so retry policies classify it
-as retryable), ``exit`` (hard ``os._exit(23)`` — the recognizable
-injected-death exit code), ``hang`` (sleep for an hour, for heartbeat/
-timeout paths).  Any other kind is *site-interpreted*: :func:`fire`
-returns the kind string and the hosting code enacts it (e.g.
-``checkpoint.save`` treats ``torn`` as "corrupt the written snapshot").
+a :class:`~repro.errors.TransientError`) and ``exit`` (hard
+``os._exit(23)`` — the recognizable injected-death exit code).  Any
+other kind is *site-interpreted*: :func:`fire` returns the kind string
+and the hosting code enacts it (e.g. ``checkpoint.save`` treats
+``torn`` as "corrupt the written snapshot").
 
 Environment arming is re-synced whenever ``REPRO_FAULTS`` changes, so
-``monkeypatch.setenv`` works mid-process, and pool/cluster workers —
+``monkeypatch.setenv`` works mid-process, and pool workers —
 which inherit the environment — parse their own copy with their own
 activation counters.
 """
@@ -40,7 +38,6 @@ activation counters.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -64,18 +61,12 @@ ENV_VAR = "REPRO_FAULTS"
 #: tell an injected death from a genuine crash
 EXIT_CODE = 23
 
-#: how long an injected ``hang`` sleeps (heartbeat timeouts reap it
-#: long before this elapses)
-_HANG_S = 3600.0
-
 
 class InjectedFault(TransientError):
     """The error an armed ``raise`` fault throws at its point.
 
-    Subclasses :class:`~repro.errors.TransientError`, so the default
-    :class:`~repro.engine.policy.RetryPolicy` classifies an injected
-    crash as retryable — which is exactly what the recovery tests are
-    exercising.
+    Subclasses :class:`~repro.errors.TransientError`: an injected crash
+    is the retryable kind of failure the recovery tests exercise.
     """
 
     def __init__(self, point: str) -> None:
@@ -165,6 +156,10 @@ def _parse_env(raw: str) -> List[_Fault]:
                 f"bad {ENV_VAR} entry {spec!r}: nth {nth!r} is not an "
                 "integer"
             ) from None
+        if n < 0:
+            raise ValueError(
+                f"bad {ENV_VAR} entry {spec!r}: nth must be >= 0, got {n}"
+            )
         faults.append(
             _Fault(point=point, kind=kind, nth=n, once_marker=marker,
                    from_env=True)
@@ -243,7 +238,7 @@ def fire(point: str) -> Optional[str]:
     """Activate ``point`` and enact built-in kinds.
 
     ``raise`` raises :class:`InjectedFault`, ``exit`` calls
-    ``os._exit(EXIT_CODE)``, ``hang`` sleeps.  Site-interpreted kinds
+    ``os._exit(EXIT_CODE)``.  Site-interpreted kinds
     (anything else) are returned for the hosting code to enact; None
     means nothing fired.  Every firing is counted (``faults.fired``)
     and evented before the action, so even an ``exit`` leaves a trace
@@ -258,7 +253,4 @@ def fire(point: str) -> Optional[str]:
         raise InjectedFault(point)
     if kind == "exit":
         os._exit(EXIT_CODE)
-    if kind == "hang":
-        time.sleep(_HANG_S)
-        return kind
     return kind

@@ -44,11 +44,10 @@ hypothesis suite in ``tests/test_cegis.py``.
 
 Everything is gated behind ``REPRO_SIM_CEGIS=1`` (default off: the
 legacy checker runs byte-identically) and the active configuration is
-part of the cluster plan fingerprint
-(:func:`repro.engine.cluster.protocol.plan_fingerprint` via
-:func:`fingerprint_token`), so a worker with a different CEGIS
-configuration is rejected at handshake instead of silently mixing
-verdict semantics.  Stimulus-depth measurement (toggle/level coverage
+part of the plan fingerprint (:meth:`repro.evalkit.EvalPlan.fingerprint`
+via :func:`fingerprint_token`), so a checkpoint taken under one CEGIS
+configuration refuses to resume under another instead of silently
+mixing verdict semantics.  Stimulus-depth measurement (toggle/level coverage
 with saturation, :mod:`repro.sim.coverage`) is configured here too:
 ``coverage_stimulus`` opts golden-stimulus truncation in — off by
 default because truncation trades the formal refinement guarantee for
@@ -193,7 +192,7 @@ def active_config() -> CegisConfig:
 
 
 def fingerprint_token() -> str:
-    """The active config's token (the cluster handshake calls this)."""
+    """The active config's token (:meth:`EvalPlan.fingerprint` folds it in)."""
     return active_config().fingerprint_token()
 
 

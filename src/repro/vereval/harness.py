@@ -675,7 +675,7 @@ def reset_caches() -> None:
     """Drop every in-process checker memo: the golden-artifact LRU and the
     CEGIS set, golden-sweep and clear-search memos.
 
-    What a fresh pool worker or a restarted service starts from; the
+    What a fresh pool worker starts from; the
     :mod:`repro.sim.cache` disk tier is left alone.
     """
     from repro.vereval import cegis as _cegis

@@ -818,13 +818,34 @@ class TestConfigPlumbing:
         )
 
     def test_plan_fingerprint_covers_cegis_token(self):
-        from repro.engine.cluster.protocol import plan_fingerprint
+        # The checkpoint resume guard: the same plan under another CEGIS
+        # configuration must not read as the same plan.
+        from repro.evalkit import EvalPlan, PassAtKTask
+        from repro.llm import LanguageModel
+        from repro.vereval import EvalConfig
 
-        off = plan_fingerprint([], b"blob", cegis_token="off")
-        on = plan_fingerprint([], b"blob", cegis_token="on:set32")
-        assert off != on
+        model = LanguageModel.pretrain(
+            "demo", ["module m(input a, output y); assign y = ~a; endmodule"]
+        )
+        task = PassAtKTask(
+            build_problem_set(n_problems=1),
+            EvalConfig(n_samples=1, ks=(1,), temperatures=(0.4,)),
+        )
+        plan = EvalPlan([model], [task])
+        fingerprints = {}
+        for config in (
+            _legacy_config(),
+            cegis.CegisConfig(enabled=True),
+            cegis.CegisConfig(enabled=True, max_set=8),
+        ):
+            previous = cegis.configure(config)
+            try:
+                fingerprints[config.fingerprint_token()] = plan.fingerprint()
+            finally:
+                cegis.configure(previous)
+        assert len(set(fingerprints.values())) == 3
         # default resolves the live config (off in this test process)
-        assert plan_fingerprint([], b"blob") == off
+        assert plan.fingerprint() == fingerprints["off"]
 
     def test_check_stage_reapplies_config_after_unpickle(self, cache_dir):
         from repro.evalkit.stages import CheckStage

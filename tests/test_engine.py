@@ -1,6 +1,7 @@
 """Tests for the streaming, parallel, checkpointable execution engine."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -17,15 +18,19 @@ from repro.engine import (
     CheckpointStore,
     DedupStage,
     FunctionFilterStage,
+    MapStage,
     ParallelExecutor,
     SerialExecutor,
     StageGraph,
     StageMetrics,
+    WorkerDiedError,
     build_stages,
     create_stage,
     iter_chunks,
+    make_executor,
     registered_stages,
 )
+from repro.testing import faults
 from repro.verilog import check_syntax
 
 
@@ -148,6 +153,145 @@ class TestParallelExecutor:
         ]
 
 
+class _DoubleStage(MapStage):
+    name = "double"
+    parallel_safe = True
+
+    def map_item(self, item):
+        return item * 2
+
+
+class TestPoolWorkerDied:
+    """Pool-worker death driven through the ``pool.chunk`` fault point.
+
+    These used to ride on a stage that ``os._exit``-ed when it saw item
+    13 — a crash wired to incidental data, racing over which worker drew
+    which chunk.  The armed fault is explicit instead: forked pool
+    workers inherit ``REPRO_FAULTS`` and count their own activations, so
+    "one worker dies once" is the once-marker, and "every worker always
+    dies" is ``nth=0``.
+    """
+
+    def test_transient_death_requeues_once(self, tmp_path, monkeypatch):
+        marker = str(tmp_path / "died-once")
+        monkeypatch.setenv(faults.ENV_VAR, f"pool.chunk:exit:1:{marker}")
+        chunks = list(iter_chunks(range(20), 5))
+        serial = [
+            out for out, _ in SerialExecutor().map_chunks(
+                [_DoubleStage()], chunks
+            )
+        ]
+        with ParallelExecutor(workers=2) as executor:
+            outputs = [
+                out
+                for out, _ in executor.map_chunks([_DoubleStage()], chunks)
+            ]
+        assert outputs == serial
+        # the marker proves the injected death actually fired
+        assert os.path.exists(marker)
+
+    def test_persistent_death_raises_typed_error(self, monkeypatch):
+        # nth=0, no marker: every worker dies on every chunk it touches,
+        # so the retry budget (one requeue) runs dry on the first chunk.
+        monkeypatch.setenv(faults.ENV_VAR, "pool.chunk:exit:0")
+        chunks = list(iter_chunks(range(20), 5))
+        with ParallelExecutor(workers=2) as executor:
+            with pytest.raises(WorkerDiedError) as info:
+                list(executor.map_chunks([_DoubleStage()], chunks))
+        assert info.value.chunk_index == 0
+        assert "double" in info.value.stage
+        assert info.value.attempts == 2
+
+
+class _StubPool:
+    """Inline pool whose ``submit`` raises once it is flagged broken.
+
+    ``ProcessPoolExecutor.submit`` raises ``BrokenProcessPool``
+    synchronously after a worker death; with real processes whether the
+    merge observes the break at ``submit`` or at ``result()`` is a race.
+    ``break_at`` picks the submit call (1-based) that breaks this pool.
+    """
+
+    def __init__(self, break_at=None):
+        self.break_at = break_at
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.submits += 1
+        if self.break_at is not None and self.submits >= self.break_at:
+            raise BrokenProcessPool("stub pool is broken")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitOnBrokenPool:
+    """A pool that breaks under ``submit`` spends the requeue budget."""
+
+    @staticmethod
+    def _executor(monkeypatch, pools):
+        executor = ParallelExecutor(workers=2)
+        pools = iter(pools)
+
+        def ensure_pool():
+            if executor._pool is None:
+                executor._pool = next(pools)
+            return executor._pool
+
+        monkeypatch.setattr(executor, "_ensure_pool", ensure_pool)
+        return executor
+
+    def test_fill_submit_break_requeues(self, monkeypatch):
+        chunks = list(iter_chunks(range(20), 5))
+        serial = [
+            out for out, _ in SerialExecutor().map_chunks(
+                [_DoubleStage()], chunks
+            )
+        ]
+        executor = self._executor(
+            monkeypatch, [_StubPool(break_at=2), _StubPool()]
+        )
+        outputs = [
+            out for out, _ in executor.map_chunks([_DoubleStage()], chunks)
+        ]
+        assert outputs == serial  # no chunk lost, order kept
+
+    def test_resubmit_break_raises_typed_error(self, monkeypatch):
+        # The first pool breaks while the window fills, the rebuilt one
+        # breaks under the resubmit: the budget (one requeue) is spent
+        # and the failure is typed, never a bare BrokenProcessPool.
+        executor = self._executor(
+            monkeypatch, [_StubPool(break_at=2), _StubPool(break_at=1)]
+        )
+        chunks = list(iter_chunks(range(20), 5))
+        with pytest.raises(WorkerDiedError) as info:
+            list(executor.map_chunks([_DoubleStage()], chunks))
+        assert info.value.chunk_index == 0
+        assert "double" in info.value.stage
+        assert info.value.attempts == 2
+
+
+class TestMakeExecutor:
+    def test_specs_resolve(self):
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        pool = make_executor("pool", workers=2)
+        assert isinstance(pool, ParallelExecutor) and pool.workers == 2
+
+    def test_instance_passthrough(self):
+        executor = SerialExecutor()
+        assert make_executor(executor) is executor
+
+    def test_unknown_spec_raises(self):
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor("hyperdrive")
+
+
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -182,6 +326,25 @@ class TestCheckpointStore:
         store.save("k", "new")
         assert store.load("k") == "new"
         assert store.keys() == ["k"]
+
+
+class TestCheckpointDurability:
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        store = CheckpointStore(tmp_path / "store")
+        store.save("alpha", {"x": 1})
+        assert store.load("alpha") == {"x": 1}
+        leftovers = [
+            name for name in os.listdir(store.root)
+            if name.endswith(".tmp")
+        ]
+        assert leftovers == []
+
+    def test_failed_pickle_preserves_old_snapshot(self, tmp_path):
+        store = CheckpointStore(tmp_path / "store")
+        store.save("alpha", {"x": 1})
+        with pytest.raises(Exception):
+            store.save("alpha", lambda: None)  # unpicklable
+        assert store.load("alpha") == {"x": 1}
 
 
 class TestGraphCheckpoint:

@@ -13,6 +13,10 @@ The load-bearing guarantees:
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -22,7 +26,9 @@ from repro.core.freev import HeadlineReport
 from repro.engine import CheckpointStore, ParallelExecutor
 from repro.errors import EvaluationError
 from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
+from repro.llm import LanguageModel
 from repro.llm.sampler import GenerationConfig
+from repro.testing import faults
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import (
     EvalConfig,
@@ -32,6 +38,7 @@ from repro.vereval import (
     check_completion,
     evaluate_model,
 )
+from repro.vereval import cegis
 from repro.vereval.passk import mean_pass_at_k
 
 
@@ -138,6 +145,59 @@ _CONFIG = EvalConfig(
 )
 
 
+def _make_plan(n_problems=4, n_samples=4, chunk_size=4):
+    model = LanguageModel.pretrain(
+        "demo",
+        ["module m(input a, output y); assign y = ~a; endmodule"] * 6,
+    )
+    task = PassAtKTask(
+        build_problem_set(n_problems=n_problems),
+        EvalConfig(n_samples=n_samples, ks=(1,), temperatures=(0.4,),
+                   max_new_tokens=64),
+    )
+    return EvalPlan([model], [task], chunk_size=chunk_size)
+
+
+def _verdicts(run):
+    return [
+        (r.model_name, r.task_id, r.unit_id, r.sample_index, r.passed,
+         r.completion)
+        for r in run.records
+    ]
+
+
+@pytest.fixture(scope="module")
+def plan():
+    return _make_plan()
+
+
+@pytest.fixture(scope="module")
+def serial_run(plan):
+    return plan.run()
+
+
+_RESUME_TAG = "pool-resume"
+
+
+def _resume_child_main(root: str) -> None:
+    """Run the plan on a process pool, dying hard mid-run like a lost host.
+
+    The death is an armed ``checkpoint.save`` fault, not a monkeypatched
+    store: the 5th save (the third block's segment) hard-exits with
+    :data:`faults.EXIT_CODE` *before* any bytes move, leaving saves 1-4
+    (two complete segment+head pairs) on disk for the parent to resume.
+    The child leads its own process group, so the test can reap the pool
+    workers the hard exit orphans.
+    """
+    os.setpgrp()
+    os.environ[faults.ENV_VAR] = "checkpoint.save:exit:5"
+    _make_plan().run(
+        store=CheckpointStore(root), tag=_RESUME_TAG, checkpoint_every=4,
+        executor="pool",
+    )
+    os._exit(1)  # finishing means the kill never fired
+
+
 class TestFacadeIdentity:
     def test_passk_matches_seed_serial_harness(self, tiny_model):
         problems = build_problem_set(n_problems=5, seed=21)
@@ -232,6 +292,17 @@ class TestEvalPlan:
             EvalPlan([tiny_model], [task, task])
         with pytest.raises(ValueError):
             PassAtKTask(problems, EvalConfig(n_samples=2, ks=(5,)))
+
+    def test_progress_streams_during_run(self, plan, serial_run):
+        events = []
+        result = plan.run(on_progress=events.append)
+        assert _verdicts(result) == _verdicts(serial_run)
+        assert [e.done for e in events] == [4, 8, 12, 16]
+        assert all(e.total == 16 for e in events)
+        assert events[-1].passed == sum(
+            1 for r in serial_run.records if r.passed
+        )
+        assert events[-1].frac == 1.0
 
 
 class TestResume:
@@ -330,6 +401,47 @@ class TestResume:
         ).total_specs()
         with pytest.raises(EvaluationError, match="different plan"):
             shifted.run(store=store, tag="x")
+        # so is the same plan under another checker configuration
+        previous = cegis.configure(cegis.CegisConfig(enabled=True))
+        try:
+            with pytest.raises(EvaluationError, match="different plan"):
+                self._plan(tiny_model, problems, benchmark).run(
+                    store=store, tag="x"
+                )
+        finally:
+            cegis.configure(previous)
+
+    def test_killed_coordinator_resumes_from_checkpoint(
+        self, plan, serial_run, tmp_path
+    ):
+        root = str(tmp_path / "ckpt")
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_resume_child_main, args=(root,))
+        child.start()
+        # Not join(): the orphaned pool workers hold the child's sentinel
+        # open, so poll its exit status, then kill the whole group.
+        deadline = time.monotonic() + 120
+        while child.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        assert child.exitcode == faults.EXIT_CODE
+
+        store = CheckpointStore(root)
+        head = store.load(_RESUME_TAG)
+        assert head is not None
+        # 16 specs / checkpoint_every=4 would be 4 segments; the child
+        # died mid-run, so the head references only a prefix.
+        assert 0 < head["segments"] < 4
+
+        resumed = plan.run(
+            store=store, tag=_RESUME_TAG, checkpoint_every=4,
+            executor="pool",
+        )
+        assert _verdicts(resumed) == _verdicts(serial_run)
+        assert store.load(_RESUME_TAG)["segments"] == 4
 
 
 class TestSatelliteFixes:

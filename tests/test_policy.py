@@ -1,32 +1,25 @@
-"""The robustness substrate: RetryPolicy, Deadline, env parsing, faults.
+"""The robustness substrate: env parsing, faults, checkpoint generations.
 
-Covers the one retry/deadline implementation everything routes through
-(:mod:`repro.engine.policy`), the validated environment helpers and
-their typed :class:`~repro.errors.ConfigError`, the deterministic
-fault-injection registry (:mod:`repro.testing.faults`), and the
-checkpoint store's two-generation corruption fallback those faults
+Covers the validated environment helper (:mod:`repro.engine.policy`)
+and its typed :class:`~repro.errors.ConfigError`, the deterministic
+fault-injection registry (:mod:`repro.testing.faults`) with a check
+that every fault point under ``src/repro`` is armed by some test, and
+the checkpoint store's two-generation corruption fallback those faults
 exercise.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import pathlib
 import pickle
+import re
 
 import pytest
 
 from repro import obs
-from repro.engine import (
-    CheckpointStore,
-    ClusterExecutor,
-    ConfigError,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-    env_float,
-    env_int,
-)
-from repro.errors import TransientError
+from repro.engine import CheckpointStore, ConfigError, env_int
 from repro.sim import cache as sim_cache
 from repro.testing import faults
 
@@ -38,140 +31,6 @@ def _clean_faults():
     faults.disarm()
 
 
-# -- RetryPolicy -------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_grant_budget(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.grant(1)
-        assert policy.grant(2)
-        assert not policy.grant(3)
-
-    def test_grant_counts_retries(self):
-        before = obs.counter_value("policy.retries")
-        RetryPolicy(max_attempts=2).grant(1)
-        assert obs.counter_value("policy.retries") == before + 1
-
-    def test_classification(self):
-        policy = RetryPolicy(max_attempts=5)
-        assert policy.grant(1, TransientError("x"))
-        assert policy.grant(1, ConnectionError())
-        assert policy.grant(1, TimeoutError())
-        assert policy.grant(1, EOFError())
-        assert not policy.grant(1, ValueError("not transient"))
-        assert not policy.grant(1, KeyboardInterrupt())
-
-    def test_custom_retryable(self):
-        policy = RetryPolicy(max_attempts=5, retryable=(KeyError,))
-        assert policy.grant(1, KeyError("k"))
-        assert not policy.grant(1, TransientError("x"))
-
-    def test_injected_fault_is_retryable(self):
-        assert RetryPolicy().grant(1, faults.InjectedFault("p"))
-
-    def test_backoff_exponential_and_capped(self):
-        policy = RetryPolicy(
-            base_delay_s=0.1, multiplier=2.0, max_delay_s=0.5, jitter=0.0
-        )
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
-        assert policy.backoff_s(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_s(10) == pytest.approx(0.5)
-
-    def test_backoff_jitter_is_deterministic(self):
-        policy = RetryPolicy(base_delay_s=0.1, jitter=0.1)
-        # Same attempt, same delay — reproducible retry schedules.
-        assert policy.backoff_s(2) == policy.backoff_s(2)
-        assert 0.2 <= policy.backoff_s(2) <= 0.2 * 1.1
-
-    def test_call_retries_then_succeeds(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransientError("not yet")
-            return "done"
-
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
-        assert policy.call(flaky) == "done"
-        assert len(attempts) == 3
-
-    def test_call_exhausts_budget(self):
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise TransientError("again")
-
-        with pytest.raises(TransientError):
-            policy.call(always_fails)
-        assert len(calls) == 2
-
-    def test_call_does_not_retry_unclassified(self):
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise ValueError("logic error")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5, base_delay_s=0.0).call(boom)
-        assert len(calls) == 1
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_s=-1.0)
-
-
-# -- Deadline ----------------------------------------------------------------
-
-
-class TestDeadline:
-    def test_never_expires(self):
-        deadline = Deadline(None)
-        assert not deadline.expired()
-        assert deadline.remaining() is None
-        assert deadline.remaining(0.5) == 0.5
-        deadline.check("anything")  # no raise
-
-    def test_remaining_caps_waits(self):
-        deadline = Deadline(100.0)
-        assert deadline.remaining(0.25) == 0.25
-        assert 99.0 < deadline.remaining() <= 100.0
-
-    def test_expiry_raises_typed_and_counts(self):
-        before = obs.counter_value("policy.deadline_exceeded")
-        deadline = Deadline(0.0)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-        with pytest.raises(DeadlineExceeded, match="handshake"):
-            deadline.check("handshake")
-        assert (
-            obs.counter_value("policy.deadline_exceeded") == before + 1
-        )
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(-1.0)
-
-    def test_call_honors_deadline(self):
-        policy = RetryPolicy(
-            max_attempts=100, base_delay_s=0.01, jitter=0.0
-        )
-        with pytest.raises(DeadlineExceeded):
-            policy.call(
-                lambda: (_ for _ in ()).throw(TransientError("x")),
-                deadline=Deadline(0.05),
-                describe="doomed op",
-            )
-
-
 # -- env parsing -------------------------------------------------------------
 
 
@@ -179,20 +38,17 @@ class TestEnvParsing:
     def test_defaults_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
         assert env_int("REPRO_TEST_KNOB", 7) == 7
-        assert env_float("REPRO_TEST_KNOB", 1.5) == 1.5
 
     def test_parses_valid_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "42")
         assert env_int("REPRO_TEST_KNOB", 0) == 42
-        monkeypatch.setenv("REPRO_TEST_KNOB", "2.5")
-        assert env_float("REPRO_TEST_KNOB", 0.0) == 2.5
 
     def test_error_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "banana")
         with pytest.raises(ConfigError, match="REPRO_TEST_KNOB"):
             env_int("REPRO_TEST_KNOB", 0)
         with pytest.raises(ConfigError, match="'banana'"):
-            env_float("REPRO_TEST_KNOB", 0.0)
+            env_int("REPRO_TEST_KNOB", 0)
 
     def test_range_checks(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "-3")
@@ -201,17 +57,6 @@ class TestEnvParsing:
         monkeypatch.setenv("REPRO_TEST_KNOB", "9000")
         with pytest.raises(ConfigError, match="maximum"):
             env_int("REPRO_TEST_KNOB", 0, maximum=100)
-
-    def test_cluster_constructor_validates_env(self, monkeypatch):
-        # The original motivation: a junk cluster knob must fail at
-        # construction with a typed error naming the variable, not as a
-        # bare ValueError deep inside a coordinator tick.
-        monkeypatch.setenv("REPRO_CLUSTER_TIMEOUT_S", "banana")
-        with pytest.raises(ConfigError, match="REPRO_CLUSTER_TIMEOUT_S"):
-            ClusterExecutor(workers=1)
-        monkeypatch.setenv("REPRO_CLUSTER_TIMEOUT_S", "-2")
-        with pytest.raises(ConfigError, match="minimum"):
-            ClusterExecutor(workers=1)
 
 
 # -- the fault registry ------------------------------------------------------
@@ -258,9 +103,11 @@ class TestFaults:
         assert faults.fire("env.other") == "torn"
 
     def test_env_parse_rejects_bad_entries(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "point-only")
-        with pytest.raises(ValueError, match="REPRO_FAULTS"):
-            faults.fire("whatever")
+        # a negative nth would show as armed and never fire
+        for bad in ("point-only", "p:raise:x", "p:raise:-1"):
+            monkeypatch.setenv(faults.ENV_VAR, bad)
+            with pytest.raises(ValueError, match="REPRO_FAULTS"):
+                faults.fire("whatever")
 
     def test_armed_summary(self):
         faults.arm("unit.a", "raise", nth=3)
@@ -272,6 +119,57 @@ class TestFaults:
         faults.arm("unit.point", "torn", nth=1)
         faults.fire("unit.point")
         assert obs.counter_value("faults.fired") == before + 1
+
+
+# -- every fault point is armed by a test ------------------------------------
+
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _fault_points():
+    """``(file, line, point)`` for every ``faults.fire``/``faults.check``
+    call under ``src/repro``; ``point`` is None when not a literal."""
+    found = []
+    for path in sorted((_REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("fire", "check")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "faults"
+            ):
+                continue
+            arg = node.args[0] if node.args else None
+            literal = isinstance(arg, ast.Constant) and isinstance(
+                arg.value, str
+            )
+            found.append(
+                (path.name, node.lineno, arg.value if literal else None)
+            )
+    return found
+
+
+def test_every_fault_point_is_a_literal_armed_by_a_test():
+    points = _fault_points()
+    assert points, "no fault points found under src/repro"
+    tests = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((_REPO / "tests").glob("*.py"))
+    )
+    problems = []
+    for name, line, point in points:
+        if point is None:
+            problems.append(f"{name}:{line}: fault point is not a literal")
+            continue
+        # armed via faults.arm("<point>", ...) or a REPRO_FAULTS entry
+        # "<point>:kind:nth" (plain or f-string)
+        quoted = re.escape(point)
+        if not re.search(
+            rf"arm\(\s*[\"']{quoted}[\"']|[\"']{quoted}:", tests
+        ):
+            problems.append(f"{name}:{line}: no test arms {point!r}")
+    assert not problems, "\n".join(problems)
 
 
 # -- checkpoint generations --------------------------------------------------

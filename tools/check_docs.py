@@ -105,7 +105,7 @@ def run_doctests(module_name: str) -> bool:
 def env_names_in_source(src: pathlib.Path) -> Set[str]:
     """Every ``REPRO_*`` name in the python files under ``src``.
 
-    Names ending in ``_`` are prose globs (``REPRO_CLUSTER_*``), not
+    Names ending in ``_`` are prose globs (``REPRO_SIM_*``), not
     variables.
     """
     names: Set[str] = set()

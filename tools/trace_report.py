@@ -3,16 +3,12 @@
 
 Usage::
 
-    python tools/trace_report.py [DIR] [--top N] [--merge]
+    python tools/trace_report.py [DIR] [--top N]
 
 ``DIR`` defaults to ``REPRO_OBS_DIR`` or ``repro_obs``; it may be a run
 directory containing ``events.jsonl`` directly, or a parent directory
 holding any number of exported runs (``<name>-<pid>-<seq>/``) — each run
-found is reported in turn, or, with ``--merge``, every log found is
-folded into one combined report (spans concatenated, counters summed,
-gauges last-wins) — the view you want for a cluster run, whose
-coordinator and ``cluster-worker-<id>-<pid>/`` logs land side by side.
-For every run the report shows:
+found is reported in turn.  For every run the report shows:
 
 * the per-span breakdown: call count, total/mean/max wall time, CPU
   time, grouped by span name;
@@ -116,11 +112,16 @@ def _slowest_problems(
     return lines
 
 
-def _report_block(
-    header: str, lines_in: List[Dict[str, Any]], top: int
-) -> List[str]:
+def report_run(path: str, top: int) -> List[str]:
+    lines_in = list(read_lines(path))
+    meta = next(
+        (line for line in lines_in if line["type"] == "meta"), {}
+    )
     spans = [line for line in lines_in if line["type"] == "span"]
-    out = [header]
+    out = [
+        f"== {os.path.dirname(path) or path} "
+        f"(run={meta.get('run', '?')}, mode={meta.get('mode', '?')}) =="
+    ]
     span_table = _span_table(spans)
     if span_table:
         out.append("spans:")
@@ -134,64 +135,6 @@ def _report_block(
         out.append(f"slowest problems (top {top}):")
         out.extend(slowest)
     return out
-
-
-def report_run(path: str, top: int) -> List[str]:
-    lines_in = list(read_lines(path))
-    meta = next(
-        (line for line in lines_in if line["type"] == "meta"), {}
-    )
-    header = (
-        f"== {os.path.dirname(path) or path} "
-        f"(run={meta.get('run', '?')}, mode={meta.get('mode', '?')}) =="
-    )
-    return _report_block(header, lines_in, top)
-
-
-def merge_logs(paths: List[str]) -> List[Dict[str, Any]]:
-    """Fold several event logs into one combined line list.
-
-    Spans concatenate; counters sum by name; gauges are last-wins.  This
-    is how a cluster run — one coordinator log plus one residual log per
-    worker — reads as a single report.
-    """
-    spans: List[Dict[str, Any]] = []
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    runs: List[str] = []
-    for path in paths:
-        for line in read_lines(path):
-            kind = line["type"]
-            if kind == "meta":
-                runs.append(str(line.get("run", "?")))
-            elif kind == "span":
-                spans.append(line)
-            elif kind == "counter":
-                counters[line["name"]] = (
-                    counters.get(line["name"], 0) + line["value"]
-                )
-            elif kind == "gauge":
-                gauges[line["name"]] = line["value"]
-    out: List[Dict[str, Any]] = [
-        {"type": "meta", "run": "+".join(runs) or "?", "mode": "merged"}
-    ]
-    out.extend(spans)
-    out.extend(
-        {"type": "counter", "name": name, "value": value}
-        for name, value in counters.items()
-    )
-    out.extend(
-        {"type": "gauge", "name": name, "value": value}
-        for name, value in gauges.items()
-    )
-    return out
-
-
-def report_merged(paths: List[str], top: int) -> List[str]:
-    lines_in = merge_logs(paths)
-    meta = lines_in[0]
-    header = f"== merged: {len(paths)} logs (runs={meta['run']}) =="
-    return _report_block(header, lines_in, top)
 
 
 def main(argv: List[str] = None) -> int:
@@ -211,12 +154,6 @@ def main(argv: List[str] = None) -> int:
         default=10,
         help="slowest problems to list per run (default 10)",
     )
-    parser.add_argument(
-        "--merge",
-        action="store_true",
-        help="fold every log found into one combined report "
-        "(e.g. a cluster coordinator plus its worker logs)",
-    )
     args = parser.parse_args(argv)
     logs = find_event_logs(args.directory)
     if not logs:
@@ -226,10 +163,7 @@ def main(argv: List[str] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.merge:
-        blocks = [report_merged(logs, args.top)]
-    else:
-        blocks = [report_run(path, args.top) for path in logs]
+    blocks = [report_run(path, args.top) for path in logs]
     print("\n\n".join("\n".join(block) for block in blocks))
     return 0
 
