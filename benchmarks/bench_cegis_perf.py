@@ -1,16 +1,10 @@
-"""CEGIS checking economics: set pre-check amortization + coverage depth.
+"""CEGIS checking economics: set pre-check amortization.
 
-Two claims, one artifact (``benchmarks/results/cegis.json``):
-
-* **set pre-check** — once a falsification search has minted a
-  distinguishing vector for a hardened problem, the Nth near-miss
-  candidate dies against the persisted set at a few cycles' cost instead
-  of a fresh full-depth random-stimulus check (asserted ≥2x cheaper,
-  measured much larger);
-* **coverage saturation** — toggle/level coverage saturates long before
-  the configured stimulus depth on a small sequential family, so
-  truncating golden-stimulus recording at saturation shortens every
-  candidate check while keeping verdicts identical.
+One claim, one artifact (``benchmarks/results/cegis.json``): once a
+falsification search has minted a distinguishing vector for a hardened
+problem, the Nth near-miss candidate dies against the persisted set at a
+few cycles' cost instead of a fresh full-depth random-stimulus check
+(asserted ≥2x cheaper, measured much larger).
 """
 
 from __future__ import annotations
@@ -21,10 +15,8 @@ import time
 import pytest
 
 from repro.sim import cache as sim_cache
-from repro.utils.rng import DeterministicRNG
 from repro.vereval import EvalProblem, cegis, harness
-from repro.vgen import GeneratedModule, ModuleInterface, generate_family, mutate
-from repro.vgen.base import random_style
+from repro.vgen import GeneratedModule, ModuleInterface
 
 from benchmarks.conftest import write_result
 
@@ -32,7 +24,6 @@ from benchmarks.conftest import write_result
 #: full-check cost being amortized
 _TRAP_CYCLES = 1024
 _N_CANDIDATES = 12
-_COVERAGE_CYCLES = 384
 
 
 def _timed(fn, repeats=2):
@@ -130,23 +121,6 @@ def cegis_cache(tmp_path):
         _clear_cegis_state()
 
 
-_CEGIS_TEXT = {}
-_CEGIS_VALUES = {}
-
-
-def _record_cegis(part, text, **values):
-    _CEGIS_TEXT[part] = text
-    _CEGIS_VALUES.update(
-        {f"{part}_{key}": value for key, value in values.items()}
-    )
-    combined = "\n\n".join(
-        _CEGIS_TEXT[key]
-        for key in ("precheck", "coverage")
-        if key in _CEGIS_TEXT
-    )
-    write_result("cegis", combined, values=dict(_CEGIS_VALUES))
-
-
 def test_set_precheck_amortizes_full_checks(cegis_cache):
     """The Nth near-miss on a hardened problem is ≥2x cheaper via the
     persisted distinguishing set than via a fresh full-depth check."""
@@ -202,8 +176,8 @@ def test_set_precheck_amortizes_full_checks(cegis_cache):
     legacy_per = legacy_seconds / _N_CANDIDATES
     cegis_per = cegis_seconds / _N_CANDIDATES
     speedup = legacy_per / cegis_per
-    _record_cegis(
-        "precheck",
+    write_result(
+        "cegis",
         f"distinguishing-set pre-check, {_N_CANDIDATES} near-miss "
         f"candidates, {_TRAP_CYCLES}-cycle stimulus\n"
         f"fresh full check (passes the trap!): {legacy_per * 1e3:8.2f} "
@@ -212,88 +186,12 @@ def test_set_precheck_amortizes_full_checks(cegis_cache):
         f"ms/candidate\n"
         f"speedup: {speedup:.1f}x  "
         f"(floor asserted: 2x)",
-        candidates=_N_CANDIDATES,
-        stimulus_cycles=_TRAP_CYCLES,
-        fresh_ms_per_candidate=legacy_per * 1e3,
-        hardened_ms_per_candidate=cegis_per * 1e3,
-        speedup=speedup,
+        values={
+            "precheck_candidates": _N_CANDIDATES,
+            "precheck_stimulus_cycles": _TRAP_CYCLES,
+            "precheck_fresh_ms_per_candidate": legacy_per * 1e3,
+            "precheck_hardened_ms_per_candidate": cegis_per * 1e3,
+            "precheck_speedup": speedup,
+        },
     )
     assert speedup >= 2.0
-
-
-def test_coverage_saturation_shortens_stimulus(cegis_cache):
-    """Saturation truncation cuts golden depth on a real family with
-    verdicts identical to the full-depth checker."""
-    rng = DeterministicRNG(0xC0FE)
-    module = generate_family(
-        "edge_detector", rng.fork("fam"), random_style(rng.fork("style"))
-    )
-    problem = EvalProblem(
-        problem_id="bench-coverage",
-        module=module,
-        stimulus_cycles=_COVERAGE_CYCLES,
-        stimulus_seed=5,
-    )
-    candidates = [module.source] + [m.source for m in mutate(module)]
-
-    previous = cegis.configure(cegis.CegisConfig(enabled=False))
-    try:
-        harness._golden_ref(problem)
-        full_seconds, full_verdicts = _timed(
-            lambda: [
-                harness.check_candidate_source(problem, source)
-                for source in candidates
-            ],
-            repeats=1,
-        )
-    finally:
-        cegis.configure(previous)
-
-    config = cegis.CegisConfig(
-        enabled=True,
-        coverage_stimulus=True,
-        coverage_window=16,
-        search_rounds=0,  # isolate truncation: no falsification here
-    )
-    previous = cegis.configure(config)
-    try:
-        _clear_cegis_state()
-        harness._golden_ref(problem)
-        truncated_seconds, truncated_verdicts = _timed(
-            lambda: [
-                harness.check_candidate_source(problem, source)
-                for source in candidates
-            ],
-            repeats=1,
-        )
-        ref = harness._golden_ref(problem)
-    finally:
-        cegis.configure(previous)
-
-    assert truncated_verdicts == full_verdicts  # identical verdicts
-    assert ref.coverage is not None
-    measured_depth = len(ref.stimulus)
-    saved = ref.full_cycles - measured_depth
-    assert saved > 0  # saturation measurably shortened the stimulus
-    _record_cegis(
-        "coverage",
-        f"coverage-directed stimulus, edge_detector family, "
-        f"{len(candidates)} candidates\n"
-        f"configured depth: {_COVERAGE_CYCLES} cycles; saturation at "
-        f"cycle {ref.coverage['saturation_cycle']}; measured depth "
-        f"{measured_depth} cycles ({saved} saved)\n"
-        f"coverage: {ref.coverage['covered_points']}/"
-        f"{ref.coverage['total_points']} points "
-        f"({ref.coverage['fraction'] * 100:.0f}%)\n"
-        f"full-depth checks:  {full_seconds * 1e3:8.2f} ms\n"
-        f"truncated checks:   {truncated_seconds * 1e3:8.2f} ms\n"
-        f"verdicts identical: {truncated_verdicts == full_verdicts}",
-        configured_cycles=_COVERAGE_CYCLES,
-        measured_cycles=measured_depth,
-        cycles_saved=saved,
-        saturation_cycle=ref.coverage["saturation_cycle"],
-        coverage_fraction=ref.coverage["fraction"],
-        full_ms=full_seconds * 1e3,
-        truncated_ms=truncated_seconds * 1e3,
-        verdicts_identical=truncated_verdicts == full_verdicts,
-    )

@@ -13,8 +13,6 @@ Layout:
 * :mod:`repro.engine.stage` — the ``Stage`` protocol and per-stage metrics;
 * :mod:`repro.engine.graph` — the chunked ``StageGraph`` runner;
 * :mod:`repro.engine.executor` — serial and process-pool chunk executors;
-* :mod:`repro.engine.policy` — validated ``env_int`` parsing with a
-  typed :class:`~repro.errors.ConfigError`;
 * :mod:`repro.engine.checkpoint` — atomic pickle-per-key snapshot store
   with two-generation corruption fallback;
 * :mod:`repro.engine.registry` — declarative stage registration/compilation;
@@ -33,7 +31,6 @@ from repro.engine.executor import (
     make_executor,
 )
 from repro.engine.graph import DEFAULT_CHUNK_SIZE, StageGraph, iter_chunks
-from repro.engine.policy import ConfigError, env_int
 from repro.engine.registry import (
     build_stages,
     create_stage,
@@ -59,8 +56,6 @@ from repro.engine.stages import (
 __all__ = [
     "CheckpointStore",
     "ChunkTrace",
-    "ConfigError",
-    "env_int",
     "ParallelExecutor",
     "SerialExecutor",
     "StageStat",

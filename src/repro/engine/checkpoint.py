@@ -64,23 +64,29 @@ class CheckpointStore:
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.root), prefix=f".{key}.", suffix=".tmp"
         )
+        link_name = tmp_name + ".1"
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(obj, handle, protocol=pickle.HIGHEST_PROTOCOL)
                 handle.flush()
                 os.fsync(handle.fileno())
-            # Rotate the readable current snapshot aside first: every
-            # crash window leaves either the new generation at the key
-            # or the old one at the .1 suffix — load checks both.
+            # Copy the readable current snapshot to the .1 suffix first
+            # (a hard link, renamed into place) and only then replace
+            # the key: every crash window leaves either the new
+            # generation at the key or the old one at the .1 suffix —
+            # load checks both — and the key's file never goes missing,
+            # so a concurrent load never falls back on a healthy store.
             if path.exists():
-                os.replace(path, self._prev_path(key))
+                os.link(path, link_name)
+                os.replace(link_name, self._prev_path(key))
             os.replace(tmp_name, path)
             self._fsync_dir()
         except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            for name in (tmp_name, link_name):
+                try:
+                    os.unlink(name)
+                except OSError:
+                    pass
             raise
         if kind == "torn":
             # Injected bit-rot: truncate the snapshot we just wrote, so

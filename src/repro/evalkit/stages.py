@@ -132,7 +132,7 @@ class CheckStage(Stage):
     the run's persistent compile cache (golden artifacts and duplicate
     candidate elaborations hit disk instead of being rederived) even
     under executor start methods that
-    do not inherit the parent's environment.  The resolved CEGIS checking
+    do not inherit the parent's environment.  The CEGIS checking
     configuration (:func:`repro.vereval.cegis.active_config`) is captured
     and re-applied the same way, so every worker renders the same verdict
     semantics the coordinator fingerprinted.

@@ -122,7 +122,6 @@ from repro.sim.batch import (
     build_lockstep_group,
     lockstep_shape_digest,
 )
-from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
 from repro.sim.testbench import (
     EquivalenceResult,
     StimulusVector,
@@ -160,8 +159,6 @@ __all__ = [
     "lockstep_shape_digest",
     "default_backend",
     "set_default_backend",
-    "CoverageTracker",
-    "POINTS_PER_BIT",
     "Testbench",
     "StimulusVector",
     "SweepResult",

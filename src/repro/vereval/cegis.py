@@ -42,17 +42,14 @@ tuples (sorted name/value pairs) so its pickled bytes are stable across
 :data:`~repro.sim.cache.BACKEND_VERSION` bumps — enforced by the
 hypothesis suite in ``tests/test_cegis.py``.
 
-Everything is gated behind ``REPRO_SIM_CEGIS=1`` (default off: the
-legacy checker runs byte-identically) and the active configuration is
-part of the plan fingerprint (:meth:`repro.evalkit.EvalPlan.fingerprint`
-via :func:`fingerprint_token`), so a checkpoint taken under one CEGIS
-configuration refuses to resume under another instead of silently
-mixing verdict semantics.  Stimulus-depth measurement (toggle/level coverage
-with saturation, :mod:`repro.sim.coverage`) is configured here too:
-``coverage_stimulus`` opts golden-stimulus truncation in — off by
-default because truncation trades the formal refinement guarantee for
-measured-equivalent verdicts at lower depth (the bench demonstrates the
-verdicts stay identical on the families it enables it for).
+Everything is off by default (the legacy checker runs byte-identically)
+and is switched on in-process with :func:`configure`, the one switch:
+there is no environment route.  :class:`repro.evalkit.stages.CheckStage`
+carries the coordinator's configuration to pool workers, and the active
+configuration is part of the plan fingerprint
+(:meth:`repro.evalkit.EvalPlan.fingerprint` via :func:`fingerprint_token`),
+so a checkpoint taken under one CEGIS configuration refuses to resume
+under another instead of silently mixing verdict semantics.
 
 Counters (:mod:`repro.obs`): ``cegis.checks``, ``cegis.set_kills``,
 ``cegis.set_size``, ``cegis.searches``, ``cegis.search_found``,
@@ -62,14 +59,12 @@ Counters (:mod:`repro.obs`): ``cegis.checks``, ``cegis.set_kills``,
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.policy import env_int
 from repro.sim import cache as sim_cache
 from repro.sim.testbench import (
     EquivalenceResult,
@@ -94,14 +89,6 @@ __all__ = [
     "set_bytes",
 ]
 
-ENV_ENABLED = "REPRO_SIM_CEGIS"
-ENV_MAX_SET = "REPRO_SIM_CEGIS_MAX_SET"
-ENV_ROUNDS = "REPRO_SIM_CEGIS_ROUNDS"
-ENV_LANES = "REPRO_SIM_CEGIS_LANES"
-ENV_CYCLES = "REPRO_SIM_CEGIS_CYCLES"
-ENV_COVERAGE_WINDOW = "REPRO_SIM_COVERAGE_WINDOW"
-ENV_COVERAGE_STIMULUS = "REPRO_SIM_COVERAGE_STIMULUS"
-
 #: names never driven by generated stimulus (mirrors
 #: :func:`repro.sim.random_stimulus`); the problem's own clock/reset are
 #: excluded on top of these at episode-build time
@@ -110,14 +97,10 @@ _STIMULUS_EXCLUDE = ("clk", "rst", "rst_n", "reset", "resetn")
 
 @dataclass(frozen=True)
 class CegisConfig:
-    """Resolved CEGIS + coverage configuration (one frozen value).
+    """The CEGIS configuration (one frozen value).
 
     ``search_cycles=0`` means "use the problem's own stimulus depth" for
-    falsification episodes.  ``coverage_stimulus`` additionally truncates
-    golden-stimulus recording at coverage saturation (see
-    :class:`repro.sim.coverage.CoverageTracker`); it is a separate knob
-    because truncation is the one part of CEGIS that is not a formal
-    strict refinement.
+    falsification episodes.
     """
 
     enabled: bool = False
@@ -125,8 +108,6 @@ class CegisConfig:
     search_rounds: int = 3
     search_lanes: int = 16
     search_cycles: int = 0
-    coverage_window: int = 16
-    coverage_stimulus: bool = False
 
     def fingerprint_token(self) -> str:
         """Compact identity string folded into the plan fingerprint."""
@@ -135,60 +116,30 @@ class CegisConfig:
         return (
             f"on:set{self.max_set}:r{self.search_rounds}"
             f":l{self.search_lanes}:c{self.search_cycles}"
-            f":w{self.coverage_window}:cov{int(self.coverage_stimulus)}"
         )
 
-    def golden_mode_token(self) -> str:
-        """Golden-artifact cache-key part for the stimulus mode.
 
-        Truncated, measured, and legacy golden artifacts must never
-        alias one cache entry; the empty token keeps the legacy key
-        shape when CEGIS is off.
-        """
-        if not self.enabled:
-            return ""
-        if self.coverage_stimulus:
-            return f"cov-trunc:{self.coverage_window}"
-        return f"cov-measure:{self.coverage_window}"
+#: the process-wide configuration; off until :func:`configure` says otherwise
+_configured: CegisConfig = CegisConfig()
 
 
-_DISABLED = CegisConfig()
+def configure(config: Optional[CegisConfig]) -> CegisConfig:
+    """Set the process-wide config; returns the previous one.
 
-#: process-wide override; None defers to the environment
-_configured: Optional[CegisConfig] = None
-
-
-def configure(config: Optional[CegisConfig]) -> Optional[CegisConfig]:
-    """Set the process-wide config; returns the previous override.
-
-    ``None`` defers to the environment again.  Evaluation stages call
-    this in pool workers so the coordinator's resolved configuration
-    survives executor start methods that do not inherit the
-    environment (:class:`repro.evalkit.stages.CheckStage`).
+    ``None`` means off (the default :class:`CegisConfig`).  Evaluation
+    stages call this in pool workers so the coordinator's configuration
+    holds under every executor start method
+    (:class:`repro.evalkit.stages.CheckStage`).
     """
     global _configured
     previous = _configured
-    _configured = config
+    _configured = config if config is not None else CegisConfig()
     return previous
 
 
 def active_config() -> CegisConfig:
-    """The configuration in force: the override, else the environment."""
-    if _configured is not None:
-        return _configured
-    if os.environ.get(ENV_ENABLED, "0") in ("", "0"):
-        return _DISABLED
-    return CegisConfig(
-        enabled=True,
-        max_set=env_int(ENV_MAX_SET, 32, minimum=1),
-        search_rounds=env_int(ENV_ROUNDS, 3, minimum=0),
-        search_lanes=env_int(ENV_LANES, 16, minimum=1),
-        search_cycles=env_int(ENV_CYCLES, 0, minimum=0),
-        coverage_window=env_int(ENV_COVERAGE_WINDOW, 16, minimum=1),
-        coverage_stimulus=(
-            os.environ.get(ENV_COVERAGE_STIMULUS, "0") not in ("", "0")
-        ),
-    )
+    """The configuration in force (what :func:`configure` last set)."""
+    return _configured
 
 
 def fingerprint_token() -> str:
@@ -333,8 +284,8 @@ def set_bytes(ds: DistinguishingSet) -> bytes:
 def _set_key(problem: EvalProblem) -> Tuple[str, ...]:
     """Persistence key: golden identity + testbench protocol.
 
-    Deliberately excludes the base stimulus depth/seed and the coverage
-    mode — a distinguishing vector is self-contained (it carries its own
+    Deliberately excludes the base stimulus depth and seed — a
+    distinguishing vector is self-contained (it carries its own
     stimulus and golden trace), so one set serves every stimulus
     configuration of the same golden design.
     """

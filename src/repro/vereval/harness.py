@@ -55,12 +55,6 @@ from repro.verilog import parse_source_digest
 from repro.vereval.passk import mean_pass_at_k
 from repro.vereval.problems import EvalProblem
 
-#: the combinational all-vectors fast path; the differential tests and
-#: the recorded A/B (``BENCH_23.json`` → ``comb_tier_ab``) flip it to
-#: time the scalar loop
-BATCH_CHECK_ENABLED = True
-
-
 @dataclass
 class EvalConfig:
     """Evaluation protocol parameters (paper defaults)."""
@@ -135,11 +129,10 @@ class _GoldenRef:
 
     __slots__ = (
         "design", "signature", "input_names", "rows", "output_names",
-        "trace", "error", "error_phase", "coverage", "full_cycles",
-        "lanes",
+        "trace", "error", "error_phase", "lanes",
     )
 
-    def __init__(self, problem: EvalProblem, cegis_config=None) -> None:
+    def __init__(self, problem: EvalProblem) -> None:
         golden_file, digest = parse_source_digest(problem.golden_source)
         self.design = elaborate(golden_file, problem.module.name)
         self.design.token_digest = digest
@@ -157,24 +150,8 @@ class _GoldenRef:
         self.trace: List[Tuple[int, ...]] = []
         self.error: Optional[str] = None
         self.error_phase: str = ""  # "" | "construct" | "reset" | "step"
-        #: coverage summary dict when a CEGIS config measured this golden
-        self.coverage: Optional[Dict] = None
-        #: the configured stimulus depth, before any coverage truncation
-        self.full_cycles: int = len(self.rows)
         self.lanes: Optional[Tuple[Dict[str, np.ndarray], np.ndarray]] = None
         interface = problem.module.interface
-        cov = None
-        truncate = False
-        window = 0
-        if cegis_config is not None and cegis_config.enabled:
-            from repro.sim.coverage import CoverageTracker
-
-            cov = CoverageTracker(
-                self.design,
-                exclude=(interface.clock, interface.reset),
-            )
-            truncate = cegis_config.coverage_stimulus
-            window = cegis_config.coverage_window
         phase = "construct"
         try:
             bench = Testbench(
@@ -186,33 +163,16 @@ class _GoldenRef:
             self.output_names = tuple(bench.output_names)
             phase = "reset"
             bench.apply_reset()
-            if cov is not None:
-                cov.observe_sim(bench.sim)  # post-reset level baseline
             phase = "step"
             step = bench.sim.cycle_fn(
                 bench.clock, self.input_names, self.output_names
             )
             for row in self.rows:
                 self.trace.append(step(row))
-                if cov is not None:
-                    cov.observe_sim(bench.sim)
-                    if truncate and cov.saturated(window):
-                        break
         except SimulationError as exc:
             self.error = str(exc)
             self.error_phase = phase
         obs.count("sim.cycles", len(self.trace))
-        if cov is not None:
-            self.coverage = cov.summary()
-        # Coverage truncation shortens the recorded protocol itself, so
-        # candidate checks replay only the measured depth.  Error-cut
-        # traces keep the full stimulus: the trace-shorter-than-stimulus
-        # shape is what encodes a golden-error verdict downstream.
-        if self.error is None and len(self.trace) < len(self.rows):
-            saved = len(self.rows) - len(self.trace)
-            self.rows = self.rows[: len(self.trace)]
-            obs.count("sim.coverage.saturated_runs")
-            obs.count("sim.coverage.cycles_saved", saved)
 
     @property
     def stimulus(self) -> List[StimulusVector]:
@@ -223,7 +183,9 @@ class _GoldenRef:
     def __setstate__(self, state) -> None:
         # Slots only.  An entry of an older layout (one that stored the
         # stimulus dicts) must still unpickle, so that repro.sim.cache
-        # counts it as a version mismatch instead of a corrupt entry.
+        # counts it as a version mismatch instead of a corrupt entry; the
+        # dropped "coverage" / "full_cycles" slots are skipped, so a
+        # bundle that still carries them stays a hit.
         _, slots = state
         for name, value in slots.items():
             if name in _GoldenRef.__slots__:
@@ -268,13 +230,6 @@ def _golden_ref(
     built here.  A bundle built here is not stored; it is appended to
     ``pack`` as a :func:`repro.sim.cache.store_many` entry, which the
     pool writes with the designs it elaborated."""
-    from repro.vereval import cegis as _cegis
-
-    cfg = _cegis.active_config()
-    # Measured/truncated golden artifacts carry extra state (and, when
-    # truncating, a shorter protocol), so each stimulus mode gets its own
-    # memory and disk identity; the legacy mode keeps the legacy keys.
-    mode = cfg.golden_mode_token()
     interface = problem.module.interface
     key = (
         problem.problem_id,
@@ -285,15 +240,12 @@ def _golden_ref(
         interface.reset,
         interface.reset_active_high,
         problem.golden_source,
-        mode,
     )
     ref = _GOLDEN_CACHE.get(key)
     if ref is not None:
         _GOLDEN_CACHE.move_to_end(key)
         return ref
     disk_key = _golden_disk_key(problem)
-    if mode:
-        disk_key = disk_key + (mode,)
     ref = sim_cache.load("golden-ref", *disk_key)
     if not isinstance(ref, _GoldenRef):
         # Cold: the full parse→elaborate→stimulate→simulate pipeline runs
@@ -303,7 +255,7 @@ def _golden_ref(
             "vereval.golden", problem=problem.problem_id,
             cycles=problem.stimulus_cycles,
         ):
-            ref = _GoldenRef(problem, cfg if cfg.enabled else None)
+            ref = _GoldenRef(problem)
         if pack is not None:
             pack.append(("golden-ref", disk_key, ref))
     while len(_GOLDEN_CACHE) >= _GOLDEN_CACHE_MAX:
@@ -359,10 +311,9 @@ def _check_all_vectors_batch(
 
     interface = problem.module.interface
     if (
-        not BATCH_CHECK_ENABLED
         # An explicitly pinned interpreter backend is a ground-truth run;
         # it must not silently route through the lane evaluator.
-        or default_backend() == "interp"
+        default_backend() == "interp"
         or interface.clock is not None
         or ref.error is not None
         or not ref.rows

@@ -1,7 +1,7 @@
 """Counterexample-guided checking: near-miss discrimination, the
-distinguishing-input set, falsification search, and coverage oracles.
+distinguishing-input set, falsification search, and configuration.
 
-Three layers, mirroring the module split:
+Two layers, mirroring the module split:
 
 * :mod:`repro.vgen.mutate` — near-miss operators produce valid,
   interface-preserving mutants;
@@ -9,9 +9,9 @@ Three layers, mirroring the module split:
   of the legacy checker (candidate-for-candidate over the full problem
   set and mutated vgen families), the falsification search kills a
   hand-built trap that survives 384 cycles of random stimulus, and the
-  persisted distinguishing set round-trips byte-stably (hypothesis);
-* :mod:`repro.sim.coverage` — hand-computed toggle/level coverage on
-  tiny designs, exact saturation cycles, and backend-identical counters.
+  persisted distinguishing set round-trips byte-stably (hypothesis),
+  :func:`~repro.vereval.cegis.configure` is the only switch, and CEGIS
+  on and off share one golden bundle.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.sim import (
-    CoverageTracker,
-    POINTS_PER_BIT,
-    Simulator,
-    elaborate,
-)
+from repro.sim import elaborate
 from repro.sim import cache as sim_cache
-from repro.sim.testbench import Testbench, random_stimulus
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import EvalProblem, build_problem_set, reset_caches
 from repro.vereval import cegis, harness
@@ -566,247 +560,104 @@ class TestDistinguishingSetFuzz:
         assert len(ds) == 3
 
 
-# -- coverage oracles --------------------------------------------------------
+# -- one golden bundle per problem -------------------------------------------
 
 
-TOGGLE_FF = """module toggle_ff(
-  input wire clk,
-  input wire rst,
-  input wire en,
-  output wire q
-);
-  reg state;
-  always @(posedge clk) begin
-    if (rst)
-      state <= 1'b0;
-    else if (en)
-      state <= ~state;
-  end
-  assign q = state;
-endmodule
-"""
-
-FSM_TWOSTATE = """module fsm2(
-  input wire clk,
-  input wire rst,
-  input wire go,
-  output wire busy
-);
-  reg state;
-  always @(posedge clk) begin
-    if (rst)
-      state <= 1'b0;
-    else if (state == 1'b0 && go)
-      state <= 1'b1;
-    else if (state == 1'b1 && !go)
-      state <= 1'b0;
-  end
-  assign busy = state;
-endmodule
-"""
-
-
-class TestCoverageOracles:
-    def test_hand_computed_toggle_ff_points(self):
-        """Every new-point count of the toggle FF, observation by
-        observation, against POINTS_PER_BIT accounting done by hand."""
-        design = elaborate(parse_source(TOGGLE_FF), "toggle_ff")
-        cov = CoverageTracker(design, exclude=("clk", "rst"))
-        # covered signals: en(1), q(1), state(1) → 3 bits → 12 points
-        assert cov.total_points == 3 * POINTS_PER_BIT
-        bench = Testbench(design, clock="clk", reset="rst")
-        bench.apply_reset()
-        # baseline: en=0,q=0,state=0 → three level-0 points
-        assert cov.observe_sim(bench.sim) == 3
-        bench.drive({"en": 1})
-        bench.tick()
-        # en rose to 1 (level-1 + rose), state/q toggled 0→1 after the
-        # enabled edge (level-1 + rose each) → 6 new points
-        assert cov.observe_sim(bench.sim) == 6
-        bench.drive({"en": 1})
-        bench.tick()
-        # state/q fall 1→0: one "fell" point each; en unchanged
-        assert cov.observe_sim(bench.sim) == 2
-        bench.drive({"en": 0})
-        bench.tick()
-        # en fell — the final point; tracker is now saturated forever
-        assert cov.observe_sim(bench.sim) == 1
-        assert cov.covered_points == cov.total_points == 12
-        assert cov.fraction() == 1.0
-        assert cov.saturation_cycle == 4
-        assert not cov.uncovered()
-
-    def test_fsm_saturation_fires_at_exact_cycle(self):
-        design = elaborate(parse_source(FSM_TWOSTATE), "fsm2")
-        cov = CoverageTracker(design, exclude=("clk", "rst"))
-        bench = Testbench(design, clock="clk", reset="rst")
-        bench.apply_reset()
-        cov.observe_sim(bench.sim)
-        # go high two cycles (busy rises), then low (busy falls): all 12
-        # points covered at observation 4, same shape as the toggle FF
-        for go in (1, 1, 0, 0, 0, 0):
-            bench.drive({"go": go})
-            bench.tick()
-            cov.observe_sim(bench.sim)
-        assert cov.covered_points == cov.total_points
-        assert cov.saturation_cycle == 4
-        # window w saturates exactly when cycles - last_new >= w
-        assert cov.saturated(3)
-        assert not cov.saturated(4)
-        bench.drive({"go": 0})
-        bench.tick()
-        cov.observe_sim(bench.sim)
-        assert cov.saturated(4)
-
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    def test_counters_match_across_backends(self, backend):
-        """Identical stimulus → identical tracker state and identical
-        sim.coverage.* counter deltas on every backend."""
-        module = _family_module("fifo")
-        design = elaborate(parse_source(module.source), module.name)
-        stimulus = random_stimulus(design, 32, seed=5)
-        before = {
-            name: obs.counter_value(f"sim.coverage.{name}")
-            for name in ("observes", "new_points")
-        }
-        bench = Testbench(design, clock="clk", reset="rst", backend=backend)
-        cov = CoverageTracker(design, exclude=("clk", "rst"))
-        bench.apply_reset()
-        cov.observe_sim(bench.sim)
-        for vector in stimulus:
-            bench.drive(vector)
-            bench.tick()
-            cov.observe_sim(bench.sim)
-        deltas = {
-            name: obs.counter_value(f"sim.coverage.{name}") - before[name]
-            for name in ("observes", "new_points")
-        }
-        summary = cov.summary()
-        expected = getattr(
-            TestCoverageOracles, "_fifo_reference", None
-        )
-        if expected is None:
-            TestCoverageOracles._fifo_reference = (summary, deltas)
-        else:
-            assert (summary, deltas) == expected
-
-    def test_multi_lane_observation_unions_lanes(self):
-        design = elaborate(
-            parse_source(
-                "module pair(input wire [1:0] a, output wire [1:0] y);\n"
-                "  assign y = a;\nendmodule"
-            ),
-            "pair",
-        )
-        cov = CoverageTracker(design)
-        # two lanes driving complementary values cover both levels of
-        # every bit in a single observation
-        assert cov.observe([[0, 3], [0, 3]]) == 8
-        assert cov.observe([[3, 0], [3, 0]]) == 8  # toggles both ways
-        assert cov.fraction() == 1.0
-
-    def test_unknown_signal_is_rejected(self):
-        design = elaborate(
-            parse_source(
-                "module one(input wire a, output wire y);\n"
-                "  assign y = a;\nendmodule"
-            ),
-            "one",
-        )
-        with pytest.raises(ValueError):
-            CoverageTracker(design, signals=["a", "nope"])
-
-
-class TestCoverageTruncation:
-    def test_truncation_shortens_stimulus_with_identical_verdicts(
-        self, cache_dir
-    ):
-        module = _family_module("edge_detector")
-        problem = _problem(module, "cov-trunc", cycles=384, seed=5)
-        candidates = _mutant_candidates(module)
+class TestOneGoldenBundle:
+    def test_cegis_on_and_off_share_one_golden_bundle(self, cache_dir):
+        module = _family_module("counter")
+        problem = _problem(module, "one-bundle", cycles=64, seed=5)
         previous = cegis.configure(_legacy_config())
         try:
-            legacy = [
-                harness.check_candidate_source(problem, c)
-                for c in candidates
-            ]
-        finally:
-            cegis.configure(previous)
-        config = cegis.CegisConfig(
-            enabled=True,
-            coverage_stimulus=True,
-            coverage_window=16,
-            search_rounds=0,
-        )
-        previous = cegis.configure(config)
-        _clear_cegis_state()
-        try:
-            truncated = [
-                harness.check_candidate_source(problem, c)
-                for c in candidates
-            ]
-            ref = harness._golden_ref(problem)
-        finally:
-            cegis.configure(previous)
-        assert truncated == legacy
-        assert ref.coverage is not None
-        assert len(ref.stimulus) < ref.full_cycles == 384
-        saturation = ref.coverage["saturation_cycle"]
-        # trace stops one window past the last new coverage point
-        assert len(ref.trace) <= saturation + config.coverage_window
-
-    def test_measure_only_mode_keeps_full_depth(self, cache_dir):
-        module = _family_module("counter")
-        problem = _problem(module, "cov-measure", cycles=64, seed=5)
-        config = cegis.CegisConfig(enabled=True, search_rounds=0)
-        previous = cegis.configure(config)
-        _clear_cegis_state()
-        try:
-            passed, _ = harness.check_candidate_source(
+            assert harness.check_candidate_source(
                 problem, problem.golden_source
-            )
-            ref = harness._golden_ref(problem)
-        finally:
-            cegis.configure(previous)
-        assert passed
-        assert ref.coverage is not None  # measured...
-        assert len(ref.stimulus) == 64  # ...but not truncated
-
-    def test_golden_modes_do_not_alias_cache_entries(self, cache_dir):
-        module = _family_module("counter")
-        problem = _problem(module, "cov-alias", cycles=64, seed=5)
-        previous = cegis.configure(_legacy_config())
-        try:
+            ) == (True, "")
             legacy_ref = harness._golden_ref(problem)
         finally:
             cegis.configure(previous)
-        config = cegis.CegisConfig(
-            enabled=True, coverage_stimulus=True, coverage_window=4,
-            search_rounds=0,
+        previous = cegis.configure(
+            cegis.CegisConfig(enabled=True, search_rounds=0)
         )
-        previous = cegis.configure(config)
         try:
-            truncated_ref = harness._golden_ref(problem)
+            # in memory: the same object
+            assert harness._golden_ref(problem) is legacy_ref
+            # on disk: the bundle the CEGIS-off check stored is a hit
+            harness._GOLDEN_CACHE.clear()
+            pack = []
+            on_ref = harness._golden_ref(problem, pack)
+            assert pack == []
         finally:
             cegis.configure(previous)
-        assert legacy_ref is not truncated_ref
-        assert legacy_ref.coverage is None
-        assert truncated_ref.coverage is not None
+        assert on_ref is not legacy_ref
+        assert (on_ref.rows, on_ref.trace) == (
+            legacy_ref.rows, legacy_ref.trace
+        )
+
+    def test_bundle_with_dropped_coverage_slots_still_hits(
+        self, cache_dir, monkeypatch
+    ):
+        module = _family_module("edge_detector")
+        problem = _problem(module, "old-slots", cycles=64, seed=5)
+        candidates = _mutant_candidates(module)
+        previous = sim_cache.configure(None)
+        try:
+            expected = harness.check_candidates_lockstep(problem, candidates)
+        finally:
+            sim_cache.configure(previous)
+        _clear_cegis_state()
+        ref = harness._GoldenRef(problem)
+        slots = {
+            name: getattr(ref, name) for name in harness._GoldenRef.__slots__
+        }
+        # the bundle layout before the coverage slots were dropped
+        old_layout = {**slots, "coverage": None, "full_cycles": len(ref.rows)}
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                harness._GoldenRef, "__getstate__",
+                lambda self: (None, old_layout),
+            )
+            assert sim_cache.store(
+                "golden-ref", ref, *harness._golden_disk_key(problem)
+            )
+        pack = []
+        loaded = harness._golden_ref(problem, pack)
+        assert pack == []  # a disk hit, not a rebuild
+        assert not hasattr(loaded, "coverage")
+        assert not hasattr(loaded, "full_cycles")
+        assert harness.check_candidates_lockstep(
+            problem, candidates
+        ) == expected
 
 
 # -- configuration, fingerprint, worker plumbing -----------------------------
 
 
+def _one_problem_plan():
+    from repro.evalkit import EvalPlan, PassAtKTask
+    from repro.llm import LanguageModel
+    from repro.vereval import EvalConfig
+
+    model = LanguageModel.pretrain(
+        "demo", ["module m(input a, output y); assign y = ~a; endmodule"]
+    )
+    task = PassAtKTask(
+        build_problem_set(n_problems=1),
+        EvalConfig(n_samples=1, ks=(1,), temperatures=(0.4,)),
+    )
+    return EvalPlan([model], [task])
+
+
 class TestConfigPlumbing:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(cegis.ENV_ENABLED, raising=False)
-        assert not cegis.active_config().enabled
-        monkeypatch.setenv(cegis.ENV_ENABLED, "1")
-        monkeypatch.setenv(cegis.ENV_MAX_SET, "7")
-        monkeypatch.setenv(cegis.ENV_ROUNDS, "1")
-        config = cegis.active_config()
-        assert config.enabled and config.max_set == 7
-        assert config.search_rounds == 1
+    def test_environment_does_not_reach_the_config(self, monkeypatch):
+        # configure() is the only switch: CEGIS-looking variables, one
+        # of them malformed, change neither the config nor the plan
+        # fingerprint.
+        plan = _one_problem_plan()
+        before = (cegis.active_config(), plan.fingerprint())
+        monkeypatch.setenv("REPRO_SIM_CEGIS", "1")
+        monkeypatch.setenv("REPRO_SIM_CEGIS_MAX_SET", "banana")
+        assert (cegis.active_config(), plan.fingerprint()) == before
+        assert before[0] == cegis.CegisConfig()
 
     def test_fingerprint_token_tracks_config(self):
         assert cegis.CegisConfig().fingerprint_token() == "off"
@@ -820,18 +671,7 @@ class TestConfigPlumbing:
     def test_plan_fingerprint_covers_cegis_token(self):
         # The checkpoint resume guard: the same plan under another CEGIS
         # configuration must not read as the same plan.
-        from repro.evalkit import EvalPlan, PassAtKTask
-        from repro.llm import LanguageModel
-        from repro.vereval import EvalConfig
-
-        model = LanguageModel.pretrain(
-            "demo", ["module m(input a, output y); assign y = ~a; endmodule"]
-        )
-        task = PassAtKTask(
-            build_problem_set(n_problems=1),
-            EvalConfig(n_samples=1, ks=(1,), temperatures=(0.4,)),
-        )
-        plan = EvalPlan([model], [task])
+        plan = _one_problem_plan()
         fingerprints = {}
         for config in (
             _legacy_config(),

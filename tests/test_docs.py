@@ -97,6 +97,8 @@ _DELETED_NAMES = re.compile(
     '|_make_simulator|backend="batch"'
     "|_settle_levelized|_settle_fixpoint|_mark_external|pos_of"
     "|_check_against_trace|_Histogram"
+    "|CoverageTracker|POINTS_PER_BIT|coverage_stimulus|golden_mode_token"
+    "|env_int|REPRO_SIM_CEGIS|REPRO_SIM_COVERAGE|BATCH_CHECK_ENABLED"
 )
 
 

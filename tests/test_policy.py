@@ -1,11 +1,9 @@
-"""The robustness substrate: env parsing, faults, checkpoint generations.
+"""The robustness substrate: faults and checkpoint generations.
 
-Covers the validated environment helper (:mod:`repro.engine.policy`)
-and its typed :class:`~repro.errors.ConfigError`, the deterministic
-fault-injection registry (:mod:`repro.testing.faults`) with a check
-that every fault point under ``src/repro`` is armed by some test, and
-the checkpoint store's two-generation corruption fallback those faults
-exercise.
+Covers the deterministic fault-injection registry
+(:mod:`repro.testing.faults`) with a check that every fault point under
+``src/repro`` is armed by some test, and the checkpoint store's
+two-generation corruption fallback those faults exercise.
 """
 
 from __future__ import annotations
@@ -19,7 +17,8 @@ import re
 import pytest
 
 from repro import obs
-from repro.engine import CheckpointStore, ConfigError, env_int
+from repro.engine import CheckpointStore
+from repro.engine import checkpoint
 from repro.sim import cache as sim_cache
 from repro.testing import faults
 
@@ -29,34 +28,6 @@ def _clean_faults():
     faults.disarm()
     yield
     faults.disarm()
-
-
-# -- env parsing -------------------------------------------------------------
-
-
-class TestEnvParsing:
-    def test_defaults_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_int("REPRO_TEST_KNOB", 7) == 7
-
-    def test_parses_valid_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "42")
-        assert env_int("REPRO_TEST_KNOB", 0) == 42
-
-    def test_error_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "banana")
-        with pytest.raises(ConfigError, match="REPRO_TEST_KNOB"):
-            env_int("REPRO_TEST_KNOB", 0)
-        with pytest.raises(ConfigError, match="'banana'"):
-            env_int("REPRO_TEST_KNOB", 0)
-
-    def test_range_checks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "-3")
-        with pytest.raises(ConfigError, match="minimum"):
-            env_int("REPRO_TEST_KNOB", 0, minimum=0)
-        monkeypatch.setenv("REPRO_TEST_KNOB", "9000")
-        with pytest.raises(ConfigError, match="maximum"):
-            env_int("REPRO_TEST_KNOB", 0, maximum=100)
 
 
 # -- the fault registry ------------------------------------------------------
@@ -233,6 +204,37 @@ class TestCheckpointGenerations:
         store.delete("head")
         assert "head" not in store
         assert not (tmp_path / "ckpt" / "head.ckpt.1").exists()
+
+    def test_load_during_save_reads_the_current_generation(
+        self, tmp_path, monkeypatch
+    ):
+        # A reader racing a save: at every rename the save makes, the
+        # key's file is still there, so a load returns the snapshot it
+        # replaces and counts no recovery on a healthy store.
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save("head", {"gen": 1})
+        store.save("head", {"gen": 2})
+        real_replace = os.replace
+        seen = []
+
+        def racing_replace(src, dst):
+            before = obs.counter_value("checkpoint.corrupt_recovered")
+            seen.append(store.load("head"))
+            assert (
+                obs.counter_value("checkpoint.corrupt_recovered") == before
+            )
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", racing_replace)
+        store.save("head", {"gen": 3})
+        monkeypatch.undo()
+        assert len(seen) == 2 and all(v == {"gen": 2} for v in seen)
+        assert store.load("head") == {"gen": 3}
+        with open(tmp_path / "ckpt" / "head.ckpt.1", "rb") as handle:
+            assert pickle.load(handle) == {"gen": 2}
+        assert sorted(os.listdir(tmp_path / "ckpt")) == [
+            "head.ckpt", "head.ckpt.1",
+        ]
 
 
 # -- sim cache fault point ---------------------------------------------------

@@ -458,6 +458,14 @@ def test_fuzz_representation_identity(family, seed):
     assert_lane_oracle(module, 10, range(3))
 
 
+def _without_fast_path(patch):
+    """Route every candidate to the scalar replay: the all-vectors rung
+    declines, as it does for a candidate that does not lane-lower."""
+    patch.setattr(
+        harness, "_check_all_vectors_batch", lambda ref, cand, prob: None
+    )
+
+
 class TestCombinationalFastPath:
     """The all-vectors lane check must be verdict-identical and actually
     engage for stateless combinational problems."""
@@ -478,7 +486,9 @@ class TestCombinationalFastPath:
         verdict = harness._check_all_vectors_batch(ref, design, problem)
         assert verdict is not None and verdict.equivalent
 
-    def test_verdicts_identical_with_and_without_fast_path(self):
+    def test_verdicts_identical_with_and_without_fast_path(
+        self, monkeypatch
+    ):
         problem = self._comb_problem()
         golden = problem.golden_source
         candidates = [
@@ -487,19 +497,17 @@ class TestCombinationalFastPath:
             golden.replace("assign", "assign", 1),  # identity variant
         ]
         for source in candidates:
-            previous = harness.BATCH_CHECK_ENABLED
             try:
-                harness.BATCH_CHECK_ENABLED = True
                 fast = harness.check_candidate_source(problem, source)
                 harness._GOLDEN_CACHE.clear()
-                harness.BATCH_CHECK_ENABLED = False
-                slow = harness.check_candidate_source(problem, source)
+                with monkeypatch.context() as patch:
+                    _without_fast_path(patch)
+                    slow = harness.check_candidate_source(problem, source)
             finally:
-                harness.BATCH_CHECK_ENABLED = previous
                 harness._GOLDEN_CACHE.clear()
             assert fast == slow, source
 
-    def test_mismatch_bookkeeping_identical(self):
+    def test_mismatch_bookkeeping_identical(self, monkeypatch):
         problem = self._comb_problem()
         ref = harness._GoldenRef(problem)
         broken = build(
@@ -508,18 +516,15 @@ class TestCombinationalFastPath:
             problem.module.name,
         )
         fast = harness._check_all_vectors_batch(ref, broken, problem)
-        previous = harness.BATCH_CHECK_ENABLED
-        try:
-            harness.BATCH_CHECK_ENABLED = False
+        with monkeypatch.context() as patch:
+            _without_fast_path(patch)
             slow = harness._check_many_against_trace(
                 ref, [broken], problem
             )[0]
-        finally:
-            harness.BATCH_CHECK_ENABLED = previous
         if fast is not None:  # replacement may be a no-op for some styles
             assert fast == slow
 
-    def test_wide_comb_problem_takes_the_scalar_replay(self):
+    def test_wide_comb_problem_takes_the_scalar_replay(self, monkeypatch):
         # >63-bit combinational family: the candidate does not
         # lane-lower, so the all-vectors rung declines (counted) and the
         # scalar per-cycle loop decides, exact at full width.
@@ -556,14 +561,11 @@ class TestCombinationalFastPath:
             default = harness._check_many_against_trace(
                 ref, [candidate], problem
             )[0]
-            previous = harness.BATCH_CHECK_ENABLED
-            try:
-                harness.BATCH_CHECK_ENABLED = False
+            with monkeypatch.context() as patch:
+                _without_fast_path(patch)
                 slow = harness._check_many_against_trace(
                     ref, [candidate], problem
                 )[0]
-            finally:
-                harness.BATCH_CHECK_ENABLED = previous
             assert default == slow
             assert default.equivalent is equivalent
 
@@ -598,7 +600,7 @@ class TestCombinationalFastPath:
             ref, latch_design, problem
         ) is None
 
-    def test_latchy_golden_verdicts_identical(self):
+    def test_latchy_golden_verdicts_identical(self, monkeypatch):
         # End to end: a problem whose golden *is* a latch must produce
         # the same verdict with the fast path enabled and disabled for a
         # byte-identical candidate (which exercises the stateless gate).
@@ -616,16 +618,14 @@ class TestCombinationalFastPath:
             problem_id="latchy", module=module, stimulus_cycles=16,
             stimulus_seed=9,
         )
-        previous = harness.BATCH_CHECK_ENABLED
         try:
-            harness.BATCH_CHECK_ENABLED = True
             harness._GOLDEN_CACHE.clear()
             fast = harness.check_candidate_source(problem, latch_source)
-            harness.BATCH_CHECK_ENABLED = False
             harness._GOLDEN_CACHE.clear()
-            slow = harness.check_candidate_source(problem, latch_source)
+            with monkeypatch.context() as patch:
+                _without_fast_path(patch)
+                slow = harness.check_candidate_source(problem, latch_source)
         finally:
-            harness.BATCH_CHECK_ENABLED = previous
             harness._GOLDEN_CACHE.clear()
         assert fast == slow == (True, "")
 
@@ -707,7 +707,9 @@ class TestBundleLanes:
         assert len(problems) == 20
         return [(p, _near_misses(p)) for p in problems]
 
-    def test_fresh_loaded_and_rebuilt_arrays_agree(self, corpus):
+    def test_fresh_loaded_and_rebuilt_arrays_agree(
+        self, corpus, monkeypatch
+    ):
         engaged = 0
         for problem, designs in corpus:
             fresh = harness._GoldenRef(problem)
@@ -728,14 +730,11 @@ class TestBundleLanes:
             ]
             # EquivalenceResult equality: every field
             assert first == second == rebuilt, problem.problem_id
-            previous = harness.BATCH_CHECK_ENABLED
-            try:
-                harness.BATCH_CHECK_ENABLED = False
+            with monkeypatch.context() as patch:
+                _without_fast_path(patch)
                 scalar = harness._check_many_against_trace(
                     fresh, designs, problem
                 )
-            finally:
-                harness.BATCH_CHECK_ENABLED = previous
             for lanes, replay in zip(first, scalar):
                 if lanes is not None:
                     engaged += 1
@@ -786,7 +785,7 @@ class TestBundleLanes:
         assert ref.lanes is None
         assert obs.counter_value("batch.fallback_scalar") == fallbacks + 2
 
-    def test_a_cegis_entry_ref_takes_the_rung(self, corpus):
+    def test_a_cegis_entry_ref_takes_the_rung(self, corpus, monkeypatch):
         from repro.vereval.cegis import DistinguishingVector, _EntryRef
 
         problem, designs = corpus[0]
@@ -803,14 +802,11 @@ class TestBundleLanes:
             )
             assert lanes is not None and entry_ref.lanes is not None
             assert lanes == _per_candidate_rebuild(entry_ref, design, problem)
-            previous = harness.BATCH_CHECK_ENABLED
-            try:
-                harness.BATCH_CHECK_ENABLED = False
+            with monkeypatch.context() as patch:
+                _without_fast_path(patch)
                 replay = harness._check_many_against_trace(
                     _EntryRef(ref, entry), [design], problem
                 )[0]
-            finally:
-                harness.BATCH_CHECK_ENABLED = previous
             assert lanes == replay
         assert obs.counter_value("retire.allvec_checks") == (
             checks + 2 * len(designs)

@@ -1686,7 +1686,7 @@ class TestCodePersistence:
             "error": None,
             "error_phase": "",
             "coverage": None,
-            "full_cycles": ref.full_cycles,
+            "full_cycles": len(ref.rows),
         }
         entries = [
             (("design", problem.golden_source, name),

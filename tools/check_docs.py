@@ -39,7 +39,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCTEST_MODULES = (
     "repro.sim.simulator",
     "repro.sim.testbench",
-    "repro.sim.coverage",
 )
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
