@@ -28,7 +28,7 @@ from repro.copyright.benchmark import (
 )
 from repro.copyright.prompts import build_prompt
 from repro.llm.sampler import check_max_new_tokens, check_temperature
-from repro.utils.rng import DeterministicRNG
+from repro.utils.rng import fork_seed
 from repro.vereval.harness import (
     EvalConfig,
     EvalResult,
@@ -244,15 +244,12 @@ class PassAtKTask(EvalTask):
         record.prompt = self._prompts[record.unit_index]
         # The seed-era fork chain, verbatim: one independent stream per
         # (model, temperature, problem, sample).
-        record.seed = (
-            DeterministicRNG(self.config.seed)
-            .fork(
-                record.model_name,
-                record.temperature,
-                record.unit_id,
-                record.sample_index,
-            )
-            .seed
+        record.seed = fork_seed(
+            self.config.seed,
+            record.model_name,
+            record.temperature,
+            record.unit_id,
+            record.sample_index,
         )
         return record
 
@@ -418,10 +415,10 @@ class CopyrightTask(EvalTask):
         if not prompt:
             return None  # comment-only file: the serial loop skipped it too
         record.prompt = prompt
-        record.seed = (
-            DeterministicRNG(self.seed)
-            .fork(self.benchmark.prompt_keys[record.unit_index], record.unit_index)
-            .seed
+        record.seed = fork_seed(
+            self.seed,
+            self.benchmark.prompt_keys[record.unit_index],
+            record.unit_index,
         )
         return record
 

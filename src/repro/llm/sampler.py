@@ -16,7 +16,7 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.llm.ngram import _BELOW_EVIDENCE, _BRANCHES, NGramLM, hash_context
 from repro.llm.tokenizer import BPETokenizer
-from repro.utils.rng import DeterministicRNG
+from repro.utils.rng import DeterministicRNG, fork_seed
 
 #: ``_stop_cut``'s answer when a stop string completes before the last
 #: token of the bytes it was given (a cut is >= 0, no stop is -1)
@@ -254,6 +254,6 @@ class Sampler:
     ) -> List[str]:
         """n independent samples for the same prompt (pass@k protocol)."""
         return [
-            self.generate(prompt, config, seed=DeterministicRNG(seed).fork(i).seed)
+            self.generate(prompt, config, seed=fork_seed(seed, i))
             for i in range(n)
         ]

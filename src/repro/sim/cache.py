@@ -43,7 +43,15 @@ This module gives those paths a disk tier:
   not lex and parse, does not define the module, or does not
   elaborate.  :func:`get_frontend` reads either; a payload outside that
   set counts as ``corrupt``.  :func:`get_design` still returns a
-  ``Design`` or None.
+  ``Design`` or None;
+* two rules keep a cold check from re-deriving the golden.  The checker
+  fetches the golden bundle before the front end when the golden text
+  is among its sources, so the golden text itself passes with no lookup
+  and no entry, and a token twin of it passes unparsed with the bundle's
+  own design as its entry.  And a ``Design`` that carries compiled code
+  and knows its source text is pickled with that text in place of its
+  AST, which the first read of an AST field derives again (see
+  ``Design.__getstate__``): a hit that replays never reads it.
 
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
@@ -111,8 +119,11 @@ __all__ = [
 #: pickled ``Design`` carries the token digest of its source file outside
 #: the AST blob, and the checker passes a candidate whose digest is the
 #: golden's without compiling or replaying it (a version-15 design has no
-#: digest, so it would always be replayed).
-BACKEND_VERSION = 16
+#: digest, so it would always be replayed).  17: a pickled ``Design`` that
+#: carries compiled code and knows its source text stores that text in
+#: place of its AST blob, and derives the AST again on first read (a
+#: version-16 reader would find neither).
+BACKEND_VERSION = 17
 
 #: the front-end failure reasons a ``design`` entry may hold in place of
 #: a ``Design``: the source does not lex and parse, does not define the

@@ -33,6 +33,13 @@ def derive_seed(parent: int, *labels: object) -> int:
     return int.from_bytes(digest.digest()[:8], "big") & _MASK_64
 
 
+def fork_seed(seed: int, *labels: object) -> int:
+    """The seed of ``DeterministicRNG(seed).fork(*labels)``, without
+    seeding either stream: what a caller that only hands the seed on
+    needs."""
+    return derive_seed(seed & _MASK_64, *labels)
+
+
 class DeterministicRNG:
     """A seeded random stream with convenience draws used across the library.
 
@@ -46,7 +53,7 @@ class DeterministicRNG:
 
     def fork(self, *labels: object) -> "DeterministicRNG":
         """Return an independent stream derived from this one."""
-        return DeterministicRNG(derive_seed(self.seed, *labels))
+        return DeterministicRNG(fork_seed(self.seed, *labels))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""

@@ -51,7 +51,7 @@ from repro.sim import (
 )
 from repro.sim import cache as sim_cache
 from repro.utils.rng import DeterministicRNG
-from repro.verilog import parse_source_digest
+from repro.verilog import lex_source_digest, parse_stream
 from repro.vereval.passk import mean_pass_at_k
 from repro.vereval.problems import EvalProblem
 
@@ -133,9 +133,10 @@ class _GoldenRef:
     )
 
     def __init__(self, problem: EvalProblem) -> None:
-        golden_file, digest = parse_source_digest(problem.golden_source)
-        self.design = elaborate(golden_file, problem.module.name)
+        stream, digest = lex_source_digest(problem.golden_source)
+        self.design = elaborate(parse_stream(stream), problem.module.name)
         self.design.token_digest = digest
+        self.design.source_text = problem.golden_source
         self.signature = interface_signature(self.design)
         #: the stimulus as the cycle kernel takes it: input names once,
         #: one value row per cycle (see :attr:`stimulus`)
@@ -223,15 +224,10 @@ def _golden_disk_key(problem: EvalProblem) -> Tuple[str, ...]:
     )
 
 
-def _golden_ref(
-    problem: EvalProblem, pack: Optional[list] = None
-) -> _GoldenRef:
-    """The problem's golden bundle: from memory, from ``sim.cache``, or
-    built here.  A bundle built here is not stored; it is appended to
-    ``pack`` as a :func:`repro.sim.cache.store_many` entry, which the
-    pool writes with the designs it elaborated."""
+def _golden_key(problem: EvalProblem) -> Tuple:
+    """The problem's key in :data:`_GOLDEN_CACHE`."""
     interface = problem.module.interface
-    key = (
+    return (
         problem.problem_id,
         problem.module.name,
         problem.stimulus_cycles,
@@ -241,6 +237,16 @@ def _golden_ref(
         interface.reset_active_high,
         problem.golden_source,
     )
+
+
+def _golden_ref(
+    problem: EvalProblem, pack: Optional[list] = None
+) -> _GoldenRef:
+    """The problem's golden bundle: from memory, from ``sim.cache``, or
+    built here.  A bundle built here is not stored; it is appended to
+    ``pack`` as a :func:`repro.sim.cache.store_many` entry, which the
+    pool writes with the designs it elaborated."""
+    key = _golden_key(problem)
     ref = _GOLDEN_CACHE.get(key)
     if ref is not None:
         _GOLDEN_CACHE.move_to_end(key)
@@ -482,7 +488,7 @@ def check_candidates_lockstep(
     * duplicate sources parse, elaborate, and check once, and so do
       sources with one token digest (the 16-byte ``blake2b`` of the
       whole file's parser-visible symbols,
-      :func:`repro.verilog.parse_source_digest`, kept on the ``Design``);
+      :func:`repro.verilog.lex_source_digest`, kept on the ``Design``);
     * a source whose digest is the golden file's passes with no lowering,
       compile, all-vectors rung or replay (``vereval.golden_equal``),
       provided the golden trace ran to completion: no ``error``, no
@@ -493,6 +499,14 @@ def check_candidates_lockstep(
       golden error there is no shortcut, as that error is the verdict.
       The digest covers the whole file, not the top module, because
       elaboration reads every module it instantiates;
+    * golden twins pass before the front end: when the golden text is
+      one of the sources (the golden then gets past the front end, so
+      its bundle is needed anyway) or the bundle is in memory, the bundle
+      is fetched first, and under the same precondition the golden text
+      passes with no ``sim.cache`` lookup, parse, elaboration or entry,
+      and a source whose lexed digest is the golden's passes unparsed,
+      its ``design`` entry being the bundle's own design.  A call whose
+      sources all fail the front end fetches no bundle;
     * the golden artifacts (stimulus rows and output trace) are derived
       once per problem; :func:`repro.vereval.cegis.check_designs` (the
       plain trace check unless CEGIS is enabled) gives each distinct
@@ -509,8 +523,10 @@ def check_candidates_lockstep(
       elaborate are never stored.  The golden bundle (if this call built
       it) and every outcome derived here are written as one pack
       (:func:`repro.sim.cache.store_many`); both carry their token
-      digest, so a warm golden-equal hit decides without thawing the
-      candidate's AST.
+      digest, so a warm golden-equal hit decides without reading the
+      candidate's AST, and a design that carries compiled code is stored
+      with its source text (``Design.source_text``) in place of its AST,
+      which only a read of an AST field derives again.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -544,9 +560,44 @@ def _check_candidates_lockstep(
         fill(indices, (False, reason))
         pack.append(("design", (source, name), reason))
 
+    # the golden bundle, the digest its twins pass on, and whether the
+    # golden failed to elaborate
+    ref = golden = None
+    golden_failed = False
+
+    def fetch_golden() -> None:
+        nonlocal ref, golden, golden_failed
+        try:
+            ref = _golden_ref(problem, pack)
+        except ElaborationError:
+            golden_failed = True
+        else:
+            golden = _golden_equal_digest(ref)
+
+    # Fetched before the front end when the golden text is one of the
+    # sources (it gets past the front end, so the bundle is needed
+    # anyway) or the bundle is in memory (one lookup): golden twins then
+    # pass unparsed.  Otherwise only once a source got past the front end.
+    if problem.golden_source in positions or (
+        _golden_key(problem) in _GOLDEN_CACHE
+    ):
+        try:
+            fetch_golden()
+        except Exception:
+            # a harness bug: raised again below, and only if a source
+            # gets past the front end, as when nothing is fetched here
+            pass
+
+    def golden_equal(indices: List[int]) -> None:
+        obs.count("vereval.golden_equal")
+        fill(indices, (True, ""))
+
     # (source, design-or-None, (parsed file, token digest)-or-None, indices)
     parsed = []
     for source, indices in positions.items():
+        if golden is not None and source == problem.golden_source:
+            golden_equal(indices)  # no lookup, parse or entry
+            continue
         candidate = sim_cache.get_frontend(source, name)
         front = None
         if isinstance(candidate, str):
@@ -555,7 +606,14 @@ def _check_candidates_lockstep(
             continue
         if candidate is None:
             try:
-                front = parse_source_digest(source)
+                stream, digest = lex_source_digest(source)
+                if digest == golden:
+                    # a token twin of the golden: not parsed, and its
+                    # entry is the golden's own design
+                    golden_equal(indices)
+                    pack.append(("design", (source, name), ref.design))
+                    continue
+                front = (parse_stream(stream), digest)
             except (LexError, ParseError):
                 fail(source, indices, "syntax")
                 continue
@@ -568,17 +626,13 @@ def _check_candidates_lockstep(
                 continue
         parsed.append((source, candidate, front, indices))
 
-    golden = None
-    if parsed:
-        try:
-            ref = _golden_ref(problem, pack)
-        except ElaborationError:
-            # the golden's failure, not the candidates': stored for none
-            for _, _, _, indices in parsed:
-                fill(indices, (False, "elaboration"))
-            parsed = []
-        else:
-            golden = _golden_equal_digest(ref)
+    if parsed and ref is None and not golden_failed:
+        fetch_golden()
+    if golden_failed:
+        # the golden's failure, not the candidates': stored for none
+        for _, _, _, indices in parsed:
+            fill(indices, (False, "elaboration"))
+        parsed = []
     # token digest (or source, for a design without one) -> [source,
     # design, indices]: token-identical designs share one check
     groups: "OrderedDict[object, list]" = OrderedDict()
@@ -591,11 +645,11 @@ def _check_candidates_lockstep(
                 fail(source, indices, "elaboration")
                 continue
             candidate.token_digest = digest
+            candidate.source_text = source
             pack.append(("design", (source, name), candidate))
         digest = candidate.token_digest
         if digest is not None and digest == golden:
-            obs.count("vereval.golden_equal")
-            fill(indices, (True, ""))
+            golden_equal(indices)
             continue
         group = groups.setdefault(
             source if digest is None else digest, [source, candidate, []]

@@ -25,7 +25,8 @@ from repro.verilog.tokens import Token, TokenKind, TokenStream, KEYWORDS
 from repro.verilog.lexer import Lexer, lex
 from repro.verilog.fastlex import check_syntax_fast, lex_fast
 from repro.verilog.parser import (
-    Parser, parse_source, parse_source_digest, parse_source_fast,
+    Parser, lex_source_digest, parse_source, parse_source_fast,
+    parse_stream,
 )
 from repro.verilog.syntax import SyntaxReport, check_syntax
 from repro.verilog import ast
@@ -42,7 +43,8 @@ __all__ = [
     "Parser",
     "parse_source",
     "parse_source_fast",
-    "parse_source_digest",
+    "lex_source_digest",
+    "parse_stream",
     "SyntaxReport",
     "check_syntax",
     "ast",

@@ -769,30 +769,33 @@ _MODULE_ITEM_HANDLERS = {
 }
 
 
-def _parse(source: str, lexer) -> Tuple[ast.SourceFile, TokenStream]:
-    """Lex ``source`` with ``lexer`` and parse the result; the AST and
-    the stream the parser read.
-
-    The one place a source becomes an AST, so the one place the front
-    end's telemetry is taken: a ``verilog.lex`` and a ``verilog.parse``
-    span per source (never per token) and the exact ``verilog.tokens``
-    counter, under the names the perf ledger's layer walk already uses.
-    """
+def _lex(source: str, lexer):
+    """``lexer``'s tokens for ``source``, under the front end's lex
+    telemetry: one ``verilog.lex`` span per source (never per token) and
+    the exact ``verilog.tokens`` counter."""
     with obs.span("verilog.lex"):
         tokens = lexer(source)
     obs.count("verilog.tokens", len(tokens))
+    return tokens
+
+
+def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
+    """Lex ``source`` with ``lexer`` and parse the result.
+
+    With :func:`lex_source_digest` and :func:`parse_stream`, the one
+    place a source becomes an AST, so the one place the front end's
+    telemetry is taken: a ``verilog.lex`` and a ``verilog.parse`` span
+    per source and the exact ``verilog.tokens`` counter, under the names
+    the perf ledger's layer walk already uses.
+    """
+    tokens = _lex(source, lexer)
     with obs.span("verilog.parse"):
         parser = Parser(tokens)
         # The parser reads its own stream; a reference-lexer Token list is
         # an order of magnitude bigger and must not outlive the conversion
         # (on the bench world's 477 kB file it would sit under the AST).
         del tokens
-        return parser.parse_source(), parser._stream
-
-
-def parse_with_lexer(source: str, lexer) -> ast.SourceFile:
-    """Lex ``source`` with ``lexer`` and parse the result."""
-    return _parse(source, lexer)[0]
+        return parser.parse_source()
 
 
 def parse_source(source: str) -> ast.SourceFile:
@@ -811,11 +814,21 @@ def parse_source_fast(source: str) -> ast.SourceFile:
     return parse_with_lexer(source, lex_fast)
 
 
-def parse_source_digest(source: str) -> Tuple[ast.SourceFile, bytes]:
-    """:func:`parse_source_fast` plus the token digest of ``source``
-    (:meth:`~repro.verilog.tokens.TokenStream.digest`), taken from the
-    stream the parse read.  The functional checker's front end; the
-    curation path (``check_syntax_fast``) computes no digest.
+def lex_source_digest(source: str) -> Tuple[TokenStream, bytes]:
+    """The regex lexer's stream of ``source`` and its token digest
+    (:meth:`~repro.verilog.tokens.TokenStream.digest`).
+
+    The functional checker's front end: it lexes first, so a source its
+    digest decides is never parsed, and hands the rest to
+    :func:`parse_stream`.  The curation path (``check_syntax_fast``)
+    computes no digest.
     """
-    tree, stream = _parse(source, lex_fast)
-    return tree, stream.digest()
+    stream = _lex(source, lex_fast)
+    return stream, stream.digest()
+
+
+def parse_stream(stream: TokenStream) -> ast.SourceFile:
+    """Parse a :func:`lex_source_digest` stream, under the
+    ``verilog.parse`` span: with it, :func:`parse_source_fast`."""
+    with obs.span("verilog.parse"):
+        return Parser(stream).parse_source()

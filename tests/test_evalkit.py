@@ -463,7 +463,7 @@ class TestSatelliteFixes:
         def boom(source):
             raise RuntimeError("parser bug")
 
-        monkeypatch.setattr("repro.vereval.harness.parse_source_digest", boom)
+        monkeypatch.setattr("repro.vereval.harness.lex_source_digest", boom)
         ok, reason = check_completion(problem, "\nendmodule")
         assert not ok
         assert reason == "internal"

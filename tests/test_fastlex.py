@@ -365,6 +365,21 @@ class TestTokenDigest:
         assert "".join(one.syms) == "".join(two.syms)
         assert one.digest() != two.digest()
 
+    def test_the_split_front_end_is_parse_source_fast(self):
+        from dataclasses import asdict
+
+        from repro.verilog import (
+            lex_source_digest, parse_source_fast, parse_stream,
+        )
+
+        for problem in build_problem_set(n_problems=10):
+            source = problem.golden_source
+            stream, digest = lex_source_digest(source)
+            assert digest == self.digest(source)
+            assert asdict(parse_stream(stream)) == asdict(
+                parse_source_fast(source)
+            )
+
     def test_both_lexers_give_one_digest(self):
         from repro.verilog.tokens import TokenStream
 

@@ -42,6 +42,10 @@ from repro.vereval import build_problem_set
 from repro.vgen import FAMILIES, generate_family, mutate
 from repro.verilog import parse_source
 
+# the module, not the function `repro.sim` exports under its name
+sim_elaborate = importlib.import_module("repro.sim.elaborate")
+_AST_FIELDS = sim_elaborate._AST_FIELDS
+
 ALL_FAMILIES = sorted(FAMILIES)
 
 
@@ -1494,7 +1498,9 @@ class TestCodePersistence:
             reset_caches()
             want = check_candidates_lockstep(problem, sources)
             sim_cache.configure(str(tmp_path))
-            entries = len(set(sources)) + 1  # + the golden-ref bundle
+            # the golden bundle, and no entry for the golden's own source,
+            # which passes before any lookup
+            entries = len(set(sources))
             # 1. marshal bytes cut short inside otherwise sound pickles
             real_dumps = marshal.dumps
             monkeypatch.setattr(
@@ -1507,11 +1513,8 @@ class TestCodePersistence:
             before = counters()
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
-            # the golden's own source passes on its token digest, so its
-            # design entry holds no code to cut short: a sound hit
-            assert delta(before) == {
-                "corrupt": entries - 1, "miss": entries - 1, "hit": 1,
-            }
+            # every entry carries code to cut short
+            assert delta(before) == {"corrupt": entries, "miss": entries}
             # 2. the refill is sound: every entry hits, nothing is lowered
             before = counters()
             emitted = obs.counter_value("sim.codegen.emitted")
@@ -1744,6 +1747,185 @@ class TestCodePersistence:
         clone = pickle.loads(pickle.dumps(stage)).checkers["task"].design
         assert clone._compiled.code is not None
         assert self._run(clone) == want
+
+
+class TestSourceTextPersistence:
+    """A design that carries compiled code and knows its source text
+    pickles that text in place of its AST; the first read of an AST
+    field parses and elaborates the text again."""
+
+    SOURCE = TestCodePersistence.SOURCE
+    _run = staticmethod(TestCodePersistence._run)
+
+    @staticmethod
+    def _ast_free(design):
+        return not ({"_ast", *_AST_FIELDS} & set(design.__dict__))
+
+    @staticmethod
+    def _assert_fresh(design, source, top):
+        fresh = build(source, top)
+        for name in _AST_FIELDS:
+            assert getattr(design, name) == getattr(fresh, name), name
+            assert repr(getattr(design, name)) == repr(getattr(fresh, name))
+        assert design == fresh
+        assert repr(design) == repr(fresh)
+
+    def _carrying(self):
+        design = build(self.SOURCE, "m")
+        design.source_text = self.SOURCE
+        want = self._run(design)
+        assert design._compiled.code is not None
+        return design, want
+
+    def test_code_and_text_pickle_no_ast(self, monkeypatch):
+        design, want = self._carrying()
+        state = design.__getstate__()
+        assert state["source_text"] == self.SOURCE
+        assert not ({"_ast", *_AST_FIELDS} & set(state))
+        clone = pickle.loads(pickle.dumps(design))
+        assert self._ast_free(clone)
+        derived = []
+        real = sim_elaborate._rederive
+        monkeypatch.setattr(
+            sim_elaborate, "_rederive",
+            lambda *args: derived.append(args) or real(*args),
+        )
+        # a replay runs off the image and derives nothing
+        assert self._run(clone) == want
+        assert self._ast_free(clone) and not derived
+        # pickling an underived clone again carries the text alone
+        again = pickle.loads(pickle.dumps(clone))
+        assert self._ast_free(again) and not derived
+        self._assert_fresh(clone, self.SOURCE, "m")
+        assert derived == [(self.SOURCE, "m")]
+        self._assert_fresh(again, self.SOURCE, "m")
+
+    def test_code_or_text_alone_keeps_the_blob(self):
+        no_text = build(self.SOURCE, "m")
+        self._run(no_text)
+        no_code = build(self.SOURCE, "m")
+        no_code.source_text = self.SOURCE
+        for design in (no_text, no_code):
+            clone = pickle.loads(pickle.dumps(design))
+            assert "_ast" in clone.__dict__
+            assert clone == design
+
+    def test_a_field_assigned_after_the_restore_is_kept(self):
+        design, _ = self._carrying()
+        clone = pickle.loads(pickle.dumps(design))
+        clone.initial_stmts = []
+        assert clone.comb_assigns == design.comb_assigns
+        assert clone.initial_stmts == []
+
+    def _cached_pools(self, tmp_path):
+        """Problems of every kind and their pools, checked once with the
+        cache on (every design stored), and the uncached verdicts."""
+        from repro.sim import cache as sim_cache
+        from repro.vereval import check_candidates_lockstep, reset_caches
+
+        # three combinational problems and three sequential ones
+        problems = build_problem_set(stimulus_cycles=24)[::10]
+        pools = [
+            [p.golden_source, "// twin\n" + p.golden_source]
+            + [m.source for m in mutate(p.module)[:3]]
+            + [p.golden_source.replace(" == ", " != ").replace(" + ", " - ")]
+            for p in problems
+        ]
+        sim_cache.configure("")
+        reset_caches()
+        want = [check_candidates_lockstep(p, s) for p, s in zip(problems, pools)]
+        sim_cache.configure(str(tmp_path))
+        reset_caches()
+        cold = [check_candidates_lockstep(p, s) for p, s in zip(problems, pools)]
+        assert cold == want
+        return problems, pools, want
+
+    def test_interp_backend_with_the_cache_on_derives_fresh_fields(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import check_candidates_lockstep, reset_caches
+
+        problems, pools, want = self._cached_pools(tmp_path)
+        loaded = []
+        get_frontend = sim_cache.get_frontend
+
+        def recording(source, module):
+            outcome = get_frontend(source, module)
+            if isinstance(outcome, Design) and "_compiled" in vars(outcome):
+                assert self._ast_free(outcome)
+                loaded.append((source, module, outcome))
+            return outcome
+
+        monkeypatch.setattr(sim_cache, "get_frontend", recording)
+        set_default_backend("interp")
+        try:
+            reset_caches()
+            warm = [
+                check_candidates_lockstep(p, s)
+                for p, s in zip(problems, pools)
+            ]
+        finally:
+            reset_caches()
+        assert warm == want
+        derived = [entry for entry in loaded if "seq_blocks" in entry[2].__dict__]
+        assert len(derived) >= 6  # every replayed candidate read its AST
+        for source, module, design in loaded:
+            self._assert_fresh(design, design.source_text, module)
+
+    @staticmethod
+    def _lane_check():
+        """A restored code-carrying combinational design on the lane
+        rung: its verdict, the design and the problem."""
+        from repro.vereval import harness
+
+        (problem,) = build_problem_set(
+            n_problems=1, families=["alu"], stimulus_cycles=24
+        )
+        assert problem.module.interface.clock is None
+        ref = harness._GoldenRef(problem)
+        design = build(problem.golden_source, problem.module.name)
+        design.source_text = problem.golden_source
+        Testbench(design, backend="compiled").step(
+            random_stimulus(design, 1, seed=3)[0]
+        )
+        assert design._compiled.code is not None
+        clone = pickle.loads(pickle.dumps(design))
+        assert TestSourceTextPersistence._ast_free(clone)
+        allvec = obs.counter_value("batch.allvec_checks")
+        (verdict,) = harness._check_many_against_trace(ref, [clone], problem)
+        assert obs.counter_value("batch.allvec_checks") == allvec + 1
+        return verdict, clone, problem
+
+    def test_lane_rung_derives_a_code_carrying_design(self):
+        verdict, clone, problem = self._lane_check()
+        assert verdict.equivalent
+        self._assert_fresh(clone, problem.golden_source, problem.module.name)
+
+    def test_the_naive_variant_without_derivation_fails(
+        self, tmp_path, monkeypatch
+    ):
+        """Drop the AST with nothing to derive it from: a restored design
+        runs with no logic, on the interpreter and on the lane rung, and
+        the verdicts drift."""
+        from repro.vereval import check_candidates_lockstep, reset_caches
+
+        problems, pools, want = self._cached_pools(tmp_path)
+        monkeypatch.setattr(
+            sim_elaborate, "_rederive", lambda source_text, top: ([],) * 4
+        )
+        verdict, _, _ = self._lane_check()
+        assert not verdict.equivalent
+        set_default_backend("interp")
+        try:
+            reset_caches()
+            drifted = [
+                check_candidates_lockstep(p, s)
+                for p, s in zip(problems, pools)
+            ]
+        finally:
+            reset_caches()
+        assert drifted != want
 
 
 class _DesignChecker:

@@ -637,7 +637,9 @@ class TestFrontendFailureCache:
         assert check_candidates_lockstep(problem, sources) == reference
         cold = self._delta(before)
         assert cold["vereval.cached_failures"] == 0
-        assert cold["sim.cache.miss"] == 6  # five sources and the golden
+        # four sources and the golden bundle: the verbatim golden passes
+        # before any lookup
+        assert cold["sim.cache.miss"] == 5
         for source, reason in zip(self.SOURCES, self.REASONS):
             assert sim_cache.get_frontend(source, "dut") == reason
         harness.reset_caches()
@@ -646,7 +648,7 @@ class TestFrontendFailureCache:
         assert self._delta(before) == {
             "verilog.tokens": 0,
             "vereval.cached_failures": 3,
-            "sim.cache.hit": 6,
+            "sim.cache.hit": 5,
             "sim.cache.miss": 0,
         }
 
@@ -695,7 +697,7 @@ class TestFrontendFailureCache:
         def broken(source):
             raise RuntimeError("parser bug")
 
-        monkeypatch.setattr(harness, "parse_source_digest", broken)
+        monkeypatch.setattr(harness, "lex_source_digest", broken)
         assert check_candidates_lockstep(problem, [_dut()]) == [
             (False, "internal")
         ]
@@ -740,12 +742,14 @@ class TestFrontendFailureCache:
     def test_the_oracle_catches_a_key_without_the_module_name(
         self, cache, monkeypatch
     ):
-        # _dut() defines `dut`: it is missing_module for any other module
-        # and a pass for `dut`.  Keyed by the source alone, the first
-        # verdict leaks to the second problem.
+        # `passing` defines `dut`: it is missing_module for any other
+        # module and a pass for `dut`.  Keyed by the source alone, the
+        # first verdict leaks to the second problem.  (Not the golden
+        # text itself: that passes before any lookup.)
         other = build_problem_set(n_problems=1)[0]
         assert other.module.name != "dut"
         problem = _dut_problem(problem_id="frontend")
+        passing = _dut(op_sum="b + a")
         real_key = sim_cache._key
 
         def naive_key(kind, *parts):
@@ -754,11 +758,11 @@ class TestFrontendFailureCache:
         def verdicts():
             harness.reset_caches()
             return [
-                check_candidates_lockstep(p, [_dut()])[0]
+                check_candidates_lockstep(p, [passing])[0]
                 for p in (other, problem)
             ]
 
-        reference = [lockstep_verdict(p, _dut()) for p in (other, problem)]
+        reference = [lockstep_verdict(p, passing) for p in (other, problem)]
         assert reference == [(False, "missing_module"), (True, "")]
         assert verdicts() == reference
         for name in cache.iterdir():

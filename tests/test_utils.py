@@ -9,6 +9,7 @@ from repro.utils import (
     DeterministicRNG,
     Histogram,
     derive_seed,
+    fork_seed,
     log_bins,
     normalize_whitespace,
     strip_comments,
@@ -28,6 +29,18 @@ class TestDeriveSeed:
 
     def test_multi_label_not_concatenation_ambiguous(self):
         assert derive_seed(1, "ab", "c") != derive_seed(1, "a", "bc")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(-(1 << 70), 1 << 70),
+        st.lists(st.one_of(st.integers(), st.text(), st.floats()), max_size=4),
+    )
+    def test_fork_seed_is_the_fork_chain_seed(self, seed, labels):
+        # what the eval tasks and generate_batch hand on, without the two
+        # streams the chain seeds
+        assert fork_seed(seed, *labels) == (
+            DeterministicRNG(seed).fork(*labels).seed
+        )
 
 
 class TestRNG:

@@ -422,7 +422,7 @@ def _problem(source, name, inputs, outputs, clocked):
 class TestGoldenEqualAdversarial:
     def test_a_differing_submodule_fails(self, monkeypatch):
         from repro.vereval import harness
-        from repro.verilog import parse_source_digest
+        from repro.verilog import lex_source_digest
 
         problem = _problem(
             _HIER.replace("{OP}", "&"), "top",
@@ -436,11 +436,11 @@ class TestGoldenEqualAdversarial:
 
         def top_module_only(source):
             # the naive digest: the tokens of the top module alone
-            tree, _ = parse_source_digest(source)
+            stream, _ = lex_source_digest(source)
             top = source[: source.index("endmodule") + len("endmodule")]
-            return tree, parse_source_digest(top)[1]
+            return stream, lex_source_digest(top)[1]
 
-        monkeypatch.setattr(harness, "parse_source_digest", top_module_only)
+        monkeypatch.setattr(harness, "lex_source_digest", top_module_only)
         reset_caches()
         try:
             assert check_candidate_source(problem, candidate) == (True, "")
@@ -483,7 +483,7 @@ class TestGoldenEqualAdversarial:
         self, sim_cache_dir, monkeypatch
     ):
         from repro.sim import cache as sim_cache
-        from repro.sim.elaborate import Design
+        from repro.sim.elaborate import _AST_FIELDS, Design
 
         problem = _clocked_problem()
         pool = [_acc(), "// twin\n" + _acc(), _acc("b + a")]
@@ -504,7 +504,149 @@ class TestGoldenEqualAdversarial:
         )
         assert warm == cold
         assert moved == {"vereval.golden_equal": 2, "retire.scalar_replays": 1}
-        for source in pool[:2]:
+        # the verbatim golden is never looked up; the twin's entry is the
+        # golden's design, and it and the replayed candidate carry code,
+        # so they were stored with their source text and no AST, and
+        # nothing derived it again
+        assert set(loaded) == set(pool[1:])
+        for source in pool[1:]:
             design = loaded[source]
             assert isinstance(design, Design)
-            assert "_ast" in design.__dict__  # never thawed
+            assert design._compiled.code is not None
+            assert "_ast" not in design.__dict__
+            assert not set(_AST_FIELDS) & set(design.__dict__)
+        assert loaded[pool[1]].source_text == problem.golden_source
+        assert loaded[pool[2]].source_text == pool[2]
+
+
+def _spans(run, names=("verilog.parse", "sim.elaborate", "vereval.golden")):
+    """``run()`` under summary-mode spans: its result, the number of
+    spans of each of ``names`` and the counters it moved."""
+    obs.configure(obs.MODE_SUMMARY)
+    obs.reset()
+    result = run()
+    snap = obs.snapshot()
+    return result, {
+        name: snap.agg[name][0] if name in snap.agg else 0 for name in names
+    }, snap.counters
+
+
+class TestGoldenTwinsBeforeTheFrontEnd:
+    """With the golden bundle fetched before the front end, the golden's
+    text passes with no lookup, parse or elaboration, and a token twin
+    with no parse or elaboration; every other outcome is the parent's."""
+
+    @pytest.mark.parametrize("cache", ["off", "on"])
+    def test_twins_parse_and_elaborate_nothing(self, cache, tmp_path):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        sim_cache.configure(str(tmp_path) if cache == "on" else "")
+        problem = _clocked_problem()
+        golden = problem.golden_source
+        pool = [golden, "// twin\n" + golden.replace("\n", "\n\n"), golden]
+        reference = _reference(problem, pool)
+        assert reference == [(True, "")] * 3
+
+        def check():
+            verdicts, spans, counters = _spans(
+                lambda: check_candidates_lockstep(problem, pool)
+            )
+            assert verdicts == reference
+            assert counters["vereval.golden_equal"] == 2
+            assert "vereval.scalar_checks" not in counters
+            return spans
+
+        try:
+            reset_caches()
+            # cold: the golden bundle's own parse and elaboration only
+            assert check() == {
+                "verilog.parse": 1, "sim.elaborate": 1, "vereval.golden": 1,
+            }
+            # the bundle in memory: nothing at all
+            assert check() == {
+                "verilog.parse": 0, "sim.elaborate": 0, "vereval.golden": 0,
+            }
+            reset_caches()
+            # a fresh process: the bundle and the twin's entry (the
+            # golden's design) from disk, or built again with no cache
+            built = 1 if cache == "off" else 0
+            assert check() == {
+                "verilog.parse": built, "sim.elaborate": built,
+                "vereval.golden": built,
+            }
+            if cache == "on":
+                assert sim_cache.get_frontend(golden, "acc") is None
+                twin = sim_cache.get_frontend(pool[1], "acc")
+                assert twin.source_text == golden
+                assert twin.token_digest == (
+                    harness._golden_ref(problem).design.token_digest
+                )
+        finally:
+            reset_caches()
+
+    def test_a_golden_simulation_error_replays_the_twins(self, sim_cache_dir):
+        problem = _problem(
+            _SPIN, "spin", [("a", 8)], [("acc", 16)], clocked=True
+        )
+        pool = [_SPIN, "// twin\n" + _SPIN, _SPIN]
+        reference = _reference(problem, pool)
+        assert reference == [
+            (False, "for-loop exceeded 65536 iterations")
+        ] * 3
+        for _ in ("cold", "warm"):
+            reset_caches()
+            verdicts, moved = _counted(
+                ("vereval.golden_equal", "vereval.scalar_checks"),
+                lambda: check_candidates_lockstep(problem, pool),
+            )
+            assert verdicts == reference
+            # the two spellings share one digest, so one check
+            assert moved == {
+                "vereval.golden_equal": 0, "vereval.scalar_checks": 1,
+            }
+
+    def test_a_golden_elaboration_failure_is_the_twin_verdict(
+        self, sim_cache_dir
+    ):
+        from repro.sim import cache as sim_cache
+
+        broken = _acc("a + zz")
+        interface = _clocked_problem().module.interface
+        problem = EvalProblem(
+            problem_id="acc-broken",
+            module=GeneratedModule(
+                family="bench", source=broken, interface=interface,
+                description="a golden that does not elaborate",
+            ),
+            stimulus_cycles=24, stimulus_seed=7,
+        )
+        pool = [broken, "// twin\n" + broken, _acc(), "module"]
+        reference = _reference(problem, pool)
+        assert reference == [(False, "elaboration")] * 3 + [(False, "syntax")]
+        for _ in ("cold", "again"):
+            reset_caches()
+            assert check_candidates_lockstep(problem, pool) == reference
+        # only the syntax reason is stored: the golden's failure is no
+        # candidate's outcome
+        assert len(list(sim_cache_dir.iterdir())) == 1
+        assert sim_cache.get_frontend("module", "acc") == "syntax"
+        for source in pool[:3]:
+            assert sim_cache.get_frontend(source, "acc") is None
+
+    def test_sources_that_all_fail_to_parse_fetch_no_bundle(
+        self, sim_cache_dir
+    ):
+        from repro.vereval import harness
+
+        problem = _clocked_problem()
+        pool = ["module", "garbage (((", "module"]
+        reset_caches()
+        verdicts, spans, counters = _spans(
+            lambda: check_candidates_lockstep(problem, pool)
+        )
+        assert verdicts == _reference(problem, pool) == [(False, "syntax")] * 3
+        assert spans["vereval.golden"] == 0
+        assert counters["sim.cache.miss"] == 2  # the two sources only
+        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
+        assert len(list(sim_cache_dir.iterdir())) == 2
