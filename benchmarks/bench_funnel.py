@@ -6,11 +6,10 @@ copyrighted data ~1% of the original corpus.  At 1/100 scale we assert
 the *ratios*.
 """
 
-from repro.curation import CurationPipeline
 from benchmarks.conftest import write_result
 
 
-def test_funnel_ratios(benchmark, freeset_result, raw_files):
+def test_funnel_ratios(freeset_result):
     funnel = freeset_result.dataset.funnel
     write_result(
         "funnel",
@@ -46,8 +45,3 @@ def test_funnel_ratios(benchmark, freeset_result, raw_files):
     copyrighted_share = copyright_stage.removed / funnel.initial_count
     assert 0.001 < copyrighted_share < 0.03
     assert funnel.final_count > 0
-
-    # timed unit: one full curation pass over the scraped corpus
-    benchmark.pedantic(
-        lambda: CurationPipeline().run(raw_files), rounds=1, iterations=1
-    )

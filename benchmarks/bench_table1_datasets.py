@@ -26,7 +26,7 @@ def _row(dataset):
     )
 
 
-def test_table1(benchmark, raw_files, freeset_result):
+def test_table1(raw_files, freeset_result):
     datasets = {}
     for name, policy in DATASET_POLICIES.items():
         if name == "FreeSet":
@@ -51,10 +51,3 @@ def test_table1(benchmark, raw_files, freeset_result):
         if d.license_check and d.copyright_check
     ]
     assert both_checks == ["FreeSet"]
-
-    # timed unit: simulating one prior policy end to end
-    benchmark.pedantic(
-        lambda: simulate_prior_dataset(DATASET_POLICIES["RTLCoder"], raw_files),
-        rounds=1,
-        iterations=1,
-    )

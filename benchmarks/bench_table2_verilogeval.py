@@ -36,7 +36,7 @@ _CONFIG = EvalConfig(
 )
 
 
-def test_table2(benchmark, model_zoo, problems):
+def test_table2(model_zoo, problems):
     scores = {}
 
     def eval_model(name):
@@ -88,16 +88,4 @@ def test_table2(benchmark, model_zoo, problems):
     pretrain_only = ["VeriGen", "FreeV-Llama3.1"]
     assert max(scores[t][10] for t in instruct) >= max(
         scores[t][10] for t in pretrain_only
-    )
-
-    # timed unit: one model's full pass@k evaluation at one temperature
-    quick = EvalConfig(
-        n_samples=5, ks=(1, 5), temperatures=(0.8,), max_new_tokens=400
-    )
-    benchmark.pedantic(
-        lambda: evaluate_model(
-            model_zoo.model("Llama-3.1-8B-Instruct"), problems[:5], quick
-        ),
-        rounds=1,
-        iterations=1,
     )

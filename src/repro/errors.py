@@ -56,10 +56,6 @@ class SimulationError(ReproError):
     """Raised when simulation fails (oscillation, missing signal, ...)."""
 
 
-class CurationError(ReproError):
-    """Raised by the dataset curation pipeline."""
-
-
 class GitHubAPIError(ReproError):
     """Raised by the simulated GitHub API (rate limits, bad queries)."""
 

@@ -179,8 +179,6 @@ class PassAtKTask(EvalTask):
         self.task_id = task_id
         self.problems = list(problems)
         self.config = config or EvalConfig()
-        if self.config.n_samples < max(self.config.ks):
-            raise ValueError("n_samples must be >= max k")
         #: hoisted out of the sample loop: one prompt per problem
         self._prompts = [p.prompt() for p in self.problems]
 

@@ -133,12 +133,6 @@ class GitHubWorld:
     def total_verilog_files(self) -> int:
         return sum(len(r.verilog_files) for r in self.repos)
 
-    @property
-    def licensed_verilog_files(self) -> int:
-        return sum(
-            len(r.verilog_files) for r in self.repos if r.license_key is not None
-        )
-
     def repo(self, full_name: str) -> Optional[Repository]:
         for repo in self.repos:
             if repo.full_name == full_name:

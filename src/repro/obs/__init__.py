@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "MODE_OFF",
@@ -464,10 +464,3 @@ class RunCapture:
 def run_capture(name: str, **attrs) -> RunCapture:
     """Context manager wrapping one top-level run (plan, curation, ...)."""
     return RunCapture(name, **attrs)
-
-
-def iter_spans(buffer: ObsBuffer, name: str) -> Iterator[SpanEvent]:
-    """The buffer's span events with ``name``, in recorded order."""
-    for ev in buffer.events:
-        if ev.name == name:
-            yield ev

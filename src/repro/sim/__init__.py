@@ -131,7 +131,6 @@ from repro.sim.testbench import (
     interface_signature,
     random_rows,
     random_stimulus,
-    simulate_source,
     stimulus_rows,
     sweep_random_stimulus,
 )
@@ -167,7 +166,6 @@ __all__ = [
     "interface_signature",
     "random_rows",
     "random_stimulus",
-    "simulate_source",
     "stimulus_rows",
     "sweep_random_stimulus",
 ]

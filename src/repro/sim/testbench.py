@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.elaborate import Design, elaborate
+from repro.sim.elaborate import Design
 from repro.sim.simulator import Simulator
 from repro.sim.values import mask
 from repro.utils.rng import DeterministicRNG
-from repro.verilog import ast
 
 #: One cycle of input values, keyed by port name (clock excluded).
 StimulusVector = Dict[str, int]
@@ -392,18 +391,3 @@ def equivalence_check(
     except SimulationError as exc:
         return EquivalenceResult(equivalent=False, error=str(exc))
     return EquivalenceResult(equivalent=True, cycles_run=len(stimulus))
-
-
-def simulate_source(
-    source_file: "ast.SourceFile",
-    top: str,
-    stimulus: Sequence[StimulusVector],
-    clock: Optional[str] = "clk",
-    reset: Optional[str] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, int]]:
-    """Convenience: elaborate ``top`` and return per-cycle output samples."""
-    design = elaborate(source_file, top)
-    bench = Testbench(design, clock, reset, backend=backend)
-    bench.apply_reset()
-    return [bench.step(vector) for vector in stimulus]

@@ -2,9 +2,10 @@
 
 The paper's copyright benchmark strips all comments from the copyrighted
 files before prompting (Sec. III-A), then keeps the first 20% of the code
-capped at 64 words.  These helpers implement those operations for Verilog
-text without requiring a full parse (the inputs may be syntactically
-broken, so the stripper is a small scanner that respects string literals).
+capped at 64 words.  These helpers implement the stripping and the word
+cap for Verilog text without requiring a full parse (the inputs may be
+syntactically broken, so the stripper is a small scanner that respects
+string literals).
 """
 
 from __future__ import annotations
@@ -65,31 +66,3 @@ def truncate_words(text: str, max_words: int) -> str:
     if len(words) <= max_words:
         return text.strip()
     return " ".join(words[:max_words])
-
-
-def leading_fraction(text: str, fraction: float) -> str:
-    """Return the first ``fraction`` of ``text`` by character count."""
-    if fraction <= 0:
-        return ""
-    if fraction >= 1:
-        return text
-    cut = max(1, int(len(text) * fraction))
-    return text[:cut]
-
-
-def dedent_code(text: str) -> str:
-    """Remove the common leading indentation from non-empty lines."""
-    lines = text.splitlines()
-    indents = [
-        len(line) - len(line.lstrip())
-        for line in lines
-        if line.strip()
-    ]
-    if not indents:
-        return text
-    pad = min(indents)
-    if pad == 0:
-        return text
-    return "\n".join(
-        line[pad:] if line.strip() else line for line in lines
-    )

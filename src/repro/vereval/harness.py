@@ -38,7 +38,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.errors import ElaborationError, LexError, ParseError, SimulationError
+from repro.errors import (
+    ConfigError,
+    ElaborationError,
+    LexError,
+    ParseError,
+    SimulationError,
+)
 from repro.llm.model import LanguageModel
 from repro.llm.sampler import check_max_new_tokens, check_temperature
 from repro.sim import (
@@ -66,7 +72,25 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # what GenerationConfig would refuse, refused before a plan runs
+        # what a plan could not aggregate, or GenerationConfig would
+        # refuse, refused before a plan runs
+        if self.n_samples < 1:
+            raise ConfigError(
+                f"n_samples must be >= 1, got {self.n_samples!r}"
+            )
+        if not self.ks or min(self.ks) < 1:
+            raise ConfigError(
+                f"ks must be non-empty with every k >= 1, got {self.ks!r}"
+            )
+        if self.n_samples < max(self.ks):
+            raise ConfigError(
+                f"n_samples must be >= max k, got {self.n_samples!r}"
+                f" < {max(self.ks)!r}"
+            )
+        if not self.temperatures:
+            raise ConfigError(
+                f"temperatures must be non-empty, got {self.temperatures!r}"
+            )
         for temperature in self.temperatures:
             check_temperature(temperature)
         check_max_new_tokens(self.max_new_tokens)

@@ -19,10 +19,6 @@ class ModuleInterface:
     inputs: List[Tuple[str, int]] = field(default_factory=list)
     outputs: List[Tuple[str, int]] = field(default_factory=list)
 
-    @property
-    def is_sequential(self) -> bool:
-        return self.clock is not None
-
 
 @dataclass
 class GeneratedModule:

@@ -121,6 +121,7 @@ class TestMinHashProperties:
         assert not np.array_equal(a.values, b.values)
 
     def test_mismatched_lengths_rejected(self):
+        assert len(MinHasher(num_permutations=16).signature("a")) == 16
         with pytest.raises(ValueError):
             estimate_jaccard(
                 MinHasher(num_permutations=16).signature("a"),

@@ -80,11 +80,41 @@ def test_env_table_must_match_the_knobs_read_under_src(tmp_path):
     )
 
 
+def test_docs_must_name_only_paths_that_exist(tmp_path):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Run `benchmarks/bench_funnel.py` or any `benchmarks/bench_fig*.py`;\n"
+        "results land in benchmarks/results/, the ledger is\n"
+        "benchmarks/perf/run.py, references\n"
+        "`benchmarks/perf/expected/seed_<n>.json`.\n"
+        "src/repro/tests/gone.py is not a repository-root path.\n"
+    )
+    assert check_docs.missing_paths(doc) == []
+    doc.write_text(
+        "intro\nThe ratio lives in `benchmarks/bench_sim_perf.py`.\n"
+        "See tests/test_gone.py::TestX, then examples/gone.py.\n"
+    )
+    assert check_docs.missing_paths(doc) == [
+        (2, "benchmarks/bench_sim_perf.py"),
+        (3, "tests/test_gone.py"),
+        (3, "examples/gone.py"),
+    ]
+    # the repository's own docs are in step
+    for doc in check_docs.default_paths():
+        assert check_docs.missing_paths(doc) == [], doc
+
+
 #: names deleted with the lane-per-candidate checker tier, with spill
 #: lanes, with sequential lanes, with the compiled backend's dirty-cone
-#: and fixpoint settles, with the per-candidate trace check and with the
-#: histogram metric kind; a mention outside this list is a doc or
-#: comment that outlived the code
+#: and fixpoint settles, with the per-candidate trace check, with the
+#: histogram metric kind, with the ratio benches and with helpers nothing
+#: called; a mention outside this list is a doc or comment that outlived
+#: the code
 _DELETED_NAMES = re.compile(
     "LockstepSimulator|LockstepTestbench|_LaneTestbench|_run_lockstep_group"
     "|_candidate_shape_digest|_MIN_LOCKSTEP_LANES|LOCKSTEP_CHECK_ENABLED"
@@ -99,6 +129,9 @@ _DELETED_NAMES = re.compile(
     "|_check_against_trace|_Histogram"
     "|CoverageTracker|POINTS_PER_BIT|coverage_stimulus|golden_mode_token"
     "|env_int|REPRO_SIM_CEGIS|REPRO_SIM_COVERAGE|BATCH_CHECK_ENABLED"
+    "|bench_sim_perf|bench_batch_perf|bench_substrate_perf|pytest-benchmark"
+    "|simulate_source|iter_spans|dedent_code|leading_fraction"
+    "|licensed_verilog_files|is_sequential|CurationError"
 )
 
 

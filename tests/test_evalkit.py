@@ -24,10 +24,11 @@ from oracle import lockstep_verdict
 from repro.copyright import CopyrightBenchmark
 from repro.core.freev import HeadlineReport
 from repro.engine import CheckpointStore, ParallelExecutor
-from repro.errors import EvaluationError
+from repro.errors import ConfigError, EvaluationError
 from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
 from repro.llm import LanguageModel
 from repro.llm.sampler import GenerationConfig
+from repro.sim import default_backend, set_default_backend
 from repro.testing import faults
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import (
@@ -37,9 +38,11 @@ from repro.vereval import (
     build_problem_set,
     check_completion,
     evaluate_model,
+    reset_caches,
 )
 from repro.vereval import cegis
 from repro.vereval.passk import mean_pass_at_k
+from repro.vgen import mutate
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,38 @@ class _FlakyModel:
         return self._inner.encode_prompt(prompt)
 
 
+class _NearMissModel:
+    """Completes each problem's prompt with the body of its golden or of
+    one of its near-miss mutants, picked by the sample seed."""
+
+    name = "near-miss"
+
+    def __init__(self, problems):
+        self._bodies = {}
+        for problem in problems:
+            golden = problem.golden_source
+            header = golden[: golden.index(");\n") + 3]
+            assert problem.prompt().endswith(header)
+            sources = [golden] + [m.source for m in mutate(problem.module)]
+            self._bodies[problem.prompt()] = [
+                source[len(header):] for source in sources
+            ]
+
+    def encode_prompt(self, prompt):
+        return None
+
+    def generate(self, prompt, config, seed, prompt_tokens=None):
+        bodies = self._bodies[prompt]
+        return bodies[seed % len(bodies)]
+
+
+#: two sequence detectors whose near-misses pass at the default 24
+#: cycles and fail by 384 (6 of 8 samples of p036), a FIFO and an LFSR
+_DEEP_PROBLEMS = (
+    "p036_sequence_detector", "p043_sequence_detector", "p047_fifo",
+    "p053_lfsr",
+)
+
 _CONFIG = EvalConfig(
     n_samples=4, ks=(1, 4), temperatures=(0.2, 0.8), max_new_tokens=250
 )
@@ -222,6 +257,31 @@ class TestFacadeIdentity:
         serial = _seed_evaluate_model(tiny_model, problems, config)
         assert evaluate_model(tiny_model, problems, config) == serial
 
+    def test_interp_backend_identical_at_deep_stimulus(self):
+        # The compiled backend changes no pass@k, outcome or failure
+        # reason at production-depth stimulus (a compiled replay that
+        # stops after 24 cycles fails this).
+        problems = [
+            p for p in build_problem_set(stimulus_cycles=384)
+            if p.problem_id in _DEEP_PROBLEMS
+        ]
+        model = _NearMissModel(problems)
+        config = EvalConfig(n_samples=8, ks=(1, 8), temperatures=(0.8,))
+        results = {}
+        for backend in ("interp", default_backend()):
+            reset_caches()  # each backend traces its own goldens
+            previous = set_default_backend(backend)
+            try:
+                results[backend] = evaluate_model(model, problems, config)
+            finally:
+                set_default_backend(previous)
+        interp, default = results.values()
+        assert default == interp
+        assert any(
+            outcome.failures.get("mismatch")
+            for outcome in interp.outcomes[0.8]
+        )
+
     def test_parallel_executor_identical(self, tiny_model):
         problems = build_problem_set(n_problems=3, seed=22)
         config = EvalConfig(n_samples=2, ks=(1, 2), temperatures=(0.8,),
@@ -290,7 +350,7 @@ class TestEvalPlan:
             EvalPlan([tiny_model, tiny_model], [task])
         with pytest.raises(ValueError):
             EvalPlan([tiny_model], [task, task])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="max k"):
             PassAtKTask(problems, EvalConfig(n_samples=2, ks=(5,)))
 
     def test_progress_streams_during_run(self, plan, serial_run):

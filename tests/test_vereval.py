@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracle import lockstep_verdict
 from repro import obs
+from repro.errors import ConfigError
 from repro.llm import LanguageModel
 from repro.vereval import (
     CegisConfig,
@@ -156,10 +157,29 @@ class TestEvaluateModel:
 
     def test_n_samples_validated(self, tiny_model):
         problems = build_problem_set(n_problems=1, seed=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="max k"):
             evaluate_model(
                 tiny_model, problems, EvalConfig(n_samples=2, ks=(5,))
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_samples": 2, "ks": (5,)}, "max k"),
+            ({"n_samples": 0, "ks": (1,)}, "n_samples must be >= 1"),
+            ({"n_samples": -3, "ks": (1,)}, "n_samples must be >= 1"),
+            ({"ks": ()}, "ks must be non-empty"),
+            ({"ks": (0,)}, "every k >= 1"),
+            ({"ks": (1, -1)}, "every k >= 1"),
+            ({"temperatures": ()}, "temperatures must be non-empty"),
+        ],
+    )
+    def test_config_refuses_what_a_plan_cannot_aggregate(self, kwargs, match):
+        # refused at construction: before this, ks=() died in PassAtKTask,
+        # ks=(0,) after every sample was generated and checked, and
+        # temperatures=() returned an empty EvalResult
+        with pytest.raises(ConfigError, match=match):
+            EvalConfig(**kwargs)
 
     def test_outcome_bookkeeping(self, tiny_model):
         problems = build_problem_set(n_problems=2, seed=8)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Execute the documentation so it cannot rot.
 
-Three kinds of checks, all wired into CI and into the tier-1 suite
+Four kinds of checks, all wired into CI and into the tier-1 suite
 through ``tests/test_docs.py``:
 
 * every fenced ```python code block in ``README.md`` and ``docs/*.md``
@@ -13,7 +13,11 @@ through ``tests/test_docs.py``:
   :mod:`doctest`, so the examples in those docstrings stay executable;
 * the ``REPRO_*`` names mentioned under ``src/`` equal the rows of the
   "Environment variables" table in ``docs/architecture.md``, so a knob
-  cannot be added or removed without its row.
+  cannot be added or removed without its row;
+* every ``benchmarks/``, ``examples/``, ``tools/`` or ``tests/`` path a
+  checked markdown file names exists, so a doc cannot point at a file
+  that was deleted or renamed (paths with ``*``, ``<n>`` or ``{a,b}``
+  name a family of files and are skipped).
 
 Usage::
 
@@ -46,6 +50,11 @@ _FENCE = re.compile(r"^```(\w*)\s*$")
 _ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 _ENV_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|")
 _ENV_HEADING = "## Environment variables"
+
+_REPO_PATH = re.compile(
+    r"(?<![\w/.-])((?:benchmarks|examples|tools|tests)/[\w./*<>{},-]*)"
+)
+_WILDCARD = re.compile(r"[*<>{}]")
 
 
 def extract_blocks(path: pathlib.Path) -> List[Tuple[int, str]]:
@@ -141,6 +150,20 @@ def check_env_table(src: pathlib.Path, doc: pathlib.Path) -> bool:
     return True
 
 
+def missing_paths(doc: pathlib.Path) -> List[Tuple[int, str]]:
+    """(line, path) for each repository path ``doc`` names that does not
+    exist."""
+    missing: List[Tuple[int, str]] = []
+    for lineno, line in enumerate(
+        doc.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        for match in _REPO_PATH.finditer(line):
+            path = match.group(1).rstrip(".,")
+            if not _WILDCARD.search(path) and not (REPO_ROOT / path).exists():
+                missing.append((lineno, path))
+    return missing
+
+
 def default_paths() -> List[pathlib.Path]:
     paths = [REPO_ROOT / "README.md"]
     docs = REPO_ROOT / "docs"
@@ -160,6 +183,9 @@ def main(argv: Sequence[str] = ()) -> int:
         for lineno, code in extract_blocks(path):
             total += 1
             ok = run_block(path, lineno, code) and ok
+        for lineno, missing in missing_paths(path):
+            print(f"FAIL {path}:{lineno}: {missing} does not exist")
+            ok = False
     for module_name in DOCTEST_MODULES:
         ok = run_doctests(module_name) and ok
     if not argv:
