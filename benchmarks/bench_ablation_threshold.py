@@ -14,9 +14,7 @@ THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
 
-def test_threshold_and_prefix_sweep(
-    benchmark, model_zoo, copyrighted_corpus
-):
+def test_threshold_and_prefix_sweep(model_zoo, copyrighted_corpus):
     # VeriGen is the paper's most-contaminated model: a good probe.
     model = model_zoo.model("VeriGen")
 
@@ -53,10 +51,3 @@ def test_threshold_and_prefix_sweep(
     assert rates[0.8] > 0.0
 
     model_zoo.evict("VeriGen")
-    benchmark.pedantic(
-        lambda: base_bench.evaluate(
-            model_zoo.model("Llama-3.1-8B-Instruct"), temperature=0.2
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -18,7 +18,7 @@ def _histogram(lengths):
     return hist
 
 
-def test_fig2(benchmark, raw_files, freeset_result):
+def test_fig2(raw_files, freeset_result):
     freeset = freeset_result.dataset
     verigen = simulate_prior_dataset(DATASET_POLICIES["VeriGen"], raw_files)
 
@@ -40,7 +40,3 @@ def test_fig2(benchmark, raw_files, freeset_result):
     assert small_mass / max(hist_free.total, 1) > 0.8
     # extreme outlier present (the scaled mega netlist)
     assert max(freeset.char_lengths()) > 100_000
-
-    benchmark.pedantic(
-        lambda: _histogram(freeset.char_lengths()), rounds=3, iterations=1
-    )

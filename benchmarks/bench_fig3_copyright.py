@@ -21,7 +21,7 @@ FIG3_PAIRS = [
 ]
 
 
-def test_fig3(benchmark, model_zoo, violation_benchmark):
+def test_fig3(model_zoo, violation_benchmark):
     rates = {}
 
     def rate_of(name):
@@ -56,11 +56,3 @@ def test_fig3(benchmark, model_zoo, violation_benchmark):
     # free the fine-tuned models (bases stay cached for other benches)
     for tuned, _ in FIG3_PAIRS:
         model_zoo.evict(tuned)
-
-    benchmark.pedantic(
-        lambda: violation_benchmark.evaluate(
-            model_zoo.model("Llama-3.1-8B-Instruct"), temperature=0.2
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -11,7 +11,7 @@ from repro.vereval import EvalConfig
 from benchmarks.conftest import write_result
 
 
-def test_headline(benchmark, trainer):
+def test_headline(trainer):
     def run():
         return trainer.headline(
             n_problems=20,
@@ -24,7 +24,7 @@ def test_headline(benchmark, trainer):
             num_prompts=100,
         )
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     write_result("headline", report.summary())
 
     delta = report.passk_delta()

@@ -74,10 +74,6 @@ class EvalConfig:
     def __post_init__(self) -> None:
         # what a plan could not aggregate, or GenerationConfig would
         # refuse, refused before a plan runs
-        if self.n_samples < 1:
-            raise ConfigError(
-                f"n_samples must be >= 1, got {self.n_samples!r}"
-            )
         if not self.ks or min(self.ks) < 1:
             raise ConfigError(
                 f"ks must be non-empty with every k >= 1, got {self.ks!r}"

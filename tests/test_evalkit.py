@@ -28,7 +28,7 @@ from repro.errors import ConfigError, EvaluationError
 from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
 from repro.llm import LanguageModel
 from repro.llm.sampler import GenerationConfig
-from repro.sim import default_backend, set_default_backend
+from repro.sim import set_default_backend
 from repro.testing import faults
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import (
@@ -268,15 +268,15 @@ class TestFacadeIdentity:
         model = _NearMissModel(problems)
         config = EvalConfig(n_samples=8, ks=(1, 8), temperatures=(0.8,))
         results = {}
-        for backend in ("interp", default_backend()):
+        for backend in ("interp", "auto"):
             reset_caches()  # each backend traces its own goldens
             previous = set_default_backend(backend)
             try:
                 results[backend] = evaluate_model(model, problems, config)
             finally:
                 set_default_backend(previous)
-        interp, default = results.values()
-        assert default == interp
+        interp = results["interp"]
+        assert results["auto"] == interp
         assert any(
             outcome.failures.get("mismatch")
             for outcome in interp.outcomes[0.8]

@@ -166,8 +166,8 @@ class TestEvaluateModel:
         "kwargs, match",
         [
             ({"n_samples": 2, "ks": (5,)}, "max k"),
-            ({"n_samples": 0, "ks": (1,)}, "n_samples must be >= 1"),
-            ({"n_samples": -3, "ks": (1,)}, "n_samples must be >= 1"),
+            ({"n_samples": 0, "ks": (1,)}, "max k"),
+            ({"n_samples": -3, "ks": (1,)}, "max k"),
             ({"ks": ()}, "ks must be non-empty"),
             ({"ks": (0,)}, "every k >= 1"),
             ({"ks": (1, -1)}, "every k >= 1"),
