@@ -19,7 +19,7 @@ the cited works; see DESIGN.md Sec. 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.basecorpus import BaseCorpusConfig, build_base_corpus

@@ -6,6 +6,12 @@ With ``a, b, x < 2^31`` the product ``a*x + b`` stays below ``2^63``, so the
 whole permutation evaluates exactly in vectorized uint64 arithmetic.  The
 expected fraction of matching signature components between two documents
 equals their Jaccard similarity.
+
+:meth:`MinHasher.signature_of_hashes` is the definition (one document,
+``%``).  The batched :meth:`MinHasher.signatures_of_hashes` that dedup runs
+evaluates eight permutations per array operation and reduces mod ``p``
+with :func:`_mod_prime`'s shifts and masks, since ``2^31 = 1 (mod p)``;
+its signatures are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +24,29 @@ from repro.dedup.shingle import DEFAULT_SHINGLE_WIDTH, shingle_hashes
 from repro.utils.rng import DeterministicRNG
 
 _PRIME = np.uint64((1 << 31) - 1)
+_SHIFT = np.uint64(31)
+#: permutations evaluated together by :meth:`MinHasher.signatures_of_hashes`
+_BLOCK = 8
 DEFAULT_NUM_PERMUTATIONS = 128
+
+
+def _mod_prime(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``v % p`` in place for any uint64 ``v``, without a division;
+    ``scratch`` is a same-shape buffer.
+
+    ``2^31 = 1 (mod p)``, so a fold ``(v & p) + (v >> 31)`` keeps ``v``
+    mod ``p``.  From ``v < 2^64`` one fold gives ``v < 5 * 2^31`` and a
+    second ``v <= p + 4``; ``min(v, v - p)`` then subtracts ``p`` where
+    that is still needed (``v - p`` wraps above ``2^63`` when ``v < p``).
+    Both folds are needed: one leaves a hash near ``2^64`` above ``2p``.
+    """
+    for _ in range(2):
+        np.bitwise_and(v, _PRIME, out=scratch)
+        v >>= _SHIFT
+        v += scratch
+    np.subtract(v, _PRIME, out=scratch)
+    np.minimum(v, scratch, out=v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -84,13 +112,15 @@ class MinHasher:
     def signatures_of_hashes(self, hash_arrays) -> "list[MinHashSignature]":
         """Batch form of :meth:`signature_of_hashes` over many documents.
 
-        Concatenates all shingle-hash arrays and evaluates each permutation
-        once over the whole batch with per-document segment minima
-        (``np.minimum.reduceat``).  The arithmetic is the exact same
-        ``(a*x + b) mod p`` in uint64, so every returned signature is
-        bit-identical to the per-document path — only the Python-level
-        loop count drops from ``permutations * documents`` to
-        ``permutations``.
+        Concatenates all shingle-hash arrays and evaluates the permutations
+        ``_BLOCK`` at a time as one ``(_BLOCK, n)`` array over the whole
+        batch, with per-document segment minima (``np.minimum.reduceat``),
+        so the Python-level loop count drops from ``permutations *
+        documents`` to ``permutations / _BLOCK``.  Both reductions mod
+        ``p`` (of the hashes, and of every ``a*x + b``) are
+        :func:`_mod_prime`'s folds instead of a division; every returned
+        signature is bit-identical to :meth:`signature_of_hashes`, the
+        definition (``tests/test_dedup.py::TestMinHashFold``).
         """
         out: "list[MinHashSignature]" = [None] * len(hash_arrays)  # type: ignore[list-item]
         nonempty = [i for i, arr in enumerate(hash_arrays) if arr.size]
@@ -101,19 +131,26 @@ class MinHasher:
                 )
         if not nonempty:
             return out
-        concat = (
-            np.concatenate([hash_arrays[i] for i in nonempty]).astype(np.uint64)
-            % _PRIME
+        concat = np.concatenate([hash_arrays[i] for i in nonempty]).astype(
+            np.uint64
         )
+        concat = _mod_prime(concat, np.empty_like(concat))
         sizes = np.array([hash_arrays[i].size for i in nonempty], dtype=np.int64)
         offsets = np.zeros(len(nonempty), dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
-        mins = np.empty((len(nonempty), self.num_permutations), dtype=np.uint64)
-        for p in range(self.num_permutations):
-            row = (self._a[p] * concat + self._b[p]) % _PRIME
-            mins[:, p] = np.minimum.reduceat(row, offsets)
+        mins = np.empty((self.num_permutations, len(nonempty)), dtype=np.uint64)
+        block = np.empty((_BLOCK, concat.size), dtype=np.uint64)
+        scratch = np.empty_like(block)
+        for first in range(0, self.num_permutations, _BLOCK):
+            rows = slice(first, min(first + _BLOCK, self.num_permutations))
+            width = rows.stop - first
+            v = block[:width]
+            np.multiply(self._a[rows, None], concat, out=v)
+            v += self._b[rows, None]
+            _mod_prime(v, scratch[:width])
+            mins[rows] = np.minimum.reduceat(v, offsets, axis=1)
         for j, i in enumerate(nonempty):
-            out[i] = MinHashSignature(values=mins[j].copy())
+            out[i] = MinHashSignature(values=mins[:, j].copy())
         return out
 
     def signatures(self, texts) -> "list[MinHashSignature]":

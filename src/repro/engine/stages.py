@@ -20,6 +20,7 @@ from repro.dedup.minhash import DEFAULT_NUM_PERMUTATIONS
 from repro.engine.registry import register_stage
 from repro.engine.stage import FilterStage, StatefulStage
 from repro.verilog import check_syntax_fast
+from repro.verilog.syntax import ModuleTable
 
 
 def file_key(item: Any) -> Any:
@@ -76,12 +77,28 @@ class SyntaxCheckStage(FilterStage):
     and the shared parser — which is verdict-identical to the reference
     :func:`repro.verilog.check_syntax` by the identity contract
     ``tests/test_fastlex.py`` enforces.
+
+    The stage owns one module table for all the files it sees, so a
+    module a file shares with an earlier one (forks and copies survive
+    file-level dedup inside files that are not duplicates) is not parsed
+    again.  The table is an accelerator, never an authority, like dedup's
+    exact-text table: no verdict depends on it, so it is dropped from the
+    stage's pickle, bounded by ``MODULE_TABLE_BOUND``, kept across
+    ``reset`` and never checkpointed.
     """
 
     name = "syntax_check"
 
+    def __init__(self) -> None:
+        self._modules: ModuleTable = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_modules"] = {}
+        return state
+
     def accepts(self, item: Any) -> bool:
-        return check_syntax_fast(item.content).ok
+        return check_syntax_fast(item.content, self._modules).ok
 
 
 @register_stage("dedup")

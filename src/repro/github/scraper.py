@@ -10,7 +10,7 @@ files extracted, recording author information for accreditation.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import GitHubAPIError

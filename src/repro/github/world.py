@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.github.licenses import (
     OPEN_SOURCE_LICENSE_KEYS,

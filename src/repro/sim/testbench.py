@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.sim.elaborate import Design
 from repro.sim.simulator import Simulator
-from repro.sim.values import mask
 from repro.utils.rng import DeterministicRNG
 
 #: One cycle of input values, keyed by port name (clock excluded).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.textsim.cosine import cosine_similarity
 from repro.textsim.vectorize import NgramVectorizer, SparseVector

@@ -26,7 +26,8 @@ Since the evalkit refactor this module plays two roles:
 * :func:`evaluate_model` is a thin facade compiling the paper's pass@k
   protocol into a :class:`repro.evalkit.EvalPlan`, which runs it through
   the streaming/parallel/checkpointable engine with numerically identical
-  results (same :class:`DeterministicRNG` fork chain per sample).
+  results (same :class:`~repro.utils.rng.DeterministicRNG` fork chain per
+  sample).
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ from repro.sim import (
     random_rows,
 )
 from repro.sim import cache as sim_cache
-from repro.utils.rng import DeterministicRNG
 from repro.verilog import lex_source_digest, parse_stream
-from repro.vereval.passk import mean_pass_at_k
 from repro.vereval.problems import EvalProblem
 
 @dataclass

@@ -159,12 +159,13 @@ def lex_fast(source: str) -> TokenStream:
     return stream
 
 
-def check_syntax_fast(source: str):
+def check_syntax_fast(source: str, table=None):
     """:func:`repro.verilog.syntax.check_syntax` via the fast lexer.
 
     Identical verdicts by the identity contract above; the engine's
-    syntax stage uses this entry point on whole-corpus runs.
+    syntax stage uses this entry point on whole-corpus runs, passing its
+    module ``table`` (see :func:`~repro.verilog.syntax.check_with_lexer`).
     """
     from repro.verilog.syntax import check_with_lexer
 
-    return check_with_lexer(source, lex_fast)
+    return check_with_lexer(source, lex_fast, table)

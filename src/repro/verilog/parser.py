@@ -21,7 +21,7 @@ from either (``tests/test_fastlex.py``).
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.errors import ParseError
@@ -64,6 +64,9 @@ _UNARY_OPS = frozenset(["~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"])
 
 _PORT_DIRECTIONS = ("input", "output", "inout")
 
+#: the keywords a top-level module starts with
+MODULE_KEYWORDS = ("module", "macromodule")
+
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 
 #: the digits (lower case) a based literal of each radix may hold
@@ -77,12 +80,36 @@ _KNOWN_DIGIT_RE = re.compile("[^xXzZ?]")
 _ALL_ONES_DIGIT = {2: "1", 8: "7", 16: "f"}
 
 
+#: based literal text -> its ``Number`` fields after ``line``; cleared
+#: when it reaches ``_BASED_FIELDS_BOUND`` entries
+_BASED_FIELDS: Dict[str, Tuple[int, Optional[int], bool, bool, int]] = {}
+_BASED_FIELDS_BOUND = 4096
+
+
 def parse_based_literal(text: str, line: int = 0) -> ast.Number:
     """Parse a sized/based literal such as ``8'hF0`` or ``4'b10x?``.
 
     X/Z/? digits are recorded in ``unknown_mask`` (used by casez/casex
     matching) and contribute zero to ``value`` (two-state semantics).
+
+    A corpus repeats a few literal texts many times, so the fields of a
+    text already read come from ``_BASED_FIELDS`` (ints and bools only;
+    every call returns a fresh node).  A malformed text is never stored
+    and raises on every call.
     """
+    fields = _BASED_FIELDS.get(text)
+    if fields is None:
+        fields = _based_literal_fields(text, line)
+        if len(_BASED_FIELDS) >= _BASED_FIELDS_BOUND:
+            _BASED_FIELDS.clear()
+        _BASED_FIELDS[text] = fields
+    return ast.Number(line, *fields)
+
+
+def _based_literal_fields(
+    text: str, line: int
+) -> Tuple[int, Optional[int], bool, bool, int]:
+    """``(value, width, signed, has_unknown, unknown_mask)`` of ``text``."""
     tick = text.index("'")
     size_text = text[:tick].replace("_", "")
     width = int(size_text) if size_text else None
@@ -124,14 +151,7 @@ def parse_based_literal(text: str, line: int = 0) -> ast.Number:
         mask = (1 << width) - 1
         value &= mask
         unknown &= mask
-    return ast.Number(
-        line=line,
-        value=value,
-        width=width,
-        signed=signed,
-        has_unknown=bool(unknown),
-        unknown_mask=unknown,
-    )
+    return value, width, signed, bool(unknown), unknown
 
 
 class Parser:
@@ -205,14 +225,28 @@ class Parser:
 
     def parse_source(self) -> ast.SourceFile:
         source = ast.SourceFile()
-        while self._kinds[self._pos] != K_EOF:
-            if self._syms[self._pos] in ("module", "macromodule"):
-                source.modules.append(self._parse_module())
-            else:
-                raise self._error("expected 'module' at top level")
+        pos = 0
+        while self._kinds[pos] != K_EOF:
+            module, pos = self.parse_module_at(pos)
+            source.modules.append(module)
         if not source.modules:
             raise ParseError("source contains no modules")
         return source
+
+    def parse_module_at(self, pos: int) -> Tuple[ast.Module, int]:
+        """The top-level module starting at token ``pos`` and the position
+        after it, exactly as :meth:`parse_source`'s loop reads it there.
+
+        On success the module ends at the first ``endmodule`` keyword after
+        ``pos``: every item parser stops at (or fails on) that keyword and
+        nothing reads a token past it, so the outcome is a function of
+        that token range alone (the syntax checker's module table relies
+        on this).
+        """
+        self._pos = pos
+        if self._syms[pos] not in MODULE_KEYWORDS:
+            raise self._error("expected 'module' at top level")
+        return self._parse_module(), self._pos
 
     def _parse_module(self) -> ast.Module:
         start = self._pos  # module
@@ -622,26 +656,48 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self._syms[self._pos] == "?":
-            self._pos += 1
-            then = self._parse_ternary()
-            self._expect(":")
-            other = self._parse_ternary()
-            return ast.Ternary(line=cond.line, cond=cond, then=then, other=other)
-        return cond
+        if self._syms[self._pos] != "?":
+            return cond
+        self._pos += 1
+        then = self._parse_expr()
+        self._expect(":")
+        other = self._parse_expr()  # right associative
+        return ast.Ternary(line=cond.line, cond=cond, then=then, other=other)
 
     def _parse_binary(self, tier: int) -> ast.Expr:
         # Precedence climbing: equivalent to the straightforward
         # one-method-per-tier cascade (left-associative within a tier,
         # higher tiers bind tighter) but recurses only where an operator
         # actually appears instead of through every tier per operand.
-        lhs = self._parse_power()
+        #
+        # The leaf path: most operands are a bare identifier or a literal,
+        # which ``_parse_power`` -> ``_parse_unary`` -> ``_parse_primary``
+        # would build after three calls.  It is built here instead; an
+        # identifier followed by ``[`` (a select) takes the full descent,
+        # and a leaf followed by ``**`` continues as ``_parse_power`` does.
+        syms = self._syms
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == K_IDENT and syms[pos + 1] != "[":
+            lhs: ast.Expr = ast.Identifier(self._lines[pos], syms[pos])
+        elif kind == K_NUMBER and "." not in syms[pos]:
+            lhs = ast.Number(self._lines[pos], int(syms[pos].replace("_", "")))
+        elif kind == K_BASED_NUMBER:
+            lhs = parse_based_literal(syms[pos], self._lines[pos])
+        else:
+            lhs = None
+        if lhs is None:
+            lhs = self._parse_power()
+        elif syms[pos + 1] == "**":
+            self._pos = pos + 2
+            lhs = ast.Binary(
+                line=lhs.line, op="**", lhs=lhs, rhs=self._parse_power()
+            )
+        else:
+            self._pos = pos + 1
         while True:
-            op = self._syms[self._pos]
+            op = syms[self._pos]
             op_tier = _BINARY_OP_TIER.get(op)
             if op_tier is None or op_tier < tier:
                 return lhs
@@ -777,6 +833,15 @@ def _lex(source: str, lexer):
         tokens = lexer(source)
     obs.count("verilog.tokens", len(tokens))
     return tokens
+
+
+def lex_stream(source: str, lexer) -> TokenStream:
+    """``lexer``'s tokens for ``source`` as a stream (a reference-lexer
+    ``Token`` list is converted), under :func:`_lex`'s telemetry."""
+    tokens = _lex(source, lexer)
+    if isinstance(tokens, TokenStream):
+        return tokens
+    return TokenStream.from_tokens(tokens)
 
 
 def parse_with_lexer(source: str, lexer) -> ast.SourceFile:

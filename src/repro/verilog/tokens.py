@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 class TokenKind(enum.Enum):
@@ -174,21 +174,24 @@ class TokenStream(Sequence):
         newlines = [line * width - 1 for line in range(tokens[-1].line + 1)]
         return cls(kinds, syms, starts, directives, newlines)
 
-    def digest(self) -> bytes:
-        """A 16-byte ``blake2b`` of what the parser reads: the token count,
-        every token's kind and the length and text of every symbol.
+    def digest(self, start: int = 0, stop: Optional[int] = None) -> bytes:
+        """A 16-byte ``blake2b`` of what the parser reads in tokens
+        ``start:stop`` (default: all of them, EOF included): the token
+        count, every token's kind and the length and text of every symbol.
 
-        Two streams with one digest hold the same kinds and symbols in the
+        Two ranges with one digest hold the same kinds and symbols in the
         same order, so the parser takes the same path through both and
         builds ASTs that differ at most in their ``line`` fields (the
         count and lengths make the encoding injective: a string literal
         may hold any character).  Positions, trivia and directives are
-        not part of it.
+        not part of it.  The whole-stream digest is persisted (it keys
+        ``sim.cache`` entries through ``Design.token_digest``), so its
+        bytes must not change.
         """
-        syms = self.syms
+        kinds, syms = self.kinds[start:stop], self.syms[start:stop]
         h = hashlib.blake2b(len(syms).to_bytes(8, "little"), digest_size=16)
-        h.update(bytes(self.kinds))
-        h.update(array("Q", map(len, syms)).tobytes())
+        h.update(bytes(kinds))
+        h.update(array("Q", map(len, syms)))
         h.update("".join(syms).encode("utf-8", "surrogatepass"))
         return h.digest()
 

@@ -20,7 +20,9 @@ from repro.dedup import (
     shingle_hashes,
     shingles,
 )
+from repro.dedup import minhash
 from repro.dedup.jaccard import text_jaccard
+from repro.dedup.minhash import _mod_prime
 from repro.dedup.shingle import _stable_hash64, shingle_tokens
 from repro.engine import CheckpointStore
 from repro.utils.rng import DeterministicRNG
@@ -127,6 +129,108 @@ class TestMinHashProperties:
                 MinHasher(num_permutations=16).signature("a"),
                 MinHasher(num_permutations=32).signature("a"),
             )
+
+
+_P = (1 << 31) - 1
+#: shingle hashes around every boundary of the folds: multiples of p, the
+#: powers of two a fold splits at, and the top of the uint64 range
+_EDGE_HASHES = [
+    0, 1, _P - 1, _P, _P + 1, 2 * _P, 2 * _P + 1, 1 << 31, 1 << 32,
+    (1 << 32) + 1, 1 << 33, 1 << 62, (1 << 63) - 1, 1 << 63,
+    (1 << 64) - 2, (1 << 64) - 1,
+]
+
+
+def _pure_signature(hasher, hashes):
+    """The signature in Python ints: ``min((a*x + b) % p)``, ``x = h % p``."""
+    if not hashes:
+        return [_P] * hasher.num_permutations
+    return [
+        min((a * (h % _P) + b) % _P for h in hashes)
+        for a, b in zip(map(int, hasher._a), map(int, hasher._b))
+    ]
+
+
+def _fold_batches():
+    """Batches of documents: empty ones between others, one-document
+    batches, and each edge hash at the first, last and only position of
+    its segment."""
+    rng = DeterministicRNG(7)
+    random_doc = [rng.randint(0, (1 << 64) - 1) for _ in range(50)]
+    return [
+        [_EDGE_HASHES],
+        [[h] for h in _EDGE_HASHES],
+        [[], _EDGE_HASHES[:5], [], [], _EDGE_HASHES[5:], []],
+        [[h] + random_doc for h in _EDGE_HASHES[::3]]
+        + [random_doc + [h] for h in _EDGE_HASHES[1::3]],
+        [[]],
+        [random_doc],
+        [],
+    ]
+
+
+def _fold_hashers():
+    hashers = [MinHasher(), MinHasher(num_permutations=13, seed=3),
+               MinHasher(num_permutations=1)]
+    # the largest a, b the seeded draw can produce: a*x + b at its maximum
+    extreme = MinHasher(num_permutations=9)
+    extreme._a[:] = [1, _P - 1, _P - 1, _P - 2, 2, 1 << 30, _P - 1, 3, 5]
+    extreme._b[:] = [0, _P - 1, 0, _P - 1, _P - 1, 1, 7, 0, _P - 2]
+    return hashers + [extreme]
+
+
+def _fold_mismatches(hasher):
+    """Documents whose batched signature differs from the per-document
+    ``%`` definition or from Python integers."""
+    bad = []
+    for batch in _fold_batches():
+        arrays = [np.array(doc, dtype=np.uint64) for doc in batch]
+        for doc, array, signature in zip(
+            batch, arrays, hasher.signatures_of_hashes(arrays)
+        ):
+            definition = hasher.signature_of_hashes(array).values
+            if not _same_array(signature.values, definition) or (
+                signature.values.tolist() != _pure_signature(hasher, doc)
+            ):
+                bad.append(doc)
+    return bad
+
+
+class TestMinHashFold:
+    """The batched path's division-free ``mod p`` against its definitions.
+
+    ``signatures_of_hashes`` reduces with ``minhash._mod_prime``'s two
+    folds; ``signature_of_hashes`` (``%``) and Python's ``min((a*x + b) %
+    p)`` are the definitions, over edge hashes, empty documents,
+    one-document batches and segment edges, at permutation counts that
+    do and do not fill the last block of eight.
+    """
+
+    @pytest.mark.parametrize(
+        "hasher", _fold_hashers(), ids=lambda h: f"{h.num_permutations}perm"
+    )
+    def test_batch_equals_the_definitions(self, hasher):
+        assert _fold_mismatches(hasher) == []
+
+    def test_mod_prime_over_the_uint64_edges(self):
+        edges = sorted(
+            {v + d for v in _EDGE_HASHES for d in (-1, 0, 1)} - {-1, 1 << 64}
+        )
+        values = np.array(edges, dtype=np.uint64)
+        reduced = _mod_prime(values, np.empty_like(values))
+        assert reduced.tolist() == [v % _P for v in edges]
+
+    def test_one_fold_variant_is_caught(self, monkeypatch):
+        def one_fold(v, scratch):
+            np.bitwise_and(v, np.uint64(_P), out=scratch)
+            v >>= np.uint64(31)
+            v += scratch
+            np.subtract(v, np.uint64(_P), out=scratch)
+            np.minimum(v, scratch, out=v)
+            return v
+
+        monkeypatch.setattr(minhash, "_mod_prime", one_fold)
+        assert _fold_mismatches(MinHasher())
 
 
 class TestLSH:

@@ -3,7 +3,8 @@
 Covers the deterministic fault-injection registry
 (:mod:`repro.testing.faults`) with a check that every fault point under
 ``src/repro`` is armed by some test, and the checkpoint store's
-two-generation corruption fallback those faults exercise.
+two-generation corruption fallback those faults exercise; and one check
+of the source itself, that no module imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -144,6 +145,82 @@ def test_every_fault_point_is_a_literal_armed_by_a_test():
 
 
 # -- checkpoint generations --------------------------------------------------
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Every name ``tree`` reads, string annotations included."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [
+        node.annotation for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation
+    ]
+    annotations += [
+        node.returns for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.returns
+    ]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= {
+                    n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                }
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(root: pathlib.Path) -> list:
+    """``(path, line, name)`` of every module-level import under ``root``
+    (``__init__`` modules aside: they import to re-export) whose name the
+    module never reads and does not list in ``__all__``."""
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _referenced_names(tree) | _exported_names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(
+                        (str(path.relative_to(root)), node.lineno, name)
+                    )
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(_REPO / "src" / "repro") == []
+
+
+def test_the_unused_import_scan_sees_what_it_must(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Dict, List, Tuple\n"
+        "from collections import OrderedDict as OD\n"
+        "import xml.dom\n"
+        "__all__ = ['Tuple']\n"
+        "def f(x: 'Dict[str, int]') -> List[int]:\n"
+        "    return os.sep\n"
+    )
+    (tmp_path / "__init__.py").write_text("import json\n")
+    assert unused_imports(tmp_path) == [
+        ("mod.py", 2, "sys"), ("mod.py", 4, "OD"), ("mod.py", 5, "xml"),
+    ]
 
 
 class TestCheckpointGenerations:

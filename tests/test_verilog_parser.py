@@ -1,5 +1,7 @@
 """Unit tests for the Verilog parser."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -230,6 +232,160 @@ class TestExpressions:
             self._rhs("3.14")
 
 
+def _ident(name):
+    return ast.Identifier(name=name)
+
+
+def _num(value, **fields):
+    return ast.Number(value=value, **fields)
+
+
+def _bin(op, lhs, rhs):
+    return ast.Binary(op=op, lhs=lhs, rhs=rhs)
+
+
+#: expression text -> its exact tree (``line`` takes no part in ``==``)
+LEAF_CASES = {
+    "a ** b ** c": _bin("**", _ident("a"), _bin("**", _ident("b"), _ident("c"))),
+    "-a ** b": _bin("**", ast.Unary(op="-", operand=_ident("a")), _ident("b")),
+    "x[1] ** 2": _bin(
+        "**", ast.Index(base=_ident("x"), index=_num(1)), _num(2)
+    ),
+    "8'hF ** 2": _bin("**", _num(15, width=8), _num(2)),
+    "a ** 2 * b": _bin("*", _bin("**", _ident("a"), _num(2)), _ident("b")),
+    "a ? b : c ? d : e": ast.Ternary(
+        cond=_ident("a"),
+        then=_ident("b"),
+        other=ast.Ternary(cond=_ident("c"), then=_ident("d"), other=_ident("e")),
+    ),
+    "a + b * c - d": _bin(
+        "-", _bin("+", _ident("a"), _bin("*", _ident("b"), _ident("c"))),
+        _ident("d"),
+    ),
+    "4'sb1010 + 16'hFF_FF - 8'bx0z1 + 1_000": _bin(
+        "+",
+        _bin(
+            "-",
+            _bin("+", _num(10, width=4, signed=True), _num(0xFFFF, width=16)),
+            _num(1, width=8, has_unknown=True, unknown_mask=0b1010),
+        ),
+        _num(1000),
+    ),
+    "y[0] ? 'hz : x[2:1]": ast.Ternary(
+        cond=ast.Index(base=_ident("y"), index=_num(0)),
+        then=_num(0, has_unknown=True, unknown_mask=0xF),
+        other=ast.PartSelect(base=_ident("x"), msb=_num(2), lsb=_num(1)),
+    ),
+}
+
+#: one expression over six lines, and the ``(node, line)`` of every node
+#: in pre-order: a binary node takes its left operand's line, a select
+#: the line of its ``[``
+MULTI_LINE = "a\n  + b[1]\n  * 8'hF\n  ** c\n  ? d : e"
+MULTI_LINE_LINES = [
+    ("Ternary", 2), ("Binary", 2), ("Identifier", 2), ("Binary", 3),
+    ("Index", 3), ("Identifier", 3), ("Number", 3), ("Binary", 4),
+    ("Number", 4), ("Identifier", 5), ("Identifier", 6), ("Identifier", 6),
+]
+
+
+def _rhs(expr_text):
+    module = only_module(f"module m;\nwire x = {expr_text};\nendmodule")
+    return module.nets[0].init
+
+
+def _preorder_lines(node):
+    out = [(type(node).__name__, node.line)]
+    for field in dataclasses.fields(node):
+        child = getattr(node, field.name)
+        if isinstance(child, ast.Expr):
+            out.extend(_preorder_lines(child))
+    return out
+
+
+def _leaf_mismatches():
+    """Cases whose tree or lines differ from the expected (or that fail)."""
+    bad = []
+    for text, want in LEAF_CASES.items():
+        try:
+            if _rhs(text) != want:
+                bad.append(text)
+        except ParseError:
+            bad.append(text)
+    try:
+        if _preorder_lines(_rhs(MULTI_LINE)) != MULTI_LINE_LINES:
+            bad.append(MULTI_LINE)
+    except ParseError:
+        bad.append(MULTI_LINE)
+    return bad
+
+
+def _naive_leaf_path(select_check, power_check):
+    """``Parser._parse_binary`` with its leaf path missing a check."""
+    from repro.verilog.parser import _BINARY_OP_TIER
+    from repro.verilog.tokens import K_BASED_NUMBER, K_IDENT, K_NUMBER
+
+    def parse_binary(self, tier):
+        syms, pos = self._syms, self._pos
+        kind = self._kinds[pos]
+        if kind == K_IDENT and (not select_check or syms[pos + 1] != "["):
+            lhs = ast.Identifier(self._lines[pos], syms[pos])
+        elif kind == K_NUMBER and "." not in syms[pos]:
+            lhs = ast.Number(self._lines[pos], int(syms[pos].replace("_", "")))
+        elif kind == K_BASED_NUMBER:
+            lhs = parse_based_literal(syms[pos], self._lines[pos])
+        else:
+            lhs = None
+        if lhs is None:
+            lhs = self._parse_power()
+        elif power_check and syms[pos + 1] == "**":
+            self._pos = pos + 2
+            lhs = ast.Binary(
+                line=lhs.line, op="**", lhs=lhs, rhs=self._parse_power()
+            )
+        else:
+            self._pos = pos + 1
+        while True:
+            op = syms[self._pos]
+            op_tier = _BINARY_OP_TIER.get(op)
+            if op_tier is None or op_tier < tier:
+                return lhs
+            self._pos += 1
+            rhs = parse_binary(self, op_tier + 1)
+            lhs = ast.Binary(line=lhs.line, op=op, lhs=lhs, rhs=rhs)
+
+    return parse_binary
+
+
+class TestLeafPath:
+    """``_parse_binary`` builds a bare identifier or literal operand
+    itself instead of descending ``power -> unary -> primary``: exact
+    trees and lines where that shortcut must step aside (a following
+    ``[`` or ``**``, a unary operator, a ternary) or may not."""
+
+    @pytest.mark.parametrize("text", list(LEAF_CASES))
+    def test_exact_tree(self, text):
+        assert _rhs(text) == LEAF_CASES[text]
+
+    def test_line_of_every_node(self):
+        assert _preorder_lines(_rhs(MULTI_LINE)) == MULTI_LINE_LINES
+
+    @pytest.mark.parametrize(
+        "select_check, power_check", [(False, True), (True, False)],
+        ids=["ignores-select", "ignores-power"],
+    )
+    def test_catches_a_leaf_path_missing_a_check(
+        self, monkeypatch, select_check, power_check
+    ):
+        from repro.verilog.parser import Parser
+
+        assert _leaf_mismatches() == []
+        monkeypatch.setattr(
+            Parser, "_parse_binary", _naive_leaf_path(select_check, power_check)
+        )
+        assert _leaf_mismatches()
+
+
 class TestInstances:
     def test_named_connections_with_params(self):
         m = only_module(
@@ -293,6 +449,8 @@ class TestBasedLiterals:
     def test_a_python_prefix_is_a_bad_digit(self, monkeypatch):
         from repro.verilog import parser, parse_source_fast
 
+        # the fields table must not keep what the patched digits decide
+        monkeypatch.setattr(parser, "_BASED_FIELDS", {})
         source = "module m(output [3:0] y); assign y = 4'b0b1; endmodule"
         for parse in (parse_source, parse_source_fast):
             with pytest.raises(ParseError, match="digit 'b' invalid for base 2"):
