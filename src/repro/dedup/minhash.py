@@ -10,8 +10,8 @@ equals their Jaccard similarity.
 :meth:`MinHasher.signature_of_hashes` is the definition (one document,
 ``%``).  The batched :meth:`MinHasher.signatures_of_hashes` that dedup runs
 evaluates eight permutations per array operation and reduces mod ``p``
-with :func:`_mod_prime`'s shifts and masks, since ``2^31 = 1 (mod p)``;
-its signatures are bit-identical.
+with shifts and masks (:func:`_mod_prime`, :func:`_mod_prime_product`),
+since ``2^31 = 1 (mod p)``; its signatures are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,15 +35,28 @@ def _mod_prime(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     ``scratch`` is a same-shape buffer.
 
     ``2^31 = 1 (mod p)``, so a fold ``(v & p) + (v >> 31)`` keeps ``v``
-    mod ``p``.  From ``v < 2^64`` one fold gives ``v < 5 * 2^31`` and a
-    second ``v <= p + 4``; ``min(v, v - p)`` then subtracts ``p`` where
-    that is still needed (``v - p`` wraps above ``2^63`` when ``v < p``).
-    Both folds are needed: one leaves a hash near ``2^64`` above ``2p``.
+    mod ``p``.  From ``v < 2^64`` one fold gives ``v < 5 * 2^31``, inside
+    :func:`_mod_prime_product`'s domain, which finishes with a second
+    fold.  Both folds are needed: one leaves a hash near ``2^64`` above
+    ``2p``.
     """
-    for _ in range(2):
-        np.bitwise_and(v, _PRIME, out=scratch)
-        v >>= _SHIFT
-        v += scratch
+    np.bitwise_and(v, _PRIME, out=scratch)
+    v >>= _SHIFT
+    v += scratch
+    return _mod_prime_product(v, scratch)
+
+
+def _mod_prime_product(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``v % p`` in place for ``v <= p(p - 1)``, the largest ``a*x + b``
+    with ``a, b, x <= p - 1``; ``scratch`` is a same-shape buffer.
+
+    One fold gives ``v <= p + (p - 2) = 2p - 2`` (``v >> 31 < p - 1`` in
+    that range), so ``min(v, v - p)`` finishes: it subtracts ``p`` where
+    that is still needed (``v - p`` wraps above ``2^63`` when ``v < p``).
+    """
+    np.bitwise_and(v, _PRIME, out=scratch)
+    v >>= _SHIFT
+    v += scratch
     np.subtract(v, _PRIME, out=scratch)
     np.minimum(v, scratch, out=v)
     return v
@@ -117,8 +130,9 @@ class MinHasher:
         batch, with per-document segment minima (``np.minimum.reduceat``),
         so the Python-level loop count drops from ``permutations *
         documents`` to ``permutations / _BLOCK``.  Both reductions mod
-        ``p`` (of the hashes, and of every ``a*x + b``) are
-        :func:`_mod_prime`'s folds instead of a division; every returned
+        ``p`` fold instead of dividing: the 64-bit hashes with
+        :func:`_mod_prime`'s two folds, every ``a*x + b`` with
+        :func:`_mod_prime_product`'s one; every returned
         signature is bit-identical to :meth:`signature_of_hashes`, the
         definition (``tests/test_dedup.py::TestMinHashFold``).
         """
@@ -147,7 +161,7 @@ class MinHasher:
             v = block[:width]
             np.multiply(self._a[rows, None], concat, out=v)
             v += self._b[rows, None]
-            _mod_prime(v, scratch[:width])
+            _mod_prime_product(v, scratch[:width])
             mins[rows] = np.minimum.reduceat(v, offsets, axis=1)
         for j, i in enumerate(nonempty):
             out[i] = MinHashSignature(values=mins[:, j].copy())

@@ -37,28 +37,27 @@ This module gives those paths a disk tier:
   ``.corrupt`` / ``.version_mismatch``; ``store`` counts entries, not
   packs), and :func:`stats` snapshots those counters — so cache
   behaviour is a measured quantity instead of an anecdote;
-* the ``design`` entry of ``(source, module name)`` is the source's
-  **front-end outcome**: the elaborated :class:`Design`, or one reason
-  from the closed set :data:`FRONTEND_FAILURES` when the source does
-  not lex and parse, does not define the module, or does not
-  elaborate.  :func:`get_frontend` reads either; a payload outside that
-  set counts as ``corrupt``.  :func:`get_design` still returns a
-  ``Design`` or None;
-* two rules keep a cold check from re-deriving the golden.  The checker
-  fetches the golden bundle before the front end when the golden text
-  is among its sources, so the golden text itself passes with no lookup
-  and no entry, and a token twin of it passes unparsed with the bundle's
-  own design as its entry.  And a ``Design`` that carries compiled code
-  and knows its source text is pickled with that text in place of its
-  AST, which the first read of an AST field derives again (see
-  ``Design.__getstate__``): a hit that replays never reads it.
+* the checker's ``verdict`` entry of ``(source, *golden key)`` is the
+  source's ``(passed, reason)`` against that golden bundle, whose key
+  holds every input that can change a verdict (when it is written and
+  read, and why never under CEGIS: see
+  :func:`~repro.vereval.harness.check_candidates_lockstep`).
+  :func:`get_verdict` reads it; a payload that is not a ``(bool, str)``
+  whose reason is empty exactly when it passed counts as ``corrupt``;
+* a ``design`` entry holds an elaborated :class:`Design`
+  (:func:`put_design` / :func:`get_design`); the checker writes none.  A
+  ``Design`` that carries compiled code and knows its source text is
+  pickled with that text in place of its AST, which the first read of
+  an AST field derives again (see ``Design.__getstate__``): the golden
+  bundle's design is stored that way, and a hit that replays never
+  reads it.
 
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
-pool of one) loads golden artifact bundles (design + stimulus rows +
-output trace + the all-vectors rung's lanes) and candidates' front-end
-outcomes, and stores the bundle it built plus every outcome it derived
-as one pack;
+pool of one) loads candidates' verdicts and golden artifact bundles
+(design + stimulus rows + output trace + the all-vectors rung's lanes),
+and stores the bundle it built plus every verdict it derived as one
+pack;
 :mod:`repro.vereval.cegis` persists distinguishing sets; and
 :class:`repro.evalkit.stages.CheckStage` forwards the configured cache
 directory to pool workers.
@@ -73,7 +72,7 @@ import pickle
 import struct
 import tempfile
 from typing import (
-    Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Optional, Sequence, Tuple,
 )
 
 from repro import obs
@@ -89,13 +88,14 @@ __all__ = [
     "store_many",
     "stats",
     "get_design",
-    "get_frontend",
+    "get_verdict",
     "put_design",
-    "FRONTEND_FAILURES",
 ]
 
 #: Version carried inside every entry's envelope.  Bump on any change to
-#: backend semantics or to the layout of pickled artifacts: stale entries
+#: backend semantics, to what the checker decides for any source (a
+#: ``verdict`` entry is served as the verdict, with nothing re-checked),
+#: or to the layout of pickled artifacts: stale entries
 #: are then counted as ``sim.cache.version_mismatch`` and evicted instead
 #: of deserializing stale behaviour (or leaking on disk forever, as the
 #: old key-embedded-version scheme did).  9: a persisted ``Design`` carries
@@ -122,13 +122,10 @@ __all__ = [
 #: digest, so it would always be replayed).  17: a pickled ``Design`` that
 #: carries compiled code and knows its source text stores that text in
 #: place of its AST blob, and derives the AST again on first read (a
-#: version-16 reader would find neither).
-BACKEND_VERSION = 17
-
-#: the front-end failure reasons a ``design`` entry may hold in place of
-#: a ``Design``: the source does not lex and parse, does not define the
-#: module, or the module does not elaborate
-FRONTEND_FAILURES = frozenset({"syntax", "missing_module", "elaboration"})
+#: version-16 reader would find neither).  18: the checker stores a
+#: ``verdict`` entry per decided source instead of ``design`` entries
+#: holding a candidate's design or front-end failure reason.
+BACKEND_VERSION = 18
 
 _ENV = "REPRO_SIM_CACHE"
 
@@ -400,27 +397,32 @@ def store(kind: str, payload: Any, *parts: str) -> bool:
     return store_many([(kind, parts, payload)]) == 1
 
 
-def _is_frontend_outcome(payload: Any) -> bool:
-    return isinstance(payload, Design) or (
-        isinstance(payload, str) and payload in FRONTEND_FAILURES
-    )
-
-
-def get_frontend(
-    source: str, module_name: str
-) -> Union[Design, str, None]:
-    """The front-end outcome stored for ``module_name`` in ``source``:
-    the elaborated design, a reason from :data:`FRONTEND_FAILURES`, or
-    None on a miss."""
-    return _load("design", (source, module_name), _is_frontend_outcome)
-
-
 def get_design(source: str, module_name: str) -> Optional[Design]:
     """Disk-cached elaborated design for ``module_name`` in ``source``."""
-    outcome = get_frontend(source, module_name)
-    return outcome if isinstance(outcome, Design) else None
+    return _load(
+        "design", (source, module_name),
+        lambda payload: isinstance(payload, Design),
+    )
 
 
 def put_design(source: str, module_name: str, design: Design) -> bool:
     """Persist an elaborated design keyed by its exact source text."""
     return store("design", design, source, module_name)
+
+
+def _is_verdict(payload: Any) -> bool:
+    return (
+        isinstance(payload, tuple)
+        and len(payload) == 2
+        and isinstance(payload[0], bool)
+        and isinstance(payload[1], str)
+        and payload[0] == (payload[1] == "")
+    )
+
+
+def get_verdict(
+    source: str, *golden_key: str
+) -> Optional[Tuple[bool, str]]:
+    """The ``(passed, reason)`` stored for ``source`` against the golden
+    bundle keyed by ``golden_key``, or None on a miss."""
+    return _load("verdict", (source, *golden_key), _is_verdict)

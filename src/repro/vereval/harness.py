@@ -58,6 +58,7 @@ from repro.sim import (
 )
 from repro.sim import cache as sim_cache
 from repro.verilog import lex_source_digest, parse_stream
+from repro.vereval import cegis as _cegis
 from repro.vereval.problems import EvalProblem
 
 @dataclass
@@ -504,10 +505,10 @@ def check_candidates_lockstep(
     harness bug and surfaces as ``internal`` instead of being miscounted
     as a model failure.  The shared work is done once:
 
-    * duplicate sources parse, elaborate, and check once, and so do
-      sources with one token digest (the 16-byte ``blake2b`` of the
-      whole file's parser-visible symbols,
-      :func:`repro.verilog.lex_source_digest`, kept on the ``Design``);
+    * duplicate sources parse, elaborate, and check once, and sources
+      with one token digest (the 16-byte ``blake2b`` of the whole file's
+      parser-visible symbols, :func:`repro.verilog.lex_source_digest`)
+      elaborate and check once;
     * a source whose digest is the golden file's passes with no lowering,
       compile, all-vectors rung or replay (``vereval.golden_equal``),
       provided the golden trace ran to completion: no ``error``, no
@@ -518,34 +519,34 @@ def check_candidates_lockstep(
       golden error there is no shortcut, as that error is the verdict.
       The digest covers the whole file, not the top module, because
       elaboration reads every module it instantiates;
+    * with the :mod:`repro.sim.cache` disk tier enabled and CEGIS off,
+      each distinct source first looks up its ``verdict`` entry, keyed
+      by the source text and the golden bundle's disk key (golden text,
+      module name, stimulus cycles and seed, clock, reset, reset
+      polarity: every input that can change a verdict; the backend
+      cannot).  A hit is the verdict (counted as
+      ``vereval.cached_verdicts``), so a call whose sources all hit loads
+      no bundle, lexes nothing and replays nothing;
     * golden twins pass before the front end: when the golden text is
-      one of the sources (the golden then gets past the front end, so
-      its bundle is needed anyway) or the bundle is in memory, the bundle
-      is fetched first, and under the same precondition the golden text
-      passes with no ``sim.cache`` lookup, parse, elaboration or entry,
-      and a source whose lexed digest is the golden's passes unparsed,
-      its ``design`` entry being the bundle's own design.  A call whose
-      sources all fail the front end fetches no bundle;
+      one of the remaining sources (the golden then gets past the front
+      end, so its bundle is needed anyway) or the bundle is in memory,
+      the bundle is fetched first, and under the same precondition the
+      golden text passes unparsed and a source whose lexed digest is the
+      golden's passes unparsed too.  A call whose sources all fail the
+      front end fetches no bundle;
     * the golden artifacts (stimulus rows and output trace) are derived
       once per problem; :func:`repro.vereval.cegis.check_designs` (the
       plain trace check unless CEGIS is enabled) gives each distinct
       elaborating design the all-vectors fast path when it is stateless
       combinational, the scalar replay otherwise (docs/architecture.md
       §4; the name is the one the perf ledger and ``evalkit`` import);
-    * with the :mod:`repro.sim.cache` disk tier enabled, each source's
-      front-end outcome persists by source text and module name — the
-      elaborated design, or its ``syntax`` / ``missing_module`` /
-      ``elaboration`` reason — so a duplicate in another worker or run
-      skips lex/parse/elaborate, and a cached reason is the verdict
-      (counted as ``vereval.cached_failures``).  ``internal`` and the
-      ``elaboration`` every candidate gets when the *golden* does not
-      elaborate are never stored.  The golden bundle (if this call built
-      it) and every outcome derived here are written as one pack
-      (:func:`repro.sim.cache.store_many`); both carry their token
-      digest, so a warm golden-equal hit decides without reading the
-      candidate's AST, and a design that carries compiled code is stored
-      with its source text (``Design.source_text``) in place of its AST,
-      which only a read of an AST field derives again.
+    * every source decided here gets a ``verdict`` entry, the front-end
+      failures, the golden text and its twins included; ``internal`` is
+      never stored.  They are written with the golden bundle (if this
+      call built it) as one pack (:func:`repro.sim.cache.store_many`).
+      Under CEGIS no verdict entry is read or written: a persisted
+      distinguishing set makes a CEGIS verdict depend on what was
+      checked before.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -570,14 +571,31 @@ def _check_candidates_lockstep(
         for index in indices:
             outcomes[index] = outcome
 
+    # The verdict tier: one lookup per distinct source, before the golden
+    # bundle and the front end.  Off under CEGIS, whose verdicts depend on
+    # the distinguishing set earlier checks grew.
+    verdict_key: Optional[Tuple[str, ...]] = None
+    if (
+        sim_cache.cache_dir() is not None
+        and not _cegis.active_config().enabled
+    ):
+        verdict_key = _golden_disk_key(problem)
+        for source in list(positions):
+            verdict = sim_cache.get_verdict(source, *verdict_key)
+            if verdict is not None:
+                obs.count("vereval.cached_verdicts")
+                fill(positions.pop(source), verdict)
+
     # sim.cache entries built here: the golden bundle if this call built
-    # it, and the front-end outcome of every source decided here rather
-    # than loaded (its design, or why it has none)
+    # it, and the verdict of every source decided here
     pack: list = []
 
-    def fail(source: str, indices: List[int], reason: str) -> None:
-        fill(indices, (False, reason))
-        pack.append(("design", (source, name), reason))
+    def decide(
+        source: str, indices: List[int], verdict: Tuple[bool, str]
+    ) -> None:
+        fill(indices, verdict)
+        if verdict_key is not None:
+            pack.append(("verdict", (source, *verdict_key), verdict))
 
     # the golden bundle, the digest its twins pass on, and whether the
     # golden failed to elaborate
@@ -607,90 +625,73 @@ def _check_candidates_lockstep(
             # gets past the front end, as when nothing is fetched here
             pass
 
-    def golden_equal(indices: List[int]) -> None:
+    def golden_equal(source: str, indices: List[int]) -> None:
         obs.count("vereval.golden_equal")
-        fill(indices, (True, ""))
+        decide(source, indices, (True, ""))
 
-    # (source, design-or-None, (parsed file, token digest)-or-None, indices)
+    # (source, parsed file, token digest, indices)
     parsed = []
     for source, indices in positions.items():
         if golden is not None and source == problem.golden_source:
-            golden_equal(indices)  # no lookup, parse or entry
+            golden_equal(source, indices)  # no parse
             continue
-        candidate = sim_cache.get_frontend(source, name)
-        front = None
-        if isinstance(candidate, str):
-            obs.count("vereval.cached_failures")
-            fill(indices, (False, candidate))
+        try:
+            stream, digest = lex_source_digest(source)
+            if digest == golden:
+                golden_equal(source, indices)  # a token twin: not parsed
+                continue
+            candidate_file = parse_stream(stream)
+        except (LexError, ParseError):
+            decide(source, indices, (False, "syntax"))
             continue
-        if candidate is None:
-            try:
-                stream, digest = lex_source_digest(source)
-                if digest == golden:
-                    # a token twin of the golden: not parsed, and its
-                    # entry is the golden's own design
-                    golden_equal(indices)
-                    pack.append(("design", (source, name), ref.design))
-                    continue
-                front = (parse_stream(stream), digest)
-            except (LexError, ParseError):
-                fail(source, indices, "syntax")
-                continue
-            except Exception:
-                # a harness bug, not the source's outcome: never stored
-                fill(indices, (False, "internal"))
-                continue
-            if front[0].module(name) is None:
-                fail(source, indices, "missing_module")
-                continue
-        parsed.append((source, candidate, front, indices))
+        except Exception:
+            # a harness bug, not the source's verdict: never stored
+            fill(indices, (False, "internal"))
+            continue
+        if candidate_file.module(name) is None:
+            decide(source, indices, (False, "missing_module"))
+            continue
+        parsed.append((source, candidate_file, digest, indices))
 
     if parsed and ref is None and not golden_failed:
         fetch_golden()
     if golden_failed:
-        # the golden's failure, not the candidates': stored for none
-        for _, _, _, indices in parsed:
-            fill(indices, (False, "elaboration"))
+        # the golden's failure is every candidate's verdict
+        for source, _, _, indices in parsed:
+            decide(source, indices, (False, "elaboration"))
         parsed = []
-    # token digest (or source, for a design without one) -> [source,
-    # design, indices]: token-identical designs share one check
-    groups: "OrderedDict[object, list]" = OrderedDict()
-    for source, candidate, front, indices in parsed:
-        if candidate is None:
-            candidate_file, digest = front
+    # token digest -> [design, [(source, indices), ...]]: token-identical
+    # designs share one check
+    groups: "OrderedDict[bytes, list]" = OrderedDict()
+    for source, candidate_file, digest, indices in parsed:
+        if digest == golden:
+            golden_equal(source, indices)
+            continue
+        group = groups.get(digest)
+        if group is None:
             try:
                 candidate = elaborate(candidate_file, name)
             except ElaborationError:
-                fail(source, indices, "elaboration")
+                decide(source, indices, (False, "elaboration"))
                 continue
-            candidate.token_digest = digest
-            candidate.source_text = source
-            pack.append(("design", (source, name), candidate))
-        digest = candidate.token_digest
-        if digest is not None and digest == golden:
-            golden_equal(indices)
-            continue
-        group = groups.setdefault(
-            source if digest is None else digest, [source, candidate, []]
-        )
-        group[2].extend(indices)
+            group = groups[digest] = [candidate, []]
+        group[1].append((source, indices))
     if groups:
         checkable = list(groups.values())
-        from repro.vereval import cegis as _cegis
-
         verdicts = _cegis.check_designs(
-            ref, [candidate for _, candidate, _ in checkable], problem,
-            sources=[source for source, _, _ in checkable],
+            ref, [candidate for candidate, _ in checkable], problem,
+            sources=[members[0][0] for _, members in checkable],
         )
-        for (_, _, indices), verdict in zip(checkable, verdicts):
-            if verdict.equivalent:
-                fill(indices, (True, ""))
-            else:
-                fill(indices, (False, verdict.error or "mismatch"))
-    # Stored after the verdicts, not before: a design then carries the
-    # code of whichever compiled form its check ran, so the next hit
-    # executes it instead of lowering the design again.  One pack per
-    # call: one new inode however many entries it holds.
+        for (_, members), verdict in zip(checkable, verdicts):
+            outcome = (
+                (True, "") if verdict.equivalent
+                else (False, verdict.error or "mismatch")
+            )
+            for source, indices in members:
+                decide(source, indices, outcome)
+    # Stored after the verdicts, not before: a golden bundle built here
+    # then carries the lane arrays its all-vectors checks built.  One pack
+    # per call: one new inode however many entries it holds.
     sim_cache.store_many(pack)
     return outcomes  # type: ignore[return-value]
 
@@ -702,8 +703,6 @@ def reset_caches() -> None:
     What a fresh pool worker starts from; the
     :mod:`repro.sim.cache` disk tier is left alone.
     """
-    from repro.vereval import cegis as _cegis
-
     _GOLDEN_CACHE.clear()
     _cegis._SET_CACHE.clear()
     _cegis._GOLDEN_SWEEP_CACHE.clear()

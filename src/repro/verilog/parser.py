@@ -173,7 +173,10 @@ class Parser:
         self._stream = stream
         self._kinds = stream.kinds
         self._syms = stream.syms
-        self._lines = stream.lines()
+        #: token lines, filled by :meth:`parse_module_at` for the range
+        #: each module parse reads, so a file the syntax checker's module
+        #: table mostly skips computes few of them
+        self._lines = [0] * len(stream.kinds)
         # Every advance below follows a successful match of a non-EOF
         # token, so the position never moves past the trailing EOF.
         self._pos = 0
@@ -246,8 +249,14 @@ class Parser:
         on this).
         """
         self._pos = pos
-        if self._syms[pos] not in MODULE_KEYWORDS:
+        syms = self._syms
+        if syms[pos] not in MODULE_KEYWORDS:
             raise self._error("expected 'module' at top level")
+        try:
+            stop = syms.index("endmodule", pos) + 1
+        except ValueError:
+            stop = len(syms)  # no endmodule: the parse fails, but may read on
+        self._lines[pos:stop] = self._stream.lines(pos, stop)
         return self._parse_module(), self._pos
 
     def _parse_module(self) -> ast.Module:

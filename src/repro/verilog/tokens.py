@@ -197,21 +197,26 @@ class TokenStream(Sequence):
 
     # -- positions ---------------------------------------------------------
 
-    def lines(self) -> List[int]:
-        """The line of every parser-visible token, by one merge pass.
+    def lines(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
+        """The line of every parser-visible token in ``start:stop``
+        (default: all of them), by one bisect and one merge pass.
 
         Starts and newline offsets are both ascending, so walking them
         together costs one compare per token — cheaper than a bisect per
         request once a quarter of the tokens are asked for, and the parser
         asks for more (every identifier, literal and statement).
         """
+        starts = self.starts[start:stop]
+        if not starts:
+            return []
         newlines = self.newlines
-        line = 0
-        upcoming = -1
+        # the line before the first token's: newlines[0] precedes offset 0
+        line = bisect_left(newlines, starts[0]) - 1
+        upcoming = newlines[line]
         out: List[int] = []
         add = out.append
-        for start in self.starts:
-            while start > upcoming:
+        for offset in starts:
+            while offset > upcoming:
                 line += 1
                 upcoming = newlines[line]
             add(line)

@@ -22,7 +22,7 @@ from repro.dedup import (
 )
 from repro.dedup import minhash
 from repro.dedup.jaccard import text_jaccard
-from repro.dedup.minhash import _mod_prime
+from repro.dedup.minhash import _mod_prime, _mod_prime_product
 from repro.dedup.shingle import _stable_hash64, shingle_tokens
 from repro.engine import CheckpointStore
 from repro.utils.rng import DeterministicRNG
@@ -199,9 +199,11 @@ def _fold_mismatches(hasher):
 class TestMinHashFold:
     """The batched path's division-free ``mod p`` against its definitions.
 
-    ``signatures_of_hashes`` reduces with ``minhash._mod_prime``'s two
-    folds; ``signature_of_hashes`` (``%``) and Python's ``min((a*x + b) %
-    p)`` are the definitions, over edge hashes, empty documents,
+    ``signatures_of_hashes`` reduces the 64-bit hashes with
+    ``minhash._mod_prime``'s two folds and every ``a*x + b`` with
+    ``minhash._mod_prime_product``'s one; ``signature_of_hashes`` (``%``)
+    and Python's ``min((a*x + b) % p)`` are the definitions, over edge
+    hashes, empty documents,
     one-document batches and segment edges, at permutation counts that
     do and do not fill the last block of eight.
     """
@@ -220,16 +222,29 @@ class TestMinHashFold:
         reduced = _mod_prime(values, np.empty_like(values))
         assert reduced.tolist() == [v % _P for v in edges]
 
-    def test_one_fold_variant_is_caught(self, monkeypatch):
-        def one_fold(v, scratch):
-            np.bitwise_and(v, np.uint64(_P), out=scratch)
-            v >>= np.uint64(31)
-            v += scratch
-            np.subtract(v, np.uint64(_P), out=scratch)
-            np.minimum(v, scratch, out=v)
-            return v
+    def test_mod_prime_product_over_its_domain(self):
+        # every a*x + b with a, b, x <= p - 1 is at most p(p - 1)
+        top = _P * (_P - 1)
+        assert (_P - 1) * (_P - 1) + (_P - 1) == top
+        rng = DeterministicRNG(11)
+        edges = {
+            v + d
+            for v in (0, _P - 1, _P, 2 * _P - 2, 2 * _P, 1 << 31, 1 << 32,
+                      (1 << 62) - 1, top - _P, top)
+            for d in (-2, -1, 0, 1, 2)
+        }
+        edges |= {
+            k * _P + d for k in (1, 2, _P - 2, _P - 1) for d in (-1, 0, 1)
+        }
+        edges |= {rng.randint(0, top) for _ in range(2000)}
+        edges = sorted(v for v in edges if 0 <= v <= top)
+        values = np.array(edges, dtype=np.uint64)
+        reduced = _mod_prime_product(values, np.empty_like(values))
+        assert reduced.tolist() == [v % _P for v in edges]
 
-        monkeypatch.setattr(minhash, "_mod_prime", one_fold)
+    def test_one_fold_variant_is_caught(self, monkeypatch):
+        # the product's one fold, used on the 64-bit hashes
+        monkeypatch.setattr(minhash, "_mod_prime", _mod_prime_product)
         assert _fold_mismatches(MinHasher())
 
 

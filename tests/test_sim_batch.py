@@ -917,11 +917,12 @@ class TestPersistentCache:
             assert harness.check_candidate_source(problem, "module")[1] == (
                 "syntax"
             )
-            # nothing got past parse: one name, holding the reason
+            # nothing got past parse: one name, holding the verdict
             (failure,) = tmp_path.iterdir()
-            assert sim_cache.load(
-                "design", "module", problem.module.name
-            ) == "syntax"
+            key = harness._golden_disk_key(problem)
+            assert sim_cache.load("verdict", "module", *key) == (
+                False, "syntax"
+            )
             tokens = obs.counter_value("verilog.tokens")
             hits = obs.counter_value("sim.cache.hit")
             assert harness.check_candidate_source(problem, "module") == (
@@ -933,10 +934,15 @@ class TestPersistentCache:
                 problem, problem.golden_source
             )
             assert passed, reason
-            # the golden bundle alone, in one more pack: the verbatim
-            # golden passes before the front end and stores no entry
-            (bundle,) = [n for n in tmp_path.iterdir() if n != failure]
-            assert bundle.stat().st_ino != failure.stat().st_ino
+            # the golden bundle and the golden text's verdict, in one more
+            # pack: the verbatim golden passes before the front end
+            rest = [n for n in tmp_path.iterdir() if n != failure]
+            assert len(rest) == 2
+            assert len({n.stat().st_ino for n in rest}) == 1
+            assert rest[0].stat().st_ino != failure.stat().st_ino
+            assert sim_cache.load(
+                "verdict", problem.golden_source, *key
+            ) == (True, "")
             harness._GOLDEN_CACHE.clear()
             hits = obs.counter_value("sim.cache.hit")
             warm = harness._golden_ref(problem)  # disk hit, new object

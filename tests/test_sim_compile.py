@@ -1469,7 +1469,9 @@ class TestCodePersistence:
     def test_cache_entries_that_cannot_be_used(self, tmp_path, monkeypatch):
         """Truncated marshal bytes and a parent-version entry: the
         existing ``corrupt`` / ``version_mismatch`` accounting, a miss,
-        and the same verdicts from a fresh lowering."""
+        and the same verdicts from a fresh derivation.  The golden
+        bundle's design is the one entry that carries code; a token twin
+        of the golden that no call decided yet makes a check load it."""
         from repro.sim import cache as sim_cache
         from repro.sim import compile as sim_compile
         from repro.vereval import check_candidates_lockstep, reset_caches
@@ -1494,14 +1496,16 @@ class TestCodePersistence:
                 if value != before[name]
             }
 
+        def twin(n):
+            return f"// probe {n}\n" + problem.golden_source
+
         try:
             reset_caches()
             want = check_candidates_lockstep(problem, sources)
             sim_cache.configure(str(tmp_path))
-            # the golden bundle, and no entry for the golden's own source,
-            # which passes before any lookup
-            entries = len(set(sources))
-            # 1. marshal bytes cut short inside otherwise sound pickles
+            # one verdict per distinct source
+            verdicts = len(set(sources))
+            # 1. marshal bytes cut short inside an otherwise sound bundle
             real_dumps = marshal.dumps
             monkeypatch.setattr(
                 sim_compile.marshal, "dumps",
@@ -1512,17 +1516,26 @@ class TestCodePersistence:
             monkeypatch.undo()
             before = counters()
             reset_caches()
-            assert check_candidates_lockstep(problem, sources) == want
-            # every entry carries code to cut short
-            assert delta(before) == {"corrupt": entries, "miss": entries}
-            # 2. the refill is sound: every entry hits, nothing is lowered
+            assert check_candidates_lockstep(problem, [twin(1)]) == [
+                (True, "")
+            ]
+            # the twin's verdict misses; the bundle is corrupt
+            assert delta(before) == {"corrupt": 1, "miss": 2}
+            # 2. the refill is sound: the bundle hits, nothing is lowered
             before = counters()
             emitted = obs.counter_value("sim.codegen.emitted")
             reset_caches()
-            assert check_candidates_lockstep(problem, sources) == want
-            assert delta(before) == {"hit": entries}
+            assert check_candidates_lockstep(problem, [twin(2)]) == [
+                (True, "")
+            ]
+            assert delta(before) == {"hit": 1, "miss": 1}
             assert obs.counter_value("sim.codegen.emitted") == emitted
-            # 3. the same directory read by the next backend version
+            before = counters()
+            reset_caches()
+            assert check_candidates_lockstep(problem, sources) == want
+            assert delta(before) == {"hit": verdicts}
+            # 3. the same directory read by the next backend version: every
+            # verdict, then the bundle the golden text needs
             monkeypatch.setattr(
                 sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION + 1
             )
@@ -1530,7 +1543,7 @@ class TestCodePersistence:
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
             assert delta(before) == {
-                "version_mismatch": entries, "miss": entries,
+                "version_mismatch": verdicts + 1, "miss": verdicts + 1,
             }
         finally:
             sim_cache.configure(previous)
@@ -1752,7 +1765,9 @@ class TestCodePersistence:
 class TestSourceTextPersistence:
     """A design that carries compiled code and knows its source text
     pickles that text in place of its AST; the first read of an AST
-    field parses and elaborates the text again."""
+    field parses and elaborates the text again.  A golden bundle's design
+    is stored that way, and the interpreter replaying it is the warm path
+    that reads its AST."""
 
     SOURCE = TestCodePersistence.SOURCE
     _run = staticmethod(TestCodePersistence._run)
@@ -1817,9 +1832,10 @@ class TestSourceTextPersistence:
         assert clone.comb_assigns == design.comb_assigns
         assert clone.initial_stmts == []
 
-    def _cached_pools(self, tmp_path):
-        """Problems of every kind and their pools, checked once with the
-        cache on (every design stored), and the uncached verdicts."""
+    def _cached_bundles(self, tmp_path):
+        """Problems of every kind, checked once with the cache on (each
+        golden bundle stored, its design carrying code and text), their
+        pools and the uncached verdicts."""
         from repro.sim import cache as sim_cache
         from repro.vereval import check_candidates_lockstep, reset_caches
 
@@ -1840,26 +1856,35 @@ class TestSourceTextPersistence:
         assert cold == want
         return problems, pools, want
 
+    @staticmethod
+    def _replay_restored_goldens(problems):
+        """Each problem's golden bundle read back from disk, its design
+        replayed as a candidate against its own trace: the bundles and
+        the verdicts."""
+        from repro.vereval import harness, reset_caches
+
+        reset_caches()
+        refs = [harness._golden_ref(p) for p in problems]
+        for ref in refs:
+            # restored with code and its source text, and no AST
+            assert "_compiled" in vars(ref.design)
+            assert TestSourceTextPersistence._ast_free(ref.design)
+        verdicts = [
+            harness._check_many_against_trace(ref, [ref.design], p)[0]
+            for ref, p in zip(refs, problems)
+        ]
+        return refs, verdicts
+
     def test_interp_backend_with_the_cache_on_derives_fresh_fields(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        from repro.sim import cache as sim_cache
         from repro.vereval import check_candidates_lockstep, reset_caches
 
-        problems, pools, want = self._cached_pools(tmp_path)
-        loaded = []
-        get_frontend = sim_cache.get_frontend
-
-        def recording(source, module):
-            outcome = get_frontend(source, module)
-            if isinstance(outcome, Design) and "_compiled" in vars(outcome):
-                assert self._ast_free(outcome)
-                loaded.append((source, module, outcome))
-            return outcome
-
-        monkeypatch.setattr(sim_cache, "get_frontend", recording)
+        problems, pools, want = self._cached_bundles(tmp_path)
         set_default_backend("interp")
         try:
+            refs, verdicts = self._replay_restored_goldens(problems)
+            # a warm check decides every pool from its verdicts alone
             reset_caches()
             warm = [
                 check_candidates_lockstep(p, s)
@@ -1868,10 +1893,13 @@ class TestSourceTextPersistence:
         finally:
             reset_caches()
         assert warm == want
-        derived = [entry for entry in loaded if "seq_blocks" in entry[2].__dict__]
-        assert len(derived) >= 6  # every replayed candidate read its AST
-        for source, module, design in loaded:
-            self._assert_fresh(design, design.source_text, module)
+        # the interpreter read every golden's AST: derived, and fresh
+        assert all(verdict.equivalent for verdict in verdicts)
+        for ref, problem in zip(refs, problems):
+            assert "seq_blocks" in ref.design.__dict__
+            self._assert_fresh(
+                ref.design, problem.golden_source, problem.module.name
+            )
 
     @staticmethod
     def _lane_check():
@@ -1908,9 +1936,9 @@ class TestSourceTextPersistence:
         """Drop the AST with nothing to derive it from: a restored design
         runs with no logic, on the interpreter and on the lane rung, and
         the verdicts drift."""
-        from repro.vereval import check_candidates_lockstep, reset_caches
+        from repro.vereval import reset_caches
 
-        problems, pools, want = self._cached_pools(tmp_path)
+        problems, _, _ = self._cached_bundles(tmp_path)
         monkeypatch.setattr(
             sim_elaborate, "_rederive", lambda source_text, top: ([],) * 4
         )
@@ -1918,14 +1946,10 @@ class TestSourceTextPersistence:
         assert not verdict.equivalent
         set_default_backend("interp")
         try:
-            reset_caches()
-            drifted = [
-                check_candidates_lockstep(p, s)
-                for p, s in zip(problems, pools)
-            ]
+            _, verdicts = self._replay_restored_goldens(problems)
         finally:
             reset_caches()
-        assert drifted != want
+        assert not all(verdict.equivalent for verdict in verdicts)
 
 
 class _DesignChecker:

@@ -17,6 +17,8 @@ group builder :mod:`repro.sim.batch` keeps only because the frozen perf
 ledger imports it (``lockstep_shape_digest`` / ``build_lockstep_group``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -591,10 +593,20 @@ class TestShapeCache:
 # ---------------------------------------------------------------------------
 
 
+_ALT = """module alt(input clk, input rst, input [7:0] a, output reg [7:0] q);
+  always @(posedge clk) begin
+    if (rst) q <= 8'd0;
+    else q <= {Q};
+  end
+endmodule
+"""
+
+
 class TestFrontendFailureCache:
-    """A ``design`` entry holds the source's front-end outcome: its
-    design or its ``syntax`` / ``missing_module`` / ``elaboration``
-    reason, so a warm check lexes and parses nothing it already saw."""
+    """A front-end failure is cached like any verdict: a ``verdict``
+    entry under the golden bundle's key holds ``syntax`` /
+    ``missing_module`` / ``elaboration``, so a warm check lexes and
+    parses nothing it already saw."""
 
     SYNTAX = "module dut(input clk"
     MISSING = _dut().replace("module dut(", "module other(")
@@ -624,30 +636,34 @@ class TestFrontendFailureCache:
         after = cls._counts(*before)
         return {name: after[name] - before[name] for name in before}
 
+    @staticmethod
+    def _verdict(problem, source):
+        key = harness._golden_disk_key(problem)
+        return sim_cache.get_verdict(source, *key)
+
     def test_cold_warm_and_oracle_agree(self, cache):
         problem = _dut_problem(problem_id="frontend")
         sources = self.SOURCES + self.SOURCES[:3]  # duplicates decide once
         reference = [lockstep_verdict(problem, s) for s in sources]
         assert [r for _, r in reference[:3]] == self.REASONS
         names = (
-            "verilog.tokens", "vereval.cached_failures", "sim.cache.hit",
+            "verilog.tokens", "vereval.cached_verdicts", "sim.cache.hit",
             "sim.cache.miss",
         )
         before = self._counts(*names)
         assert check_candidates_lockstep(problem, sources) == reference
         cold = self._delta(before)
-        assert cold["vereval.cached_failures"] == 0
-        # four sources and the golden bundle: the verbatim golden passes
-        # before any lookup
-        assert cold["sim.cache.miss"] == 5
-        for source, reason in zip(self.SOURCES, self.REASONS):
-            assert sim_cache.get_frontend(source, "dut") == reason
+        assert cold["vereval.cached_verdicts"] == 0
+        # five verdicts and the golden bundle
+        assert cold["sim.cache.miss"] == 6
+        for source, verdict in zip(self.SOURCES, reference):
+            assert self._verdict(problem, source) == verdict
         harness.reset_caches()
         before = self._counts(*names)
         assert check_candidates_lockstep(problem, sources) == reference
         assert self._delta(before) == {
             "verilog.tokens": 0,
-            "vereval.cached_failures": 3,
+            "vereval.cached_verdicts": 5,
             "sim.cache.hit": 5,
             "sim.cache.miss": 0,
         }
@@ -657,15 +673,15 @@ class TestFrontendFailureCache:
         assert check_candidates_lockstep(problem, self.SOURCES[:3]) == [
             (False, reason) for reason in self.REASONS
         ]
-        # three reasons and the golden bundle (the elaboration failure got
+        # three verdicts and the golden bundle (the elaboration failure got
         # past parse, so the golden was built): one pack
         names = list(cache.iterdir())
         assert len(names) == 4
         assert len({name.stat().st_ino for name in names}) == 1
-        # get_design stays a Design-or-None view of the same entries
-        assert sim_cache.get_design(self.SYNTAX, "dut") is None
+        # the checker writes no design entries
+        assert sim_cache.get_design(self.ELABORATION, "dut") is None
 
-    def test_a_golden_elaboration_error_stores_nothing_for_candidates(
+    def test_a_golden_elaboration_error_is_every_candidate_verdict(
         self, cache
     ):
         module = GeneratedModule(
@@ -683,11 +699,14 @@ class TestFrontendFailureCache:
         reference = [lockstep_verdict(problem, s) for s in sources]
         assert reference == [(False, "elaboration"), (False, "syntax")]
         assert check_candidates_lockstep(problem, sources) == reference
-        assert len(list(cache.iterdir())) == 1  # the syntax reason only
-        assert sim_cache.get_frontend(_dut(), "dut") is None
+        # both verdicts, keyed by the golden that failed; no bundle
+        assert len(list(cache.iterdir())) == 2
+        for source, verdict in zip(sources, reference):
+            assert self._verdict(problem, source) == verdict
         tokens = self._counts("verilog.tokens")
+        harness.reset_caches()
         assert check_candidates_lockstep(problem, sources) == reference
-        assert self._delta(tokens)["verilog.tokens"] > 0  # parsed again
+        assert self._delta(tokens)["verilog.tokens"] == 0  # nothing parsed
 
     def test_an_internal_parse_error_stores_nothing(
         self, cache, monkeypatch
@@ -705,10 +724,11 @@ class TestFrontendFailureCache:
 
     def test_an_unknown_reason_is_corrupt_evicted_and_reparsed(self, cache):
         problem = _dut_problem(problem_id="frontend")
-        assert sim_cache.store("design", "bogus", self.SYNTAX, "dut")
+        key = harness._golden_disk_key(problem)
+        assert sim_cache.store("verdict", "bogus", self.SYNTAX, *key)
         before = self._counts(
             "sim.cache.corrupt", "sim.cache.miss", "sim.cache.hit",
-            "verilog.tokens", "vereval.cached_failures",
+            "verilog.tokens", "vereval.cached_verdicts",
         )
         assert check_candidates_lockstep(problem, [self.SYNTAX]) == [
             lockstep_verdict(problem, self.SYNTAX)
@@ -718,21 +738,25 @@ class TestFrontendFailureCache:
         assert delta["sim.cache.miss"] == 1
         assert delta["sim.cache.hit"] == 0
         assert delta["verilog.tokens"] > 0
-        assert delta["vereval.cached_failures"] == 0
-        # the pool stored the real reason in the evicted name's place
-        assert sim_cache.get_frontend(self.SYNTAX, "dut") == "syntax"
+        assert delta["vereval.cached_verdicts"] == 0
+        # the pool stored the real verdict in the evicted name's place
+        assert self._verdict(problem, self.SYNTAX) == (False, "syntax")
 
     def test_a_version_13_reason_is_a_version_mismatch(
         self, cache, monkeypatch
     ):
+        problem = _dut_problem(problem_id="frontend")
+        key = harness._golden_disk_key(problem)
         with monkeypatch.context() as patch:
             patch.setattr(sim_cache, "BACKEND_VERSION", 13)
-            assert sim_cache.store("design", "syntax", self.SYNTAX, "dut")
+            assert sim_cache.store(
+                "verdict", (False, "syntax"), self.SYNTAX, *key
+            )
         before = self._counts(
             "sim.cache.version_mismatch", "sim.cache.miss",
             "sim.cache.corrupt",
         )
-        assert sim_cache.get_frontend(self.SYNTAX, "dut") is None
+        assert self._verdict(problem, self.SYNTAX) is None
         assert self._delta(before) == {
             "sim.cache.version_mismatch": 1,
             "sim.cache.miss": 1,
@@ -742,32 +766,54 @@ class TestFrontendFailureCache:
     def test_the_oracle_catches_a_key_without_the_module_name(
         self, cache, monkeypatch
     ):
-        # `passing` defines `dut`: it is missing_module for any other
-        # module and a pass for `dut`.  Keyed by the source alone, the
-        # first verdict leaks to the second problem.  (Not the golden
-        # text itself: that passes before any lookup.)
-        other = build_problem_set(n_problems=1)[0]
-        assert other.module.name != "dut"
-        problem = _dut_problem(problem_id="frontend")
-        passing = _dut(op_sum="b + a")
+        # One golden text defines `dut` and `alt`; two problems check its
+        # two modules under one stimulus and protocol, so their keys
+        # differ in the module name alone.  `candidate` gets `dut` right
+        # and `alt` wrong: keyed without the module name, the first
+        # verdict leaks to the second problem.
+        golden = _dut() + _ALT.replace("{Q}", "a")
+        candidate = _dut(op_sum="b + a") + _ALT.replace("{Q}", "~a")
+        dut = _dut_problem()
+        alt = GeneratedModule(
+            family="bench", source=golden,
+            interface=ModuleInterface(
+                module_name="alt", clock="clk", reset="rst",
+                reset_active_high=True, inputs=[("a", 8)],
+                outputs=[("q", 8)],
+            ),
+            description="the second module of a two-module golden",
+        )
+        problems = [
+            _problem_for(
+                dataclasses.replace(dut.module, source=golden),
+                dut.stimulus_cycles, dut.stimulus_seed, "two-modules",
+            ),
+            _problem_for(
+                alt, dut.stimulus_cycles, dut.stimulus_seed, "two-modules"
+            ),
+        ]
+        keys = [harness._golden_disk_key(p) for p in problems]
+        assert keys[0][1] != keys[1][1]
+        assert keys[0][:1] + keys[0][2:] == keys[1][:1] + keys[1][2:]
         real_key = sim_cache._key
 
         def naive_key(kind, *parts):
-            return real_key(kind, *(parts[:1] if kind == "design" else parts))
+            if kind == "verdict":
+                parts = parts[:2] + parts[3:]
+            return real_key(kind, *parts)
 
         def verdicts():
             harness.reset_caches()
             return [
-                check_candidates_lockstep(p, [passing])[0]
-                for p in (other, problem)
+                check_candidates_lockstep(p, [candidate])[0] for p in problems
             ]
 
-        reference = [lockstep_verdict(p, passing) for p in (other, problem)]
-        assert reference == [(False, "missing_module"), (True, "")]
+        reference = [lockstep_verdict(p, candidate) for p in problems]
+        assert reference == [(True, ""), (False, "mismatch")]
         assert verdicts() == reference
         for name in cache.iterdir():
             name.unlink()
         monkeypatch.setattr(sim_cache, "_key", naive_key)
         leaked = verdicts()
         assert leaked != reference
-        assert leaked[1] == (False, "missing_module")
+        assert leaked[1] == (True, "")

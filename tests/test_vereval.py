@@ -362,15 +362,23 @@ def _counted(names, run):
 class TestGoldenEqualIdentity:
     COUNTERS = ("vereval.golden_equal", "vereval.scalar_checks")
 
-    def _check_every_family(self):
+    def _check_every_family(self, warm=False):
         for problem in build_problem_set():
             pool = _golden_variants(problem) + [problem.golden_source]
             assert pool[2] != pool[0], problem.problem_id
             verdicts, moved = _counted(
-                self.COUNTERS, lambda: check_candidates_lockstep(problem, pool)
+                self.COUNTERS + ("vereval.cached_verdicts",),
+                lambda: check_candidates_lockstep(problem, pool),
             )
             assert verdicts == _reference(problem, pool), problem.problem_id
             assert verdicts == [(True, "")] * 4, problem.problem_id
+            if warm:
+                # three distinct sources, three stored verdicts
+                assert moved == {
+                    "vereval.golden_equal": 0, "vereval.scalar_checks": 0,
+                    "vereval.cached_verdicts": 3,
+                }, problem.problem_id
+                continue
             # the verbatim golden and its respelling pass on the digest;
             # only the over-parenthesised file is checked
             assert moved["vereval.golden_equal"] == 2, problem.problem_id
@@ -385,7 +393,7 @@ class TestGoldenEqualIdentity:
     def test_every_family_cold_then_warm(self, sim_cache_dir):
         self._check_every_family()
         reset_caches()
-        self._check_every_family()
+        self._check_every_family(warm=True)
 
     def test_token_twins_share_one_check(self):
         problem = _clocked_problem()
@@ -503,40 +511,35 @@ class TestGoldenEqualAdversarial:
         self, sim_cache_dir, monkeypatch
     ):
         from repro.sim import cache as sim_cache
-        from repro.sim.elaborate import _AST_FIELDS, Design
 
         problem = _clocked_problem()
         pool = [_acc(), "// twin\n" + _acc(), _acc("b + a")]
         cold = check_candidates_lockstep(problem, pool)
         assert cold == _reference(problem, pool) == [(True, "")] * 3
         reset_caches()
-        loaded = {}
-        get_frontend = sim_cache.get_frontend
+        loaded = []
+        real_load = sim_cache._load
 
-        def recording(source, module):
-            loaded[source] = outcome = get_frontend(source, module)
-            return outcome
+        def recording(kind, parts, accept):
+            loaded.append((kind, parts[0]))
+            return real_load(kind, parts, accept)
 
-        monkeypatch.setattr(sim_cache, "get_frontend", recording)
+        monkeypatch.setattr(sim_cache, "_load", recording)
         warm, moved = _counted(
-            ("vereval.golden_equal", "retire.scalar_replays"),
+            (
+                "vereval.golden_equal", "retire.scalar_replays",
+                "vereval.cached_verdicts", "verilog.tokens",
+            ),
             lambda: check_candidates_lockstep(problem, pool),
         )
         assert warm == cold
-        assert moved == {"vereval.golden_equal": 2, "retire.scalar_replays": 1}
-        # the verbatim golden is never looked up; the twin's entry is the
-        # golden's design, and it and the replayed candidate carry code,
-        # so they were stored with their source text and no AST, and
-        # nothing derived it again
-        assert set(loaded) == set(pool[1:])
-        for source in pool[1:]:
-            design = loaded[source]
-            assert isinstance(design, Design)
-            assert design._compiled.code is not None
-            assert "_ast" not in design.__dict__
-            assert not set(_AST_FIELDS) & set(design.__dict__)
-        assert loaded[pool[1]].source_text == problem.golden_source
-        assert loaded[pool[2]].source_text == pool[2]
+        assert moved == {
+            "vereval.golden_equal": 0, "retire.scalar_replays": 0,
+            "vereval.cached_verdicts": 3, "verilog.tokens": 0,
+        }
+        # one verdict lookup per source, the verbatim golden included, and
+        # nothing else: no bundle, no design
+        assert loaded == [("verdict", source) for source in pool]
 
 
 def _spans(run, names=("verilog.parse", "sim.elaborate", "vereval.golden")):
@@ -553,8 +556,8 @@ def _spans(run, names=("verilog.parse", "sim.elaborate", "vereval.golden")):
 
 class TestGoldenTwinsBeforeTheFrontEnd:
     """With the golden bundle fetched before the front end, the golden's
-    text passes with no lookup, parse or elaboration, and a token twin
-    with no parse or elaboration; every other outcome is the parent's."""
+    text passes with no parse or elaboration, and so does a token twin;
+    every other outcome is the parent's."""
 
     @pytest.mark.parametrize("cache", ["off", "on"])
     def test_twins_parse_and_elaborate_nothing(self, cache, tmp_path):
@@ -568,12 +571,12 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         reference = _reference(problem, pool)
         assert reference == [(True, "")] * 3
 
-        def check():
+        def check(golden_equal=2):
             verdicts, spans, counters = _spans(
                 lambda: check_candidates_lockstep(problem, pool)
             )
             assert verdicts == reference
-            assert counters["vereval.golden_equal"] == 2
+            assert counters.get("vereval.golden_equal", 0) == golden_equal
             assert "vereval.scalar_checks" not in counters
             return spans
 
@@ -583,25 +586,27 @@ class TestGoldenTwinsBeforeTheFrontEnd:
             assert check() == {
                 "verilog.parse": 1, "sim.elaborate": 1, "vereval.golden": 1,
             }
+            if cache == "on":
+                key = harness._golden_disk_key(problem)
+                for source in pool:
+                    assert sim_cache.get_verdict(source, *key) == (True, "")
+                    assert sim_cache.get_design(source, "acc") is None
+                # a later call decides both from their verdicts
+                reset_caches()
+                assert check(golden_equal=0) == {
+                    "verilog.parse": 0, "sim.elaborate": 0,
+                    "vereval.golden": 0,
+                }
+                return
             # the bundle in memory: nothing at all
             assert check() == {
                 "verilog.parse": 0, "sim.elaborate": 0, "vereval.golden": 0,
             }
             reset_caches()
-            # a fresh process: the bundle and the twin's entry (the
-            # golden's design) from disk, or built again with no cache
-            built = 1 if cache == "off" else 0
+            # a fresh process builds the bundle again
             assert check() == {
-                "verilog.parse": built, "sim.elaborate": built,
-                "vereval.golden": built,
+                "verilog.parse": 1, "sim.elaborate": 1, "vereval.golden": 1,
             }
-            if cache == "on":
-                assert sim_cache.get_frontend(golden, "acc") is None
-                twin = sim_cache.get_frontend(pool[1], "acc")
-                assert twin.source_text == golden
-                assert twin.token_digest == (
-                    harness._golden_ref(problem).design.token_digest
-                )
         finally:
             reset_caches()
 
@@ -614,22 +619,35 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         assert reference == [
             (False, "for-loop exceeded 65536 iterations")
         ] * 3
-        for _ in ("cold", "warm"):
-            reset_caches()
-            verdicts, moved = _counted(
-                ("vereval.golden_equal", "vereval.scalar_checks"),
-                lambda: check_candidates_lockstep(problem, pool),
-            )
-            assert verdicts == reference
-            # the two spellings share one digest, so one check
-            assert moved == {
-                "vereval.golden_equal": 0, "vereval.scalar_checks": 1,
-            }
+        names = (
+            "vereval.golden_equal", "vereval.scalar_checks",
+            "vereval.cached_verdicts",
+        )
+        reset_caches()
+        verdicts, moved = _counted(
+            names, lambda: check_candidates_lockstep(problem, pool)
+        )
+        assert verdicts == reference
+        # the two spellings share one digest, so one check
+        assert moved == {
+            "vereval.golden_equal": 0, "vereval.scalar_checks": 1,
+            "vereval.cached_verdicts": 0,
+        }
+        reset_caches()
+        verdicts, moved = _counted(
+            names, lambda: check_candidates_lockstep(problem, pool)
+        )
+        assert verdicts == reference
+        assert moved == {
+            "vereval.golden_equal": 0, "vereval.scalar_checks": 0,
+            "vereval.cached_verdicts": 2,
+        }
 
     def test_a_golden_elaboration_failure_is_the_twin_verdict(
         self, sim_cache_dir
     ):
         from repro.sim import cache as sim_cache
+        from repro.vereval import harness
 
         broken = _acc("a + zz")
         interface = _clocked_problem().module.interface
@@ -647,12 +665,14 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         for _ in ("cold", "again"):
             reset_caches()
             assert check_candidates_lockstep(problem, pool) == reference
-        # only the syntax reason is stored: the golden's failure is no
-        # candidate's outcome
-        assert len(list(sim_cache_dir.iterdir())) == 1
-        assert sim_cache.get_frontend("module", "acc") == "syntax"
-        for source in pool[:3]:
-            assert sim_cache.get_frontend(source, "acc") is None
+        # every verdict in one pack, keyed by the golden that failed; no
+        # bundle
+        names = list(sim_cache_dir.iterdir())
+        assert len(names) == 4
+        assert len({name.stat().st_ino for name in names}) == 1
+        key = harness._golden_disk_key(problem)
+        for source, verdict in zip(pool, reference):
+            assert sim_cache.get_verdict(source, *key) == verdict
 
     def test_sources_that_all_fail_to_parse_fetch_no_bundle(
         self, sim_cache_dir
@@ -670,3 +690,321 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         assert counters["sim.cache.miss"] == 2  # the two sources only
         assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
         assert len(list(sim_cache_dir.iterdir())) == 2
+
+
+# ---------------------------------------------------------------------------
+# The verdict tier: with the disk tier on and CEGIS off, every decided
+# source's (passed, reason) is stored under the golden bundle's key, and a
+# warm check is one lookup per distinct source
+# ---------------------------------------------------------------------------
+
+#: the perf ledger's body-only operator swaps (``build_pool``)
+_SWAPS = (
+    (" + ", " - "), (" - ", " + "), (" & ", " | "), (" | ", " & "),
+    (" ^ ", " | "), (" == ", " != "), (" != ", " == "), (" << ", " >> "),
+    (" >> ", " << "), (" < ", " > "), (" > ", " < "), (" && ", " || "),
+)
+
+
+def _check_pool(problem, rng, size=12):
+    """One ``check_cold`` pool, as the perf ledger builds it: the golden,
+    a whitespace/comment resample, every ``mutate`` near-miss, up to
+    three operator swaps, a truncated and a renamed source, padded with
+    verbatim duplicates and shuffled."""
+    source = problem.golden_source
+    name = problem.module.name
+    pool = [source, "// resample\n" + source.replace("\n", "\n  ", 1)]
+    pool.extend(m.source for m in mutate(problem.module))
+    body_at = source.index(");") + 2
+    sites = []
+    for old, new in _SWAPS:
+        at = source.find(old, body_at)
+        while at != -1:
+            sites.append((at, old, new))
+            at = source.find(old, at + len(old))
+    sites.sort()
+    for at, old, new in sorted(rng.sample(sites, min(3, len(sites)))):
+        pool.append(source[:at] + new + source[at + len(old):])
+    pool.append(source[: len(source) * 2 // 3])
+    pool.append(source.replace(f"module {name}", f"module {name}_x", 1))
+    while len(pool) < size:
+        pool.append(source)
+    rng.shuffle(pool)
+    return pool
+
+
+def _check_pools(seed):
+    """Every ``check_cold`` pool at ``seed``: 60 problems at 384 cycles,
+    each under the seed's stimulus (seed 0: the problems' own)."""
+    import dataclasses
+
+    from repro.utils.rng import DeterministicRNG
+
+    rng = DeterministicRNG(seed)
+    problems = build_problem_set(n_problems=60, stimulus_cycles=384)
+    if seed:
+        stimulus = rng.fork("stimulus")
+        problems = [
+            dataclasses.replace(
+                p, stimulus_seed=stimulus.fork(p.problem_id).seed
+            )
+            for p in problems
+        ]
+    pools = rng.fork("pools")
+    return [(p, _check_pool(p, pools.fork(p.problem_id))) for p in problems]
+
+
+def _near_misses(pool):
+    """A new spelling of every distinct source: each is a verdict miss
+    with its original's tokens, so its original's verdict."""
+    distinct = dict.fromkeys(pool)
+    return [f"// near-miss {i}\n" + s for i, s in enumerate(distinct)]
+
+
+def _replaced(problem, **changes):
+    """``problem`` with one verdict-key input changed."""
+    import dataclasses
+
+    module, interface = problem.module, problem.module.interface
+    if "source" in changes:
+        module = dataclasses.replace(module, source=changes.pop("source"))
+    fields = {
+        name: changes.pop(name)
+        for name in ("module_name", "clock", "reset", "reset_active_high")
+        if name in changes
+    }
+    if fields:
+        module = dataclasses.replace(
+            module, interface=dataclasses.replace(interface, **fields)
+        )
+    return dataclasses.replace(problem, module=module, **changes)
+
+
+class TestVerdictEntries:
+    """The verdict tier against the checker with the cache off: equal
+    verdicts cold, warm and on a partial hit; a miss whenever one key
+    input changes; untouched under CEGIS; never an ``internal``; and an
+    unusable entry evicted and recomputed."""
+
+    COUNTERS = (
+        "vereval.cached_verdicts", "retire.scalar_replays", "verilog.tokens",
+        "sim.cache.hit", "sim.cache.miss",
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_off_cold_warm_and_partial_hit_agree(self, seed, tmp_path):
+        from repro.sim import cache as sim_cache
+
+        pools = _check_pools(seed)
+        extended = [(p, pool + _near_misses(pool)) for p, pool in pools]
+
+        def run(checks):
+            reset_caches()
+            return _counted(
+                self.COUNTERS,
+                lambda: [check_candidates_lockstep(p, s) for p, s in checks],
+            )
+
+        sim_cache.configure("")
+        off, _ = run(extended)
+        want = [v[: len(pool)] for v, (_, pool) in zip(off, pools)]
+        for verdicts, (_, pool) in zip(off, pools):
+            # a respelling has its original's verdict
+            originals = dict(zip(pool, verdicts))
+            assert verdicts[len(pool):] == [
+                originals[s] for s in dict.fromkeys(pool)
+            ]
+        distinct = sum(len(set(pool)) for _, pool in pools)
+        sim_cache.configure(str(tmp_path))
+        cold, moved = run(pools)
+        assert cold == want
+        assert moved["vereval.cached_verdicts"] == 0
+        warm, moved = run(pools)
+        assert warm == want
+        # one hit per distinct source and nothing else: no bundle, no lex,
+        # no replay
+        assert moved == {
+            "vereval.cached_verdicts": distinct, "retire.scalar_replays": 0,
+            "verilog.tokens": 0, "sim.cache.hit": distinct,
+            "sim.cache.miss": 0,
+        }
+        partial, moved = run(extended)
+        assert partial == off
+        assert moved["vereval.cached_verdicts"] == distinct
+        # every new spelling misses; each pool's bundle is on disk
+        assert moved["sim.cache.miss"] == distinct
+        assert moved["sim.cache.hit"] == distinct + len(pools)
+
+    def test_each_key_input_changed_alone_misses(self, sim_cache_dir):
+        from repro.sim import cache as sim_cache
+
+        problem = _clocked_problem()
+        # passes under stimulus seed 7, fails under seed 8
+        rare = _acc("(a == 8'd99) ? 9'd0 : a + b")
+        pool = _resample_pool(problem) + [rare]
+        golden = problem.golden_source
+        variants = {
+            "golden text": _replaced(problem, source="// v\n" + golden),
+            "module name": _replaced(
+                problem, source=golden.replace("module acc", "module acc2"),
+                module_name="acc2",
+            ),
+            "stimulus_cycles": _replaced(problem, stimulus_cycles=25),
+            "stimulus_seed": _replaced(problem, stimulus_seed=8),
+            "clock": _replaced(problem, clock=None),
+            "reset": _replaced(problem, reset=None),
+            "polarity": _replaced(problem, reset_active_high=False),
+        }
+        from repro.vereval import harness
+
+        key = harness._golden_disk_key(problem)
+        for label, variant in variants.items():
+            changed = [
+                a != b for a, b in zip(key, harness._golden_disk_key(variant))
+            ]
+            assert any(changed), label
+        sim_cache.configure("")
+        want = {
+            label: check_candidates_lockstep(variant, pool)
+            for label, variant in variants.items()
+        }
+        sim_cache.configure(str(sim_cache_dir))
+        check_candidates_lockstep(problem, pool)
+        for label, variant in variants.items():
+            for source in pool:
+                assert sim_cache.get_verdict(
+                    source, *harness._golden_disk_key(variant)
+                ) is None, label
+            reset_caches()
+            verdicts, moved = _counted(
+                ("vereval.cached_verdicts",),
+                lambda: check_candidates_lockstep(variant, pool),
+            )
+            assert verdicts == want[label], label
+            assert moved == {"vereval.cached_verdicts": 0}, label
+        # the stimulus seed alone turns a verdict: a key without it would
+        # serve the wrong one
+        assert _reference(problem, [rare]) == [(True, "")]
+        assert want["stimulus_seed"][-1] == (False, "mismatch")
+
+    def test_cegis_reads_and_writes_no_verdict(self, tmp_path):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        config = CegisConfig(enabled=True, search_rounds=2, search_lanes=8)
+        checks = [(p, _resample_pool(p)) for p in build_problem_set()[::12]]
+
+        def run():
+            reset_caches()
+            return _counted(
+                ("vereval.cached_verdicts",),
+                lambda: [check_candidates_lockstep(p, s) for p, s in checks],
+            )
+
+        def verdict_entries():
+            return [
+                sim_cache.get_verdict(source, *harness._golden_disk_key(p))
+                for p, pool in checks for source in pool
+            ]
+
+        previous = cegis_configure(config)
+        try:
+            sim_cache.configure(str(tmp_path / "cegis"))
+            cegis_cold, _ = run()
+            assert not any(verdict_entries())  # nothing written
+        finally:
+            cegis_configure(previous)
+        sim_cache.configure(str(tmp_path / "fill"))
+        legacy, _ = run()
+        run()  # a CEGIS-off warm fill
+        assert all(verdict_entries())
+        assert legacy != cegis_cold  # CEGIS kills a near-miss legacy passes
+        previous = cegis_configure(config)
+        try:
+            after_fill, moved = run()
+            assert after_fill == cegis_cold
+            assert moved == {"vereval.cached_verdicts": 0}
+        finally:
+            cegis_configure(previous)
+
+    def test_internal_is_never_stored(self, sim_cache_dir, monkeypatch):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        problem = _clocked_problem()
+        broken = _acc("a - b")
+        pool = [broken, _acc(), _acc("b + a"), "module"]
+        want = _reference(problem, pool)
+        real = harness.lex_source_digest
+
+        def buggy(source):
+            if source == broken:
+                raise RuntimeError("lexer bug")
+            return real(source)
+
+        monkeypatch.setattr(harness, "lex_source_digest", buggy)
+        reset_caches()
+        got = check_candidates_lockstep(problem, pool)
+        assert got == [(False, "internal")] + want[1:]
+        key = harness._golden_disk_key(problem)
+        assert sim_cache.get_verdict(broken, *key) is None
+        for source, verdict in zip(pool[1:], want[1:]):
+            assert sim_cache.get_verdict(source, *key) == verdict
+        monkeypatch.undo()
+        reset_caches()
+        verdicts, moved = _counted(
+            ("vereval.cached_verdicts",),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert verdicts == want
+        assert moved == {"vereval.cached_verdicts": 3}
+
+    @pytest.mark.parametrize("payload", [
+        "mismatch", [False, "mismatch"], (0, "mismatch"), (False, None),
+        (False, "mismatch", ""), (True, "mismatch"), (False, ""),
+    ])
+    def test_an_unusable_entry_is_evicted_and_recomputed(
+        self, payload, sim_cache_dir
+    ):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        problem = _clocked_problem()
+        source = _acc("a - b")
+        key = harness._golden_disk_key(problem)
+        assert sim_cache.store("verdict", payload, source, *key)
+        reset_caches()
+        verdicts, moved = _counted(
+            ("sim.cache.corrupt", "vereval.cached_verdicts"),
+            lambda: check_candidates_lockstep(problem, [source]),
+        )
+        assert verdicts == _reference(problem, [source]) == [
+            (False, "mismatch")
+        ]
+        assert moved == {"sim.cache.corrupt": 1, "vereval.cached_verdicts": 0}
+        assert sim_cache.get_verdict(source, *key) == (False, "mismatch")
+
+    def test_a_stale_version_is_evicted_and_recomputed(
+        self, sim_cache_dir, monkeypatch
+    ):
+        from repro.sim import cache as sim_cache
+        from repro.vereval import harness
+
+        problem = _clocked_problem()
+        source = _acc("a - b")
+        key = harness._golden_disk_key(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION - 1
+            )
+            assert sim_cache.store("verdict", (True, ""), source, *key)
+        reset_caches()
+        verdicts, moved = _counted(
+            ("sim.cache.version_mismatch", "vereval.cached_verdicts"),
+            lambda: check_candidates_lockstep(problem, [source]),
+        )
+        assert verdicts == [(False, "mismatch")]
+        assert moved == {
+            "sim.cache.version_mismatch": 1, "vereval.cached_verdicts": 0,
+        }
+        assert sim_cache.get_verdict(source, *key) == (False, "mismatch")
