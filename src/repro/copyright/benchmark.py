@@ -78,6 +78,7 @@ class CopyrightBenchmark:
         self.index = SimilarityIndex()
         for key, text in corpus.entries.items():
             self.index.add(key, text)
+        self.index.build()
 
     def evaluate(
         self,

@@ -53,13 +53,21 @@ class NgramVectorizer:
             text = strip_comments(text)
         return normalize_whitespace(text).lower()
 
-    def vectorize(self, text: str) -> SparseVector:
+    def counts(self, text: str) -> Counter:
+        """The n-gram counts of ``text``, in order of first occurrence: the
+        one n-gram definition, which :meth:`vectorize` and the
+        :class:`~repro.textsim.SimilarityIndex` queries share.  A
+        normalized text shorter than ``n`` is its own single term."""
         normalized = self.normalize(text)
-        counts: Counter = Counter()
-        if len(normalized) < self.n:
-            if normalized:
-                counts[normalized] += 1
-        else:
-            for i in range(len(normalized) - self.n + 1):
-                counts[normalized[i:i + self.n]] += 1
-        return SparseVector.from_counts(counts)
+        size = len(normalized)
+        if size < self.n:
+            return Counter([normalized] if normalized else [])
+        return Counter(
+            map(
+                normalized.__getitem__,
+                map(slice, range(size - self.n + 1), range(self.n, size + 1)),
+            )
+        )
+
+    def vectorize(self, text: str) -> SparseVector:
+        return SparseVector.from_counts(self.counts(text))

@@ -57,7 +57,9 @@ from repro.sim import (
     random_rows,
 )
 from repro.sim import cache as sim_cache
-from repro.verilog import lex_source_digest, parse_stream
+from repro.verilog import (
+    TokenStream, lex_prompt, lex_source_digest, parse_stream,
+)
 from repro.vereval import cegis as _cegis
 from repro.vereval.problems import EvalProblem
 
@@ -288,6 +290,26 @@ def _golden_ref(
         _GOLDEN_CACHE.popitem(last=False)
     _GOLDEN_CACHE[key] = ref
     return ref
+
+
+#: each problem prompt's closed-prompt stream (None: not closed), keyed
+#: by the prompt text; LRU-bounded like :data:`_GOLDEN_CACHE`
+_PROMPT_STREAMS: "OrderedDict[str, Optional[TokenStream]]" = OrderedDict()
+_PROMPT_STREAMS_MAX = 256
+
+
+def _prompt_stream(prompt: str) -> Optional[TokenStream]:
+    """:func:`repro.verilog.lex_prompt` of ``prompt``, derived once."""
+    try:
+        stream = _PROMPT_STREAMS[prompt]
+    except KeyError:
+        stream = lex_prompt(prompt)
+        while len(_PROMPT_STREAMS) >= _PROMPT_STREAMS_MAX:
+            _PROMPT_STREAMS.popitem(last=False)
+        _PROMPT_STREAMS[prompt] = stream
+    else:
+        _PROMPT_STREAMS.move_to_end(prompt)
+    return stream
 
 
 def _frozen(lanes):
@@ -629,6 +651,9 @@ def _check_candidates_lockstep(
         obs.count("vereval.golden_equal")
         decide(source, indices, (True, ""))
 
+    # a pass@k candidate is its problem's prompt + a completion; the
+    # prompt (a word wrap, ~12 us) is built only if a source is left
+    prompt = problem.prompt() if positions else ""
     # (source, parsed file, token digest, indices)
     parsed = []
     for source, indices in positions.items():
@@ -636,7 +661,14 @@ def _check_candidates_lockstep(
             golden_equal(source, indices)  # no parse
             continue
         try:
-            stream, digest = lex_source_digest(source)
+            # lexed on from the prompt's stream if the prompt is closed
+            closed = (
+                _prompt_stream(prompt) if source.startswith(prompt) else None
+            )
+            if closed is None:
+                stream, digest = lex_source_digest(source)
+            else:
+                stream, digest = lex_source_digest(source, closed)
             if digest == golden:
                 golden_equal(source, indices)  # a token twin: not parsed
                 continue
@@ -697,13 +729,15 @@ def _check_candidates_lockstep(
 
 
 def reset_caches() -> None:
-    """Drop every in-process checker memo: the golden-artifact LRU and the
-    CEGIS set, golden-sweep and clear-search memos.
+    """Drop every in-process checker memo: the golden-artifact LRU, the
+    closed-prompt streams, and the CEGIS set, golden-sweep and
+    clear-search memos.
 
     What a fresh pool worker starts from; the
     :mod:`repro.sim.cache` disk tier is left alone.
     """
     _GOLDEN_CACHE.clear()
+    _PROMPT_STREAMS.clear()
     _cegis._SET_CACHE.clear()
     _cegis._GOLDEN_SWEEP_CACHE.clear()
     _cegis._CLEAR_MEMO.clear()

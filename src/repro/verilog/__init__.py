@@ -23,7 +23,7 @@ Supported subset (the synthesizable constructs our corpus generators emit):
 
 from repro.verilog.tokens import Token, TokenKind, TokenStream, KEYWORDS
 from repro.verilog.lexer import Lexer, lex
-from repro.verilog.fastlex import check_syntax_fast, lex_fast
+from repro.verilog.fastlex import check_syntax_fast, lex_fast, lex_prompt
 from repro.verilog.parser import (
     Parser, lex_source_digest, parse_source, parse_source_fast,
     parse_stream,
@@ -39,6 +39,7 @@ __all__ = [
     "Lexer",
     "lex",
     "lex_fast",
+    "lex_prompt",
     "check_syntax_fast",
     "Parser",
     "parse_source",

@@ -25,7 +25,7 @@ AST and raises the same ``ParseError`` from either lexer, and
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import LexError
 from repro.verilog.tokens import (
@@ -120,19 +120,35 @@ def _illegal(source: str, start: int, stream: TokenStream) -> LexError:
     return LexError(f"illegal character {ch!r}", line, col)
 
 
-def lex_fast(source: str) -> TokenStream:
-    """Lex ``source``: the stream form of what :func:`lexer.lex` returns."""
-    kinds: List[int] = []
-    syms: List[str] = []
-    starts: List[int] = []
-    directives: List[Tuple[int, str]] = []
-    newlines = [
-        -1, *(m.start() for m in _NEWLINE_RE.finditer(source)), len(source) + 1
-    ]
+def lex_fast(
+    source: str, prompt: Optional[TokenStream] = None
+) -> TokenStream:
+    """Lex ``source``: the stream form of what :func:`lexer.lex` returns.
+
+    ``prompt``, if given, is the :func:`lex_prompt` stream of a closed
+    prompt that ``source`` starts with: its tokens are taken as they are
+    and lexing goes on from the prompt's end (its EOF offset).
+    """
+    if prompt is None:
+        resume = 0
+        kinds: List[int] = []
+        syms: List[str] = []
+        starts: List[int] = []
+        directives: List[Tuple[int, str]] = []
+        newlines = [-1]
+    else:
+        resume = prompt.starts[-1]
+        kinds = prompt.kinds[:-1]
+        syms = prompt.syms[:-1]
+        starts = prompt.starts[:-1]
+        directives = prompt.directives[:]
+        newlines = prompt.newlines[:-1]
+    newlines += [m.start() for m in _NEWLINE_RE.finditer(source, resume)]
+    newlines.append(len(source) + 1)
     stream = TokenStream(kinds, syms, starts, directives, newlines)
     add_kind, add_sym, add_start = kinds.append, syms.append, starts.append
 
-    for match in _TOKEN_RE.finditer(source):
+    for match in _TOKEN_RE.finditer(source, resume):
         kind = match.lastindex
         sym = match[kind]
         # the token's own offset: group 0 starts at the leading trivia
@@ -156,6 +172,39 @@ def lex_fast(source: str) -> TokenStream:
     add_kind(K_EOF)
     add_sym("")
     add_start(len(source))
+    return stream
+
+
+def lex_prompt(prompt: str) -> Optional[TokenStream]:
+    """The stream of ``prompt`` if it is *closed*, else None.
+
+    A prompt is closed when it lexes, ends in a whitespace run that ends
+    with ``\\n``, and no token or directive reaches into that run (a
+    trailing comment is refused too).  Every match of ``_TOKEN_RE`` then
+    ends before the run, and the run ends a line, so no match inside the
+    prompt can read past it: a directive or a line comment stops at its
+    newline, and a string or block comment that would cross it does not
+    lex.  For any text after a closed prompt, the whole source's matches
+    up to the run are the prompt's own, and the next match's leading
+    trivia swallows the run, so ``_TOKEN_RE.finditer(source, len(prompt))``
+    yields the rest of the whole source's stream: the basis of
+    :func:`lex_fast`'s ``prompt`` argument.
+    """
+    if not prompt.endswith("\n"):
+        return None
+    try:
+        stream = lex_fast(prompt)
+    except LexError:
+        return None
+    last = max(
+        stream.starts[-2] if len(stream.starts) > 1 else -1,
+        stream.directives[-1][0] if stream.directives else -1,
+    )
+    # matched from its own start (where trivia ends), the last token or
+    # directive is matched alone: its end is the match's
+    end = _TOKEN_RE.match(prompt, last).end() if last >= 0 else 0
+    if end != len(prompt.rstrip(" \t\r\n")):
+        return None
     return stream
 
 

@@ -884,16 +884,22 @@ def parse_source_fast(source: str) -> ast.SourceFile:
     return parse_with_lexer(source, lex_fast)
 
 
-def lex_source_digest(source: str) -> Tuple[TokenStream, bytes]:
+def lex_source_digest(
+    source: str, prompt: Optional[TokenStream] = None
+) -> Tuple[TokenStream, bytes]:
     """The regex lexer's stream of ``source`` and its token digest
     (:meth:`~repro.verilog.tokens.TokenStream.digest`).
 
     The functional checker's front end: it lexes first, so a source its
     digest decides is never parsed, and hands the rest to
     :func:`parse_stream`.  The curation path (``check_syntax_fast``)
-    digests module ranges, never a whole stream.
+    digests module ranges, never a whole stream.  ``prompt`` is the
+    :func:`~repro.verilog.fastlex.lex_prompt` stream of a closed prompt
+    ``source`` starts with, which ``lex_fast`` lexes on from; the
+    ``verilog.lex`` span and ``verilog.tokens`` counter still cover the
+    whole source.
     """
-    stream = _lex(source, lex_fast)
+    stream = _lex(source, lambda text: lex_fast(text, prompt))
     return stream, stream.digest()
 
 

@@ -7,6 +7,9 @@ realistic inputs.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -20,6 +23,10 @@ from repro.sim import default_backend, set_default_backend
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import cegis
 from repro.vgen import generate as generate_module
+
+#: the perf ledger's workloads (read-only here): the headline fixture
+#: runs its ``passk_headline`` plan
+PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
 SMALL_WORLD_CONFIG = WorldConfig(
     n_repos=80,
@@ -107,3 +114,41 @@ def model_zoo(raw_files, copyrighted_corpus):
         list(copyrighted_corpus.entries.values()),
         max_train_tokens=200_000,
     )
+
+
+@pytest.fixture(scope="session")
+def headline_runs(tmp_path_factory):
+    """The perf ledger's ``passk_headline`` plan, run once at full size
+    at seeds 0 and 1: ``{seed: (workload, RunResult)}``.
+
+    The seed moves only the problems' stimulus and the generation seeds,
+    so seed 1 reuses seed 0's world, corpus and models and repeats only
+    the ``problems`` and ``index`` set-up steps.
+    """
+    if str(PERF_DIR) not in sys.path:
+        sys.path.insert(0, str(PERF_DIR))
+    from workloads import FULL, make_workload, run_step
+
+    previous = sim_cache.configure("")
+    runs = {}
+    try:
+        for seed in (0, 1):
+            workload = make_workload(
+                "passk_headline", seed, FULL,
+                str(tmp_path_factory.mktemp("headline")),
+            )
+            for name, step in workload.setup_steps():
+                if runs and name not in ("problems", "index"):
+                    continue
+                if runs and name == "problems":
+                    first = runs[0][0]
+                    vars(workload).update(
+                        (k, v) for k, v in vars(first).items()
+                        if k not in vars(workload)
+                    )
+                for _ in run_step(step):
+                    pass
+            runs[seed] = (workload, workload.plan.run())
+    finally:
+        sim_cache.configure(previous)
+    return runs

@@ -25,6 +25,7 @@ from repro.verilog import (
     check_syntax_fast,
     lex,
     lex_fast,
+    lex_prompt,
     parse_source,
     parse_source_fast,
 )
@@ -388,3 +389,143 @@ class TestTokenDigest:
             assert TokenStream.from_tokens(lex(source)).digest() == (
                 self.digest(source)
             )
+
+
+# -- lexing on from a closed prompt -----------------------------------------
+
+
+def _stream_or_error(lex_it):
+    """Everything a stream holds, and its digest, or the LexError text."""
+    try:
+        stream = lex_it()
+    except LexError as exc:
+        return str(exc)
+    return (
+        stream.kinds, stream.syms, stream.starts, stream.directives,
+        stream.newlines, stream.digest(),
+    )
+
+
+def _on_from_prompt_mismatches(closure, cases):
+    """The ``(prompt, completion)`` cases on which lexing on from
+    ``closure(prompt)`` (a prompt stream, or None: not closed, lexed
+    whole) differs from ``lex_fast`` of the whole source."""
+    out = []
+    for prompt, completion in cases:
+        stream = closure(prompt)
+        if stream is None:
+            continue
+        source = prompt + completion
+        if _stream_or_error(lambda: lex_fast(source, stream)) != (
+            _stream_or_error(lambda: lex_fast(source))
+        ):
+            out.append((prompt, completion))
+    return out
+
+
+#: completions that end or break lexing in every way the prompt's end
+#: could hide
+_ADVERSARIAL_COMPLETIONS = [
+    "",
+    "\n",
+    "  assign y = a;\nendmodule\n",
+    "/* unterminated\nendmodule",
+    "/* closed */ endmodule",
+    "// only a comment",
+    "`define W \\\n  8\nendmodule",
+    "`timescale 1ns/1ps",
+    '  initial $display("a \\\n b");\nendmodule',
+    '  initial $display("open\nendmodule',
+    "  wire \x0c w;",
+    "  assign y = a $ b;",
+    "\r\n  assign y = a;\r\nendmodule\r\n",
+    "b);\nendmodule",
+    "12'hFF;",
+]
+
+#: prompts that are not closed, each with why
+_OPEN_PROMPTS = {
+    "module m(input a": "no trailing newline",
+    "module m(input a, output y);  ": "no trailing newline",
+    "module m(input a, output y); // trailing\n": "a trailing line comment",
+    "module m(input a, output y); /* trailing */\n": "a trailing comment",
+    "`define X 1 \\\n": "a continued directive",
+    "`define X 1 \n": "a directive reaching into the run",
+    "module m(input a, output y);\n/* open\n": "does not lex",
+    'module m; initial $display("a \\\n': "does not lex",
+}
+
+
+def _prompt_cases():
+    prompts = [p.prompt() for p in build_problem_set(n_problems=6)]
+    prompts += [
+        "\n", " \t\r\n",
+        "`timescale 1ns/1ps\nmodule m(input a, output y);\r\n",
+    ]
+    prompts += list(_OPEN_PROMPTS)
+    return [(p, c) for p in prompts for c in _ADVERSARIAL_COMPLETIONS]
+
+
+class TestLexOnFromPrompt:
+    """A pass@k source is its problem's prompt + a completion; the checker
+    lexes it on from the prompt's stream (``lex_fast(source, prompt)``)
+    when :func:`lex_prompt` calls the prompt closed.  That stream must be
+    ``lex_fast(source)``'s in every field, digest and error text."""
+
+    def test_every_headline_source(self, headline_runs):
+        sources = {}
+        for workload, run in headline_runs.values():
+            for record in run.records:
+                if record.task_id == workload.passk.task_id:
+                    sources[record.prompt + record.completion] = record.prompt
+        assert len(sources) > 1000
+        closed = {p: lex_prompt(p) for p in set(sources.values())}
+        assert len(closed) == 60
+        assert None not in closed.values()
+        cases = [(p, s[len(p):]) for s, p in sources.items()]
+        assert _on_from_prompt_mismatches(closed.get, cases) == []
+
+    def test_adversarial_completions(self):
+        cases = _prompt_cases()
+        for prompt in dict.fromkeys(p for p, _ in cases):
+            assert (lex_prompt(prompt) is None) == (prompt in _OPEN_PROMPTS)
+        assert _on_from_prompt_mismatches(lex_prompt, cases) == []
+
+    @pytest.mark.parametrize("prompt", list(_OPEN_PROMPTS))
+    def test_an_open_prompt_is_refused(self, prompt):
+        assert lex_prompt(prompt) is None, _OPEN_PROMPTS[prompt]
+
+    def test_dropping_the_trailing_newline_condition_fails(self):
+        def without_newline_rule(prompt):
+            # lex_prompt's rule, a missing trailing newline forgiven
+            if lex_prompt(prompt + "\n") is None:
+                return None
+            return lex_fast(prompt)
+
+        assert _on_from_prompt_mismatches(
+            without_newline_rule, _prompt_cases()
+        )
+
+    def test_the_checker_lexes_on_from_the_prompt(self, monkeypatch):
+        from repro.vereval import check_completion, harness, reset_caches
+
+        problem = build_problem_set(n_problems=1)[0]
+        seen = []
+        real = harness.lex_source_digest
+
+        def spy(source, *prompt):
+            seen.append(prompt)
+            return real(source, *prompt)
+
+        monkeypatch.setattr(harness, "lex_source_digest", spy)
+        reset_caches()
+        check_completion(problem, "\nendmodule\n")
+        # the candidate on from the prompt, then the golden (bundle) whole
+        closed = harness._prompt_stream(problem.prompt())
+        assert closed is not None
+        assert seen == [(closed,), ()]
+        seen.clear()
+        harness.check_candidates_lockstep(
+            problem, ["// not the prompt\n" + problem.golden_source]
+        )
+        assert seen == [()]
