@@ -3,17 +3,18 @@
 Demonstrates the lane evaluator (``repro.sim.batch``): a stateless
 combinational design's outputs are a pure function of its inputs, so
 every stimulus vector can ride its own lane and one settle evaluates
-them all — the all-vectors rung of the pass@k checker.  The same
-vectors then go through the per-vector scalar loop, and the two output
-lists must be identical.
+them all.  The same vectors then go through the per-vector scalar loop
+(what the pass@k checker runs), and the two output lists must be
+identical.
 
 Run:  PYTHONPATH=src python examples/batch_simulation.py
 """
 
 import time
 
+import numpy as np
+
 from repro.sim import BatchSimulator, Simulator, elaborate, random_stimulus
-from repro.sim.retire import lane_vector
 from repro.utils.rng import DeterministicRNG
 from repro.vgen import generate_family
 from repro.verilog import parse_source
@@ -33,7 +34,7 @@ def main() -> None:
     start = time.perf_counter()
     sim = BatchSimulator(design, n_lanes=VECTORS)
     sim.poke_many({
-        name: lane_vector([vector[name] for vector in stimulus])
+        name: np.asarray([vector[name] for vector in stimulus], dtype=np.int64)
         for name in stimulus[0]
     })
     columns = [sim.peek_lanes(name).tolist() for name in outputs]

@@ -179,8 +179,6 @@ class PassAtKTask(EvalTask):
         self.task_id = task_id
         self.problems = list(problems)
         self.config = config or EvalConfig()
-        #: hoisted out of the sample loop: one prompt per problem
-        self._prompts = [p.prompt() for p in self.problems]
 
     def spec_count(self, model_name: str) -> int:
         return (
@@ -204,7 +202,7 @@ class PassAtKTask(EvalTask):
                 )
             ).encode("utf-8")
         )
-        for problem, prompt in zip(self.problems, self._prompts):
+        for problem in self.problems:
             interface = problem.module.interface
             digest.update(
                 repr(
@@ -219,7 +217,7 @@ class PassAtKTask(EvalTask):
                     )
                 ).encode("utf-8")
             )
-            digest.update(prompt.encode("utf-8"))
+            digest.update(problem.prompt().encode("utf-8"))
             digest.update(b"\x1f")
             digest.update(problem.golden_source.encode("utf-8"))
         return digest.hexdigest()
@@ -239,7 +237,7 @@ class PassAtKTask(EvalTask):
                     )
 
     def expand(self, record: SampleRecord) -> SampleRecord:
-        record.prompt = self._prompts[record.unit_index]
+        record.prompt = self.problems[record.unit_index].prompt()
         # The seed-era fork chain, verbatim: one independent stream per
         # (model, temperature, problem, sample).
         record.seed = fork_seed(

@@ -35,8 +35,10 @@ interp     repro.sim.simulator  ``backend="interp"``, or ``"auto"`` when
 Beside them, :mod:`repro.sim.batch` is a lane-parallel evaluator for
 stateless combinational designs (:class:`~repro.sim.batch.BatchSimulator`:
 per-slot numpy ``int64`` arrays of shape ``[n_lanes]``, one full-level
-sweep evaluates every lane); its one caller is the vereval all-vectors
-rung, which puts one stimulus vector in each lane.
+sweep evaluates every lane).  It is off the verdict path: the pass@k
+checker simulates every candidate on the scalar replay, and the lane
+evaluator stays for the perf ledger's layer walk, which times its
+lowering.
 
 Backend selection: ``Simulator(design, backend=...)``, the
 ``REPRO_SIM_BACKEND`` environment variable, or
@@ -54,7 +56,7 @@ fallback*).  The lane evaluator is narrower: a design that holds state
 (edge blocks, ``initial`` statements, memories, latches, nonblocking
 writes), writes a select lvalue or carries anything wider than 63 bits
 raises ``UnbatchableDesign`` (one that does not levelize, the broader
-``UncompilableDesign``) and takes the scalar replay (*scalar fallback*).
+``UncompilableDesign``).
 Differential tests in ``tests/test_sim_compile.py`` and
 ``tests/test_sim_batch.py`` enforce identity across every ``vgen``
 family and the vereval problem set.

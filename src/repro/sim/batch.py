@@ -3,8 +3,7 @@
 :func:`batch_design` lowers an elaborated design whose outputs are a
 pure function of its current inputs into a :class:`BatchDesign`, and a
 :class:`BatchSimulator` settles it once with one stimulus vector per
-lane — the all-vectors rung of :mod:`repro.vereval.harness`, its one
-caller:
+lane:
 
 * **lane-parallel state** — every signal slot holds a numpy ``int64``
   array of shape ``[n_lanes]``, one nonnegative value in bits 0..62 per
@@ -23,12 +22,14 @@ edge-triggered block, an ``initial`` statement, a memory, a
 combinational latch, a nonblocking write — or that writes a bit-, part-
 or indexed-part-select lvalue, or that carries anything wider than 63
 bits raises :class:`UnbatchableDesign` at lowering (one that does not
-levelize raises the scheduler's :class:`UncompilableDesign`, its base),
-and the caller takes the scalar replay, which is exact for all of them
-(the *scalar-fallback contract*).  Sequential lanes, lane
-sweeps and the one-lane ``batch`` simulator backend lost to that replay
-at every size a caller used and were deleted (``BENCH_25.json`` →
-``deleted_ab``).
+levelize raises the scheduler's :class:`UncompilableDesign`, its base).
+Sequential lanes, lane sweeps and the one-lane ``batch`` simulator
+backend lost to the scalar replay at every size a caller used and were
+deleted (``BENCH_25.json`` → ``deleted_ab``), and so was the pass@k
+checker's all-vectors rung, which lost to it on every ledger workload:
+no verdict path calls this module.  It stays for the perf ledger's
+layer walk, which times :func:`batch_design` and the lockstep group
+builder below.
 
 One settle equals the scalar compiled backend vector for vector —
 enforced by ``tests/test_sim_batch.py`` across every combinational
@@ -887,9 +888,8 @@ class BatchSimulator:
     ``int64`` array of shape ``(n_lanes,)`` gives one value per lane —
     and settles once; :meth:`peek_lanes` reads one signal's per-lane
     values.  Each lane is an independent evaluation of one stateless
-    combinational design: the all-vectors rung puts one stimulus vector
-    in each.  Construction raises :class:`UnbatchableDesign` for any
-    other design.
+    combinational design, typically one stimulus vector per lane.
+    Construction raises :class:`UnbatchableDesign` for any other design.
     """
 
     def __init__(self, design: Design, n_lanes: int = 1) -> None:

@@ -55,7 +55,7 @@ This module gives those paths a disk tier:
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
 pool of one) loads candidates' verdicts and golden artifact bundles
-(design + stimulus rows + output trace + the all-vectors rung's lanes),
+(design + stimulus rows + output trace),
 and stores the bundle it built plus every verdict it derived as one
 pack;
 :mod:`repro.vereval.cegis` persists distinguishing sets; and

@@ -15,8 +15,7 @@ candidate, :func:`check_designs` runs three ordered stages:
    cycles instead of a full-depth check, and the replay rides the exact
    machinery of the legacy checker
    (:func:`repro.vereval.harness._check_many_against_trace` over an
-   entry-shaped golden ref): all-vectors lanes for stateless
-   combinational candidates, the scalar replay for the rest;
+   entry-shaped golden ref): the scalar replay;
 2. **legacy full check** — survivors run the unmodified golden-trace
    check, verbatim.  This stage is what makes the verdict a **strict
    refinement**: any candidate the old checker fails still fails here,
@@ -343,13 +342,12 @@ class _EntryRef:
     Duck-types exactly the fields
     :func:`repro.vereval.harness._check_many_against_trace` reads, so
     entry replay reuses the legacy machinery unchanged — signature gate,
-    combinational all-vectors fast path, scalar replay.  ``lanes`` starts
-    empty: the all-vectors rung builds this entry's arrays on first use.
+    scalar replay.
     """
 
     __slots__ = (
         "design", "signature", "input_names", "rows", "output_names",
-        "trace", "error", "error_phase", "lanes",
+        "trace", "error", "error_phase",
     )
 
     def __init__(self, golden_ref, entry: DistinguishingVector) -> None:
@@ -360,7 +358,6 @@ class _EntryRef:
         self.trace = [tuple(row) for row in entry.trace]
         self.error: Optional[str] = None
         self.error_phase = ""
-        self.lanes = None
 
 
 def _check_entry(

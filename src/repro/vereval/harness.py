@@ -19,10 +19,8 @@ Since the evalkit refactor this module plays two roles:
   candidates of one problem check in one call — duplicate sources and
   token-identical files collapse to one check, a file token-identical to
   the golden passes without one, and each other distinct elaborating
-  design takes one of two rungs: stateless combinational candidates the
-  all-vectors lane fast path (:func:`_check_all_vectors_batch`, one
-  stimulus vector per lane), everything else the scalar replay against
-  the golden trace, which leaves a mutant at its first bad cycle;
+  design takes the scalar replay against the golden trace, which leaves
+  a mutant at its first bad cycle;
 * :func:`evaluate_model` is a thin facade compiling the paper's pass@k
   protocol into a :class:`repro.evalkit.EvalPlan`, which runs it through
   the streaming/parallel/checkpointable engine with numerically identical
@@ -35,8 +33,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro import obs
 from repro.errors import (
@@ -141,17 +137,11 @@ class _GoldenRef:
     of both designs but does the golden half of the work once per problem
     instead of once per sample — and compares flat tuples instead of
     iterating per-cycle dicts in the innermost check loop.
-
-    ``lanes`` is None until the all-vectors rung first checks a candidate
-    against this bundle; it then holds that rung's per-problem arrays
-    (:func:`_bundle_lanes`): one read-only int64 column per input and the
-    ``[cycles, outputs]`` expected matrix.  They are pickled with the
-    bundle, so a warm check never builds them.
     """
 
     __slots__ = (
         "design", "signature", "input_names", "rows", "output_names",
-        "trace", "error", "error_phase", "lanes",
+        "trace", "error", "error_phase",
     )
 
     def __init__(self, problem: EvalProblem) -> None:
@@ -173,7 +163,6 @@ class _GoldenRef:
         self.trace: List[Tuple[int, ...]] = []
         self.error: Optional[str] = None
         self.error_phase: str = ""  # "" | "construct" | "reset" | "step"
-        self.lanes: Optional[Tuple[Dict[str, np.ndarray], np.ndarray]] = None
         interface = problem.module.interface
         phase = "construct"
         try:
@@ -207,15 +196,12 @@ class _GoldenRef:
         # Slots only.  An entry of an older layout (one that stored the
         # stimulus dicts) must still unpickle, so that repro.sim.cache
         # counts it as a version mismatch instead of a corrupt entry; the
-        # dropped "coverage" / "full_cycles" slots are skipped, so a
-        # bundle that still carries them stays a hit.
+        # dropped "coverage", "full_cycles" and "lanes" slots are skipped,
+        # so a bundle that still carries them stays a hit.
         _, slots = state
         for name, value in slots.items():
             if name in _GoldenRef.__slots__:
                 setattr(self, name, value)
-        lanes = slots.get("lanes")
-        if lanes is not None:
-            _frozen(lanes)  # an unpickled array is writeable again
 
 
 #: golden artifacts keyed by problem identity *and* content (including
@@ -312,93 +298,6 @@ def _prompt_stream(prompt: str) -> Optional[TokenStream]:
     return stream
 
 
-def _frozen(lanes):
-    """``lanes`` with every array marked read-only."""
-    columns, expected = lanes
-    for array in (*columns.values(), expected):
-        array.flags.writeable = False
-    return lanes
-
-
-def _bundle_lanes(ref) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """The all-vectors rung's per-problem arrays, built on first use and
-    kept in ``ref.lanes``: one int64 column per input (``name ->
-    [cycles]``) and the ``[cycles, outputs]`` expected matrix, all
-    read-only.  Raises ``OverflowError`` for a value past int64."""
-    from repro.sim.retire import expected_matrix, lane_vector
-
-    if ref.lanes is None:
-        columns = {
-            name: lane_vector(column)
-            for name, column in zip(ref.input_names, zip(*ref.rows))
-        }
-        expected = expected_matrix(ref.trace, len(ref.output_names))
-        ref.lanes = _frozen((columns, expected))
-    return ref.lanes
-
-
-def _check_all_vectors_batch(
-    ref: _GoldenRef, candidate, problem: EvalProblem
-) -> Optional[EquivalenceResult]:
-    """Combinational fast path: every stimulus vector rides its own lane.
-
-    Valid only when the problem is unclocked and the candidate is
-    stateless combinational — what :func:`repro.sim.batch.batch_design`
-    lowers: outputs are then a pure function of the current inputs, so N
-    per-cycle scalar steps collapse into one lane-parallel settle.
-    Returns None — caller takes the scalar loop — when the problem or
-    golden rules the rung out, and (counted as ``batch.fallback_scalar``)
-    when the candidate does not lane-lower (state of any kind, a select
-    lvalue, no levelized schedule, anything wider than 63 bits) or its
-    settle raises; the verdict (including first-mismatch bookkeeping) is
-    identical either way: comparison and bookkeeping run on
-    :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane =
-    stimulus vector).
-    """
-    from repro.sim import default_backend
-
-    interface = problem.module.interface
-    if (
-        # An explicitly pinned interpreter backend is a ground-truth run;
-        # it must not silently route through the lane evaluator.
-        default_backend() == "interp"
-        or interface.clock is not None
-        or ref.error is not None
-        or not ref.rows
-        or not ref.output_names
-    ):
-        return None
-    from repro.sim.batch import BatchSimulator
-    from repro.sim.compile import UncompilableDesign
-    from repro.sim.retire import RetireEngine
-
-    n_lanes = len(ref.rows)
-    try:
-        sim = BatchSimulator(candidate, n_lanes=n_lanes)
-        columns, expected = _bundle_lanes(ref)
-        engine = RetireEngine(ref.output_names, expected, n_lanes)
-        vector: Dict[str, object] = {}
-        reset = interface.reset
-        if reset is not None and any(
-            s.name == reset for s in candidate.inputs
-        ):
-            # Net effect of apply_reset on a stateless design: the reset
-            # input rests at its deasserted level.
-            vector[reset] = 0 if interface.reset_active_high else 1
-        vector.update(columns)
-        sim.poke_many(vector)
-        actual = np.stack(
-            [sim.peek_lanes(name) for name in ref.output_names], axis=1
-        )
-    except (UncompilableDesign, SimulationError, OverflowError, ValueError):
-        # Eligible but the lane lowering/run failed: the caller replays
-        # the candidate on the scalar per-cycle loop.
-        obs.count("batch.fallback_scalar")
-        return None
-    obs.count("batch.allvec_checks")
-    return engine.retire_all_vectors(actual)
-
-
 def _interface_mismatch(
     ref: _GoldenRef, candidate
 ) -> Optional[EquivalenceResult]:
@@ -436,15 +335,11 @@ def _replay_against_trace(
     """One candidate past :func:`_check_many_against_trace`'s two gates.
 
     The only place a candidate is simulated, so the only place a
-    ``SimulationError`` becomes a verdict (the all-vectors rung catches
-    its own; the replay's construct, reset and episode sit in the
-    ``try``).  The episode is one call of the candidate's
-    :meth:`~repro.sim.Simulator.replay_fn`, which stops at the first
-    bad cycle and counts ``sim.cycles``.
+    ``SimulationError`` becomes a verdict (the construct, reset and
+    episode sit in the ``try``).  The episode is one call of the
+    candidate's :meth:`~repro.sim.Simulator.replay_fn`, which stops at
+    the first bad cycle and counts ``sim.cycles``.
     """
-    fast = _check_all_vectors_batch(ref, candidate, problem)
-    if fast is not None:
-        return fast
     interface = problem.module.interface
     names = ref.output_names
     try:
@@ -531,8 +426,8 @@ def check_candidates_lockstep(
       with one token digest (the 16-byte ``blake2b`` of the whole file's
       parser-visible symbols, :func:`repro.verilog.lex_source_digest`)
       elaborate and check once;
-    * a source whose digest is the golden file's passes with no lowering,
-      compile, all-vectors rung or replay (``vereval.golden_equal``),
+    * a source whose digest is the golden file's passes with no compile
+      or replay (``vereval.golden_equal``),
       provided the golden trace ran to completion: no ``error``, no
       ``error_phase``, a trace as long as the stimulus rows.  Equal token
       streams parse to one AST up to line numbers, which simulation never
@@ -559,9 +454,8 @@ def check_candidates_lockstep(
     * the golden artifacts (stimulus rows and output trace) are derived
       once per problem; :func:`repro.vereval.cegis.check_designs` (the
       plain trace check unless CEGIS is enabled) gives each distinct
-      elaborating design the all-vectors fast path when it is stateless
-      combinational, the scalar replay otherwise (docs/architecture.md
-      §4; the name is the one the perf ledger and ``evalkit`` import);
+      elaborating design the scalar replay (docs/architecture.md §4; the
+      name is the one the perf ledger and ``evalkit`` import);
     * every source decided here gets a ``verdict`` entry, the front-end
       failures, the golden text and its twins included; ``internal`` is
       never stored.  They are written with the golden bundle (if this
@@ -651,9 +545,8 @@ def _check_candidates_lockstep(
         obs.count("vereval.golden_equal")
         decide(source, indices, (True, ""))
 
-    # a pass@k candidate is its problem's prompt + a completion; the
-    # prompt (a word wrap, ~12 us) is built only if a source is left
-    prompt = problem.prompt() if positions else ""
+    # a pass@k candidate is its problem's prompt + a completion
+    prompt = problem.prompt()
     # (source, parsed file, token digest, indices)
     parsed = []
     for source, indices in positions.items():
@@ -721,9 +614,7 @@ def _check_candidates_lockstep(
             )
             for source, indices in members:
                 decide(source, indices, outcome)
-    # Stored after the verdicts, not before: a golden bundle built here
-    # then carries the lane arrays its all-vectors checks built.  One pack
-    # per call: one new inode however many entries it holds.
+    # One pack per call: one new inode however many entries it holds.
     sim_cache.store_many(pack)
     return outcomes  # type: ignore[return-value]
 

@@ -13,6 +13,7 @@ The model must produce the body up to ``endmodule``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 from repro.utils.rng import DeterministicRNG
@@ -39,6 +40,11 @@ class EvalProblem:
 
     def prompt(self) -> str:
         """Description comment + module header, VerilogEval-Human style."""
+        return self._prompt
+
+    @cached_property
+    def _prompt(self) -> str:
+        # wrapped once per problem: every sample and checker call reads it
         lines = [f"// {line}" for line in _wrap(self.description, 72)]
         return "\n".join(lines) + "\n" + self.module.header_prompt()
 

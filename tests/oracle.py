@@ -8,7 +8,7 @@ drawn by :func:`reference_stimulus`, and
 lockstep.  It shares nothing with the pool path of
 :mod:`repro.vereval.harness` past the elaborator and the simulator
 backends: no fast lexer, no row generator, no golden trace or golden
-cache, no ``sim.cache``, no all-vectors rung, no replay loop.  The
+cache, no ``sim.cache``, no replay loop.  The
 differential suites hold the pool to it, candidate for candidate.
 """
 

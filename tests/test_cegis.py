@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -609,8 +610,17 @@ class TestOneGoldenBundle:
         slots = {
             name: getattr(ref, name) for name in harness._GoldenRef.__slots__
         }
-        # the bundle layout before the coverage slots were dropped
-        old_layout = {**slots, "coverage": None, "full_cycles": len(ref.rows)}
+        # the bundle layouts before the coverage slots and the
+        # all-vectors rung's lane arrays were dropped
+        lanes = (
+            {name: np.zeros(len(ref.rows), dtype=np.int64)
+             for name in ref.input_names},
+            np.zeros((len(ref.trace), len(ref.output_names)), dtype=np.int64),
+        )
+        old_layout = {
+            **slots, "coverage": None, "full_cycles": len(ref.rows),
+            "lanes": lanes,
+        }
         with monkeypatch.context() as patch:
             patch.setattr(
                 harness._GoldenRef, "__getstate__",
@@ -624,6 +634,7 @@ class TestOneGoldenBundle:
         assert pack == []  # a disk hit, not a rebuild
         assert not hasattr(loaded, "coverage")
         assert not hasattr(loaded, "full_cycles")
+        assert not hasattr(loaded, "lanes")
         assert harness.check_candidates_lockstep(
             problem, candidates
         ) == expected

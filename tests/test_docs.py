@@ -129,6 +129,8 @@ _DELETED_NAMES = re.compile(
     "|bench_sim_perf|bench_batch_perf|bench_substrate_perf|pytest-benchmark"
     "|simulate_source|iter_spans|dedent_code|leading_fraction"
     "|licensed_verilog_files|is_sequential|CurationError|benchmark\\.pedantic"
+    "|_check_all_vectors_batch|_bundle_lanes|RetireEngine|retire_all_vectors"
+    "|expected_matrix|lane_vector"
 )
 
 

@@ -35,12 +35,10 @@ from repro.sim import (
     sweep_random_stimulus,
 )
 from repro.sim import cache as sim_cache
-from repro.sim.retire import lane_vector
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
 from repro.vereval.problems import EvalProblem
 from repro.vgen import FAMILIES, generate_family
-from repro.vgen.base import GeneratedModule, ModuleInterface
 from repro.verilog import parse_source
 
 import repro.vereval.harness as harness
@@ -59,7 +57,9 @@ def assert_settle_equals_scalar(source, top, stimulus):
     design = build(source, top)
     sim = BatchSimulator(design, n_lanes=len(stimulus))
     sim.poke_many({
-        name: lane_vector([vector[name] for vector in stimulus])
+        name: np.asarray(
+            [vector[name] for vector in stimulus], dtype=np.int64
+        )
         for name in stimulus[0]
     })
     columns = [sim.peek_lanes(s.name).tolist() for s in design.outputs]
@@ -456,364 +456,6 @@ def test_fuzz_representation_identity(family, seed):
         family, DeterministicRNG(seed).fork("repfuzz", family)
     )
     assert_lane_oracle(module, 10, range(3))
-
-
-def _without_fast_path(patch):
-    """Route every candidate to the scalar replay: the all-vectors rung
-    declines, as it does for a candidate that does not lane-lower."""
-    patch.setattr(
-        harness, "_check_all_vectors_batch", lambda ref, cand, prob: None
-    )
-
-
-class TestCombinationalFastPath:
-    """The all-vectors lane check must be verdict-identical and actually
-    engage for stateless combinational problems."""
-
-    @staticmethod
-    def _comb_problem(cycles=32):
-        problems = build_problem_set(n_problems=12, stimulus_cycles=cycles)
-        for problem in problems:
-            if problem.module.interface.clock is None:
-                return problem
-        raise AssertionError("no combinational problem in the set")
-
-    def test_fast_path_engages(self):
-        problem = self._comb_problem()
-        design = build(problem.golden_source, problem.module.name)
-        batch_design(design, problem.stimulus_cycles)  # lowers
-        ref = harness._GoldenRef(problem)
-        verdict = harness._check_all_vectors_batch(ref, design, problem)
-        assert verdict is not None and verdict.equivalent
-
-    def test_verdicts_identical_with_and_without_fast_path(
-        self, monkeypatch
-    ):
-        problem = self._comb_problem()
-        golden = problem.golden_source
-        candidates = [
-            golden,
-            golden.replace("+", "-", 1).replace("&", "|", 1),
-            golden.replace("assign", "assign", 1),  # identity variant
-        ]
-        for source in candidates:
-            try:
-                fast = harness.check_candidate_source(problem, source)
-                harness._GOLDEN_CACHE.clear()
-                with monkeypatch.context() as patch:
-                    _without_fast_path(patch)
-                    slow = harness.check_candidate_source(problem, source)
-            finally:
-                harness._GOLDEN_CACHE.clear()
-            assert fast == slow, source
-
-    def test_mismatch_bookkeeping_identical(self, monkeypatch):
-        problem = self._comb_problem()
-        ref = harness._GoldenRef(problem)
-        broken = build(
-            problem.golden_source.replace("assign", "assign ", 1)
-            .replace("+", "^", 1).replace("-", "&", 1),
-            problem.module.name,
-        )
-        fast = harness._check_all_vectors_batch(ref, broken, problem)
-        with monkeypatch.context() as patch:
-            _without_fast_path(patch)
-            slow = harness._check_many_against_trace(
-                ref, [broken], problem
-            )[0]
-        if fast is not None:  # replacement may be a no-op for some styles
-            assert fast == slow
-
-    def test_wide_comb_problem_takes_the_scalar_replay(self, monkeypatch):
-        # >63-bit combinational family: the candidate does not
-        # lane-lower, so the all-vectors rung declines (counted) and the
-        # scalar per-cycle loop decides, exact at full width.
-        source = (
-            "module widecomb(input [95:0] a, input [95:0] b,"
-            " output [96:0] s, output [95:0] x);"
-            " assign s = a + b; assign x = a ^ {b[47:0], b[95:48]};"
-            " endmodule"
-        )
-        module = GeneratedModule(
-            family="widecomb",
-            source=source,
-            interface=ModuleInterface(
-                module_name="widecomb", clock=None, reset=None,
-                reset_active_high=True,
-                inputs=[("a", 96), ("b", 96)],
-                outputs=[("s", 97), ("x", 96)],
-            ),
-            description="wide combinational datapath",
-        )
-        problem = EvalProblem(
-            problem_id="widecomb", module=module, stimulus_cycles=24,
-            stimulus_seed=2,
-        )
-        design = build(source, "widecomb")
-        ref = harness._GoldenRef(problem)
-        fallbacks = obs.counter_value("batch.fallback_scalar")
-        assert harness._check_all_vectors_batch(ref, design, problem) is None
-        assert obs.counter_value("batch.fallback_scalar") == fallbacks + 1
-        # Pass and mismatch verdicts equal the flag-off replay field for
-        # field.
-        broken = build(source.replace("a + b", "a - b"), "widecomb")
-        for candidate, equivalent in ((design, True), (broken, False)):
-            default = harness._check_many_against_trace(
-                ref, [candidate], problem
-            )[0]
-            with monkeypatch.context() as patch:
-                _without_fast_path(patch)
-                slow = harness._check_many_against_trace(
-                    ref, [candidate], problem
-                )[0]
-            assert default == slow
-            assert default.equivalent is equivalent
-
-    def test_sequential_problem_skips_fast_path(self):
-        problems = build_problem_set(n_problems=33)
-        problem = next(
-            p for p in problems if p.module.interface.clock is not None
-        )
-        ref = harness._GoldenRef(problem)
-        design = build(problem.golden_source, problem.module.name)
-        assert harness._check_all_vectors_batch(ref, design, problem) is None
-
-    def test_comb_latch_candidate_skips_fast_path(self):
-        # `always @* if (en) y = a;` levelizes but holds state between
-        # settles (a combinational latch): outputs are NOT a pure
-        # function of inputs, so the all-vectors trick must refuse it —
-        # and the fast-on/fast-off verdicts must agree.
-        problem = self._comb_problem()
-        latch = (
-            f"module {problem.module.name}(input en, input [3:0] a,"
-            " output reg [3:0] y);"
-            " always @(*) if (en) y = a;"
-            " endmodule"
-        )
-        latch_design = build(latch, problem.module.name)
-        with pytest.raises(UnbatchableDesign, match="latch"):
-            batch_design(latch_design, 4)
-        ref = harness._GoldenRef(problem)
-        # Interface differs from the problem's golden, so go straight at
-        # the fast-path helper: it must decline, not mis-verdict.
-        assert harness._check_all_vectors_batch(
-            ref, latch_design, problem
-        ) is None
-
-    def test_latchy_golden_verdicts_identical(self, monkeypatch):
-        # End to end: a problem whose golden *is* a latch must produce
-        # the same verdict with the fast path enabled and disabled for a
-        # byte-identical candidate (which exercises the stateless gate).
-        module = generate_family(
-            "mux", DeterministicRNG(3).fork("latchy", "mux")
-        )
-        latch_source = (
-            f"module {module.name}(input en, input [3:0] a,"
-            " output reg [3:0] y);"
-            " always @(*) if (en) y = a;"
-            " endmodule"
-        )
-        module.source = latch_source  # golden is now the latch
-        problem = EvalProblem(
-            problem_id="latchy", module=module, stimulus_cycles=16,
-            stimulus_seed=9,
-        )
-        try:
-            harness._GOLDEN_CACHE.clear()
-            fast = harness.check_candidate_source(problem, latch_source)
-            harness._GOLDEN_CACHE.clear()
-            with monkeypatch.context() as patch:
-                _without_fast_path(patch)
-                slow = harness.check_candidate_source(problem, latch_source)
-        finally:
-            harness._GOLDEN_CACHE.clear()
-        assert fast == slow == (True, "")
-
-
-#: body-only operator swaps for near-miss candidates; the spaced forms
-#: cannot touch ``<=``
-_SWAPS = (
-    (" + ", " - "), (" - ", " + "), (" & ", " | "), (" | ", " & "),
-    (" ^ ", " | "), (" == ", " != "), (" != ", " == "), (" << ", " >> "),
-    (" >> ", " << "), (" < ", " > "), (" > ", " < "),
-)
-
-
-def _near_misses(problem):
-    """The golden, its ``vgen.mutate`` mutants and every single
-    operator swap in its body, elaborated (those that elaborate)."""
-    from repro.errors import ElaborationError, ParseError
-    from repro.vgen.mutate import mutate
-
-    source = problem.golden_source
-    body_at = source.index(");") + 2
-    sources = [source] + [m.source for m in mutate(problem.module)]
-    for old, new in _SWAPS:
-        at = source.find(old, body_at)
-        while at != -1:
-            sources.append(source[:at] + new + source[at + len(old):])
-            at = source.find(old, at + len(old))
-    designs = []
-    for candidate in sources:
-        try:
-            designs.append(build(candidate, problem.module.name))
-        except (ElaborationError, ParseError):
-            pass
-    return designs
-
-
-def _per_candidate_rebuild(ref, candidate, problem):
-    """The all-vectors rung as it was before bundles kept their lanes:
-    input columns and the expected matrix rebuilt for each candidate."""
-    from repro.sim.retire import RetireEngine, expected_matrix
-
-    interface = problem.module.interface
-    n_lanes = len(ref.rows)
-    try:
-        sim = BatchSimulator(candidate, n_lanes=n_lanes)
-        engine = RetireEngine(
-            ref.output_names,
-            expected_matrix(ref.trace, len(ref.output_names)),
-            n_lanes,
-        )
-        vector = {}
-        reset = interface.reset
-        if reset is not None and any(
-            s.name == reset for s in candidate.inputs
-        ):
-            vector[reset] = 0 if interface.reset_active_high else 1
-        for name, column in zip(ref.input_names, zip(*ref.rows)):
-            vector[name] = lane_vector(column)
-        sim.poke_many(vector)
-        actual = np.stack(
-            [sim.peek_lanes(name) for name in ref.output_names], axis=1
-        )
-    except (UncompilableDesign, SimulationError, OverflowError, ValueError):
-        return None
-    return engine.retire_all_vectors(actual)
-
-
-class TestBundleLanes:
-    """The all-vectors rung's input columns and expected matrix are
-    built once per golden bundle (``_GoldenRef.lanes``), pickled with
-    it, and shared read-only by every candidate's check."""
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        problems = [
-            p for p in build_problem_set(60, stimulus_cycles=384)
-            if p.module.interface.clock is None
-        ]
-        assert len(problems) == 20
-        return [(p, _near_misses(p)) for p in problems]
-
-    def test_fresh_loaded_and_rebuilt_arrays_agree(
-        self, corpus, monkeypatch
-    ):
-        engaged = 0
-        for problem, designs in corpus:
-            fresh = harness._GoldenRef(problem)
-            assert fresh.lanes is None
-            first = [
-                harness._check_all_vectors_batch(fresh, d, problem)
-                for d in designs
-            ]
-            assert fresh.lanes is not None
-            loaded = pickle.loads(pickle.dumps(fresh))
-            assert loaded.lanes is not None
-            second = [
-                harness._check_all_vectors_batch(loaded, d, problem)
-                for d in designs
-            ]
-            rebuilt = [
-                _per_candidate_rebuild(fresh, d, problem) for d in designs
-            ]
-            # EquivalenceResult equality: every field
-            assert first == second == rebuilt, problem.problem_id
-            with monkeypatch.context() as patch:
-                _without_fast_path(patch)
-                scalar = harness._check_many_against_trace(
-                    fresh, designs, problem
-                )
-            for lanes, replay in zip(first, scalar):
-                if lanes is not None:
-                    engaged += 1
-                    assert lanes == replay, problem.problem_id
-        assert engaged >= 45  # 49 when written
-
-    def test_shared_arrays_are_read_only(self, corpus):
-        problem, designs = corpus[0]
-        ref = harness._GoldenRef(problem)
-        assert harness._check_all_vectors_batch(
-            ref, designs[0], problem
-        ).equivalent
-        loaded = pickle.loads(pickle.dumps(ref))
-        for columns, expected in (ref.lanes, loaded.lanes):
-            assert list(columns) == list(ref.input_names)
-            for array in (*columns.values(), expected):
-                assert array.dtype == np.int64
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
-        columns, expected = ref.lanes
-        snapshot = [array.copy() for array in (*columns.values(), expected)]
-        sim = BatchSimulator(designs[0], n_lanes=len(ref.rows))
-        sim.poke_many(dict(columns))
-        for name, column in columns.items():
-            lanes = sim.st[sim.bdesign.slot_of[name]]
-            assert lanes.flags.writeable
-            assert not np.shares_memory(lanes, column)
-        for design in designs:
-            harness._check_all_vectors_batch(ref, design, problem)
-        for before, after in zip(
-            snapshot, (*columns.values(), expected)
-        ):
-            assert np.array_equal(before, after)
-
-    def test_an_overflowing_bundle_still_falls_back_per_candidate(self):
-        # The arrays are built inside the rung's try: a trace value past
-        # int64 is a counted fallback for every candidate, as before.
-        problem = TestCombinationalFastPath._comb_problem()
-        ref = harness._GoldenRef(problem)
-        design = build(problem.golden_source, problem.module.name)
-        ref.trace = [tuple(1 << 64 for _ in row) for row in ref.trace]
-        fallbacks = obs.counter_value("batch.fallback_scalar")
-        for _ in range(2):
-            assert harness._check_all_vectors_batch(
-                ref, design, problem
-            ) is None
-        assert ref.lanes is None
-        assert obs.counter_value("batch.fallback_scalar") == fallbacks + 2
-
-    def test_a_cegis_entry_ref_takes_the_rung(self, corpus, monkeypatch):
-        from repro.vereval.cegis import DistinguishingVector, _EntryRef
-
-        problem, designs = corpus[0]
-        ref = harness._GoldenRef(problem)
-        entry = DistinguishingVector.from_run(
-            ref.stimulus[:8], ref.output_names, ref.trace[:8]
-        )
-        checks = obs.counter_value("retire.allvec_checks")
-        for design in designs:
-            entry_ref = _EntryRef(ref, entry)
-            assert entry_ref.lanes is None
-            lanes = harness._check_all_vectors_batch(
-                entry_ref, design, problem
-            )
-            assert lanes is not None and entry_ref.lanes is not None
-            assert lanes == _per_candidate_rebuild(entry_ref, design, problem)
-            with monkeypatch.context() as patch:
-                _without_fast_path(patch)
-                replay = harness._check_many_against_trace(
-                    _EntryRef(ref, entry), [design], problem
-                )[0]
-            assert lanes == replay
-        assert obs.counter_value("retire.allvec_checks") == (
-            checks + 2 * len(designs)
-        )
-        assert harness._check_all_vectors_batch(
-            _EntryRef(ref, entry), designs[0], problem
-        ).cycles_run == 8
 
 
 class TestGoldenCacheLRU:

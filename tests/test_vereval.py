@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import lockstep_verdict
+from oracle import lockstep_result, lockstep_verdict
 from repro import obs
 from repro.errors import ConfigError
 from repro.llm import LanguageModel
@@ -25,8 +25,14 @@ from repro.vereval import (
     pass_at_k,
     reset_caches,
 )
+from repro.sim import elaborate
+from repro.utils.rng import DeterministicRNG
+from repro.vereval import harness
 from repro.vereval.passk import mean_pass_at_k
-from repro.vgen import GeneratedModule, ModuleInterface, mutate
+from repro.verilog import parse_source
+from repro.vgen import (
+    GeneratedModule, ModuleInterface, generate_family, mutate,
+)
 
 
 class TestPassAtK:
@@ -238,6 +244,60 @@ def _reference(problem, sources):
     return [lockstep_verdict(problem, source) for source in sources]
 
 
+def _widecomb_problem():
+    """A combinational datapath wider than 63 bits."""
+    source = (
+        "module widecomb(input [95:0] a, input [95:0] b,"
+        " output [96:0] s, output [95:0] x);"
+        " assign s = a + b; assign x = a ^ {b[47:0], b[95:48]};"
+        " endmodule"
+    )
+    module = GeneratedModule(
+        family="widecomb", source=source,
+        interface=ModuleInterface(
+            module_name="widecomb", clock=None, reset=None,
+            reset_active_high=True,
+            inputs=[("a", 96), ("b", 96)], outputs=[("s", 97), ("x", 96)],
+        ),
+        description="wide combinational datapath",
+    )
+    return EvalProblem(
+        problem_id="widecomb", module=module, stimulus_cycles=24,
+        stimulus_seed=2,
+    )
+
+
+def _latchy_problem():
+    """An unclocked problem whose golden is a combinational latch."""
+    module = generate_family("mux", DeterministicRNG(3).fork("latchy", "mux"))
+    module.source = (
+        f"module {module.name}(input en, input [3:0] a,"
+        " output reg [3:0] y); always @(*) if (en) y = a; endmodule"
+    )
+    return EvalProblem(
+        problem_id="latchy", module=module, stimulus_cycles=16,
+        stimulus_seed=9,
+    )
+
+
+def _assert_replay_is_the_reference(problem, sources):
+    """Each source's replay against the golden trace equals the lockstep
+    reference field for field, and the pool equals it verdict for
+    verdict; the replays' ``equivalent`` fields are returned."""
+    ref = harness._GoldenRef(problem)
+    name = problem.module.name
+    replays = []
+    for source in sources:
+        design = elaborate(parse_source(source), name)
+        (replay,) = harness._check_many_against_trace(ref, [design], problem)
+        assert replay == lockstep_result(problem, design), source
+        replays.append(replay.equivalent)
+    assert check_candidates_lockstep(problem, sources) == _reference(
+        problem, sources
+    )
+    return replays
+
+
 def _resample_pool(problem):
     """A low-temperature sample set: the golden and each near-miss under
     several spellings, plus the failure classes that never elaborate."""
@@ -288,6 +348,29 @@ class TestIdentityWithThePerCandidateLoop:
                 assert check_candidates_lockstep(problem, pool) == _reference(
                     problem, pool
                 ), (problem.problem_id, cycles)
+
+    def test_wide_combinational_problem(self):
+        # values past int64 are python ints end to end
+        problem = _widecomb_problem()
+        golden = problem.golden_source
+        sources = [golden, golden.replace("a + b", "a - b")]
+        assert _assert_replay_is_the_reference(problem, sources) == [
+            True, False,
+        ]
+
+    def test_latchy_golden(self):
+        # the golden holds y while en is low; a stateless candidate and
+        # the inverted latch do not
+        problem = _latchy_problem()
+        golden = problem.golden_source
+        sources = [
+            golden,
+            golden.replace("if (en) ", ""),
+            golden.replace("if (en)", "if (!en)"),
+        ]
+        assert _assert_replay_is_the_reference(problem, sources) == [
+            True, False, False,
+        ]
 
     def test_cegis_stays_a_strict_refinement(self, tmp_path):
         from repro.sim import cache as sim_cache
