@@ -2,8 +2,7 @@
 
 Evaluation pool workers each pay the full lex -> parse -> elaborate ->
 stimulate -> simulate pipeline for every golden module (the in-process
-caches are per worker), and duplicate low-temperature completions
-re-elaborate verbatim-identical candidate sources in every fresh process.
+caches are per worker), and a re-run checks sources it already decided.
 This module gives those paths a disk tier:
 
 * artifacts are pickled under a content-addressed key —
@@ -15,35 +14,28 @@ This module gives those paths a disk tier:
 * the cache root comes from the ``REPRO_SIM_CACHE`` environment variable
   or :func:`configure`; when neither is set every call is a cheap no-op,
   so the tier is strictly opt-in;
-* one call's entries share one **pack** file: :func:`store_many` writes
-  a header, an index (key digest -> offset, length) and the
-  ``(BACKEND_VERSION, payload)`` records under a temp name, hard-links
-  that one inode to ``root/<key>.pkl`` once per key in a flat directory
-  (no fan-out subdirectories), then unlinks the temp name — so a cold
-  pool check creates one inode, not one file per entry.  A name that
-  already exists is replaced (link under a temp name, ``os.replace``
-  onto the key): the last writer wins, and concurrent pool workers can
-  share one directory;
-* :func:`load` opens the key's name and reads the index and its own
-  record only (one open, at most two reads for packs of up to 85
-  entries); a bad index, a key missing from it and an unpickle error
+* one key is one file: :func:`store` pickles
+  ``(BACKEND_VERSION, payload)`` into a temp name built from the pid
+  and a per-process counter (opened with ``O_EXCL``) in a flat
+  directory, then ``os.replace``-s it onto ``root/<key>.pkl``.  The last
+  writer wins, so concurrent pool workers can share one directory, and a
+  reader sees a whole entry or none;
+* :func:`load` opens the key's name and unpickles it; an unpickle error,
+  a malformed envelope and a payload the caller's ``accept`` rejects
   count as ``corrupt``, a stale envelope as ``version_mismatch``.
-  Either way the entry is a miss and its one name is unlinked — its
-  siblings stay loadable, and the pack's inode goes with its last name
-  (a one-line warning fires the first time a corrupt entry is evicted
-  in a process);
+  Either way the entry is a miss and its name is unlinked (a one-line
+  warning fires the first time a corrupt entry is evicted in a process);
 * every outcome feeds the :mod:`repro.obs` metrics registry
   (``sim.cache.hit`` / ``.miss`` / ``.store`` / ``.evict`` /
-  ``.corrupt`` / ``.version_mismatch``; ``store`` counts entries, not
-  packs), and :func:`stats` snapshots those counters — so cache
-  behaviour is a measured quantity instead of an anecdote;
-* the checker's ``verdict`` entry of ``(source, *golden key)`` is the
-  source's ``(passed, reason)`` against that golden bundle, whose key
-  holds every input that can change a verdict (when it is written and
-  read, and why never under CEGIS: see
-  :func:`~repro.vereval.harness.check_candidates_lockstep`).
-  :func:`get_verdict` reads it; a payload that is not a ``(bool, str)``
-  whose reason is empty exactly when it passed counts as ``corrupt``;
+  ``.corrupt`` / ``.version_mismatch``, one count per entry), and
+  :func:`stats` snapshots those counters — so cache behaviour is a
+  measured quantity instead of an anecdote;
+* the checker keeps one ``golden`` entry per golden bundle: the pickled
+  bundle (design + stimulus rows + output trace) and a table of the
+  ``(passed, reason)`` of every source checked against it, keyed by
+  every input that can change a verdict (what is read and written, and
+  why the table is untouched under CEGIS: see
+  :func:`~repro.vereval.harness.check_candidates_lockstep`);
 * a ``design`` entry holds an elaborated :class:`Design`
   (:func:`put_design` / :func:`get_design`); the checker writes none.  A
   ``Design`` that carries compiled code and knows its source text is
@@ -54,26 +46,20 @@ This module gives those paths a disk tier:
 
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
-pool of one) loads candidates' verdicts and golden artifact bundles
-(design + stimulus rows + output trace),
-and stores the bundle it built plus every verdict it derived as one
-pack;
-:mod:`repro.vereval.cegis` persists distinguishing sets; and
-:class:`repro.evalkit.stages.CheckStage` forwards the configured cache
-directory to pool workers.
+pool of one) loads and stores golden entries; :mod:`repro.vereval.cegis`
+persists distinguishing sets (``cegis-set``) and clear searches
+(``cegis-clear``); and :class:`repro.evalkit.stages.CheckStage` forwards
+the configured cache directory to pool workers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import os
 import pickle
-import struct
-import tempfile
-from typing import (
-    Any, Callable, Dict, Iterable, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, Optional
 
 from repro import obs
 from repro.sim.elaborate import Design
@@ -85,16 +71,14 @@ __all__ = [
     "configure",
     "load",
     "store",
-    "store_many",
     "stats",
     "get_design",
-    "get_verdict",
     "put_design",
 ]
 
 #: Version carried inside every entry's envelope.  Bump on any change to
 #: backend semantics, to what the checker decides for any source (a
-#: ``verdict`` entry is served as the verdict, with nothing re-checked),
+#: stored verdict is served as the verdict, with nothing re-checked),
 #: or to the layout of pickled artifacts: stale entries
 #: are then counted as ``sim.cache.version_mismatch`` and evicted instead
 #: of deserializing stale behaviour (or leaking on disk forever, as the
@@ -124,8 +108,13 @@ __all__ = [
 #: place of its AST blob, and derives the AST again on first read (a
 #: version-16 reader would find neither).  18: the checker stores a
 #: ``verdict`` entry per decided source instead of ``design`` entries
-#: holding a candidate's design or front-end failure reason.
-BACKEND_VERSION = 18
+#: holding a candidate's design or front-end failure reason.  19: one
+#: ``golden`` entry per golden bundle holds the pickled bundle and its
+#: sources' verdicts, one file per key with no packs (18 also covered
+#: bundles with and without the lanes slot); a version-18 tree reads
+#: other names, and its names are left on disk, as pre-13 fan-out
+#: subdirectories were.
+BACKEND_VERSION = 19
 
 _ENV = "REPRO_SIM_CACHE"
 
@@ -137,18 +126,11 @@ _log = logging.getLogger("repro.sim.cache")
 #: set after the first corrupt-entry eviction warning in this process
 _warned_corrupt = False
 
-#: pack header (magic, entry count) and one index entry (sha256 digest of
-#: the key, record offset from the start of the pack, record length)
-_MAGIC = b"RSCP"
-_HEADER = struct.Struct("<4sI")
-_ENTRY = struct.Struct("<32sQQ")
+#: numbers this process's temp names
+_temp_names = itertools.count()
 
-#: a load's first read: the header plus the index of any pack of up to
-#: 85 entries, and whatever records follow it
-_HEAD_BYTES = 4096
-
-#: one store_many entry: (kind, key parts, payload)
-Entry = Tuple[str, Sequence[str], Any]
+#: the size of one read of an entry
+_CHUNK = 1 << 16
 
 
 def cache_dir() -> Optional[str]:
@@ -226,78 +208,40 @@ def _evict_corrupt(path: str) -> None:
         )
 
 
-def _head(records: Dict[str, bytes]) -> bytes:
-    """Header and index of one pack; the records follow in order."""
-    offset = _HEADER.size + len(records) * _ENTRY.size
-    index = [_HEADER.pack(_MAGIC, len(records))]
-    for key, record in records.items():
-        index.append(_ENTRY.pack(bytes.fromhex(key), offset, len(record)))
-        offset += len(record)
-    return b"".join(index)
-
-
-def _read_record(path: str, key: str) -> bytes:
-    """``key``'s record from the pack at ``path``.
-
-    Raises ``FileNotFoundError`` when the name does not exist, and
-    ``ValueError`` or ``struct.error`` when the pack is malformed,
-    truncated or does not index ``key``.
-    """
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``, read without a buffered file
+    object: a read of a regular file comes back short only at its end,
+    so an entry under 64 KiB takes one ``read``."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        head = os.read(fd, _HEAD_BYTES)
-        magic, count = _HEADER.unpack_from(head)
-        if magic != _MAGIC:
-            raise ValueError("not a sim-cache pack")
-        end = _HEADER.size + count * _ENTRY.size
-        if end > len(head):
-            if end > os.fstat(fd).st_size:
-                raise ValueError("truncated pack index")
-            head += os.pread(fd, end - len(head), len(head))
-        digest = bytes.fromhex(key)
-        for entry, offset, length in _ENTRY.iter_unpack(
-            head[_HEADER.size:end]
-        ):
-            if entry == digest:
-                break
-        else:
-            raise ValueError("key not in pack index")
-        if offset + length <= len(head):
-            return head[offset:offset + length]
-        record = os.pread(fd, length, offset)
+        chunks = [os.read(fd, _CHUNK)]
+        while len(chunks[-1]) == _CHUNK:
+            chunks.append(os.read(fd, _CHUNK))
     finally:
         os.close(fd)
-    if len(record) != length:
-        raise ValueError("truncated pack record")
-    return record
+    return b"".join(chunks)
 
 
-def load(kind: str, *parts: str) -> Optional[Any]:
+def load(
+    kind: str, *parts: str, accept: Optional[Callable[[Any], bool]] = None
+) -> Optional[Any]:
     """Fetch the artifact stored under ``(kind, *parts)``, or None.
 
     Misses, a disabled cache, and unreadable entries all return None;
-    corrupt and version-stale entries are evicted (their one name) so
-    they stop costing a read each time, and every outcome is counted
-    (see :func:`stats`).
+    corrupt entries (a payload ``accept`` rejects included) and
+    version-stale ones are evicted so they stop costing a read each
+    time, and every outcome is counted (see :func:`stats`).
     """
-    return _load(kind, parts, None)
-
-
-def _load(
-    kind: str, parts: Sequence[str], accept: Optional[Callable[[Any], bool]]
-) -> Optional[Any]:
-    """:func:`load`, where a payload ``accept`` rejects counts as corrupt."""
     root = cache_dir()
     if root is None:
         return None
-    key = _key(kind, *parts)
-    path = _path_for(root, key)
+    path = _path_for(root, _key(kind, *parts))
     try:
         # An armed "raise" at this point stands in for a corrupt or
         # unreadable entry: it lands in the generic handler below, so
         # the evict-and-miss recovery path is directly testable.
         faults.fire("sim.cache.load")
-        entry = pickle.loads(_read_record(path, key))
+        entry = pickle.loads(_read(path))
     except FileNotFoundError:
         obs.count("sim.cache.miss")
         return None
@@ -320,109 +264,68 @@ def _load(
     return payload
 
 
-def _link(pack_path: str, path: str) -> None:
-    """Give the pack at ``pack_path`` the name ``path``, replacing a name
-    that exists (the last writer wins)."""
+def _create(root: str, path: str) -> int:
+    """Open ``path`` for writing, exclusively; the root is made only
+    when it is missing."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        os.link(pack_path, path)
-        return
-    except FileExistsError:
-        pass
-    # mkstemp names never contain "-", so this alias is the caller's own
-    alias = pack_path[: -len(".tmp")] + "-link.tmp"
-    os.link(pack_path, alias)
-    try:
-        os.replace(alias, path)
-    except BaseException:
-        _remove(alias)
-        raise
-
-
-def store_many(entries: Iterable[Entry]) -> int:
-    """Persist ``(kind, parts, payload)`` entries as one pack; returns
-    how many were stored.
-
-    Each payload is wrapped in a ``(BACKEND_VERSION, payload)`` envelope
-    and pickled on its own: an entry that cannot be pickled is skipped
-    and the rest are still written, and a key repeated within one call
-    is stored once (its last payload).  The pack is written under a temp
-    name, hard-linked to every key's name, then unlinked.  Failures
-    (full disk, read-only root, a filesystem without hard links) are
-    swallowed: the cache is an accelerator, never a correctness
-    dependency.  ``sim.cache.store`` counts one per linked entry.
-    """
-    root = cache_dir()
-    if root is None:
-        return 0
-    records: Dict[str, bytes] = {}
-    for kind, parts, payload in entries:
-        try:
-            records[_key(kind, *parts)] = pickle.dumps(
-                (BACKEND_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception:
-            continue
-    if not records:
-        return 0
-    stored = 0
-    pack_path = None
-    try:
+        return os.open(path, flags, 0o644)
+    except FileNotFoundError:
         os.makedirs(root, exist_ok=True)
-        fd, pack_path = tempfile.mkstemp(dir=root, suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_head(records))
-            for record in records.values():
-                handle.write(record)
-        # An armed "raise" here is a store that dies between writing the
-        # pack and naming it: no name, no temp file, the next load a miss.
-        faults.fire("sim.cache.store")
-        for key in records:
-            _link(pack_path, _path_for(root, key))
-            stored += 1
-    except Exception:
-        pass
-    finally:
-        if pack_path is not None:
-            _remove(pack_path)
-    if stored:
-        obs.count("sim.cache.store", stored)
-    return stored
+        return os.open(path, flags, 0o644)
 
 
 def store(kind: str, payload: Any, *parts: str) -> bool:
     """Persist ``payload`` under ``(kind, *parts)``; True when written.
 
-    A pack of one entry (:func:`store_many`).
+    The ``(BACKEND_VERSION, payload)`` envelope is written to a temp
+    name of this process's own and renamed onto the key's name, so a
+    reader sees the old entry or the new one, never a torn file, and the
+    last writer wins.  Failures (an unpicklable payload, a full disk, a
+    read-only root) are swallowed and leave no temp file: the cache is
+    an accelerator, never a correctness dependency.
     """
-    return store_many([(kind, parts, payload)]) == 1
+    root = cache_dir()
+    if root is None:
+        return False
+    try:
+        data = pickle.dumps(
+            (BACKEND_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        path = _path_for(root, _key(kind, *parts))
+        temp = os.path.join(
+            root, f"{os.getpid()}-{next(_temp_names)}.tmp"
+        )
+        fd = _create(root, temp)
+    except Exception:
+        return False
+    written = False
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        # An armed "raise" here is a store that dies between writing the
+        # entry and naming it: no name, no temp file, the next load a miss.
+        faults.fire("sim.cache.store")
+        os.replace(temp, path)
+        written = True
+    except Exception:
+        pass
+    finally:
+        if not written:
+            _remove(temp)
+    if written:
+        obs.count("sim.cache.store")
+    return written
 
 
 def get_design(source: str, module_name: str) -> Optional[Design]:
     """Disk-cached elaborated design for ``module_name`` in ``source``."""
-    return _load(
-        "design", (source, module_name),
-        lambda payload: isinstance(payload, Design),
+    return load(
+        "design", source, module_name,
+        accept=lambda payload: isinstance(payload, Design),
     )
 
 
 def put_design(source: str, module_name: str, design: Design) -> bool:
     """Persist an elaborated design keyed by its exact source text."""
     return store("design", design, source, module_name)
-
-
-def _is_verdict(payload: Any) -> bool:
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and isinstance(payload[0], bool)
-        and isinstance(payload[1], str)
-        and payload[0] == (payload[1] == "")
-    )
-
-
-def get_verdict(
-    source: str, *golden_key: str
-) -> Optional[Tuple[bool, str]]:
-    """The ``(passed, reason)`` stored for ``source`` against the golden
-    bundle keyed by ``golden_key``, or None on a miss."""
-    return _load("verdict", (source, *golden_key), _is_verdict)

@@ -46,63 +46,69 @@ class SimilarityIndex:
 
     def __init__(self, vectorizer: Optional[NgramVectorizer] = None) -> None:
         self.vectorizer = vectorizer or NgramVectorizer()
-        self._vectors: Dict[Hashable, SparseVector] = {}
-        #: the CSR matrix and the key of each document number; ``_terms``
-        #: is None until :meth:`build` packs them
-        self._terms: Optional[Dict[str, int]] = None
+        #: every document's number, by key, in insertion order
+        self._numbers: Dict[Hashable, int] = {}
+        #: the vectors of the documents added since the last build
+        self._pending: List[SparseVector] = []
+        #: the CSR matrix of the packed documents and the key of each
+        #: document number
+        self._terms: Dict[str, int] = {}
         self._keys: List[Hashable] = []
-        self._indptr = self._docs = self._counts = self._norms = None
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._docs = np.zeros(0, dtype=np.intp)
+        self._counts = self._norms = np.zeros(0, dtype=np.float64)
 
     def add(self, key: Hashable, text: str) -> None:
-        if key in self._vectors:
+        if key in self._numbers:
             raise KeyError(f"duplicate key {key!r}")
-        self._vectors[key] = self.vectorizer.vectorize(text)
-        self._terms = None
+        self._numbers[key] = len(self._numbers)
+        self._pending.append(self.vectorizer.vectorize(text))
 
     def build(self) -> None:
-        """Pack the documents added so far into the CSR matrix.
+        """Pack the documents added since the last build into the CSR
+        matrix, after the documents it holds; no vector is kept.
 
         :meth:`best_match` builds it when a document was added after the
         last build; a caller that times its queries builds it after its
         last :meth:`add`, so that no query pays for it.
         """
-        if self._terms is not None:
+        vectors, self._pending = self._pending, []
+        if not vectors:
             return
-        vectors = list(self._vectors.values())
-        terms: Dict[str, int] = {}
-        rows: List[int] = []
-        for vector in vectors:
-            rows.extend(
-                [terms.setdefault(term, len(terms)) for term in vector.weights]
-            )
-        rows_arr = np.array(rows, dtype=np.intp)
-        lengths = [len(vector) for vector in vectors]
-        docs = np.repeat(np.arange(len(vectors), dtype=np.intp), lengths)
-        counts = np.fromiter(
-            (w for vector in vectors for w in vector.weights.values()),
-            dtype=np.float64, count=len(rows),
+        # the packed postings row by row, then the new documents': a
+        # stable sort keeps each row's postings in insertion order
+        packed, terms = np.diff(self._indptr), self._terms
+        rows = np.concatenate([
+            np.repeat(np.arange(len(packed)), packed),
+            [terms.setdefault(t, len(terms))
+             for v in vectors for t in v.weights],
+        ]).astype(np.intp)
+        first = len(self._norms)
+        docs = np.concatenate([self._docs, np.repeat(
+            np.arange(first, first + len(vectors)), [len(v) for v in vectors]
+        )])
+        counts = np.concatenate([
+            self._counts, [w for v in vectors for w in v.weights.values()]
+        ])
+        order = np.argsort(rows, kind="stable")
+        self._indptr = np.zeros(len(terms) + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(rows, minlength=len(terms)), out=self._indptr[1:]
         )
-        # stable: each row keeps its postings in insertion order
-        order = np.argsort(rows_arr, kind="stable")
-        indptr = np.zeros(len(terms) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows_arr, minlength=len(terms)), out=indptr[1:])
-        self._keys = list(self._vectors)
-        self._indptr = indptr
-        self._docs = docs[order]
-        self._counts = counts[order]
+        self._docs, self._counts = docs[order], counts[order]
         # an empty document is never reached; norm 1 keeps its score 0
-        self._norms = np.array(
-            [v.norm or 1.0 for v in vectors], dtype=np.float64
+        self._norms = np.concatenate(
+            [self._norms, [v.norm or 1.0 for v in vectors]]
         )
-        self._terms = terms
+        self._keys = list(self._numbers)
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._numbers)
 
     def best_match(self, text: str) -> Optional[SimilarityMatch]:
         """The corpus document with the highest cosine similarity."""
         counts = self.vectorizer.counts(text)
-        if not self._vectors or not counts:
+        if not self._numbers or not counts:
             return None
         self.build()
         rows = np.fromiter(
@@ -163,7 +169,14 @@ class SimilarityIndex:
         return int(reached[np.argmax(np.isin(reached, tied))])
 
     def score_against(self, key: Hashable, text: str) -> float:
-        """Cosine similarity of ``text`` against one specific document."""
-        return cosine_similarity(
-            self.vectorizer.vectorize(text), self._vectors[key]
+        """Cosine similarity of ``text`` against one specific document,
+        whose vector is read back from its postings."""
+        number = self._numbers[key]
+        self.build()
+        at = np.flatnonzero(self._docs == number)
+        rows = np.searchsorted(self._indptr, at, side="right") - 1
+        terms = list(self._terms)
+        document = SparseVector.from_counts(
+            {terms[row]: count for row, count in zip(rows, self._counts[at])}
         )
+        return cosine_similarity(self.vectorizer.vectorize(text), document)

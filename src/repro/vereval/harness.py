@@ -30,6 +30,9 @@ Since the evalkit refactor this module plays two roles:
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -208,9 +211,15 @@ class _GoldenRef:
 #: the clock/reset protocol the trace was recorded under), so a problem
 #: object rebuilt with the same data hits the cache while a redefined one
 #: cannot alias a stale entry; LRU-ordered so sweeps wider than the
-#: capacity evict the coldest problem instead of thrashing to zero
-_GOLDEN_CACHE: "OrderedDict[Tuple, _GoldenRef]" = OrderedDict()
+#: capacity evict the coldest problem instead of thrashing to zero.  Each
+#: slot is ``[bundle, its pickled bytes]``; the bytes are None until a
+#: ``sim.cache`` entry needs them, so a bundle is pickled at most once
+_GOLDEN_CACHE: "OrderedDict[Tuple, list]" = OrderedDict()
 _GOLDEN_CACHE_MAX = 256
+
+#: the most verdicts one golden entry holds; past it the entry starts
+#: over with the call's new verdicts, as the PassAtKChecker memo does
+_VERDICTS_MAX = 4096
 
 
 def _golden_disk_key(problem: EvalProblem) -> Tuple[str, ...]:
@@ -248,20 +257,26 @@ def _golden_key(problem: EvalProblem) -> Tuple:
 
 
 def _golden_ref(
-    problem: EvalProblem, pack: Optional[list] = None
+    problem: EvalProblem, blob: Optional[bytes] = None
 ) -> _GoldenRef:
-    """The problem's golden bundle: from memory, from ``sim.cache``, or
-    built here.  A bundle built here is not stored; it is appended to
-    ``pack`` as a :func:`repro.sim.cache.store_many` entry, which the
-    pool writes with the designs it elaborated."""
+    """The problem's golden bundle: from memory, unpickled from ``blob``
+    (the bundle bytes of its ``sim.cache`` entry), or built here."""
     key = _golden_key(problem)
-    ref = _GOLDEN_CACHE.get(key)
-    if ref is not None:
+    slot = _GOLDEN_CACHE.get(key)
+    if slot is not None:
         _GOLDEN_CACHE.move_to_end(key)
-        return ref
-    disk_key = _golden_disk_key(problem)
-    ref = sim_cache.load("golden-ref", *disk_key)
+        return slot[0]
+    ref = None
+    if blob is not None:
+        try:
+            ref = pickle.loads(blob)
+        except Exception:
+            pass
+        if not isinstance(ref, _GoldenRef):
+            # counted as a corrupt entry is; built again, then written over
+            obs.count("sim.cache.corrupt")
     if not isinstance(ref, _GoldenRef):
+        blob = None
         # Cold: the full parse→elaborate→stimulate→simulate pipeline runs
         # here, once per problem — the span names the problem so slow
         # goldens show up in trace reports.
@@ -270,12 +285,31 @@ def _golden_ref(
             cycles=problem.stimulus_cycles,
         ):
             ref = _GoldenRef(problem)
-        if pack is not None:
-            pack.append(("golden-ref", disk_key, ref))
     while len(_GOLDEN_CACHE) >= _GOLDEN_CACHE_MAX:
         _GOLDEN_CACHE.popitem(last=False)
-    _GOLDEN_CACHE[key] = ref
+    _GOLDEN_CACHE[key] = [ref, blob]
     return ref
+
+
+def _source_key(source: str) -> bytes:
+    """A source's key in its golden entry's verdict table."""
+    return hashlib.blake2b(source.encode("utf-8"), digest_size=16).digest()
+
+
+def _is_golden_entry(payload) -> bool:
+    """A ``golden`` entry's payload: ``(verdicts, bundle bytes or None)``,
+    every verdict a ``(bool, str)`` whose reason is empty exactly when it
+    passed."""
+    return (
+        type(payload) is tuple and len(payload) == 2
+        and type(payload[0]) is dict
+        and (payload[1] is None or type(payload[1]) is bytes)
+        and all(
+            type(v) is tuple and len(v) == 2 and type(v[0]) is bool
+            and type(v[1]) is str and v[0] == (v[1] == "")
+            for v in payload[0].values()
+        )
+    )
 
 
 #: each problem prompt's closed-prompt stream (None: not closed), keyed
@@ -436,14 +470,17 @@ def check_candidates_lockstep(
       golden error there is no shortcut, as that error is the verdict.
       The digest covers the whole file, not the top module, because
       elaboration reads every module it instantiates;
-    * with the :mod:`repro.sim.cache` disk tier enabled and CEGIS off,
-      each distinct source first looks up its ``verdict`` entry, keyed
-      by the source text and the golden bundle's disk key (golden text,
-      module name, stimulus cycles and seed, clock, reset, reset
+    * with the :mod:`repro.sim.cache` disk tier enabled, the call loads
+      one ``golden`` entry, keyed by the golden bundle's disk key (golden
+      text, module name, stimulus cycles and seed, clock, reset, reset
       polarity: every input that can change a verdict; the backend
-      cannot).  A hit is the verdict (counted as
-      ``vereval.cached_verdicts``), so a call whose sources all hit loads
-      no bundle, lexes nothing and replays nothing;
+      cannot).  It holds the pickled bundle (or None while none is
+      built) and a table from each checked source's 16-byte ``blake2b``
+      to its ``(passed, reason)``.  With CEGIS off, a distinct source in
+      the table is decided by it (counted as
+      ``vereval.cached_verdicts``), so a call whose sources all hit
+      unpickles no bundle, lexes nothing and replays nothing; the bundle
+      bytes are unpickled only when the rules below fetch the bundle;
     * golden twins pass before the front end: when the golden text is
       one of the remaining sources (the golden then gets past the front
       end, so its bundle is needed anyway) or the bundle is in memory,
@@ -456,13 +493,19 @@ def check_candidates_lockstep(
       plain trace check unless CEGIS is enabled) gives each distinct
       elaborating design the scalar replay (docs/architecture.md §4; the
       name is the one the perf ledger and ``evalkit`` import);
-    * every source decided here gets a ``verdict`` entry, the front-end
+    * every source decided here joins the table, the front-end
       failures, the golden text and its twins included; ``internal`` is
-      never stored.  They are written with the golden bundle (if this
-      call built it) as one pack (:func:`repro.sim.cache.store_many`).
-      Under CEGIS no verdict entry is read or written: a persisted
-      distinguishing set makes a CEGIS verdict depend on what was
-      checked before.
+      never stored.  The entry is written back with one
+      :func:`repro.sim.cache.store` only when the call decided something
+      new or built the bundle, whose pickled bytes stay in memory beside
+      it so a later rewrite does not pickle it again.  A table that
+      would pass :data:`_VERDICTS_MAX` starts over with the call's new
+      verdicts.  Concurrent writers: the last one wins, and a lost
+      verdict is a later miss, never a wrong verdict.  Under CEGIS the
+      table is neither read nor written (a persisted distinguishing set
+      makes a CEGIS verdict depend on what was checked before): the
+      entry is written only for a bundle built here, with the table as
+      it was read.
     """
     sources = list(candidate_sources)
     with obs.span(
@@ -487,31 +530,39 @@ def _check_candidates_lockstep(
         for index in indices:
             outcomes[index] = outcome
 
-    # The verdict tier: one lookup per distinct source, before the golden
-    # bundle and the front end.  Off under CEGIS, whose verdicts depend on
+    # The golden entry: one load with the disk tier on.  Its verdict
+    # table decides the sources it holds, before the golden bundle and the
+    # front end; the table is off under CEGIS, whose verdicts depend on
     # the distinguishing set earlier checks grew.
-    verdict_key: Optional[Tuple[str, ...]] = None
-    if (
-        sim_cache.cache_dir() is not None
-        and not _cegis.active_config().enabled
-    ):
-        verdict_key = _golden_disk_key(problem)
+    disk_key: Optional[Tuple[str, ...]] = None
+    table: Dict[bytes, Tuple[bool, str]] = {}
+    blob: Optional[bytes] = None
+    if sim_cache.cache_dir() is not None:
+        disk_key = _golden_disk_key(problem)
+        entry = sim_cache.load("golden", *disk_key, accept=_is_golden_entry)
+        if entry is not None:
+            table, blob = entry
+    # the verdicts decided here, by source key; None with the table off
+    fresh: Optional[Dict[bytes, Tuple[bool, str]]] = None
+    source_keys: Dict[str, bytes] = {}
+    if disk_key is not None and not _cegis.active_config().enabled:
+        fresh = {}
         for source in list(positions):
-            verdict = sim_cache.get_verdict(source, *verdict_key)
+            key = source_keys[source] = _source_key(source)
+            verdict = table.get(key)
             if verdict is not None:
-                obs.count("vereval.cached_verdicts")
                 fill(positions.pop(source), verdict)
-
-    # sim.cache entries built here: the golden bundle if this call built
-    # it, and the verdict of every source decided here
-    pack: list = []
+        obs.count("vereval.cached_verdicts", len(source_keys) - len(positions))
+        if not positions:
+            # every source decided by the table: nothing to fetch or write
+            return outcomes  # type: ignore[return-value]
 
     def decide(
         source: str, indices: List[int], verdict: Tuple[bool, str]
     ) -> None:
         fill(indices, verdict)
-        if verdict_key is not None:
-            pack.append(("verdict", (source, *verdict_key), verdict))
+        if fresh is not None:
+            fresh[source_keys[source]] = verdict
 
     # the golden bundle, the digest its twins pass on, and whether the
     # golden failed to elaborate
@@ -521,7 +572,7 @@ def _check_candidates_lockstep(
     def fetch_golden() -> None:
         nonlocal ref, golden, golden_failed
         try:
-            ref = _golden_ref(problem, pack)
+            ref = _golden_ref(problem, blob)
         except ElaborationError:
             golden_failed = True
         else:
@@ -614,9 +665,37 @@ def _check_candidates_lockstep(
             )
             for source, indices in members:
                 decide(source, indices, outcome)
-    # One pack per call: one new inode however many entries it holds.
-    sim_cache.store_many(pack)
+    if disk_key is not None:
+        _store_golden_entry(problem, disk_key, table, fresh, blob)
     return outcomes  # type: ignore[return-value]
+
+
+def _store_golden_entry(
+    problem: EvalProblem,
+    disk_key: Tuple[str, ...],
+    table: Dict[bytes, Tuple[bool, str]],
+    fresh: Optional[Dict[bytes, Tuple[bool, str]]],
+    blob: Optional[bytes],
+) -> None:
+    """Write back the golden entry a call loaded (``table``, ``blob``),
+    ``fresh`` verdicts merged in, if the call decided any or built the
+    bundle; ``fresh`` is None under CEGIS, which keeps the table read."""
+    slot = _GOLDEN_CACHE.get(_golden_key(problem))
+    built = slot is not None and slot[1] is None
+    if not (fresh or built):
+        return
+    if fresh and len(table) + len(fresh) > _VERDICTS_MAX:
+        table = dict(itertools.islice(fresh.items(), _VERDICTS_MAX))
+    elif fresh:
+        table.update(fresh)
+    if built:
+        try:
+            slot[1] = pickle.dumps(slot[0], protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            pass  # stored without its bundle
+    if slot is not None and slot[1] is not None:
+        blob = slot[1]
+    sim_cache.store("golden", (table, blob), *disk_key)
 
 
 def reset_caches() -> None:

@@ -582,11 +582,15 @@ class TestOneGoldenBundle:
         try:
             # in memory: the same object
             assert harness._golden_ref(problem) is legacy_ref
-            # on disk: the bundle the CEGIS-off check stored is a hit
+            # on disk: the bundle the CEGIS-off check stored is a hit, so
+            # the CEGIS check builds and stores nothing
             harness._GOLDEN_CACHE.clear()
-            pack = []
-            on_ref = harness._golden_ref(problem, pack)
-            assert pack == []
+            stores = obs.counter_value("sim.cache.store")
+            assert harness.check_candidate_source(
+                problem, problem.golden_source
+            ) == (True, "")
+            assert obs.counter_value("sim.cache.store") == stores
+            on_ref = harness._golden_ref(problem)
         finally:
             cegis.configure(previous)
         assert on_ref is not legacy_ref
@@ -626,12 +630,14 @@ class TestOneGoldenBundle:
                 harness._GoldenRef, "__getstate__",
                 lambda self: (None, old_layout),
             )
-            assert sim_cache.store(
-                "golden-ref", ref, *harness._golden_disk_key(problem)
-            )
-        pack = []
-        loaded = harness._golden_ref(problem, pack)
-        assert pack == []  # a disk hit, not a rebuild
+            blob = pickle.dumps(ref)
+        assert sim_cache.store(
+            "golden", ({}, blob), *harness._golden_disk_key(problem)
+        )
+        loaded = harness._golden_ref(problem, blob)
+        # unpickled from the entry's bytes, not rebuilt (a bundle built
+        # here has no bytes until an entry needs them)
+        assert harness._GOLDEN_CACHE[harness._golden_key(problem)][1] is blob
         assert not hasattr(loaded, "coverage")
         assert not hasattr(loaded, "full_cycles")
         assert not hasattr(loaded, "lanes")

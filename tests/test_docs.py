@@ -131,6 +131,7 @@ _DELETED_NAMES = re.compile(
     "|licensed_verilog_files|is_sequential|CurationError|benchmark\\.pedantic"
     "|_check_all_vectors_batch|_bundle_lanes|RetireEngine|retire_all_vectors"
     "|expected_matrix|lane_vector"
+    "|store_many|get_verdict|_read_record|_HEAD_BYTES"
 )
 
 

@@ -348,10 +348,8 @@ class TestSimCacheFault:
             faults.arm("sim.cache.store", "raise", nth=1)
             fired = obs.counter_value("faults.fired")
             stores = obs.counter_value("sim.cache.store")
-            # fired after the pack is written, before its first link
-            assert sim_cache.store_many(
-                [("unit", ("a",), 1), ("unit", ("b",), 2)]
-            ) == 0
+            # fired after the entry is written, before it is named
+            assert sim_cache.store("unit", 1, "a") is False
             assert obs.counter_value("faults.fired") == fired + 1
             assert obs.counter_value("sim.cache.store") == stores
             assert list(root.iterdir()) == []
@@ -360,7 +358,7 @@ class TestSimCacheFault:
             assert sim_cache.load("unit", "a") is None
             assert obs.counter_value("sim.cache.miss") == misses + 1
             assert obs.counter_value("sim.cache.corrupt") == corrupt
-            # disarmed after one firing: the next store names its pack
+            # disarmed after one firing: the next store names its entry
             assert sim_cache.store("unit", 1, "a")
             assert sim_cache.load("unit", "a") == 1
         finally:

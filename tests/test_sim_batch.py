@@ -505,13 +505,36 @@ class TestTupleTraces:
 
 
 def _store_rounds(root, keys, tag, rounds=40):
-    """One cache writer process: ``rounds`` packs over ``keys``."""
+    """One cache writer process: ``rounds`` stores of every key."""
     sim_cache.configure(root)
     for index in range(rounds):
-        stored = sim_cache.store_many(
-            [("blob", (f"k{i}",), [i, tag, index]) for i in keys]
-        )
-        assert stored == len(keys)
+        for i in keys:
+            assert sim_cache.store("blob", [i, tag, index], f"k{i}")
+
+
+def _writer_pool(problem, tag):
+    """The golden, two respellings of it and a near-miss, each spelled
+    for writer ``tag`` alone, plus one source every writer shares."""
+    golden = problem.golden_source
+    near_miss = golden.replace(" + ", " - ", 1).replace(" & ", " | ", 1)
+    shared = "// shared\n" + golden
+    return [f"// {tag}{i}\n{source}"
+            for i, source in enumerate((golden, golden, near_miss))] + [
+        golden, shared,
+    ]
+
+
+def _check_rounds(root, tags, rounds=6):
+    """One checker process: ``rounds`` fresh-process checks of one golden,
+    a pool per writer tag in ``tags``."""
+    sim_cache.configure(root)
+    (problem,) = build_problem_set(n_problems=1)
+    for index in range(rounds):
+        harness.reset_caches()
+        for tag in tags:
+            harness.check_candidates_lockstep(
+                problem, _writer_pool(problem, f"{tag}{index}")
+            )
 
 
 class TestPersistentCache:
@@ -553,17 +576,18 @@ class TestPersistentCache:
             harness._GOLDEN_CACHE.clear()
             cold = harness._golden_ref(problem)
             # built outside a pool, the bundle is not stored: the pool
-            # writes it with the designs of its own pack
+            # writes it into the problem's golden entry
             assert not list(tmp_path.iterdir())
             harness._GOLDEN_CACHE.clear()
             assert harness.check_candidate_source(problem, "module")[1] == (
                 "syntax"
             )
-            # nothing got past parse: one name, holding the verdict
-            (failure,) = tmp_path.iterdir()
+            # nothing got past parse: one entry, holding the verdict and
+            # no bundle
+            (entry,) = tmp_path.iterdir()
             key = harness._golden_disk_key(problem)
-            assert sim_cache.load("verdict", "module", *key) == (
-                False, "syntax"
+            assert sim_cache.load("golden", *key) == (
+                {harness._source_key("module"): (False, "syntax")}, None
             )
             tokens = obs.counter_value("verilog.tokens")
             hits = obs.counter_value("sim.cache.hit")
@@ -576,19 +600,16 @@ class TestPersistentCache:
                 problem, problem.golden_source
             )
             assert passed, reason
-            # the golden bundle and the golden text's verdict, in one more
-            # pack: the verbatim golden passes before the front end
-            rest = [n for n in tmp_path.iterdir() if n != failure]
-            assert len(rest) == 2
-            assert len({n.stat().st_ino for n in rest}) == 1
-            assert rest[0].stat().st_ino != failure.stat().st_ino
-            assert sim_cache.load(
-                "verdict", problem.golden_source, *key
-            ) == (True, "")
+            # the verbatim golden passes before the front end; the call
+            # built the bundle and added it and the verdict to the entry
+            assert list(tmp_path.iterdir()) == [entry]
+            table, blob = sim_cache.load("golden", *key)
+            assert table == {
+                harness._source_key("module"): (False, "syntax"),
+                harness._source_key(problem.golden_source): (True, ""),
+            }
             harness._GOLDEN_CACHE.clear()
-            hits = obs.counter_value("sim.cache.hit")
-            warm = harness._golden_ref(problem)  # disk hit, new object
-            assert obs.counter_value("sim.cache.hit") == hits + 1
+            warm = harness._golden_ref(problem, blob)  # new object
             assert warm is not cold
             assert warm.trace == cold.trace
             assert warm.output_names == cold.output_names
@@ -606,12 +627,12 @@ class TestPersistentCache:
     def test_stale_version_key_rejected(self, tmp_path, monkeypatch):
         previous = sim_cache.configure(str(tmp_path))
         try:
-            sim_cache.store("golden-ref", {"old": True}, "src", "m")
-            assert sim_cache.load("golden-ref", "src", "m") == {"old": True}
+            sim_cache.store("golden", {"old": True}, "src", "m")
+            assert sim_cache.load("golden", "src", "m") == {"old": True}
             monkeypatch.setattr(
                 sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION + 1
             )
-            assert sim_cache.load("golden-ref", "src", "m") is None
+            assert sim_cache.load("golden", "src", "m") is None
         finally:
             sim_cache.configure(previous)
 
@@ -626,24 +647,22 @@ class TestPersistentCache:
         finally:
             sim_cache.configure(previous)
 
-    @staticmethod
-    def _blobs(n, size=0):
-        """``n`` store_many entries with distinct keys; ``size`` pads
-        each payload so the records outgrow a load's first read."""
-        return [("blob", (f"k{i}",), [i, "x" * size]) for i in range(n)]
-
-    def test_pack_names_share_one_inode(self, tmp_path):
+    def test_an_entry_is_one_file_at_its_key_name(self, tmp_path):
+        # the last two entries take more than one read
+        sizes = [0, 3000, 60_000, 70_000, 200_000]
         previous = sim_cache.configure(str(tmp_path))
         try:
-            assert sim_cache.store_many(self._blobs(5, size=3000)) == 5
+            for i, size in enumerate(sizes):
+                assert sim_cache.store("blob", [i, "x" * size], f"k{i}")
+            # a flat directory of five names: no fan-out, no temp file,
+            # no name shared
             names = sorted(tmp_path.iterdir())
-            # a flat directory of five names: no fan-out, no temp file
-            assert len(names) == 5
-            assert all(n.suffix == ".pkl" and n.is_file() for n in names)
-            stats = {(n.stat().st_ino, n.stat().st_nlink) for n in names}
-            assert len(stats) == 1 and stats.pop()[1] == 5
-            for i in range(5):
-                assert sim_cache.load("blob", f"k{i}") == [i, "x" * 3000]
+            assert sorted(n.name for n in names) == sorted(
+                sim_cache._key("blob", f"k{i}") + ".pkl" for i in range(5)
+            )
+            assert all(n.is_file() and n.stat().st_nlink == 1 for n in names)
+            for i, size in enumerate(sizes):
+                assert sim_cache.load("blob", f"k{i}") == [i, "x" * size]
         finally:
             sim_cache.configure(previous)
 
@@ -652,47 +671,37 @@ class TestPersistentCache:
 
         previous = sim_cache.configure(str(tmp_path))
         try:
-            assert sim_cache.store_many(self._blobs(3)) == 3
+            for i in range(3):
+                assert sim_cache.store("blob", [i], f"k{i}")
             faults.arm("sim.cache.load", "raise", nth=1)
             try:
                 assert sim_cache.load("blob", "k1") is None  # evicted
             finally:
                 faults.disarm("sim.cache.load")
-            names = list(tmp_path.iterdir())
-            assert len(names) == 2
-            assert names[0].stat().st_nlink == 2
-            assert sim_cache.load("blob", "k0") == [0, ""]
-            assert sim_cache.load("blob", "k2") == [2, ""]
+            assert len(list(tmp_path.iterdir())) == 2
+            assert sim_cache.load("blob", "k0") == [0]
+            assert sim_cache.load("blob", "k2") == [2]
             assert sim_cache.load("blob", "k1") is None  # a plain miss now
         finally:
             sim_cache.configure(previous)
 
-    @pytest.mark.parametrize("cut", ["index", "record"])
-    def test_truncated_pack_is_corrupt_on_every_name_read(
-        self, tmp_path, cut
-    ):
+    @pytest.mark.parametrize("cut", ["envelope", "payload"])
+    def test_a_truncated_entry_is_corrupt_and_evicted(self, tmp_path, cut):
         previous = sim_cache.configure(str(tmp_path))
         try:
-            assert sim_cache.store_many(self._blobs(3, size=3000)) == 3
-            pack = next(tmp_path.iterdir())
-            header = sim_cache._HEADER.size
-            keep = (
-                header + sim_cache._ENTRY.size  # mid-index
-                if cut == "index"
-                else header + 3 * sim_cache._ENTRY.size + 100  # record 0
-            )
-            with open(pack, "r+b") as handle:
-                handle.truncate(keep)
+            assert sim_cache.store("blob", [0, "x" * 3000], "k")
+            (name,) = tmp_path.iterdir()
+            with open(name, "r+b") as handle:
+                handle.truncate(4 if cut == "envelope" else 1000)
             before = {
                 n: obs.counter_value(f"sim.cache.{n}")
                 for n in ("corrupt", "miss", "evict")
             }
-            for i in range(3):
-                assert sim_cache.load("blob", f"k{i}") is None
+            assert sim_cache.load("blob", "k") is None
             assert {
                 n: obs.counter_value(f"sim.cache.{n}") - before[n]
                 for n in before
-            } == {"corrupt": 3, "miss": 3, "evict": 3}
+            } == {"corrupt": 1, "miss": 1, "evict": 1}
             assert not list(tmp_path.iterdir())
         finally:
             sim_cache.configure(previous)
@@ -700,32 +709,39 @@ class TestPersistentCache:
     def test_key_repeated_in_one_call_is_stored_once(self, tmp_path):
         previous = sim_cache.configure(str(tmp_path))
         try:
+            problem = self._problem()
+            golden = problem.golden_source
+            pool = [golden, "module", golden, "module", golden]
+            harness.reset_caches()
             stores = obs.counter_value("sim.cache.store")
-            assert sim_cache.store_many(
-                [("blob", ("k",), 1), ("blob", ("k",), 2)]
-            ) == 1
+            assert harness.check_candidates_lockstep(problem, pool) == [
+                (True, ""), (False, "syntax"),
+            ] * 2 + [(True, "")]
+            # one store of one entry, one verdict per distinct source
             assert obs.counter_value("sim.cache.store") == stores + 1
             (name,) = tmp_path.iterdir()
             assert name.stat().st_nlink == 1
-            with open(name, "rb") as handle:
-                magic, count = sim_cache._HEADER.unpack(
-                    handle.read(sim_cache._HEADER.size)
-                )
-            assert count == 1
-            assert sim_cache.load("blob", "k") == 2  # the last payload
+            table, _ = sim_cache.load(
+                "golden", *harness._golden_disk_key(problem)
+            )
+            assert table == {
+                harness._source_key(golden): (True, ""),
+                harness._source_key("module"): (False, "syntax"),
+            }
         finally:
             sim_cache.configure(previous)
+            harness.reset_caches()
 
-    def test_unpicklable_entry_is_skipped_not_the_pack(self, tmp_path):
+    def test_an_unpicklable_payload_stores_nothing(self, tmp_path):
         previous = sim_cache.configure(str(tmp_path))
         try:
-            assert sim_cache.store_many(
-                [("blob", ("a",), 1), ("blob", ("b",), lambda: 0),
-                 ("blob", ("c",), 3)]
-            ) == 2
-            assert sim_cache.load("blob", "a") == 1
+            stores = obs.counter_value("sim.cache.store")
+            assert sim_cache.store("blob", lambda: 0, "b") is False
+            assert obs.counter_value("sim.cache.store") == stores
+            assert not list(tmp_path.iterdir())  # no name, no temp file
             assert sim_cache.load("blob", "b") is None
-            assert sim_cache.load("blob", "c") == 3
+            assert sim_cache.store("blob", 3, "b")
+            assert sim_cache.load("blob", "b") == 3
         finally:
             sim_cache.configure(previous)
 
@@ -733,17 +749,13 @@ class TestPersistentCache:
         previous = sim_cache.configure(str(tmp_path))
         try:
             assert sim_cache.store("blob", [1], "k")
-            assert sim_cache.store_many(
-                [("blob", ("k",), [2]), ("blob", ("j",), [3])]
-            ) == 2
+            assert sim_cache.store("blob", [2], "k")
+            assert sim_cache.store("blob", [3], "j")
             assert sim_cache.load("blob", "k") == [2]  # the last writer
             assert sim_cache.load("blob", "j") == [3]
             names = list(tmp_path.iterdir())
             assert len(names) == 2
             assert not [n for n in names if n.suffix == ".tmp"]
-            # the first pack lost its only name and is gone; the second
-            # holds both
-            assert {n.stat().st_nlink for n in names} == {2}
         finally:
             sim_cache.configure(previous)
 
@@ -776,6 +788,48 @@ class TestPersistentCache:
         names = list(tmp_path.iterdir())
         assert len(names) == 18
         assert not [n for n in names if n.suffix != ".pkl"]
+
+    def test_writer_processes_on_one_golden(self, tmp_path):
+        import multiprocessing
+
+        (problem,) = build_problem_set(n_problems=1)
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(
+                target=_check_rounds, args=(str(tmp_path), tags)
+            )
+            # more writer processes than a 2-core host has cores
+            for tags in (("a",), ("b", "c"), ("d",))
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(120)
+            assert writer.exitcode == 0
+        # one loadable entry, whole, and no temp file left behind
+        names = list(tmp_path.iterdir())
+        assert [n.suffix for n in names] == [".pkl"]
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            key = harness._golden_disk_key(problem)
+            entry = sim_cache.load(
+                "golden", *key, accept=harness._is_golden_entry
+            )
+            assert entry is not None
+            pool = [
+                source
+                for tag in ("a0", "b5", "c3", "d1", "z")
+                for source in _writer_pool(problem, tag)
+            ]
+            sim_cache.configure("")
+            harness.reset_caches()
+            want = harness.check_candidates_lockstep(problem, pool)
+            sim_cache.configure(str(tmp_path))
+            harness.reset_caches()
+            assert harness.check_candidates_lockstep(problem, pool) == want
+        finally:
+            sim_cache.configure(previous)
+            harness.reset_caches()
 
     def test_design_batch_cache_not_pickled(self):
         design = build(

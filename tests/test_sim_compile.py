@@ -1468,10 +1468,10 @@ class TestCodePersistence:
 
     def test_cache_entries_that_cannot_be_used(self, tmp_path, monkeypatch):
         """Truncated marshal bytes and a parent-version entry: the
-        existing ``corrupt`` / ``version_mismatch`` accounting, a miss,
-        and the same verdicts from a fresh derivation.  The golden
-        bundle's design is the one entry that carries code; a token twin
-        of the golden that no call decided yet makes a check load it."""
+        existing ``corrupt`` / ``version_mismatch`` accounting, and the
+        same verdicts from a fresh derivation.  The golden bundle's design
+        is the one artifact that carries code; a token twin of the golden
+        that no call decided yet makes a check unpickle the bundle."""
         from repro.sim import cache as sim_cache
         from repro.sim import compile as sim_compile
         from repro.vereval import check_candidates_lockstep, reset_caches
@@ -1503,8 +1503,6 @@ class TestCodePersistence:
             reset_caches()
             want = check_candidates_lockstep(problem, sources)
             sim_cache.configure(str(tmp_path))
-            # one verdict per distinct source
-            verdicts = len(set(sources))
             # 1. marshal bytes cut short inside an otherwise sound bundle
             real_dumps = marshal.dumps
             monkeypatch.setattr(
@@ -1519,32 +1517,32 @@ class TestCodePersistence:
             assert check_candidates_lockstep(problem, [twin(1)]) == [
                 (True, "")
             ]
-            # the twin's verdict misses; the bundle is corrupt
-            assert delta(before) == {"corrupt": 1, "miss": 2}
-            # 2. the refill is sound: the bundle hits, nothing is lowered
+            # the entry loads, the twin is not in its table, and the bundle
+            # it holds is corrupt: built again and written over
+            assert delta(before) == {"hit": 1, "corrupt": 1}
+            # 2. the refill is sound: the bundle unpickles, nothing is
+            # lowered
             before = counters()
             emitted = obs.counter_value("sim.codegen.emitted")
             reset_caches()
             assert check_candidates_lockstep(problem, [twin(2)]) == [
                 (True, "")
             ]
-            assert delta(before) == {"hit": 1, "miss": 1}
+            assert delta(before) == {"hit": 1}
             assert obs.counter_value("sim.codegen.emitted") == emitted
             before = counters()
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
-            assert delta(before) == {"hit": verdicts}
-            # 3. the same directory read by the next backend version: every
-            # verdict, then the bundle the golden text needs
+            assert delta(before) == {"hit": 1}
+            # 3. the same directory read by the next backend version: the
+            # one entry, whose verdicts and bundle are derived again
             monkeypatch.setattr(
                 sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION + 1
             )
             before = counters()
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
-            assert delta(before) == {
-                "version_mismatch": verdicts + 1, "miss": verdicts + 1,
-            }
+            assert delta(before) == {"version_mismatch": 1, "miss": 1}
         finally:
             sim_cache.configure(previous)
             reset_caches()
@@ -1686,10 +1684,10 @@ class TestCodePersistence:
 
     def test_previous_version_entries_are_evicted(self, tmp_path,
                                                   monkeypatch):
-        """A version-12 pack at the key names, holding a ``design`` entry
-        (AST inline) and a ``golden-ref`` entry (stimulus dicts) of older
-        layouts: each unpickles, counts a version mismatch and a miss, and
-        loses its one name while its sibling stays."""
+        """Version-12 entries at the key names, a ``design`` entry (AST
+        inline) and a ``golden`` entry whose bundle is of an older layout
+        (stimulus dicts): each unpickles, counts a version mismatch and a
+        miss, and loses its name while the other stays."""
         from repro.sim import cache as sim_cache
         from repro.vereval import harness
 
@@ -1708,11 +1706,6 @@ class TestCodePersistence:
             "coverage": None,
             "full_cycles": len(ref.rows),
         }
-        entries = [
-            (("design", problem.golden_source, name),
-             build(problem.golden_source, name)),
-            (("golden-ref", *harness._golden_disk_key(problem)), ref),
-        ]
         previous = sim_cache.configure(str(tmp_path))
         try:
             with monkeypatch.context() as patch:
@@ -1727,17 +1720,20 @@ class TestCodePersistence:
                         None, {"design": self.design, **layout_11}
                     ),
                 )
-                assert sim_cache.store_many(
-                    [(kind, parts, payload)
-                     for (kind, *parts), payload in entries]
-                ) == 2
+                entries = [
+                    (("design", problem.golden_source, name),
+                     build(problem.golden_source, name)),
+                    (("golden", *harness._golden_disk_key(problem)),
+                     ({}, pickle.dumps(ref))),
+                ]
+                for (kind, *parts), payload in entries:
+                    assert sim_cache.store(kind, payload, *parts)
             paths = [
                 sim_cache._path_for(
                     str(tmp_path), sim_cache._key(kind, *parts)
                 )
                 for (kind, *parts), _ in entries
             ]
-            assert os.stat(paths[0]).st_ino == os.stat(paths[1]).st_ino
             for ((kind, *parts), _), path in zip(entries, paths):
                 counts = {
                     n: obs.counter_value(f"sim.cache.{n}")
@@ -1862,13 +1858,19 @@ class TestSourceTextPersistence:
 
     @staticmethod
     def _replay_restored_goldens(problems):
-        """Each problem's golden bundle read back from disk, its design
-        replayed as a candidate against its own trace: the bundles and
-        the verdicts."""
+        """Each problem's golden bundle read back from its disk entry, its
+        design replayed as a candidate against its own trace: the bundles
+        and the verdicts."""
+        from repro.sim import cache as sim_cache
         from repro.vereval import harness, reset_caches
 
         reset_caches()
-        refs = [harness._golden_ref(p) for p in problems]
+        refs = [
+            harness._golden_ref(
+                p, sim_cache.load("golden", *harness._golden_disk_key(p))[1]
+            )
+            for p in problems
+        ]
         for ref in refs:
             # restored with code and its source text, and no AST
             assert "_compiled" in vars(ref.design)

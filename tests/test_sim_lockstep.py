@@ -603,10 +603,9 @@ endmodule
 
 
 class TestFrontendFailureCache:
-    """A front-end failure is cached like any verdict: a ``verdict``
-    entry under the golden bundle's key holds ``syntax`` /
-    ``missing_module`` / ``elaboration``, so a warm check lexes and
-    parses nothing it already saw."""
+    """A front-end failure is cached like any verdict: the golden entry's
+    table holds ``syntax`` / ``missing_module`` / ``elaboration``, so a
+    warm check lexes and parses nothing it already saw."""
 
     SYNTAX = "module dut(input clk"
     MISSING = _dut().replace("module dut(", "module other(")
@@ -637,9 +636,14 @@ class TestFrontendFailureCache:
         return {name: after[name] - before[name] for name in before}
 
     @staticmethod
-    def _verdict(problem, source):
+    def _entry(problem):
         key = harness._golden_disk_key(problem)
-        return sim_cache.get_verdict(source, *key)
+        return sim_cache.load("golden", *key, accept=harness._is_golden_entry)
+
+    @classmethod
+    def _verdict(cls, problem, source):
+        entry = cls._entry(problem)
+        return entry and entry[0].get(harness._source_key(source))
 
     def test_cold_warm_and_oracle_agree(self, cache):
         problem = _dut_problem(problem_id="frontend")
@@ -654,8 +658,8 @@ class TestFrontendFailureCache:
         assert check_candidates_lockstep(problem, sources) == reference
         cold = self._delta(before)
         assert cold["vereval.cached_verdicts"] == 0
-        # five verdicts and the golden bundle
-        assert cold["sim.cache.miss"] == 6
+        # one golden entry, read once
+        assert cold["sim.cache.miss"] == 1
         for source, verdict in zip(self.SOURCES, reference):
             assert self._verdict(problem, source) == verdict
         harness.reset_caches()
@@ -664,20 +668,20 @@ class TestFrontendFailureCache:
         assert self._delta(before) == {
             "verilog.tokens": 0,
             "vereval.cached_verdicts": 5,
-            "sim.cache.hit": 5,
+            "sim.cache.hit": 1,
             "sim.cache.miss": 0,
         }
 
-    def test_a_call_where_every_source_fails_writes_one_pack(self, cache):
+    def test_a_call_where_every_source_fails_writes_one_entry(self, cache):
         problem = _dut_problem(problem_id="frontend")
         assert check_candidates_lockstep(problem, self.SOURCES[:3]) == [
             (False, reason) for reason in self.REASONS
         ]
         # three verdicts and the golden bundle (the elaboration failure got
-        # past parse, so the golden was built): one pack
-        names = list(cache.iterdir())
-        assert len(names) == 4
-        assert len({name.stat().st_ino for name in names}) == 1
+        # past parse, so the golden was built): one entry
+        assert len(list(cache.iterdir())) == 1
+        table, blob = self._entry(problem)
+        assert len(table) == 3 and blob is not None
         # the checker writes no design entries
         assert sim_cache.get_design(self.ELABORATION, "dut") is None
 
@@ -700,7 +704,8 @@ class TestFrontendFailureCache:
         assert reference == [(False, "elaboration"), (False, "syntax")]
         assert check_candidates_lockstep(problem, sources) == reference
         # both verdicts, keyed by the golden that failed; no bundle
-        assert len(list(cache.iterdir())) == 2
+        assert len(list(cache.iterdir())) == 1
+        assert self._entry(problem)[1] is None
         for source, verdict in zip(sources, reference):
             assert self._verdict(problem, source) == verdict
         tokens = self._counts("verilog.tokens")
@@ -725,7 +730,10 @@ class TestFrontendFailureCache:
     def test_an_unknown_reason_is_corrupt_evicted_and_reparsed(self, cache):
         problem = _dut_problem(problem_id="frontend")
         key = harness._golden_disk_key(problem)
-        assert sim_cache.store("verdict", "bogus", self.SYNTAX, *key)
+        assert sim_cache.store(
+            "golden", ({harness._source_key(self.SYNTAX): "bogus"}, None),
+            *key,
+        )
         before = self._counts(
             "sim.cache.corrupt", "sim.cache.miss", "sim.cache.hit",
             "verilog.tokens", "vereval.cached_verdicts",
@@ -739,7 +747,7 @@ class TestFrontendFailureCache:
         assert delta["sim.cache.hit"] == 0
         assert delta["verilog.tokens"] > 0
         assert delta["vereval.cached_verdicts"] == 0
-        # the pool stored the real verdict in the evicted name's place
+        # the pool stored the real verdict in the evicted entry's place
         assert self._verdict(problem, self.SYNTAX) == (False, "syntax")
 
     def test_a_version_13_reason_is_a_version_mismatch(
@@ -750,7 +758,9 @@ class TestFrontendFailureCache:
         with monkeypatch.context() as patch:
             patch.setattr(sim_cache, "BACKEND_VERSION", 13)
             assert sim_cache.store(
-                "verdict", (False, "syntax"), self.SYNTAX, *key
+                "golden",
+                ({harness._source_key(self.SYNTAX): (False, "syntax")}, None),
+                *key,
             )
         before = self._counts(
             "sim.cache.version_mismatch", "sim.cache.miss",
@@ -798,8 +808,8 @@ class TestFrontendFailureCache:
         real_key = sim_cache._key
 
         def naive_key(kind, *parts):
-            if kind == "verdict":
-                parts = parts[:2] + parts[3:]
+            if kind == "golden":
+                parts = parts[:1] + parts[2:]
             return real_key(kind, *parts)
 
         def verdicts():

@@ -1,6 +1,7 @@
 """Tests for pass@k, problems, and the functional-eval harness."""
 
 import math
+import pickle
 import re
 
 import pytest
@@ -442,6 +443,22 @@ def _counted(names, run):
     }
 
 
+def _golden_entry(problem):
+    """The problem's ``(verdicts, bundle bytes)`` golden entry, or None."""
+    from repro.sim import cache as sim_cache
+
+    return sim_cache.load(
+        "golden", *harness._golden_disk_key(problem),
+        accept=harness._is_golden_entry,
+    )
+
+
+def _stored_verdict(problem, source):
+    """The verdict the problem's golden entry holds for ``source``."""
+    entry = _golden_entry(problem)
+    return entry and entry[0].get(harness._source_key(source))
+
+
 class TestGoldenEqualIdentity:
     COUNTERS = ("vereval.golden_equal", "vereval.scalar_checks")
 
@@ -601,13 +618,13 @@ class TestGoldenEqualAdversarial:
         assert cold == _reference(problem, pool) == [(True, "")] * 3
         reset_caches()
         loaded = []
-        real_load = sim_cache._load
+        real_load = sim_cache.load
 
-        def recording(kind, parts, accept):
+        def recording(kind, *parts, **options):
             loaded.append((kind, parts[0]))
-            return real_load(kind, parts, accept)
+            return real_load(kind, *parts, **options)
 
-        monkeypatch.setattr(sim_cache, "_load", recording)
+        monkeypatch.setattr(sim_cache, "load", recording)
         warm, moved = _counted(
             (
                 "vereval.golden_equal", "retire.scalar_replays",
@@ -620,9 +637,10 @@ class TestGoldenEqualAdversarial:
             "vereval.golden_equal": 0, "retire.scalar_replays": 0,
             "vereval.cached_verdicts": 3, "verilog.tokens": 0,
         }
-        # one verdict lookup per source, the verbatim golden included, and
-        # nothing else: no bundle, no design
-        assert loaded == [("verdict", source) for source in pool]
+        # one load, of the golden entry, whose table decides every source,
+        # the verbatim golden included; its bundle is never unpickled
+        assert loaded == [("golden", problem.golden_source)]
+        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
 
 
 def _spans(run, names=("verilog.parse", "sim.elaborate", "vereval.golden")):
@@ -645,7 +663,6 @@ class TestGoldenTwinsBeforeTheFrontEnd:
     @pytest.mark.parametrize("cache", ["off", "on"])
     def test_twins_parse_and_elaborate_nothing(self, cache, tmp_path):
         from repro.sim import cache as sim_cache
-        from repro.vereval import harness
 
         sim_cache.configure(str(tmp_path) if cache == "on" else "")
         problem = _clocked_problem()
@@ -670,9 +687,8 @@ class TestGoldenTwinsBeforeTheFrontEnd:
                 "verilog.parse": 1, "sim.elaborate": 1, "vereval.golden": 1,
             }
             if cache == "on":
-                key = harness._golden_disk_key(problem)
                 for source in pool:
-                    assert sim_cache.get_verdict(source, *key) == (True, "")
+                    assert _stored_verdict(problem, source) == (True, "")
                     assert sim_cache.get_design(source, "acc") is None
                 # a later call decides both from their verdicts
                 reset_caches()
@@ -729,9 +745,6 @@ class TestGoldenTwinsBeforeTheFrontEnd:
     def test_a_golden_elaboration_failure_is_the_twin_verdict(
         self, sim_cache_dir
     ):
-        from repro.sim import cache as sim_cache
-        from repro.vereval import harness
-
         broken = _acc("a + zz")
         interface = _clocked_problem().module.interface
         problem = EvalProblem(
@@ -748,20 +761,16 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         for _ in ("cold", "again"):
             reset_caches()
             assert check_candidates_lockstep(problem, pool) == reference
-        # every verdict in one pack, keyed by the golden that failed; no
+        # every verdict in one entry, keyed by the golden that failed; no
         # bundle
-        names = list(sim_cache_dir.iterdir())
-        assert len(names) == 4
-        assert len({name.stat().st_ino for name in names}) == 1
-        key = harness._golden_disk_key(problem)
+        assert len(list(sim_cache_dir.iterdir())) == 1
+        assert _golden_entry(problem)[1] is None
         for source, verdict in zip(pool, reference):
-            assert sim_cache.get_verdict(source, *key) == verdict
+            assert _stored_verdict(problem, source) == verdict
 
     def test_sources_that_all_fail_to_parse_fetch_no_bundle(
         self, sim_cache_dir
     ):
-        from repro.vereval import harness
-
         problem = _clocked_problem()
         pool = ["module", "garbage (((", "module"]
         reset_caches()
@@ -770,15 +779,28 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         )
         assert verdicts == _reference(problem, pool) == [(False, "syntax")] * 3
         assert spans["vereval.golden"] == 0
-        assert counters["sim.cache.miss"] == 2  # the two sources only
+        assert counters["sim.cache.miss"] == 1  # the golden entry, once
         assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
-        assert len(list(sim_cache_dir.iterdir())) == 2
+        # one entry: the two verdicts and no bundle
+        assert len(list(sim_cache_dir.iterdir())) == 1
+        table, blob = _golden_entry(problem)
+        assert len(table) == 2 and blob is None
+        # a later call that gets past the front end adds the bundle and
+        # keeps the table
+        reset_caches()
+        more = pool + [_acc("a - b")]
+        assert check_candidates_lockstep(problem, more) == _reference(
+            problem, more
+        )
+        table, blob = _golden_entry(problem)
+        assert len(table) == 3 and blob is not None
+        assert len(list(sim_cache_dir.iterdir())) == 1
 
 
 # ---------------------------------------------------------------------------
 # The verdict tier: with the disk tier on and CEGIS off, every decided
-# source's (passed, reason) is stored under the golden bundle's key, and a
-# warm check is one lookup per distinct source
+# source's (passed, reason) joins the table in its golden bundle's entry,
+# and a warm check is one load per call
 # ---------------------------------------------------------------------------
 
 #: the perf ledger's body-only operator swaps (``build_pool``)
@@ -866,12 +888,13 @@ def _replaced(problem, **changes):
 class TestVerdictEntries:
     """The verdict tier against the checker with the cache off: equal
     verdicts cold, warm and on a partial hit; a miss whenever one key
-    input changes; untouched under CEGIS; never an ``internal``; and an
-    unusable entry evicted and recomputed."""
+    input changes; untouched under CEGIS; never an ``internal``; an
+    unusable entry evicted and recomputed; one load and at most one store
+    per call; and a bounded table."""
 
     COUNTERS = (
         "vereval.cached_verdicts", "retire.scalar_replays", "verilog.tokens",
-        "sim.cache.hit", "sim.cache.miss",
+        "sim.cache.hit", "sim.cache.miss", "sim.cache.store",
     )
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -902,21 +925,31 @@ class TestVerdictEntries:
         cold, moved = run(pools)
         assert cold == want
         assert moved["vereval.cached_verdicts"] == 0
+        # one entry per golden: one load (a miss) and one store per call
+        assert moved["sim.cache.miss"] == moved["sim.cache.store"] == len(
+            pools
+        )
+        assert len(list(tmp_path.iterdir())) == len(pools)
         warm, moved = run(pools)
         assert warm == want
-        # one hit per distinct source and nothing else: no bundle, no lex,
-        # no replay
+        # one hit per call, every distinct source decided by its table, and
+        # nothing else: no bundle, no lex, no replay, no write
         assert moved == {
             "vereval.cached_verdicts": distinct, "retire.scalar_replays": 0,
-            "verilog.tokens": 0, "sim.cache.hit": distinct,
-            "sim.cache.miss": 0,
+            "verilog.tokens": 0, "sim.cache.hit": len(pools),
+            "sim.cache.miss": 0, "sim.cache.store": 0,
         }
         partial, moved = run(extended)
         assert partial == off
         assert moved["vereval.cached_verdicts"] == distinct
-        # every new spelling misses; each pool's bundle is on disk
-        assert moved["sim.cache.miss"] == distinct
-        assert moved["sim.cache.hit"] == distinct + len(pools)
+        assert moved["sim.cache.hit"] == moved["sim.cache.store"] == len(
+            pools
+        )
+        # the new spellings were merged into the tables the entries held
+        again, moved = run(extended)
+        assert again == off
+        assert moved["vereval.cached_verdicts"] == 2 * distinct
+        assert moved["sim.cache.store"] == moved["verilog.tokens"] == 0
 
     def test_each_key_input_changed_alone_misses(self, sim_cache_dir):
         from repro.sim import cache as sim_cache
@@ -938,8 +971,6 @@ class TestVerdictEntries:
             "reset": _replaced(problem, reset=None),
             "polarity": _replaced(problem, reset_active_high=False),
         }
-        from repro.vereval import harness
-
         key = harness._golden_disk_key(problem)
         for label, variant in variants.items():
             changed = [
@@ -954,10 +985,7 @@ class TestVerdictEntries:
         sim_cache.configure(str(sim_cache_dir))
         check_candidates_lockstep(problem, pool)
         for label, variant in variants.items():
-            for source in pool:
-                assert sim_cache.get_verdict(
-                    source, *harness._golden_disk_key(variant)
-                ) is None, label
+            assert _golden_entry(variant) is None, label
             reset_caches()
             verdicts, moved = _counted(
                 ("vereval.cached_verdicts",),
@@ -972,7 +1000,6 @@ class TestVerdictEntries:
 
     def test_cegis_reads_and_writes_no_verdict(self, tmp_path):
         from repro.sim import cache as sim_cache
-        from repro.vereval import harness
 
         config = CegisConfig(enabled=True, search_rounds=2, search_lanes=8)
         checks = [(p, _resample_pool(p)) for p in build_problem_set()[::12]]
@@ -986,7 +1013,7 @@ class TestVerdictEntries:
 
         def verdict_entries():
             return [
-                sim_cache.get_verdict(source, *harness._golden_disk_key(p))
+                _stored_verdict(p, source)
                 for p, pool in checks for source in pool
             ]
 
@@ -994,14 +1021,23 @@ class TestVerdictEntries:
         try:
             sim_cache.configure(str(tmp_path / "cegis"))
             cegis_cold, _ = run()
-            assert not any(verdict_entries())  # nothing written
+            assert not any(verdict_entries())  # no verdict written
+            # the bundles CEGIS built are stored, with empty tables
+            assert all(_golden_entry(p)[1] for p, _ in checks)
         finally:
             cegis_configure(previous)
         sim_cache.configure(str(tmp_path / "fill"))
         legacy, _ = run()
         run()  # a CEGIS-off warm fill
-        assert all(verdict_entries())
+        filled = verdict_entries()
+        assert all(filled)
         assert legacy != cegis_cold  # CEGIS kills a near-miss legacy passes
+        # drop the bundles: CEGIS builds them again and keeps the tables
+        for p, _ in checks:
+            table, _ = _golden_entry(p)
+            assert sim_cache.store(
+                "golden", (table, None), *harness._golden_disk_key(p)
+            )
         previous = cegis_configure(config)
         try:
             after_fill, moved = run()
@@ -1009,11 +1045,10 @@ class TestVerdictEntries:
             assert moved == {"vereval.cached_verdicts": 0}
         finally:
             cegis_configure(previous)
+        assert verdict_entries() == filled
+        assert all(_golden_entry(p)[1] for p, _ in checks)
 
     def test_internal_is_never_stored(self, sim_cache_dir, monkeypatch):
-        from repro.sim import cache as sim_cache
-        from repro.vereval import harness
-
         problem = _clocked_problem()
         broken = _acc("a - b")
         pool = [broken, _acc(), _acc("b + a"), "module"]
@@ -1029,10 +1064,9 @@ class TestVerdictEntries:
         reset_caches()
         got = check_candidates_lockstep(problem, pool)
         assert got == [(False, "internal")] + want[1:]
-        key = harness._golden_disk_key(problem)
-        assert sim_cache.get_verdict(broken, *key) is None
+        assert _stored_verdict(problem, broken) is None
         for source, verdict in zip(pool[1:], want[1:]):
-            assert sim_cache.get_verdict(source, *key) == verdict
+            assert _stored_verdict(problem, source) == verdict
         monkeypatch.undo()
         reset_caches()
         verdicts, moved = _counted(
@@ -1050,12 +1084,13 @@ class TestVerdictEntries:
         self, payload, sim_cache_dir
     ):
         from repro.sim import cache as sim_cache
-        from repro.vereval import harness
 
         problem = _clocked_problem()
         source = _acc("a - b")
         key = harness._golden_disk_key(problem)
-        assert sim_cache.store("verdict", payload, source, *key)
+        assert sim_cache.store(
+            "golden", ({harness._source_key(source): payload}, None), *key
+        )
         reset_caches()
         verdicts, moved = _counted(
             ("sim.cache.corrupt", "vereval.cached_verdicts"),
@@ -1065,29 +1100,163 @@ class TestVerdictEntries:
             (False, "mismatch")
         ]
         assert moved == {"sim.cache.corrupt": 1, "vereval.cached_verdicts": 0}
-        assert sim_cache.get_verdict(source, *key) == (False, "mismatch")
+        assert _stored_verdict(problem, source) == (False, "mismatch")
 
-    def test_a_stale_version_is_evicted_and_recomputed(
-        self, sim_cache_dir, monkeypatch
+    @pytest.mark.parametrize("damage", [
+        "not a pickle", "truncated", "not an entry", "bundle not bytes",
+    ])
+    def test_a_corrupt_entry_is_evicted_and_recomputed(
+        self, damage, sim_cache_dir
     ):
         from repro.sim import cache as sim_cache
-        from repro.vereval import harness
+
+        problem = _clocked_problem()
+        pool = [_acc("a - b"), _acc()]
+        want = _reference(problem, pool)
+        key = harness._golden_disk_key(problem)
+        if damage == "not an entry":
+            assert sim_cache.store("golden", {"verdicts": {}}, *key)
+        elif damage == "bundle not bytes":
+            assert sim_cache.store("golden", ({}, "bundle"), *key)
+        else:
+            assert check_candidates_lockstep(problem, pool) == want
+            (path,) = sim_cache_dir.iterdir()
+            if damage == "truncated":
+                with open(path, "r+b") as handle:
+                    handle.truncate(path.stat().st_size // 2)
+            else:
+                path.write_bytes(b"not a pickle")
+        reset_caches()
+        verdicts, moved = _counted(
+            ("sim.cache.corrupt", "vereval.cached_verdicts"),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert verdicts == want
+        assert moved == {"sim.cache.corrupt": 1, "vereval.cached_verdicts": 0}
+        # recomputed and written whole again
+        table, blob = _golden_entry(problem)
+        assert len(table) == 2 and blob is not None
+
+    def test_a_stale_version_is_evicted_and_recomputed(self, sim_cache_dir):
+        from repro.sim import cache as sim_cache
 
         problem = _clocked_problem()
         source = _acc("a - b")
         key = harness._golden_disk_key(problem)
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                sim_cache, "BACKEND_VERSION", sim_cache.BACKEND_VERSION - 1
+        # an entry at the current name whose envelope says 18: the last
+        # version that stored bundles with and without the lanes slot
+        record = sim_cache._path_for(
+            str(sim_cache_dir), sim_cache._key("golden", *key)
+        )
+        with open(record, "wb") as handle:
+            pickle.dump(
+                (18, ({harness._source_key(source): (True, "")}, None)),
+                handle,
             )
-            assert sim_cache.store("verdict", (True, ""), source, *key)
         reset_caches()
         verdicts, moved = _counted(
-            ("sim.cache.version_mismatch", "vereval.cached_verdicts"),
+            (
+                "sim.cache.version_mismatch", "sim.cache.evict",
+                "vereval.cached_verdicts",
+            ),
             lambda: check_candidates_lockstep(problem, [source]),
         )
         assert verdicts == [(False, "mismatch")]
         assert moved == {
-            "sim.cache.version_mismatch": 1, "vereval.cached_verdicts": 0,
+            "sim.cache.version_mismatch": 1, "sim.cache.evict": 1,
+            "vereval.cached_verdicts": 0,
         }
-        assert sim_cache.get_verdict(source, *key) == (False, "mismatch")
+        assert _stored_verdict(problem, source) == (False, "mismatch")
+
+    def test_a_torn_write_leaves_no_entry(self, sim_cache_dir):
+        from repro.testing import faults
+
+        problem = _clocked_problem()
+        pool = [_acc("a - b"), _acc(), "module"]
+        want = _reference(problem, pool)
+        reset_caches()
+        faults.arm("sim.cache.store", "raise", nth=1)
+        try:
+            assert check_candidates_lockstep(problem, pool) == want
+        finally:
+            faults.disarm("sim.cache.store")
+        # the store died between writing the entry and naming it
+        assert not list(sim_cache_dir.iterdir())
+        reset_caches()
+        verdicts, moved = _counted(
+            ("vereval.cached_verdicts", "sim.cache.store"),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert verdicts == want
+        assert moved == {
+            "vereval.cached_verdicts": 0, "sim.cache.store": 1,
+        }
+        assert [p.suffix for p in sim_cache_dir.iterdir()] == [".pkl"]
+
+    def test_a_warm_call_does_one_load_and_unpickles_no_bundle(
+        self, sim_cache_dir, monkeypatch
+    ):
+        problem = _clocked_problem()
+        pool = _resample_pool(problem)
+        cold = check_candidates_lockstep(problem, pool)
+        reset_caches()
+        unpickled = []
+        real_loads = pickle.loads
+
+        def recording(data, *args, **kwargs):
+            value = real_loads(data, *args, **kwargs)
+            unpickled.append(type(value))
+            return value
+
+        monkeypatch.setattr(pickle, "loads", recording)
+        warm, moved = _counted(
+            ("sim.cache.hit", "sim.cache.miss", "sim.cache.store"),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert warm == cold
+        assert moved == {
+            "sim.cache.hit": 1, "sim.cache.miss": 0, "sim.cache.store": 0,
+        }
+        # the entry's envelope, and no bundle
+        assert unpickled == [tuple]
+        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
+
+    def test_verdicts_of_calls_on_one_golden_merge(self, sim_cache_dir):
+        problem = _clocked_problem()
+        pool = _resample_pool(problem)
+        halves = [pool[::2], pool[1::2]]
+        for half in halves:
+            reset_caches()
+            check_candidates_lockstep(problem, half)
+        reset_caches()
+        verdicts, moved = _counted(
+            ("vereval.cached_verdicts", "verilog.tokens"),
+            lambda: check_candidates_lockstep(problem, pool),
+        )
+        assert verdicts == _reference(problem, pool)
+        assert moved == {
+            "vereval.cached_verdicts": len(set(pool)), "verilog.tokens": 0,
+        }
+
+    def test_the_table_bound_holds(self, sim_cache_dir, monkeypatch):
+        monkeypatch.setattr(harness, "_VERDICTS_MAX", 5)
+        problem = _clocked_problem()
+        pool = list(dict.fromkeys(_resample_pool(problem)))
+        assert len(pool) > 5
+        want = dict(zip(pool, _reference(problem, pool)))
+        calls = [pool[:3], pool[3:5], pool[5:8]]
+        sizes = []
+        for call in calls:
+            reset_caches()
+            assert check_candidates_lockstep(problem, call) == [
+                want[s] for s in call
+            ]
+            table, _ = _golden_entry(problem)
+            sizes.append(len(table))
+            # every verdict the table holds is the source's own
+            for source in pool:
+                stored = table.get(harness._source_key(source))
+                assert stored in (None, want[source])
+        # 3, then 3 + 2, then past the bound: this call's verdicts only
+        assert sizes == [3, 5, len(calls[2])]
+        assert all(size <= 5 for size in sizes)
