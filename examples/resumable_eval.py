@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Multi-model evaluation as one resumable, parallel evalkit plan.
+"""Multi-model evaluation as one resumable evalkit plan.
 
 Both of the paper's benchmarks (pass@k functional correctness and the
 copyright violation rate) for both models (base and FreeV) run as a
 single :class:`repro.evalkit.EvalPlan`: the problem set and the
 similarity index are built once and shared across models, sample-level
-work units stream through the engine (fanned across a process pool on
-multi-core machines), and the whole sweep checkpoints — kill the script
-mid-run and start it again: it resumes where it stopped and finishes
-with the identical result.
+work units stream through the engine in one process, and the whole
+sweep checkpoints — kill the script mid-run and start it again: it
+resumes where it stopped and finishes with the identical result.
 """
 
 import pathlib
@@ -18,11 +17,11 @@ from repro import WorldConfig
 from repro.copyright import CopyrightBenchmark
 from repro.core.freeset import FreeSetBuilder
 from repro.core.freev import FreeVTrainer
-from repro.engine import CheckpointStore, auto_executor
+from repro.engine import CheckpointStore
 from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
 from repro.vereval import EvalConfig, build_problem_set
 
-CHECKPOINT_DIR = pathlib.Path(tempfile.gettempdir()) / "repro-parallel-eval"
+CHECKPOINT_DIR = pathlib.Path(tempfile.gettempdir()) / "repro-resumable-eval"
 
 
 def main() -> None:
@@ -48,7 +47,6 @@ def main() -> None:
             ),
             CopyrightTask(benchmark, temperature=0.2),
         ],
-        executor=auto_executor(),
     )
 
     store = CheckpointStore(CHECKPOINT_DIR)

@@ -86,7 +86,6 @@ class CopyrightBenchmark:
         temperature: float = 0.2,
         max_new_tokens: int = 512,
         seed: int = 0,
-        executor=None,
         store=None,
         checkpoint_tag: str = "copyright",
     ) -> ViolationReport:
@@ -97,10 +96,10 @@ class CopyrightBenchmark:
         of that file by construction.
 
         A facade over :class:`repro.evalkit.EvalPlan`: generation and
-        similarity lookups stream through the engine (optionally fanned
-        across a process pool via ``executor``, optionally checkpointed
-        through ``store``) with results identical to the seed-era serial
-        loop — same prompts, same per-(key, position) seed forks.
+        similarity lookups stream through the engine (optionally
+        checkpointed through ``store``) with results identical to the
+        seed-era serial loop — same prompts, same per-(key, position) seed
+        forks.
         """
         from repro.evalkit import CopyrightTask, EvalPlan
 
@@ -110,6 +109,6 @@ class CopyrightBenchmark:
             max_new_tokens=max_new_tokens,
             seed=seed,
         )
-        plan = EvalPlan([model], [task], executor=executor)
+        plan = EvalPlan([model], [task])
         run = plan.run(store=store, tag=checkpoint_tag)
         return run.result(model.name, task.task_id)

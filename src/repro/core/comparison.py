@@ -348,7 +348,6 @@ class ModelZoo:
         self,
         names: Sequence[str],
         tasks: Sequence,
-        executor=None,
         store=None,
         tag: str = "zoo",
     ):
@@ -360,12 +359,12 @@ class ModelZoo:
         instead of rebuilding them per model.  Returns the
         :class:`repro.evalkit.RunResult`; per-model aggregates come back
         via ``run.result(name, task_id)``.  ``store`` makes the sweep
-        resumable; ``executor`` fans samples across a process pool.
+        resumable.
         """
         from repro.evalkit import EvalPlan
 
         models = [self.model(name) for name in names]
-        plan = EvalPlan(models, list(tasks), executor=executor)
+        plan = EvalPlan(models, list(tasks))
         return plan.run(store=store, tag=tag)
 
     def _build_foundation(self, spec: ModelSpec) -> LanguageModel:

@@ -43,12 +43,10 @@ class FreeSetBuilder:
         world_config: Optional[WorldConfig] = None,
         curation_config: Optional[CurationConfig] = None,
         chunk_size: Optional[int] = None,
-        executor=None,
     ) -> None:
         self.world = world if world is not None else generate_world(world_config)
         self.curation_config = curation_config or CurationConfig()
         self.chunk_size = chunk_size
-        self.executor = executor
 
     def scrape(self) -> tuple:
         api = SimulatedGitHubAPI(self.world)
@@ -59,9 +57,7 @@ class FreeSetBuilder:
     def build(self, name: str = "FreeSet") -> FreeSetResult:
         files, report = self.scrape()
         pipeline = CurationPipeline(
-            self.curation_config,
-            chunk_size=self.chunk_size,
-            executor=self.executor,
+            self.curation_config, chunk_size=self.chunk_size
         )
         dataset = pipeline.run(files, name=name)
         return FreeSetResult(
@@ -74,7 +70,5 @@ class FreeSetBuilder:
         from repro.curation.incremental import IncrementalCurator
 
         return IncrementalCurator(
-            self.curation_config,
-            chunk_size=self.chunk_size,
-            executor=self.executor,
+            self.curation_config, chunk_size=self.chunk_size
         )

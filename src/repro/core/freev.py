@@ -144,7 +144,6 @@ class FreeVTrainer:
         eval_config: Optional[EvalConfig] = None,
         num_prompts: int = 100,
         seed: int = 0,
-        executor=None,
         store=None,
         checkpoint_tag: str = "headline",
     ) -> HeadlineReport:
@@ -153,8 +152,7 @@ class FreeVTrainer:
         One :class:`repro.evalkit.EvalPlan` covers both models and both
         benchmarks, so the problem set and the copyright similarity index
         are built once and shared; numbers are identical to evaluating
-        each (model, benchmark) pair serially.  ``executor`` fans the
-        sample stream across a process pool; ``store`` makes the sweep
+        each (model, benchmark) pair serially.  ``store`` makes the sweep
         resumable under ``checkpoint_tag``.
         """
         from repro.evalkit import CopyrightTask, EvalPlan, PassAtKTask
@@ -168,7 +166,7 @@ class FreeVTrainer:
         )
         passk = PassAtKTask(problems, config)
         copyright_task = CopyrightTask(benchmark, seed=seed)
-        plan = EvalPlan([base, freev], [passk, copyright_task], executor=executor)
+        plan = EvalPlan([base, freev], [passk, copyright_task])
         run = plan.run(store=store, tag=checkpoint_tag)
         return HeadlineReport(
             base_eval=run.result(base.name, passk.task_id),

@@ -30,11 +30,8 @@ class IncrementalCurator:
         self,
         config: Optional[CurationConfig] = None,
         chunk_size: Optional[int] = None,
-        executor=None,
     ) -> None:
-        self.pipeline = CurationPipeline(
-            config, chunk_size=chunk_size, executor=executor
-        )
+        self.pipeline = CurationPipeline(config, chunk_size=chunk_size)
         self.graph = self.pipeline.compile()
         self.kept_files: List[ScrapedFile] = []
         self.batches_ingested = 0

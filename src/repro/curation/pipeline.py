@@ -115,64 +115,43 @@ class CuratedDataset:
 class CurationPipeline:
     """Runs the staged curation over scraped files with funnel accounting.
 
-    ``chunk_size`` and ``executor`` tune the underlying engine run;
-    the defaults stream serially in chunks and match the seed pipeline's
-    output exactly.  ``executor`` may be an instance or a spec string
-    (``"serial"``, ``"pool"``, ``"auto"``) resolved via
-    :func:`repro.engine.make_executor`; a string-built executor is owned
-    by :meth:`run` and closed when the run finishes.
+    ``chunk_size`` tunes the underlying engine run, which streams
+    serially in chunks and matches the seed pipeline's output exactly.
     """
 
     def __init__(
         self,
         config: Optional[CurationConfig] = None,
         chunk_size: Optional[int] = None,
-        executor=None,
     ) -> None:
         self.config = config or CurationConfig()
         self.chunk_size = chunk_size
-        self.executor = executor
 
-    def compile(self, executor=None):
+    def compile(self):
         """Build the engine :class:`StageGraph` for this configuration."""
         # Imported lazily: repro.engine's stages import curation filters,
         # so a top-level import here would be circular.
-        from repro.engine import (
-            DEFAULT_CHUNK_SIZE,
-            StageGraph,
-            build_stages,
-            make_executor,
-        )
+        from repro.engine import DEFAULT_CHUNK_SIZE, StageGraph, build_stages
 
         chunk_size = (
             self.chunk_size if self.chunk_size is not None else DEFAULT_CHUNK_SIZE
         )
-        spec = executor if executor is not None else self.executor
-        resolved = make_executor(spec) if isinstance(spec, str) else spec
         return StageGraph(
-            build_stages(self.config.stage_specs()),
-            chunk_size=chunk_size,
-            executor=resolved,
+            build_stages(self.config.stage_specs()), chunk_size=chunk_size
         )
 
     def run(
         self, files: Iterable[ScrapedFile], name: str = "FreeSet"
     ) -> CuratedDataset:
         graph = self.compile()
-        try:
-            with obs.run_capture("curation", dataset=name):
-                current = graph.run(files)
-                # Funnel counters mirror the FunnelReport rows so a traced
-                # curation shows up in the same registry as eval runs.
-                obs.count("curation.files_in", graph.items_in)
-                obs.count("curation.files_kept", len(current))
-                for stat in graph.stage_stats():
-                    obs.count(f"curation.{stat.stage}.removed", stat.removed)
-        finally:
-            if isinstance(self.executor, str):
-                # compile() built this run's executor from the spec
-                # string; nobody else holds it, so release it here.
-                graph.executor.close()
+        with obs.run_capture("curation", dataset=name):
+            current = graph.run(files)
+            # Funnel counters mirror the FunnelReport rows so a traced
+            # curation shows up in the same registry as eval runs.
+            obs.count("curation.files_in", graph.items_in)
+            obs.count("curation.files_kept", len(current))
+            for stat in graph.stage_stats():
+                obs.count(f"curation.{stat.stage}.removed", stat.removed)
         return CuratedDataset(
             name=name,
             files=current,

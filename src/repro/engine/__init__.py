@@ -1,11 +1,12 @@
 """repro.engine — streaming, parallel, checkpointable stage execution.
 
 The curation substrate: instead of the seed's serial whole-corpus loop,
-items stream through a declared :class:`StageGraph` in chunks, fanning
-parallel-safe stages across a process pool with an order-preserving
-merge, while stateful stages (dedup) keep their state across chunks and
-across incremental batches.  Progress, metrics, and stage state persist
-through :class:`CheckpointStore`, so runs resume and corpora grow without
+items stream through a declared :class:`StageGraph` in chunks (serially,
+or with parallel-safe stages fanned across a :class:`ParallelExecutor`
+pool behind an order-preserving merge), while stateful stages (dedup)
+keep their state across chunks and across incremental batches.
+Progress, metrics, and stage state persist through
+:class:`CheckpointStore`, so runs resume and corpora grow without
 re-curating the world.
 
 Layout:
@@ -27,8 +28,6 @@ from repro.engine.executor import (
     StageStat,
     WorkerDiedError,
     apply_stages,
-    auto_executor,
-    make_executor,
 )
 from repro.engine.graph import DEFAULT_CHUNK_SIZE, StageGraph, iter_chunks
 from repro.engine.registry import (
@@ -61,8 +60,6 @@ __all__ = [
     "StageStat",
     "WorkerDiedError",
     "apply_stages",
-    "auto_executor",
-    "make_executor",
     "DEFAULT_CHUNK_SIZE",
     "StageGraph",
     "iter_chunks",

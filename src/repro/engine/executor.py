@@ -4,14 +4,18 @@ The graph hands an executor a *fused run* of parallel-safe stages plus a
 stream of chunks; the executor yields, **in submission order**, one
 ``(out_chunk, trace)`` pair per input chunk, where ``trace`` is a
 :class:`ChunkTrace`: one typed :class:`StageStat` per stage measured
-where the work actually ran, plus the chunk's drained
-:class:`~repro.obs.ObsBuffer` (spans and metrics recorded while the
-chunk executed, wherever that was).  Order preservation is what lets the
-parallel path stay byte-identical to the serial one — and is also what
-makes trace merging deterministic: the coordinator folds each chunk's
-buffer into the run trace in submission order, so a
-:class:`ParallelExecutor` trace carries exactly the spans a serial run
-would, re-parented under the dispatching phase.
+where the work actually ran.  :class:`SerialExecutor` runs each chunk in
+place, so its spans and metrics land in the caller's obs frame as they
+are recorded.  A :class:`ParallelExecutor` worker records into a frame
+of its own and ships the drained :class:`~repro.obs.ObsBuffer` home on
+the trace; order preservation is what lets the pooled path stay
+byte-identical to the serial one, and what makes trace merging
+deterministic: the coordinator folds each chunk's buffer into the run
+trace in submission order, so a pooled trace carries exactly the spans
+a serial run would, re-parented under the dispatching phase.
+
+An executor is an instance or None (serial); whoever wants a pool
+constructs a :class:`ParallelExecutor` and owns its lifetime.
 """
 
 from __future__ import annotations
@@ -81,7 +85,9 @@ class ChunkTrace:
     """Everything one chunk's execution reported back."""
 
     stats: List[StageStat] = field(default_factory=list)
-    #: spans/metrics recorded while the chunk ran (None when nothing was)
+    #: spans/metrics a pool worker recorded while the chunk ran (None
+    #: when nothing was, and always on the serial path, which records
+    #: into the caller's frame)
     obs: Optional[obs.ObsBuffer] = None
 
 
@@ -106,38 +112,40 @@ def _apply_pickled_stages(
             _WORKER_STAGE_CACHE.clear()
         stages = pickle.loads(stage_blob)
         _WORKER_STAGE_CACHE[stage_blob] = stages
-    return apply_stages(stages, chunk)
+    # Everything the chunk records goes into a fresh frame that travels
+    # home on the trace: that is what keeps pool-worker traces lossless.
+    obs.push_frame()
+    try:
+        out, trace = apply_stages(stages, chunk)
+    finally:
+        buffer = obs.pop_frame()
+    trace.obs = buffer
+    return out, trace
 
 
 def apply_stages(stages: Sequence, chunk: Sequence[Any]) -> ChunkResult:
     """Run ``chunk`` through ``stages`` sequentially, timing each stage.
 
-    Module-level so process pools can pickle it by reference.  All
-    observability recorded while the chunk runs — the chunk/stage spans
-    opened here and anything the stages themselves record — is captured
-    into a fresh frame and shipped back inside the :class:`ChunkTrace`,
-    which is what keeps pool-worker traces lossless.
+    The chunk/stage spans opened here, and anything the stages
+    themselves record, go to the current obs frame.
     """
-    obs.push_frame()
-    try:
-        out: List[Any] = list(chunk)
-        stats: List[StageStat] = []
-        with obs.span("engine.chunk", n_in=len(out), stages=len(stages)):
-            for stage in stages:
-                n_in = len(out)
-                with obs.span(f"engine.stage.{stage.name}", n_in=n_in) as sp:
-                    start = time.perf_counter()
-                    out = stage.process(out)
-                    seconds = time.perf_counter() - start
-                    sp.set(n_out=len(out))
-                stats.append(StageStat(stage.name, n_in, len(out), seconds))
-    finally:
-        buffer = obs.pop_frame()
-    return out, ChunkTrace(stats=stats, obs=buffer)
+    out: List[Any] = list(chunk)
+    stats: List[StageStat] = []
+    with obs.span("engine.chunk", n_in=len(out), stages=len(stages)):
+        for stage in stages:
+            n_in = len(out)
+            with obs.span(f"engine.stage.{stage.name}", n_in=n_in) as sp:
+                start = time.perf_counter()
+                out = stage.process(out)
+                seconds = time.perf_counter() - start
+                sp.set(n_out=len(out))
+            stats.append(StageStat(stage.name, n_in, len(out), seconds))
+    return out, ChunkTrace(stats=stats)
 
 
 class SerialExecutor:
-    """Runs every chunk inline in the driving process."""
+    """Runs every chunk inline in the driving process, recording into
+    the caller's obs frame."""
 
     workers = 1
 
@@ -303,35 +311,3 @@ class ParallelExecutor:
         state["_blob_stages"] = []
         state["_blob"] = b""
         return state
-
-
-def auto_executor(workers=None):
-    """Pick an executor for this machine: a pool when >1 worker helps."""
-    count = workers if workers is not None else (os.cpu_count() or 1)
-    if count > 1:
-        return ParallelExecutor(workers=count)
-    return SerialExecutor()
-
-
-def make_executor(spec="auto", **kwargs):
-    """Resolve an executor from a spec string (or pass an instance through).
-
-    ``spec`` is ``"serial"``, ``"pool"`` (aliases ``"process"``,
-    ``"parallel"``), or ``"auto"``; keyword arguments feed
-    the chosen constructor.  Anything already shaped like an executor
-    (has ``map_chunks``) is returned unchanged, so call sites can accept
-    both names and instances.
-    """
-    if hasattr(spec, "map_chunks"):
-        return spec
-    name = str(spec).strip().lower()
-    if name == "serial":
-        return SerialExecutor()
-    if name in ("pool", "process", "parallel"):
-        return ParallelExecutor(**kwargs)
-    if name == "auto":
-        return auto_executor(kwargs.get("workers"))
-    raise ValueError(
-        f"unknown executor spec {spec!r} "
-        "(expected 'serial', 'pool', or 'auto')"
-    )

@@ -35,7 +35,11 @@ def iter_chunks(items: Iterable[Any], size: int) -> Iterator[List[Any]]:
 
 
 class StageGraph:
-    """Runs a linear pipeline of stages over chunked item streams."""
+    """Runs a linear pipeline of stages over chunked item streams.
+
+    ``executor`` is an executor instance (a :class:`ParallelExecutor`
+    the caller owns and closes) or None for :class:`SerialExecutor`.
+    """
 
     def __init__(
         self,
@@ -121,9 +125,10 @@ class StageGraph:
                 self._metrics_by_name[stat.stage].record_chunk(
                     stat.n_in, stat.n_out, stat.seconds
                 )
-            # Fold the chunk's spans/metrics into the run trace here, in
-            # submission order: parallel traces end up as complete (and
-            # as deterministic) as serial ones.
+            # A pool worker's spans/metrics fold into the run trace here,
+            # in submission order: pooled traces end up as complete (and
+            # as deterministic) as serial ones, whose chunks recorded in
+            # place (``trace.obs`` is None).
             obs.merge_buffer(trace.obs)
             yield out_chunk
 

@@ -6,7 +6,7 @@ which protocol, compiles that into a registry-built
 :class:`~repro.engine.StageGraph`, and streams sample-level work units
 through it.  Because samples are independent, the whole plan — every
 model, every task, every temperature — is one flat stream: generation
-and checking fan across the process pool; a multi-model plan shares the
+and checking fan across a pool when given one; a multi-model plan shares the
 problem set and the copyright similarity index across models instead of
 rebuilding them per model.
 
@@ -53,7 +53,6 @@ from repro.engine import (
     StageGraph,
     build_stages,
     iter_chunks,
-    make_executor,
 )
 from repro.errors import EvaluationError
 from repro.llm.model import LanguageModel
@@ -133,20 +132,12 @@ class EvalPlan:
             ("eval_aggregate", {}),
         ]
 
-    def compile(self, executor=None) -> StageGraph:
-        """Build the engine :class:`StageGraph` for this plan.
-
-        ``executor`` overrides the plan's own; either may be an executor
-        *instance* or a spec string (``"serial"``, ``"pool"``,
-        ``"auto"``) resolved through
-        :func:`repro.engine.make_executor`.
-        """
-        spec = executor if executor is not None else self.executor
-        resolved = make_executor(spec) if isinstance(spec, str) else spec
+    def compile(self) -> StageGraph:
+        """Build the engine :class:`StageGraph` for this plan."""
         return StageGraph(
             build_stages(self.stage_specs()),
             chunk_size=self.chunk_size,
-            executor=resolved,
+            executor=self.executor,
         )
 
     # -- the spec stream ----------------------------------------------------
@@ -203,10 +194,9 @@ class EvalPlan:
         """Execute the plan, resuming from ``store``/``tag`` if a snapshot
         exists; a completed snapshot just replays its result.
 
-        ``executor`` overrides the plan's executor for this run — an
-        instance or a spec string (``executor="pool"`` fans the
-        generate+check phase across a process pool); a string-built
-        executor is owned by the run and closed on exit.
+        ``executor`` overrides the plan's executor for this run: a
+        :class:`~repro.engine.ParallelExecutor` the caller owns fans the
+        generate+check phase across its process pool.
         ``on_progress`` receives a :class:`PlanProgress` as checked
         records stream into the sink.
         """
@@ -231,31 +221,12 @@ class EvalPlan:
         store: Optional[CheckpointStore],
         tag: str,
         checkpoint_every: int,
-        executor=None,
-        on_progress=None,
-    ) -> RunResult:
-        spec = executor if executor is not None else self.executor
-        owned = isinstance(spec, str)
-        resolved = make_executor(spec) if owned else spec
-        try:
-            return self._run_graph(
-                store, tag, checkpoint_every, resolved, on_progress
-            )
-        finally:
-            if owned and resolved is not None:
-                resolved.close()
-
-    def _run_graph(
-        self,
-        store: Optional[CheckpointStore],
-        tag: str,
-        checkpoint_every: int,
         executor,
         on_progress,
     ) -> RunResult:
-        # ``executor`` is already resolved (or None when the plan has
-        # none), so compile never re-resolves a spec string here.
-        graph = self.compile(executor=executor)
+        graph = self.compile()
+        if executor is not None:
+            graph.executor = executor
         sink = graph.stages[-1]
         assert isinstance(sink, AggregateStage)
         fingerprint = self.fingerprint()

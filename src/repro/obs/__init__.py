@@ -13,12 +13,12 @@ engine → evalkit → sim stack:
   updates at episode granularity, never in per-cycle loops), so e.g.
   :func:`repro.sim.cache.stats` works even with tracing off.
 * **Process-pool correctness** — recording goes to the top of a *frame
-  stack*.  :func:`repro.engine.executor.apply_stages` pushes a fresh
-  frame per chunk and ships the drained :class:`ObsBuffer` home inside
-  each ``ChunkResult``; the coordinator merges buffers **in submission
+  stack*.  A serial chunk records straight into the caller's frame; a
+  :class:`~repro.engine.ParallelExecutor` worker pushes a fresh frame per
+  chunk and ships the drained :class:`ObsBuffer` home inside each
+  ``ChunkResult``; the coordinator merges buffers **in submission
   order** (:func:`merge_buffer`), re-parenting worker root spans under
-  its active span, so a :class:`~repro.engine.ParallelExecutor` trace is
-  as complete as a serial one.
+  its active span, so a pooled trace is as complete as a serial one.
 * **Exporters** — a JSONL event log, a Chrome/Perfetto ``trace_event``
   file, and a human :class:`~repro.obs.export.RunTelemetry` summary
   attached to :class:`~repro.evalkit.RunResult`.  ``tools/trace_report.py``
@@ -330,7 +330,7 @@ def counters(prefix: str = "") -> Dict[str, float]:
 
 
 def push_frame() -> None:
-    """Start capturing into a fresh frame (executor chunk / run scope)."""
+    """Start capturing into a fresh frame (pool-worker chunk / run scope)."""
     _frames.append(_Frame())
 
 

@@ -40,8 +40,7 @@ checker simulates every candidate on the scalar replay, and the lane
 evaluator stays for the perf ledger's layer walk, which times its
 lowering.
 
-Backend selection: ``Simulator(design, backend=...)``, the
-``REPRO_SIM_BACKEND`` environment variable, or
+Backend selection: ``Simulator(design, backend=...)`` or
 :func:`~repro.sim.simulator.set_default_backend`.  ``"auto"`` uses the
 compiled backend whenever the design statically lowers and silently falls
 back to the interpreter otherwise.
@@ -78,9 +77,9 @@ trace is one call too: ``sim.replay_fn(clock, input_names,
 output_names)`` returns ``replay(rows, trace) -> (cycles_matched,
 outputs)``, the ``cycle_fn`` loop that stops at the first cycle whose
 outputs differ from the trace's (``outputs`` is None when none does).
-The compiled backend builds it from the same resolution and runs the
-whole episode in one frame; the vereval trace check is one such call
-per candidate (``tests/test_sim_compile.py::TestCycleKernel`` is the
+On every backend it loops that backend's ``cycle_fn``; the vereval
+trace check is one such call per candidate
+(``tests/test_sim_compile.py::TestCycleKernel`` is the
 identity oracle for both kernels).
 
 Compiled artifacts can persist across processes through the opt-in disk

@@ -19,10 +19,10 @@ the staging is resolve, schedule, *then* generate text:
   ``e<pol>_<trigger>(st, mems)`` per (edge, trigger bit): that edge's
   blocks in declaration order, blocking writes committed per block,
   nonblocking updates held in per-slot locals and committed once after
-  all blocks, then ``comb``.  :meth:`CompiledSimulator.cycle_fn` and
-  :meth:`~CompiledSimulator.replay_fn` (a whole episode against a
-  recorded trace in one call) step the clock's edge functions directly
-  when the drive cannot move a trigger; ``poke`` runs them too;
+  all blocks, then ``comb``.  :meth:`CompiledSimulator.cycle_fn` (which
+  the episode kernel ``replay_fn`` loops) steps the clock's edge
+  functions directly when the drive cannot move a trigger; ``poke`` runs
+  them too;
 * **one call per edge event, or the interpreter** — no sequential block
   may write a trigger or a slot in a trigger's combinational fan-in
   (ripple counters, a block writing its clock, register-gated clocks,
@@ -80,7 +80,6 @@ from repro.sim.elaborate import Design
 from repro.sim.simulator import (
     _MAX_LOOP_ITERS,
     Simulator,
-    _episode,
     _row_length_error,
 )
 
@@ -1687,23 +1686,23 @@ class CompiledSimulator(Simulator):
         st = self.st
         return [st[s] & 1 for s in self.cdesign.trigger_slots]
 
-    # -- cycle and episode kernels --------------------------------------------
+    # -- cycle kernel ---------------------------------------------------------
 
-    def _fused_kernel(self, clock, input_names, output_names):
-        """The resolution both kernels are built from: the poke-sequence
-        cycle (``Simulator.cycle_fn``, which also checks the names) and,
-        when the cycle can run the edge functions directly, their parts;
-        else None.
+    def cycle_fn(self, clock, input_names, output_names):
+        """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``).
 
-        Two facts, read off the :class:`CompiledDesign`, decide it: the
-        clock slot (if there is a clock) has no combinational reader or
-        driver, so toggling it needs no settle and fires only its own
-        edges; and no driven input is in :attr:`~CompiledDesign.trigger_fanin`,
-        so the drive cannot fire an edge.  Then the drive is a row of
-        stores plus one full ``comb`` pass, and a clock poke is a store
-        plus that edge's function (the admission rule lets no block move
-        a trigger, so nothing cascades).  Any other cycle runs the poke
-        sequence, whose ``poke`` fires the same edge functions.
+        Two facts, read off the :class:`CompiledDesign`, decide which
+        cycle it runs: the clock slot (if there is a clock) has no
+        combinational reader or driver, so toggling it needs no settle and
+        fires only its own edges; and no driven input is in
+        :attr:`~CompiledDesign.trigger_fanin`, so the drive cannot fire an
+        edge.  Then the drive is a row of stores plus one full ``comb``
+        pass, and a clock poke is a store plus that edge's function (the
+        admission rule lets no block move a trigger, so nothing cascades).
+        Any other cycle runs the poke sequence (``Simulator.cycle_fn``,
+        which also checks the names), whose ``poke`` fires the same edge
+        functions.  The episode kernel (``Simulator.replay_fn``) loops
+        this step.
         """
         pokes = super().cycle_fn(clock, input_names, output_names)
         cd = self.cdesign
@@ -1716,7 +1715,7 @@ class CompiledSimulator(Simulator):
             or not cd.trigger_fanin.isdisjoint(in_slots)
         ):
             obs.count("sim.kernel.generic")
-            return pokes, None
+            return pokes
         obs.count("sim.kernel.specialised")
         fused = cd.fused()
         negedge = posedge = None
@@ -1736,15 +1735,6 @@ class CompiledSimulator(Simulator):
         else:
             def sample(st):
                 return ()
-        return pokes, (drives, clk, negedge, posedge, sample)
-
-    def cycle_fn(self, clock, input_names, output_names):
-        """Slot-resolved cycle kernel (contract: ``Simulator.cycle_fn``;
-        which cycle it runs: :meth:`_fused_kernel`)."""
-        pokes, parts = self._fused_kernel(clock, input_names, output_names)
-        if parts is None:
-            return pokes
-        drives, clk, negedge, posedge, sample = parts
         n_inputs = len(drives)
         comb = self._comb
         st = self.st
@@ -1772,49 +1762,6 @@ class CompiledSimulator(Simulator):
             return sample(st)
 
         return step
-
-    def replay_fn(self, clock, input_names, output_names):
-        """Slot-resolved episode kernel (contract:
-        ``Simulator.replay_fn``): the cycle of :meth:`cycle_fn` — drive,
-        clock protocol, sample — with the compare and the early exit, the
-        whole episode in one frame; otherwise the poke-sequence loop."""
-        pokes, parts = self._fused_kernel(clock, input_names, output_names)
-        if parts is None:
-            return _episode(pokes)
-        drives, clk, negedge, posedge, sample = parts
-        n_inputs = len(drives)
-        comb = self._comb
-        st = self.st
-        mems = self.mem_data
-        count = obs.count
-
-        def replay(rows, trace):
-            cycle = -1
-            try:
-                for cycle, (row, expected) in enumerate(zip(rows, trace)):
-                    if len(row) != n_inputs:
-                        raise _row_length_error(len(row), n_inputs)
-                    for (slot, mask), value in zip(drives, row):
-                        st[slot] = value & mask
-                    if comb is not None:
-                        comb(st, mems)
-                    if clk is not None:
-                        old = st[clk]
-                        if old:
-                            st[clk] = 0
-                            if negedge is not None and old & 1:
-                                negedge(st, mems)
-                        st[clk] = 1
-                        if posedge is not None:
-                            posedge(st, mems)
-                    actual = sample(st)
-                    if actual != expected:
-                        return cycle, actual
-                return cycle + 1, None
-            finally:
-                count("sim.cycles", cycle + 1)
-
-        return replay
 
     # -- settle --------------------------------------------------------------
 

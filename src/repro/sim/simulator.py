@@ -27,24 +27,22 @@ Two execution backends implement these semantics behind one constructor:
   settles, and every edge event one generated function call.
 
 ``Simulator(design)`` picks the backend: ``"auto"`` (the default,
-overridable via the ``REPRO_SIM_BACKEND`` environment variable or
-:func:`set_default_backend`) compiles the design and falls back to the
-interpreter when the compiler cannot statically lower it — a design it
-cannot size, whose combinational region does not levelize (a
-combinational cycle, several drivers of one signal, a node reading what
-it drives), or whose edges cascade or split across clock domains (a
-block that can move a trigger, two triggers whose edges fire block sets
-that do not nest) — and counts ``sim.interp_fallback``, so combinational
-loops and oscillating clocks are always classified by the interpreter's
-fixpoints; ``"compiled"`` requires the compiled backend and refuses
-those designs; ``"interp"`` forces the interpreter.  Both
+overridable via :func:`set_default_backend`) compiles the design and
+falls back to the interpreter when the compiler cannot statically lower
+it — a design it cannot size, whose combinational region does not
+levelize (a combinational cycle, several drivers of one signal, a node
+reading what it drives), or whose edges cascade or split across clock
+domains (a block that can move a trigger, two triggers whose edges fire
+block sets that do not nest) — and counts ``sim.interp_fallback``, so
+combinational loops and oscillating clocks are always classified by the
+interpreter's fixpoints; ``"compiled"`` requires the compiled backend and
+refuses those designs; ``"interp"`` forces the interpreter.  Both
 backends are cycle-identical (enforced by the differential tests in
 ``tests/test_sim_compile.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
@@ -58,7 +56,7 @@ _MAX_LOOP_ITERS = 1 << 16
 
 BACKENDS = ("auto", "compiled", "interp")
 
-_DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "auto")
+_DEFAULT_BACKEND = "auto"
 
 
 def default_backend() -> str:
@@ -326,9 +324,8 @@ class Simulator:
         cascades and ``SimulationError`` text (which propagates) are the
         cycle kernel's, and names resolve when the episode kernel is
         built.  It counts the cycles it started, the mismatching or
-        failing one included, under ``sim.cycles``.  This generic
-        implementation *is* that loop;
-        :class:`~repro.sim.compile.CompiledSimulator` overrides it.
+        failing one included, under ``sim.cycles``.  Every backend runs
+        this loop over its own :meth:`cycle_fn`.
         """
         return _episode(self.cycle_fn(clock, input_names, output_names))
 

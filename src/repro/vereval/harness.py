@@ -207,13 +207,14 @@ class _GoldenRef:
                 setattr(self, name, value)
 
 
-#: golden artifacts keyed by problem identity *and* content (including
-#: the clock/reset protocol the trace was recorded under), so a problem
-#: object rebuilt with the same data hits the cache while a redefined one
-#: cannot alias a stale entry; LRU-ordered so sweeps wider than the
-#: capacity evict the coldest problem instead of thrashing to zero.  Each
-#: slot is ``[bundle, its pickled bytes]``; the bytes are None until a
-#: ``sim.cache`` entry needs them, so a bundle is pickled at most once
+#: golden artifacts keyed by :func:`_golden_disk_key` — content only
+#: (including the clock/reset protocol the trace was recorded under), so
+#: a problem object rebuilt with the same data hits the cache while a
+#: redefined one cannot alias a stale entry; LRU-ordered so sweeps wider
+#: than the capacity evict the coldest problem instead of thrashing to
+#: zero.  Each slot is ``[bundle, its pickled bytes]``; the bytes are
+#: None until a ``sim.cache`` entry needs them, so a bundle is pickled
+#: at most once
 _GOLDEN_CACHE: "OrderedDict[Tuple, list]" = OrderedDict()
 _GOLDEN_CACHE_MAX = 256
 
@@ -223,8 +224,9 @@ _VERDICTS_MAX = 4096
 
 
 def _golden_disk_key(problem: EvalProblem) -> Tuple[str, ...]:
-    """Content-addressed disk key parts (identity-free: same source +
-    protocol means the same artifact regardless of problem_id)."""
+    """The golden bundle's key, in :data:`_GOLDEN_CACHE` and as the parts
+    of its ``sim.cache`` entry (identity-free: same source + protocol
+    means the same artifact regardless of problem_id)."""
     interface = problem.module.interface
     return (
         problem.golden_source,
@@ -241,27 +243,17 @@ def _golden_disk_key(problem: EvalProblem) -> Tuple[str, ...]:
     )
 
 
-def _golden_key(problem: EvalProblem) -> Tuple:
-    """The problem's key in :data:`_GOLDEN_CACHE`."""
-    interface = problem.module.interface
-    return (
-        problem.problem_id,
-        problem.module.name,
-        problem.stimulus_cycles,
-        problem.stimulus_seed,
-        interface.clock,
-        interface.reset,
-        interface.reset_active_high,
-        problem.golden_source,
-    )
-
-
 def _golden_ref(
-    problem: EvalProblem, blob: Optional[bytes] = None
+    problem: EvalProblem,
+    blob: Optional[bytes] = None,
+    key: Optional[Tuple[str, ...]] = None,
 ) -> _GoldenRef:
     """The problem's golden bundle: from memory, unpickled from ``blob``
-    (the bundle bytes of its ``sim.cache`` entry), or built here."""
-    key = _golden_key(problem)
+    (the bundle bytes of its ``sim.cache`` entry), or built here.
+    ``key`` is the problem's :func:`_golden_disk_key`, when the caller
+    has it."""
+    if key is None:
+        key = _golden_disk_key(problem)
     slot = _GOLDEN_CACHE.get(key)
     if slot is not None:
         _GOLDEN_CACHE.move_to_end(key)
@@ -534,18 +526,18 @@ def _check_candidates_lockstep(
     # table decides the sources it holds, before the golden bundle and the
     # front end; the table is off under CEGIS, whose verdicts depend on
     # the distinguishing set earlier checks grew.
-    disk_key: Optional[Tuple[str, ...]] = None
+    golden_key = _golden_disk_key(problem)
+    disk = sim_cache.cache_dir() is not None
     table: Dict[bytes, Tuple[bool, str]] = {}
     blob: Optional[bytes] = None
-    if sim_cache.cache_dir() is not None:
-        disk_key = _golden_disk_key(problem)
-        entry = sim_cache.load("golden", *disk_key, accept=_is_golden_entry)
+    if disk:
+        entry = sim_cache.load("golden", *golden_key, accept=_is_golden_entry)
         if entry is not None:
             table, blob = entry
     # the verdicts decided here, by source key; None with the table off
     fresh: Optional[Dict[bytes, Tuple[bool, str]]] = None
     source_keys: Dict[str, bytes] = {}
-    if disk_key is not None and not _cegis.active_config().enabled:
+    if disk and not _cegis.active_config().enabled:
         fresh = {}
         for source in list(positions):
             key = source_keys[source] = _source_key(source)
@@ -572,7 +564,7 @@ def _check_candidates_lockstep(
     def fetch_golden() -> None:
         nonlocal ref, golden, golden_failed
         try:
-            ref = _golden_ref(problem, blob)
+            ref = _golden_ref(problem, blob, golden_key)
         except ElaborationError:
             golden_failed = True
         else:
@@ -582,9 +574,7 @@ def _check_candidates_lockstep(
     # sources (it gets past the front end, so the bundle is needed
     # anyway) or the bundle is in memory (one lookup): golden twins then
     # pass unparsed.  Otherwise only once a source got past the front end.
-    if problem.golden_source in positions or (
-        _golden_key(problem) in _GOLDEN_CACHE
-    ):
+    if problem.golden_source in positions or golden_key in _GOLDEN_CACHE:
         try:
             fetch_golden()
         except Exception:
@@ -665,14 +655,13 @@ def _check_candidates_lockstep(
             )
             for source, indices in members:
                 decide(source, indices, outcome)
-    if disk_key is not None:
-        _store_golden_entry(problem, disk_key, table, fresh, blob)
+    if disk:
+        _store_golden_entry(golden_key, table, fresh, blob)
     return outcomes  # type: ignore[return-value]
 
 
 def _store_golden_entry(
-    problem: EvalProblem,
-    disk_key: Tuple[str, ...],
+    key: Tuple[str, ...],
     table: Dict[bytes, Tuple[bool, str]],
     fresh: Optional[Dict[bytes, Tuple[bool, str]]],
     blob: Optional[bytes],
@@ -680,7 +669,7 @@ def _store_golden_entry(
     """Write back the golden entry a call loaded (``table``, ``blob``),
     ``fresh`` verdicts merged in, if the call decided any or built the
     bundle; ``fresh`` is None under CEGIS, which keeps the table read."""
-    slot = _GOLDEN_CACHE.get(_golden_key(problem))
+    slot = _GOLDEN_CACHE.get(key)
     built = slot is not None and slot[1] is None
     if not (fresh or built):
         return
@@ -695,7 +684,7 @@ def _store_golden_entry(
             pass  # stored without its bundle
     if slot is not None and slot[1] is not None:
         blob = slot[1]
-    sim_cache.store("golden", (table, blob), *disk_key)
+    sim_cache.store("golden", (table, blob), *key)
 
 
 def reset_caches() -> None:
@@ -736,7 +725,6 @@ def evaluate_model(
     model: LanguageModel,
     problems: Sequence[EvalProblem],
     config: Optional[EvalConfig] = None,
-    executor=None,
     store=None,
     checkpoint_tag: str = "passk",
 ) -> EvalResult:
@@ -745,13 +733,12 @@ def evaluate_model(
     A facade over :class:`repro.evalkit.EvalPlan`: the protocol compiles
     into the engine's stage graph (prompt/seed expansion, generation,
     pooled functional checking, aggregation) and produces exactly the
-    numbers the seed-era serial loop did.  ``executor`` selects the chunk
-    executor (default serial); ``store`` enables checkpoint/resume under
-    ``checkpoint_tag``.
+    numbers the seed-era serial loop did.  ``store`` enables
+    checkpoint/resume under ``checkpoint_tag``.
     """
     from repro.evalkit import EvalPlan, PassAtKTask
 
     task = PassAtKTask(problems, config or EvalConfig())
-    plan = EvalPlan([model], [task], executor=executor)
+    plan = EvalPlan([model], [task])
     run = plan.run(store=store, tag=checkpoint_tag)
     return run.result(model.name, task.task_id)

@@ -637,7 +637,8 @@ class TestOneGoldenBundle:
         loaded = harness._golden_ref(problem, blob)
         # unpickled from the entry's bytes, not rebuilt (a bundle built
         # here has no bytes until an entry needs them)
-        assert harness._GOLDEN_CACHE[harness._golden_key(problem)][1] is blob
+        key = harness._golden_disk_key(problem)
+        assert harness._GOLDEN_CACHE[key][1] is blob
         assert not hasattr(loaded, "coverage")
         assert not hasattr(loaded, "full_cycles")
         assert not hasattr(loaded, "lanes")

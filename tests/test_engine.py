@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.curation import (
     CopyrightFilter,
     CurationConfig,
@@ -21,13 +22,13 @@ from repro.engine import (
     MapStage,
     ParallelExecutor,
     SerialExecutor,
+    Stage,
     StageGraph,
     StageMetrics,
     WorkerDiedError,
     build_stages,
     create_stage,
     iter_chunks,
-    make_executor,
     registered_stages,
 )
 from repro.testing import faults
@@ -146,10 +147,14 @@ class TestParallelExecutor:
     def test_pipeline_parallel_output_identical(self, raw_files):
         sample = raw_files[:400]
         serial = CurationPipeline().run(sample)
-        with ParallelExecutor(workers=2) as executor:
-            parallel = CurationPipeline(chunk_size=64, executor=executor).run(sample)
+        config = CurationConfig()
+        with ParallelExecutor(workers=2) as pool:
+            parallel = StageGraph(
+                build_stages(config.stage_specs()), chunk_size=64,
+                executor=pool,
+            ).run(sample)
         assert [f.file_id for f in serial.files] == [
-            f.file_id for f in parallel.files
+            f.file_id for f in parallel
         ]
 
 
@@ -277,19 +282,43 @@ class TestSubmitOnBrokenPool:
         assert info.value.attempts == 2
 
 
-class TestMakeExecutor:
-    def test_specs_resolve(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        pool = make_executor("pool", workers=2)
-        assert isinstance(pool, ParallelExecutor) and pool.workers == 2
+class _CountingStage(Stage):
+    name = "counting"
 
-    def test_instance_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
+    def __init__(self, fail=False):
+        self.fail = fail
 
-    def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("hyperdrive")
+    def process(self, items):
+        obs.count("test.stage_items", len(items))
+        if self.fail:
+            raise RuntimeError("stage failed mid-chunk")
+        return list(items)
+
+
+class TestSerialChunksRecordInPlace:
+    """The serial executor records into the caller's obs frame.
+
+    It pushes no frame per chunk, so nothing recorded before a stage
+    fails is lost with the chunk, and its traces carry no buffer.
+    """
+
+    def test_count_before_a_failure_stays_visible(self):
+        graph = StageGraph([_CountingStage(fail=True)], chunk_size=4)
+        before = obs.counter_value("test.stage_items")
+        with pytest.raises(RuntimeError, match="mid-chunk"):
+            graph.run(range(10))
+        assert obs.counter_value("test.stage_items") - before == 4
+
+    def test_serial_traces_ship_no_buffer(self):
+        before = obs.counter_value("test.stage_items")
+        traces = [
+            trace for _, trace in SerialExecutor().map_chunks(
+                [_CountingStage()], iter_chunks(range(10), 4)
+            )
+        ]
+        assert [t.obs for t in traces] == [None, None, None]
+        assert [[s.n_in for s in t.stats] for t in traces] == [[4], [4], [2]]
+        assert obs.counter_value("test.stage_items") - before == 10
 
 
 class TestCheckpointStore:

@@ -228,7 +228,7 @@ def _resume_child_main(root: str) -> None:
     os.environ[faults.ENV_VAR] = "checkpoint.save:exit:5"
     _make_plan().run(
         store=CheckpointStore(root), tag=_RESUME_TAG, checkpoint_every=4,
-        executor="pool",
+        executor=ParallelExecutor(workers=2),
     )
     os._exit(1)  # finishing means the kill never fired
 
@@ -286,12 +286,11 @@ class TestFacadeIdentity:
         problems = build_problem_set(n_problems=3, seed=22)
         config = EvalConfig(n_samples=2, ks=(1, 2), temperatures=(0.8,),
                             max_new_tokens=150)
+        task = PassAtKTask(problems, config)
         serial = evaluate_model(tiny_model, problems, config)
         with ParallelExecutor(workers=2) as executor:
-            pooled = evaluate_model(
-                tiny_model, problems, config, executor=executor
-            )
-        assert pooled == serial
+            pooled = EvalPlan([tiny_model], [task], executor=executor).run()
+        assert pooled.result(tiny_model.name, task.task_id) == serial
 
 
 class TestEvalPlan:
@@ -496,10 +495,11 @@ class TestResume:
         # died mid-run, so the head references only a prefix.
         assert 0 < head["segments"] < 4
 
-        resumed = plan.run(
-            store=store, tag=_RESUME_TAG, checkpoint_every=4,
-            executor="pool",
-        )
+        with ParallelExecutor(workers=2) as pool:
+            resumed = plan.run(
+                store=store, tag=_RESUME_TAG, checkpoint_every=4,
+                executor=pool,
+            )
         assert _verdicts(resumed) == _verdicts(serial_run)
         assert store.load(_RESUME_TAG)["segments"] == 4
 

@@ -202,8 +202,24 @@ def _traced_run(executor):
             executor.close()
 
 
+def _span_paths(buffer):
+    """Every span as the names from its root down, with multiplicity."""
+    by_id = {ev.id: ev for ev in buffer.events}
+    paths = {}
+    for ev in buffer.events:
+        path, parent = [ev.name], ev.parent
+        while parent is not None:
+            path.append(by_id[parent].name)
+            parent = by_id[parent].parent
+        key = tuple(reversed(path))
+        paths[key] = paths.get(key, 0) + 1
+    return paths
+
+
 class TestExecutorMergeIdentity:
     def test_parallel_trace_matches_serial(self):
+        # The serial chunks record in place and the pooled ones ship a
+        # worker frame home; both give one span tree and one counter set.
         serial_run, serial = _traced_run(SerialExecutor())
         obs.reset()
         parallel_run, parallel = _traced_run(ParallelExecutor(workers=2))
@@ -217,6 +233,9 @@ class TestExecutorMergeIdentity:
         serial_counts = span_counts(serial)
         parallel_counts = span_counts(parallel)
         assert serial_counts == parallel_counts
+        assert _span_paths(serial) == _span_paths(parallel)
+        assert ("run.eval_plan", "engine.chunk") in _span_paths(serial)
+        assert serial.counters == parallel.counters
         # Per-candidate accounting equals the scalar bookkeeping: one
         # eval.candidate event and one counter tick per checked record.
         n_records = len(serial_run.records)

@@ -472,8 +472,8 @@ class TestGoldenCacheLRU:
         harness._golden_ref(problems[2])  # evicts problem 1, not 0
         assert len(harness._GOLDEN_CACHE) == 2
         assert harness._golden_ref(problems[0]) is ref0
-        keys = {key[0] for key in harness._GOLDEN_CACHE}
-        assert problems[1].problem_id not in keys
+        evicted = harness._golden_disk_key(problems[1])
+        assert evicted not in harness._GOLDEN_CACHE
 
 
 class TestTupleTraces:

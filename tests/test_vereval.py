@@ -640,7 +640,7 @@ class TestGoldenEqualAdversarial:
         # one load, of the golden entry, whose table decides every source,
         # the verbatim golden included; its bundle is never unpickled
         assert loaded == [("golden", problem.golden_source)]
-        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
+        assert harness._golden_disk_key(problem) not in harness._GOLDEN_CACHE
 
 
 def _spans(run, names=("verilog.parse", "sim.elaborate", "vereval.golden")):
@@ -780,7 +780,7 @@ class TestGoldenTwinsBeforeTheFrontEnd:
         assert verdicts == _reference(problem, pool) == [(False, "syntax")] * 3
         assert spans["vereval.golden"] == 0
         assert counters["sim.cache.miss"] == 1  # the golden entry, once
-        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
+        assert harness._golden_disk_key(problem) not in harness._GOLDEN_CACHE
         # one entry: the two verdicts and no bundle
         assert len(list(sim_cache_dir.iterdir())) == 1
         table, blob = _golden_entry(problem)
@@ -1219,7 +1219,7 @@ class TestVerdictEntries:
         }
         # the entry's envelope, and no bundle
         assert unpickled == [tuple]
-        assert harness._golden_key(problem) not in harness._GOLDEN_CACHE
+        assert harness._golden_disk_key(problem) not in harness._GOLDEN_CACHE
 
     def test_verdicts_of_calls_on_one_golden_merge(self, sim_cache_dir):
         problem = _clocked_problem()
