@@ -152,8 +152,8 @@ def batch_design(design: Design, n_lanes: int) -> BatchDesign:
     lane budget — the scalar-fallback signal; a region that does not
     levelize raises its base, :class:`UncompilableDesign`); the
     negative outcome is cached too, so repeated probes stay cheap.  The
-    cache is dropped on pickling (``Design.__getstate__``), like the
-    scalar compile cache.
+    cache is dropped on pickling (``Design.__getstate__``), as the scalar
+    image is.
     ``n_lanes`` must be at least 1; asking for zero or negative lanes is
     a caller bug surfaced as ``ValueError`` instead of an empty-array
     failure deep inside numpy.

@@ -1,4 +1,4 @@
-"""Persistent on-disk cache for simulation compile artifacts.
+"""Persistent on-disk cache for the checker's golden artifacts and verdicts.
 
 Evaluation pool workers each pay the full lex -> parse -> elaborate ->
 stimulate -> simulate pipeline for every golden module (the in-process
@@ -31,18 +31,16 @@ This module gives those paths a disk tier:
   :func:`stats` snapshots those counters — so cache behaviour is a
   measured quantity instead of an anecdote;
 * the checker keeps one ``golden`` entry per golden bundle: the pickled
-  bundle (design + stimulus rows + output trace) and a table of the
+  bundle (plain data: the golden's token digest, interface signature,
+  stimulus rows and output trace, no ``Design``) and a table of the
   ``(passed, reason)`` of every source checked against it, keyed by
   every input that can change a verdict (what is read and written, and
   why the table is untouched under CEGIS: see
   :func:`~repro.vereval.harness.check_candidates_lockstep`);
-* a ``design`` entry holds an elaborated :class:`Design`
-  (:func:`put_design` / :func:`get_design`); the checker writes none.  A
-  ``Design`` that carries compiled code and knows its source text is
-  pickled with that text in place of its AST, which the first read of
-  an AST field derives again (see ``Design.__getstate__``): the golden
-  bundle's design is stored that way, and a hit that replays never
-  reads it.
+* a ``design`` entry holds an elaborated :class:`Design` with its AST
+  inline and no execution image (:func:`put_design` /
+  :func:`get_design`, see ``Design.__getstate__``); the checker writes
+  none.
 
 Consumers: :func:`~repro.vereval.harness.check_candidates_lockstep`
 (which :func:`~repro.vereval.harness.check_candidate_source` runs as a
@@ -83,7 +81,7 @@ __all__ = [
 #: are then counted as ``sim.cache.version_mismatch`` and evicted instead
 #: of deserializing stale behaviour (or leaking on disk forever, as the
 #: old key-embedded-version scheme did).  9: a persisted ``Design`` carries
-#: its compiled image (tables + marshalled code objects of the generated
+#: its compiled image (tables + the code objects of the generated
 #: source, see ``repro.sim.compile``).  10: an identity self-assign
 #: (``assign x = x;``) no longer blocks levelization, so a version-9 image
 #: of such a design carries a stale non-levelized schedule.  11: the
@@ -113,8 +111,11 @@ __all__ = [
 #: sources' verdicts, one file per key with no packs (18 also covered
 #: bundles with and without the lanes slot); a version-18 tree reads
 #: other names, and its names are left on disk, as pre-13 fan-out
-#: subdirectories were.
-BACKEND_VERSION = 19
+#: subdirectories were.  20: a golden bundle is plain data (token
+#: digest, signature, stimulus rows, trace, error) with no ``Design``,
+#: and a pickled ``Design`` carries its AST inline and no compiled
+#: image.
+BACKEND_VERSION = 20
 
 _ENV = "REPRO_SIM_CACHE"
 

@@ -34,11 +34,10 @@ the staging is resolve, schedule, *then* generate text:
   :func:`compile_design` (so :class:`UncompilableDesign` is raised
   there); the text is byte-compiled the first time a simulator runs it,
   so a candidate that rides the numpy lanes never pays for it;
-* **persist by use** — a pickled ``Design`` keeps the image's tables and
-  the marshalled code object once something ran it (guarded by the
-  interpreter's magic number), so a :mod:`repro.sim.cache` hit is an
-  ``exec``, not a re-lowering.  There is deliberately no process-wide
-  memo of code by text or digest: a cold check must stay cold.
+* **never persisted** — a pickled ``Design`` drops its image (see
+  ``Design.__getstate__``), so a restored design lowers again on first
+  run.  There is deliberately no process-wide memo of code by text or
+  digest either: a cold check must stay cold.
 
 **No character of the Verilog source reaches the text**: signals are slot
 numbers, string literals fold to ints, ``$display`` is dropped, the
@@ -67,8 +66,6 @@ oracle for the kernels, ``TestEdgeAdmission`` for the admission rule).
 from __future__ import annotations
 
 import heapq
-import importlib.util
-import marshal
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -193,25 +190,18 @@ def _loop_error() -> SimulationError:
 #: design-derived string reaches a code object
 _FILENAME = "<repro.sim.compile>"
 
-#: guards marshalled code objects against a different interpreter
-_MAGIC = importlib.util.MAGIC_NUMBER
-
 
 class CompiledDesign:
     """The compile-once execution image of one elaborated design."""
 
-    #: what a pickle keeps besides the code object: the schedule (the
-    #: slot tables are re-read off the design, see :meth:`attach`)
-    _SCHEDULE = ("topo", "readers", "writers", "trigger_slots",
-                 "trigger_fanin")
-
     #: the scheduler refuses any region it cannot levelize
     levelized = True
 
-    __slots__ = _SCHEDULE + (
+    __slots__ = (
         "design", "n_signals", "slot_of", "names", "widths", "masks",
         "mem_of", "mem_names", "mem_widths", "mem_depths", "mem_bases",
-        "nodes", "seq", "initial", "source", "code", "_fused",
+        "nodes", "topo", "readers", "writers", "seq", "trigger_slots",
+        "trigger_fanin", "initial", "source", "code", "_fused",
     )
 
     def __init__(self) -> None:
@@ -241,8 +231,7 @@ class CompiledDesign:
         self.trigger_fanin: frozenset = frozenset()
         #: one entry per non-empty ``initial`` statement (all in ``init``)
         self.initial: List[None] = []
-        #: the generated Python source; None on an image restored from a
-        #: pickle
+        #: the generated Python source
         self.source: Optional[str] = None
         #: its code object, once something has run it
         self.code = None
@@ -275,9 +264,6 @@ class CompiledDesign:
 
     def _load(self) -> dict:
         if self.code is None:
-            if self.source is None:
-                # restored from a pickle whose run never compiled the text
-                self.source = _lower(self.design).source
             self.code = compile(
                 self.source, _FILENAME, "exec", dont_inherit=True
             )
@@ -293,34 +279,6 @@ class CompiledDesign:
         exec(self.code, namespace)
         return namespace
 
-    # -- persistence ---------------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            [getattr(self, name) for name in self._SCHEDULE],
-            len(self.nodes),
-            [triggers for triggers, _ in self.seq],
-            len(self.initial),
-            _MAGIC,
-            marshal.dumps(self.code),
-        )
-
-    def __setstate__(self, state) -> None:
-        schedule, nodes, seq, initial, magic, blob = state
-        self.__init__()  # the owner re-attaches: see compile_design
-        for name, value in zip(self._SCHEDULE, schedule):
-            setattr(self, name, value)
-        self.nodes = [None] * nodes
-        self.seq = [(triggers, None) for triggers in seq]
-        self.initial = [None] * initial
-        # Another interpreter's bytecode is re-emitted on demand, and so
-        # is an earlier layout's form-keyed dict, which lets
-        # repro.sim.cache read the entry's version and evict it as a
-        # mismatch; bytes marshal cannot read raise here, inside the
-        # unpickle, where the cache counts the entry corrupt.
-        if magic == _MAGIC and isinstance(blob, bytes):
-            self.code = marshal.loads(blob)
-
 
 def _lower(design: Design) -> CompiledDesign:
     with obs.span("sim.compile"):
@@ -331,17 +289,9 @@ def _lower(design: Design) -> CompiledDesign:
 
 
 def compile_design(design: Design) -> CompiledDesign:
-    """Compile ``design``, caching the result on the design object.
-
-    A pickled ``Design`` carries the image with its code once a run built
-    it (see ``Design.__getstate__``), so pool workers and
-    :mod:`repro.sim.cache` hits adopt it here instead of lowering again.
-    """
+    """Compile ``design``, caching the result on the design object."""
     cached = getattr(design, "_compiled", None)
     if cached is not None:
-        if cached.design is None:
-            cached.attach(design)
-            obs.count("sim.codegen.loaded")
         return cached
     compiled = _lower(design)
     design._compiled = compiled

@@ -10,14 +10,12 @@ processes — everything the runtime in :mod:`repro.sim.simulator` needs.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ElaborationError
 from repro.verilog import ast
-from repro.verilog.parser import parse_source_fast
 from repro.sim.eval import eval_constant
 
 _MAX_DEPTH = 32
@@ -80,18 +78,6 @@ class Design:
     seq_blocks: List[SeqBlock] = field(default_factory=list)
     initial_stmts: List[ast.Stmt] = field(default_factory=list)
     params: Dict[str, int] = field(default_factory=dict)
-    #: the token digest of the source file this design was elaborated
-    #: from (``repro.verilog.lex_source_digest``), or None; it lives
-    #: outside the pickled AST blob, so reading it thaws nothing
-    token_digest: Optional[bytes] = field(
-        default=None, compare=False, repr=False
-    )
-    #: the Verilog text ``top`` was elaborated from with no parameter
-    #: overrides, or None; a design that carries compiled code pickles
-    #: this text in place of its AST (see ``__getstate__``)
-    source_text: Optional[str] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def inputs(self) -> List[Signal]:
@@ -108,68 +94,14 @@ class Design:
             raise ElaborationError(f"no signal named {name!r}") from None
 
     def __getstate__(self):
-        # The lane images (repro.sim.batch) are closures and cannot
-        # pickle.  The scalar image (repro.sim.compile) pickles as its
-        # tables plus its code object once something ran it, so a pool
-        # worker or a repro.sim.cache hit executes instead of lowering
-        # again; an image nothing ran has nothing worth keeping.  Such a
-        # hit never reads the AST, so a design that carries code and
-        # knows its source_text pickles no AST at all: the first read of
-        # an AST field parses and elaborates that text again (one str
-        # instead of an object graph).  Any other design packs its four
-        # AST lists as one nested pickle, unpickled on first read.  Both
-        # happen in __getattr__; a restored design nothing read passes
-        # its state through unchanged.
+        # The execution images (repro.sim.compile, repro.sim.batch) are
+        # caches of what the AST lowers to, and the lane images are
+        # closures that cannot pickle: a restored design lowers again on
+        # first run.
         state = dict(self.__dict__)
+        state.pop("_compiled", None)
         state.pop("_batch", None)
-        compiled = state.get("_compiled")
-        if compiled is not None and not compiled.code:
-            del state["_compiled"]
-            compiled = None
-        if all(name in state for name in _AST_FIELDS):
-            ast_fields = tuple(state.pop(name) for name in _AST_FIELDS)
-            if compiled is None or self.source_text is None:
-                state["_ast"] = pickle.dumps(
-                    ast_fields, protocol=pickle.HIGHEST_PROTOCOL
-                )
         return state
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the instance lacks: the AST
-        # fields of a restored design, until the first read of any of
-        # them.  A field assigned since the restore keeps its new value.
-        if name not in _AST_FIELDS:
-            raise AttributeError(name)
-        state = self.__dict__
-        blob = state.get("_ast")
-        if blob is not None:
-            values = _thaw(blob)
-            del state["_ast"]
-        elif self.source_text is not None:
-            values = _rederive(self.source_text, self.top)
-        else:
-            raise AttributeError(name)
-        for field_name, value in zip(_AST_FIELDS, values):
-            state.setdefault(field_name, value)
-        return state[name]
-
-
-#: the AST-bearing fields of a :class:`Design`, which a pickle packs
-#: into one nested blob or drops for the source text (see
-#: ``Design.__getstate__``)
-_AST_FIELDS = ("comb_assigns", "comb_blocks", "seq_blocks", "initial_stmts")
-
-
-def _thaw(blob: bytes) -> tuple:
-    """The four AST lists of a restored design, in ``_AST_FIELDS`` order."""
-    return pickle.loads(blob)
-
-
-def _rederive(source_text: str, top: str) -> tuple:
-    """The four AST lists of ``top`` elaborated afresh from
-    ``source_text``, in ``_AST_FIELDS`` order."""
-    design = elaborate(parse_source_fast(source_text), top)
-    return tuple(getattr(design, name) for name in _AST_FIELDS)
 
 
 class _Rewriter:

@@ -65,6 +65,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.sim import cache as sim_cache
+from repro.sim.elaborate import elaborate
 from repro.sim.testbench import (
     EquivalenceResult,
     StimulusVector,
@@ -72,6 +73,7 @@ from repro.sim.testbench import (
     sweep_random_stimulus,
 )
 from repro.utils.rng import DeterministicRNG
+from repro.verilog import parse_source_fast
 from repro.vereval.problems import EvalProblem
 
 __all__ = [
@@ -346,12 +348,11 @@ class _EntryRef:
     """
 
     __slots__ = (
-        "design", "signature", "input_names", "rows", "output_names",
-        "trace", "error", "error_phase",
+        "signature", "input_names", "rows", "output_names", "trace",
+        "error", "error_phase",
     )
 
     def __init__(self, golden_ref, entry: DistinguishingVector) -> None:
-        self.design = golden_ref.design
         self.signature = golden_ref.signature
         self.input_names, self.rows = stimulus_rows(entry.vectors())
         self.output_names = entry.output_names
@@ -382,9 +383,9 @@ def _search_spans(ref, problem: EvalProblem) -> List[Tuple[str, int]]:
         name for name in (interface.clock, interface.reset) if name
     )
     return [
-        (signal.name, (1 << signal.width) - 1)
-        for signal in ref.design.inputs
-        if signal.name not in excluded
+        (name, (1 << width) - 1)
+        for name, width in ref.signature["inputs"].items()
+        if name not in excluded
     ]
 
 
@@ -509,12 +510,14 @@ def _search_episodes(
 
 #: golden-side sweep memo: the golden half of every search round is a
 #: pure function of (problem, config, round), so repeated searches on
-#: one problem — every surviving candidate triggers one — pay it once
+#: one problem — every surviving candidate triggers one — pay it once.
+#: The golden bundle keeps no design, so a miss elaborates the golden
+#: from its source.
 _GOLDEN_SWEEP_CACHE: "OrderedDict[Tuple, object]" = OrderedDict()
 _GOLDEN_SWEEP_CACHE_MAX = 64
 
 
-def _golden_sweep(ref, problem, config, round_index, episodes):
+def _golden_sweep(problem, config, round_index, episodes):
     key = (
         _set_key(problem), config.fingerprint_token(), round_index,
     )
@@ -522,7 +525,10 @@ def _golden_sweep(ref, problem, config, round_index, episodes):
     if result is not None:
         _GOLDEN_SWEEP_CACHE.move_to_end(key)
         return result
-    result = _run_sweep(ref.design, problem, episodes)
+    golden = elaborate(
+        parse_source_fast(problem.golden_source), problem.module.name
+    )
+    result = _run_sweep(golden, problem, episodes)
     while len(_GOLDEN_SWEEP_CACHE) >= _GOLDEN_SWEEP_CACHE_MAX:
         _GOLDEN_SWEEP_CACHE.popitem(last=False)
     _GOLDEN_SWEEP_CACHE[key] = result
@@ -602,9 +608,7 @@ def _falsify(
             episodes = _search_episodes(ref, problem, config, round_index)
             if not episodes:
                 break
-            golden = _golden_sweep(
-                ref, problem, config, round_index, episodes
-            )
+            golden = _golden_sweep(problem, config, round_index, episodes)
             candidate_sweep = _run_sweep(candidate, problem, episodes)
             for lane, (label, episode) in enumerate(episodes):
                 if golden.errors[lane] is not None:

@@ -130,33 +130,36 @@ class EvalResult:
 class _GoldenRef:
     """Per-problem golden artifacts, derived once and reused per sample.
 
-    ``rows`` holds one tuple of input values per stimulus cycle, aligned
-    to ``input_names`` (the shape both kernels take; ``stimulus`` is a
-    dict view of it), and ``trace`` one tuple of golden output values per
-    cycle, aligned to the frozen ``output_names`` tuple, recorded under
-    the exact reset/clock protocol of :func:`repro.sim.equivalence_check`; a
-    candidate is then simulated alone and its output tuples compared
-    against the trace, which is verdict-identical to lockstep simulation
-    of both designs but does the golden half of the work once per problem
-    instead of once per sample — and compares flat tuples instead of
-    iterating per-cycle dicts in the innermost check loop.
+    Plain data, pickled as its slots into the problem's ``sim.cache``
+    entry: the golden's ``Design`` is simulated once, here, and never
+    kept.  ``digest`` is the golden file's token digest
+    (:func:`repro.verilog.lex_source_digest`) and ``signature`` its
+    :func:`~repro.sim.interface_signature`.  ``rows`` holds one tuple of
+    input values per stimulus cycle, aligned to ``input_names`` (the
+    shape both kernels take; ``stimulus`` is a dict view of it), and
+    ``trace`` one tuple of golden output values per cycle, aligned to the
+    frozen ``output_names`` tuple, recorded under the exact reset/clock
+    protocol of :func:`repro.sim.equivalence_check`; a candidate is then
+    simulated alone and its output tuples compared against the trace,
+    which is verdict-identical to lockstep simulation of both designs but
+    does the golden half of the work once per problem instead of once per
+    sample — and compares flat tuples instead of iterating per-cycle
+    dicts in the innermost check loop.
     """
 
     __slots__ = (
-        "design", "signature", "input_names", "rows", "output_names",
+        "digest", "signature", "input_names", "rows", "output_names",
         "trace", "error", "error_phase",
     )
 
     def __init__(self, problem: EvalProblem) -> None:
-        stream, digest = lex_source_digest(problem.golden_source)
-        self.design = elaborate(parse_stream(stream), problem.module.name)
-        self.design.token_digest = digest
-        self.design.source_text = problem.golden_source
-        self.signature = interface_signature(self.design)
+        stream, self.digest = lex_source_digest(problem.golden_source)
+        design = elaborate(parse_stream(stream), problem.module.name)
+        self.signature = interface_signature(design)
         #: the stimulus as the cycle kernel takes it: input names once,
         #: one value row per cycle (see :attr:`stimulus`)
         self.input_names, self.rows = random_rows(
-            self.design, problem.stimulus_cycles, seed=problem.stimulus_seed
+            design, problem.stimulus_cycles, seed=problem.stimulus_seed
         )
         #: per-cycle golden output tuples; cut short when the golden
         #: simulation itself errors, with the message and the phase it
@@ -170,7 +173,7 @@ class _GoldenRef:
         phase = "construct"
         try:
             bench = Testbench(
-                self.design,
+                design,
                 clock=interface.clock,
                 reset=interface.reset,
                 reset_active_high=interface.reset_active_high,
@@ -194,17 +197,6 @@ class _GoldenRef:
         """The stimulus as per-cycle input dicts: a view of ``rows``."""
         names = self.input_names
         return [dict(zip(names, row)) for row in self.rows]
-
-    def __setstate__(self, state) -> None:
-        # Slots only.  An entry of an older layout (one that stored the
-        # stimulus dicts) must still unpickle, so that repro.sim.cache
-        # counts it as a version mismatch instead of a corrupt entry; the
-        # dropped "coverage", "full_cycles" and "lanes" slots are skipped,
-        # so a bundle that still carries them stays a hit.
-        _, slots = state
-        for name, value in slots.items():
-            if name in _GoldenRef.__slots__:
-                setattr(self, name, value)
 
 
 #: golden artifacts keyed by :func:`_golden_disk_key` — content only
@@ -351,7 +343,7 @@ def _golden_equal_digest(ref: _GoldenRef) -> Optional[bytes]:
     if ref.error is None and not ref.error_phase and len(ref.trace) == len(
         ref.rows
     ):
-        return ref.design.token_digest
+        return ref.digest
     return None
 
 

@@ -184,9 +184,9 @@ class TokenStream(Sequence):
         builds ASTs that differ at most in their ``line`` fields (the
         count and lengths make the encoding injective: a string literal
         may hold any character).  Positions, trivia and directives are
-        not part of it.  The whole-stream digest is persisted (it keys
-        ``sim.cache`` entries through ``Design.token_digest``), so its
-        bytes must not change.
+        not part of it.  The whole-stream digest is persisted (a golden
+        bundle in ``sim.cache`` stores it as ``_GoldenRef.digest``), so
+        its bytes must not change.
         """
         kinds, syms = self.kinds[start:stop], self.syms[start:stop]
         h = hashlib.blake2b(len(syms).to_bytes(8, "little"), digest_size=16)

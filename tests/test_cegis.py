@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -450,7 +449,9 @@ class TestDistinguishingSetFuzz:
             harness.check_candidate_source(problem, mutant)
             ds = cegis.distinguishing_set(problem)
             ref = harness._golden_ref(problem)
-            golden_design = ref.design
+            golden_design = elaborate(
+                parse_source(problem.golden_source), problem.module.name
+            )
             mutant_design = elaborate(
                 parse_source(mutant), problem.module.name
             )
@@ -598,53 +599,58 @@ class TestOneGoldenBundle:
             legacy_ref.rows, legacy_ref.trace
         )
 
-    def test_bundle_with_dropped_coverage_slots_still_hits(
-        self, cache_dir, monkeypatch
+    @pytest.mark.parametrize("family", ["counter", "edge_detector"])
+    def test_cegis_verdicts_from_a_bundle_read_back_from_disk(
+        self, family, cache_dir, monkeypatch
     ):
-        module = _family_module("edge_detector")
-        problem = _problem(module, "old-slots", cycles=64, seed=5)
-        candidates = _mutant_candidates(module)
-        previous = sim_cache.configure(None)
+        """A fresh process on a warm directory: the golden bundle comes
+        back from its entry with no design in it, and the falsification
+        search that new sources trigger runs its golden sweep anyway,
+        to the verdicts of one process with the cache off."""
+        module = _family_module(family)
+        problem = _problem(module, f"restored-{family}", cycles=64, seed=5)
+        pool = _mutant_candidates(module)
+        respelled = ["// respelled\n" + source for source in pool]
+        previous = cegis.configure(
+            cegis.CegisConfig(enabled=True, search_rounds=2, search_lanes=8)
+        )
         try:
-            expected = harness.check_candidates_lockstep(problem, candidates)
-        finally:
-            sim_cache.configure(previous)
-        _clear_cegis_state()
-        ref = harness._GoldenRef(problem)
-        slots = {
-            name: getattr(ref, name) for name in harness._GoldenRef.__slots__
-        }
-        # the bundle layouts before the coverage slots and the
-        # all-vectors rung's lane arrays were dropped
-        lanes = (
-            {name: np.zeros(len(ref.rows), dtype=np.int64)
-             for name in ref.input_names},
-            np.zeros((len(ref.trace), len(ref.output_names)), dtype=np.int64),
-        )
-        old_layout = {
-            **slots, "coverage": None, "full_cycles": len(ref.rows),
-            "lanes": lanes,
-        }
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                harness._GoldenRef, "__getstate__",
-                lambda self: (None, old_layout),
+            sim_cache.configure("")
+            _clear_cegis_state()
+            want = [
+                harness.check_candidates_lockstep(problem, pool),
+                harness.check_candidates_lockstep(problem, respelled),
+            ]
+            sim_cache.configure(cache_dir)
+            _clear_cegis_state()
+            got = [harness.check_candidates_lockstep(problem, pool)]
+            reset_caches()
+            stored = []
+            real_store = sim_cache.store
+            monkeypatch.setattr(
+                sim_cache, "store",
+                lambda kind, *rest: stored.append(kind)
+                or real_store(kind, *rest),
             )
-            blob = pickle.dumps(ref)
-        assert sim_cache.store(
-            "golden", ({}, blob), *harness._golden_disk_key(problem)
-        )
-        loaded = harness._golden_ref(problem, blob)
-        # unpickled from the entry's bytes, not rebuilt (a bundle built
-        # here has no bytes until an entry needs them)
-        key = harness._golden_disk_key(problem)
-        assert harness._GOLDEN_CACHE[key][1] is blob
-        assert not hasattr(loaded, "coverage")
-        assert not hasattr(loaded, "full_cycles")
-        assert not hasattr(loaded, "lanes")
-        assert harness.check_candidates_lockstep(
-            problem, candidates
-        ) == expected
+            searches = obs.counter_value("cegis.searches")
+            got.append(harness.check_candidates_lockstep(problem, respelled))
+        finally:
+            cegis.configure(previous)
+        assert got == want
+        # the respelled survivors were searched again, against a bundle
+        # read from disk (a bundle built here would be stored)
+        assert obs.counter_value("cegis.searches") > searches
+        assert "golden" not in stored
+
+    def test_search_spans_read_the_signature_in_design_order(self):
+        for problem in build_problem_set()[::7]:
+            design = elaborate(
+                parse_source(problem.golden_source), problem.module.name
+            )
+            ref = harness._GoldenRef(problem)
+            assert list(ref.signature["inputs"].items()) == [
+                (signal.name, signal.width) for signal in design.inputs
+            ]
 
 
 # -- configuration, fingerprint, worker plumbing -----------------------------

@@ -12,6 +12,7 @@ cache (:mod:`repro.sim.cache`) must round-trip artifacts with identical
 behaviour while rejecting stale-version keys.
 """
 
+import io
 import pickle
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
 from repro.vereval.problems import EvalProblem
 from repro.vgen import FAMILIES, generate_family
-from repro.verilog import parse_source
+from repro.verilog import lex_source_digest, parse_source
 
 import repro.vereval.harness as harness
 
@@ -611,6 +612,7 @@ class TestPersistentCache:
             harness._GOLDEN_CACHE.clear()
             warm = harness._golden_ref(problem, blob)  # new object
             assert warm is not cold
+            assert warm.digest == cold.digest
             assert warm.trace == cold.trace
             assert warm.output_names == cold.output_names
             assert warm.signature == cold.signature
@@ -620,6 +622,45 @@ class TestPersistentCache:
             assert (warm.input_names, warm.rows) == (
                 cold.input_names, cold.rows
             )
+        finally:
+            sim_cache.configure(previous)
+            harness._GOLDEN_CACHE.clear()
+
+    def test_golden_bundle_is_plain_data(self, tmp_path):
+        """A golden entry's bundle bytes unpickle to the eight data slots
+        and name no class but the bundle's own: no ``Design``, no
+        compiled image, for combinational and sequential goldens."""
+        slots = (
+            "digest", "signature", "input_names", "rows", "output_names",
+            "trace", "error", "error_phase",
+        )
+        assert harness._GoldenRef.__slots__ == slots
+        previous = sim_cache.configure(str(tmp_path))
+        try:
+            for problem in build_problem_set(stimulus_cycles=24)[::10]:
+                harness._GOLDEN_CACHE.clear()
+                assert harness.check_candidate_source(
+                    problem, problem.golden_source
+                ) == (True, "")
+                _, blob = sim_cache.load(
+                    "golden", *harness._golden_disk_key(problem)
+                )
+                classes = []
+
+                class Recording(pickle.Unpickler):
+                    def find_class(self, module, name):
+                        classes.append((module, name))
+                        return super().find_class(module, name)
+
+                ref = Recording(io.BytesIO(blob)).load()
+                assert classes == [("repro.vereval.harness", "_GoldenRef")]
+                assert not hasattr(ref, "__dict__")
+                assert [name for name in slots if hasattr(ref, name)] == list(
+                    slots
+                )
+                assert ref.digest == lex_source_digest(
+                    problem.golden_source
+                )[1]
         finally:
             sim_cache.configure(previous)
             harness._GOLDEN_CACHE.clear()

@@ -8,8 +8,6 @@ set, and randomized (hypothesis-driven) family/seed/stimulus draws.
 
 import ast as python_ast
 import dataclasses
-import importlib.util
-import marshal
 import os
 import pickle
 import re
@@ -41,10 +39,6 @@ from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
 from repro.vgen import FAMILIES, generate_family, mutate
 from repro.verilog import parse_source
-
-# the module, not the function `repro.sim` exports under its name
-sim_elaborate = importlib.import_module("repro.sim.elaborate")
-_AST_FIELDS = sim_elaborate._AST_FIELDS
 
 ALL_FAMILIES = sorted(FAMILIES)
 
@@ -1392,10 +1386,14 @@ endmodule
             ), text
 
 
-# -- persistence of the compiled image ---------------------------------------
+# -- persistence of an elaborated design ------------------------------------
 
 
 class TestCodePersistence:
+    """A pickled design keeps its AST and no execution image: a restored
+    design lowers again on its first run, and the one cached artifact
+    the checker reads back, the golden bundle, is plain data."""
+
     SOURCE = (
         "module m(input clk, input rst, input [3:0] d, output reg [3:0] q,"
         " output [3:0] y); assign y = q ^ d;"
@@ -1411,76 +1409,35 @@ class TestCodePersistence:
             for vector in random_stimulus(design, cycles, seed=9)
         ]
 
-    def test_design_pickles_code_not_functions(self):
+    def test_restored_design_equals_the_original(self):
         design = build(self.SOURCE, "m")
-        assert "_compiled" not in pickle.loads(
-            pickle.dumps(design)
-        ).__dict__  # never lowered: nothing to keep
-        compile_design(design)
-        assert "_compiled" not in pickle.loads(
-            pickle.dumps(design)
-        ).__dict__  # lowered, nothing ran: still nothing worth keeping
         want = self._run(design)
         assert design._compiled.code is not None
+        assert "_compiled" not in design.__getstate__()
         clone = pickle.loads(pickle.dumps(design))
-        image = clone._compiled
-        assert image.code is not None
-        # tables and code only: no text, no namespace, no bound function
-        assert image.source is None and image._fused is None
-        assert image.design is None
-        assert image.nodes == [None] and image.seq[0][1] is None
-        emitted = obs.counter_value("sim.codegen.emitted")
-        loaded = obs.counter_value("sim.codegen.loaded")
-        assert self._run(clone) == want
-        assert obs.counter_value("sim.codegen.emitted") == emitted
-        assert obs.counter_value("sim.codegen.loaded") == loaded + 1
-        assert image.design is clone
-
-    def test_hand_pokes_on_a_restored_image_lower_nothing(self):
-        # the kernels and hand pokes run the same edge functions: the
-        # code the first run pickled serves both
-        design = build(self.SOURCE, "m")
-        self._run(design)
-        clone = pickle.loads(pickle.dumps(design))
-        reference = Simulator(build(self.SOURCE, "m"), backend="interp")
-        sim = Simulator(clone, backend="compiled")
-        emitted = obs.counter_value("sim.codegen.emitted")
-        for simulator in (sim, reference):
-            simulator.poke("d", 5)
-            simulator.poke("clk", 1)
-        assert obs.counter_value("sim.codegen.emitted") == emitted
-        assert sim.state == reference.state
-
-    def test_foreign_magic_number_is_re_emitted(self, monkeypatch):
-        from repro.sim import compile as sim_compile
-
-        design = build(self.SOURCE, "m")
-        want = self._run(design)
-        assert sim_compile._MAGIC == importlib.util.MAGIC_NUMBER
-        monkeypatch.setattr(sim_compile, "_MAGIC", b"\x00\x00\r\n")
-        blob = pickle.dumps(design)
-        monkeypatch.undo()
-        clone = pickle.loads(blob)
-        assert clone._compiled.code is None
+        assert "_compiled" not in clone.__dict__
+        assert clone == design
+        assert repr(clone) == repr(design)
         emitted = obs.counter_value("sim.codegen.emitted")
         assert self._run(clone) == want
         assert obs.counter_value("sim.codegen.emitted") == emitted + 1
 
     def test_cache_entries_that_cannot_be_used(self, tmp_path, monkeypatch):
-        """Truncated marshal bytes and a parent-version entry: the
+        """Truncated bundle bytes and a parent-version entry: the
         existing ``corrupt`` / ``version_mismatch`` accounting, and the
-        same verdicts from a fresh derivation.  The golden bundle's design
-        is the one artifact that carries code; a token twin of the golden
-        that no call decided yet makes a check unpickle the bundle."""
+        same verdicts from a fresh derivation.  A token twin of the
+        golden that no call decided yet makes a check unpickle the
+        bundle."""
         from repro.sim import cache as sim_cache
-        from repro.sim import compile as sim_compile
         from repro.vereval import check_candidates_lockstep, reset_caches
+        from repro.vereval import harness
 
         (problem,) = build_problem_set(
             n_problems=1, families=["shift_register"], stimulus_cycles=24
         )
         sources = [problem.golden_source]
         sources += [m.source for m in mutate(problem.module)]
+        key = harness._golden_disk_key(problem)
         previous = sim_cache.configure("")
 
         def counters():
@@ -1503,15 +1460,11 @@ class TestCodePersistence:
             reset_caches()
             want = check_candidates_lockstep(problem, sources)
             sim_cache.configure(str(tmp_path))
-            # 1. marshal bytes cut short inside an otherwise sound bundle
-            real_dumps = marshal.dumps
-            monkeypatch.setattr(
-                sim_compile.marshal, "dumps",
-                lambda code: real_dumps(code)[:-7],
-            )
             reset_caches()
             assert check_candidates_lockstep(problem, sources) == want
-            monkeypatch.undo()
+            # 1. bundle bytes cut short inside an otherwise sound entry
+            table, blob = sim_cache.load("golden", *key)
+            assert sim_cache.store("golden", (table, blob[:-7]), *key)
             before = counters()
             reset_caches()
             assert check_candidates_lockstep(problem, [twin(1)]) == [
@@ -1520,8 +1473,9 @@ class TestCodePersistence:
             # the entry loads, the twin is not in its table, and the bundle
             # it holds is corrupt: built again and written over
             assert delta(before) == {"hit": 1, "corrupt": 1}
-            # 2. the refill is sound: the bundle unpickles, nothing is
-            # lowered
+            assert sim_cache.load("golden", *key)[1] == blob
+            # 2. the refill is sound: the bundle unpickles, so the golden
+            # is not lowered again
             before = counters()
             emitted = obs.counter_value("sim.codegen.emitted")
             reset_caches()
@@ -1547,141 +1501,6 @@ class TestCodePersistence:
             sim_cache.configure(previous)
             reset_caches()
 
-    def test_previous_version_counter_image_is_not_reused(
-        self, tmp_path, monkeypatch
-    ):
-        """An async-reset counter stored by backend version 14 carries a
-        form-keyed code dict whose ``generic`` entry ran its reset
-        pokes: under this layout the entry still unpickles (the dict is
-        not marshal bytes), so ``get_design`` reads its version and misses
-        on it (``version_mismatch``, not ``corrupt``), and the
-        re-elaborated design pickles one code object."""
-        from repro.sim import cache as sim_cache
-        from repro.sim import compile as sim_compile
-
-        source, kwargs, _, _ = GALLERY["async_reset_outside_stimulus"]
-        previous = sim_cache.configure(str(tmp_path))
-        try:
-            stale = build(source, "m")
-            Testbench(stale, **kwargs, backend="compiled").apply_reset()
-            image = stale._compiled
-            # version 14's generic text for this block, and its layout
-            generic = compile(
-                "def s0(st, mems, nba):\n"
-                " nba += ((0, 2, 0, 4, 0),)\n",
-                "<repro.sim.compile>", "exec", dont_inherit=True,
-            )
-            layout_14 = (
-                [image.topo, image.readers, image.writers,
-                 image.trigger_slots],
-                len(image.nodes),
-                [triggers for triggers, _ in image.seq],
-                len(image.initial),
-                sim_compile._MAGIC,
-                {"fused": marshal.dumps(image.code),
-                 "generic": marshal.dumps(generic)},
-            )
-            with monkeypatch.context() as patch:
-                patch.setattr(sim_cache, "BACKEND_VERSION", 14)
-                patch.setattr(
-                    sim_compile.CompiledDesign, "__getstate__",
-                    lambda self: layout_14,
-                )
-                assert sim_cache.put_design(source, "m", stale)
-            counts = {
-                name: obs.counter_value(f"sim.cache.{name}")
-                for name in ("version_mismatch", "miss", "corrupt")
-            }
-            assert sim_cache.get_design(source, "m") is None
-            assert {
-                name: obs.counter_value(f"sim.cache.{name}") - value
-                for name, value in counts.items()
-            } == {"version_mismatch": 1, "miss": 1, "corrupt": 0}
-            # the caller's miss path: elaborate again, check, store
-            fresh = build(source, "m")
-            Testbench(fresh, **kwargs, backend="compiled").apply_reset()
-            assert sim_cache.put_design(source, "m", fresh)
-            restored = sim_cache.get_design(source, "m")
-            assert restored._compiled.levelized
-            assert isinstance(restored._compiled.code, type(generic))
-        finally:
-            sim_cache.configure(previous)
-
-    def test_restored_design_equals_the_original(self):
-        design = build(self.SOURCE, "m")
-        want = self._run(design)
-        clone = pickle.loads(pickle.dumps(design))
-        assert "_ast" in clone.__dict__
-        assert "seq_blocks" not in clone.__dict__
-        assert clone == design  # reads the AST
-        assert "_ast" not in clone.__dict__
-        assert repr(clone) == repr(design)
-        assert self._run(clone) == want
-
-    def test_untouched_restored_design_re_pickles_its_blob(self):
-        design = build(self.SOURCE, "m")
-        self._run(design)
-        clone = pickle.loads(pickle.dumps(design))
-        blob = clone.__dict__["_ast"]
-        again = pickle.loads(pickle.dumps(clone))
-        assert again.__dict__["_ast"] == blob
-        assert "_ast" in clone.__dict__  # pickling read nothing
-        assert again == design
-
-    def test_restored_candidate_replays_with_its_ast_deferred(self):
-        """A sequential candidate restored from a pickle runs a whole
-        episode off its image: the AST is never unpickled."""
-        design = build(self.SOURCE, "m")
-        stimulus = random_stimulus(design, 40, seed=9)
-        names, rows = stimulus_rows(stimulus)
-
-        def episode(candidate, trace):
-            bench = Testbench(candidate, reset="rst", backend="compiled")
-            bench.apply_reset()
-            return bench.sim.replay_fn(bench.clock, names, ("q", "y"))(
-                rows, trace
-            )
-
-        bench = Testbench(design, reset="rst", backend="compiled")
-        bench.apply_reset()
-        step = bench.sim.cycle_fn(bench.clock, names, ("q", "y"))
-        trace = [step(row) for row in rows]
-        clone = pickle.loads(pickle.dumps(design))
-        emitted = obs.counter_value("sim.codegen.emitted")
-        assert episode(clone, trace) == (40, None)
-        assert "_ast" in clone.__dict__
-        assert obs.counter_value("sim.codegen.emitted") == emitted
-
-    def test_a_replayed_restored_design_thaws_its_ast_once(
-        self, monkeypatch
-    ):
-        """A restored combinational candidate with no compiled image:
-        the scalar replay compiles it, which unpickles the AST blob once."""
-        from repro.vereval import harness
-
-        # the module, not the function `repro.sim` exports under its name
-        sim_elaborate = importlib.import_module("repro.sim.elaborate")
-
-        (problem,) = build_problem_set(
-            n_problems=1, families=["alu"], stimulus_cycles=24
-        )
-        assert problem.module.interface.clock is None
-        ref = harness._GoldenRef(problem)
-        clone = pickle.loads(pickle.dumps(
-            build(problem.golden_source, problem.module.name)
-        ))
-        thawed = []
-        real_thaw = sim_elaborate._thaw
-        monkeypatch.setattr(
-            sim_elaborate, "_thaw",
-            lambda blob: thawed.append(blob) or real_thaw(blob),
-        )
-        replays = obs.counter_value("vereval.scalar_checks")
-        (verdict,) = harness._check_many_against_trace(ref, [clone], problem)
-        assert verdict.equivalent
-        assert obs.counter_value("vereval.scalar_checks") == replays + 1
-        assert len(thawed) == 1 and "_ast" not in clone.__dict__
-
     def test_previous_version_entries_are_evicted(self, tmp_path,
                                                   monkeypatch):
         """Version-12 entries at the key names, a ``design`` entry (AST
@@ -1696,6 +1515,7 @@ class TestCodePersistence:
         )
         name = problem.module.name
         ref = harness._GoldenRef(problem)
+        golden = build(problem.golden_source, name)
         layout_11 = {
             "signature": ref.signature,
             "stimulus": ref.stimulus,
@@ -1716,9 +1536,7 @@ class TestCodePersistence:
                 )
                 patch.setattr(
                     harness._GoldenRef, "__getstate__",
-                    lambda self: (
-                        None, {"design": self.design, **layout_11}
-                    ),
+                    lambda self: (None, {"design": golden, **layout_11}),
                 )
                 entries = [
                     (("design", problem.golden_source, name),
@@ -1758,172 +1576,8 @@ class TestCodePersistence:
         Simulator(design, backend="compiled").poke("clk", 1)
         stage = CheckStage({"task": _DesignChecker(design)}, cache_dir="")
         clone = pickle.loads(pickle.dumps(stage)).checkers["task"].design
-        assert clone._compiled.code is not None
+        assert "_compiled" not in clone.__dict__
         assert self._run(clone) == want
-
-
-class TestSourceTextPersistence:
-    """A design that carries compiled code and knows its source text
-    pickles that text in place of its AST; the first read of an AST
-    field parses and elaborates the text again.  A golden bundle's design
-    is stored that way, and the interpreter replaying it is the warm path
-    that reads its AST."""
-
-    SOURCE = TestCodePersistence.SOURCE
-    _run = staticmethod(TestCodePersistence._run)
-
-    @staticmethod
-    def _ast_free(design):
-        return not ({"_ast", *_AST_FIELDS} & set(design.__dict__))
-
-    @staticmethod
-    def _assert_fresh(design, source, top):
-        fresh = build(source, top)
-        for name in _AST_FIELDS:
-            assert getattr(design, name) == getattr(fresh, name), name
-            assert repr(getattr(design, name)) == repr(getattr(fresh, name))
-        assert design == fresh
-        assert repr(design) == repr(fresh)
-
-    def _carrying(self):
-        design = build(self.SOURCE, "m")
-        design.source_text = self.SOURCE
-        want = self._run(design)
-        assert design._compiled.code is not None
-        return design, want
-
-    def test_code_and_text_pickle_no_ast(self, monkeypatch):
-        design, want = self._carrying()
-        state = design.__getstate__()
-        assert state["source_text"] == self.SOURCE
-        assert not ({"_ast", *_AST_FIELDS} & set(state))
-        clone = pickle.loads(pickle.dumps(design))
-        assert self._ast_free(clone)
-        derived = []
-        real = sim_elaborate._rederive
-        monkeypatch.setattr(
-            sim_elaborate, "_rederive",
-            lambda *args: derived.append(args) or real(*args),
-        )
-        # a replay runs off the image and derives nothing
-        assert self._run(clone) == want
-        assert self._ast_free(clone) and not derived
-        # pickling an underived clone again carries the text alone
-        again = pickle.loads(pickle.dumps(clone))
-        assert self._ast_free(again) and not derived
-        self._assert_fresh(clone, self.SOURCE, "m")
-        assert derived == [(self.SOURCE, "m")]
-        self._assert_fresh(again, self.SOURCE, "m")
-
-    def test_code_or_text_alone_keeps_the_blob(self):
-        no_text = build(self.SOURCE, "m")
-        self._run(no_text)
-        no_code = build(self.SOURCE, "m")
-        no_code.source_text = self.SOURCE
-        for design in (no_text, no_code):
-            clone = pickle.loads(pickle.dumps(design))
-            assert "_ast" in clone.__dict__
-            assert clone == design
-
-    def test_a_field_assigned_after_the_restore_is_kept(self):
-        design, _ = self._carrying()
-        clone = pickle.loads(pickle.dumps(design))
-        clone.initial_stmts = []
-        assert clone.comb_assigns == design.comb_assigns
-        assert clone.initial_stmts == []
-
-    def _cached_bundles(self, tmp_path):
-        """Problems of every kind, checked once with the cache on (each
-        golden bundle stored, its design carrying code and text), their
-        pools and the uncached verdicts."""
-        from repro.sim import cache as sim_cache
-        from repro.vereval import check_candidates_lockstep, reset_caches
-
-        # three combinational problems and three sequential ones
-        problems = build_problem_set(stimulus_cycles=24)[::10]
-        pools = [
-            [p.golden_source, "// twin\n" + p.golden_source]
-            + [m.source for m in mutate(p.module)[:3]]
-            + [p.golden_source.replace(" == ", " != ").replace(" + ", " - ")]
-            for p in problems
-        ]
-        sim_cache.configure("")
-        reset_caches()
-        want = [check_candidates_lockstep(p, s) for p, s in zip(problems, pools)]
-        sim_cache.configure(str(tmp_path))
-        reset_caches()
-        cold = [check_candidates_lockstep(p, s) for p, s in zip(problems, pools)]
-        assert cold == want
-        return problems, pools, want
-
-    @staticmethod
-    def _replay_restored_goldens(problems):
-        """Each problem's golden bundle read back from its disk entry, its
-        design replayed as a candidate against its own trace: the bundles
-        and the verdicts."""
-        from repro.sim import cache as sim_cache
-        from repro.vereval import harness, reset_caches
-
-        reset_caches()
-        refs = [
-            harness._golden_ref(
-                p, sim_cache.load("golden", *harness._golden_disk_key(p))[1]
-            )
-            for p in problems
-        ]
-        for ref in refs:
-            # restored with code and its source text, and no AST
-            assert "_compiled" in vars(ref.design)
-            assert TestSourceTextPersistence._ast_free(ref.design)
-        verdicts = [
-            harness._check_many_against_trace(ref, [ref.design], p)[0]
-            for ref, p in zip(refs, problems)
-        ]
-        return refs, verdicts
-
-    def test_interp_backend_with_the_cache_on_derives_fresh_fields(
-        self, tmp_path
-    ):
-        from repro.vereval import check_candidates_lockstep, reset_caches
-
-        problems, pools, want = self._cached_bundles(tmp_path)
-        set_default_backend("interp")
-        try:
-            refs, verdicts = self._replay_restored_goldens(problems)
-            # a warm check decides every pool from its verdicts alone
-            reset_caches()
-            warm = [
-                check_candidates_lockstep(p, s)
-                for p, s in zip(problems, pools)
-            ]
-        finally:
-            reset_caches()
-        assert warm == want
-        # the interpreter read every golden's AST: derived, and fresh
-        assert all(verdict.equivalent for verdict in verdicts)
-        for ref, problem in zip(refs, problems):
-            assert "seq_blocks" in ref.design.__dict__
-            self._assert_fresh(
-                ref.design, problem.golden_source, problem.module.name
-            )
-
-    def test_the_naive_variant_without_derivation_fails(
-        self, tmp_path, monkeypatch
-    ):
-        """Drop the AST with nothing to derive it from: a restored design
-        runs with no logic on the interpreter, and the verdicts drift."""
-        from repro.vereval import reset_caches
-
-        problems, _, _ = self._cached_bundles(tmp_path)
-        monkeypatch.setattr(
-            sim_elaborate, "_rederive", lambda source_text, top: ([],) * 4
-        )
-        set_default_backend("interp")
-        try:
-            _, verdicts = self._replay_restored_goldens(problems)
-        finally:
-            reset_caches()
-        assert not all(verdict.equivalent for verdict in verdicts)
 
 
 class _DesignChecker:

@@ -599,7 +599,7 @@ class TestGoldenEqualAdversarial:
         # the naive rule, without the precondition, passes both
         monkeypatch.setattr(
             harness, "_golden_equal_digest",
-            lambda ref: ref.design.token_digest,
+            lambda ref: ref.digest,
         )
         reset_caches()
         try:
@@ -607,7 +607,7 @@ class TestGoldenEqualAdversarial:
         finally:
             reset_caches()
 
-    def test_a_warm_hit_thaws_nothing_and_replays_nothing(
+    def test_a_warm_hit_skips_the_bundle_and_replays_nothing(
         self, sim_cache_dir, monkeypatch
     ):
         from repro.sim import cache as sim_cache
@@ -1143,14 +1143,14 @@ class TestVerdictEntries:
         problem = _clocked_problem()
         source = _acc("a - b")
         key = harness._golden_disk_key(problem)
-        # an entry at the current name whose envelope says 18: the last
-        # version that stored bundles with and without the lanes slot
+        # an entry at the current name whose envelope says 19: the last
+        # version whose bundles pickled the golden's Design
         record = sim_cache._path_for(
             str(sim_cache_dir), sim_cache._key("golden", *key)
         )
         with open(record, "wb") as handle:
             pickle.dump(
-                (18, ({harness._source_key(source): (True, "")}, None)),
+                (19, ({harness._source_key(source): (True, "")}, None)),
                 handle,
             )
         reset_caches()
